@@ -16,7 +16,7 @@ from .scoring import (ScoreTable, invert, oracle_bayes_score, random_score,
 from .sequencer import (CurriculumPlan, balanced_prefix, build_plan,
                         minibatch_at, self_paced_rescore_hook)
 from .trainer import (LearningCurve, LRSchedule, Model, ModelSpec, TrainSettings,
-                      backward, evaluate, forward_loss, train)
+                      evaluate, train)
 
 __version__ = "0.1.0"
 
@@ -32,5 +32,5 @@ __all__ = [
     "CurriculumPlan", "balanced_prefix", "build_plan", "minibatch_at",
     "self_paced_rescore_hook",
     "LearningCurve", "LRSchedule", "Model", "ModelSpec", "TrainSettings",
-    "backward", "evaluate", "forward_loss", "train",
+    "evaluate", "train",
 ]

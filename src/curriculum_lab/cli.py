@@ -13,7 +13,8 @@ from pathlib import Path
 
 from .config import load_config_tree, resolve_config
 from .data import save_bayes_json, save_dataset_csv
-from .errors import ConfigError, DataLoadError, ExperimentError, ParameterError
+from .errors import ConfigError, DataLoadError, ExperimentError, NumericalError, \
+    ParameterError, TrainingDivergedError
 from .harness import bootstrap_loop, default_acceptance_tree, \
     gradient_coherence_pipeline, make_score_provider, resolve_dataset, \
     run_experiment, two_stage_grid_search
@@ -181,7 +182,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ParameterError, DataLoadError, ExperimentError) as exc:
+    except (ConfigError, ParameterError, DataLoadError, ExperimentError, NumericalError,
+            TrainingDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

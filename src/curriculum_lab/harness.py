@@ -41,6 +41,10 @@ ACCEPTANCE_DATASET = {
 ACCEPTANCE_TRAIN_FRACTION = 5.0 / 6.0
 ACCEPTANCE_SPLIT_SEED = 7
 
+# the conditions that order their plan by the configured score table; the
+# others start from a seeded random permutation and never build the table
+SCORED_CONDITIONS = ("curriculum", "anti")
+
 
 def default_acceptance_tree(condition: str = "curriculum", **overrides) -> dict:
     """The calibrated desk-scale experiment config used by the acceptance suite.
@@ -168,7 +172,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None,
     else:
         train_ds, test_ds = dataset
         emb = None
-    if score_provider is None:
+    if score_provider is None and config.condition in SCORED_CONDITIONS:
         score_provider = make_score_provider(config, train_ds, emb)
 
     warnings: list[str] = []
@@ -316,7 +320,8 @@ def two_stage_grid_search(config: ExperimentConfig, out_dir=None) -> tuple[Exper
 
     def run_cell(stage: int, pacing_params: dict, lr_params: dict) -> tuple[float, ExperimentConfig]:
         cell_config = _with_params(config, pacing_params, lr_params)
-        provider = make_score_provider(cell_config, fit_ds, emb)
+        provider = (make_score_provider(cell_config, fit_ds, emb)
+                    if cell_config.condition in SCORED_CONDITIONS else None)
         try:
             res = run_experiment(cell_config, dataset=(fit_ds, val_ds),
                                  score_provider=provider, keep_models=False)

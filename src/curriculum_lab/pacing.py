@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ParameterError
 
@@ -84,6 +85,30 @@ class PacingSpec:
                 raise ParameterError("boundaries must be non-negative iteration indices")
             if any(b2 <= b1 for b1, b2 in zip(self.boundaries, self.boundaries[1:])):
                 raise ParameterError(f"boundaries must be strictly increasing, got {self.boundaries}")
+
+    @cached_property
+    def sizes(self) -> tuple[int, ...]:
+        """The whole schedule g(0), ..., g(M-1), computed once per spec.
+
+        `subset_size` is evaluated only where the staircase may step up, and
+        each value is repeated until the next such iteration.
+        """
+        starts = sorted({0, self.M} | {s for s in _step_starts(self) if 0 < s < self.M})
+        out: list[int] = []
+        for start, stop in zip(starts, starts[1:]):
+            out += [subset_size(self, start)] * (stop - start)
+        return tuple(out)
+
+
+def _step_starts(spec: PacingSpec):
+    """Iterations at which the subset size may differ from the iteration before."""
+    if spec.variant == "fixed_exp":
+        return range(spec.step_length, spec.M, spec.step_length)
+    if spec.variant == "single_step":
+        return (spec.step_length,)
+    if spec.variant == "varied_exp":
+        return tuple(b + 1 for b in spec.boundaries)
+    return ()
 
 
 def _check_iteration(spec: PacingSpec, i: int) -> None:

@@ -3,7 +3,8 @@
 The plan sorts examples by difficulty once, then each iteration i samples a
 mini-batch uniformly (without replacement) from the class-balanced easiest
 prefix of size g(i). Batch sampling uses a counter-based RNG keyed by
-(seed, i), so any iteration's batch can be recomputed in isolation.
+(seed, i), so any iteration's batch can be recomputed in isolation; one
+Philox generator per plan is reused, its counter set to i before each draw.
 """
 from __future__ import annotations
 
@@ -26,6 +27,8 @@ class CurriculumPlan:
     pacing: PacingSpec
     seed: int
     _prefix_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    # seed -> (Generator, Philox state dict) reused by every minibatch_at call
+    _batch_rng: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def N(self) -> int:
@@ -107,8 +110,16 @@ def minibatch_at(plan: CurriculumPlan, i: int) -> np.ndarray:
     stream keyed by (seed, i)."""
     if not 0 <= i < plan.M:
         raise ParameterError(f"iteration {i} outside [0, {plan.M})")
-    subset = balanced_prefix(plan, subset_size(plan.pacing, i))
-    rng = np.random.Generator(np.random.Philox(key=plan.seed, counter=i << 128))
+    subset = balanced_prefix(plan, plan.pacing.sizes[i])
+    cached = plan._batch_rng.get(plan.seed)
+    if cached is None:
+        bit_gen = np.random.Philox(key=plan.seed)
+        cached = plan._batch_rng[plan.seed] = (np.random.Generator(bit_gen), bit_gen.state)
+    rng, state = cached
+    # `state` is a fresh generator's (empty output buffer); with counter word 2
+    # set to i it is the state of Philox(key=seed, counter=i << 128)
+    state["state"]["counter"][:] = (0, 0, i, 0)
+    rng.bit_generator.state = state
     return rng.choice(subset, size=plan.batch_size, replace=False)
 
 

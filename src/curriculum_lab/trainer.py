@@ -14,7 +14,6 @@ import numpy as np
 
 from .data import Dataset
 from .errors import NumericalError, ParameterError, TrainingDivergedError
-from .pacing import subset_size
 from .sequencer import CurriculumPlan, minibatch_at
 
 ARCHITECTURES = ("linear_softmax", "mlp1")
@@ -116,6 +115,9 @@ class Model:
         if params.shape != (offset,):
             raise ParameterError(f"expected {offset} parameters, got {params.shape}")
         self.params = params.copy()
+        # per-layer views into the flat vector; in-place updates show through
+        self._views = {name: self.params[start:stop].reshape(shape)
+                       for name, shape, start, stop in self.arrays}
         if spec.architecture == "linear_softmax":
             self.segments = (("layer1", 0, offset),)
         else:
@@ -147,10 +149,7 @@ class Model:
         return Model(self.spec, self.K, self.d, self.params)
 
     def array(self, name: str) -> np.ndarray:
-        for n, shape, start, stop in self.arrays:
-            if n == name:
-                return self.params[start:stop].reshape(shape)
-        raise KeyError(name)
+        return self._views[name]
 
     # -- forward -------------------------------------------------------------
 
@@ -158,12 +157,13 @@ class Model:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         if X.shape[1] != self.d:
             raise ParameterError(f"model expects d={self.d} features, got {X.shape[1]}")
+        v = self._views
         if self.spec.architecture == "linear_softmax":
-            logits = X @ self.array("W").T + self.array("b")
+            logits = X @ v["W"].T + v["b"]
             return logits, (X,)
-        z1 = X @ self.array("W1").T + self.array("b1")
+        z1 = X @ v["W1"].T + v["b1"]
         a1 = np.maximum(z1, 0.0)
-        logits = a1 @ self.array("W2").T + self.array("b2")
+        logits = a1 @ v["W2"].T + v["b2"]
         return logits, (X, z1, a1)
 
     def logits(self, X: np.ndarray) -> np.ndarray:
@@ -177,41 +177,37 @@ class Model:
 
     def example_losses(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Cross-entropy -log p(true class) per example."""
-        logits = self.logits(X)
-        if not np.isfinite(logits).all():
-            raise NumericalError("non-finite activations in forward pass")
-        y = np.asarray(y, dtype=np.int64)
-        m = logits.max(axis=1, keepdims=True)
-        lse = m[:, 0] + np.log(np.exp(logits - m).sum(axis=1))
-        return lse - logits[np.arange(len(y)), y]
+        return self._losses_and_residual(X, y)[0]
 
     # -- gradients -----------------------------------------------------------
 
-    def _softmax_residual(self, X, y):
+    def _losses_and_residual(self, X, y):
+        """One forward pass: per-example losses, the softmax residual
+        P - onehot(y), and the forward cache. The max-shifted exponentials and
+        their row sums serve both the log-sum-exp and the softmax."""
         logits, cache = self._forward(X)
         if not np.isfinite(logits).all():
             raise NumericalError("non-finite activations in forward pass")
         y = np.asarray(y, dtype=np.int64)
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        P = e / e.sum(axis=1, keepdims=True)
-        G = P.copy()
-        G[np.arange(len(y)), y] -= 1.0
-        return G, cache
+        rows = np.arange(len(y))
+        m = logits.max(axis=1, keepdims=True)
+        e = np.exp(logits - m)
+        total = e.sum(axis=1, keepdims=True)
+        losses = m[:, 0] + np.log(total[:, 0]) - logits[rows, y]
+        G = e / total
+        G[rows, y] -= 1.0
+        return losses, G, cache
 
     def loss_and_grad(self, X: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
         """Mean cross-entropy over the batch and its flat gradient."""
-        losses = self.example_losses(X, y)
-        G, cache = self._softmax_residual(X, y)
-        n = len(losses)
-        G = G / n
+        losses, G, cache = self._losses_and_residual(X, y)
+        G /= len(losses)
         if self.spec.architecture == "linear_softmax":
             (X2,) = cache
             grad = np.concatenate([(G.T @ X2).ravel(), G.sum(axis=0)])
         else:
             X2, z1, a1 = cache
-            W2 = self.array("W2")
-            dz1 = (G @ W2) * (z1 > 0)
+            dz1 = (G @ self._views["W2"]) * (z1 > 0)
             grad = np.concatenate([
                 (dz1.T @ X2).ravel(), dz1.sum(axis=0),
                 (G.T @ a1).ravel(), G.sum(axis=0),
@@ -220,27 +216,17 @@ class Model:
 
     def per_example_grads(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Row j = flat gradient of example j's individual loss, shape (n, P)."""
-        G, cache = self._softmax_residual(X, y)
+        _losses, G, cache = self._losses_and_residual(X, y)
         n = G.shape[0]
         if self.spec.architecture == "linear_softmax":
             (X2,) = cache
             dW = np.einsum("nk,nd->nkd", G, X2).reshape(n, -1)
             return np.concatenate([dW, G], axis=1)
         X2, z1, a1 = cache
-        W2 = self.array("W2")
-        dz1 = (G @ W2) * (z1 > 0)
+        dz1 = (G @ self._views["W2"]) * (z1 > 0)
         dW1 = np.einsum("nh,nd->nhd", dz1, X2).reshape(n, -1)
         dW2 = np.einsum("nk,nh->nkh", G, a1).reshape(n, -1)
         return np.concatenate([dW1, dz1, dW2, G], axis=1)
-
-
-def forward_loss(model: Model, X: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
-    losses = model.example_losses(X, y)
-    return float(losses.mean()), losses
-
-
-def backward(model: Model, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return model.loss_and_grad(X, y)[1]
 
 
 def evaluate(model: Model, ds: Dataset) -> float:
@@ -311,8 +297,9 @@ def train(ds_train: Dataset, ds_test: Dataset, plan: CurriculumPlan,
     recorded = []
     prev_size = None
     current = plan
+    sizes = plan.pacing.sizes
     for t in range(M):
-        size = subset_size(plan.pacing, t)
+        size = sizes[t]
         if boundary_hook is not None and (prev_size is None or size != prev_size):
             current = boundary_hook(current, model, t)
         prev_size = size

@@ -20,8 +20,7 @@ from curriculum_lab.pacing import (PacingSpec, g_fixed_exp, g_varied_exp,
 from curriculum_lab.scoring import invert, random_score
 from curriculum_lab.sequencer import balanced_prefix, build_plan, minibatch_at
 from curriculum_lab.theory import run_verification
-from curriculum_lab.trainer import (LRSchedule, Model, ModelSpec, backward,
-                                    forward_loss, train)
+from curriculum_lab.trainer import LRSchedule, Model, ModelSpec, train
 
 WINDOW = 5
 
@@ -240,13 +239,13 @@ def test_criterion_7_trainer_correctness(tmp_path):
             X = rng.normal(size=(n, d))
             y = rng.integers(0, K, size=n)
             model = Model.initialize(spec, K, d, seed=int(rng.integers(1e9)))
-            grad = backward(model, X, y)
+            _, grad = model.loss_and_grad(X, y)
             u = rng.normal(size=grad.shape)
             u /= np.linalg.norm(u)
             h = 1e-5
 
             def loss_at(theta):
-                return forward_loss(Model(spec, K, d, theta), X, y)[0]
+                return float(Model(spec, K, d, theta).example_losses(X, y).mean())
 
             numeric = (loss_at(model.params + h * u)
                        - loss_at(model.params - h * u)) / (2 * h)

@@ -201,6 +201,48 @@ class TestCliTrainAndScore:
         assert report["n_seeds"] == 2
 
 
+class TestCliTransferScoredConfig:
+    def transfer_config(self, tmp_path):
+        from curriculum_lab.data import EmbeddingTable, save_embeddings_csv
+        from curriculum_lab.harness import resolve_dataset
+        train_ds, _, _ = resolve_dataset(resolve_config(tiny_tree()))
+        save_embeddings_csv(EmbeddingTable(train_ds.X[:, :2]), tmp_path / "emb.csv")
+        tree = tiny_tree("curriculum", scoring={"kind": "transfer"}, repetitions=1)
+        tree["dataset"]["embeddings_csv"] = str(tmp_path / "emb.csv")
+        return write_config(tmp_path, tree)
+
+    def test_analyze_gradients_accepts_transfer_config(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["analyze-gradients", "--config", str(self.transfer_config(tmp_path)),
+                     "--out", str(out)]) == 0
+        report = json.loads((out / "gradient_report.json").read_text())
+        assert report["n_seeds"] == 1
+        assert "gradient_report.json" in json.loads((out / "manifest.json").read_text())["outputs"]
+
+    def test_bootstrap_accepts_transfer_config(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["bootstrap", "--config", str(self.transfer_config(tmp_path)),
+                     "--out", str(out), "--generations", "1"]) == 0
+        for g in range(2):
+            summary = json.loads((out / f"summary_gen{g}.json").read_text())
+            assert summary["generation"] == g
+            assert summary["failed_seeds"] == []
+
+
+class TestCliNumericalFailure:
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_diverging_self_taught_score_is_a_typed_error(self, tmp_path, capsys):
+        tree = tiny_tree("curriculum", scoring={"kind": "self_taught"},
+                         model={"architecture": "mlp1", "hidden": 6})
+        tree["lr"]["lr0"] = 1e12
+        config = write_config(tmp_path, tree)
+        out = tmp_path / "o"
+        assert main(["score", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "iteration" in err
+        assert not (out / "scores.csv").exists()
+
+
 class TestCliVerifyTheory:
     def test_exit_zero_and_clean_report(self, tmp_path):
         out = tmp_path / "o"

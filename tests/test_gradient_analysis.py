@@ -7,7 +7,7 @@ from curriculum_lab.gradient_analysis import (GradientSet, coherence_report,
                                               distance_matrix, mean_gradient,
                                               per_example_gradients,
                                               total_variance)
-from curriculum_lab.trainer import Model, ModelSpec, backward, forward_loss
+from curriculum_lab.trainer import Model, ModelSpec
 
 LINEAR = ModelSpec("linear_softmax")
 MLP = ModelSpec("mlp1", hidden=5)
@@ -39,7 +39,7 @@ class TestPerExampleGradients:
         model = Model.initialize(spec, 2, 4, seed=3)
         ids = np.arange(ds.N)
         gs = per_example_gradients(model, ids, ds)
-        assert np.allclose(gs.grads.mean(axis=0), backward(model, ds.X, ds.y),
+        assert np.allclose(gs.grads.mean(axis=0), model.loss_and_grad(ds.X, ds.y)[1],
                            atol=1e-12)
 
     @pytest.mark.parametrize("spec", [LINEAR, MLP], ids=["linear", "mlp1"])
@@ -55,7 +55,7 @@ class TestPerExampleGradients:
 
             def loss_at(theta):
                 probe = Model(spec, 2, 3, theta)
-                return forward_loss(probe, ds.X[ex:ex + 1], ds.y[ex:ex + 1])[0]
+                return float(probe.example_losses(ds.X[ex:ex + 1], ds.y[ex:ex + 1]).mean())
 
             numeric = (loss_at(model.params + h * u) - loss_at(model.params - h * u)) / (2 * h)
             analytic = float(row @ u)

@@ -270,3 +270,25 @@ class TestDatasetResolution:
         cfg = resolve_config(tree)
         with pytest.raises(ConfigError, match="embeddings"):
             run_experiment(cfg)
+
+    def test_anti_transfer_requires_embeddings(self):
+        cfg = resolve_config(tiny_tree("anti", scoring={"kind": "transfer"}))
+        with pytest.raises(ConfigError, match="embeddings"):
+            run_experiment(cfg)
+
+    @pytest.mark.parametrize("condition", ["self_paced", "vanilla", "random"])
+    def test_unscored_condition_never_computes_transfer_scores(
+            self, tmp_path, monkeypatch, condition):
+        from curriculum_lab.data import EmbeddingTable, save_embeddings_csv
+        train_ds, _, _ = resolve_dataset(resolve_config(tiny_tree()))
+        save_embeddings_csv(EmbeddingTable(train_ds.X[:, :2]), tmp_path / "emb.csv")
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("transfer_score called for an unscored condition")
+
+        monkeypatch.setattr(harness, "transfer_score", forbidden)
+        tree = tiny_tree(condition, scoring={"kind": "transfer"})
+        tree["dataset"]["embeddings_csv"] = str(tmp_path / "emb.csv")
+        result = run_experiment(resolve_config(tree))
+        assert result.summary["failed_seeds"] == []
+        assert sorted(result.curves) == [0, 1]

@@ -192,6 +192,24 @@ class TestProperties:
                 if sat > 0:
                     assert subset_size(spec, sat - 1) < spec.N
 
+    def test_sizes_equal_subset_size_at_every_iteration(self):
+        rng = np.random.default_rng(19)
+        specs = [self.random_spec(rng) for _ in range(200)]
+        specs += [
+            PacingSpec("vanilla", N=30, M=7),
+            PacingSpec("single_step", N=40, M=20, starting_percent=0.25, step_length=0),
+            PacingSpec("single_step", N=40, M=20, starting_percent=0.25, step_length=35),
+            PacingSpec("varied_exp", N=100, M=12, starting_percent=0.1, increase=2.0,
+                       boundaries=[5, 15, 25, 35]),
+            fixed_spec(M=1),
+        ]
+        for spec in specs:
+            assert spec.sizes == tuple(subset_size(spec, i) for i in range(spec.M))
+
+    def test_sizes_computed_once_per_spec(self):
+        spec = fixed_spec()
+        assert spec.sizes is spec.sizes
+
 
 class TestValidationAndHelpers:
     def test_vanilla_variant(self):

@@ -165,6 +165,26 @@ class TestMinibatchAt:
         for member, c in counts.items():
             assert abs(c / n_samples - 0.5) < 0.02, (member, c / n_samples)
 
+    @staticmethod
+    def fresh_batch(plan, i):
+        subset = balanced_prefix(plan, subset_size(plan.pacing, i))
+        rng = np.random.Generator(np.random.Philox(key=plan.seed, counter=i << 128))
+        return rng.choice(subset, size=plan.batch_size, replace=False)
+
+    def test_reused_generator_matches_fresh_stream_in_any_order(self):
+        _, plan = self.plan_with([20, 20], batch=5, sp=0.25, seed=12345, M=40)
+        for i in (5, 2, 5, plan.M - 1, 0, 17, 17, 3):
+            assert np.array_equal(minibatch_at(plan, i), self.fresh_batch(plan, i)), i
+
+    def test_rescored_plan_keeps_the_keyed_stream(self):
+        ds, plan = self.plan_with([20, 20], batch=5, sp=0.25, seed=7, M=40)
+        minibatch_at(plan, 9)  # the generator is built and used before rescoring
+        model = Model.initialize(ModelSpec("linear_softmax"), ds.K, ds.d, seed=3)
+        rescored = self_paced_rescore_hook(plan, model, 10)
+        for i in (5, 2, 5, rescored.M - 1, 0):
+            assert np.array_equal(minibatch_at(rescored, i), self.fresh_batch(rescored, i)), i
+            assert np.array_equal(minibatch_at(plan, i), self.fresh_batch(plan, i)), i
+
     def test_anti_curriculum_prefix_disjoint(self):
         rng = np.random.default_rng(17)
         for seed in range(50):

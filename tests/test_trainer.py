@@ -8,7 +8,7 @@ from curriculum_lab.errors import ParameterError, TrainingDivergedError
 from curriculum_lab.pacing import PacingSpec
 from curriculum_lab.sequencer import build_plan, minibatch_at
 from curriculum_lab.trainer import (LearningCurve, LRSchedule, Model, ModelSpec,
-                                    backward, evaluate, forward_loss, train)
+                                    evaluate, train)
 
 LINEAR = ModelSpec("linear_softmax")
 MLP = ModelSpec("mlp1", hidden=6)
@@ -29,7 +29,8 @@ class TestForward:
     def test_uniform_predictor_loss_is_log_k(self):
         ds = make_ds([4, 4, 4, 4, 4], d=3)
         model = Model.zeros(LINEAR, 5, 3)
-        mean, per = forward_loss(model, ds.X, ds.y)
+        per = model.example_losses(ds.X, ds.y)
+        mean, _ = model.loss_and_grad(ds.X, ds.y)
         assert mean == pytest.approx(math.log(5), abs=1e-12)
         assert np.allclose(per, math.log(5))
 
@@ -41,7 +42,8 @@ class TestForward:
         model.params[: K * d] = (np.eye(K) * 200.0).ravel()
         X = np.eye(K)
         y = np.arange(K)
-        mean, per = forward_loss(model, X, y)
+        per = model.example_losses(X, y)
+        mean, _ = model.loss_and_grad(X, y)
         assert mean < 1e-12
         assert (per >= 0).all()
 
@@ -50,7 +52,7 @@ class TestForward:
         model = random_model(MLP, 2, 4, seed=5)
         X = np.vstack([ds.X[0], ds.X[0]])
         y = np.array([ds.y[0], ds.y[0]])
-        _, per = forward_loss(model, X, y)
+        per = model.example_losses(X, y)
         assert per[0] == per[1]
 
     def test_probabilities_are_normalized(self):
@@ -70,13 +72,13 @@ class TestBackward:
         X = rng.normal(size=(n, d))
         y = rng.integers(0, K, size=n)
         model = random_model(spec, K, d, seed=seed)
-        grad = backward(model, X, y)
+        _, grad = model.loss_and_grad(X, y)
         u = rng.normal(size=grad.shape)
         u /= np.linalg.norm(u)
 
         def loss_at(theta):
             probe = Model(spec, K, d, theta)
-            return forward_loss(probe, X, y)[0]
+            return float(probe.example_losses(X, y).mean())
 
         numeric = (loss_at(model.params + h * u) - loss_at(model.params - h * u)) / (2 * h)
         analytic = float(grad @ u)
@@ -91,8 +93,8 @@ class TestBackward:
     def test_duplicating_batch_leaves_mean_gradient_unchanged(self):
         ds = make_ds([4, 4], d=3, seed=1)
         model = random_model(LINEAR, 2, 3, seed=2)
-        g1 = backward(model, ds.X, ds.y)
-        g2 = backward(model, np.vstack([ds.X, ds.X]), np.concatenate([ds.y, ds.y]))
+        _, g1 = model.loss_and_grad(ds.X, ds.y)
+        _, g2 = model.loss_and_grad(np.vstack([ds.X, ds.X]), np.concatenate([ds.y, ds.y]))
         assert np.allclose(g1, g2, atol=1e-12)
 
     def test_gradient_vanishes_after_saturating_one_example(self):
@@ -104,7 +106,18 @@ class TestBackward:
         for _ in range(30000):
             _, g = model.loss_and_grad(X, y)
             model.params -= 100.0 * g
-        assert np.linalg.norm(backward(model, X, y)) < 1e-6
+        assert np.linalg.norm(model.loss_and_grad(X, y)[1]) < 1e-6
+
+    @pytest.mark.parametrize("spec", [LINEAR, MLP], ids=["linear", "mlp1"])
+    def test_fused_loss_equals_mean_example_loss_bitwise(self, spec):
+        rng = np.random.default_rng(21)
+        for seed in range(20):
+            K, d, n = int(rng.integers(2, 6)), int(rng.integers(2, 8)), int(rng.integers(1, 40))
+            X = rng.normal(size=(n, d)) * 3.0
+            y = rng.integers(0, K, size=n)
+            model = random_model(spec, K, d, seed=seed)
+            loss, _ = model.loss_and_grad(X, y)
+            assert loss == float(model.example_losses(X, y).mean()), (seed, loss)
 
     def test_layout_segments_partition_params(self):
         for spec, K, d in ((LINEAR, 5, 7), (MLP, 3, 4)):

@@ -15,8 +15,8 @@ from .scoring import (ScoreTable, invert, oracle_bayes_score, random_score,
                       score_by_model_loss, self_taught_score, transfer_score)
 from .sequencer import (CurriculumPlan, balanced_prefix, build_plan,
                         minibatch_at, self_paced_rescore_hook)
-from .trainer import (LearningCurve, LRSchedule, Model, ModelSpec, TrainSettings,
-                      evaluate, train)
+from .trainer import (LearningCurve, LRSchedule, Model, ModelSpec, evaluate, train,
+                      train_stack)
 
 __version__ = "0.1.0"
 
@@ -31,6 +31,6 @@ __all__ = [
     "score_by_model_loss", "self_taught_score", "transfer_score",
     "CurriculumPlan", "balanced_prefix", "build_plan", "minibatch_at",
     "self_paced_rescore_hook",
-    "LearningCurve", "LRSchedule", "Model", "ModelSpec", "TrainSettings",
-    "evaluate", "train",
+    "LearningCurve", "LRSchedule", "Model", "ModelSpec",
+    "evaluate", "train", "train_stack",
 ]

@@ -63,7 +63,7 @@ def cmd_score(args) -> int:
     config, out = _load(args)
     train_ds, _test_ds, emb = resolve_dataset(config)
     provider = make_score_provider(config, train_ds, emb)
-    table = provider(config.seeds[0])
+    (table,) = provider([config.seeds[0]])
     save_scores_csv(table, out / "scores.csv")
     _finish(out, "score", config.tree, ["scores.csv", "manifest.json"])
     return 0

@@ -190,13 +190,9 @@ def generate_gaussian_mixture(K: int, d: int, n_per_class: int, spread: float,
     return Dataset(X=X, y=y, K=K, bayes=bayes)
 
 
-def stratified_split(ds: Dataset, fraction: float, seed: int) -> tuple[Dataset, Dataset]:
-    """Split per class: floor quotas plus largest-remainder, ties to low class id.
-
-    `fraction` is the first (train) side. Within each class, membership is a
-    seeded permutation; both sides are re-indexed to contiguous ids and keep
-    the parent's Bayes metadata.
-    """
+def stratified_split_ids(ds: Dataset, fraction: float,
+                         seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ids of each side of `stratified_split`, ascending."""
     if not 0.0 < fraction < 1.0:
         raise ParameterError(f"fraction must be in (0, 1), got {fraction}")
     counts = ds.class_counts
@@ -213,11 +209,24 @@ def stratified_split(ds: Dataset, fraction: float, seed: int) -> tuple[Dataset, 
         ids_c = np.flatnonzero(ds.y == c)
         picked = rng.permutation(ids_c)[: quotas[c]]
         train_mask[picked] = True
-    train_ids = np.flatnonzero(train_mask)
-    val_ids = np.flatnonzero(~train_mask)
-    make = lambda ids: Dataset(X=ds.X[ids].copy(), y=ds.y[ids].copy(), K=ds.K,
-                               bayes=ds.bayes)
-    return make(train_ids), make(val_ids)
+    return np.flatnonzero(train_mask), np.flatnonzero(~train_mask)
+
+
+def select_examples(ds: Dataset, ids: np.ndarray) -> Dataset:
+    """The examples `ids` of `ds`, re-indexed to contiguous ids, with the
+    parent's Bayes metadata."""
+    return Dataset(X=ds.X[ids], y=ds.y[ids], K=ds.K, bayes=ds.bayes)
+
+
+def stratified_split(ds: Dataset, fraction: float, seed: int) -> tuple[Dataset, Dataset]:
+    """Split per class: floor quotas plus largest-remainder, ties to low class id.
+
+    `fraction` is the first (train) side. Within each class, membership is a
+    seeded permutation; both sides are re-indexed to contiguous ids and keep
+    the parent's Bayes metadata.
+    """
+    train_ids, val_ids = stratified_split_ids(ds, fraction, seed)
+    return select_examples(ds, train_ids), select_examples(ds, val_ids)
 
 
 # ---------------------------------------------------------------------------

@@ -16,15 +16,16 @@ import numpy as np
 
 from .config import ExperimentConfig, pacing_spec_for, resolve_config
 from .data import Dataset, EmbeddingTable, generate_gaussian_mixture, \
-    load_dataset_csv, load_bayes_json, load_embeddings_csv, stratified_split
+    load_dataset_csv, load_bayes_json, load_embeddings_csv, stratified_split, \
+    select_examples, stratified_split_ids
 from .errors import ConfigError, ExperimentError, TrainingDivergedError
 from .gradient_analysis import coherence_report
 from .pacing import PacingSpec, saturation_iteration
-from .scoring import ScoreTable, invert, load_scores_csv, oracle_bayes_score, \
+from .scoring import invert, load_scores_csv, oracle_bayes_score, \
     random_score, score_by_model_loss, self_taught_score, transfer_score
 from .seeding import BATCH, INIT, SCORE, SPLIT, SUBSET, derived_seed
 from .sequencer import balanced_prefix, build_plan, self_paced_rescore_hook
-from .trainer import LearningCurve, Model, TrainSettings, train
+from .trainer import LearningCurve, Model, train_stack
 
 
 # Reference desk-scale dataset: 5 heavily overlapping Gaussian classes. The
@@ -101,37 +102,35 @@ def resolve_dataset(config: ExperimentConfig) -> tuple[Dataset, Dataset, Embeddi
     return train_ds, test_ds, emb
 
 
-def train_settings(config: ExperimentConfig) -> TrainSettings:
-    return TrainSettings(model_spec=config.model_spec, schedule=config.schedule,
-                         batch_size=config.batch_size, iterations=config.iterations)
-
-
 def make_score_provider(config: ExperimentConfig, train_ds: Dataset,
                         emb: EmbeddingTable | None):
-    """seed -> ScoreTable for the configured scoring function.
+    """seeds -> one ScoreTable per seed for the configured scoring function.
 
     Fixed constructions (oracle, transfer, file) are computed once and shared
-    across repetitions; self-taught scoring re-trains per repetition seed.
+    across repetitions; self-taught scoring trains one vanilla model per
+    repetition seed, all seeds in one stack.
+
+    A provider may put an `ExperimentError` in place of a seed's table; the
+    harness then records that seed as failed with the error as its warning.
     """
     kind = config.scoring_kind
     if kind == "oracle":
         table = oracle_bayes_score(train_ds)
-        return lambda seed: table
+        return lambda seeds: [table] * len(seeds)
     if kind == "file":
         table = load_scores_csv(config.scoring_path)
         if len(table) != train_ds.N:
             raise ConfigError(
                 f"score file covers {len(table)} ids, training set has {train_ds.N}")
-        return lambda seed: table
+        return lambda seeds: [table] * len(seeds)
     if kind == "transfer":
         if emb is None:
             raise ConfigError("scoring.kind=transfer requires dataset.embeddings_csv")
         base = int(config.tree.get("seed", config.seeds[0]))
         table = transfer_score(train_ds, emb, config.scoring_folds,
                                seed=derived_seed(base, SCORE))
-        return lambda seed: table
-    settings = train_settings(config)
-    return lambda seed: self_taught_score(train_ds, settings, seed)
+        return lambda seeds: [table] * len(seeds)
+    return lambda seeds: self_taught_score(train_ds, config, seeds)
 
 
 @dataclass
@@ -161,11 +160,13 @@ def _ste(values: list[float]) -> float:
 def run_experiment(config: ExperimentConfig, out_dir=None,
                    dataset: tuple[Dataset, Dataset] | None = None,
                    score_provider=None, keep_models: bool = True) -> ExperimentResult:
-    """Run one condition over all repetition seeds and aggregate a summary.
+    """Run one condition over all repetition seeds, trained as one stack, and
+    aggregate a summary.
 
-    A repetition that diverges is recorded as failed; the experiment errors
-    out only when at least half of the repetitions fail. With `out_dir` set,
-    per-seed learning-curve CSVs and summary.json are written there.
+    A repetition that diverges, or whose score table the provider could not
+    make, is recorded as failed; the experiment errors out only when at
+    least half of the repetitions fail. With `out_dir` set, per-seed
+    learning-curve CSVs and summary.json are written there.
     """
     if dataset is None:
         train_ds, test_ds, emb = resolve_dataset(config)
@@ -186,27 +187,34 @@ def run_experiment(config: ExperimentConfig, out_dir=None,
         warnings.append("single repetition: STE is reported as 0")
 
     result = ExperimentResult(summary={})
-    failed: list[int] = []
-    for seed in config.seeds:
-        plan_scores = _condition_scores(config, train_ds, score_provider, seed)
-        hook = self_paced_rescore_hook if config.condition == "self_paced" else None
-        plan = build_plan(train_ds, plan_scores, pacing, config.batch_size,
-                          seed=derived_seed(seed, BATCH))
-        try:
-            model, curve = train(train_ds, test_ds, plan, config.schedule,
-                                 config.model_spec, record_every=config.record_every,
-                                 seed=derived_seed(seed, INIT), boundary_hook=hook)
-        except TrainingDivergedError as exc:
-            failed.append(seed)
-            warnings.append(f"seed {seed} diverged at iteration {exc.iteration}")
+    failures: dict[int, str] = {}
+    stacked: list[int] = []
+    plans = []
+    tables = _condition_scores(config, train_ds, score_provider)
+    for seed, table in zip(config.seeds, tables):
+        if isinstance(table, ExperimentError):
+            failures[seed] = str(table)
             continue
-        result.curves[seed] = curve
+        stacked.append(seed)
+        plans.append(build_plan(train_ds, table, pacing, config.batch_size,
+                                seed=derived_seed(seed, BATCH)))
+    hook = self_paced_rescore_hook if config.condition == "self_paced" else None
+    outcomes = train_stack(train_ds, test_ds, plans, config.schedule, config.model_spec,
+                           [derived_seed(seed, INIT) for seed in stacked],
+                           record_every=config.record_every, boundary_hook=hook)
+    for seed, outcome in zip(stacked, outcomes):
+        if isinstance(outcome, TrainingDivergedError):
+            failures[seed] = f"seed {seed} diverged at iteration {outcome.iteration}"
+            continue
+        model, result.curves[seed] = outcome
         if keep_models:
             result.models[seed] = model
+    failed = [seed for seed in config.seeds if seed in failures]
+    warnings += [failures[seed] for seed in failed]
 
     if 2 * len(failed) >= config.repetitions:
         raise ExperimentError(
-            f"{len(failed)} of {config.repetitions} repetitions diverged (seeds {failed})")
+            f"{len(failed)} of {config.repetitions} repetitions failed (seeds {failed})")
 
     ok_seeds = [s for s in config.seeds if s not in failed]
     finals = [_final_accuracy(result.curves[s], config.window) for s in ok_seeds]
@@ -241,15 +249,17 @@ def run_experiment(config: ExperimentConfig, out_dir=None,
 
 
 def _condition_scores(config: ExperimentConfig, train_ds: Dataset,
-                      score_provider, seed: int) -> ScoreTable:
+                      score_provider) -> list:
+    """One table (or the provider's `ExperimentError`) per repetition seed."""
     cond = config.condition
     if cond == "curriculum":
-        return score_provider(seed)
+        return score_provider(list(config.seeds))
     if cond == "anti":
-        return invert(score_provider(seed))
+        return [t if isinstance(t, ExperimentError) else invert(t)
+                for t in score_provider(list(config.seeds))]
     # random, vanilla, self_paced: the initial table is a seeded random
     # permutation (self_paced replaces it at the first boundary anyway)
-    return random_score(train_ds, derived_seed(seed, SCORE))
+    return [random_score(train_ds, derived_seed(seed, SCORE)) for seed in config.seeds]
 
 
 # ---------------------------------------------------------------------------
@@ -312,13 +322,18 @@ def two_stage_grid_search(config: ExperimentConfig, out_dir=None) -> tuple[Exper
     if not grid.pacing and not grid.lr:
         raise ConfigError("grid is empty: no pacing or learning-rate axes to sweep")
     train_ds, _test_ds, emb = resolve_dataset(config)
-    fit_ds, val_ds = stratified_split(
-        train_ds, grid.validation_fraction,
-        derived_seed(grid.split_seed, SPLIT))
+    fit_ids, val_ids = stratified_split_ids(
+        train_ds, grid.validation_fraction, derived_seed(grid.split_seed, SPLIT))
+    fit_ds, val_ds = select_examples(train_ds, fit_ids), select_examples(train_ds, val_ids)
+    if emb is not None and emb.N == train_ds.N:
+        # the embedding table covers the training split; cells score the fit split
+        emb = EmbeddingTable(emb.vectors[fit_ids])
 
     audit: list[dict] = []
+    best = None  # (criterion value, pacing params, config) of the best cell so far
 
-    def run_cell(stage: int, pacing_params: dict, lr_params: dict) -> tuple[float, ExperimentConfig]:
+    def run_cell(stage: int, pacing_params: dict, lr_params: dict) -> None:
+        nonlocal best
         cell_config = _with_params(config, pacing_params, lr_params)
         provider = (make_score_provider(cell_config, fit_ds, emb)
                     if cell_config.condition in SCORED_CONDITIONS else None)
@@ -329,51 +344,49 @@ def two_stage_grid_search(config: ExperimentConfig, out_dir=None) -> tuple[Exper
             entry_extra = {"final_accuracy_mean": res.summary["final_accuracy_mean"],
                            "auc_mean": res.summary["auc_mean"], "failed": False}
         except ExperimentError as exc:
-            value = float("-inf")
+            value = None
             entry_extra = {"failed": True, "error": str(exc)}
         audit.append({"stage": stage, "pacing": pacing_params, "lr": lr_params,
                       "criterion": config.criterion, "criterion_value": value,
                       **entry_extra})
-        return value, cell_config
+        if value is not None and (best is None or value > best[0]):
+            best = (value, pacing_params, cell_config)
 
     if config.condition == "vanilla":
         pacing_cells = _cells(grid.pacing)
         curriculum_total = len(pacing_cells) + len(_cells(grid.lr))
-        refined = refine_lr_grid(grid.lr, curriculum_total)
-        lr_cells = _cells(refined)
-        best_value, best_config = -float("inf"), config
+        lr_cells = _cells(refine_lr_grid(grid.lr, curriculum_total))
         for lr_params in lr_cells:
-            value, cell_config = run_cell(1, {}, lr_params)
-            if value > best_value:
-                best_value, best_config = value, cell_config
+            run_cell(1, {}, lr_params)
         counts = {"stage1": len(lr_cells), "stage2": 0, "total": len(lr_cells),
                   "matched_target": curriculum_total}
     else:
-        best_value, best_pacing, best_config = -float("inf"), {}, config
         pacing_cells = _cells(grid.pacing)
         for pacing_params in pacing_cells:
-            value, cell_config = run_cell(1, pacing_params, {})
-            if value > best_value:
-                best_value, best_pacing, best_config = value, pacing_params, cell_config
+            run_cell(1, pacing_params, {})
+        best_pacing = {} if best is None else best[1]
         lr_cells = _cells(grid.lr)
         for lr_params in lr_cells:
-            value, cell_config = run_cell(2, best_pacing, lr_params)
-            if value > best_value:
-                best_value, best_config = value, cell_config
+            run_cell(2, best_pacing, lr_params)
         counts = {"stage1": len(pacing_cells), "stage2": len(lr_cells),
                   "total": len(pacing_cells) + len(lr_cells)}
 
     audit_log = {"condition": config.condition, "criterion": config.criterion,
                  "cell_counts": counts, "entries": audit,
-                 "best_value": best_value, "best_config": best_config.tree}
-    if out_dir is not None:
-        out = Path(out_dir)
+                 "best_value": None if best is None else best[0],
+                 "best_config": None if best is None else best[2].tree}
+    out = None if out_dir is None else Path(out_dir)
+    if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         (out / "grid_audit.json").write_text(
             json.dumps(audit_log, sort_keys=True, indent=2) + "\n")
+    if best is None:
+        raise ExperimentError(f"all {counts['total']} grid cells failed; "
+                              f"first error: {audit[0]['error']}")
+    if out is not None:
         (out / "best_config.json").write_text(
-            json.dumps(best_config.tree, sort_keys=True, indent=2) + "\n")
-    return best_config, audit_log
+            json.dumps(best[2].tree, sort_keys=True, indent=2) + "\n")
+    return best[2], audit_log
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +397,10 @@ def bootstrap_loop(config: ExperimentConfig, generations: int | None = None,
                    out_dir=None) -> list[dict]:
     """Generation 0 trains vanilla; each later generation scores the training
     set with the previous generation's final model (per repetition seed) and
-    trains a curriculum on it. Returns one summary per generation."""
+    trains a curriculum on it. Returns one summary per generation.
+
+    A seed that fails in one generation is recorded as failed in every later
+    one; a generation errors out when half of its repetitions have failed."""
     G = config.generations if generations is None else int(generations)
     if G < 0:
         raise ConfigError(f"generations must be >= 0, got {G}")
@@ -404,7 +420,12 @@ def bootstrap_loop(config: ExperimentConfig, generations: int | None = None,
     curriculum_tree = {**json.loads(json.dumps(config.tree)), "condition": "curriculum"}
     curriculum_config = resolve_config(curriculum_tree)
     for g in range(1, G + 1):
-        provider = lambda seed, m=prev.models: score_by_model_loss(train_ds, m[seed])
+        # a seed that failed in generation g-1 has no model to score with, so
+        # it is recorded as failed in generation g as well
+        provider = lambda seeds, m=prev.models, g=g: [
+            score_by_model_loss(train_ds, m[s]) if s in m
+            else ExperimentError(f"seed {s} has no generation-{g - 1} model to score with")
+            for s in seeds]
         current = run_experiment(curriculum_config, dataset=(train_ds, test_ds),
                                  score_provider=provider)
         current.summary["generation"] = g

@@ -11,12 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ExperimentConfig
 from .data import Dataset, EmbeddingTable
-from .errors import DataLoadError, ParameterError
+from .errors import DataLoadError, ParameterError, TrainingDivergedError
 from .pacing import PacingSpec
 from .seeding import BATCH, INIT, SCORE, derived_seed
 from .sequencer import build_plan
-from .trainer import Model, ModelSpec, TrainSettings, train
+from .trainer import Model, ModelSpec, train_stack
 
 
 @dataclass(frozen=True)
@@ -63,20 +64,28 @@ def oracle_bayes_score(ds: Dataset) -> ScoreTable:
     return ScoreTable(-logp[np.arange(ds.N), ds.y], "oracle_bayes")
 
 
-def self_taught_score(ds: Dataset, settings: TrainSettings, seed: int) -> ScoreTable:
-    """Train a vanilla model to completion, then score by its final loss.
+def self_taught_score(ds: Dataset, config: ExperimentConfig, seeds) -> list[ScoreTable]:
+    """Train one vanilla model per seed to completion, all seeds in one stack,
+    then score by each final model's loss.
 
-    Seed derivation matches the experiment harness, so the table equals the
-    one an explicit vanilla run with the same base seed would induce.
+    `config` supplies the model, learning-rate schedule, batch size and
+    iteration count. Seed derivation matches the experiment harness, so each
+    table equals the one an explicit vanilla run with that base seed would
+    induce. Raises the first seed's `TrainingDivergedError` if any diverges.
     """
-    pacing = PacingSpec(variant="vanilla", N=ds.N, M=settings.iterations)
-    scores = random_score(ds, derived_seed(seed, SCORE))  # order is irrelevant under vanilla pacing
-    plan = build_plan(ds, scores, pacing, settings.batch_size,
-                      seed=derived_seed(seed, BATCH))
-    model, _ = train(ds, ds, plan, settings.schedule, settings.model_spec,
-                     record_every=settings.iterations, seed=derived_seed(seed, INIT))
-    table = score_by_model_loss(ds, model)
-    return ScoreTable(table.scores, "self_taught")
+    pacing = PacingSpec(variant="vanilla", N=ds.N, M=config.iterations)
+    # the seeded random order of a vanilla run in the harness
+    plans = [build_plan(ds, random_score(ds, derived_seed(seed, SCORE)), pacing,
+                        config.batch_size, seed=derived_seed(seed, BATCH)) for seed in seeds]
+    outcomes = train_stack(ds, ds, plans, config.schedule, config.model_spec,
+                           [derived_seed(seed, INIT) for seed in seeds],
+                           record_every=config.iterations)
+    tables = []
+    for outcome in outcomes:
+        if isinstance(outcome, TrainingDivergedError):
+            raise outcome
+        tables.append(ScoreTable(score_by_model_loss(ds, outcome[0]).scores, "self_taught"))
+    return tables
 
 
 # probe settings for transfer scoring: full-batch GD on a convex objective,

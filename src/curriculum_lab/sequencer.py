@@ -20,9 +20,7 @@ from .pacing import PacingSpec, subset_size
 @dataclass(frozen=True)
 class CurriculumPlan:
     ds: Dataset
-    scores: np.ndarray                    # difficulty per id, ascending = easier
-    per_class_orders: tuple[np.ndarray, ...]  # ids of each class, easiest first
-    global_order: np.ndarray              # all ids, easiest first
+    order: np.ndarray   # all ids, easiest first: ascending by (score, id)
     batch_size: int
     pacing: PacingSpec
     seed: int
@@ -39,14 +37,10 @@ class CurriculumPlan:
         return self.pacing.M
 
 
-def _sorted_orders(ds: Dataset, scores: np.ndarray):
-    ids = np.arange(ds.N)
-    global_order = np.lexsort((ids, scores))
-    per_class = []
-    for c in range(ds.K):
-        ids_c = np.flatnonzero(ds.y == c)
-        per_class.append(ids_c[np.lexsort((ids_c, scores[ids_c]))])
-    return tuple(per_class), global_order
+def _order(scores: np.ndarray) -> np.ndarray:
+    order = np.lexsort((np.arange(len(scores)), scores))
+    order.setflags(write=False)
+    return order
 
 
 def min_starting_percent(batch_size: int, N: int) -> float:
@@ -77,10 +71,8 @@ def build_plan(ds: Dataset, scores, pacing: PacingSpec, batch_size: int,
         raise ParameterError(
             f"initial subset size g(0)={g0} is smaller than batch_size={batch_size}; "
             f"starting_percent must be at least {min_starting_percent(batch_size, ds.N)}")
-    per_class, global_order = _sorted_orders(ds, values)
-    return CurriculumPlan(ds=ds, scores=values, per_class_orders=per_class,
-                          global_order=global_order, batch_size=batch_size,
-                          pacing=pacing, seed=seed)
+    return CurriculumPlan(ds=ds, order=_order(values),
+                          batch_size=batch_size, pacing=pacing, seed=seed)
 
 
 def balanced_prefix(plan: CurriculumPlan, size: int) -> np.ndarray:
@@ -92,13 +84,19 @@ def balanced_prefix(plan: CurriculumPlan, size: int) -> np.ndarray:
     """
     if not 1 <= size <= plan.N:
         raise ParameterError(f"size {size} outside [1, {plan.N}]")
+    if size == plan.N:
+        return plan.order
     cached = plan._prefix_cache.get(size)
     if cached is not None:
         return cached
     quotas = largest_remainder_quotas(plan.ds.class_counts, size)
-    parts = [order[:q] for order, q in zip(plan.per_class_orders, quotas)]
-    ids = np.concatenate(parts)
-    ids = ids[np.lexsort((ids, plan.scores[ids]))]
+    # walking the easiest-first order, keep each id whose rank within its
+    # class is below the class quota; the kept ids stay in (score, id) order
+    labels = plan.ds.y[plan.order]
+    rank = np.empty(plan.N, dtype=np.int64)
+    for c, count in enumerate(plan.ds.class_counts):
+        rank[labels == c] = np.arange(count)
+    ids = plan.order[rank < quotas[labels]]
     ids.setflags(write=False)
     plan._prefix_cache[size] = ids
     return ids
@@ -120,7 +118,8 @@ def minibatch_at(plan: CurriculumPlan, i: int) -> np.ndarray:
     # set to i it is the state of Philox(key=seed, counter=i << 128)
     state["state"]["counter"][:] = (0, 0, i, 0)
     rng.bit_generator.state = state
-    return rng.choice(subset, size=plan.batch_size, replace=False)
+    # the same draws as rng.choice(subset, ...), without converting `subset`
+    return subset[rng.choice(len(subset), size=plan.batch_size, replace=False)]
 
 
 def self_paced_rescore_hook(plan: CurriculumPlan, model, i: int) -> CurriculumPlan:
@@ -130,6 +129,4 @@ def self_paced_rescore_hook(plan: CurriculumPlan, model, i: int) -> CurriculumPl
     boundaries. Returns a new plan; the input plan is unchanged.
     """
     losses = np.asarray(model.example_losses(plan.ds.X, plan.ds.y), dtype=np.float64)
-    per_class, global_order = _sorted_orders(plan.ds, losses)
-    return replace(plan, scores=losses, per_class_orders=per_class,
-                   global_order=global_order, _prefix_cache={})
+    return replace(plan, order=_order(losses), _prefix_cache={})

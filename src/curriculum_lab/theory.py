@@ -13,6 +13,7 @@ below, so helpers for the normalized form are deliberately not provided.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -300,8 +301,14 @@ def constant_variance_family(rng: np.random.Generator, n_examples: int = 12,
     vector plus a distinct per-hypothesis mean shift. Permutations and shifts
     both preserve the variance exactly, while the distinct shifts keep the
     plain-utility argmax unique, so the matched-argmax assumption holds in
-    set form and the full argmax-preservation checks apply.
+    set form and the full argmax-preservation checks apply. No two
+    hypotheses share a permutation: a repeated one ties the covariance
+    argmax, which the argmax checks would report as a violation.
     """
+    if n_hypotheses > math.factorial(n_examples):
+        raise ParameterError(
+            f"{n_hypotheses} hypotheses need distinct permutations, but {n_examples} "
+            f"examples have only {math.factorial(n_examples)}")
     base = rng.uniform(0.0, 1.0, size=n_examples)
     centered = base - base.mean()
     peak = np.abs(centered).max()
@@ -313,7 +320,14 @@ def constant_variance_family(rng: np.random.Generator, n_examples: int = 12,
         shifts = np.sort(rng.uniform(0.3, 0.7, size=n_hypotheses))
         if n_hypotheses == 1 or np.diff(shifts).min() > 1e-6:
             break
-    U = np.stack([rng.permutation(centered) + s for s in shifts])
+    rows, seen = [], set()
+    for s in shifts:
+        row = rng.permutation(centered)
+        while row.tobytes() in seen:
+            row = rng.permutation(centered)
+        seen.add(row.tobytes())
+        rows.append(row + s)
+    U = np.stack(rows)
     return LossTable(-np.log(U))
 
 

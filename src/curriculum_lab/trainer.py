@@ -3,7 +3,9 @@
 Two architectures: a linear softmax classifier and a one-hidden-layer ReLU
 network. Parameters live in a single flat float64 vector with named per-layer
 segments, which keeps SGD updates, finite-difference checks, and per-example
-gradient analysis all operating on the same layout.
+gradient analysis all operating on the same layout. A stack of R models,
+such as the repetition seeds of one condition, keeps its vectors as the rows
+of one (R, P) array and trains in one loop (`train_stack`).
 """
 from __future__ import annotations
 
@@ -72,22 +74,6 @@ class LRSchedule:
         return self.lr_min + (self.lr_max - self.lr_min) * (1.0 - abs(phase - half) / half)
 
 
-@dataclass(frozen=True)
-class TrainSettings:
-    """Everything one training run needs besides the data and a score table."""
-
-    model_spec: ModelSpec
-    schedule: LRSchedule
-    batch_size: int
-    iterations: int
-
-    def __post_init__(self):
-        if self.batch_size < 1:
-            raise ParameterError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.iterations < 1:
-            raise ParameterError(f"iterations must be >= 1, got {self.iterations}")
-
-
 def _layer_arrays(spec: ModelSpec, K: int, d: int):
     """(name, shape) for every parameter array, in flat layout order."""
     if spec.architecture == "linear_softmax":
@@ -96,60 +82,124 @@ def _layer_arrays(spec: ModelSpec, K: int, d: int):
     return [("W1", (H, d)), ("b1", (H,)), ("W2", (K, H)), ("b2", (K,))]
 
 
+def _layout(spec: ModelSpec, K: int, d: int):
+    """(name, shape, start, stop) for every parameter array, and the total size."""
+    arrays = []
+    offset = 0
+    for name, shape in _layer_arrays(spec, K, d):
+        size = int(np.prod(shape))
+        arrays.append((name, shape, offset, offset + size))
+        offset += size
+    return tuple(arrays), offset
+
+
+def _stack_views(arrays, params: np.ndarray) -> dict[str, np.ndarray]:
+    """Per-layer views (R, *shape) into an (R, P) parameter stack; in-place
+    updates of the stack show through."""
+    R = params.shape[0]
+    return {name: params[:, start:stop].reshape((R,) + shape)
+            for name, shape, start, stop in arrays}
+
+
+# ---------------------------------------------------------------------------
+# The stacked kernel. Every array carries a leading axis of R independent
+# rows (models); each row's arithmetic is the same sequence of operations, on
+# the same layouts, as for that row on its own, so R=1 and R>1 agree bitwise.
+# ---------------------------------------------------------------------------
+
+def _forward(spec: ModelSpec, v: dict, X: np.ndarray):
+    """Logits (R, n, K) of X (R, n, d) under the stacked views `v`, and the
+    activations the backward pass needs."""
+    if spec.architecture == "linear_softmax":
+        return np.matmul(X, v["W"].swapaxes(1, 2)) + v["b"][:, None], (X,)
+    z1 = np.matmul(X, v["W1"].swapaxes(1, 2)) + v["b1"][:, None]
+    a1 = np.maximum(z1, 0.0)
+    return np.matmul(a1, v["W2"].swapaxes(1, 2)) + v["b2"][:, None], (X, z1, a1)
+
+
+def _losses_and_residual(logits: np.ndarray, y: np.ndarray):
+    """Per-example cross-entropy (R, n) and the softmax residual
+    P - onehot(y) (R, n, K). The max-shifted exponentials and their sums
+    serve both the log-sum-exp and the softmax."""
+    R, n = y.shape
+    r = np.arange(R)[:, None]
+    rows = np.arange(n)
+    m = logits.max(axis=2, keepdims=True)
+    e = np.exp(logits - m)
+    total = e.sum(axis=2, keepdims=True)
+    losses = m[..., 0] + np.log(total[..., 0]) - logits[r, rows, y]
+    G = e / total
+    G[r, rows, y] -= 1.0
+    return losses, G
+
+
+def _mean_loss_and_grad(spec: ModelSpec, v: dict, logits, cache, y):
+    """Mean batch loss (R,) and its flat gradient (R, P)."""
+    losses, G = _losses_and_residual(logits, y)
+    R, n = y.shape
+    G /= n
+    if spec.architecture == "linear_softmax":
+        (X,) = cache
+        parts = [np.matmul(G.swapaxes(1, 2), X), G.sum(axis=1)]
+    else:
+        X, z1, a1 = cache
+        dz1 = np.matmul(G, v["W2"]) * (z1 > 0)
+        parts = [np.matmul(dz1.swapaxes(1, 2), X), dz1.sum(axis=1),
+                 np.matmul(G.swapaxes(1, 2), a1), G.sum(axis=1)]
+    return losses.mean(axis=1), np.concatenate([p.reshape(R, -1) for p in parts], axis=1)
+
+
+def _init_params(spec: ModelSpec, K: int, d: int, seed: int) -> np.ndarray:
+    """Per-layer uniform init in +-sqrt(6 / (fan_in + fan_out)), seeded."""
+    rng = np.random.default_rng(seed)
+    chunks = []
+    limit = 0.0
+    for name, shape in _layer_arrays(spec, K, d):
+        if len(shape) == 2:
+            fan_out, fan_in = shape
+            limit = np.sqrt(6.0 / (fan_in + fan_out))
+        # biases reuse the limit of the weight matrix they belong to
+        chunks.append(rng.uniform(-limit, limit, size=int(np.prod(shape))))
+    return np.concatenate(chunks)
+
+
 class Model:
-    """Softmax classifier over a flat parameter vector."""
+    """Softmax classifier over a flat parameter vector: the R=1 case of the
+    stacked kernel."""
 
     def __init__(self, spec: ModelSpec, K: int, d: int, params: np.ndarray):
         self.spec = spec
         self.K = K
         self.d = d
-        arrays = []
-        offset = 0
-        for name, shape in _layer_arrays(spec, K, d):
-            size = int(np.prod(shape))
-            arrays.append((name, shape, offset, offset + size))
-            offset += size
-        self.arrays = tuple(arrays)
-        self.n_params = offset
+        self.arrays, self.n_params = _layout(spec, K, d)
         params = np.asarray(params, dtype=np.float64)
-        if params.shape != (offset,):
-            raise ParameterError(f"expected {offset} parameters, got {params.shape}")
+        if params.shape != (self.n_params,):
+            raise ParameterError(f"expected {self.n_params} parameters, got {params.shape}")
         self.params = params.copy()
         # per-layer views into the flat vector; in-place updates show through
-        self._views = {name: self.params[start:stop].reshape(shape)
-                       for name, shape, start, stop in self.arrays}
+        self._views = _stack_views(self.arrays, self.params[None])
         if spec.architecture == "linear_softmax":
-            self.segments = (("layer1", 0, offset),)
+            self.segments = (("layer1", 0, self.n_params),)
         else:
             split = self.arrays[2][2]  # start of W2
-            self.segments = (("layer1", 0, split), ("layer2", split, offset))
+            self.segments = (("layer1", 0, split), ("layer2", split, self.n_params))
 
     # -- construction -------------------------------------------------------
 
     @classmethod
     def initialize(cls, spec: ModelSpec, K: int, d: int, seed: int) -> "Model":
         """Per-layer uniform init in +-sqrt(6 / (fan_in + fan_out)), seeded."""
-        rng = np.random.default_rng(seed)
-        chunks = []
-        limit = 0.0
-        for name, shape in _layer_arrays(spec, K, d):
-            if len(shape) == 2:
-                fan_out, fan_in = shape
-                limit = np.sqrt(6.0 / (fan_in + fan_out))
-            # biases reuse the limit of the weight matrix they belong to
-            chunks.append(rng.uniform(-limit, limit, size=int(np.prod(shape))))
-        return cls(spec, K, d, np.concatenate(chunks))
+        return cls(spec, K, d, _init_params(spec, K, d, seed))
 
     @classmethod
     def zeros(cls, spec: ModelSpec, K: int, d: int) -> "Model":
-        size = sum(int(np.prod(shape)) for _, shape in _layer_arrays(spec, K, d))
-        return cls(spec, K, d, np.zeros(size))
+        return cls(spec, K, d, np.zeros(_layout(spec, K, d)[1]))
 
     def copy(self) -> "Model":
         return Model(self.spec, self.K, self.d, self.params)
 
     def array(self, name: str) -> np.ndarray:
-        return self._views[name]
+        return self._views[name][0]
 
     # -- forward -------------------------------------------------------------
 
@@ -157,17 +207,10 @@ class Model:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         if X.shape[1] != self.d:
             raise ParameterError(f"model expects d={self.d} features, got {X.shape[1]}")
-        v = self._views
-        if self.spec.architecture == "linear_softmax":
-            logits = X @ v["W"].T + v["b"]
-            return logits, (X,)
-        z1 = X @ v["W1"].T + v["b1"]
-        a1 = np.maximum(z1, 0.0)
-        logits = a1 @ v["W2"].T + v["b2"]
-        return logits, (X, z1, a1)
+        return _forward(self.spec, self._views, X[None])
 
     def logits(self, X: np.ndarray) -> np.ndarray:
-        return self._forward(X)[0]
+        return self._forward(X)[0][0]
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         logits = self.logits(X)
@@ -175,55 +218,37 @@ class Model:
         e = np.exp(logits)
         return e / e.sum(axis=1, keepdims=True)
 
-    def example_losses(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Cross-entropy -log p(true class) per example."""
-        return self._losses_and_residual(X, y)[0]
-
-    # -- gradients -----------------------------------------------------------
-
-    def _losses_and_residual(self, X, y):
-        """One forward pass: per-example losses, the softmax residual
-        P - onehot(y), and the forward cache. The max-shifted exponentials and
-        their row sums serve both the log-sum-exp and the softmax."""
+    def _checked_forward(self, X):
         logits, cache = self._forward(X)
         if not np.isfinite(logits).all():
             raise NumericalError("non-finite activations in forward pass")
-        y = np.asarray(y, dtype=np.int64)
-        rows = np.arange(len(y))
-        m = logits.max(axis=1, keepdims=True)
-        e = np.exp(logits - m)
-        total = e.sum(axis=1, keepdims=True)
-        losses = m[:, 0] + np.log(total[:, 0]) - logits[rows, y]
-        G = e / total
-        G[rows, y] -= 1.0
-        return losses, G, cache
+        return logits, cache
+
+    def example_losses(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Cross-entropy -log p(true class) per example."""
+        logits, _cache = self._checked_forward(X)
+        return _losses_and_residual(logits, np.asarray(y, dtype=np.int64)[None])[0][0]
+
+    # -- gradients -----------------------------------------------------------
 
     def loss_and_grad(self, X: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
         """Mean cross-entropy over the batch and its flat gradient."""
-        losses, G, cache = self._losses_and_residual(X, y)
-        G /= len(losses)
-        if self.spec.architecture == "linear_softmax":
-            (X2,) = cache
-            grad = np.concatenate([(G.T @ X2).ravel(), G.sum(axis=0)])
-        else:
-            X2, z1, a1 = cache
-            dz1 = (G @ self._views["W2"]) * (z1 > 0)
-            grad = np.concatenate([
-                (dz1.T @ X2).ravel(), dz1.sum(axis=0),
-                (G.T @ a1).ravel(), G.sum(axis=0),
-            ])
-        return float(losses.mean()), grad
+        logits, cache = self._checked_forward(X)
+        loss, grad = _mean_loss_and_grad(self.spec, self._views, logits, cache,
+                                         np.asarray(y, dtype=np.int64)[None])
+        return float(loss[0]), grad[0]
 
     def per_example_grads(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Row j = flat gradient of example j's individual loss, shape (n, P)."""
-        _losses, G, cache = self._losses_and_residual(X, y)
+        logits, cache = self._checked_forward(X)
+        G = _losses_and_residual(logits, np.asarray(y, dtype=np.int64)[None])[1][0]
         n = G.shape[0]
         if self.spec.architecture == "linear_softmax":
-            (X2,) = cache
+            X2 = cache[0][0]
             dW = np.einsum("nk,nd->nkd", G, X2).reshape(n, -1)
             return np.concatenate([dW, G], axis=1)
-        X2, z1, a1 = cache
-        dz1 = (G @ self._views["W2"]) * (z1 > 0)
+        X2, z1, a1 = (c[0] for c in cache)
+        dz1 = (G @ self.array("W2")) * (z1 > 0)
         dW1 = np.einsum("nh,nd->nhd", dz1, X2).reshape(n, -1)
         dW2 = np.einsum("nk,nh->nkh", G, a1).reshape(n, -1)
         return np.concatenate([dW1, dz1, dW2, G], axis=1)
@@ -271,52 +296,101 @@ class LearningCurve:
             for row in reader:
                 rows.append((int(row[0]), float(row[1]), float(row[2]), int(row[3]),
                              float(row[4])))
+        return cls._from_rows(rows)
+
+    @classmethod
+    def _from_rows(cls, rows) -> "LearningCurve":
+        """From (iteration, train_loss, test_acc, subset_size, lr) tuples."""
         cols = list(zip(*rows))
         return cls(iterations=np.array(cols[0]), train_loss=np.array(cols[1]),
                    test_acc=np.array(cols[2]), subset_size=np.array(cols[3]),
                    lr=np.array(cols[4]))
 
 
+def train_stack(ds_train: Dataset, ds_test: Dataset, plans: list[CurriculumPlan],
+                schedule: LRSchedule, model_spec: ModelSpec, seeds: list[int],
+                record_every: int = 50, boundary_hook=None) -> list:
+    """Run M SGD steps for R models at once: row r follows plans[r] from the
+    init of seeds[r], and every row equals that row trained alone, bitwise.
+
+    theta <- theta - lr(t) * grad(mean batch loss). Each curve records every
+    `record_every` iterations and always at the final iteration; the recorded
+    loss is the pre-update batch loss, accuracy is measured after the update.
+    `boundary_hook(plan, model, t)`, when given, replaces a row's plan at t=0
+    and at every pacing-step boundary (the self-paced control).
+
+    Returns one outcome per row: `(Model, LearningCurve)`, or the
+    `TrainingDivergedError` that training the row alone raises. A diverged
+    row leaves the stack at that iteration; the other rows go on unchanged.
+    """
+    if len(plans) != len(seeds):
+        raise ParameterError(f"{len(plans)} plans for {len(seeds)} seeds")
+    if any(plan.N != ds_train.N for plan in plans):
+        raise ParameterError("plan was built over a different dataset")
+    if len({plan.pacing for plan in plans}) > 1:
+        raise ParameterError("stacked plans must share one pacing spec")
+    if record_every < 1:
+        raise ParameterError(f"record_every must be >= 1, got {record_every}")
+    if not plans:
+        return []
+    K, d = ds_train.K, ds_train.d
+    arrays, _ = _layout(model_spec, K, d)
+    params = np.stack([_init_params(model_spec, K, d, seed) for seed in seeds])
+    views = _stack_views(arrays, params)
+    live = list(range(len(plans)))   # stack row j holds plan live[j]
+    current = list(plans)
+    recorded: list[list] = [[] for _ in plans]
+    outcomes: list = [None] * len(plans)
+
+    def drop(ok: np.ndarray, t: int, message: str = "") -> None:
+        nonlocal params, views, live
+        for j in np.flatnonzero(~ok):
+            outcomes[live[j]] = TrainingDivergedError(t, message)
+        params = params[ok]
+        views = _stack_views(arrays, params)
+        live = [r for r, keep in zip(live, ok) if keep]
+
+    sizes = plans[0].pacing.sizes
+    M = len(sizes)
+    prev_size = None
+    for t in range(M):
+        size = sizes[t]
+        if boundary_hook is not None and size != prev_size:
+            for j, r in enumerate(live):
+                current[r] = boundary_hook(current[r], Model(model_spec, K, d, params[j]), t)
+        prev_size = size
+        ids = np.stack([minibatch_at(current[r], t) for r in live])
+        logits, cache = _forward(model_spec, views, ds_train.X[ids])
+        ok = np.isfinite(logits).all(axis=(1, 2))
+        if not ok.all():
+            drop(ok, t, f"non-finite activations in forward pass at iteration {t}")
+            logits, cache, ids = logits[ok], tuple(c[ok] for c in cache), ids[ok]
+        if live:
+            loss, grad = _mean_loss_and_grad(model_spec, views, logits, cache, ds_train.y[ids])
+            ok = np.isfinite(loss) & np.isfinite(grad).all(axis=1)
+            if not ok.all():
+                drop(ok, t)
+                loss, grad = loss[ok], grad[ok]
+        if not live:
+            break
+        lr = schedule.value(t)
+        params -= lr * grad
+        if t % record_every == 0 or t == M - 1:
+            for j, r in enumerate(live):
+                acc = evaluate(Model(model_spec, K, d, params[j]), ds_test)
+                recorded[r].append((t, float(loss[j]), acc, size, lr))
+    for j, r in enumerate(live):
+        outcomes[r] = (Model(model_spec, K, d, params[j]), LearningCurve._from_rows(recorded[r]))
+    return outcomes
+
+
 def train(ds_train: Dataset, ds_test: Dataset, plan: CurriculumPlan,
           schedule: LRSchedule, model_spec: ModelSpec, record_every: int = 50,
           seed: int = 0, boundary_hook=None) -> tuple[Model, LearningCurve]:
-    """Run M SGD steps over the plan's mini-batch stream.
-
-    theta <- theta - lr(t) * grad(mean batch loss). The curve records every
-    `record_every` iterations and always at the final iteration; the recorded
-    loss is the pre-update batch loss, accuracy is measured after the update.
-    `boundary_hook(plan, model, t)`, when given, replaces the plan at t=0 and
-    at every pacing-step boundary (the self-paced control).
-    """
-    if plan.N != ds_train.N:
-        raise ParameterError("plan was built over a different dataset")
-    if record_every < 1:
-        raise ParameterError(f"record_every must be >= 1, got {record_every}")
-    model = Model.initialize(model_spec, ds_train.K, ds_train.d, seed)
-    M = plan.M
-    recorded = []
-    prev_size = None
-    current = plan
-    sizes = plan.pacing.sizes
-    for t in range(M):
-        size = sizes[t]
-        if boundary_hook is not None and (prev_size is None or size != prev_size):
-            current = boundary_hook(current, model, t)
-        prev_size = size
-        ids = minibatch_at(current, t)
-        X, y = ds_train.X[ids], ds_train.y[ids]
-        try:
-            loss, grad = model.loss_and_grad(X, y)
-        except NumericalError as exc:
-            raise TrainingDivergedError(t, f"{exc} at iteration {t}") from exc
-        if not np.isfinite(loss) or not np.isfinite(grad).all():
-            raise TrainingDivergedError(t)
-        lr = schedule.value(t)
-        model.params -= lr * grad
-        if t % record_every == 0 or t == M - 1:
-            recorded.append((t, loss, evaluate(model, ds_test), size, lr))
-    cols = list(zip(*recorded))
-    curve = LearningCurve(iterations=np.array(cols[0]), train_loss=np.array(cols[1]),
-                          test_acc=np.array(cols[2]), subset_size=np.array(cols[3]),
-                          lr=np.array(cols[4]))
-    return model, curve
+    """One model: `train_stack` with a single row. Raises the row's
+    `TrainingDivergedError` if it diverges."""
+    (outcome,) = train_stack(ds_train, ds_test, [plan], schedule, model_spec, [seed],
+                             record_every=record_every, boundary_hook=boundary_hook)
+    if isinstance(outcome, TrainingDivergedError):
+        raise outcome
+    return outcome

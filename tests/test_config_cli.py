@@ -243,6 +243,21 @@ class TestCliNumericalFailure:
         assert not (out / "scores.csv").exists()
 
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_grid_search_with_every_cell_failing_exits_2(self, tmp_path, capsys):
+        tree = tiny_tree("curriculum", repetitions=1, iterations=40,
+                         model={"architecture": "mlp1", "hidden": 6})
+        tree["lr"]["lr0"] = 1e12
+        tree["grid"] = {"pacing": {"starting_percent": [0.25, 0.5]}, "lr": {"lr0": [1e12]}}
+        config = write_config(tmp_path, tree)
+        out = tmp_path / "o"
+        assert main(["grid-search", "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: all 3 grid cells failed")
+        audit = json.loads((out / "grid_audit.json").read_text())
+        assert [e["criterion_value"] for e in audit["entries"]] == [None, None, None]
+        assert not (out / "manifest.json").exists()
+
+
 class TestCliVerifyTheory:
     def test_exit_zero_and_clean_report(self, tmp_path):
         out = tmp_path / "o"

@@ -61,29 +61,62 @@ class TestRunExperiment:
         assert res.summary["final_accuracy_ste"] == pytest.approx(expected, rel=1e-12)
 
     def test_failed_seed_is_marked(self, monkeypatch):
-        real_train = harness.train
-        calls = {"n": 0}
+        real_train_stack = harness.train_stack
 
         def flaky(*args, **kwargs):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                raise TrainingDivergedError(7)
-            return real_train(*args, **kwargs)
+            # the first row diverges, the others train as usual
+            outcomes = real_train_stack(*args, **kwargs)
+            return [TrainingDivergedError(7)] + outcomes[1:]
 
-        monkeypatch.setattr(harness, "train", flaky)
+        monkeypatch.setattr(harness, "train_stack", flaky)
         cfg = resolve_config(tiny_tree(repetitions=3))
         res = run_experiment(cfg)
         assert res.summary["failed_seeds"] == [0]
         assert any("diverged at iteration 7" in w for w in res.summary["warnings"])
 
     def test_majority_failure_is_experiment_error(self, monkeypatch):
-        def always_fail(*args, **kwargs):
-            raise TrainingDivergedError(3)
+        def always_fail(ds_train, ds_test, plans, *args, **kwargs):
+            return [TrainingDivergedError(3) for _ in plans]
 
-        monkeypatch.setattr(harness, "train", always_fail)
+        monkeypatch.setattr(harness, "train_stack", always_fail)
         cfg = resolve_config(tiny_tree(repetitions=2))
         with pytest.raises(ExperimentError):
             run_experiment(cfg)
+
+    @pytest.mark.parametrize("condition,architecture,pacing,scoring", [
+        ("vanilla", "linear_softmax", None, "oracle"),
+        ("curriculum", "mlp1", None, "oracle"),
+        ("curriculum", "linear_softmax", "single_step", "self_taught"),
+        ("anti", "linear_softmax", "varied_exp", "oracle"),
+        ("random", "mlp1", "single_step", "oracle"),
+        ("self_paced", "mlp1", "varied_exp", "oracle"),
+    ])
+    def test_stacked_seeds_equal_seeds_run_alone(self, tmp_path, condition, architecture,
+                                                 pacing, scoring):
+        tree = tiny_tree(condition, repetitions=3, scoring={"kind": scoring},
+                         model={"architecture": architecture, "hidden": 5})
+        if pacing == "single_step":
+            tree["pacing"] = {"variant": "single_step", "starting_percent": 0.25,
+                              "step_length": 25}
+        elif pacing == "varied_exp":
+            tree["pacing"] = {"variant": "varied_exp", "starting_percent": 0.25,
+                              "increase": 2.0, "boundaries": [8, 20]}
+        stacked = run_experiment(resolve_config(tree), out_dir=tmp_path / "stack")
+        alone_curves = []
+        for seed in (0, 1, 2):
+            out = tmp_path / f"alone{seed}"
+            alone = run_experiment(resolve_config(dict(tree, seeds=[seed], repetitions=1)),
+                                   out_dir=out)
+            name = f"curve_{condition}_seed{seed}.csv"
+            assert (tmp_path / "stack" / name).read_bytes() == (out / name).read_bytes()
+            assert np.array_equal(stacked.models[seed].params, alone.models[seed].params)
+            for key in ("final_accuracy", "auc"):
+                assert (stacked.summary["per_seed"][key][str(seed)]
+                        == alone.summary["per_seed"][key][str(seed)])
+            alone_curves.append(alone.curves[seed])
+        assert stacked.summary["failed_seeds"] == []
+        assert stacked.summary["mean_curve"]["test_acc"] == \
+            np.mean([c.test_acc for c in alone_curves], axis=0).tolist()
 
     def test_saturation_warning_when_horizon_too_short(self):
         tree = tiny_tree("curriculum")
@@ -194,6 +227,65 @@ class TestGridSearch:
         with pytest.raises(ConfigError, match="empty"):
             two_stage_grid_search(resolve_config(tree))
 
+    @pytest.mark.parametrize("condition", ["curriculum", "anti"])
+    def test_transfer_scored_grid_scores_the_fit_split(self, tmp_path, monkeypatch, condition):
+        from curriculum_lab.data import (EmbeddingTable, save_embeddings_csv,
+                                         stratified_split_ids)
+        from curriculum_lab.seeding import SPLIT, derived_seed
+        train_ds, _, _ = resolve_dataset(resolve_config(tiny_tree()))
+        vectors = train_ds.X[:, :2]
+        save_embeddings_csv(EmbeddingTable(vectors), tmp_path / "emb.csv")
+        seen = []
+        real_transfer_score = harness.transfer_score
+
+        def spy(ds, emb, folds, seed):
+            seen.append((ds, emb))
+            return real_transfer_score(ds, emb, folds, seed)
+
+        monkeypatch.setattr(harness, "transfer_score", spy)
+        tree = self.grid_tree(condition)
+        tree["scoring"] = {"kind": "transfer"}
+        tree["dataset"]["embeddings_csv"] = str(tmp_path / "emb.csv")
+        tree["grid"]["pacing"] = {"starting_percent": [0.25, 0.5]}
+        tree["grid"]["lr"] = {"lr0": [0.1, 0.3]}
+        _best, audit = two_stage_grid_search(resolve_config(tree), out_dir=tmp_path / "o")
+        assert audit["cell_counts"]["total"] == 4
+        assert not any(e["failed"] for e in audit["entries"])
+        fit_ids, _ = stratified_split_ids(train_ds, 0.75, derived_seed(1, SPLIT))
+        assert len(seen) == 4
+        for ds, emb in seen:
+            assert np.array_equal(ds.X, train_ds.X[fit_ids])
+            assert np.array_equal(emb.vectors, vectors[fit_ids])
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_failed_cell_records_null_criterion(self, tmp_path):
+        tree = self.grid_tree()
+        tree["model"] = {"architecture": "mlp1", "hidden": 6}
+        tree["grid"]["lr"] = {"lr0": [0.2, 1e12]}
+        best, audit = two_stage_grid_search(resolve_config(tree), out_dir=tmp_path)
+        failed = [e for e in audit["entries"] if e["failed"]]
+        assert [e["lr"] for e in failed] == [{"lr0": 1e12}]
+        assert failed[0]["criterion_value"] is None
+        text = (tmp_path / "grid_audit.json").read_text()
+        assert "Infinity" not in text and "NaN" not in text
+        assert json.loads(text)["entries"] == audit["entries"]
+        assert audit["best_value"] == max(e["criterion_value"] for e in audit["entries"]
+                                          if not e["failed"])
+        assert best.schedule.lr0 != 1e12
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_every_cell_failing_is_experiment_error(self, tmp_path):
+        tree = self.grid_tree()
+        tree["model"] = {"architecture": "mlp1", "hidden": 6}
+        tree["lr"]["lr0"] = 1e12
+        tree["grid"]["lr"] = {"lr0": [1e12, 1e13]}
+        with pytest.raises(ExperimentError, match="all 6 grid cells failed"):
+            two_stage_grid_search(resolve_config(tree), out_dir=tmp_path)
+        audit = json.loads((tmp_path / "grid_audit.json").read_text())
+        assert all(e["failed"] and e["criterion_value"] is None for e in audit["entries"])
+        assert audit["best_value"] is None and audit["best_config"] is None
+        assert not (tmp_path / "best_config.json").exists()
+
     def test_refine_lr_grid_hits_target(self):
         axes = refine_lr_grid({"lr0": [0.05, 0.2], "decrease_factor": [1.5, 2.0]}, 14)
         total = len(axes["lr0"]) * len(axes["decrease_factor"])
@@ -222,6 +314,43 @@ class TestBootstrap:
         for g in range(4):
             assert (tmp_path / f"summary_gen{g}.json").exists()
             assert (tmp_path / f"curve_gen{g}_seed0.csv").exists()
+
+    def test_diverged_seed_fails_in_later_generations(self, monkeypatch, tmp_path):
+        real_train_stack = harness.train_stack
+        calls = []
+
+        def first_row_diverges_once(*args, **kwargs):
+            outcomes = real_train_stack(*args, **kwargs)
+            calls.append(len(outcomes))
+            if len(calls) == 1:  # generation 0: seed 0 diverges
+                outcomes[0] = TrainingDivergedError(5)
+            return outcomes
+
+        monkeypatch.setattr(harness, "train_stack", first_row_diverges_once)
+        cfg = resolve_config(tiny_tree("curriculum", scoring={"kind": "self_taught"},
+                                       repetitions=3))
+        summaries = bootstrap_loop(cfg, generations=2, out_dir=tmp_path)
+        assert calls == [3, 2, 2]  # later generations stack only seeds 1 and 2
+        assert [s["failed_seeds"] for s in summaries] == [[0], [0], [0]]
+        assert "seed 0 diverged at iteration 5" in summaries[0]["warnings"]
+        assert "seed 0 has no generation-0 model to score with" in summaries[1]["warnings"]
+        assert "seed 0 has no generation-1 model to score with" in summaries[2]["warnings"]
+        for g in range(3):
+            assert not (tmp_path / f"curve_gen{g}_seed0.csv").exists()
+            assert (tmp_path / f"curve_gen{g}_seed1.csv").exists()
+
+    def test_carried_failures_count_toward_half_rule(self, monkeypatch):
+        real_train_stack = harness.train_stack
+
+        def first_row_diverges(*args, **kwargs):
+            return [TrainingDivergedError(5)] + real_train_stack(*args, **kwargs)[1:]
+
+        monkeypatch.setattr(harness, "train_stack", first_row_diverges)
+        cfg = resolve_config(tiny_tree("curriculum", scoring={"kind": "self_taught"},
+                                       repetitions=4))
+        # generation 0 loses seed 0; generation 1 carries it and loses seed 1
+        with pytest.raises(ExperimentError, match=r"2 of 4 repetitions .*\[0, 1\]"):
+            bootstrap_loop(cfg, generations=1)
 
     def test_reference_dataset_bootstrap_smoke(self):
         from curriculum_lab.harness import default_acceptance_tree

@@ -10,7 +10,8 @@ from curriculum_lab.scoring import (ScoreTable, invert, load_scores_csv,
                                     oracle_bayes_score, random_score,
                                     save_scores_csv, score_by_model_loss,
                                     self_taught_score, transfer_score)
-from curriculum_lab.trainer import LRSchedule, Model, ModelSpec, TrainSettings
+from curriculum_lab.config import resolve_config
+from curriculum_lab.trainer import Model, ModelSpec
 
 LINEAR = ModelSpec("linear_softmax")
 
@@ -31,15 +32,15 @@ def make_ds(counts, d=3, seed=0):
     return Dataset(X=X, y=y, K=len(counts))
 
 
-def quick_settings(M=400, lr0=0.3):
-    return TrainSettings(model_spec=LINEAR,
-                         schedule=LRSchedule("exponential", lr0=lr0,
-                                             decrease_factor=1.5, lr_step_length=200),
-                         batch_size=20, iterations=M)
+def quick_config(M=400, lr0=0.3):
+    return resolve_config({
+        "model": {"architecture": "linear_softmax"},
+        "lr": {"variant": "exponential", "lr0": lr0, "decrease_factor": 1.5,
+               "lr_step_length": 200},
+        "batch_size": 20, "iterations": M})
 
 
 def acceptance_train_split():
-    from curriculum_lab.config import resolve_config
     from curriculum_lab.harness import default_acceptance_tree, resolve_dataset
     train_ds, _test, _emb = resolve_dataset(resolve_config(default_acceptance_tree()))
     return train_ds
@@ -66,7 +67,7 @@ class TestModelLoss:
 
     def test_correlates_with_oracle_on_reference_dataset(self):
         ds = acceptance_train_split()
-        table = self_taught_score(ds, quick_settings(M=600, lr0=0.5), seed=0)
+        (table,) = self_taught_score(ds, quick_config(M=600, lr0=0.5), [0])
         oracle = oracle_bayes_score(ds)
         assert spearman(table.scores, oracle.scores) > 0
 
@@ -74,15 +75,23 @@ class TestModelLoss:
 class TestSelfTaught:
     def test_deterministic(self):
         ds = generate_gaussian_mixture(K=3, d=6, n_per_class=40, spread=2.5, seed=5)
-        a = self_taught_score(ds, quick_settings(), seed=9)
-        b = self_taught_score(ds, quick_settings(), seed=9)
+        (a,) = self_taught_score(ds, quick_config(), [9])
+        (b,) = self_taught_score(ds, quick_config(), [9])
         assert np.array_equal(a.scores, b.scores)
-        c = self_taught_score(ds, quick_settings(), seed=10)
+        (c,) = self_taught_score(ds, quick_config(), [10])
         assert not np.array_equal(a.scores, c.scores)
+
+    def test_stacked_seeds_equal_each_seed_alone(self):
+        ds = generate_gaussian_mixture(K=3, d=6, n_per_class=40, spread=2.5, seed=5)
+        stacked = self_taught_score(ds, quick_config(), [10, 9, 11])
+        for seed, table in zip([10, 9, 11], stacked):
+            (alone,) = self_taught_score(ds, quick_config(), [seed])
+            assert np.array_equal(table.scores, alone.scores)
+            assert table.provenance == "self_taught"
 
     def test_easiest_decile_is_easier_than_average_by_oracle(self):
         ds = acceptance_train_split()
-        table = self_taught_score(ds, quick_settings(M=600, lr0=0.5), seed=1)
+        (table,) = self_taught_score(ds, quick_config(M=600, lr0=0.5), [1])
         oracle = oracle_bayes_score(ds).scores
         decile = np.argsort(table.scores, kind="stable")[: ds.N // 10]
         assert oracle[decile].mean() < oracle.mean()

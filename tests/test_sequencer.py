@@ -25,19 +25,19 @@ class TestBuildPlan:
     def test_sorts_ascending_by_score(self):
         ds = make_ds([3])
         plan = build_plan(ds, np.array([0.3, 0.1, 0.2]), vanilla_pacing(3), 1, seed=0)
-        assert list(plan.global_order) == [1, 2, 0]
+        assert list(balanced_prefix(plan, plan.N)) == [1, 2, 0]
 
     def test_ties_break_by_id(self):
         ds = make_ds([4])
         plan = build_plan(ds, np.zeros(4), vanilla_pacing(4), 1, seed=0)
-        assert list(plan.global_order) == [0, 1, 2, 3]
+        assert list(balanced_prefix(plan, plan.N)) == [0, 1, 2, 3]
 
     def test_inverted_scores_reverse_order(self):
         ds = make_ds([6])
         scores = ScoreTable(np.array([0.5, 0.1, 0.9, 0.3, 0.7, 0.2]), "t")
         plan = build_plan(ds, scores, vanilla_pacing(6), 1, seed=0)
         anti = build_plan(ds, invert(scores), vanilla_pacing(6), 1, seed=0)
-        assert list(anti.global_order) == list(plan.global_order)[::-1]
+        assert list(balanced_prefix(anti, anti.N)) == list(balanced_prefix(plan, plan.N))[::-1]
 
     def test_small_initial_subset_names_minimal_start(self):
         ds = make_ds([50, 50])
@@ -207,13 +207,14 @@ class TestSelfPacedHook:
                           vanilla_pacing(6), 2, seed=0)
         model = Model.zeros(ModelSpec("linear_softmax"), ds.K, ds.d)
         updated = self_paced_rescore_hook(plan, model, 0)
-        assert list(updated.global_order) == [0, 1, 2, 3, 4, 5]
+        assert list(balanced_prefix(updated, updated.N)) == [0, 1, 2, 3, 4, 5]
 
     def test_without_hook_plan_unchanged(self):
         ds = make_ds([3, 3], d=4, seed=1)
         scores = np.random.default_rng(2).normal(size=6)
         plan = build_plan(ds, scores, vanilla_pacing(6), 2, seed=0)
         model = Model.zeros(ModelSpec("linear_softmax"), ds.K, ds.d)
+        before = balanced_prefix(plan, plan.N).copy()
         updated = self_paced_rescore_hook(plan, model, 0)
-        assert np.array_equal(plan.scores, scores)  # original untouched
+        assert np.array_equal(balanced_prefix(plan, plan.N), before)  # original untouched
         assert updated is not plan

@@ -257,6 +257,28 @@ class TestConstantVarianceCase:
             preservation = check_argmax_preservation(table, p)
             assert preservation["applicable"] and preservation["argmax_set_equal"] and preservation["gap_amplified"]
 
+    def test_no_family_repeats_a_permutation(self):
+        # three examples have six orderings: six hypotheses must use each once
+        rng = np.random.default_rng(3)
+        for n_examples, n_hypotheses in [(3, 6), (3, 4), (4, 12), (8, 12)]:
+            for _ in range(50):
+                table = constant_variance_family(rng, n_examples, n_hypotheses)
+                orders = {tuple(np.argsort(row)) for row in table.losses}
+                assert len(orders) == n_hypotheses
+
+    def test_more_hypotheses_than_permutations_rejected(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ParameterError, match="distinct permutations"):
+            constant_variance_family(rng, n_examples=3, n_hypotheses=7)
+        constant_variance_family(rng, n_examples=3, n_hypotheses=6)
+
+    def test_family_that_drew_a_repeated_permutation_passes(self):
+        # the last of these families drew one permutation twice before
+        # repeats were re-drawn, and was reported as a violation
+        report = run_verification(instances=0, constant_variance_families=1498, seed=9)
+        assert report["constant_variance_violations"] == 0
+        assert report["passed"]
+
 
 class TestCurriculumToPrior:
     def plan(self, sp=0.5):
@@ -286,7 +308,9 @@ class TestCurriculumToPrior:
         ds, plan = self.plan()
         for i in range(30):
             p = curriculum_to_prior(plan, i)
-            per_class_ranked = [p.p[order] for order in plan.per_class_orders]
+            easiest_first = balanced_prefix(plan, plan.N)
+            per_class_ranked = [p.p[easiest_first[ds.y[easiest_first] == c]]
+                                for c in range(ds.K)]
             for ranked in per_class_ranked:
                 assert (np.diff(ranked) <= 1e-15).all()
 

@@ -6,9 +6,10 @@ import pytest
 from curriculum_lab.data import Dataset
 from curriculum_lab.errors import ParameterError, TrainingDivergedError
 from curriculum_lab.pacing import PacingSpec
-from curriculum_lab.sequencer import build_plan, minibatch_at
+from curriculum_lab.sequencer import (balanced_prefix, build_plan, minibatch_at,
+                                      self_paced_rescore_hook)
 from curriculum_lab.trainer import (LearningCurve, LRSchedule, Model, ModelSpec,
-                                    evaluate, train)
+                                    evaluate, train, train_stack)
 
 LINEAR = ModelSpec("linear_softmax")
 MLP = ModelSpec("mlp1", hidden=6)
@@ -215,7 +216,7 @@ class TestTrain:
 
         # reference: plain SGD sampling batches from the same keyed stream
         ref = Model.initialize(LINEAR, ds.K, ds.d, init_seed)
-        order = plan.global_order
+        order = balanced_prefix(plan, plan.N)
         for t in range(M):
             rng = np.random.Generator(np.random.Philox(key=plan_seed, counter=t << 128))
             ids = rng.choice(order, size=batch, replace=False)
@@ -252,6 +253,106 @@ class TestTrain:
         model, curve = train(ds, ds, plan, sched, ModelSpec("mlp1", hidden=16),
                              record_every=500, seed=1)
         assert curve.test_acc[-1] > 0.9  # linear model cannot exceed ~0.5 here
+
+
+def curve_bytes(curve, path):
+    curve.to_csv(path)
+    return path.read_bytes()
+
+
+class TestTrainStack:
+    SCHED = LRSchedule("exponential", lr0=0.4, decrease_factor=1.5, lr_step_length=30)
+    M = 70
+
+    def pacing(self, variant, N):
+        if variant == "vanilla":
+            return PacingSpec("vanilla", N=N, M=self.M)
+        if variant == "fixed_exp":
+            return PacingSpec("fixed_exp", N=N, M=self.M, starting_percent=0.25,
+                              increase=1.6, step_length=15)
+        if variant == "varied_exp":
+            return PacingSpec("varied_exp", N=N, M=self.M, starting_percent=0.25,
+                              increase=2.0, boundaries=(9, 30))
+        return PacingSpec("single_step", N=N, M=self.M, starting_percent=0.3, step_length=25)
+
+    @pytest.mark.parametrize("hook", [None, self_paced_rescore_hook])
+    @pytest.mark.parametrize("variant", ["vanilla", "fixed_exp", "varied_exp", "single_step"])
+    @pytest.mark.parametrize("spec", [LINEAR, MLP], ids=["linear", "mlp1"])
+    def test_each_row_equals_the_row_trained_alone(self, tmp_path, spec, variant, hook):
+        ds, test = make_ds([14, 14, 12], d=3, seed=5), make_ds([5, 5, 5], d=3, seed=6)
+        pacing = self.pacing(variant, ds.N)
+        plans = [build_plan(ds, np.random.default_rng(s).normal(size=ds.N), pacing, 5, seed=s)
+                 for s in (3, 1, 4, 1)]
+        seeds = [10, 11, 12, 13]
+        stacked = train_stack(ds, test, plans, self.SCHED, spec, seeds, record_every=9,
+                              boundary_hook=hook)
+        for r, (plan, seed) in enumerate(zip(plans, seeds)):
+            model, curve = train(ds, test, plan, self.SCHED, spec, record_every=9, seed=seed,
+                                 boundary_hook=hook)
+            assert np.array_equal(stacked[r][0].params, model.params)
+            assert (curve_bytes(stacked[r][1], tmp_path / f"s{r}.csv")
+                    == curve_bytes(curve, tmp_path / f"a{r}.csv"))
+
+    @pytest.mark.parametrize("spec", [LINEAR, MLP], ids=["linear", "mlp1"])
+    def test_stack_equals_plain_reference_loop(self, spec):
+        ds = make_ds([10, 10, 10], d=3, seed=2)
+        pacing = self.pacing("fixed_exp", ds.N)
+        plans = [build_plan(ds, np.random.default_rng(s).normal(size=ds.N), pacing, 4, seed=s)
+                 for s in (5, 6, 7)]
+        seeds = [0, 1, 2]
+        stacked = train_stack(ds, ds, plans, self.SCHED, spec, seeds, record_every=20)
+        for (model, _curve), plan, seed in zip(stacked, plans, seeds):
+            ref = Model.initialize(spec, ds.K, ds.d, seed)
+            for t in range(self.M):
+                ids = minibatch_at(plan, t)
+                _, grad = ref.loss_and_grad(ds.X[ids], ds.y[ids])
+                ref.params -= self.SCHED.value(t) * grad
+            assert np.array_equal(model.params, ref.params)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("spec", [LINEAR, MLP], ids=["linear", "mlp1"])
+    def test_diverging_row_leaves_the_others_unchanged(self, tmp_path, spec):
+        # example 5 carries infinite features: a row diverges at the first
+        # batch that contains it, and only row 0's curriculum reaches it
+        clean = make_ds([20, 20], d=3, seed=8)
+        X = clean.X.copy()
+        X[5] = np.inf
+        ds, test = Dataset(X=X, y=clean.y, K=2), make_ds([6, 6], d=3, seed=9)
+        pacing = PacingSpec("fixed_exp", N=ds.N, M=40, starting_percent=0.25,
+                            increase=2.0, step_length=20)
+        rng = np.random.default_rng(0)
+        poisoned_rank = {0: 7, 1: 19, 2: 19}  # rank of example 5 within class 0
+        plans = []
+        for r in range(3):
+            scores = rng.permutation(ds.N).astype(float)
+            class0 = np.sort(scores[:20])
+            others = np.delete(np.arange(20), 5)
+            scores[others] = np.delete(class0, poisoned_rank[r])
+            scores[5] = class0[poisoned_rank[r]]
+            plans.append(build_plan(ds, scores, pacing, 4, seed=r))
+        outcomes = train_stack(ds, test, plans, self.SCHED, spec, [7, 8, 9], record_every=5)
+        with pytest.raises(TrainingDivergedError) as alone:
+            train(ds, test, plans[0], self.SCHED, spec, record_every=5, seed=7)
+        assert isinstance(outcomes[0], TrainingDivergedError)
+        assert outcomes[0].iteration == alone.value.iteration
+        assert str(outcomes[0]) == str(alone.value)
+        assert 20 <= alone.value.iteration < 40  # after example 5 enters the prefix
+        for r, seed in ((1, 8), (2, 9)):
+            model, curve = train(ds, test, plans[r], self.SCHED, spec, record_every=5, seed=seed)
+            assert np.array_equal(outcomes[r][0].params, model.params)
+            assert (curve_bytes(outcomes[r][1], tmp_path / f"s{r}.csv")
+                    == curve_bytes(curve, tmp_path / f"a{r}.csv"))
+
+    def test_rows_must_share_one_pacing(self):
+        ds = make_ds([10, 10], d=3)
+        plans = [build_plan(ds, np.zeros(ds.N), PacingSpec("vanilla", N=ds.N, M=m), 4, seed=0)
+                 for m in (10, 20)]
+        with pytest.raises(ParameterError, match="pacing"):
+            train_stack(ds, ds, plans, self.SCHED, LINEAR, [0, 1])
+
+    def test_empty_stack(self):
+        ds = make_ds([10, 10], d=3)
+        assert train_stack(ds, ds, [], self.SCHED, LINEAR, []) == []
 
 
 class TestLearningCurveIO:

@@ -64,6 +64,8 @@ def cmd_score(args) -> int:
     train_ds, _test_ds, emb = resolve_dataset(config)
     provider = make_score_provider(config, train_ds, emb)
     (table,) = provider([config.seeds[0]])
+    for warning in table.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
     save_scores_csv(table, out / "scores.csv")
     _finish(out, "score", config.tree, ["scores.csv", "manifest.json"])
     return 0

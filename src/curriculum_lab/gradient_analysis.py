@@ -1,11 +1,11 @@
-"""Gradient coherence: how do per-example gradients of a subset compare to the
-whole training set?
+"""Gradient coherence: per-example gradients of id subsets against all of them.
 
-For each condition (a named id subset) we compute the per-example gradient
-matrix at a fixed model, its mean, and the total variance (the trace of the
-per-example gradient covariance, population normalization). Distances between
-condition means quantify how much a subset's preferred direction deviates
-from the exact empirical gradient.
+Per condition (a named id subset): the mean per-example gradient, the total
+variance (trace of the per-example gradient covariance, divide-by-n), and
+distances between condition means. No (n, P) gradient matrix is built: a
+layer's per-example gradient is [r_j a_j^T, r_j] for its output residual r_j
+and input a_j, so its squared norm is ||r_j||^2 (||a_j||^2 + 1) (Goodfellow,
+arXiv 1510.01799), and variance = mean squared norm - ||mean||^2.
 """
 from __future__ import annotations
 
@@ -20,65 +20,65 @@ from .trainer import Model
 
 @dataclass(frozen=True)
 class GradientSet:
-    grads: np.ndarray  # (n, P) per-example flat gradients
+    n: int                           # examples in the set
+    mean: np.ndarray                 # (P,) mean flat gradient
+    sq_norms: tuple[float, ...]      # per segment: mean squared per-example norm
     segments: tuple[tuple[str, int, int], ...]
     condition: str
 
     def __post_init__(self):
-        g = np.asarray(self.grads, dtype=np.float64)
-        if g.ndim != 2 or g.shape[0] == 0:
-            raise ParameterError("gradient set must be a non-empty (n, P) matrix")
-        if not np.isfinite(g).all():
+        mean = np.asarray(self.mean, dtype=np.float64)
+        if self.n < 1 or mean.ndim != 1 or len(self.sq_norms) != len(self.segments):
+            raise ParameterError("gradient set needs n >= 1, a flat mean and one norm per segment")
+        if not (np.isfinite(mean).all() and np.isfinite(self.sq_norms).all()):
             raise ParameterError("gradient set contains non-finite values")
-        object.__setattr__(self, "grads", g)
+        object.__setattr__(self, "mean", mean)
 
 
-def per_example_gradients(model: Model, ids, ds: Dataset,
-                          condition: str = "") -> GradientSet:
+def gradient_set(model: Model, ids, ds: Dataset, condition: str = "") -> GradientSet:
+    """Mean gradient and per-segment mean squared norms of the examples `ids`
+    (repeats count once per occurrence), from one forward pass."""
     ids = np.asarray(ids, dtype=np.int64)
-    if len(ids) == 0:
+    n = len(ids)
+    if n == 0:
         raise ParameterError("ids must be non-empty")
-    return GradientSet(grads=model.per_example_grads(ds.X[ids], ds.y[ids]),
+    means, sq_norms = [], []
+    for r, a in model._gradient_factors(ds.X[ids], ds.y[ids]):
+        means += [(r.T @ a).ravel() / n, r.sum(axis=0) / n]
+        norms = np.einsum("ij,ij->i", r, r) * (np.einsum("ij,ij->i", a, a) + 1.0)
+        sq_norms.append(float(norms.mean()))
+    return GradientSet(n=n, mean=np.concatenate(means), sq_norms=tuple(sq_norms),
                        segments=model.segments, condition=condition)
 
 
 def mean_gradient(gs: GradientSet) -> np.ndarray:
-    return gs.grads.mean(axis=0)
+    return gs.mean
 
 
 def total_variance(gs: GradientSet) -> tuple[float, dict[str, float]]:
     """Trace of the per-example gradient covariance (divide-by-n), plus the
-    per-layer breakdown, which sums to the whole-model value."""
-    var = gs.grads.var(axis=0)  # population variance per coordinate
-    per_layer = {name: float(var[start:stop].sum()) for name, start, stop in gs.segments}
-    return float(var.sum()), per_layer
+    per-layer breakdown, which sums to the whole-model value. A zero variance
+    that rounding takes below 0 is clamped to 0."""
+    per_layer = {name: max(sq - float(gs.mean[start:stop] @ gs.mean[start:stop]), 0.0)
+                 for (name, start, stop), sq in zip(gs.segments, gs.sq_norms)}
+    return float(sum(per_layer.values())), per_layer
 
 
 def distance_matrix(sets: list[GradientSet]) -> dict:
-    """Pairwise Euclidean distances between condition mean gradients.
-
-    Returns whole-model distances plus one matrix per layer segment.
-    """
+    """Pairwise Euclidean distances between condition mean gradients, for the
+    whole model and per layer segment."""
     if not sets:
         raise ParameterError("need at least one gradient set")
     segs = sets[0].segments
-    for gs in sets:
-        if gs.segments != segs:
-            raise ParameterError("gradient sets come from different model layouts")
+    if any(gs.segments != segs for gs in sets):
+        raise ParameterError("gradient sets come from different model layouts")
     means = np.stack([mean_gradient(gs) for gs in sets])
-    m = len(sets)
-
-    def pairwise(block: np.ndarray) -> np.ndarray:
-        out = np.zeros((m, m))
-        for a in range(m):
-            for b in range(a + 1, m):
-                out[a, b] = out[b, a] = float(np.linalg.norm(block[a] - block[b]))
-        return out
-
+    diff = means[:, None] - means[None]   # (m, m, P)
     return {
         "conditions": [gs.condition for gs in sets],
-        "whole_model": pairwise(means),
-        "per_layer": {name: pairwise(means[:, start:stop]) for name, start, stop in segs},
+        "whole_model": np.linalg.norm(diff, axis=2),
+        "per_layer": {name: np.linalg.norm(diff[..., start:stop], axis=2)
+                      for name, start, stop in segs},
     }
 
 
@@ -90,8 +90,7 @@ def coherence_report(model: Model, ds: Dataset, conditions: dict) -> dict:
     """
     if not conditions:
         raise ParameterError("need at least one condition")
-    sets = [per_example_gradients(model, ids, ds, condition=name)
-            for name, ids in conditions.items()]
+    sets = [gradient_set(model, ids, ds, condition=name) for name, ids in conditions.items()]
     dm = distance_matrix(sets)
     report = {"conditions": {}, "distance_matrix": {
         "conditions": dm["conditions"],
@@ -101,7 +100,7 @@ def coherence_report(model: Model, ds: Dataset, conditions: dict) -> dict:
     for gs in sets:
         total, per_layer = total_variance(gs)
         report["conditions"][gs.condition] = {
-            "n_examples": int(gs.grads.shape[0]),
+            "n_examples": gs.n,
             "mean_gradient": mean_gradient(gs).tolist(),
             "total_variance": total,
             "total_variance_per_layer": per_layer,

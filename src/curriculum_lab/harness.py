@@ -21,7 +21,7 @@ from .data import Dataset, EmbeddingTable, generate_gaussian_mixture, \
 from .errors import ConfigError, ExperimentError, TrainingDivergedError
 from .gradient_analysis import coherence_report
 from .pacing import PacingSpec, saturation_iteration
-from .scoring import invert, load_scores_csv, oracle_bayes_score, \
+from .scoring import ScoreTable, invert, load_scores_csv, oracle_bayes_score, \
     random_score, score_by_model_loss, self_taught_score, transfer_score
 from .seeding import BATCH, INIT, SCORE, SPLIT, SUBSET, derived_seed
 from .sequencer import balanced_prefix, build_plan, self_paced_rescore_hook
@@ -191,6 +191,9 @@ def run_experiment(config: ExperimentConfig, out_dir=None,
     stacked: list[int] = []
     plans = []
     tables = _condition_scores(config, train_ds, score_provider)
+    # a table shared by every seed names its warnings once
+    warnings += list(dict.fromkeys(
+        w for t in tables if isinstance(t, ScoreTable) for w in t.warnings))
     for seed, table in zip(config.seeds, tables):
         if isinstance(table, ExperimentError):
             failures[seed] = str(table)

@@ -24,6 +24,7 @@ from .trainer import Model, ModelSpec, train_stack
 class ScoreTable:
     scores: np.ndarray  # difficulty per example id
     provenance: str
+    warnings: tuple[str, ...] = ()  # e.g. a transfer probe that did not converge
 
     def __post_init__(self):
         s = np.array(self.scores, dtype=np.float64, order="C")
@@ -53,7 +54,7 @@ def random_score(ds: Dataset, seed: int) -> ScoreTable:
 
 def invert(t: ScoreTable) -> ScoreTable:
     """Negate scores, turning a curriculum ordering into anti-curriculum."""
-    return ScoreTable(-t.scores, f"invert({t.provenance})")
+    return ScoreTable(-t.scores, f"invert({t.provenance})", t.warnings)
 
 
 def oracle_bayes_score(ds: Dataset) -> ScoreTable:
@@ -96,14 +97,17 @@ _PROBE_MAX_ITER = 2000
 SCORE_CLAMP = 50.0
 
 
-def _fit_probe(E: np.ndarray, y: np.ndarray, K: int) -> Model:
+def _fit_probe(E: np.ndarray, y: np.ndarray, K: int) -> tuple[Model, float]:
+    """The probe and its gradient sup-norm; it converged iff that is below
+    `_PROBE_TOL`, which may take up to `_PROBE_MAX_ITER` steps."""
     probe = Model.zeros(ModelSpec("linear_softmax"), K, E.shape[1])
     for _ in range(_PROBE_MAX_ITER):
         _, grad = probe.loss_and_grad(E, y)
-        if np.abs(grad).max() < _PROBE_TOL:
-            break
+        sup = float(np.abs(grad).max())
+        if sup < _PROBE_TOL:
+            return probe, sup
         probe.params -= _PROBE_LR * grad
-    return probe
+    return probe, float(np.abs(probe.loss_and_grad(E, y)[1]).max())
 
 
 def transfer_score(ds: Dataset, emb: EmbeddingTable, folds: int, seed: int) -> ScoreTable:
@@ -111,7 +115,8 @@ def transfer_score(ds: Dataset, emb: EmbeddingTable, folds: int, seed: int) -> S
 
     Stratified k-fold: each example is scored by -log of the probability a
     probe trained on the other folds assigns to its true label, clamped to
-    [0, 50].
+    [0, 50]. A fold whose probe stops at the iteration cap unconverged is
+    named in the table's `warnings`.
     """
     if emb.N != ds.N:
         raise ParameterError(f"embedding table covers {emb.N} ids, dataset has {ds.N}")
@@ -126,12 +131,17 @@ def transfer_score(ds: Dataset, emb: EmbeddingTable, folds: int, seed: int) -> S
         ids_c = rng.permutation(np.flatnonzero(ds.y == c))
         fold_of[ids_c] = np.arange(len(ids_c)) % folds
     scores = np.empty(ds.N, dtype=np.float64)
+    warnings = []
     for f in range(folds):
         held = fold_of == f
-        probe = _fit_probe(emb.vectors[~held], ds.y[~held], ds.K)
+        probe, sup = _fit_probe(emb.vectors[~held], ds.y[~held], ds.K)
+        if sup >= _PROBE_TOL:
+            warnings.append(f"transfer probe of fold {f} did not converge in "
+                            f"{_PROBE_MAX_ITER} iterations (gradient sup-norm {sup:.3e}, "
+                            f"tolerance {_PROBE_TOL:g})")
         losses = probe.example_losses(emb.vectors[held], ds.y[held])
         scores[held] = np.clip(losses, 0.0, SCORE_CLAMP)
-    return ScoreTable(scores, "transfer")
+    return ScoreTable(scores, "transfer", tuple(warnings))
 
 
 # ---------------------------------------------------------------------------

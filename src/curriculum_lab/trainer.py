@@ -124,7 +124,11 @@ def _losses_and_residual(logits: np.ndarray, y: np.ndarray):
     R, n = y.shape
     r = np.arange(R)[:, None]
     rows = np.arange(n)
-    m = logits.max(axis=2, keepdims=True)
+    # a running maximum over the K class columns: exact in any order, and far
+    # cheaper than a reduction along the short last axis
+    m = logits[..., :1]
+    for k in range(1, logits.shape[2]):
+        m = np.maximum(m, logits[..., k:k + 1])
     e = np.exp(logits - m)
     total = e.sum(axis=2, keepdims=True)
     losses = m[..., 0] + np.log(total[..., 0]) - logits[r, rows, y]
@@ -238,20 +242,25 @@ class Model:
                                          np.asarray(y, dtype=np.int64)[None])
         return float(loss[0]), grad[0]
 
-    def per_example_grads(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Row j = flat gradient of example j's individual loss, shape (n, P)."""
+    def _gradient_factors(self, X: np.ndarray, y: np.ndarray) -> list:
+        """Per layer segment, the residual r (n, out) at the layer's output and
+        the layer's input a (n, in): example j's gradient of that segment is
+        [r_j a_j^T, r_j], flattened as in the parameter layout."""
         logits, cache = self._checked_forward(X)
         G = _losses_and_residual(logits, np.asarray(y, dtype=np.int64)[None])[1][0]
-        n = G.shape[0]
         if self.spec.architecture == "linear_softmax":
-            X2 = cache[0][0]
-            dW = np.einsum("nk,nd->nkd", G, X2).reshape(n, -1)
-            return np.concatenate([dW, G], axis=1)
+            return [(G, cache[0][0])]
         X2, z1, a1 = (c[0] for c in cache)
-        dz1 = (G @ self.array("W2")) * (z1 > 0)
-        dW1 = np.einsum("nh,nd->nhd", dz1, X2).reshape(n, -1)
-        dW2 = np.einsum("nk,nh->nkh", G, a1).reshape(n, -1)
-        return np.concatenate([dW1, dz1, dW2, G], axis=1)
+        dz1 = G @ self.array("W2")
+        dz1 *= z1 > 0
+        return [(dz1, X2), (G, a1)]
+
+    def per_example_grads(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Row j = flat gradient of example j's individual loss, shape (n, P)."""
+        parts = []
+        for r, a in self._gradient_factors(X, y):
+            parts += [np.einsum("nk,nd->nkd", r, a).reshape(len(r), -1), r]
+        return np.concatenate(parts, axis=1)
 
 
 def evaluate(model: Model, ds: Dataset) -> float:

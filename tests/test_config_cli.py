@@ -219,6 +219,18 @@ class TestCliTransferScoredConfig:
         assert report["n_seeds"] == 1
         assert "gradient_report.json" in json.loads((out / "manifest.json").read_text())["outputs"]
 
+    def test_score_prints_unconverged_probe_warnings(self, tmp_path, monkeypatch, capsys):
+        from curriculum_lab import scoring
+        config = str(self.transfer_config(tmp_path))
+        assert main(["score", "--config", config, "--out", str(tmp_path / "a")]) == 0
+        assert "warning" not in capsys.readouterr().err
+        monkeypatch.setattr(scoring, "_PROBE_MAX_ITER", 3)
+        assert main(["score", "--config", config, "--out", str(tmp_path / "b")]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 4   # one line per fold, four by default
+        assert all(line.startswith("warning: transfer probe of fold") for line in err)
+        assert (tmp_path / "b" / "scores.csv").exists()
+
     def test_bootstrap_accepts_transfer_config(self, tmp_path):
         out = tmp_path / "o"
         assert main(["bootstrap", "--config", str(self.transfer_config(tmp_path)),

@@ -1,12 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from curriculum_lab.data import Dataset
 from curriculum_lab.errors import ParameterError
 from curriculum_lab.gradient_analysis import (GradientSet, coherence_report,
-                                              distance_matrix, mean_gradient,
-                                              per_example_gradients,
-                                              total_variance)
+                                              distance_matrix, gradient_set,
+                                              mean_gradient, total_variance)
 from curriculum_lab.trainer import Model, ModelSpec
 
 LINEAR = ModelSpec("linear_softmax")
@@ -20,36 +21,49 @@ def make_ds(counts, d=3, seed=0):
     return Dataset(X=X, y=y, K=len(counts))
 
 
+def set_from_rows(rows, segments, condition="t"):
+    """The statistics of a GradientSet computed directly from explicit
+    per-example gradient rows."""
+    rows = np.asarray(rows, dtype=float)
+    sq = rows ** 2
+    return GradientSet(n=len(rows), mean=rows.mean(axis=0),
+                       sq_norms=tuple(float(sq[:, a:b].sum(axis=1).mean()) for _, a, b in segments),
+                       segments=segments, condition=condition)
+
+
 def toy_set(rows, condition="t"):
-    return GradientSet(grads=np.asarray(rows, dtype=float),
-                       segments=(("layer1", 0, np.asarray(rows).shape[1]),),
-                       condition=condition)
+    return set_from_rows(rows, (("layer1", 0, np.asarray(rows).shape[1]),), condition)
+
+
+def rel_err(a, b):
+    return float(np.max(np.abs(np.subtract(a, b)))) / max(float(np.max(np.abs(b))), 1e-300)
 
 
 class TestPerExampleGradients:
     def test_duplicated_example_gives_identical_rows(self):
         ds = make_ds([3, 3], d=4, seed=1)
         model = Model.initialize(MLP, 2, 4, seed=0)
-        gs = per_example_gradients(model, [0, 0], ds)
-        assert np.array_equal(gs.grads[0], gs.grads[1])
+        rows = model.per_example_grads(ds.X[[0, 0]], ds.y[[0, 0]])
+        assert np.array_equal(rows[0], rows[1])
 
     @pytest.mark.parametrize("spec", [LINEAR, MLP], ids=["linear", "mlp1"])
     def test_mean_of_rows_equals_batch_gradient(self, spec):
         ds = make_ds([5, 5], d=4, seed=2)
         model = Model.initialize(spec, 2, 4, seed=3)
         ids = np.arange(ds.N)
-        gs = per_example_gradients(model, ids, ds)
-        assert np.allclose(gs.grads.mean(axis=0), model.loss_and_grad(ds.X, ds.y)[1],
-                           atol=1e-12)
+        assert np.allclose(mean_gradient(gradient_set(model, ids, ds)),
+                           model.loss_and_grad(ds.X, ds.y)[1], atol=1e-12)
+        assert np.allclose(model.per_example_grads(ds.X, ds.y).mean(axis=0),
+                           model.loss_and_grad(ds.X, ds.y)[1], atol=1e-12)
 
     @pytest.mark.parametrize("spec", [LINEAR, MLP], ids=["linear", "mlp1"])
     def test_rows_match_finite_differences(self, spec):
         rng = np.random.default_rng(8)
         ds = make_ds([4, 4], d=3, seed=5)
         model = Model.initialize(spec, 2, 3, seed=7)
-        gs = per_example_gradients(model, [2, 6], ds)
+        rows = model.per_example_grads(ds.X[[2, 6]], ds.y[[2, 6]])
         h = 1e-5
-        for row, ex in zip(gs.grads, (2, 6)):
+        for row, ex in zip(rows, (2, 6)):
             u = rng.normal(size=model.n_params)
             u /= np.linalg.norm(u)
 
@@ -65,7 +79,63 @@ class TestPerExampleGradients:
         ds = make_ds([3, 3])
         model = Model.zeros(LINEAR, 2, 3)
         with pytest.raises(ParameterError):
-            per_example_gradients(model, [], ds)
+            gradient_set(model, [], ds)
+
+
+class TestFactoredStatistics:
+    """The statistics from per-layer factors against those of explicit
+    per-example gradient rows."""
+
+    @pytest.mark.parametrize("spec", [LINEAR, ModelSpec("mlp1", hidden=7)],
+                             ids=["linear", "mlp1"])
+    @pytest.mark.parametrize("ids", [np.arange(40), np.arange(0, 40, 3),
+                                     np.array([5, 5, 5, 12, 0, 12, 39]), np.array([8, 8])],
+                             ids=["all", "strided", "duplicated", "one_id_twice"])
+    def test_match_per_example_rows(self, spec, ids):
+        ds = make_ds([15, 10, 15], d=6, seed=4)
+        model = Model.initialize(spec, 3, 6, seed=5)
+        got = gradient_set(model, ids, ds, condition="c")
+        rows = model.per_example_grads(ds.X[ids], ds.y[ids])
+        want = set_from_rows(rows, model.segments)
+        assert got.n == len(ids) and got.condition == "c"
+        assert rel_err(got.mean, want.mean) < 1e-12
+        assert rel_err(got.sq_norms, want.sq_norms) < 1e-12
+        total, per_layer = total_variance(got)
+        var = rows.var(axis=0)
+        # a zero variance (one id repeated) is the difference of two equal
+        # mean squared norms; it may land a few ulps of those away from 0
+        slack = 1e-15 * float(np.mean((rows ** 2).sum(axis=1)))
+        assert total == pytest.approx(var.sum(), rel=1e-12, abs=slack)
+        for name, start, stop in model.segments:
+            assert per_layer[name] == pytest.approx(var[start:stop].sum(), rel=1e-12, abs=slack)
+
+    def test_report_distances_match_rows(self):
+        ds = make_ds([20, 20], d=5, seed=6)
+        model = Model.initialize(MLP, 2, 5, seed=2)
+        conditions = {"a": np.arange(10), "b": np.array([3, 3, 30, 31]), "all": np.arange(40)}
+        report = coherence_report(model, ds, conditions)
+        means = {k: model.per_example_grads(ds.X[v], ds.y[v]).mean(axis=0)
+                 for k, v in conditions.items()}
+        dm = np.asarray(report["distance_matrix"]["whole_model"])
+        conds = report["distance_matrix"]["conditions"]
+        for i, a in enumerate(conds):
+            for j, b in enumerate(conds):
+                want = float(np.linalg.norm(means[a] - means[b]))
+                assert dm[i, j] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_memory_far_below_a_gradient_matrix(self):
+        K, d, H, n = 5, 16, 64, 4000
+        rng = np.random.default_rng(0)
+        ds = Dataset(X=rng.normal(size=(n, d)), y=rng.integers(0, K, size=n), K=K)
+        model = Model.initialize(ModelSpec("mlp1", hidden=H), K, d, seed=1)
+        conditions = {"easy": np.arange(n // 10), "all": np.arange(n)}
+        tracemalloc.start()
+        try:
+            coherence_report(model, ds, conditions)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * model.n_params * 8 / 4
 
 
 class TestMeanAndVariance:
@@ -109,7 +179,7 @@ class TestMeanAndVariance:
     def test_per_layer_sums_to_whole(self):
         ds = make_ds([6, 6], d=4, seed=3)
         model = Model.initialize(MLP, 2, 4, seed=1)
-        gs = per_example_gradients(model, np.arange(ds.N), ds)
+        gs = gradient_set(model, np.arange(ds.N), ds)
         total, per_layer = total_variance(gs)
         assert sum(per_layer.values()) == pytest.approx(total, rel=1e-12)
         assert set(per_layer) == {"layer1", "layer2"}

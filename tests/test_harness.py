@@ -421,3 +421,23 @@ class TestDatasetResolution:
         result = run_experiment(resolve_config(tree))
         assert result.summary["failed_seeds"] == []
         assert sorted(result.curves) == [0, 1]
+
+    @pytest.mark.parametrize("condition", ["curriculum", "anti"])
+    def test_unconverged_probe_warnings_reach_the_summary(self, tmp_path, monkeypatch,
+                                                          condition):
+        from curriculum_lab import scoring
+        from curriculum_lab.data import EmbeddingTable, save_embeddings_csv
+        train_ds, _, _ = resolve_dataset(resolve_config(tiny_tree()))
+        save_embeddings_csv(EmbeddingTable(train_ds.X[:, :2]), tmp_path / "emb.csv")
+        tree = tiny_tree(condition, scoring={"kind": "transfer"})
+        tree["dataset"]["embeddings_csv"] = str(tmp_path / "emb.csv")
+        converged = run_experiment(resolve_config(tree), out_dir=tmp_path / "a")
+        assert converged.summary["warnings"] == []
+        monkeypatch.setattr(scoring, "_PROBE_MAX_ITER", 3)
+        capped = run_experiment(resolve_config(tree), out_dir=tmp_path / "b")
+        probe_warnings = [w for w in capped.summary["warnings"] if w.startswith("transfer probe")]
+        # one table serves both seeds; each fold is named once
+        assert [w.split(" did")[0] for w in probe_warnings] == [
+            f"transfer probe of fold {f}" for f in range(4)]
+        on_disk = json.loads((tmp_path / "b" / "summary.json").read_text())
+        assert on_disk["warnings"] == capped.summary["warnings"]

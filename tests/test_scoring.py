@@ -131,6 +131,26 @@ class TestTransfer:
         with pytest.raises(ParameterError, match="folds"):
             transfer_score(ds, emb, folds=4, seed=0)
 
+    def test_converged_probes_leave_no_warning(self):
+        ds = make_ds([30, 30, 30], d=2, seed=6)
+        emb = EmbeddingTable(vectors=ds.X + np.random.default_rng(2).normal(size=ds.X.shape))
+        assert transfer_score(ds, emb, folds=3, seed=1).warnings == ()
+
+    def test_unconverged_probe_is_named_in_warnings(self, monkeypatch):
+        from curriculum_lab import scoring
+        ds = make_ds([30, 30, 30], d=2, seed=6)
+        emb = EmbeddingTable(vectors=ds.X + np.random.default_rng(2).normal(size=ds.X.shape))
+        full = transfer_score(ds, emb, folds=3, seed=1)
+        monkeypatch.setattr(scoring, "_PROBE_MAX_ITER", 3)
+        table = transfer_score(ds, emb, folds=3, seed=1)
+        assert len(table.warnings) == 3
+        for f, warning in enumerate(table.warnings):
+            assert warning.startswith(f"transfer probe of fold {f} did not converge in 3 iterations")
+            sup = float(warning.split("sup-norm ")[1].split(",")[0])
+            assert sup >= scoring._PROBE_TOL
+        assert not np.array_equal(table.scores, full.scores)
+        assert invert(table).warnings == table.warnings
+
     def test_scores_clamped(self):
         ds = make_ds([5, 5], d=2, seed=3)
         emb = EmbeddingTable(vectors=np.random.default_rng(1).normal(size=(10, 2)))

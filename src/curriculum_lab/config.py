@@ -165,6 +165,14 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _typed(convert, value, key: str):
+    """convert(value); a value it rejects is a ConfigError naming the dotted `key`."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{key} must be of type {convert.__name__}, got {value!r}") from None
+
+
 def resolve_config(tree: dict, seed_override: int | None = None) -> ExperimentConfig:
     """Validate a config tree and fill defaults; returns the resolved config.
 
@@ -184,7 +192,7 @@ def resolve_config(tree: dict, seed_override: int | None = None) -> ExperimentCo
     scoring = tree.setdefault("scoring", {})
     kind = scoring.setdefault("kind", "oracle")
     _require(kind in SCORING_KINDS, f"scoring.kind must be one of {SCORING_KINDS}, got {kind!r}")
-    folds = int(scoring.setdefault("folds", 4))
+    folds = _typed(int, scoring.setdefault("folds", 4), "scoring.folds")
     _require(folds >= 2, "scoring.folds must be >= 2")
     if kind == "file":
         _require(scoring.get("path") is not None, "scoring.kind=file requires scoring.path")
@@ -195,14 +203,18 @@ def resolve_config(tree: dict, seed_override: int | None = None) -> ExperimentCo
     if condition == "vanilla":
         variant = "vanilla"
         pacing["variant"] = "vanilla"
-    starting_percent = float(pacing.setdefault("starting_percent", 0.1))
-    increase = pacing.get("increase")
-    step_length = pacing.get("step_length")
-    boundaries = pacing.get("boundaries")
+    starting_percent = _typed(float, pacing.setdefault("starting_percent", 0.1),
+                              "pacing.starting_percent")
     if variant in ("fixed_exp", "varied_exp"):
-        increase = float(pacing.setdefault("increase", 1.9))
+        pacing.setdefault("increase", 1.9)
     if variant in ("fixed_exp", "single_step"):
-        step_length = int(pacing.setdefault("step_length", 100))
+        pacing.setdefault("step_length", 100)
+    # a key the variant does not read is type-checked too; PacingSpec drops its value
+    increase, step_length, boundaries = (
+        _typed(convert, pacing[key], f"pacing.{key}") if key in pacing else None
+        for key, convert in (("increase", float), ("step_length", int), ("boundaries", list)))
+    if boundaries is not None:
+        boundaries = [_typed(int, b, "pacing.boundaries") for b in boundaries]
     if variant == "varied_exp":
         _require(boundaries is not None and len(boundaries) >= 1,
                  "varied_exp requires pacing.boundaries (at least the first two step ends)")
@@ -212,61 +224,68 @@ def resolve_config(tree: dict, seed_override: int | None = None) -> ExperimentCo
     lr = tree.setdefault("lr", {})
     lr_variant = lr.setdefault("variant", "exponential")
     if lr_variant == "exponential":
-        schedule = LRSchedule(variant="exponential",
-                              lr0=float(lr.setdefault("lr0", 0.1)),
-                              decrease_factor=float(lr.setdefault("decrease_factor", 1.5)),
-                              lr_step_length=int(lr.setdefault("lr_step_length", 500)))
+        schedule = LRSchedule(
+            variant="exponential",
+            lr0=_typed(float, lr.setdefault("lr0", 0.1), "lr.lr0"),
+            decrease_factor=_typed(float, lr.setdefault("decrease_factor", 1.5),
+                                   "lr.decrease_factor"),
+            lr_step_length=_typed(int, lr.setdefault("lr_step_length", 500), "lr.lr_step_length"))
     elif lr_variant == "cyclical":
-        schedule = LRSchedule(variant="cyclical",
-                              lr_min=float(lr.setdefault("lr_min", 0.01)),
-                              lr_max=float(lr.setdefault("lr_max", 0.1)),
-                              cycle_length=int(lr.setdefault("cycle_length", 500)))
+        schedule = LRSchedule(
+            variant="cyclical",
+            lr_min=_typed(float, lr.setdefault("lr_min", 0.01), "lr.lr_min"),
+            lr_max=_typed(float, lr.setdefault("lr_max", 0.1), "lr.lr_max"),
+            cycle_length=_typed(int, lr.setdefault("cycle_length", 500), "lr.cycle_length"))
     else:
         raise ConfigError(f"lr.variant must be exponential or cyclical, got {lr_variant!r}")
 
     model = tree.setdefault("model", {})
     model_spec = ModelSpec(architecture=model.setdefault("architecture", "linear_softmax"),
-                           hidden=int(model.setdefault("hidden", 0)))
+                           hidden=_typed(int, model.setdefault("hidden", 0), "model.hidden"))
 
-    batch_size = int(tree.setdefault("batch_size", 100))
-    iterations = int(tree.setdefault("iterations", 3000))
-    record_every = int(tree.setdefault("record_every", 50))
+    batch_size = _typed(int, tree.setdefault("batch_size", 100), "batch_size")
+    iterations = _typed(int, tree.setdefault("iterations", 3000), "iterations")
+    record_every = _typed(int, tree.setdefault("record_every", 50), "record_every")
     _require(batch_size >= 1, "batch_size must be >= 1")
     _require(iterations >= 1, "iterations must be >= 1")
     _require(record_every >= 1, "record_every must be >= 1")
 
     if "seeds" in tree:
-        seeds = tuple(int(s) for s in tree["seeds"])
+        seeds = tuple(_typed(int, s, "seeds") for s in _typed(list, tree["seeds"], "seeds"))
         _require(len(seeds) >= 1, "seeds must be non-empty")
         if "repetitions" in tree:
-            _require(int(tree["repetitions"]) == len(seeds),
+            _require(_typed(int, tree["repetitions"], "repetitions") == len(seeds),
                      "repetitions does not match the length of seeds")
         tree["repetitions"] = len(seeds)
     else:
-        reps = int(tree.setdefault("repetitions", 1))
+        reps = _typed(int, tree.setdefault("repetitions", 1), "repetitions")
         _require(reps >= 1, "repetitions must be >= 1")
-        base = int(tree.setdefault("seed", 0))
+        base = _typed(int, tree.setdefault("seed", 0), "seed")
         seeds = tuple(base + r for r in range(reps))
         tree["seeds"] = list(seeds)
 
     selection = tree.setdefault("selection", {})
     criterion = selection.setdefault("criterion", "final_accuracy")
     _require(criterion in CRITERIA, f"selection.criterion must be one of {CRITERIA}")
-    window = int(selection.setdefault("window", 5))
+    window = _typed(int, selection.setdefault("window", 5), "selection.window")
     _require(window >= 1, "selection.window must be >= 1")
 
     grid = None
     if "grid" in tree:
         g = tree["grid"]
-        grid = GridSpec(pacing={k: list(v) for k, v in g.get("pacing", {}).items()},
-                        lr={k: list(v) for k, v in g.get("lr", {}).items()},
-                        validation_fraction=float(g.setdefault("validation_fraction", 0.8)),
-                        split_seed=int(g.setdefault("split_seed", 0)))
+        grid = GridSpec(pacing={k: _typed(list, v, f"grid.pacing.{k}")
+                                for k, v in g.get("pacing", {}).items()},
+                        lr={k: _typed(list, v, f"grid.lr.{k}") for k, v in g.get("lr", {}).items()},
+                        validation_fraction=_typed(float, g.setdefault("validation_fraction", 0.8),
+                                                   "grid.validation_fraction"),
+                        split_seed=_typed(int, g.setdefault("split_seed", 0), "grid.split_seed"))
 
-    generations = int(_get(tree, "bootstrap.generations", 1))
-    subset_fraction = float(_get(tree, "gradient_analysis.subset_fraction", 0.1))
-    theory_instances = int(_get(tree, "theory.instances", 1000))
-    theory_families = int(_get(tree, "theory.constant_variance_families", 200))
+    generations = _typed(int, _get(tree, "bootstrap.generations", 1), "bootstrap.generations")
+    subset_fraction = _typed(float, _get(tree, "gradient_analysis.subset_fraction", 0.1),
+                             "gradient_analysis.subset_fraction")
+    theory_instances = _typed(int, _get(tree, "theory.instances", 1000), "theory.instances")
+    theory_families = _typed(int, _get(tree, "theory.constant_variance_families", 200),
+                             "theory.constant_variance_families")
 
     return ExperimentConfig(
         tree=tree, condition=condition, scoring_kind=kind,
@@ -281,18 +300,8 @@ def resolve_config(tree: dict, seed_override: int | None = None) -> ExperimentCo
         theory_families=theory_families)
 
 
-def pacing_spec_for(config: ExperimentConfig, N: int,
-                    condition: str | None = None) -> PacingSpec:
+def pacing_spec_for(config: ExperimentConfig, N: int) -> PacingSpec:
     """Instantiate the config's pacing for a concrete dataset size."""
-    cond = condition or config.condition
-    if cond == "vanilla":
-        return PacingSpec(variant="vanilla", N=N, M=config.iterations)
-    kwargs = dict(variant=config.pacing_variant, N=N, M=config.iterations,
-                  starting_percent=config.starting_percent)
-    if config.pacing_variant in ("fixed_exp", "varied_exp"):
-        kwargs["increase"] = config.increase
-    if config.pacing_variant in ("fixed_exp", "single_step"):
-        kwargs["step_length"] = config.step_length
-    if config.pacing_variant == "varied_exp":
-        kwargs["boundaries"] = config.boundaries
-    return PacingSpec(**kwargs)
+    return PacingSpec(variant=config.pacing_variant, N=N, M=config.iterations,
+                      starting_percent=config.starting_percent, increase=config.increase,
+                      step_length=config.step_length, boundaries=config.boundaries)

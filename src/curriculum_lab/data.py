@@ -9,7 +9,6 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -39,12 +38,6 @@ def largest_remainder_quotas(counts: np.ndarray, total: int) -> np.ndarray:
         order = np.lexsort((np.arange(len(counts)), -frac))
         quotas[order[:remainder]] += 1
     return quotas
-
-
-class Example(NamedTuple):
-    id: int
-    features: np.ndarray
-    label: int
 
 
 @dataclass(frozen=True)
@@ -128,13 +121,6 @@ class Dataset:
     @property
     def class_counts(self) -> np.ndarray:
         return np.bincount(self.y, minlength=self.K)
-
-    def example(self, i: int) -> Example:
-        return Example(i, self.X[i], int(self.y[i]))
-
-    def examples(self) -> Iterator[Example]:
-        for i in range(self.N):
-            yield self.example(i)
 
 
 @dataclass(frozen=True)

@@ -51,10 +51,6 @@ def gradient_set(model: Model, ids, ds: Dataset, condition: str = "") -> Gradien
                        segments=model.segments, condition=condition)
 
 
-def mean_gradient(gs: GradientSet) -> np.ndarray:
-    return gs.mean
-
-
 def total_variance(gs: GradientSet) -> tuple[float, dict[str, float]]:
     """Trace of the per-example gradient covariance (divide-by-n), plus the
     per-layer breakdown, which sums to the whole-model value. A zero variance
@@ -72,7 +68,7 @@ def distance_matrix(sets: list[GradientSet]) -> dict:
     segs = sets[0].segments
     if any(gs.segments != segs for gs in sets):
         raise ParameterError("gradient sets come from different model layouts")
-    means = np.stack([mean_gradient(gs) for gs in sets])
+    means = np.stack([gs.mean for gs in sets])
     diff = means[:, None] - means[None]   # (m, m, P)
     return {
         "conditions": [gs.condition for gs in sets],
@@ -101,7 +97,7 @@ def coherence_report(model: Model, ds: Dataset, conditions: dict) -> dict:
         total, per_layer = total_variance(gs)
         report["conditions"][gs.condition] = {
             "n_examples": gs.n,
-            "mean_gradient": mean_gradient(gs).tolist(),
+            "mean_gradient": gs.mean.tolist(),
             "total_variance": total,
             "total_variance_per_layer": per_layer,
         }

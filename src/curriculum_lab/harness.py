@@ -179,7 +179,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None,
     warnings: list[str] = []
     pacing = pacing_spec_for(config, train_ds.N)
     sat = saturation_iteration(pacing)
-    if sat >= config.iterations and pacing.variant != "vanilla":
+    if sat >= config.iterations:
         warnings.append(
             f"pacing saturates at iteration {sat}, beyond the horizon M={config.iterations}; "
             "training never reaches the full dataset")

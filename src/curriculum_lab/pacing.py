@@ -1,22 +1,29 @@
 """Pacing functions: staircase maps from iteration index to prefix size.
 
-All variants are non-decreasing and bounded by the dataset size N. Fractional
+Every variant is one staircase: sorted stage starts, the first 0, with one
+subset size per stage, strictly increasing up to the dataset size N. Fractional
 sizes are rounded half up, then clamped to [1, N]; the saturation test runs in
 log space so large exponents cannot overflow.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
+from .data import round_half_up
 from .errors import ParameterError
 
-VARIANTS = ("fixed_exp", "varied_exp", "single_step", "vanilla")
-
-
-def _round_half_up(x: float) -> int:
-    return int(math.floor(x + 0.5))
+# the variants, each with the optional fields it reads; a spec stores None in the others
+_READS = {
+    "fixed_exp": ("starting_percent", "increase", "step_length"),
+    "varied_exp": ("starting_percent", "increase", "boundaries"),
+    "single_step": ("starting_percent", "step_length"),
+    "vanilla": (),
+}
 
 
 def num_steps(starting_percent: float, increase: float) -> int:
@@ -27,7 +34,7 @@ def num_steps(starting_percent: float, increase: float) -> int:
     """
     if not 0.0 < starting_percent <= 1.0:
         raise ParameterError(f"starting_percent must be in (0, 1], got {starting_percent}")
-    if not increase > 1.0:
+    if increase is None or not increase > 1.0:
         raise ParameterError(f"increase must be > 1, got {increase}")
     ratio = -math.log(starting_percent) / math.log(increase)
     # guard against log round-off pushing exact integers upward
@@ -40,42 +47,56 @@ class PacingSpec:
 
     `boundaries` (varied_exp only) are cumulative iteration indices; the
     subset size increases strictly after each boundary, so the boundary
-    iteration itself still uses the smaller size.
+    iteration itself still uses the smaller size. Fields the variant does not
+    read are stored as None, so stray settings cannot tell equal specs apart.
     """
 
     variant: str
     N: int
     M: int
-    starting_percent: float = 1.0
+    starting_percent: float | None = 1.0
     increase: float | None = None
     step_length: int | None = None
     boundaries: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
+        if self.variant not in _READS:
             raise ParameterError(f"unknown pacing variant {self.variant!r}")
         if self.N < 1 or self.M < 1:
             raise ParameterError(f"N and M must be >= 1, got N={self.N}, M={self.M}")
-        if self.variant == "vanilla":
-            return
-        if not 0.0 < self.starting_percent <= 1.0:
+        for name in ("starting_percent", "increase", "step_length", "boundaries"):
+            if name not in _READS[self.variant]:
+                object.__setattr__(self, name, None)
+        starts, sizes = [], []
+        for start, size in ([(0, self.N)] if self.variant == "vanilla" else self._stages()):
+            if not sizes or size != sizes[-1]:
+                starts.append(start)
+                sizes.append(size)
+        # stage k holds size sizes[k] on iterations [starts[k], starts[k + 1])
+        object.__setattr__(self, "_starts", tuple(starts))
+        object.__setattr__(self, "_sizes", tuple(sizes))
+
+    def _stages(self) -> list[tuple[int, int]]:
+        """Validate the variant's settings; (start, size) per stage, up to
+        the first stage at size N."""
+        sp = self.starting_percent
+        if not 0.0 < sp <= 1.0:
+            raise ParameterError(f"starting_percent must be in (0, 1], got {sp}")
+        first = round_half_up(sp * self.N)
+        if first < 1:
             raise ParameterError(
-                f"starting_percent must be in (0, 1], got {self.starting_percent}")
-        if _round_half_up(self.starting_percent * self.N) < 1:
-            raise ParameterError(
-                f"starting_percent {self.starting_percent} rounds to an empty subset for N={self.N}")
-        if self.variant in ("fixed_exp", "varied_exp"):
-            if self.increase is None or not self.increase > 1.0:
-                raise ParameterError(f"increase must be > 1, got {self.increase}")
-        if self.variant == "fixed_exp":
-            if self.step_length is None or self.step_length < 1:
-                raise ParameterError(f"step_length must be >= 1, got {self.step_length}")
+                f"starting_percent {sp} rounds to an empty subset for N={self.N}")
         if self.variant == "single_step":
             # step_length 0 is legal: the first phase is empty and g == N throughout
             if self.step_length is None or self.step_length < 0:
                 raise ParameterError(f"step_length must be >= 0, got {self.step_length}")
-        if self.variant == "varied_exp":
-            k = num_steps(self.starting_percent, self.increase)
+            return [(0, first), (self.step_length, self.N)] if self.step_length else [(0, self.N)]
+        k = num_steps(sp, self.increase)  # also validates increase
+        if self.variant == "fixed_exp":
+            if self.step_length is None or self.step_length < 1:
+                raise ParameterError(f"step_length must be >= 1, got {self.step_length}")
+            starts = [z * self.step_length for z in range(k + 1)]
+        else:
             if self.boundaries is None or len(self.boundaries) != k:
                 got = None if self.boundaries is None else len(self.boundaries)
                 raise ParameterError(
@@ -85,35 +106,15 @@ class PacingSpec:
                 raise ParameterError("boundaries must be non-negative iteration indices")
             if any(b2 <= b1 for b1, b2 in zip(self.boundaries, self.boundaries[1:])):
                 raise ParameterError(f"boundaries must be strictly increasing, got {self.boundaries}")
+            starts = [0] + [b + 1 for b in self.boundaries]
+        return [(start, _sized(self, z)) for z, start in enumerate(starts)]
 
     @cached_property
     def sizes(self) -> tuple[int, ...]:
-        """The whole schedule g(0), ..., g(M-1), computed once per spec.
-
-        `subset_size` is evaluated only where the staircase may step up, and
-        each value is repeated until the next such iteration.
-        """
-        starts = sorted({0, self.M} | {s for s in _step_starts(self) if 0 < s < self.M})
-        out: list[int] = []
-        for start, stop in zip(starts, starts[1:]):
-            out += [subset_size(self, start)] * (stop - start)
-        return tuple(out)
-
-
-def _step_starts(spec: PacingSpec):
-    """Iterations at which the subset size may differ from the iteration before."""
-    if spec.variant == "fixed_exp":
-        return range(spec.step_length, spec.M, spec.step_length)
-    if spec.variant == "single_step":
-        return (spec.step_length,)
-    if spec.variant == "varied_exp":
-        return tuple(b + 1 for b in spec.boundaries)
-    return ()
-
-
-def _check_iteration(spec: PacingSpec, i: int) -> None:
-    if not 0 <= i < spec.M:
-        raise ParameterError(f"iteration {i} outside [0, {spec.M})")
+        """The whole schedule g(0), ..., g(M-1), computed once per spec."""
+        n = bisect_left(self._starts, self.M)
+        bounds = self._starts[:n] + (self.M,)
+        return tuple(np.repeat(self._sizes[:n], np.diff(bounds)).tolist())
 
 
 def _sized(spec: PacingSpec, exponent: int) -> int:
@@ -123,53 +124,19 @@ def _sized(spec: PacingSpec, exponent: int) -> int:
         fraction = 1.0
     else:
         fraction = min(sp * inc ** exponent, 1.0)
-    return max(1, min(spec.N, _round_half_up(fraction * spec.N)))
-
-
-def g_fixed_exp(spec: PacingSpec, i: int) -> int:
-    """Fixed step length, exponentially growing subset size."""
-    _check_iteration(spec, i)
-    return _sized(spec, i // spec.step_length)
-
-
-def g_single_step(spec: PacingSpec, i: int) -> int:
-    """starting_percent * N before step_length, N afterward."""
-    _check_iteration(spec, i)
-    if i < spec.step_length:
-        return max(1, min(spec.N, _round_half_up(spec.starting_percent * spec.N)))
-    return spec.N
-
-
-def g_varied_exp(spec: PacingSpec, i: int) -> int:
-    """Exponential growth with explicit cumulative step boundaries."""
-    _check_iteration(spec, i)
-    z = sum(1 for b in spec.boundaries if i > b)
-    return _sized(spec, z)
+    return max(1, min(spec.N, round_half_up(fraction * spec.N)))
 
 
 def subset_size(spec: PacingSpec, i: int) -> int:
-    """Dispatch to the spec's variant; `vanilla` always uses the full dataset."""
-    if spec.variant == "vanilla":
-        _check_iteration(spec, i)
-        return spec.N
-    if spec.variant == "fixed_exp":
-        return g_fixed_exp(spec, i)
-    if spec.variant == "single_step":
-        return g_single_step(spec, i)
-    return g_varied_exp(spec, i)
+    """g(i): the size of the stage that holds iteration i."""
+    if not 0 <= i < spec.M:
+        raise ParameterError(f"iteration {i} outside [0, {spec.M})")
+    return spec._sizes[bisect_right(spec._starts, i) - 1]
 
 
 def saturation_iteration(spec: PacingSpec) -> int:
     """First iteration at which the subset size equals N (may exceed M)."""
-    if spec.variant == "vanilla":
-        return 0
-    if spec.starting_percent >= 1.0:
-        return 0
-    if spec.variant == "fixed_exp":
-        return spec.step_length * num_steps(spec.starting_percent, spec.increase)
-    if spec.variant == "single_step":
-        return spec.step_length
-    return spec.boundaries[-1] + 1 if spec.boundaries else 0
+    return spec._starts[-1]
 
 
 def extend_boundaries(bounds, starting_percent: float,

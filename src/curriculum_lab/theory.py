@@ -12,15 +12,12 @@ below, so helpers for the normalized form are deliberately not provided.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataLoadError, ParameterError
-from .pacing import subset_size
-from .sequencer import CurriculumPlan, balanced_prefix
+from .errors import ParameterError
 
 IDENTITY_TOL = 1e-12
 
@@ -30,7 +27,6 @@ class LossTable:
     """Losses of a finite hypothesis grid, rows = hypotheses, cols = examples."""
 
     losses: np.ndarray  # (T, N) >= 0
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         L = np.array(self.losses, dtype=np.float64, order="C")
@@ -38,8 +34,6 @@ class LossTable:
             raise ParameterError("loss table must be a non-empty (T, N) matrix")
         if not np.isfinite(L).all() or (L < 0).any():
             raise ParameterError("losses must be finite and non-negative")
-        if self.labels is not None and len(self.labels) != L.shape[0]:
-            raise ParameterError("one label per hypothesis required")
         object.__setattr__(self, "losses", L)
         L.setflags(write=False)
 
@@ -50,10 +44,6 @@ class LossTable:
     @property
     def n_examples(self) -> int:
         return self.losses.shape[1]
-
-    def utilities(self) -> np.ndarray:
-        """exp(-L), shape (T, N); every entry lies in (0, 1]."""
-        return np.exp(-self.losses)
 
 
 @dataclass(frozen=True)
@@ -269,16 +259,6 @@ def check_constant_variance_case(table: LossTable, variance_tol: float = 1e-9,
     }
 
 
-def curriculum_to_prior(plan: CurriculumPlan, iteration: int) -> Prior:
-    """The hard prior a plan induces at one iteration: uniform mass on the
-    balanced easiest prefix of size g(iteration), zero elsewhere."""
-    size = subset_size(plan.pacing, iteration)
-    ids = balanced_prefix(plan, size)
-    p = np.zeros(plan.N)
-    p[ids] = 1.0 / size
-    return Prior(p)
-
-
 # ---------------------------------------------------------------------------
 # Randomized instance generation and the verification suite
 # ---------------------------------------------------------------------------
@@ -396,32 +376,3 @@ def run_verification(instances: int = 1000, constant_variance_families: int = 20
         and constant_variance_violations == 0
         and constant_variance_applicable == constant_variance_families)
     return report
-
-
-# ---------------------------------------------------------------------------
-# CSV interchange: rows = hypotheses, columns = examples
-# ---------------------------------------------------------------------------
-
-def save_loss_table_csv(table: LossTable, path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        for row in table.losses:
-            w.writerow([repr(float(v)) for v in row])
-
-
-def load_loss_table_csv(path) -> LossTable:
-    rows = []
-    with open(path, newline="") as f:
-        for lineno, row in enumerate(csv.reader(f), start=1):
-            if not row:
-                continue
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise DataLoadError(f"{path}: row {lineno} is malformed: {exc}") from exc
-    if not rows:
-        raise DataLoadError(f"{path}: empty loss table")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise DataLoadError(f"{path}: rows have inconsistent lengths {sorted(widths)}")
-    return LossTable(np.array(rows, dtype=np.float64))

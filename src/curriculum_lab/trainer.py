@@ -199,9 +199,6 @@ class Model:
     def zeros(cls, spec: ModelSpec, K: int, d: int) -> "Model":
         return cls(spec, K, d, np.zeros(_layout(spec, K, d)[1]))
 
-    def copy(self) -> "Model":
-        return Model(self.spec, self.K, self.d, self.params)
-
     def array(self, name: str) -> np.ndarray:
         return self._views[name][0]
 
@@ -215,12 +212,6 @@ class Model:
 
     def logits(self, X: np.ndarray) -> np.ndarray:
         return self._forward(X)[0][0]
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        logits = self.logits(X)
-        logits = logits - logits.max(axis=1, keepdims=True)
-        e = np.exp(logits)
-        return e / e.sum(axis=1, keepdims=True)
 
     def _checked_forward(self, X):
         logits, cache = self._forward(X)

@@ -6,6 +6,7 @@ M = 3000). Heavy numeric criteria carry their stated runtime budgets.
 """
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,8 +16,7 @@ from curriculum_lab.data import Dataset, largest_remainder_quotas
 from curriculum_lab.errors import ParameterError
 from curriculum_lab.harness import (default_acceptance_tree,
                                     gradient_coherence_pipeline, run_experiment)
-from curriculum_lab.pacing import (PacingSpec, g_fixed_exp, g_varied_exp,
-                                   num_steps, saturation_iteration, subset_size)
+from curriculum_lab.pacing import PacingSpec, num_steps, saturation_iteration, subset_size
 from curriculum_lab.scoring import invert, random_score
 from curriculum_lab.sequencer import balanced_prefix, build_plan, minibatch_at
 from curriculum_lab.theory import run_verification
@@ -139,10 +139,12 @@ def test_criterion_5_pacing_properties():
         changes = np.flatnonzero(np.diff(sizes)) + 1       # staircase
         if spec.variant == "fixed_exp":
             assert all(c % spec.step_length == 0 for c in changes)
+            # saturation: the first iteration at size N, at most step_length * num_steps
             sat = saturation_iteration(spec)
-            assert sat == spec.step_length * num_steps(spec.starting_percent, spec.increase)
-            if sat < spec.M:
-                assert sizes[sat] == spec.N
+            assert sat <= spec.step_length * num_steps(spec.starting_percent, spec.increase)
+            to_sat = replace(spec, M=sat + 1).sizes
+            assert to_sat[sat] == spec.N and (sat == 0 or to_sat[sat - 1] < spec.N), spec
+            assert to_sat[:spec.M] == tuple(sizes[:sat + 1])
         elif spec.variant == "single_step":
             assert all(c == spec.step_length for c in changes)
         else:
@@ -164,7 +166,7 @@ def test_criterion_5_pacing_properties():
         varied = PacingSpec("varied_exp", N=N, M=M, starting_percent=sp,
                             increase=inc,
                             boundaries=[j * L - 1 for j in range(1, k + 1)])
-        assert all(g_varied_exp(varied, i) == g_fixed_exp(fixed, i) for i in range(M))
+        assert varied.sizes == fixed.sizes
     verdict(5, "pacing properties", True, "500 specs + 100 equal-gap cases")
 
 

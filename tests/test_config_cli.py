@@ -125,6 +125,24 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert "starting_percent must be at least" in err
 
+    @pytest.mark.parametrize("section,key,value", [
+        (None, "batch_size", "ten"),
+        ("pacing", "boundaries", 5),
+        ("pacing", "step_length", "x"),
+        (None, "seeds", 3),
+        ("model", "hidden", "a"),
+        (None, "iterations", None),
+        ("pacing", "increase", [1, 2]),
+    ])
+    def test_wrong_typed_value_names_its_key(self, tmp_path, capsys, section, key, value):
+        tree = tiny_tree("curriculum")
+        (tree if section is None else tree[section])[key] = value
+        config = write_config(tmp_path, tree)
+        code = main(["train", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 2
+        dotted = key if section is None else f"{section}.{key}"
+        assert capsys.readouterr().err.startswith(f"error: {dotted} must be of type ")
+
     def test_invalid_json_reported(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -164,6 +182,25 @@ class TestCliTrainAndScore:
         main(["train", "--config", str(replay), "--out", str(out2)])
         for name in manifest["outputs"]:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+    def test_single_step_with_stray_pacing_keys_trains(self, tmp_path):
+        # increase and boundaries are not read by single_step; they must not
+        # change the run or make the stacked plans' pacing spec unhashable
+        tree = tiny_tree("curriculum")
+        tree["pacing"] = {"variant": "single_step", "starting_percent": 0.25, "step_length": 15}
+        clean = write_config(tmp_path, tree, name="clean.json")
+        tree["pacing"].update(increase=2.0, boundaries=[5, 10])
+        stray = write_config(tmp_path, tree, name="stray.json")
+        out1, out2 = tmp_path / "o1", tmp_path / "o2"
+        assert main(["train", "--config", str(clean), "--out", str(out1)]) == 0
+        assert main(["train", "--config", str(stray), "--out", str(out2)]) == 0
+        for name in ("curve_curriculum_seed0.csv", "curve_curriculum_seed1.csv"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+        # the summary differs only in the recorded config, which keeps the stray keys
+        s1, s2 = (json.loads((out / "summary.json").read_text()) for out in (out1, out2))
+        assert s2.pop("config")["pacing"]["boundaries"] == [5, 10]
+        s1.pop("config")
+        assert s1 == s2
 
     def test_score_writes_table(self, tmp_path):
         config = write_config(tmp_path, tiny_tree("curriculum"))

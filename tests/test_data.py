@@ -23,14 +23,6 @@ class TestGenerate:
         c = generate_gaussian_mixture(K=3, d=4, n_per_class=8, spread=2.0, seed=8)
         assert not np.array_equal(a.X, c.X)
 
-    def test_example_accessors(self):
-        ds = generate_gaussian_mixture(K=2, d=3, n_per_class=2, spread=1.0, seed=4)
-        ex = ds.example(1)
-        assert ex.id == 1
-        assert ex.label == int(ds.y[1])
-        assert np.array_equal(ex.features, ds.X[1])
-        assert sum(1 for _ in ds.examples()) == ds.N
-
     def test_bayes_metadata_present(self):
         ds = generate_gaussian_mixture(K=4, d=3, n_per_class=6, spread=1.5, seed=0)
         assert ds.bayes is not None

@@ -6,8 +6,7 @@ import pytest
 from curriculum_lab.data import Dataset
 from curriculum_lab.errors import ParameterError
 from curriculum_lab.gradient_analysis import (GradientSet, coherence_report,
-                                              distance_matrix, gradient_set,
-                                              mean_gradient, total_variance)
+                                              distance_matrix, gradient_set, total_variance)
 from curriculum_lab.trainer import Model, ModelSpec
 
 LINEAR = ModelSpec("linear_softmax")
@@ -51,7 +50,7 @@ class TestPerExampleGradients:
         ds = make_ds([5, 5], d=4, seed=2)
         model = Model.initialize(spec, 2, 4, seed=3)
         ids = np.arange(ds.N)
-        assert np.allclose(mean_gradient(gradient_set(model, ids, ds)),
+        assert np.allclose(gradient_set(model, ids, ds).mean,
                            model.loss_and_grad(ds.X, ds.y)[1], atol=1e-12)
         assert np.allclose(model.per_example_grads(ds.X, ds.y).mean(axis=0),
                            model.loss_and_grad(ds.X, ds.y)[1], atol=1e-12)
@@ -141,17 +140,17 @@ class TestFactoredStatistics:
 class TestMeanAndVariance:
     def test_mean_simple(self):
         gs = toy_set([[1.0, 0.0], [0.0, 1.0]])
-        assert np.allclose(mean_gradient(gs), [0.5, 0.5])
+        assert np.allclose(gs.mean, [0.5, 0.5])
 
     def test_single_row_is_its_own_mean(self):
         gs = toy_set([[2.0, -3.0, 1.0]])
-        assert np.array_equal(mean_gradient(gs), [2.0, -3.0, 1.0])
+        assert np.array_equal(gs.mean, [2.0, -3.0, 1.0])
 
     def test_permutation_invariance(self):
         rows = np.random.default_rng(0).normal(size=(6, 4))
         a = toy_set(rows)
         b = toy_set(rows[::-1])
-        assert np.allclose(mean_gradient(a), mean_gradient(b))
+        assert np.allclose(a.mean, b.mean)
         assert total_variance(a)[0] == pytest.approx(total_variance(b)[0])
 
     def test_identical_rows_have_zero_variance(self):

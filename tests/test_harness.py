@@ -125,6 +125,15 @@ class TestRunExperiment:
         res = run_experiment(cfg)
         assert any("saturates" in w for w in res.summary["warnings"])
 
+    def test_no_saturation_warning_when_rounding_reaches_full_size(self):
+        tree = tiny_tree("curriculum")
+        # N = 72: 0.5 * 1.99 * 72 = 71.6 rounds up to N at iteration 30, one
+        # step before step_length * num_steps = 60 == M
+        tree["pacing"].update(starting_percent=0.5, increase=1.99, step_length=30)
+        res = run_experiment(resolve_config(tree))
+        assert not any("saturates" in w for w in res.summary["warnings"])
+        assert res.curves[0].subset_size[-1] == 72
+
     def test_writes_artifacts(self, tmp_path):
         cfg = resolve_config(tiny_tree("curriculum"))
         run_experiment(cfg, out_dir=tmp_path)

@@ -1,9 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from curriculum_lab.errors import ParameterError
-from curriculum_lab.pacing import (PacingSpec, extend_boundaries, g_fixed_exp,
-                                   g_single_step, g_varied_exp, num_steps,
+from curriculum_lab.pacing import (PacingSpec, extend_boundaries, num_steps,
                                    saturation_iteration, subset_size)
 
 
@@ -12,50 +13,73 @@ def fixed_spec(N=100, M=200, sp=0.1, inc=2.0, step=10):
                       increase=inc, step_length=step)
 
 
+# the paper's closed-form g(i) per variant, written out independently of the
+# staircase the program builds, as the oracle the schedule is checked against
+def _exp_size(spec, exponent):
+    sp, inc = spec.starting_percent, spec.increase
+    if math.log(sp) + exponent * math.log(inc) >= 0.0:
+        return spec.N
+    return max(1, min(spec.N, math.floor(min(sp * inc ** exponent, 1.0) * spec.N + 0.5)))
+
+
+def g_oracle(spec, i):
+    if spec.variant == "vanilla":
+        return spec.N
+    if spec.variant == "fixed_exp":
+        return _exp_size(spec, i // spec.step_length)
+    if spec.variant == "single_step":
+        if i < spec.step_length:
+            return max(1, min(spec.N, math.floor(spec.starting_percent * spec.N + 0.5)))
+        return spec.N
+    return _exp_size(spec, sum(1 for b in spec.boundaries if i > b))
+
+
 class TestFixedExp:
     @pytest.mark.parametrize("i,expected", [(0, 10), (9, 10), (10, 20), (25, 40), (40, 100)])
     def test_staircase_values(self, i, expected):
-        assert g_fixed_exp(fixed_spec(), i) == expected
+        assert subset_size(fixed_spec(), i) == expected
 
     def test_full_start_is_constant(self):
         spec = PacingSpec("fixed_exp", N=57, M=50, starting_percent=1.0,
                           increase=2.0, step_length=5)
-        assert all(g_fixed_exp(spec, i) == 57 for i in range(50))
+        assert spec.sizes == (57,) * 50
 
     def test_four_percent_of_2500_is_one_batch(self):
         spec = PacingSpec("fixed_exp", N=2500, M=1000, starting_percent=0.04,
                           increase=1.9, step_length=100)
-        assert g_fixed_exp(spec, 0) == 100
+        assert subset_size(spec, 0) == 100
 
     def test_iteration_out_of_range(self):
         with pytest.raises(ParameterError):
-            g_fixed_exp(fixed_spec(M=50), 50)
+            subset_size(fixed_spec(M=50), 50)
         with pytest.raises(ParameterError):
-            g_fixed_exp(fixed_spec(), -1)
+            subset_size(fixed_spec(), -1)
 
     def test_huge_exponent_does_not_overflow(self):
         spec = PacingSpec("fixed_exp", N=10, M=10**9, starting_percent=0.1,
                           increase=3.0, step_length=1)
-        assert g_fixed_exp(spec, 10**9 - 1) == 10
+        assert subset_size(spec, 10**9 - 1) == 10
+        assert subset_size(spec, 1) == 3
 
 
 class TestSingleStep:
     def test_step_values(self):
         spec = PacingSpec("single_step", N=2500, M=100, starting_percent=0.04,
                           step_length=50)
-        assert g_single_step(spec, 0) == 100
-        assert g_single_step(spec, 49) == 100
-        assert g_single_step(spec, 50) == 2500
+        assert spec.sizes == (100,) * 50 + (2500,) * 50
+        assert saturation_iteration(spec) == 50
 
     def test_zero_step_length_skips_first_phase(self):
         spec = PacingSpec("single_step", N=40, M=20, starting_percent=0.25,
                           step_length=0)
-        assert all(g_single_step(spec, i) == 40 for i in range(20))
+        assert spec.sizes == (40,) * 20
+        assert saturation_iteration(spec) == 0
 
     def test_full_start_degenerates(self):
         spec = PacingSpec("single_step", N=40, M=20, starting_percent=1.0,
                           step_length=10)
-        assert all(g_single_step(spec, i) == 40 for i in range(20))
+        assert spec.sizes == (40,) * 20
+        assert saturation_iteration(spec) == 0
 
 
 class TestVariedExp:
@@ -65,15 +89,14 @@ class TestVariedExp:
 
     def test_boundary_iteration_keeps_smaller_size(self):
         spec = self.varied([5, 15, 25, 35])
-        assert g_varied_exp(spec, 5) == 10
-        assert g_varied_exp(spec, 6) == 20
-        assert g_varied_exp(spec, 16) == 40
-        assert g_varied_exp(spec, 36) == 100
+        assert subset_size(spec, 5) == 10
+        assert subset_size(spec, 6) == 20
+        assert subset_size(spec, 16) == 40
+        assert subset_size(spec, 36) == 100
 
     def test_boundary_count_counts_strict_exceedances(self):
         spec = self.varied([5, 15, 25, 35])
-        sizes = [g_varied_exp(spec, i) for i in range(100)]
-        assert sizes == sorted(sizes)  # z(i) non-decreasing
+        assert list(spec.sizes) == sorted(spec.sizes)  # z(i) non-decreasing
 
     def test_non_increasing_boundaries_rejected(self):
         with pytest.raises(ParameterError):
@@ -82,8 +105,8 @@ class TestVariedExp:
     def test_reaches_full_size_after_last_boundary(self):
         spec = self.varied([5, 15, 25, 35])
         assert saturation_iteration(spec) == 36
-        assert g_varied_exp(spec, 35) < 100
-        assert g_varied_exp(spec, 36) == 100
+        assert subset_size(spec, 35) < 100
+        assert subset_size(spec, 36) == 100
 
     def test_wrong_boundary_count_rejected(self):
         with pytest.raises(ParameterError):
@@ -110,8 +133,7 @@ class TestVariedExp:
             varied = PacingSpec("varied_exp", N=N, M=M, starting_percent=sp,
                                 increase=inc,
                                 boundaries=[j * L - 1 for j in range(1, k + 1)])
-            for i in range(M):
-                assert g_varied_exp(varied, i) == g_fixed_exp(fixed, i), (N, L, sp, inc, i)
+            assert varied.sizes == fixed.sizes, (N, L, sp, inc)
 
 
 class TestNumSteps:
@@ -180,17 +202,25 @@ class TestProperties:
                 assert set(changes) <= {b + 1 for b in spec.boundaries}
 
     def test_fixed_exp_reaches_full_size_at_saturation(self):
+        # saturation is the first iteration at size N, which rounding can
+        # bring one or more steps before step_length * num_steps
         rng = np.random.default_rng(11)
         for _ in range(200):
             spec = self.random_spec(rng)
             if spec.variant != "fixed_exp":
                 continue
             sat = saturation_iteration(spec)
-            assert sat == spec.step_length * num_steps(spec.starting_percent, spec.increase)
-            if sat < spec.M:
-                assert subset_size(spec, sat) == spec.N
-                if sat > 0:
-                    assert subset_size(spec, sat - 1) < spec.N
+            assert sat <= spec.step_length * num_steps(spec.starting_percent, spec.increase)
+            assert g_oracle(spec, sat) == spec.N
+            assert sat == 0 or g_oracle(spec, sat - 1) < spec.N
+
+    def test_rounding_saturates_a_step_early(self):
+        # 0.5 * 1.99 * 100 = 99.5 rounds up to N one step before the formula
+        spec = PacingSpec("fixed_exp", N=100, M=150, starting_percent=0.5, increase=1.99,
+                          step_length=100)
+        assert num_steps(0.5, 1.99) == 2
+        assert saturation_iteration(spec) == 100
+        assert spec.sizes[99] == 50 and spec.sizes[100] == 100
 
     def test_sizes_equal_subset_size_at_every_iteration(self):
         rng = np.random.default_rng(19)
@@ -204,6 +234,7 @@ class TestProperties:
             fixed_spec(M=1),
         ]
         for spec in specs:
+            assert spec.sizes == tuple(g_oracle(spec, i) for i in range(spec.M))
             assert spec.sizes == tuple(subset_size(spec, i) for i in range(spec.M))
 
     def test_sizes_computed_once_per_spec(self):
@@ -215,6 +246,15 @@ class TestValidationAndHelpers:
     def test_vanilla_variant(self):
         spec = PacingSpec("vanilla", N=30, M=10)
         assert all(subset_size(spec, i) == 30 for i in range(10))
+        assert saturation_iteration(spec) == 0
+
+    def test_fields_the_variant_does_not_read_are_dropped(self):
+        stray = PacingSpec("single_step", N=40, M=20, starting_percent=0.25, step_length=5,
+                           increase=[1, 2], boundaries=[3])
+        clean = PacingSpec("single_step", N=40, M=20, starting_percent=0.25, step_length=5)
+        assert stray == clean and hash(stray) == hash(clean)
+        assert stray.increase is None and stray.boundaries is None
+        assert PacingSpec("vanilla", N=3, M=2, starting_percent=0.5).starting_percent is None
 
     def test_empty_initial_subset_rejected(self):
         with pytest.raises(ParameterError):

@@ -4,18 +4,16 @@ import numpy as np
 import pytest
 
 from curriculum_lab.data import Dataset
-from curriculum_lab.errors import DataLoadError, ParameterError
+from curriculum_lab.errors import ParameterError
 from curriculum_lab.pacing import PacingSpec
 from curriculum_lab.scoring import ScoreTable
 from curriculum_lab.sequencer import balanced_prefix, build_plan
 from curriculum_lab.theory import (LossTable, Prior, matched_argmax_holds,
                                    check_constant_variance_case, decomposition_residual, check_argmax_preservation,
                                    check_ideal_prior_amplification, constant_variance_family,
-                                   curriculum_to_prior, ideal_prior,
-                                   load_loss_table_csv, prior_utility,
+                                   ideal_prior, prior_utility,
                                    random_instance, run_verification,
-                                   save_loss_table_csv, sum_covariance,
-                                   sum_variance, utility)
+                                   sum_covariance, sum_variance, utility)
 
 # worked 2x2 instance: losses t1=[0,2], t2=[1,1]; every expected value below
 # was computed by direct evaluation of the defining formulas with math.exp
@@ -48,7 +46,7 @@ class TestUtility:
     def test_utility_matrix_in_unit_interval(self):
         rng = np.random.default_rng(1)
         table = LossTable(rng.uniform(0, 6, size=(4, 5)))
-        U = table.utilities()
+        U = np.stack([utility(table, t)[0] for t in range(table.n_hypotheses)])
         assert U.shape == (4, 5)
         assert (U > 0).all() and (U <= 1).all()
 
@@ -280,6 +278,15 @@ class TestConstantVarianceCase:
         assert report["passed"]
 
 
+def curriculum_to_prior(plan, iteration):
+    """The hard prior a plan induces at one iteration: uniform mass on the
+    balanced easiest prefix of size g(iteration), zero elsewhere."""
+    size = plan.pacing.sizes[iteration]
+    p = np.zeros(plan.N)
+    p[balanced_prefix(plan, size)] = 1.0 / size
+    return Prior(p)
+
+
 class TestCurriculumToPrior:
     def plan(self, sp=0.5):
         rng = np.random.default_rng(10)
@@ -338,20 +345,6 @@ class TestVerificationSuite:
 
 
 class TestTableIO:
-    def test_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(11)
-        table = LossTable(rng.uniform(0, 5, size=(4, 7)))
-        path = tmp_path / "losses.csv"
-        save_loss_table_csv(table, path)
-        loaded = load_loss_table_csv(path)
-        assert np.array_equal(loaded.losses, table.losses)
-
-    def test_ragged_rows_rejected(self, tmp_path):
-        path = tmp_path / "losses.csv"
-        path.write_text("1.0,2.0\n3.0\n")
-        with pytest.raises(DataLoadError):
-            load_loss_table_csv(path)
-
     def test_negative_losses_rejected(self):
         with pytest.raises(ParameterError):
             LossTable(np.array([[-0.1, 0.2]]))

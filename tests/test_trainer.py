@@ -57,10 +57,13 @@ class TestForward:
         assert per[0] == per[1]
 
     def test_probabilities_are_normalized(self):
-        ds = make_ds([5, 5], d=4, seed=3)
+        # example_losses(X, k) = -log p(k | x): the class probabilities it
+        # implies sum to 1 over k for every row
+        ds = make_ds([5, 5, 5], d=4, seed=3)
         for spec in (LINEAR, MLP):
-            model = random_model(spec, 2, 4, seed=1)
-            P = model.predict_proba(ds.X)
+            model = random_model(spec, 3, 4, seed=1)
+            P = np.stack([np.exp(-model.example_losses(ds.X, np.full(ds.N, k)))
+                          for k in range(3)], axis=1)
             assert (P >= 0).all()
             assert np.abs(P.sum(axis=1) - 1.0).max() < 1e-9
 

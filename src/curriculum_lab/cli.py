@@ -19,7 +19,7 @@ from .harness import bootstrap_loop, default_acceptance_tree, \
     gradient_coherence_pipeline, make_score_provider, resolve_dataset, \
     run_experiment, two_stage_grid_search
 from .scoring import save_scores_csv
-from .theory import run_verification
+from .theory import DEFAULT_FAMILIES, DEFAULT_INSTANCES, run_verification
 
 
 def _write_json(path: Path, obj) -> None:
@@ -127,8 +127,8 @@ def cmd_verify_theory(args) -> int:
         seed = config.seeds[0]
         config_tree = config.tree
     else:
-        instances = 1000
-        families = 200
+        instances = DEFAULT_INSTANCES
+        families = DEFAULT_FAMILIES
         seed = args.seed if args.seed is not None else 0
         config_tree = {"theory": {"instances": instances, "constant_variance_families": families},
                        "seed": seed}

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigError
 from .pacing import PacingSpec, extend_boundaries
+from .theory import DEFAULT_FAMILIES, DEFAULT_INSTANCES
 from .trainer import LRSchedule, ModelSpec
 
 CONDITIONS = ("curriculum", "anti", "random", "vanilla", "self_paced")
@@ -56,6 +57,12 @@ _SCHEMA = {
     "theory": {"instances": None, "constant_variance_families": None},
 }
 
+_SYNTHETIC_TYPES = {"classes": int, "dim": int, "n_per_class": int, "spread": float, "seed": int}
+# converters of the leaves a grid axis may sweep; a list leaf holds ints
+_AXIS_TYPES = {"pacing": {"starting_percent": float, "increase": float, "step_length": int,
+                          "boundaries": list},
+               "lr": {"lr0": float, "decrease_factor": float, "lr_step_length": int}}
+
 
 def _collect_unknown(tree: dict, schema: dict, prefix: str = "") -> list[str]:
     unknown = []
@@ -99,12 +106,6 @@ class GridSpec:
     lr: dict[str, list]
     validation_fraction: float = 0.8
     split_seed: int = 0
-
-    def __post_init__(self):
-        for name, axes in (("pacing", self.pacing), ("lr", self.lr)):
-            for key, values in axes.items():
-                if not isinstance(values, (list, tuple)) or len(values) == 0:
-                    raise ConfigError(f"grid.{name}.{key} must be a non-empty list")
 
 
 @dataclass(frozen=True)
@@ -173,6 +174,12 @@ def _typed(convert, value, key: str):
         raise ConfigError(f"{key} must be of type {convert.__name__}, got {value!r}") from None
 
 
+def _typed_leaf(convert, value, key: str):
+    """_typed, with a list leaf's elements converted to int as well."""
+    value = _typed(convert, value, key)
+    return [_typed(int, v, key) for v in value] if convert is list else value
+
+
 def resolve_config(tree: dict, seed_override: int | None = None) -> ExperimentConfig:
     """Validate a config tree and fill defaults; returns the resolved config.
 
@@ -185,6 +192,18 @@ def resolve_config(tree: dict, seed_override: int | None = None) -> ExperimentCo
     if seed_override is not None:
         tree["seed"] = int(seed_override)
         tree.pop("seeds", None)
+
+    # resolve_dataset converts these leaves; check them here, where a bad one is named
+    dataset = tree.get("dataset", {})
+    if "synthetic" in dataset:
+        syn = dataset["synthetic"]
+        missing = [f"dataset.synthetic.{key}" for key in _SYNTHETIC_TYPES if key not in syn]
+        _require(not missing, "missing config key(s): " + ", ".join(missing))
+        for key, convert in _SYNTHETIC_TYPES.items():
+            _typed(convert, syn[key], f"dataset.synthetic.{key}")
+    for key, convert in (("train_fraction", float), ("split_seed", int)):
+        if key in dataset:
+            _typed(convert, dataset[key], f"dataset.{key}")
 
     condition = tree.setdefault("condition", "vanilla")
     _require(condition in CONDITIONS, f"condition must be one of {CONDITIONS}, got {condition!r}")
@@ -211,10 +230,9 @@ def resolve_config(tree: dict, seed_override: int | None = None) -> ExperimentCo
         pacing.setdefault("step_length", 100)
     # a key the variant does not read is type-checked too; PacingSpec drops its value
     increase, step_length, boundaries = (
-        _typed(convert, pacing[key], f"pacing.{key}") if key in pacing else None
-        for key, convert in (("increase", float), ("step_length", int), ("boundaries", list)))
-    if boundaries is not None:
-        boundaries = [_typed(int, b, "pacing.boundaries") for b in boundaries]
+        _typed_leaf(_AXIS_TYPES["pacing"][key], pacing[key], f"pacing.{key}") if key in pacing
+        else None
+        for key in ("increase", "step_length", "boundaries"))
     if variant == "varied_exp":
         _require(boundaries is not None and len(boundaries) >= 1,
                  "varied_exp requires pacing.boundaries (at least the first two step ends)")
@@ -273,9 +291,16 @@ def resolve_config(tree: dict, seed_override: int | None = None) -> ExperimentCo
     grid = None
     if "grid" in tree:
         g = tree["grid"]
-        grid = GridSpec(pacing={k: _typed(list, v, f"grid.pacing.{k}")
-                                for k, v in g.get("pacing", {}).items()},
-                        lr={k: _typed(list, v, f"grid.lr.{k}") for k, v in g.get("lr", {}).items()},
+        # every axis value is checked now, not when its cell runs; the tree keeps them as written
+        axes = {section: {} for section in _AXIS_TYPES}
+        for section, types in _AXIS_TYPES.items():
+            for key, values in g.get(section, {}).items():
+                path = f"grid.{section}.{key}"
+                values = axes[section][key] = _typed(list, values, path)
+                _require(len(values) > 0, f"{path} must be a non-empty list")
+                for value in values:
+                    _typed_leaf(types[key], value, path)
+        grid = GridSpec(**axes,
                         validation_fraction=_typed(float, g.setdefault("validation_fraction", 0.8),
                                                    "grid.validation_fraction"),
                         split_seed=_typed(int, g.setdefault("split_seed", 0), "grid.split_seed"))
@@ -283,9 +308,10 @@ def resolve_config(tree: dict, seed_override: int | None = None) -> ExperimentCo
     generations = _typed(int, _get(tree, "bootstrap.generations", 1), "bootstrap.generations")
     subset_fraction = _typed(float, _get(tree, "gradient_analysis.subset_fraction", 0.1),
                              "gradient_analysis.subset_fraction")
-    theory_instances = _typed(int, _get(tree, "theory.instances", 1000), "theory.instances")
-    theory_families = _typed(int, _get(tree, "theory.constant_variance_families", 200),
-                             "theory.constant_variance_families")
+    theory_instances = _typed(int, _get(tree, "theory.instances", DEFAULT_INSTANCES),
+                              "theory.instances")
+    theory_families = _typed(int, _get(tree, "theory.constant_variance_families",
+                                       DEFAULT_FAMILIES), "theory.constant_variance_families")
 
     return ExperimentConfig(
         tree=tree, condition=condition, scoring_kind=kind,

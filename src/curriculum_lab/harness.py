@@ -275,10 +275,9 @@ def _criterion_value(summary: dict, criterion: str) -> float:
 
 
 def _with_params(config: ExperimentConfig, pacing_params: dict, lr_params: dict) -> ExperimentConfig:
-    tree = json.loads(json.dumps(config.tree))
-    tree.setdefault("pacing", {}).update(pacing_params)
-    tree.setdefault("lr", {}).update(lr_params)
-    tree.pop("grid", None)
+    tree = {key: value for key, value in config.tree.items() if key != "grid"}
+    tree["pacing"] = {**tree["pacing"], **pacing_params}
+    tree["lr"] = {**tree["lr"], **lr_params}
     return resolve_config(tree)
 
 
@@ -413,15 +412,13 @@ def bootstrap_loop(config: ExperimentConfig, generations: int | None = None,
         out.mkdir(parents=True, exist_ok=True)
 
     summaries: list[dict] = []
-    vanilla_config = resolve_config({**json.loads(json.dumps(config.tree)),
-                                     "condition": "vanilla"})
+    vanilla_config = resolve_config({**config.tree, "condition": "vanilla"})
     prev = run_experiment(vanilla_config, dataset=(train_ds, test_ds))
     prev.summary["generation"] = 0
     summaries.append(prev.summary)
     _write_generation(out, 0, prev)
 
-    curriculum_tree = {**json.loads(json.dumps(config.tree)), "condition": "curriculum"}
-    curriculum_config = resolve_config(curriculum_tree)
+    curriculum_config = resolve_config({**config.tree, "condition": "curriculum"})
     for g in range(1, G + 1):
         # a seed that failed in generation g-1 has no model to score with, so
         # it is recorded as failed in generation g as well
@@ -457,8 +454,7 @@ def gradient_coherence_pipeline(config: ExperimentConfig,
     size, and all training points."""
     train_ds, test_ds, _emb = resolve_dataset(config)
     if models is None:
-        vanilla_config = resolve_config({**json.loads(json.dumps(config.tree)),
-                                         "condition": "vanilla"})
+        vanilla_config = resolve_config({**config.tree, "condition": "vanilla"})
         models = run_experiment(vanilla_config, dataset=(train_ds, test_ds)).models
 
     size = max(1, round(config.subset_fraction * train_ds.N))

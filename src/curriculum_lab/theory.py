@@ -13,20 +13,30 @@ below, so helpers for the normalized form are deliberately not provided.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ParameterError
 
 IDENTITY_TOL = 1e-12
+DEFAULT_INSTANCES = 1000  # run_verification's default random instances
+DEFAULT_FAMILIES = 200  # and its default constant-variance families
 
 
 @dataclass(frozen=True)
 class LossTable:
-    """Losses of a finite hypothesis grid, rows = hypotheses, cols = examples."""
+    """Losses of a finite hypothesis grid, rows = hypotheses, cols = examples.
+
+    Built once, read-only: utilities U = exp(-L), their row means, U centered
+    on those means, and each row's sum-form variance (one dot per row).
+    """
 
     losses: np.ndarray  # (T, N) >= 0
+    utilities: np.ndarray = field(init=False, repr=False)
+    mean_utilities: np.ndarray = field(init=False, repr=False)
+    centered: np.ndarray = field(init=False, repr=False)
+    variances: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         L = np.array(self.losses, dtype=np.float64, order="C")
@@ -34,16 +44,14 @@ class LossTable:
             raise ParameterError("loss table must be a non-empty (T, N) matrix")
         if not np.isfinite(L).all() or (L < 0).any():
             raise ParameterError("losses must be finite and non-negative")
-        object.__setattr__(self, "losses", L)
-        L.setflags(write=False)
-
-    @property
-    def n_hypotheses(self) -> int:
-        return self.losses.shape[0]
-
-    @property
-    def n_examples(self) -> int:
-        return self.losses.shape[1]
+        U = np.exp(-L)
+        mean_u = U.mean(axis=1)
+        centered = U - mean_u[:, None]
+        for name, value in (("losses", L), ("utilities", U), ("mean_utilities", mean_u),
+                            ("centered", centered),
+                            ("variances", np.vecdot(centered, centered))):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -62,19 +70,6 @@ class Prior:
         p.setflags(write=False)
 
 
-def utility(table: LossTable, t: int) -> tuple[np.ndarray, float]:
-    """Per-example utilities of hypothesis t and their plain average."""
-    U = np.exp(-table.losses[t])
-    return U, float(U.mean())
-
-
-def prior_utility(table: LossTable, t: int, prior: Prior) -> float:
-    """sum_i exp(-L[t][i]) p_i."""
-    if len(prior.p) != table.n_examples:
-        raise ParameterError("prior length does not match the table")
-    return float(np.exp(-table.losses[t]) @ prior.p)
-
-
 def sum_covariance(u: np.ndarray, v: np.ndarray) -> float:
     """SUM-form covariance: sum (u - mean u)(v - mean v), no normalization."""
     u = np.asarray(u, dtype=np.float64)
@@ -84,13 +79,9 @@ def sum_covariance(u: np.ndarray, v: np.ndarray) -> float:
     return float((u - u.mean()) @ (v - v.mean()))
 
 
-def sum_variance(u: np.ndarray) -> float:
-    return sum_covariance(u, u)
-
-
 def ideal_prior(table: LossTable, t: int) -> Prior:
     """Prior proportional to hypothesis t's utility: p_i = exp(-L[t][i]) / C."""
-    U = np.exp(-table.losses[t])
+    U = table.utilities[t]
     return Prior(U / U.sum())
 
 
@@ -98,18 +89,8 @@ def _argmax_set(values: np.ndarray, tol: float = IDENTITY_TOL) -> frozenset:
     return frozenset(np.flatnonzero(values >= values.max() - tol).tolist())
 
 
-def _mean_utilities(table: LossTable) -> np.ndarray:
-    return np.exp(-table.losses).mean(axis=1)
-
-
-def _prior_utilities(table: LossTable, prior: Prior) -> np.ndarray:
-    return np.exp(-table.losses) @ prior.p
-
-
 def _covariances_with(table: LossTable, v: np.ndarray) -> np.ndarray:
-    U = np.exp(-table.losses)
-    Uc = U - U.mean(axis=1, keepdims=True)
-    return Uc @ (v - v.mean())
+    return table.centered @ (v - v.mean())
 
 
 def decomposition_residual(table: LossTable, prior: Prior) -> float:
@@ -118,10 +99,10 @@ def decomposition_residual(table: LossTable, prior: Prior) -> float:
     prior_utility(t) - mean_utility(t) - sum_cov(U_t, p) is identically zero;
     anything above ~1e-12 indicates an estimator mismatch.
     """
-    if len(prior.p) != table.n_examples:
+    if len(prior.p) != table.losses.shape[1]:
         raise ParameterError("prior length does not match the table")
-    lhs = _prior_utilities(table, prior)
-    rhs = _mean_utilities(table) + _covariances_with(table, prior.p)
+    lhs = table.utilities @ prior.p
+    rhs = table.mean_utilities + _covariances_with(table, prior.p)
     return float(np.abs(lhs - rhs).max())
 
 
@@ -129,7 +110,7 @@ def matched_argmax_holds(table: LossTable, prior: Prior,
                          tol: float = IDENTITY_TOL) -> tuple[bool, frozenset, frozenset]:
     """Does the same hypothesis set maximize both the plain utility and the
     covariance with the prior? Sets are compared with a value tolerance."""
-    a = _argmax_set(_mean_utilities(table), tol)
+    a = _argmax_set(table.mean_utilities, tol)
     b = _argmax_set(_covariances_with(table, prior.p), tol)
     return a == b, a, b
 
@@ -149,8 +130,8 @@ def check_argmax_preservation(table: LossTable, prior: Prior, tol: float = IDENT
     if not holds:
         report.update(argmax_set_equal=None, gap_amplified=None, reason="precondition unmet")
         return report
-    mean_u = _mean_utilities(table)
-    prior_u = _prior_utilities(table, prior)
+    mean_u = table.mean_utilities
+    prior_u = table.utilities @ prior.p
     covs = _covariances_with(table, prior.p)
     best = min(argmax_u)  # lowest-index tie-break
     argmax_up = _argmax_set(prior_u, tol)
@@ -181,14 +162,13 @@ def check_ideal_prior_amplification(table: LossTable, tol: float = IDENTITY_TOL)
       - prior_utility(t) <= mean_utility(best)
                             + sqrt(sum_var(U_t) sum_var(U_best)) / C
     """
-    mean_u = _mean_utilities(table)
-    best = int(np.flatnonzero(mean_u >= mean_u.max() - tol).min())
-    U_best = np.exp(-table.losses[best])
-    C = float(U_best.sum())
-    prior = Prior(U_best / C)
-    prior_u = _prior_utilities(table, prior)
-    covs_best = _covariances_with(table, U_best)
-    var_best = sum_variance(U_best)
+    mean_u = table.mean_utilities
+    best = min(_argmax_set(mean_u, tol))  # lowest-index tie-break
+    prior = ideal_prior(table, best)
+    C = float(table.utilities[best].sum())
+    prior_u = table.utilities @ prior.p
+    covs_best = table.centered @ table.centered[best]
+    var_best = float(table.centered[best] @ table.centered[best])
 
     # ideal-prior covariance identity: sum_cov(U_t, p) == sum_cov(U_t, U_best)/C
     ideal_identity_residual = float(
@@ -201,9 +181,7 @@ def check_ideal_prior_amplification(table: LossTable, tol: float = IDENTITY_TOL)
     gap = mean_u[best] - mean_u[qualifying]
     gap_ok = bool((gap_p >= gap - tol).all())
 
-    variances = np.array([sum_variance(np.exp(-table.losses[t]))
-                          for t in range(table.n_hypotheses)])
-    ceiling = mean_u[best] + np.sqrt(variances * var_best) / C
+    ceiling = mean_u[best] + np.sqrt(table.variances * var_best) / C
     cs_ok = bool((prior_u <= ceiling + tol).all())
 
     return {
@@ -232,16 +210,14 @@ def check_constant_variance_case(table: LossTable, variance_tol: float = 1e-9,
     stricter argmax-SET equality unattainable; the set-form verdict is
     reported for information.
     """
-    variances = np.array([sum_variance(np.exp(-table.losses[t]))
-                          for t in range(table.n_hypotheses)])
-    spread = float(variances.max() - variances.min())
+    spread = float(np.ptp(table.variances))
     if spread > variance_tol:
         return {"applicable": False, "variance_spread": spread,
                 "reason": "precondition unmet: utility variances differ", "passed": None}
-    mean_u = _mean_utilities(table)
-    best = int(np.flatnonzero(mean_u >= mean_u.max() - tol).min())
+    mean_u = table.mean_utilities
+    best = min(_argmax_set(mean_u, tol))
     prior = ideal_prior(table, best)
-    prior_u = _prior_utilities(table, prior)
+    prior_u = table.utilities @ prior.p
     covs = _covariances_with(table, prior.p)
     cov_max_at_best = bool((covs <= covs[best] + tol).all())
     argmax_preserved = bool((prior_u <= prior_u[best] + tol).all())
@@ -311,7 +287,8 @@ def constant_variance_family(rng: np.random.Generator, n_examples: int = 12,
     return LossTable(-np.log(U))
 
 
-def run_verification(instances: int = 1000, constant_variance_families: int = 200,
+def run_verification(instances: int = DEFAULT_INSTANCES,
+                     constant_variance_families: int = DEFAULT_FAMILIES,
                      seed: int = 0) -> dict:
     """Random-instance verification of the decomposition identity, argmax
     preservation, ideal-prior amplification, and the constant-variance

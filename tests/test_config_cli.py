@@ -76,6 +76,16 @@ class TestConfigValidation:
         cfg = resolve_config(tiny_tree())
         json.dumps(cfg.tree)
 
+    def test_dataset_and_grid_values_kept_as_written(self):
+        tree = tiny_tree("curriculum")
+        del tree["dataset"]["train_fraction"], tree["dataset"]["split_seed"]
+        tree["dataset"]["synthetic"]["classes"] = "3"
+        tree["grid"] = {"pacing": {"step_length": [5, "10"]}, "lr": {"lr0": [1, 0.5]}}
+        resolved = resolve_config(tree).tree
+        assert resolved["dataset"] == tree["dataset"]
+        assert resolved["grid"]["pacing"] == {"step_length": [5, "10"]}
+        assert resolved["grid"]["lr"] == {"lr0": [1, 0.5]}
+
     def test_missing_referenced_files_rejected(self):
         tree = tiny_tree()
         tree["dataset"] = {"train_csv": "/nonexistent/train.csv",
@@ -133,15 +143,56 @@ class TestCliErrors:
         ("model", "hidden", "a"),
         (None, "iterations", None),
         ("pacing", "increase", [1, 2]),
+        ("dataset.synthetic", "classes", "a"),
+        ("dataset.synthetic", "spread", [4.5]),
+        ("dataset", "train_fraction", "most"),
+        ("dataset", "split_seed", "seven"),
     ])
     def test_wrong_typed_value_names_its_key(self, tmp_path, capsys, section, key, value):
         tree = tiny_tree("curriculum")
-        (tree if section is None else tree[section])[key] = value
+        node = tree
+        for part in section.split(".") if section else ():
+            node = node[part]
+        node[key] = value
         config = write_config(tmp_path, tree)
         code = main(["train", "--config", str(config), "--out", str(tmp_path / "o")])
         assert code == 2
         dotted = key if section is None else f"{section}.{key}"
         assert capsys.readouterr().err.startswith(f"error: {dotted} must be of type ")
+
+    def test_missing_synthetic_key_is_named(self, tmp_path, capsys):
+        tree = tiny_tree()
+        del tree["dataset"]["synthetic"]["dim"]
+        config = write_config(tmp_path, tree)
+        code = main(["gen-data", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: missing config key(s): dataset.synthetic.dim\n"
+
+    def test_wrong_typed_grid_value_fails_before_any_cell(self, tmp_path, capsys, monkeypatch):
+        import curriculum_lab.harness as harness
+        cells = []
+        monkeypatch.setattr(harness, "run_experiment", lambda *a, **k: cells.append(a))
+        tree = tiny_tree("curriculum", repetitions=1, iterations=40)
+        tree["grid"] = {"pacing": {"step_length": [5, "x"]}}
+        config = write_config(tmp_path, tree)
+        out = tmp_path / "o"
+        assert main(["grid-search", "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: grid.pacing.step_length must be of type int, got 'x'")
+        assert cells == []
+        assert not (out / "grid_audit.json").exists()
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("pacing", "boundaries", [[10, "y"]]),
+        ("pacing", "starting_percent", [0.25, None]),
+        ("lr", "lr_step_length", ["z"]),
+        ("lr", "lr0", 0.1),
+    ])
+    def test_wrong_typed_grid_axis_names_its_key(self, section, key, value):
+        tree = tiny_tree("curriculum")
+        tree["grid"] = {section: {key: value}}
+        with pytest.raises(ConfigError, match=f"^grid\\.{section}\\.{key} must be of type"):
+            resolve_config(tree)
 
     def test_invalid_json_reported(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

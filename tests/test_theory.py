@@ -11,9 +11,8 @@ from curriculum_lab.sequencer import balanced_prefix, build_plan
 from curriculum_lab.theory import (LossTable, Prior, matched_argmax_holds,
                                    check_constant_variance_case, decomposition_residual, check_argmax_preservation,
                                    check_ideal_prior_amplification, constant_variance_family,
-                                   ideal_prior, prior_utility,
-                                   random_instance, run_verification,
-                                   sum_covariance, sum_variance, utility)
+                                   ideal_prior, random_instance, run_verification,
+                                   sum_covariance)
 
 # worked 2x2 instance: losses t1=[0,2], t2=[1,1]; every expected value below
 # was computed by direct evaluation of the defining formulas with math.exp
@@ -23,15 +22,19 @@ C_2X2 = 1.0 + E2                        # 1.1353352832366127
 P_IDEAL = (1.0 / C_2X2, E2 / C_2X2)     # (0.8807970779778823, 0.11920292202211755)
 
 
+def prior_utility(table, t, prior):
+    """sum_i exp(-L[t][i]) p_i, from the table's utility matrix."""
+    return float(table.utilities[t] @ prior.p)
+
+
 class TestUtility:
     def test_zero_losses_give_unit_utility(self):
         table = LossTable(np.zeros((2, 3)))
-        U, mean = utility(table, 0)
-        assert np.array_equal(U, np.ones(3))
-        assert mean == 1.0
+        assert np.array_equal(table.utilities[0], np.ones(3))
+        assert table.mean_utilities[0] == 1.0
 
     def test_direct_exponentiation(self):
-        U, mean = utility(TABLE_2X2, 0)
+        U, mean = TABLE_2X2.utilities[0], TABLE_2X2.mean_utilities[0]
         assert U[0] == 1.0
         assert U[1] == pytest.approx(0.1353352832366127, abs=1e-15)
         assert mean == pytest.approx((1.0 + E2) / 2.0, abs=1e-15)
@@ -41,14 +44,22 @@ class TestUtility:
         losses = rng.uniform(0, 4, size=(3, 7))
         t1 = LossTable(losses)
         t2 = LossTable(losses[:, ::-1])
-        assert utility(t1, 1)[1] == pytest.approx(utility(t2, 1)[1], abs=1e-15)
+        assert t1.mean_utilities[1] == pytest.approx(t2.mean_utilities[1], abs=1e-15)
 
     def test_utility_matrix_in_unit_interval(self):
         rng = np.random.default_rng(1)
         table = LossTable(rng.uniform(0, 6, size=(4, 5)))
-        U = np.stack([utility(table, t)[0] for t in range(table.n_hypotheses)])
+        U = table.utilities
         assert U.shape == (4, 5)
         assert (U > 0).all() and (U <= 1).all()
+        for t in range(len(table.losses)):
+            assert np.array_equal(U[t], np.exp(-table.losses[t]))
+
+    def test_derived_arrays_are_read_only(self):
+        table = LossTable(np.array([[0.0, 2.0], [1.0, 1.0]]))
+        for name in ("losses", "utilities", "mean_utilities", "centered", "variances"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(table, name)[0] = 0.5
 
 
 class TestPriorUtility:
@@ -57,7 +68,7 @@ class TestPriorUtility:
         table = LossTable(rng.uniform(0, 3, size=(4, 6)))
         p = Prior(np.full(6, 1 / 6))
         for t in range(4):
-            assert prior_utility(table, t, p) == pytest.approx(utility(table, t)[1],
+            assert prior_utility(table, t, p) == pytest.approx(table.mean_utilities[t],
                                                                abs=1e-15)
 
     def test_point_mass_selects_single_utility(self):
@@ -94,7 +105,9 @@ class TestSumCovariance:
 
     def test_variance_of_worked_instance(self):
         U1 = np.exp(-TABLE_2X2.losses[0])
-        assert sum_variance(U1) == pytest.approx(0.3738225362077544, abs=1e-12)
+        assert sum_covariance(U1, U1) == pytest.approx(0.3738225362077544, abs=1e-12)
+        assert TABLE_2X2.variances[0] == pytest.approx(0.3738225362077544, abs=1e-12)
+        assert TABLE_2X2.variances[1] == 0.0
 
 
 class TestDecompositionIdentity:
@@ -192,7 +205,7 @@ class TestIdealPrior:
             p = ideal_prior(table, best)
             U_best = np.exp(-table.losses[best])
             C = U_best.sum()
-            for t in range(table.n_hypotheses):
+            for t in range(len(table.losses)):
                 U_t = np.exp(-table.losses[t])
                 lhs = sum_covariance(U_t, p.p)
                 rhs = sum_covariance(U_t, U_best) / C

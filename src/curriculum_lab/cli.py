@@ -64,6 +64,8 @@ def cmd_score(args) -> int:
     train_ds, _test_ds, emb = resolve_dataset(config)
     provider = make_score_provider(config, train_ds, emb)
     (table,) = provider([config.seeds[0]])
+    if isinstance(table, ExperimentError):
+        raise table
     for warning in table.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     save_scores_csv(table, out / "scores.csv")
@@ -121,19 +123,19 @@ def cmd_analyze_gradients(args) -> int:
 def cmd_verify_theory(args) -> int:
     if args.config is not None:
         tree = load_config_tree(args.config)
+        if args.instances is not None:
+            tree.setdefault("theory", {})["instances"] = args.instances
         config = resolve_config(tree, seed_override=args.seed)
         instances = config.theory_instances
         families = config.theory_families
         seed = config.seeds[0]
         config_tree = config.tree
     else:
-        instances = DEFAULT_INSTANCES
+        instances = DEFAULT_INSTANCES if args.instances is None else args.instances
         families = DEFAULT_FAMILIES
         seed = args.seed if args.seed is not None else 0
         config_tree = {"theory": {"instances": instances, "constant_variance_families": families},
                        "seed": seed}
-    if args.instances is not None:
-        instances = args.instances
     report = run_verification(instances=instances, constant_variance_families=families, seed=seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

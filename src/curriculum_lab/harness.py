@@ -157,25 +157,19 @@ def _ste(values: list[float]) -> float:
     return float(np.std(values, ddof=1) / math.sqrt(len(values)))
 
 
-def run_experiment(config: ExperimentConfig, out_dir=None,
-                   dataset: tuple[Dataset, Dataset] | None = None,
-                   score_provider=None, keep_models: bool = True) -> ExperimentResult:
-    """Run one condition over all repetition seeds, trained as one stack, and
-    aggregate a summary.
+@dataclass
+class _Run:
+    """One condition's plans, before training: the seeds to stack, their
+    plans, and what is already known of the run (warnings, failed seeds)."""
+    config: ExperimentConfig
+    warnings: list[str]
+    failures: dict[int, str]
+    seeds: list[int]
+    plans: list
 
-    A repetition that diverges, or whose score table the provider could not
-    make, is recorded as failed; the experiment errors out only when at
-    least half of the repetitions fail. With `out_dir` set, per-seed
-    learning-curve CSVs and summary.json are written there.
-    """
-    if dataset is None:
-        train_ds, test_ds, emb = resolve_dataset(config)
-    else:
-        train_ds, test_ds = dataset
-        emb = None
-    if score_provider is None and config.condition in SCORED_CONDITIONS:
-        score_provider = make_score_provider(config, train_ds, emb)
 
+def _plan_run(config: ExperimentConfig, train_ds: Dataset, score_provider) -> _Run:
+    """Build one plan per repetition seed whose score table the provider made."""
     warnings: list[str] = []
     pacing = pacing_spec_for(config, train_ds.N)
     sat = saturation_iteration(pacing)
@@ -185,27 +179,43 @@ def run_experiment(config: ExperimentConfig, out_dir=None,
             "training never reaches the full dataset")
     if config.repetitions == 1:
         warnings.append("single repetition: STE is reported as 0")
-
-    result = ExperimentResult(summary={})
-    failures: dict[int, str] = {}
-    stacked: list[int] = []
-    plans = []
+    run = _Run(config, warnings, {}, [], [])
     tables = _condition_scores(config, train_ds, score_provider)
     # a table shared by every seed names its warnings once
     warnings += list(dict.fromkeys(
         w for t in tables if isinstance(t, ScoreTable) for w in t.warnings))
     for seed, table in zip(config.seeds, tables):
         if isinstance(table, ExperimentError):
-            failures[seed] = str(table)
+            run.failures[seed] = str(table)
             continue
-        stacked.append(seed)
-        plans.append(build_plan(train_ds, table, pacing, config.batch_size,
-                                seed=derived_seed(seed, BATCH)))
-    hook = self_paced_rescore_hook if config.condition == "self_paced" else None
-    outcomes = train_stack(train_ds, test_ds, plans, config.schedule, config.model_spec,
-                           [derived_seed(seed, INIT) for seed in stacked],
-                           record_every=config.record_every, boundary_hook=hook)
-    for seed, outcome in zip(stacked, outcomes):
+        run.seeds.append(seed)
+        run.plans.append(build_plan(train_ds, table, pacing, config.batch_size,
+                                    seed=derived_seed(seed, BATCH)))
+    return run
+
+
+def _train_runs(train_ds: Dataset, test_ds: Dataset, runs: list[_Run]) -> list[list]:
+    """Train every seed of every run as one stack; one outcome list per run.
+    The runs share the model, the iteration count and `record_every`."""
+    rows = [(run, seed, plan) for run in runs for seed, plan in zip(run.seeds, run.plans)]
+    config = runs[0].config
+    outcomes = iter(train_stack(
+        train_ds, test_ds, [plan for _run, _seed, plan in rows],
+        [run.config.schedule for run, _seed, _plan in rows], config.model_spec,
+        [derived_seed(seed, INIT) for _run, seed, _plan in rows],
+        record_every=config.record_every,
+        boundary_hooks=[self_paced_rescore_hook if run.config.condition == "self_paced"
+                        else None for run, _seed, _plan in rows]))
+    return [[next(outcomes) for _ in run.seeds] for run in runs]
+
+
+def _summarise(run: _Run, outcomes: list, keep_models: bool = True,
+               out_dir=None) -> ExperimentResult:
+    """Aggregate a run's outcomes into its summary; raises `ExperimentError`
+    when at least half of the repetitions failed."""
+    config, failures = run.config, dict(run.failures)
+    result = ExperimentResult(summary={})
+    for seed, outcome in zip(run.seeds, outcomes):
         if isinstance(outcome, TrainingDivergedError):
             failures[seed] = f"seed {seed} diverged at iteration {outcome.iteration}"
             continue
@@ -213,7 +223,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None,
         if keep_models:
             result.models[seed] = model
     failed = [seed for seed in config.seeds if seed in failures]
-    warnings += [failures[seed] for seed in failed]
+    warnings = run.warnings + [failures[seed] for seed in failed]
 
     if 2 * len(failed) >= config.repetitions:
         raise ExperimentError(
@@ -249,6 +259,29 @@ def run_experiment(config: ExperimentConfig, out_dir=None,
             result.curves[s].to_csv(out / f"curve_{config.condition}_seed{s}.csv")
         (out / "summary.json").write_text(result.summary_json())
     return result
+
+
+def run_experiment(config: ExperimentConfig, out_dir=None,
+                   dataset: tuple[Dataset, Dataset] | None = None,
+                   score_provider=None, keep_models: bool = True) -> ExperimentResult:
+    """Run one condition over all repetition seeds, trained as one stack, and
+    aggregate a summary.
+
+    A repetition that diverges, or whose score table the provider could not
+    make, is recorded as failed; the experiment errors out only when at
+    least half of the repetitions fail. With `out_dir` set, per-seed
+    learning-curve CSVs and summary.json are written there.
+    """
+    if dataset is None:
+        train_ds, test_ds, emb = resolve_dataset(config)
+    else:
+        train_ds, test_ds = dataset
+        emb = None
+    if score_provider is None and config.condition in SCORED_CONDITIONS:
+        score_provider = make_score_provider(config, train_ds, emb)
+    run = _plan_run(config, train_ds, score_provider)
+    (outcomes,) = _train_runs(train_ds, test_ds, [run])
+    return _summarise(run, outcomes, keep_models, out_dir)
 
 
 def _condition_scores(config: ExperimentConfig, train_ds: Dataset,
@@ -313,11 +346,57 @@ def refine_lr_grid(lr_axes: dict[str, list], target: int) -> dict[str, list]:
     return axes
 
 
+def _scorer_key(config: ExperimentConfig) -> tuple:
+    """The config fields the configured scorer reads."""
+    kind = config.scoring_kind
+    if kind == "self_taught":
+        return (kind, config.model_spec, config.schedule, config.batch_size, config.iterations)
+    if kind == "transfer":
+        return (kind, config.scoring_folds, int(config.tree.get("seed", config.seeds[0])))
+    return (kind,)
+
+
+def _memoised_providers(configs: list[ExperimentConfig], train_ds: Dataset,
+                        emb: EmbeddingTable | None, memo: dict) -> list:
+    """One score provider per config (None for an unscored condition).
+
+    Tables are kept in `memo` under `_scorer_key`, per seed for self-taught
+    scoring, so no table is made twice; the self-taught scorers this call
+    adds train as one stack. The configs may differ only in pacing and LR.
+    """
+    scored = [c for c in configs if c.condition in SCORED_CONDITIONS]
+    new = {}  # (key, seed) -> (schedule, seed) of a self-taught table to train
+    for config in scored:
+        key = _scorer_key(config)
+        if config.scoring_kind != "self_taught":
+            if key not in memo:
+                memo[key] = make_score_provider(config, train_ds, emb)
+            continue
+        for seed in config.seeds:
+            if (key, seed) not in memo:
+                new[(key, seed)] = (config.schedule, seed)
+    if new:
+        schedules, seeds = zip(*new.values())
+        tables = self_taught_score(train_ds, scored[0], seeds, schedules=schedules)
+        memo.update(zip(new, tables))
+
+    def provider(config):
+        key = _scorer_key(config)
+        if config.scoring_kind != "self_taught":
+            return memo[key]
+        return lambda seeds: [memo[(key, seed)] for seed in seeds]
+
+    return [provider(c) if c.condition in SCORED_CONDITIONS else None for c in configs]
+
+
 def two_stage_grid_search(config: ExperimentConfig, out_dir=None) -> tuple[ExperimentConfig, dict]:
     """Stage 1 sweeps pacing axes at the base LR, stage 2 sweeps LR axes at
     the stage-1 winner; vanilla runs a single refined-LR stage of matched
     size. Winners are judged on a held-out validation split of the training
-    data, never the test set."""
+    data, never the test set.
+
+    All cells × seeds of a stage train as one stack, and each score table is
+    made once per search: cells share the tables of equal scorer settings."""
     if config.grid is None:
         raise ConfigError("grid search requires a grid section in the config")
     grid = config.grid
@@ -333,43 +412,44 @@ def two_stage_grid_search(config: ExperimentConfig, out_dir=None) -> tuple[Exper
 
     audit: list[dict] = []
     best = None  # (criterion value, pacing params, config) of the best cell so far
+    memo: dict = {}
 
-    def run_cell(stage: int, pacing_params: dict, lr_params: dict) -> None:
+    def run_stage(stage: int, cells: list[tuple[dict, dict]]) -> None:
         nonlocal best
-        cell_config = _with_params(config, pacing_params, lr_params)
-        provider = (make_score_provider(cell_config, fit_ds, emb)
-                    if cell_config.condition in SCORED_CONDITIONS else None)
-        try:
-            res = run_experiment(cell_config, dataset=(fit_ds, val_ds),
-                                 score_provider=provider, keep_models=False)
-            value = _criterion_value(res.summary, config.criterion)
-            entry_extra = {"final_accuracy_mean": res.summary["final_accuracy_mean"],
-                           "auc_mean": res.summary["auc_mean"], "failed": False}
-        except ExperimentError as exc:
-            value = None
-            entry_extra = {"failed": True, "error": str(exc)}
-        audit.append({"stage": stage, "pacing": pacing_params, "lr": lr_params,
-                      "criterion": config.criterion, "criterion_value": value,
-                      **entry_extra})
-        if value is not None and (best is None or value > best[0]):
-            best = (value, pacing_params, cell_config)
+        configs = [_with_params(config, pacing_params, lr_params)
+                   for pacing_params, lr_params in cells]
+        providers = _memoised_providers(configs, fit_ds, emb, memo)
+        runs = [_plan_run(c, fit_ds, provider) for c, provider in zip(configs, providers)]
+        for (pacing_params, lr_params), run, outcomes in zip(
+                cells, runs, _train_runs(fit_ds, val_ds, runs)):
+            try:
+                summary = _summarise(run, outcomes, keep_models=False).summary
+                value = _criterion_value(summary, config.criterion)
+                entry_extra = {"final_accuracy_mean": summary["final_accuracy_mean"],
+                               "auc_mean": summary["auc_mean"], "failed": False}
+            except ExperimentError as exc:
+                value = None
+                entry_extra = {"failed": True, "error": str(exc)}
+            audit.append({"stage": stage, "pacing": pacing_params, "lr": lr_params,
+                          "criterion": config.criterion, "criterion_value": value,
+                          **entry_extra})
+            if value is not None and (best is None or value > best[0]):
+                best = (value, pacing_params, run.config)
 
     if config.condition == "vanilla":
         pacing_cells = _cells(grid.pacing)
         curriculum_total = len(pacing_cells) + len(_cells(grid.lr))
         lr_cells = _cells(refine_lr_grid(grid.lr, curriculum_total))
-        for lr_params in lr_cells:
-            run_cell(1, {}, lr_params)
+        run_stage(1, [({}, lr_params) for lr_params in lr_cells])
         counts = {"stage1": len(lr_cells), "stage2": 0, "total": len(lr_cells),
                   "matched_target": curriculum_total}
     else:
         pacing_cells = _cells(grid.pacing)
-        for pacing_params in pacing_cells:
-            run_cell(1, pacing_params, {})
+        run_stage(1, [(pacing_params, {}) for pacing_params in pacing_cells])
+        # stage 2 sweeps LR at the stage-1 winner, so it waits for stage 1
         best_pacing = {} if best is None else best[1]
         lr_cells = _cells(grid.lr)
-        for lr_params in lr_cells:
-            run_cell(2, best_pacing, lr_params)
+        run_stage(2, [(best_pacing, lr_params) for lr_params in lr_cells])
         counts = {"stage1": len(pacing_cells), "stage2": len(lr_cells),
                   "total": len(pacing_cells) + len(lr_cells)}
 

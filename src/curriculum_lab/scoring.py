@@ -13,7 +13,8 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .data import Dataset, EmbeddingTable
-from .errors import DataLoadError, ParameterError, TrainingDivergedError
+from .errors import DataLoadError, ExperimentError, ParameterError, \
+    TrainingDivergedError
 from .pacing import PacingSpec
 from .seeding import BATCH, INIT, SCORE, derived_seed
 from .sequencer import build_plan
@@ -65,28 +66,31 @@ def oracle_bayes_score(ds: Dataset) -> ScoreTable:
     return ScoreTable(-logp[np.arange(ds.N), ds.y], "oracle_bayes")
 
 
-def self_taught_score(ds: Dataset, config: ExperimentConfig, seeds) -> list[ScoreTable]:
+def self_taught_score(ds: Dataset, config: ExperimentConfig, seeds,
+                      schedules=None) -> list:
     """Train one vanilla model per seed to completion, all seeds in one stack,
     then score by each final model's loss.
 
     `config` supplies the model, learning-rate schedule, batch size and
-    iteration count. Seed derivation matches the experiment harness, so each
-    table equals the one an explicit vanilla run with that base seed would
-    induce. Raises the first seed's `TrainingDivergedError` if any diverges.
+    iteration count; `schedules`, when given, holds one schedule per seed in
+    place of the config's, so the scorers of several grid cells train as one
+    stack. Seed derivation matches the experiment harness, so each table
+    equals the one an explicit vanilla run with that base seed would induce.
+    A seed whose model diverges gets an `ExperimentError` in place of its
+    table.
     """
     pacing = PacingSpec(variant="vanilla", N=ds.N, M=config.iterations)
     # the seeded random order of a vanilla run in the harness
     plans = [build_plan(ds, random_score(ds, derived_seed(seed, SCORE)), pacing,
                         config.batch_size, seed=derived_seed(seed, BATCH)) for seed in seeds]
-    outcomes = train_stack(ds, ds, plans, config.schedule, config.model_spec,
-                           [derived_seed(seed, INIT) for seed in seeds],
+    outcomes = train_stack(ds, ds, plans, schedules or [config.schedule] * len(plans),
+                           config.model_spec, [derived_seed(seed, INIT) for seed in seeds],
                            record_every=config.iterations)
-    tables = []
-    for outcome in outcomes:
-        if isinstance(outcome, TrainingDivergedError):
-            raise outcome
-        tables.append(ScoreTable(score_by_model_loss(ds, outcome[0]).scores, "self_taught"))
-    return tables
+    return [ExperimentError(f"self-taught scorer of seed {seed} diverged at iteration "
+                            f"{outcome.iteration}")
+            if isinstance(outcome, TrainingDivergedError)
+            else ScoreTable(score_by_model_loss(ds, outcome[0]).scores, "self_taught")
+            for seed, outcome in zip(seeds, outcomes)]
 
 
 # probe settings for transfer scoring: full-batch GD on a convex objective,

@@ -4,8 +4,9 @@ Two architectures: a linear softmax classifier and a one-hidden-layer ReLU
 network. Parameters live in a single flat float64 vector with named per-layer
 segments, which keeps SGD updates, finite-difference checks, and per-example
 gradient analysis all operating on the same layout. A stack of R models,
-such as the repetition seeds of one condition, keeps its vectors as the rows
-of one (R, P) array and trains in one loop (`train_stack`).
+such as the repetition seeds of one condition or every cell × seed of a grid
+stage, keeps its vectors as the rows of one (R, P) array and trains in one
+loop (`train_stack`).
 """
 from __future__ import annotations
 
@@ -308,77 +309,96 @@ class LearningCurve:
 
 
 def train_stack(ds_train: Dataset, ds_test: Dataset, plans: list[CurriculumPlan],
-                schedule: LRSchedule, model_spec: ModelSpec, seeds: list[int],
-                record_every: int = 50, boundary_hook=None) -> list:
-    """Run M SGD steps for R models at once: row r follows plans[r] from the
-    init of seeds[r], and every row equals that row trained alone, bitwise.
+                schedules: list[LRSchedule], model_spec: ModelSpec, seeds: list[int],
+                record_every: int = 50, boundary_hooks: list | None = None) -> list:
+    """Run M SGD steps for R models at once: row r follows plans[r] and
+    schedules[r] from the init of seeds[r], and every row equals that row
+    trained alone, bitwise. Rows may differ in pacing and learning rate; they
+    share the horizon M and the batch size.
 
     theta <- theta - lr(t) * grad(mean batch loss). Each curve records every
     `record_every` iterations and always at the final iteration; the recorded
     loss is the pre-update batch loss, accuracy is measured after the update.
-    `boundary_hook(plan, model, t)`, when given, replaces a row's plan at t=0
-    and at every pacing-step boundary (the self-paced control).
+    `boundary_hooks[r](plan, model, t)`, when given and not None, replaces row
+    r's plan at t=0 and at every start of a stage of its pacing (the
+    self-paced control).
 
     Returns one outcome per row: `(Model, LearningCurve)`, or the
     `TrainingDivergedError` that training the row alone raises. A diverged
     row leaves the stack at that iteration; the other rows go on unchanged.
     """
-    if len(plans) != len(seeds):
-        raise ParameterError(f"{len(plans)} plans for {len(seeds)} seeds")
+    R = len(plans)
+    hooks = [None] * R if boundary_hooks is None else list(boundary_hooks)
+    if not len(schedules) == len(seeds) == len(hooks) == R:
+        raise ParameterError(f"{R} plans for {len(schedules)} schedules, {len(seeds)} seeds "
+                             f"and {len(hooks)} hooks")
     if any(plan.N != ds_train.N for plan in plans):
         raise ParameterError("plan was built over a different dataset")
-    if len({plan.pacing for plan in plans}) > 1:
-        raise ParameterError("stacked plans must share one pacing spec")
+    if len({(plan.M, plan.batch_size) for plan in plans}) > 1:
+        raise ParameterError("stacked plans must share one horizon M and one batch size")
     if record_every < 1:
         raise ParameterError(f"record_every must be >= 1, got {record_every}")
     if not plans:
         return []
     K, d = ds_train.K, ds_train.d
+    M = plans[0].M
     arrays, _ = _layout(model_spec, K, d)
     params = np.stack([_init_params(model_spec, K, d, seed) for seed in seeds])
     views = _stack_views(arrays, params)
-    live = list(range(len(plans)))   # stack row j holds plan live[j]
+    live = list(range(R))   # stack row j holds plan live[j]
     current = list(plans)
+    sizes = [plan.pacing.sizes for plan in plans]
+    # lrs[t, j, 0] is live row j's learning rate at t: each schedule is
+    # evaluated once per iteration, and a row is scaled by that same float64
+    values = {s: [s.value(t) for t in range(M)] for s in set(schedules)}
+    lrs = np.array([values[s] for s in schedules]).T[:, :, None].copy()
+    # iteration -> the rows whose hook fires there: the stage starts of their pacing
+    due: dict[int, list[int]] = {}
+    for r, hook in enumerate(hooks):
+        if hook is not None:
+            for t in np.flatnonzero(np.diff(sizes[r], prepend=-1)).tolist():
+                due.setdefault(t, []).append(r)
     recorded: list[list] = [[] for _ in plans]
-    outcomes: list = [None] * len(plans)
+    outcomes: list = [None] * R
 
     def drop(ok: np.ndarray, t: int, message: str = "") -> None:
-        nonlocal params, views, live
+        nonlocal params, views, live, lrs
         for j in np.flatnonzero(~ok):
             outcomes[live[j]] = TrainingDivergedError(t, message)
         params = params[ok]
         views = _stack_views(arrays, params)
         live = [r for r, keep in zip(live, ok) if keep]
+        lrs = lrs[:, ok]
 
-    sizes = plans[0].pacing.sizes
-    M = len(sizes)
-    prev_size = None
-    for t in range(M):
-        size = sizes[t]
-        if boundary_hook is not None and size != prev_size:
-            for j, r in enumerate(live):
-                current[r] = boundary_hook(current[r], Model(model_spec, K, d, params[j]), t)
-        prev_size = size
-        ids = np.stack([minibatch_at(current[r], t) for r in live])
-        logits, cache = _forward(model_spec, views, ds_train.X[ids])
-        ok = np.isfinite(logits).all(axis=(1, 2))
-        if not ok.all():
-            drop(ok, t, f"non-finite activations in forward pass at iteration {t}")
-            logits, cache, ids = logits[ok], tuple(c[ok] for c in cache), ids[ok]
-        if live:
-            loss, grad = _mean_loss_and_grad(model_spec, views, logits, cache, ds_train.y[ids])
-            ok = np.isfinite(loss) & np.isfinite(grad).all(axis=1)
+    # a diverging row is a typed outcome: its overflow is not worth a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(M):
+            for r in due.get(t, ()):
+                if r in live:
+                    j = live.index(r)
+                    current[r] = hooks[r](current[r], Model(model_spec, K, d, params[j]), t)
+            ids = np.stack([minibatch_at(current[r], t) for r in live])
+            logits, cache = _forward(model_spec, views, ds_train.X[ids])
+            ok = np.isfinite(logits).all(axis=(1, 2))
             if not ok.all():
-                drop(ok, t)
-                loss, grad = loss[ok], grad[ok]
-        if not live:
-            break
-        lr = schedule.value(t)
-        params -= lr * grad
-        if t % record_every == 0 or t == M - 1:
-            for j, r in enumerate(live):
-                acc = evaluate(Model(model_spec, K, d, params[j]), ds_test)
-                recorded[r].append((t, float(loss[j]), acc, size, lr))
+                drop(ok, t, f"non-finite activations in forward pass at iteration {t}")
+                logits, cache, ids = logits[ok], tuple(c[ok] for c in cache), ids[ok]
+            if live:
+                loss, grad = _mean_loss_and_grad(model_spec, views, logits, cache,
+                                                 ds_train.y[ids])
+                ok = np.isfinite(loss) & np.isfinite(grad).all(axis=1)
+                if not ok.all():
+                    drop(ok, t)
+                    loss, grad = loss[ok], grad[ok]
+            if not live:
+                break
+            grad *= lrs[t]
+            params -= grad
+            if t % record_every == 0 or t == M - 1:
+                for j, r in enumerate(live):
+                    acc = evaluate(Model(model_spec, K, d, params[j]), ds_test)
+                    recorded[r].append((t, float(loss[j]), acc, sizes[r][t],
+                                        float(lrs[t, j, 0])))
     for j, r in enumerate(live):
         outcomes[r] = (Model(model_spec, K, d, params[j]), LearningCurve._from_rows(recorded[r]))
     return outcomes
@@ -389,8 +409,8 @@ def train(ds_train: Dataset, ds_test: Dataset, plan: CurriculumPlan,
           seed: int = 0, boundary_hook=None) -> tuple[Model, LearningCurve]:
     """One model: `train_stack` with a single row. Raises the row's
     `TrainingDivergedError` if it diverges."""
-    (outcome,) = train_stack(ds_train, ds_test, [plan], schedule, model_spec, [seed],
-                             record_every=record_every, boundary_hook=boundary_hook)
+    (outcome,) = train_stack(ds_train, ds_test, [plan], [schedule], model_spec, [seed],
+                             record_every=record_every, boundary_hooks=[boundary_hook])
     if isinstance(outcome, TrainingDivergedError):
         raise outcome
     return outcome

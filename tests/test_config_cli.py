@@ -330,7 +330,6 @@ class TestCliTransferScoredConfig:
 
 
 class TestCliNumericalFailure:
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_diverging_self_taught_score_is_a_typed_error(self, tmp_path, capsys):
         tree = tiny_tree("curriculum", scoring={"kind": "self_taught"},
                          model={"architecture": "mlp1", "hidden": 6})
@@ -343,7 +342,6 @@ class TestCliNumericalFailure:
         assert not (out / "scores.csv").exists()
 
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_grid_search_with_every_cell_failing_exits_2(self, tmp_path, capsys):
         tree = tiny_tree("curriculum", repetitions=1, iterations=40,
                          model={"architecture": "mlp1", "hidden": 6})
@@ -369,3 +367,20 @@ class TestCliVerifyTheory:
         assert report["argmax_preservation_violations"] == 0
         assert report["constant_variance_violations"] == 0
         assert (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("with_config", [False, True])
+    def test_instances_override_reruns_from_manifest(self, tmp_path, with_config):
+        argv = ["verify-theory", "--instances", "30", "--seed", "3"]
+        if with_config:
+            argv += ["--config", str(write_config(
+                tmp_path, {"theory": {"instances": 1000, "constant_variance_families": 4}}))]
+        first = tmp_path / "a"
+        assert main(argv + ["--out", str(first)]) == 0
+        manifest = json.loads((first / "manifest.json").read_text())
+        assert manifest["config"]["theory"]["instances"] == 30
+        replay = write_config(tmp_path, manifest["config"], name="replay.json")
+        second = tmp_path / "b"
+        assert main(["verify-theory", "--config", str(replay), "--out", str(second)]) == 0
+        report = (first / "theory_report.json").read_bytes()
+        assert json.loads(report)["instances"] == 30
+        assert (second / "theory_report.json").read_bytes() == report

@@ -261,12 +261,11 @@ class TestGridSearch:
         assert audit["cell_counts"]["total"] == 4
         assert not any(e["failed"] for e in audit["entries"])
         fit_ids, _ = stratified_split_ids(train_ds, 0.75, derived_seed(1, SPLIT))
-        assert len(seen) == 4
+        assert len(seen) == 1   # the four cells share one table
         for ds, emb in seen:
             assert np.array_equal(ds.X, train_ds.X[fit_ids])
             assert np.array_equal(emb.vectors, vectors[fit_ids])
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_failed_cell_records_null_criterion(self, tmp_path):
         tree = self.grid_tree()
         tree["model"] = {"architecture": "mlp1", "hidden": 6}
@@ -282,7 +281,6 @@ class TestGridSearch:
                                           if not e["failed"])
         assert best.schedule.lr0 != 1e12
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_every_cell_failing_is_experiment_error(self, tmp_path):
         tree = self.grid_tree()
         tree["model"] = {"architecture": "mlp1", "hidden": 6}
@@ -299,6 +297,130 @@ class TestGridSearch:
         axes = refine_lr_grid({"lr0": [0.05, 0.2], "decrease_factor": [1.5, 2.0]}, 14)
         total = len(axes["lr0"]) * len(axes["decrease_factor"])
         assert abs(total - 14) <= 1.4
+
+
+def emb_tree(tmp_path, tree):
+    """`tree` with transfer scoring on embeddings of the first two features."""
+    from curriculum_lab.data import EmbeddingTable, save_embeddings_csv
+    train_ds, _, _ = resolve_dataset(resolve_config(tiny_tree()))
+    save_embeddings_csv(EmbeddingTable(train_ds.X[:, :2]), tmp_path / "emb.csv")
+    tree["scoring"] = {"kind": "transfer"}
+    tree["dataset"]["embeddings_csv"] = str(tmp_path / "emb.csv")
+    return tree
+
+
+class TestGridStack:
+    """A grid stage trains all its cells x seeds as one stack and makes each
+    score table once; every audit entry must still equal its cell run alone."""
+
+    def grid_tree(self, condition="curriculum", repetitions=2):
+        tree = TestGridSearch().grid_tree(condition)
+        tree["repetitions"] = repetitions
+        return tree
+
+    def cells_alone(self, tree):
+        """The audit entries of `tree`'s grid, each cell run by itself through
+        `run_experiment` on the grid's fit/validation split."""
+        from curriculum_lab.data import EmbeddingTable, select_examples, stratified_split_ids
+        from curriculum_lab.seeding import SPLIT, derived_seed
+        config = resolve_config(tree)
+        _best, audit = two_stage_grid_search(config)
+        train_ds, _test, emb = resolve_dataset(config)
+        fit_ids, val_ids = stratified_split_ids(
+            train_ds, config.grid.validation_fraction,
+            derived_seed(config.grid.split_seed, SPLIT))
+        fit_ds, val_ds = select_examples(train_ds, fit_ids), select_examples(train_ds, val_ids)
+        emb = None if emb is None else EmbeddingTable(emb.vectors[fit_ids])
+        alone = []
+        for entry in audit["entries"]:
+            cell = {k: v for k, v in tree.items() if k != "grid"}
+            cell["pacing"] = {**tree["pacing"], **entry["pacing"]}
+            cell["lr"] = {**tree["lr"], **entry["lr"]}
+            cell_config = resolve_config(cell)
+            provider = (harness.make_score_provider(cell_config, fit_ds, emb)
+                        if cell_config.condition in harness.SCORED_CONDITIONS else None)
+            try:
+                summary = run_experiment(cell_config, dataset=(fit_ds, val_ds),
+                                         score_provider=provider, keep_models=False).summary
+                value = summary["final_accuracy_mean" if config.criterion == "final_accuracy"
+                                else "auc_mean"]
+                extra = {"final_accuracy_mean": summary["final_accuracy_mean"],
+                         "auc_mean": summary["auc_mean"], "failed": False}
+            except ExperimentError as exc:
+                value, extra = None, {"failed": True, "error": str(exc)}
+            alone.append({"stage": entry["stage"], "pacing": entry["pacing"], "lr": entry["lr"],
+                          "criterion": config.criterion, "criterion_value": value, **extra})
+        return audit["entries"], alone
+
+    @pytest.mark.parametrize("condition", ["curriculum", "anti", "vanilla", "self_paced"])
+    def test_entries_equal_cells_run_alone(self, condition):
+        entries, alone = self.cells_alone(self.grid_tree(condition))
+        assert entries == alone
+
+    @pytest.mark.parametrize("condition", ["curriculum", "anti"])
+    def test_transfer_scored_entries_equal_cells_run_alone(self, tmp_path, condition):
+        tree = emb_tree(tmp_path, self.grid_tree(condition))
+        entries, alone = self.cells_alone(tree)
+        assert entries == alone
+
+    def test_self_taught_entries_equal_cells_run_alone(self):
+        tree = self.grid_tree(repetitions=3)
+        tree["scoring"] = {"kind": "self_taught"}
+        tree["grid"]["lr"] = {"lr0": [0.2, 0.3], "decrease_factor": [1.5, 2.0]}
+        entries, alone = self.cells_alone(tree)
+        assert entries == alone
+
+    def test_failing_cell_entries_equal_cells_run_alone(self):
+        tree = self.grid_tree(repetitions=3)
+        tree["model"] = {"architecture": "mlp1", "hidden": 6}
+        tree["grid"]["lr"] = {"lr0": [0.2, 1e12]}
+        entries, alone = self.cells_alone(tree)
+        assert [e["failed"] for e in entries] == [False] * 5 + [True]
+        assert entries == alone
+
+    def test_self_taught_scorers_train_once_per_key(self, monkeypatch):
+        # the shape of the benchmark's self-taught grid: stage 1 reuses one
+        # scorer key; stage 2 adds three, as its cell lr0 0.2 / decrease
+        # factor 1.5 is the base schedule
+        from curriculum_lab import scoring
+        calls = []
+
+        def counting(module):
+            real = module.train_stack
+
+            def train_stack(ds_train, ds_test, plans, *args, **kwargs):
+                calls.append((module.__name__.rsplit(".", 1)[1], len(plans)))
+                return real(ds_train, ds_test, plans, *args, **kwargs)
+            return train_stack
+
+        for module in (scoring, harness):
+            monkeypatch.setattr(module, "train_stack", counting(module))
+        tree = self.grid_tree(repetitions=4)
+        tree["scoring"] = {"kind": "self_taught"}
+        tree["grid"]["lr"] = {"lr0": [0.2, 0.3], "decrease_factor": [1.5, 2.0]}
+        _best, audit = two_stage_grid_search(resolve_config(tree))
+        assert not any(e["failed"] for e in audit["entries"])
+        assert calls == [("scoring", 4), ("harness", 16), ("scoring", 12), ("harness", 16)]
+
+    def test_diverging_self_taught_scorer_fails_only_its_cell(self, tmp_path):
+        # the benchmark's self-taught grid on mlp1, with one stage-2 cell whose
+        # scorers diverge: that cell fails under the half rule, the search goes on
+        tree = harness.default_acceptance_tree(
+            "curriculum", scoring={"kind": "self_taught"},
+            model={"architecture": "mlp1", "hidden": 8}, iterations=200, seeds=[0, 1, 2, 3],
+            selection={"criterion": "final_accuracy", "window": 5},
+            grid={"pacing": {"starting_percent": [0.1, 0.2], "step_length": [50, 100]},
+                  "lr": {"lr0": [1.2, 1e12]}, "validation_fraction": 0.8, "split_seed": 0})
+        tree["pacing"]["step_length"] = 100
+        tree["lr"]["lr_step_length"] = 150
+        best, audit = two_stage_grid_search(resolve_config(tree), out_dir=tmp_path)
+        failed = [e for e in audit["entries"] if e["failed"]]
+        assert [(e["stage"], e["lr"]) for e in failed] == [(2, {"lr0": 1e12})]
+        assert failed[0]["error"] == "4 of 4 repetitions failed (seeds [0, 1, 2, 3])"
+        assert len(audit["entries"]) == 6
+        assert best.schedule.lr0 == 1.2
+        assert json.loads((tmp_path / "grid_audit.json").read_text()) == audit
+        assert (tmp_path / "best_config.json").exists()
 
 
 class TestBootstrap:

@@ -235,7 +235,6 @@ class TestTrain:
         assert list(curve.iterations) == [0, 25, 50, 54]
         assert set(curve.subset_size.tolist()) == {ds.N}
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_divergence_carries_iteration(self):
         ds = make_ds([8, 8], d=2, seed=2)
         plan = self.setup_plan(ds, M=200)
@@ -287,8 +286,8 @@ class TestTrainStack:
         plans = [build_plan(ds, np.random.default_rng(s).normal(size=ds.N), pacing, 5, seed=s)
                  for s in (3, 1, 4, 1)]
         seeds = [10, 11, 12, 13]
-        stacked = train_stack(ds, test, plans, self.SCHED, spec, seeds, record_every=9,
-                              boundary_hook=hook)
+        stacked = train_stack(ds, test, plans, [self.SCHED] * 4, spec, seeds, record_every=9,
+                              boundary_hooks=[hook] * 4)
         for r, (plan, seed) in enumerate(zip(plans, seeds)):
             model, curve = train(ds, test, plan, self.SCHED, spec, record_every=9, seed=seed,
                                  boundary_hook=hook)
@@ -303,7 +302,7 @@ class TestTrainStack:
         plans = [build_plan(ds, np.random.default_rng(s).normal(size=ds.N), pacing, 4, seed=s)
                  for s in (5, 6, 7)]
         seeds = [0, 1, 2]
-        stacked = train_stack(ds, ds, plans, self.SCHED, spec, seeds, record_every=20)
+        stacked = train_stack(ds, ds, plans, [self.SCHED] * 3, spec, seeds, record_every=20)
         for (model, _curve), plan, seed in zip(stacked, plans, seeds):
             ref = Model.initialize(spec, ds.K, ds.d, seed)
             for t in range(self.M):
@@ -312,7 +311,6 @@ class TestTrainStack:
                 ref.params -= self.SCHED.value(t) * grad
             assert np.array_equal(model.params, ref.params)
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered")
     @pytest.mark.parametrize("spec", [LINEAR, MLP], ids=["linear", "mlp1"])
     def test_diverging_row_leaves_the_others_unchanged(self, tmp_path, spec):
         # example 5 carries infinite features: a row diverges at the first
@@ -333,7 +331,8 @@ class TestTrainStack:
             scores[others] = np.delete(class0, poisoned_rank[r])
             scores[5] = class0[poisoned_rank[r]]
             plans.append(build_plan(ds, scores, pacing, 4, seed=r))
-        outcomes = train_stack(ds, test, plans, self.SCHED, spec, [7, 8, 9], record_every=5)
+        outcomes = train_stack(ds, test, plans, [self.SCHED] * 3, spec, [7, 8, 9],
+                               record_every=5)
         with pytest.raises(TrainingDivergedError) as alone:
             train(ds, test, plans[0], self.SCHED, spec, record_every=5, seed=7)
         assert isinstance(outcomes[0], TrainingDivergedError)
@@ -346,16 +345,56 @@ class TestTrainStack:
             assert (curve_bytes(outcomes[r][1], tmp_path / f"s{r}.csv")
                     == curve_bytes(curve, tmp_path / f"a{r}.csv"))
 
-    def test_rows_must_share_one_pacing(self):
+    @pytest.mark.parametrize("spec", [LINEAR, MLP], ids=["linear", "mlp1"])
+    def test_mixed_rows_each_equal_the_row_trained_alone(self, tmp_path, spec):
+        # rows differ in pacing variant and spec, in LR schedule, and in
+        # having the self-paced hook; they share M and the batch size
+        ds, test = make_ds([14, 14, 12], d=3, seed=5), make_ds([5, 5, 5], d=3, seed=6)
+        fast = LRSchedule("exponential", lr0=0.9, decrease_factor=2.0, lr_step_length=20)
+        cyclical = LRSchedule("cyclical", lr_min=0.05, lr_max=0.5, cycle_length=16)
+        rows = [("vanilla", self.SCHED, None), ("fixed_exp", fast, self_paced_rescore_hook),
+                ("varied_exp", cyclical, None), ("single_step", self.SCHED, None),
+                ("fixed_exp", self.SCHED, None), ("varied_exp", fast, self_paced_rescore_hook),
+                (PacingSpec("fixed_exp", N=ds.N, M=self.M, starting_percent=0.5,
+                            increase=1.3, step_length=7), cyclical, self_paced_rescore_hook)]
+        plans = [build_plan(ds, np.random.default_rng(r).normal(size=ds.N),
+                            self.pacing(p, ds.N) if isinstance(p, str) else p, 5, seed=r)
+                 for r, (p, _sched, _hook) in enumerate(rows)]
+        schedules = [sched for _p, sched, _hook in rows]
+        hooks = [hook for _p, _sched, hook in rows]
+        seeds = [20 + r for r in range(len(rows))]
+        stacked = train_stack(ds, test, plans, schedules, spec, seeds, record_every=9,
+                              boundary_hooks=hooks)
+        for r, (plan, sched, hook, seed) in enumerate(zip(plans, schedules, hooks, seeds)):
+            model, curve = train(ds, test, plan, sched, spec, record_every=9, seed=seed,
+                                 boundary_hook=hook)
+            assert np.array_equal(stacked[r][0].params, model.params)
+            assert (curve_bytes(stacked[r][1], tmp_path / f"s{r}.csv")
+                    == curve_bytes(curve, tmp_path / f"a{r}.csv"))
+            assert curve.subset_size.tolist() == [plan.pacing.sizes[t] for t in curve.iterations]
+            assert curve.lr.tolist() == [sched.value(t) for t in curve.iterations]
+
+    def test_rows_must_share_horizon_and_batch_size(self):
         ds = make_ds([10, 10], d=3)
         plans = [build_plan(ds, np.zeros(ds.N), PacingSpec("vanilla", N=ds.N, M=m), 4, seed=0)
                  for m in (10, 20)]
-        with pytest.raises(ParameterError, match="pacing"):
-            train_stack(ds, ds, plans, self.SCHED, LINEAR, [0, 1])
+        with pytest.raises(ParameterError, match="horizon M"):
+            train_stack(ds, ds, plans, [self.SCHED] * 2, LINEAR, [0, 1])
+        plans = [build_plan(ds, np.zeros(ds.N), PacingSpec("vanilla", N=ds.N, M=10), b, seed=0)
+                 for b in (4, 5)]
+        with pytest.raises(ParameterError, match="batch size"):
+            train_stack(ds, ds, plans, [self.SCHED] * 2, LINEAR, [0, 1])
+
+    def test_one_schedule_per_row(self):
+        ds = make_ds([10, 10], d=3)
+        plans = [build_plan(ds, np.zeros(ds.N), PacingSpec("vanilla", N=ds.N, M=10), 4, seed=s)
+                 for s in (0, 1)]
+        with pytest.raises(ParameterError, match="schedules"):
+            train_stack(ds, ds, plans, [self.SCHED], LINEAR, [0, 1])
 
     def test_empty_stack(self):
         ds = make_ds([10, 10], d=3)
-        assert train_stack(ds, ds, [], self.SCHED, LINEAR, []) == []
+        assert train_stack(ds, ds, [], [], LINEAR, []) == []
 
 
 class TestLearningCurveIO:

@@ -7,6 +7,7 @@ of files it produced, so any artifact can be regenerated from the manifest.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -16,8 +17,8 @@ from .data import save_bayes_json, save_dataset_csv
 from .errors import ConfigError, DataLoadError, ExperimentError, NumericalError, \
     ParameterError, TrainingDivergedError
 from .harness import bootstrap_loop, default_acceptance_tree, \
-    gradient_coherence_pipeline, make_score_provider, resolve_dataset, \
-    run_experiment, two_stage_grid_search
+    gradient_coherence_pipeline, resolve_dataset, run_experiment, score_tables, \
+    two_stage_grid_search
 from .scoring import save_scores_csv
 from .theory import DEFAULT_FAMILIES, DEFAULT_INSTANCES, run_verification
 
@@ -62,8 +63,9 @@ def cmd_gen_data(args) -> int:
 def cmd_score(args) -> int:
     config, out = _load(args)
     train_ds, _test_ds, emb = resolve_dataset(config)
-    provider = make_score_provider(config, train_ds, emb)
-    (table,) = provider([config.seeds[0]])
+    # the table of the first repetition seed; scoring the others is wasted work
+    first = dataclasses.replace(config, seeds=config.seeds[:1])
+    ((table,),) = score_tables([first], train_ds, emb)
     if isinstance(table, ExperimentError):
         raise table
     for warning in table.warnings:

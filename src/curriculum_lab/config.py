@@ -96,6 +96,8 @@ def load_config_tree(path) -> dict:
             tree = json.load(f)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read config file: {exc}") from exc
     validate_tree(tree)
     return tree
 
@@ -271,6 +273,7 @@ def resolve_config(tree: dict, seed_override: int | None = None) -> ExperimentCo
     if "seeds" in tree:
         seeds = tuple(_typed(int, s, "seeds") for s in _typed(list, tree["seeds"], "seeds"))
         _require(len(seeds) >= 1, "seeds must be non-empty")
+        _require(len(set(seeds)) == len(seeds), f"seeds must be distinct, got {list(seeds)}")
         if "repetitions" in tree:
             _require(_typed(int, tree["repetitions"], "repetitions") == len(seeds),
                      "repetitions does not match the length of seeds")

@@ -8,6 +8,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -223,6 +224,17 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+@contextmanager
+def open_input(path):
+    """Open an input file for reading; a failure to read or decode it, here
+    or while the caller reads, is a `DataLoadError` naming the path."""
+    try:
+        with open(path, newline="") as f:
+            yield f
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataLoadError(f"{path}: cannot read file: {exc}") from exc
+
+
 def save_dataset_csv(ds: Dataset, path) -> None:
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
@@ -237,7 +249,7 @@ def load_dataset_csv(path) -> Dataset:
     Rejects malformed rows, duplicate or non-contiguous ids, and label sets
     with empty classes, naming the offender in the error message.
     """
-    with open(path, newline="") as f:
+    with open_input(path) as f:
         reader = csv.reader(f)
         try:
             header = next(reader)
@@ -288,7 +300,7 @@ def save_embeddings_csv(emb: EmbeddingTable, path) -> None:
 
 
 def load_embeddings_csv(path) -> EmbeddingTable:
-    with open(path, newline="") as f:
+    with open_input(path) as f:
         reader = csv.reader(f)
         try:
             header = next(reader)
@@ -324,5 +336,27 @@ def save_bayes_json(bayes: BayesMixture, path) -> None:
 
 
 def load_bayes_json(path) -> BayesMixture:
-    with open(path) as f:
-        return BayesMixture.from_json(json.load(f))
+    """Read a mixture written by `save_bayes_json`; a malformed one is a
+    `DataLoadError` naming the path."""
+    try:
+        with open_input(path) as f:
+            obj = json.load(f)
+    except json.JSONDecodeError as exc:
+        raise DataLoadError(f"{path}: not valid JSON: {exc}") from exc
+    keys = ("means", "variance", "class_priors")
+    missing = [key for key in keys if not isinstance(obj, dict) or key not in obj]
+    if missing:
+        raise DataLoadError(f"{path}: missing key(s) {', '.join(missing)}")
+    try:
+        bayes = BayesMixture.from_json(obj)
+    except (TypeError, ValueError) as exc:
+        raise DataLoadError(f"{path}: malformed mixture: {exc}") from exc
+    if not (math.isfinite(bayes.variance) and bayes.variance > 0):
+        raise DataLoadError(f"{path}: variance must be finite and > 0, got {bayes.variance}")
+    if bayes.means.ndim != 2:
+        raise DataLoadError(f"{path}: means must be a (K, d) matrix, got shape {bayes.means.shape}")
+    K = len(bayes.means)
+    if bayes.class_priors.shape != (K,):
+        raise DataLoadError(f"{path}: class_priors must hold {K} values, one per class, "
+                            f"got shape {bayes.class_priors.shape}")
+    return bayes

@@ -95,6 +95,9 @@ def resolve_dataset(config: ExperimentConfig) -> tuple[Dataset, Dataset, Embeddi
         test_ds = load_dataset_csv(ds_cfg["test_csv"])
         if "bayes_json" in ds_cfg:
             bayes = load_bayes_json(ds_cfg["bayes_json"])
+            if bayes.means.shape != (train_ds.K, train_ds.d):
+                raise ConfigError(f"dataset.bayes_json: means have shape {bayes.means.shape}, "
+                                  f"the training set needs (K, d) = ({train_ds.K}, {train_ds.d})")
             train_ds = Dataset(X=train_ds.X, y=train_ds.y, K=train_ds.K, bayes=bayes)
             test_ds = Dataset(X=test_ds.X, y=test_ds.y, K=test_ds.K, bayes=bayes)
     if "embeddings_csv" in ds_cfg:
@@ -102,35 +105,59 @@ def resolve_dataset(config: ExperimentConfig) -> tuple[Dataset, Dataset, Embeddi
     return train_ds, test_ds, emb
 
 
-def make_score_provider(config: ExperimentConfig, train_ds: Dataset,
-                        emb: EmbeddingTable | None):
-    """seeds -> one ScoreTable per seed for the configured scoring function.
-
-    Fixed constructions (oracle, transfer, file) are computed once and shared
-    across repetitions; self-taught scoring trains one vanilla model per
-    repetition seed, all seeds in one stack.
-
-    A provider may put an `ExperimentError` in place of a seed's table; the
-    harness then records that seed as failed with the error as its warning.
-    """
+def _fixed_table(config: ExperimentConfig, train_ds: Dataset,
+                 emb: EmbeddingTable | None) -> ScoreTable:
+    """The oracle, file or transfer table, shared by every repetition seed."""
     kind = config.scoring_kind
     if kind == "oracle":
-        table = oracle_bayes_score(train_ds)
-        return lambda seeds: [table] * len(seeds)
+        return oracle_bayes_score(train_ds)
     if kind == "file":
         table = load_scores_csv(config.scoring_path)
         if len(table) != train_ds.N:
             raise ConfigError(
                 f"score file covers {len(table)} ids, training set has {train_ds.N}")
-        return lambda seeds: [table] * len(seeds)
+        return table
+    if emb is None:
+        raise ConfigError("scoring.kind=transfer requires dataset.embeddings_csv")
+    base = int(config.tree.get("seed", config.seeds[0]))
+    return transfer_score(train_ds, emb, config.scoring_folds,
+                          seed=derived_seed(base, SCORE))
+
+
+def _scorer_key(config: ExperimentConfig, seed: int) -> tuple:
+    """The config fields the configured scorer reads for repetition `seed`."""
+    kind = config.scoring_kind
+    if kind == "self_taught":
+        return (kind, config.model_spec, config.schedule, config.batch_size,
+                config.iterations, seed)
     if kind == "transfer":
-        if emb is None:
-            raise ConfigError("scoring.kind=transfer requires dataset.embeddings_csv")
-        base = int(config.tree.get("seed", config.seeds[0]))
-        table = transfer_score(train_ds, emb, config.scoring_folds,
-                               seed=derived_seed(base, SCORE))
-        return lambda seeds: [table] * len(seeds)
-    return lambda seeds: self_taught_score(train_ds, config, seeds)
+        return (kind, config.scoring_folds, int(config.tree.get("seed", config.seeds[0])))
+    return (kind,)
+
+
+def score_tables(configs: list[ExperimentConfig], train_ds: Dataset,
+                 emb: EmbeddingTable | None, memo: dict | None = None) -> list[list]:
+    """For each config, one table of its scoring function per repetition seed.
+
+    Tables are memoised in `memo` under `_scorer_key`. The self-taught
+    scorers this call adds train as one stack (the configs may differ only in
+    pacing and LR); a seed whose scorer diverged gets its `ExperimentError`
+    in place of its table."""
+    memo = {} if memo is None else memo
+    new = {}  # key -> (schedule, seed) of a self-taught table to train
+    for config in configs:
+        for seed in config.seeds:
+            key = _scorer_key(config, seed)
+            if key in memo or key in new:
+                continue
+            if config.scoring_kind == "self_taught":
+                new[key] = (config.schedule, seed)
+            else:
+                memo[key] = _fixed_table(config, train_ds, emb)
+    if new:
+        schedules, seeds = zip(*new.values())
+        memo.update(zip(new, self_taught_score(train_ds, configs[0], seeds, schedules=schedules)))
+    return [[memo[_scorer_key(c, seed)] for seed in c.seeds] for c in configs]
 
 
 @dataclass
@@ -168,8 +195,9 @@ class _Run:
     plans: list
 
 
-def _plan_run(config: ExperimentConfig, train_ds: Dataset, score_provider) -> _Run:
-    """Build one plan per repetition seed whose score table the provider made."""
+def _plan_run(config: ExperimentConfig, train_ds: Dataset, tables: list | None) -> _Run:
+    """Build one plan per repetition seed that has a score table; `tables` is
+    one entry of `score_tables`, or None for an unscored condition."""
     warnings: list[str] = []
     pacing = pacing_spec_for(config, train_ds.N)
     sat = saturation_iteration(pacing)
@@ -180,7 +208,12 @@ def _plan_run(config: ExperimentConfig, train_ds: Dataset, score_provider) -> _R
     if config.repetitions == 1:
         warnings.append("single repetition: STE is reported as 0")
     run = _Run(config, warnings, {}, [], [])
-    tables = _condition_scores(config, train_ds, score_provider)
+    if tables is None:
+        # random, vanilla, self_paced: the initial table is a seeded random
+        # permutation (self_paced replaces it at the first boundary anyway)
+        tables = [random_score(train_ds, derived_seed(seed, SCORE)) for seed in config.seeds]
+    elif config.condition == "anti":
+        tables = [t if isinstance(t, ExperimentError) else invert(t) for t in tables]
     # a table shared by every seed names its warnings once
     warnings += list(dict.fromkeys(
         w for t in tables if isinstance(t, ScoreTable) for w in t.warnings))
@@ -209,8 +242,7 @@ def _train_runs(train_ds: Dataset, test_ds: Dataset, runs: list[_Run]) -> list[l
     return [[next(outcomes) for _ in run.seeds] for run in runs]
 
 
-def _summarise(run: _Run, outcomes: list, keep_models: bool = True,
-               out_dir=None) -> ExperimentResult:
+def _summarise(run: _Run, outcomes: list, out_dir=None) -> ExperimentResult:
     """Aggregate a run's outcomes into its summary; raises `ExperimentError`
     when at least half of the repetitions failed."""
     config, failures = run.config, dict(run.failures)
@@ -219,9 +251,7 @@ def _summarise(run: _Run, outcomes: list, keep_models: bool = True,
         if isinstance(outcome, TrainingDivergedError):
             failures[seed] = f"seed {seed} diverged at iteration {outcome.iteration}"
             continue
-        model, result.curves[seed] = outcome
-        if keep_models:
-            result.models[seed] = model
+        result.models[seed], result.curves[seed] = outcome
     failed = [seed for seed in config.seeds if seed in failures]
     warnings = run.warnings + [failures[seed] for seed in failed]
 
@@ -262,40 +292,24 @@ def _summarise(run: _Run, outcomes: list, keep_models: bool = True,
 
 
 def run_experiment(config: ExperimentConfig, out_dir=None,
-                   dataset: tuple[Dataset, Dataset] | None = None,
-                   score_provider=None, keep_models: bool = True) -> ExperimentResult:
+                   data: tuple[Dataset, Dataset, EmbeddingTable | None] | None = None,
+                   tables: list | None = None) -> ExperimentResult:
     """Run one condition over all repetition seeds, trained as one stack, and
-    aggregate a summary.
+    aggregate a summary. `data` is `resolve_dataset`'s (train, test,
+    embeddings) and `tables` a list of `score_tables`; each is built from the
+    config when None.
 
-    A repetition that diverges, or whose score table the provider could not
-    make, is recorded as failed; the experiment errors out only when at
+    A repetition that diverges, or has an `ExperimentError` in place of its
+    table, is recorded as failed; the experiment errors out only when at
     least half of the repetitions fail. With `out_dir` set, per-seed
     learning-curve CSVs and summary.json are written there.
     """
-    if dataset is None:
-        train_ds, test_ds, emb = resolve_dataset(config)
-    else:
-        train_ds, test_ds = dataset
-        emb = None
-    if score_provider is None and config.condition in SCORED_CONDITIONS:
-        score_provider = make_score_provider(config, train_ds, emb)
-    run = _plan_run(config, train_ds, score_provider)
+    train_ds, test_ds, emb = resolve_dataset(config) if data is None else data
+    if tables is None and config.condition in SCORED_CONDITIONS:
+        (tables,) = score_tables([config], train_ds, emb)
+    run = _plan_run(config, train_ds, tables)
     (outcomes,) = _train_runs(train_ds, test_ds, [run])
-    return _summarise(run, outcomes, keep_models, out_dir)
-
-
-def _condition_scores(config: ExperimentConfig, train_ds: Dataset,
-                      score_provider) -> list:
-    """One table (or the provider's `ExperimentError`) per repetition seed."""
-    cond = config.condition
-    if cond == "curriculum":
-        return score_provider(list(config.seeds))
-    if cond == "anti":
-        return [t if isinstance(t, ExperimentError) else invert(t)
-                for t in score_provider(list(config.seeds))]
-    # random, vanilla, self_paced: the initial table is a seeded random
-    # permutation (self_paced replaces it at the first boundary anyway)
-    return [random_score(train_ds, derived_seed(seed, SCORE)) for seed in config.seeds]
+    return _summarise(run, outcomes, out_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -346,49 +360,6 @@ def refine_lr_grid(lr_axes: dict[str, list], target: int) -> dict[str, list]:
     return axes
 
 
-def _scorer_key(config: ExperimentConfig) -> tuple:
-    """The config fields the configured scorer reads."""
-    kind = config.scoring_kind
-    if kind == "self_taught":
-        return (kind, config.model_spec, config.schedule, config.batch_size, config.iterations)
-    if kind == "transfer":
-        return (kind, config.scoring_folds, int(config.tree.get("seed", config.seeds[0])))
-    return (kind,)
-
-
-def _memoised_providers(configs: list[ExperimentConfig], train_ds: Dataset,
-                        emb: EmbeddingTable | None, memo: dict) -> list:
-    """One score provider per config (None for an unscored condition).
-
-    Tables are kept in `memo` under `_scorer_key`, per seed for self-taught
-    scoring, so no table is made twice; the self-taught scorers this call
-    adds train as one stack. The configs may differ only in pacing and LR.
-    """
-    scored = [c for c in configs if c.condition in SCORED_CONDITIONS]
-    new = {}  # (key, seed) -> (schedule, seed) of a self-taught table to train
-    for config in scored:
-        key = _scorer_key(config)
-        if config.scoring_kind != "self_taught":
-            if key not in memo:
-                memo[key] = make_score_provider(config, train_ds, emb)
-            continue
-        for seed in config.seeds:
-            if (key, seed) not in memo:
-                new[(key, seed)] = (config.schedule, seed)
-    if new:
-        schedules, seeds = zip(*new.values())
-        tables = self_taught_score(train_ds, scored[0], seeds, schedules=schedules)
-        memo.update(zip(new, tables))
-
-    def provider(config):
-        key = _scorer_key(config)
-        if config.scoring_kind != "self_taught":
-            return memo[key]
-        return lambda seeds: [memo[(key, seed)] for seed in seeds]
-
-    return [provider(c) if c.condition in SCORED_CONDITIONS else None for c in configs]
-
-
 def two_stage_grid_search(config: ExperimentConfig, out_dir=None) -> tuple[ExperimentConfig, dict]:
     """Stage 1 sweeps pacing axes at the base LR, stage 2 sweeps LR axes at
     the stage-1 winner; vanilla runs a single refined-LR stage of matched
@@ -418,12 +389,13 @@ def two_stage_grid_search(config: ExperimentConfig, out_dir=None) -> tuple[Exper
         nonlocal best
         configs = [_with_params(config, pacing_params, lr_params)
                    for pacing_params, lr_params in cells]
-        providers = _memoised_providers(configs, fit_ds, emb, memo)
-        runs = [_plan_run(c, fit_ds, provider) for c, provider in zip(configs, providers)]
+        tables = (score_tables(configs, fit_ds, emb, memo)
+                  if config.condition in SCORED_CONDITIONS else [None] * len(configs))
+        runs = [_plan_run(c, fit_ds, t) for c, t in zip(configs, tables)]
         for (pacing_params, lr_params), run, outcomes in zip(
                 cells, runs, _train_runs(fit_ds, val_ds, runs)):
             try:
-                summary = _summarise(run, outcomes, keep_models=False).summary
+                summary = _summarise(run, outcomes).summary
                 value = _criterion_value(summary, config.criterion)
                 entry_extra = {"final_accuracy_mean": summary["final_accuracy_mean"],
                                "auc_mean": summary["auc_mean"], "failed": False}
@@ -486,14 +458,15 @@ def bootstrap_loop(config: ExperimentConfig, generations: int | None = None,
     G = config.generations if generations is None else int(generations)
     if G < 0:
         raise ConfigError(f"generations must be >= 0, got {G}")
-    train_ds, test_ds, _emb = resolve_dataset(config)
+    data = resolve_dataset(config)
+    train_ds = data[0]
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
 
     summaries: list[dict] = []
     vanilla_config = resolve_config({**config.tree, "condition": "vanilla"})
-    prev = run_experiment(vanilla_config, dataset=(train_ds, test_ds))
+    prev = run_experiment(vanilla_config, data=data)
     prev.summary["generation"] = 0
     summaries.append(prev.summary)
     _write_generation(out, 0, prev)
@@ -502,12 +475,10 @@ def bootstrap_loop(config: ExperimentConfig, generations: int | None = None,
     for g in range(1, G + 1):
         # a seed that failed in generation g-1 has no model to score with, so
         # it is recorded as failed in generation g as well
-        provider = lambda seeds, m=prev.models, g=g: [
-            score_by_model_loss(train_ds, m[s]) if s in m
-            else ExperimentError(f"seed {s} has no generation-{g - 1} model to score with")
-            for s in seeds]
-        current = run_experiment(curriculum_config, dataset=(train_ds, test_ds),
-                                 score_provider=provider)
+        tables = [score_by_model_loss(train_ds, prev.models[s]) if s in prev.models
+                  else ExperimentError(f"seed {s} has no generation-{g - 1} model to score with")
+                  for s in curriculum_config.seeds]
+        current = run_experiment(curriculum_config, data=data, tables=tables)
         current.summary["generation"] = g
         summaries.append(current.summary)
         _write_generation(out, g, current)
@@ -532,10 +503,11 @@ def gradient_coherence_pipeline(config: ExperimentConfig,
     """Per seed: train (or accept) a vanilla model, then compare gradient
     statistics of the easiest oracle prefix, a random subset of the same
     size, and all training points."""
-    train_ds, test_ds, _emb = resolve_dataset(config)
+    data = resolve_dataset(config)
+    train_ds = data[0]
     if models is None:
         vanilla_config = resolve_config({**config.tree, "condition": "vanilla"})
-        models = run_experiment(vanilla_config, dataset=(train_ds, test_ds)).models
+        models = run_experiment(vanilla_config, data=data).models
 
     size = max(1, round(config.subset_fraction * train_ds.N))
     oracle = oracle_bayes_score(train_ds)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ExperimentConfig
-from .data import Dataset, EmbeddingTable
+from .data import Dataset, EmbeddingTable, open_input
 from .errors import DataLoadError, ExperimentError, ParameterError, \
     TrainingDivergedError
 from .pacing import PacingSpec
@@ -162,7 +162,7 @@ def save_scores_csv(table: ScoreTable, path) -> None:
 
 def load_scores_csv(path) -> ScoreTable:
     rows: dict[int, float] = {}
-    with open(path, newline="") as f:
+    with open_input(path) as f:
         reader = csv.reader(f)
         header = next(reader, None)
         if header != ["id", "score"]:

@@ -38,7 +38,8 @@ class ModelSpec:
 class LRSchedule:
     """Learning rate as a function of the iteration index.
 
-    exponential: lr0 / decrease_factor ** floor(t / lr_step_length)
+    exponential: lr0 / decrease_factor ** floor(t / lr_step_length), and 0.0
+                 once that power leaves the float range
     cyclical:    symmetric triangular wave between lr_min and lr_max with
                  period cycle_length, starting at lr_min.
     """
@@ -69,7 +70,10 @@ class LRSchedule:
 
     def value(self, t: int) -> float:
         if self.variant == "exponential":
-            return self.lr0 / self.decrease_factor ** (t // self.lr_step_length)
+            try:
+                return self.lr0 / self.decrease_factor ** (t // self.lr_step_length)
+            except OverflowError:  # the divisor passed the float range: lr0 / inf
+                return 0.0
         half = self.cycle_length / 2.0
         phase = t % self.cycle_length
         return self.lr_min + (self.lr_max - self.lr_min) * (1.0 - abs(phase - half) / half)

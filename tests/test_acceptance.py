@@ -330,8 +330,7 @@ def test_criterion_9_gradient_coherence(paired_runs):
 def test_criterion_10_self_paced_control(paired_runs):
     seeds = list(range(20))
     sp = run_experiment(resolve_config(default_acceptance_tree("self_paced",
-                                                               seeds=seeds)),
-                        keep_models=False)
+                                                               seeds=seeds)))
     checkpoint = int(0.2 * 3000)
     idx = sp.summary["checkpoints"].index(checkpoint)
     acc_sp = float(np.mean([sp.curves[s].test_acc[idx] for s in seeds]))

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -202,6 +206,107 @@ class TestCliErrors:
         assert "not valid JSON" in capsys.readouterr().err
 
 
+class TestCliMalformedInput:
+    """Each input that cannot be used ends in exit 2 and one `error:` line
+    naming the path or key, never a traceback."""
+
+    def error_line(self, capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        return err
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        path = tmp_path / "absent.json"
+        err = self.error_line(capsys, ["train", "--config", str(path),
+                                       "--out", str(tmp_path / "o")])
+        assert str(path) in err
+
+    def test_config_file_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"condition": "vanilla\xff"}')
+        err = self.error_line(capsys, ["train", "--config", str(path),
+                                       "--out", str(tmp_path / "o")])
+        assert str(path) in err
+
+    def test_duplicate_seeds(self, tmp_path, capsys):
+        config = write_config(tmp_path, tiny_tree("curriculum", seeds=[0, 0, 1], repetitions=3))
+        err = self.error_line(capsys, ["train", "--config", str(config),
+                                       "--out", str(tmp_path / "o")])
+        assert err.startswith("error: seeds must be distinct")
+
+    def csv_tree(self, tmp_path):
+        """A curriculum config read from the CSV files `gen-data` writes."""
+        data = tmp_path / "data"
+        assert main(["gen-data", "--config", str(write_config(tmp_path, tiny_tree())),
+                     "--out", str(data)]) == 0
+        tree = tiny_tree("curriculum")
+        tree["dataset"] = {"train_csv": str(data / "train.csv"),
+                           "test_csv": str(data / "test.csv"),
+                           "bayes_json": str(data / "bayes.json")}
+        return tree, data
+
+    @pytest.mark.parametrize("edit,named", [
+        (lambda bayes: {}, "missing key(s) means, variance, class_priors"),
+        (lambda bayes: "{not json", "not valid JSON"),
+        (lambda bayes: {**bayes, "means": bayes["means"][0]}, "means must be a (K, d) matrix"),
+        (lambda bayes: {**bayes, "means": [[1.0, "x"]]}, "malformed mixture"),
+        (lambda bayes: {**bayes, "variance": 0.0}, "variance must be finite and > 0"),
+        (lambda bayes: {**bayes, "variance": float("inf")}, "variance must be finite and > 0"),
+        (lambda bayes: {**bayes, "class_priors": [0.5, 0.5]}, "class_priors must hold 3"),
+        (lambda bayes: {**bayes, "means": [m + [0.0] for m in bayes["means"]]},
+         "dataset.bayes_json: means have shape (3, 5)"),
+        (lambda bayes: {**bayes, "means": bayes["means"][:2], "class_priors": [0.5, 0.5]},
+         "dataset.bayes_json: means have shape (2, 4)"),
+    ], ids=["empty", "not-json", "means-1d", "means-not-numeric", "variance-0", "variance-inf",
+            "priors-length", "means-wrong-d", "means-wrong-k"])
+    def test_malformed_bayes_json(self, tmp_path, capsys, edit, named):
+        tree, data = self.csv_tree(tmp_path)
+        path = data / "bayes.json"
+        bad = edit(json.loads(path.read_text()))
+        path.write_text(bad if isinstance(bad, str) else json.dumps(bad))
+        err = self.error_line(capsys, ["train", "--config", str(write_config(tmp_path, tree)),
+                                       "--out", str(tmp_path / "o")])
+        assert named in err
+        if not named.startswith("dataset.bayes_json"):
+            assert str(path) in err
+
+    @pytest.mark.parametrize("name", ["train.csv", "test.csv"])
+    def test_dataset_csv_not_utf8(self, tmp_path, capsys, name):
+        tree, data = self.csv_tree(tmp_path)
+        path = data / name
+        path.write_bytes(path.read_bytes() + b"\xff\n")
+        err = self.error_line(capsys, ["train", "--config", str(write_config(tmp_path, tree)),
+                                       "--out", str(tmp_path / "o")])
+        assert f"{path}: cannot read file" in err
+
+    @pytest.mark.parametrize("kind", ["transfer", "file"])
+    def test_embeddings_or_scores_csv_not_utf8(self, tmp_path, capsys, kind):
+        path = tmp_path / "table.csv"
+        path.write_bytes(b"id,e0\n0,\xff\n")
+        tree = tiny_tree("curriculum", scoring={"kind": kind})
+        if kind == "file":
+            tree["scoring"]["path"] = str(path)
+        else:
+            tree["dataset"]["embeddings_csv"] = str(path)
+        err = self.error_line(capsys, ["train", "--config", str(write_config(tmp_path, tree)),
+                                       "--out", str(tmp_path / "o")])
+        assert f"{path}: cannot read file" in err
+
+    def test_entry_point_exit_code_reaches_the_shell(self, tmp_path):
+        # the real entry point, as a shell runs it: exit status 2, no traceback
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "curriculum_lab", "train",
+             "--config", str(tmp_path / "absent.json"), "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+
+
 class TestCliTrainAndScore:
     def test_train_writes_curves_summary_manifest(self, tmp_path):
         config = write_config(tmp_path, tiny_tree("curriculum"))
@@ -252,6 +357,36 @@ class TestCliTrainAndScore:
         assert s2.pop("config")["pacing"]["boundaries"] == [5, 10]
         s1.pop("config")
         assert s1 == s2
+
+    def test_lr_past_the_float_range_trains(self, tmp_path):
+        # 2.0 ** k overflows a float from k = 1024 on
+        tree = tiny_tree("curriculum", iterations=1100, record_every=10)
+        tree["lr"].update(decrease_factor=2.0, lr_step_length=1)
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(write_config(tmp_path, tree)),
+                     "--out", str(out)]) == 0
+        lines = (out / "curve_curriculum_seed0.csv").read_text().splitlines()
+        lrs = [float(line.split(",")[-1]) for line in lines[1:]]
+        assert lines[0].endswith(",lr") and len(lrs) > 100
+        assert all(b <= a for a, b in zip(lrs, lrs[1:]))
+        assert lrs[-1] == 0.0
+
+    def test_score_trains_one_scorer(self, tmp_path, monkeypatch):
+        from curriculum_lab import scoring
+        rows = []
+        real = scoring.train_stack
+
+        def counting(ds_train, ds_test, plans, *args, **kwargs):
+            rows.append(len(plans))
+            return real(ds_train, ds_test, plans, *args, **kwargs)
+
+        monkeypatch.setattr(scoring, "train_stack", counting)
+        tree = tiny_tree("curriculum", scoring={"kind": "self_taught"}, repetitions=3)
+        out = tmp_path / "o"
+        assert main(["score", "--config", str(write_config(tmp_path, tree)),
+                     "--out", str(out)]) == 0
+        assert rows == [1]
+        assert (out / "scores.csv").exists()
 
     def test_score_writes_table(self, tmp_path):
         config = write_config(tmp_path, tiny_tree("curriculum"))

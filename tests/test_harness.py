@@ -337,11 +337,8 @@ class TestGridStack:
             cell["pacing"] = {**tree["pacing"], **entry["pacing"]}
             cell["lr"] = {**tree["lr"], **entry["lr"]}
             cell_config = resolve_config(cell)
-            provider = (harness.make_score_provider(cell_config, fit_ds, emb)
-                        if cell_config.condition in harness.SCORED_CONDITIONS else None)
             try:
-                summary = run_experiment(cell_config, dataset=(fit_ds, val_ds),
-                                         score_provider=provider, keep_models=False).summary
+                summary = run_experiment(cell_config, data=(fit_ds, val_ds, emb)).summary
                 value = summary["final_accuracy_mean" if config.criterion == "final_accuracy"
                                 else "auc_mean"]
                 extra = {"final_accuracy_mean": summary["final_accuracy_mean"],
@@ -535,6 +532,11 @@ class TestDatasetResolution:
         cfg = resolve_config(tiny_tree("anti", scoring={"kind": "transfer"}))
         with pytest.raises(ConfigError, match="embeddings"):
             run_experiment(cfg)
+
+    def test_given_data_keeps_the_embeddings(self, tmp_path):
+        config = resolve_config(emb_tree(tmp_path, tiny_tree("curriculum")))
+        given = run_experiment(config, data=resolve_dataset(config))
+        assert given.summary == run_experiment(config).summary
 
     @pytest.mark.parametrize("condition", ["self_paced", "vanilla", "random"])
     def test_unscored_condition_never_computes_transfer_scores(

@@ -157,6 +157,13 @@ class TestSchedules:
         assert s.value(199) == pytest.approx(0.1)
         assert s.value(200) == pytest.approx(0.1 / 1.5)
 
+    def test_exponential_past_the_float_range(self):
+        # 1e300 / 2.0 ** k is exact where the power is a float, 0.0 beyond
+        s = LRSchedule("exponential", lr0=1e300, decrease_factor=2.0, lr_step_length=1)
+        assert s.value(1023) == 1e300 / 2.0 ** 1023
+        assert s.value(1023) > 0.0
+        assert s.value(1024) == 0.0 and s.value(10 ** 6) == 0.0
+
     def test_cyclical_triangle(self):
         s = LRSchedule("cyclical", lr_min=0.01, lr_max=0.1, cycle_length=100)
         assert s.value(0) == pytest.approx(0.01)

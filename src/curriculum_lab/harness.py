@@ -93,6 +93,12 @@ def resolve_dataset(config: ExperimentConfig) -> tuple[Dataset, Dataset, Embeddi
             raise ConfigError("dataset needs either a synthetic section or train_csv/test_csv")
         train_ds = load_dataset_csv(ds_cfg["train_csv"])
         test_ds = load_dataset_csv(ds_cfg["test_csv"])
+        if test_ds.d != train_ds.d:
+            raise ConfigError(f"dataset.test_csv: rows have {test_ds.d} features, "
+                              f"the training set has {train_ds.d}")
+        if test_ds.K > train_ds.K:
+            raise ConfigError(f"dataset.test_csv: label {test_ds.K - 1} is not a class of "
+                              f"the training set (labels 0..{train_ds.K - 1})")
         if "bayes_json" in ds_cfg:
             bayes = load_bayes_json(ds_cfg["bayes_json"])
             if bayes.means.shape != (train_ds.K, train_ds.d):

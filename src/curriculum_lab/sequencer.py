@@ -5,6 +5,9 @@ mini-batch uniformly (without replacement) from the class-balanced easiest
 prefix of size g(i). Batch sampling uses a counter-based RNG keyed by
 (seed, i), so any iteration's batch can be recomputed in isolation; one
 Philox generator per plan is reused, its counter set to i before each draw.
+A draw is positions within the prefix (`_batch_positions`); they depend on
+(seed, i, g(i)) alone, not on the order, so the rows of a training stack that
+share a seed and g(i) share one draw, even across a self-paced re-rank.
 """
 from __future__ import annotations
 
@@ -102,13 +105,8 @@ def balanced_prefix(plan: CurriculumPlan, size: int) -> np.ndarray:
     return ids
 
 
-def minibatch_at(plan: CurriculumPlan, i: int) -> np.ndarray:
-    """Sample iteration i's mini-batch: uniform, without replacement, from the
-    balanced prefix of size g(i). Reproducible and random-access via a Philox
-    stream keyed by (seed, i)."""
-    if not 0 <= i < plan.M:
-        raise ParameterError(f"iteration {i} outside [0, {plan.M})")
-    subset = balanced_prefix(plan, plan.pacing.sizes[i])
+def _batch_positions(plan: CurriculumPlan, i: int) -> np.ndarray:
+    """Iteration i's batch as positions within the balanced prefix of size g(i)."""
     cached = plan._batch_rng.get(plan.seed)
     if cached is None:
         bit_gen = np.random.Philox(key=plan.seed)
@@ -118,8 +116,17 @@ def minibatch_at(plan: CurriculumPlan, i: int) -> np.ndarray:
     # set to i it is the state of Philox(key=seed, counter=i << 128)
     state["state"]["counter"][:] = (0, 0, i, 0)
     rng.bit_generator.state = state
-    # the same draws as rng.choice(subset, ...), without converting `subset`
-    return subset[rng.choice(len(subset), size=plan.batch_size, replace=False)]
+    # the same draws as rng.choice(prefix, ...), without converting the prefix
+    return rng.choice(plan.pacing.sizes[i], size=plan.batch_size, replace=False)
+
+
+def minibatch_at(plan: CurriculumPlan, i: int) -> np.ndarray:
+    """Sample iteration i's mini-batch: uniform, without replacement, from the
+    balanced prefix of size g(i). Reproducible and random-access via a Philox
+    stream keyed by (seed, i)."""
+    if not 0 <= i < plan.M:
+        raise ParameterError(f"iteration {i} outside [0, {plan.M})")
+    return balanced_prefix(plan, plan.pacing.sizes[i])[_batch_positions(plan, i)]
 
 
 def self_paced_rescore_hook(plan: CurriculumPlan, model, i: int) -> CurriculumPlan:

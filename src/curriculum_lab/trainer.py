@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import NumericalError, ParameterError, TrainingDivergedError
-from .sequencer import CurriculumPlan, minibatch_at
+from .sequencer import CurriculumPlan, _batch_positions, balanced_prefix
 
 ARCHITECTURES = ("linear_softmax", "mlp1")
 
@@ -126,19 +126,20 @@ def _losses_and_residual(logits: np.ndarray, y: np.ndarray):
     """Per-example cross-entropy (R, n) and the softmax residual
     P - onehot(y) (R, n, K). The max-shifted exponentials and their sums
     serve both the log-sum-exp and the softmax."""
-    R, n = y.shape
-    r = np.arange(R)[:, None]
-    rows = np.arange(n)
+    R, n, K = logits.shape
+    # the flat index of each example's true-class entry in an (R, n, K) array
+    target = np.arange(0, R * n * K, K).reshape(R, n) + y
     # a running maximum over the K class columns: exact in any order, and far
     # cheaper than a reduction along the short last axis
     m = logits[..., :1]
-    for k in range(1, logits.shape[2]):
+    for k in range(1, K):
         m = np.maximum(m, logits[..., k:k + 1])
     e = np.exp(logits - m)
+    # numpy sums K >= 8 columns pairwise: any other order changes the bits
     total = e.sum(axis=2, keepdims=True)
-    losses = m[..., 0] + np.log(total[..., 0]) - logits[r, rows, y]
-    G = e / total
-    G[r, rows, y] -= 1.0
+    losses = m[..., 0] + np.log(total[..., 0]) - logits.reshape(-1)[target]
+    G = np.divide(e, total, out=e)
+    G.reshape(-1)[target] -= 1.0
     return losses, G
 
 
@@ -147,14 +148,17 @@ def _mean_loss_and_grad(spec: ModelSpec, v: dict, logits, cache, y):
     losses, G = _losses_and_residual(logits, y)
     R, n = y.shape
     G /= n
+    # einsum adds along n in order, as .sum(axis=1) does for K >= 2 (G is 0 for K = 1);
+    # the hidden bias keeps .sum(axis=1), which sums pairwise along n when H = 1
     if spec.architecture == "linear_softmax":
         (X,) = cache
-        parts = [np.matmul(G.swapaxes(1, 2), X), G.sum(axis=1)]
+        parts = [np.matmul(G.swapaxes(1, 2), X), np.einsum("rnk->rk", G)]
     else:
         X, z1, a1 = cache
-        dz1 = np.matmul(G, v["W2"]) * (z1 > 0)
+        dz1 = np.matmul(G, v["W2"])
+        dz1 *= z1 > 0
         parts = [np.matmul(dz1.swapaxes(1, 2), X), dz1.sum(axis=1),
-                 np.matmul(G.swapaxes(1, 2), a1), G.sum(axis=1)]
+                 np.matmul(G.swapaxes(1, 2), a1), np.einsum("rnk->rk", G)]
     return losses.mean(axis=1), np.concatenate([p.reshape(R, -1) for p in parts], axis=1)
 
 
@@ -364,6 +368,7 @@ def train_stack(ds_train: Dataset, ds_test: Dataset, plans: list[CurriculumPlan]
                 due.setdefault(t, []).append(r)
     recorded: list[list] = [[] for _ in plans]
     outcomes: list = [None] * R
+    batch = np.empty((R, plans[0].batch_size), dtype=np.int64)
 
     def drop(ok: np.ndarray, t: int, message: str = "") -> None:
         nonlocal params, views, live, lrs
@@ -381,15 +386,23 @@ def train_stack(ds_train: Dataset, ds_test: Dataset, plans: list[CurriculumPlan]
                 if r in live:
                     j = live.index(r)
                     current[r] = hooks[r](current[r], Model(model_spec, K, d, params[j]), t)
-            ids = np.stack([minibatch_at(current[r], t) for r in live])
-            logits, cache = _forward(model_spec, views, ds_train.X[ids])
+            # one draw per (seed, g(t)); each row maps it through its own prefix
+            draws = {}
+            ids = batch[:len(live)]
+            for j, r in enumerate(live):
+                plan, size = current[r], sizes[r][t]
+                positions = draws.get((plan.seed, size))
+                if positions is None:
+                    positions = draws[plan.seed, size] = _batch_positions(plan, t)
+                ids[j] = balanced_prefix(plan, size)[positions]
+            logits, cache = _forward(model_spec, views, np.take(ds_train.X, ids, axis=0))
             ok = np.isfinite(logits).all(axis=(1, 2))
             if not ok.all():
                 drop(ok, t, f"non-finite activations in forward pass at iteration {t}")
                 logits, cache, ids = logits[ok], tuple(c[ok] for c in cache), ids[ok]
             if live:
                 loss, grad = _mean_loss_and_grad(model_spec, views, logits, cache,
-                                                 ds_train.y[ids])
+                                                 np.take(ds_train.y, ids))
                 ok = np.isfinite(loss) & np.isfinite(grad).all(axis=1)
                 if not ok.all():
                     drop(ok, t)

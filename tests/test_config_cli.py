@@ -293,6 +293,34 @@ class TestCliMalformedInput:
                                        "--out", str(tmp_path / "o")])
         assert f"{path}: cannot read file" in err
 
+    @staticmethod
+    def relabel(rows):
+        # half of class 2 becomes a class 3 that the training set lacks
+        twos = [row for row in rows[1:] if row[1] == "2"]
+        for row in twos[: len(twos) // 2]:
+            row[1] = "3"
+        return rows
+
+    @staticmethod
+    def widen(rows):
+        return [row + [f"f{len(rows[0]) - 2}" if i == 0 else "0.5"]
+                for i, row in enumerate(rows)]
+
+    @pytest.mark.parametrize("edit,named", [
+        (relabel, "dataset.test_csv: label 3 is not a class of the training set"),
+        (widen, "dataset.test_csv: rows have 5 features, the training set has 4"),
+    ], ids=["unknown-label", "wider"])
+    def test_test_csv_that_does_not_fit_the_training_set(self, tmp_path, capsys, edit, named):
+        tree, data = self.csv_tree(tmp_path)
+        path = data / "test.csv"
+        rows = edit([line.split(",") for line in path.read_text().splitlines()])
+        path.write_text("".join(",".join(row) + "\n" for row in rows))
+        out = tmp_path / "o"
+        err = self.error_line(capsys, ["train", "--config", str(write_config(tmp_path, tree)),
+                                       "--out", str(out)])
+        assert named in err
+        assert not list(out.glob("curve_*"))  # rejected before any training
+
     def test_entry_point_exit_code_reaches_the_shell(self, tmp_path):
         # the real entry point, as a shell runs it: exit status 2, no traceback
         src = Path(__file__).resolve().parents[1] / "src"

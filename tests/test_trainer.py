@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from curriculum_lab import trainer
 from curriculum_lab.data import Dataset
 from curriculum_lab.errors import ParameterError, TrainingDivergedError
 from curriculum_lab.pacing import PacingSpec
 from curriculum_lab.sequencer import (balanced_prefix, build_plan, minibatch_at,
                                       self_paced_rescore_hook)
-from curriculum_lab.trainer import (LearningCurve, LRSchedule, Model, ModelSpec,
-                                    evaluate, train, train_stack)
+from curriculum_lab.trainer import (LearningCurve, LRSchedule, Model, ModelSpec, _forward,
+                                    _layout, _losses_and_residual, _mean_loss_and_grad,
+                                    _stack_views, evaluate, train, train_stack)
 
 LINEAR = ModelSpec("linear_softmax")
 MLP = ModelSpec("mlp1", hidden=6)
@@ -148,6 +151,76 @@ class TestBackward:
             model.params -= 1e-4 * grad
             after, _ = model.loss_and_grad(X, y)
             assert after <= before + 1e-12
+
+
+def reference_losses_and_residual(logits, y):
+    """The kernel's loss and residual as first written: a three-array fancy
+    index, and a fresh array for the softmax."""
+    R, n = y.shape
+    r = np.arange(R)[:, None]
+    rows = np.arange(n)
+    m = logits[..., :1]
+    for k in range(1, logits.shape[2]):
+        m = np.maximum(m, logits[..., k:k + 1])
+    e = np.exp(logits - m)
+    total = e.sum(axis=2, keepdims=True)
+    losses = m[..., 0] + np.log(total[..., 0]) - logits[r, rows, y]
+    G = e / total
+    G[r, rows, y] -= 1.0
+    return losses, G
+
+
+def reference_step(spec, v, X, ids, y):
+    """Logits, mean loss and flat gradient as first written: `X[ids]`, a bias
+    added out of place, and `.sum(axis=1)` bias sums."""
+    Xb = X[ids]
+    if spec.architecture == "linear_softmax":
+        logits = np.matmul(Xb, v["W"].swapaxes(1, 2)) + v["b"][:, None]
+    else:
+        z1 = np.matmul(Xb, v["W1"].swapaxes(1, 2)) + v["b1"][:, None]
+        a1 = np.maximum(z1, 0.0)
+        logits = np.matmul(a1, v["W2"].swapaxes(1, 2)) + v["b2"][:, None]
+    losses, G = reference_losses_and_residual(logits, y)
+    R, n = y.shape
+    G /= n
+    if spec.architecture == "linear_softmax":
+        parts = [np.matmul(G.swapaxes(1, 2), Xb), G.sum(axis=1)]
+    else:
+        dz1 = np.matmul(G, v["W2"]) * (z1 > 0)
+        parts = [np.matmul(dz1.swapaxes(1, 2), Xb), dz1.sum(axis=1),
+                 np.matmul(G.swapaxes(1, 2), a1), G.sum(axis=1)]
+    return logits, losses.mean(axis=1), np.concatenate([p.reshape(R, -1) for p in parts], axis=1)
+
+
+class TestKernelReference:
+    """The stacked kernel gives the same bits as the reference above. The
+    stacked-vs-alone tests run one kernel on both sides, so only this test
+    sees a changed bit."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(arch=st.sampled_from(["linear_softmax", "mlp1"]), R=st.integers(1, 30),
+           n=st.integers(1, 300), K=st.integers(2, 40), H=st.integers(1, 80),
+           d=st.integers(1, 20), scale=st.sampled_from([0.1, 1.0, 30.0]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(arch="mlp1", R=3, n=200, K=9, H=1, d=4, scale=1.0, seed=0)
+    @example(arch="linear_softmax", R=25, n=100, K=5, H=1, d=16, scale=1.0, seed=1)
+    def test_bitwise_equal_to_the_reference(self, arch, R, n, K, H, d, scale, seed):
+        spec = ModelSpec(arch, hidden=H if arch == "mlp1" else 0)
+        rng = np.random.default_rng(seed)
+        arrays, P = _layout(spec, K, d)
+        v = _stack_views(arrays, rng.normal(size=(R, P)) * scale)
+        X = rng.normal(size=(n + 7, d))
+        ids = rng.integers(0, n + 7, size=(R, n))
+        y = rng.integers(0, K, size=(R, n))
+        logits, cache = _forward(spec, v, np.take(X, ids, axis=0))
+        ref_logits, ref_loss, ref_grad = reference_step(spec, v, X, ids, y)
+        assert logits.tobytes() == ref_logits.tobytes()
+        for got, want in zip(_losses_and_residual(logits, y),
+                             reference_losses_and_residual(logits, y)):
+            assert got.tobytes() == want.tobytes()
+        loss, grad = _mean_loss_and_grad(spec, v, logits, cache, y)
+        assert loss.tobytes() == ref_loss.tobytes()
+        assert grad.tobytes() == ref_grad.tobytes()
 
 
 class TestSchedules:
@@ -380,6 +453,55 @@ class TestTrainStack:
                     == curve_bytes(curve, tmp_path / f"a{r}.csv"))
             assert curve.subset_size.tolist() == [plan.pacing.sizes[t] for t in curve.iterations]
             assert curve.lr.tolist() == [sched.value(t) for t in curve.iterations]
+
+    @pytest.mark.parametrize("spec", [LINEAR, MLP], ids=["linear", "mlp1"])
+    def test_grid_rows_share_one_draw_per_seed_and_size(self, tmp_path, spec, monkeypatch):
+        # a grid stage's shape: every plan seed under several pacing specs and
+        # LR schedules, some rows self-paced; rows that agree on (seed, g(t))
+        # at step t share one draw of batch positions
+        ds, test = make_ds([14, 14, 12], d=3, seed=5), make_ds([5, 5, 5], d=3, seed=6)
+        cyclical = LRSchedule("cyclical", lr_min=0.05, lr_max=0.5, cycle_length=16)
+        pacings = [self.pacing("fixed_exp", ds.N), self.pacing("vanilla", ds.N),
+                   PacingSpec("fixed_exp", N=ds.N, M=self.M, starting_percent=0.25,
+                              increase=1.6, step_length=9),
+                   self.pacing("varied_exp", ds.N)]
+        rows = [(pacing, sched, hook, seed)
+                for pacing in pacings for sched in (self.SCHED, cyclical)
+                for hook, seed in ((None, 3), (None, 8), (self_paced_rescore_hook, 3))]
+        plans = [build_plan(ds, np.random.default_rng(r).normal(size=ds.N), pacing, 5, seed=seed)
+                 for r, (pacing, _sched, _hook, seed) in enumerate(rows)]
+        schedules = [sched for _p, sched, _hook, _seed in rows]
+        hooks = [hook for _p, _sched, hook, _seed in rows]
+        draws = []
+        positions = trainer._batch_positions
+
+        def counted(plan, t):
+            draws.append((t, plan.seed, plan.pacing.sizes[t]))
+            return positions(plan, t)
+
+        monkeypatch.setattr(trainer, "_batch_positions", counted)
+        stacked = train_stack(ds, test, plans, schedules, spec, list(range(len(rows))),
+                              record_every=9, boundary_hooks=hooks)
+        expected = sorted({(t, plan.seed, plan.pacing.sizes[t])
+                           for t in range(self.M) for plan in plans})
+        assert sorted(draws) == expected
+        assert len(expected) < self.M * len(rows) / 3
+        for r, (plan, sched, hook) in enumerate(zip(plans, schedules, hooks)):
+            model, curve = train(ds, test, plan, sched, spec, record_every=9, seed=r,
+                                 boundary_hook=hook)
+            assert np.array_equal(stacked[r][0].params, model.params)
+            assert (curve_bytes(stacked[r][1], tmp_path / f"s{r}.csv")
+                    == curve_bytes(curve, tmp_path / f"a{r}.csv"))
+            # the same row stepped through `minibatch_at`, one draw per step
+            ref = Model.initialize(spec, ds.K, ds.d, r)
+            starts = set(np.flatnonzero(np.diff(plan.pacing.sizes, prepend=-1)).tolist())
+            for t in range(self.M):
+                if hook is not None and t in starts:
+                    plan = hook(plan, ref, t)
+                ids = minibatch_at(plan, t)
+                _, grad = ref.loss_and_grad(ds.X[ids], ds.y[ids])
+                ref.params -= sched.value(t) * grad
+            assert np.array_equal(stacked[r][0].params, ref.params)
 
     def test_rows_must_share_horizon_and_batch_size(self):
         ds = make_ds([10, 10], d=3)

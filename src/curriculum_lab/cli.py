@@ -187,6 +187,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for flag in ("seed", "instances"):
+            value = getattr(args, flag, None)
+            if value is not None and value < 0:
+                raise ConfigError(f"--{flag} must be >= 0, got {value}")
         return args.fn(args)
     except (ConfigError, ParameterError, DataLoadError, ExperimentError, NumericalError,
             TrainingDivergedError) as exc:

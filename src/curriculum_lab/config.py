@@ -176,6 +176,11 @@ def _typed(convert, value, key: str):
         raise ConfigError(f"{key} must be of type {convert.__name__}, got {value!r}") from None
 
 
+def _non_negative(value: int, key: str) -> int:
+    _require(value >= 0, f"{key} must be >= 0, got {value}")
+    return value
+
+
 def _typed_leaf(convert, value, key: str):
     """_typed, with a list leaf's elements converted to int as well."""
     value = _typed(convert, value, key)
@@ -203,9 +208,12 @@ def resolve_config(tree: dict, seed_override: int | None = None) -> ExperimentCo
         _require(not missing, "missing config key(s): " + ", ".join(missing))
         for key, convert in _SYNTHETIC_TYPES.items():
             _typed(convert, syn[key], f"dataset.synthetic.{key}")
+        _non_negative(int(syn["seed"]), "dataset.synthetic.seed")
     for key, convert in (("train_fraction", float), ("split_seed", int)):
         if key in dataset:
             _typed(convert, dataset[key], f"dataset.{key}")
+    if "split_seed" in dataset:
+        _non_negative(int(dataset["split_seed"]), "dataset.split_seed")
 
     condition = tree.setdefault("condition", "vanilla")
     _require(condition in CONDITIONS, f"condition must be one of {CONDITIONS}, got {condition!r}")
@@ -271,7 +279,8 @@ def resolve_config(tree: dict, seed_override: int | None = None) -> ExperimentCo
     _require(record_every >= 1, "record_every must be >= 1")
 
     if "seeds" in tree:
-        seeds = tuple(_typed(int, s, "seeds") for s in _typed(list, tree["seeds"], "seeds"))
+        seeds = tuple(_non_negative(_typed(int, s, "seeds"), "seeds")
+                      for s in _typed(list, tree["seeds"], "seeds"))
         _require(len(seeds) >= 1, "seeds must be non-empty")
         _require(len(set(seeds)) == len(seeds), f"seeds must be distinct, got {list(seeds)}")
         if "repetitions" in tree:
@@ -281,7 +290,7 @@ def resolve_config(tree: dict, seed_override: int | None = None) -> ExperimentCo
     else:
         reps = _typed(int, tree.setdefault("repetitions", 1), "repetitions")
         _require(reps >= 1, "repetitions must be >= 1")
-        base = _typed(int, tree.setdefault("seed", 0), "seed")
+        base = _non_negative(_typed(int, tree.setdefault("seed", 0), "seed"), "seed")
         seeds = tuple(base + r for r in range(reps))
         tree["seeds"] = list(seeds)
 
@@ -306,15 +315,16 @@ def resolve_config(tree: dict, seed_override: int | None = None) -> ExperimentCo
         grid = GridSpec(**axes,
                         validation_fraction=_typed(float, g.setdefault("validation_fraction", 0.8),
                                                    "grid.validation_fraction"),
-                        split_seed=_typed(int, g.setdefault("split_seed", 0), "grid.split_seed"))
+                        split_seed=_non_negative(_typed(int, g.setdefault("split_seed", 0),
+                                                        "grid.split_seed"), "grid.split_seed"))
 
     generations = _typed(int, _get(tree, "bootstrap.generations", 1), "bootstrap.generations")
     subset_fraction = _typed(float, _get(tree, "gradient_analysis.subset_fraction", 0.1),
                              "gradient_analysis.subset_fraction")
-    theory_instances = _typed(int, _get(tree, "theory.instances", DEFAULT_INSTANCES),
-                              "theory.instances")
-    theory_families = _typed(int, _get(tree, "theory.constant_variance_families",
-                                       DEFAULT_FAMILIES), "theory.constant_variance_families")
+    theory_instances, theory_families = (
+        _non_negative(_typed(int, _get(tree, key, default), key), key)
+        for key, default in (("theory.instances", DEFAULT_INSTANCES),
+                             ("theory.constant_variance_families", DEFAULT_FAMILIES)))
 
     return ExperimentConfig(
         tree=tree, condition=condition, scoring_kind=kind,

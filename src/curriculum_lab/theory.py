@@ -9,9 +9,18 @@ sum_i (a_i - mean(a)) (b_i - mean(b)), with no 1/N. The exact decomposition
     prior_utility = mean_utility + sum_cov(U_t, p)
 only balances in sum form; mixing estimators silently breaks every identity
 below, so helpers for the normalized form are deliberately not provided.
+
+Each check is written once, over a row stack of tables that share one example
+count; a LossTable is a one-table stack. Row-wise arrays do not depend on the
+rows stacked with them, and per-table maxima and verdicts are reductions at
+the row offsets. Each product over examples stays one `@` per table on its own
+block: BLAS gemv's row results depend on the row count, so padding tables to
+one size or per-row dots would change bits. `run_verification` checks chunks
+of about CHUNK_ROWS rows, one stack per example count.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -22,6 +31,54 @@ from .errors import ParameterError
 IDENTITY_TOL = 1e-12
 DEFAULT_INSTANCES = 1000  # run_verification's default random instances
 DEFAULT_FAMILIES = 200  # and its default constant-variance families
+CHUNK_ROWS = 4096  # run_verification draws instances until a chunk holds this many rows
+
+
+def _checked_priors(P: np.ndarray) -> np.ndarray:
+    """(B, N) prior rows, each finite, non-negative and summing to 1."""
+    if (P < 0).any() or not np.isfinite(P).all():
+        raise ParameterError("prior entries must be finite and non-negative")
+    sums = P.sum(axis=1)
+    off = np.abs(sums - 1.0) > IDENTITY_TOL
+    if off.any():
+        raise ParameterError(f"prior sums to {sums[off][0]!r}, not 1")
+    return P
+
+
+class _RowStack:
+    """Loss tables with one example count, rows concatenated; table b owns
+    rows blocks[b] of U = exp(-L), its row means, U centered on them and each
+    row's sum-form variance (one dot per row)."""
+
+    def __init__(self, tables: list[np.ndarray]):
+        self.losses = np.concatenate(tables)
+        if not np.isfinite(self.losses).all() or (self.losses < 0).any():
+            raise ParameterError("losses must be finite and non-negative")
+        self.utilities = np.exp(-self.losses)
+        self.mean_utilities = self.utilities.mean(axis=1)
+        self.centered = self.utilities - self.mean_utilities[:, None]
+        self.variances = np.vecdot(self.centered, self.centered)
+        counts = [len(L) for L in tables]
+        self.blocks = [slice(e - t, e) for t, e in zip(counts, itertools.accumulate(counts))]
+        self.starts = np.array([block.start for block in self.blocks])
+        self.owner = np.repeat(np.arange(len(counts)), counts)  # each row's table
+
+    def per_table(self, A: np.ndarray, V: np.ndarray) -> np.ndarray:
+        """Row-wise A[blocks[b]] @ V[b]: one gemv per table, on its own block."""
+        return np.concatenate([A[block] @ v for block, v in zip(self.blocks, V)])
+
+    def max(self, values: np.ndarray) -> np.ndarray:
+        return np.maximum.reduceat(values, self.starts)
+
+    def all(self, mask: np.ndarray) -> np.ndarray:
+        return np.logical_and.reduceat(mask, self.starts)
+
+    def argmax_mask(self, values: np.ndarray, tol: float) -> np.ndarray:
+        return values >= (self.max(values) - tol)[self.owner]
+
+    def first(self, mask: np.ndarray) -> np.ndarray:
+        """Each table's lowest True row (a row index of the stack)."""
+        return np.minimum.reduceat(np.where(mask, np.arange(len(mask)), len(mask)), self.starts)
 
 
 @dataclass(frozen=True)
@@ -37,21 +94,17 @@ class LossTable:
     mean_utilities: np.ndarray = field(init=False, repr=False)
     centered: np.ndarray = field(init=False, repr=False)
     variances: np.ndarray = field(init=False, repr=False)
+    _stack: _RowStack = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         L = np.array(self.losses, dtype=np.float64, order="C")
         if L.ndim != 2 or L.shape[0] < 1 or L.shape[1] < 1:
             raise ParameterError("loss table must be a non-empty (T, N) matrix")
-        if not np.isfinite(L).all() or (L < 0).any():
-            raise ParameterError("losses must be finite and non-negative")
-        U = np.exp(-L)
-        mean_u = U.mean(axis=1)
-        centered = U - mean_u[:, None]
-        for name, value in (("losses", L), ("utilities", U), ("mean_utilities", mean_u),
-                            ("centered", centered),
-                            ("variances", np.vecdot(centered, centered))):
-            value.setflags(write=False)
-            object.__setattr__(self, name, value)
+        stack = _RowStack([L])
+        for name in ("losses", "utilities", "mean_utilities", "centered", "variances"):
+            getattr(stack, name).setflags(write=False)
+            object.__setattr__(self, name, getattr(stack, name))
+        object.__setattr__(self, "_stack", stack)
 
 
 @dataclass(frozen=True)
@@ -62,10 +115,7 @@ class Prior:
         p = np.array(self.p, dtype=np.float64, order="C")
         if p.ndim != 1 or len(p) < 1:
             raise ParameterError("prior must be a non-empty vector")
-        if (p < 0).any() or not np.isfinite(p).all():
-            raise ParameterError("prior entries must be finite and non-negative")
-        if abs(p.sum() - 1.0) > IDENTITY_TOL:
-            raise ParameterError(f"prior sums to {p.sum()!r}, not 1")
+        _checked_priors(p[None])
         object.__setattr__(self, "p", p)
         p.setflags(write=False)
 
@@ -79,18 +129,100 @@ def sum_covariance(u: np.ndarray, v: np.ndarray) -> float:
     return float((u - u.mean()) @ (v - v.mean()))
 
 
+def _ideal_priors(U: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
+    """Priors proportional to the utility rows `rows`, and their normalizers C."""
+    C = U[rows].sum(axis=1)
+    return _checked_priors(U[rows] / C[:, None]), C
+
+
 def ideal_prior(table: LossTable, t: int) -> Prior:
     """Prior proportional to hypothesis t's utility: p_i = exp(-L[t][i]) / C."""
-    U = table.utilities[t]
-    return Prior(U / U.sum())
+    return Prior(_ideal_priors(table.utilities, [t])[0][0])
 
 
-def _argmax_set(values: np.ndarray, tol: float = IDENTITY_TOL) -> frozenset:
-    return frozenset(np.flatnonzero(values >= values.max() - tol).tolist())
+def _prior_terms(stack: _RowStack, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's U_t @ p and sum_cov(U_t, p), table b weighted by P[b]."""
+    return (stack.per_table(stack.utilities, P),
+            stack.per_table(stack.centered, P - P.mean(axis=1, keepdims=True)))
 
 
-def _covariances_with(table: LossTable, v: np.ndarray) -> np.ndarray:
-    return table.centered @ (v - v.mean())
+def _residuals(stack: _RowStack, prior_u: np.ndarray, covs: np.ndarray) -> np.ndarray:
+    """Each table's largest decomposition residual."""
+    return stack.max(np.abs(prior_u - (stack.mean_utilities + covs)))
+
+
+def _prior_checks(stack: _RowStack, prior_u: np.ndarray, covs: np.ndarray,
+                  tol: float) -> dict:
+    """Argmax checks under one prior per table: the matched-argmax verdict
+    `holds` and the preservation verdicts (meaningful where it holds) per
+    table, and the argmax sets as row masks."""
+    mean_u = stack.mean_utilities
+    r = {"argmax_u": stack.argmax_mask(mean_u, tol), "argmax_cov": stack.argmax_mask(covs, tol),
+         "argmax_up": stack.argmax_mask(prior_u, tol)}
+    best = stack.first(r["argmax_u"])[stack.owner]  # lowest-index tie-break
+    # chain: gap_p equals prior_u[best] - mean_u - covs, which dominates the
+    # middle term (covariance of the best hypothesis substituted in), which in
+    # turn equals the plain gap
+    gap_p = prior_u[best] - prior_u
+    chain_mid = prior_u[best] - mean_u - covs[best]
+    gap = mean_u[best] - mean_u
+    r.update(holds=stack.all(r["argmax_u"] == r["argmax_cov"]),
+             set_equal=stack.all(r["argmax_up"] == r["argmax_u"]),
+             gap_amplified=stack.all((gap_p >= chain_mid - tol)
+                                     & (np.abs(chain_mid - gap) <= tol) & (gap_p >= gap - tol)),
+             max_gap_violation=stack.max(gap - gap_p))
+    return r
+
+
+def _ideal_terms(stack: _RowStack, tol: float) -> tuple[np.ndarray, ...]:
+    """Each table's best row (lowest-index tie-break), the normalizer C of
+    its ideal prior, and the prior terms under that prior."""
+    best = stack.first(stack.argmax_mask(stack.mean_utilities, tol))
+    P, C = _ideal_priors(stack.utilities, best)
+    return best, C, *_prior_terms(stack, P)
+
+
+def _ideal_prior_amplification(stack: _RowStack, tol: float) -> dict:
+    """check_ideal_prior_amplification's fields, one entry per table."""
+    best, C, prior_u, covs = _ideal_terms(stack, tol)
+    mean_u, row_best, row_C = stack.mean_utilities, best[stack.owner], C[stack.owner]
+    covs_best = stack.per_table(stack.centered, stack.centered[best])
+    var_best = stack.variances[best]  # np.vecdot and a 1-D @ are the same dot
+
+    # ideal-prior covariance identity: sum_cov(U_t, p) == sum_cov(U_t, U_best)/C
+    ideal_identity_residual = stack.max(np.abs(covs - covs_best / row_C))
+    optimum_value_residual = np.abs(prior_u[best] - mean_u[best] - var_best / C)
+
+    qualifying = covs_best <= stack.variances[row_best] + tol
+    gap_p = prior_u[row_best] - prior_u
+    gap = mean_u[row_best] - mean_u
+    gap_ok = stack.all(~qualifying | (gap_p >= gap - tol))
+    n_qualifying = np.add.reduceat(qualifying, stack.starts)
+    worst = stack.max(np.where(qualifying, gap - gap_p, -np.inf))
+
+    ceiling = mean_u[row_best] + np.sqrt(stack.variances * stack.variances[row_best]) / row_C
+    cs_ok = stack.all(prior_u <= ceiling + tol)
+    return {
+        "optimal_index": best - stack.starts,
+        "optimum_value_residual": optimum_value_residual,
+        "ideal_identity_residual": ideal_identity_residual,
+        "n_qualifying": n_qualifying,
+        "gap_ok": gap_ok,
+        "max_gap_violation": np.where(n_qualifying > 0, worst, 0.0),
+        "cauchy_schwarz_ok": cs_ok,
+        "passed": ((optimum_value_residual <= tol) & (ideal_identity_residual <= tol)
+                   & gap_ok & cs_ok),
+    }
+
+
+def _one_table(table: LossTable, prior: Prior) -> tuple[_RowStack, np.ndarray, np.ndarray]:
+    if len(prior.p) != table.losses.shape[1]:
+        raise ParameterError("prior length does not match the table")
+    return table._stack, *_prior_terms(table._stack, prior.p[None])
+
+
+def _rows(mask: np.ndarray) -> list[int]:
+    return np.flatnonzero(mask).tolist()
 
 
 def decomposition_residual(table: LossTable, prior: Prior) -> float:
@@ -99,20 +231,15 @@ def decomposition_residual(table: LossTable, prior: Prior) -> float:
     prior_utility(t) - mean_utility(t) - sum_cov(U_t, p) is identically zero;
     anything above ~1e-12 indicates an estimator mismatch.
     """
-    if len(prior.p) != table.losses.shape[1]:
-        raise ParameterError("prior length does not match the table")
-    lhs = table.utilities @ prior.p
-    rhs = table.mean_utilities + _covariances_with(table, prior.p)
-    return float(np.abs(lhs - rhs).max())
+    return float(_residuals(*_one_table(table, prior))[0])
 
 
 def matched_argmax_holds(table: LossTable, prior: Prior,
                          tol: float = IDENTITY_TOL) -> tuple[bool, frozenset, frozenset]:
     """Does the same hypothesis set maximize both the plain utility and the
     covariance with the prior? Sets are compared with a value tolerance."""
-    a = _argmax_set(table.mean_utilities, tol)
-    b = _argmax_set(_covariances_with(table, prior.p), tol)
-    return a == b, a, b
+    r = _prior_checks(*_one_table(table, prior), tol)
+    return bool(r["holds"][0]), frozenset(_rows(r["argmax_u"])), frozenset(_rows(r["argmax_cov"]))
 
 
 def check_argmax_preservation(table: LossTable, prior: Prior, tol: float = IDENTITY_TOL) -> dict:
@@ -124,30 +251,16 @@ def check_argmax_preservation(table: LossTable, prior: Prior, tol: float = IDENT
     the margin of the best hypothesis over any other, checked through the
     intermediate bound of the covariance chain as well.
     """
-    holds, argmax_u, argmax_cov = matched_argmax_holds(table, prior, tol)
-    report = {"applicable": holds, "argmax_utility": sorted(argmax_u),
-              "argmax_covariance": sorted(argmax_cov)}
-    if not holds:
+    r = _prior_checks(*_one_table(table, prior), tol)
+    report = {"applicable": bool(r["holds"][0]), "argmax_utility": _rows(r["argmax_u"]),
+              "argmax_covariance": _rows(r["argmax_cov"])}
+    if not report["applicable"]:
         report.update(argmax_set_equal=None, gap_amplified=None, reason="precondition unmet")
         return report
-    mean_u = table.mean_utilities
-    prior_u = table.utilities @ prior.p
-    covs = _covariances_with(table, prior.p)
-    best = min(argmax_u)  # lowest-index tie-break
-    argmax_up = _argmax_set(prior_u, tol)
-    argmax_set_equal = argmax_up == argmax_u
-    # chain: gap_p equals prior_u[best] - mean_u - covs, which dominates the
-    # middle term (covariance of the best hypothesis substituted in), which in
-    # turn equals the plain gap
-    gap_p = prior_u[best] - prior_u
-    chain_mid = prior_u[best] - mean_u - covs[best]
-    gap = mean_u[best] - mean_u
-    gap_amplified = bool((gap_p >= chain_mid - tol).all()
-                         and np.abs(chain_mid - gap).max() <= tol
-                         and (gap_p >= gap - tol).all())
-    report.update(argmax_set_equal=argmax_set_equal, gap_amplified=gap_amplified,
-                  argmax_prior_utility=sorted(argmax_up),
-                  max_gap_violation=float((gap - gap_p).max()))
+    report.update(argmax_set_equal=bool(r["set_equal"][0]),
+                  gap_amplified=bool(r["gap_amplified"][0]),
+                  argmax_prior_utility=_rows(r["argmax_up"]),
+                  max_gap_violation=float(r["max_gap_violation"][0]))
     return report
 
 
@@ -162,39 +275,8 @@ def check_ideal_prior_amplification(table: LossTable, tol: float = IDENTITY_TOL)
       - prior_utility(t) <= mean_utility(best)
                             + sqrt(sum_var(U_t) sum_var(U_best)) / C
     """
-    mean_u = table.mean_utilities
-    best = min(_argmax_set(mean_u, tol))  # lowest-index tie-break
-    prior = ideal_prior(table, best)
-    C = float(table.utilities[best].sum())
-    prior_u = table.utilities @ prior.p
-    covs_best = table.centered @ table.centered[best]
-    var_best = float(table.centered[best] @ table.centered[best])
-
-    # ideal-prior covariance identity: sum_cov(U_t, p) == sum_cov(U_t, U_best)/C
-    ideal_identity_residual = float(
-        np.abs(_covariances_with(table, prior.p) - covs_best / C).max())
-
-    optimum_value_residual = abs(prior_u[best] - mean_u[best] - var_best / C)
-
-    qualifying = np.flatnonzero(covs_best <= var_best + tol)
-    gap_p = prior_u[best] - prior_u[qualifying]
-    gap = mean_u[best] - mean_u[qualifying]
-    gap_ok = bool((gap_p >= gap - tol).all())
-
-    ceiling = mean_u[best] + np.sqrt(table.variances * var_best) / C
-    cs_ok = bool((prior_u <= ceiling + tol).all())
-
-    return {
-        "optimal_index": best,
-        "optimum_value_residual": float(optimum_value_residual),
-        "ideal_identity_residual": ideal_identity_residual,
-        "n_qualifying": int(len(qualifying)),
-        "gap_ok": gap_ok,
-        "max_gap_violation": float((gap - gap_p).max()) if len(qualifying) else 0.0,
-        "cauchy_schwarz_ok": cs_ok,
-        "passed": bool(optimum_value_residual <= tol and ideal_identity_residual <= tol
-                       and gap_ok and cs_ok),
-    }
+    return {key: value[0].item() for key, value in
+            _ideal_prior_amplification(table._stack, tol).items()}
 
 
 def check_constant_variance_case(table: LossTable, variance_tol: float = 1e-9,
@@ -214,19 +296,16 @@ def check_constant_variance_case(table: LossTable, variance_tol: float = 1e-9,
     if spread > variance_tol:
         return {"applicable": False, "variance_spread": spread,
                 "reason": "precondition unmet: utility variances differ", "passed": None}
+    (best,), _C, prior_u, covs = _ideal_terms(table._stack, tol)
     mean_u = table.mean_utilities
-    best = min(_argmax_set(mean_u, tol))
-    prior = ideal_prior(table, best)
-    prior_u = table.utilities @ prior.p
-    covs = _covariances_with(table, prior.p)
     cov_max_at_best = bool((covs <= covs[best] + tol).all())
     argmax_preserved = bool((prior_u <= prior_u[best] + tol).all())
     gap_ok = bool(((prior_u[best] - prior_u) >= (mean_u[best] - mean_u) - tol).all())
-    set_form, argmax_u, argmax_cov = matched_argmax_holds(table, prior, tol)
+    set_form = bool(_prior_checks(table._stack, prior_u, covs, tol)["holds"][0])
     return {
         "applicable": True,
         "variance_spread": spread,
-        "optimal_index": best,
+        "optimal_index": int(best),
         "covariance_max_at_optimum": cov_max_at_best,
         "argmax_preserved": argmax_preserved,
         "gap_ok": gap_ok,
@@ -241,12 +320,13 @@ def check_constant_variance_case(table: LossTable, variance_tol: float = 1e-9,
 
 def random_instance(rng: np.random.Generator, max_examples: int = 20,
                     max_hypotheses: int = 50,
-                    loss_scale: float = 5.0) -> tuple[LossTable, Prior]:
+                    loss_scale: float = 5.0) -> tuple[np.ndarray, np.ndarray]:
+    """One random instance: a (T, N) loss table and a positive prior vector."""
     n = int(rng.integers(1, max_examples + 1))
     t = int(rng.integers(2, max_hypotheses + 1))
     losses = rng.uniform(0.0, loss_scale, size=(t, n))
     weights = rng.uniform(0.0, 1.0, size=n) + 1e-9
-    return LossTable(losses), Prior(weights / weights.sum())
+    return losses, weights / weights.sum()
 
 
 def constant_variance_family(rng: np.random.Generator, n_examples: int = 12,
@@ -300,21 +380,27 @@ def run_verification(instances: int = DEFAULT_INSTANCES,
     amplification_violations = 0
     max_optimum = 0.0
     cs_violations = 0
-    for _ in range(instances):
-        table, prior = random_instance(rng)
-        max_decomposition = max(max_decomposition, decomposition_residual(table, prior))
-        r2 = check_argmax_preservation(table, prior)
-        if r2["applicable"]:
-            matched_argmax += 1
-            if not (r2["argmax_set_equal"] and r2["gap_amplified"]):
-                argmax_preservation_violations += 1
-        r3 = check_ideal_prior_amplification(table)
-        max_optimum = max(max_optimum, r3["optimum_value_residual"],
-                          r3["ideal_identity_residual"])
-        if not r3["gap_ok"]:
-            amplification_violations += 1
-        if not r3["cauchy_schwarz_ok"]:
-            cs_violations += 1
+    drawn = 0
+    while drawn < instances:  # one chunk, its instances grouped by example count
+        by_examples, rows = {}, 0
+        while drawn < instances and rows < CHUNK_ROWS:
+            losses, p = random_instance(rng)
+            by_examples.setdefault(losses.shape[1], []).append((losses, p))
+            rows, drawn = rows + len(losses), drawn + 1
+        for tables, priors in (zip(*group) for group in by_examples.values()):
+            stack = _RowStack(list(tables))
+            prior_u, covs = _prior_terms(stack, _checked_priors(np.stack(priors)))
+            max_decomposition = max(max_decomposition,
+                                    float(_residuals(stack, prior_u, covs).max()))
+            r2 = _prior_checks(stack, prior_u, covs, IDENTITY_TOL)
+            matched_argmax += int(r2["holds"].sum())
+            argmax_preservation_violations += int(
+                (r2["holds"] & ~(r2["set_equal"] & r2["gap_amplified"])).sum())
+            r3 = _ideal_prior_amplification(stack, IDENTITY_TOL)
+            max_optimum = max(max_optimum, float(r3["optimum_value_residual"].max()),
+                              float(r3["ideal_identity_residual"].max()))
+            amplification_violations += int((~r3["gap_ok"]).sum())
+            cs_violations += int((~r3["cauchy_schwarz_ok"]).sum())
     constant_variance_violations = 0
     constant_variance_applicable = 0
     for _ in range(constant_variance_families):

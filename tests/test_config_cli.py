@@ -36,6 +36,9 @@ def tiny_tree(condition="vanilla", **overrides):
     return tree
 
 
+SYNTHETIC = tiny_tree()["dataset"]["synthetic"]
+
+
 def write_config(tmp_path, tree, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(tree))
@@ -234,6 +237,39 @@ class TestCliMalformedInput:
         err = self.error_line(capsys, ["train", "--config", str(config),
                                        "--out", str(tmp_path / "o")])
         assert err.startswith("error: seeds must be distinct")
+
+    @pytest.mark.parametrize("flags,tree,named", [
+        (["--instances", "-3"], None, "--instances must be >= 0, got -3"),
+        (["--seed", "-1"], None, "--seed must be >= 0, got -1"),
+        (["--instances", "-3"], {"theory": {"instances": 5}}, "--instances must be >= 0"),
+        ([], {"theory": {"instances": -3}}, "theory.instances must be >= 0, got -3"),
+        ([], {"theory": {"constant_variance_families": -2}},
+         "theory.constant_variance_families must be >= 0, got -2"),
+        ([], {"seed": -1}, "seed must be >= 0, got -1"),
+    ], ids=["instances-flag", "seed-flag", "instances-flag-over-config", "instances",
+            "families", "seed"])
+    def test_negative_theory_count_or_seed(self, tmp_path, capsys, flags, tree, named):
+        argv = ["verify-theory", "--out", str(tmp_path / "o"), *flags]
+        if tree is not None:
+            argv += ["--config", str(write_config(tmp_path, tree))]
+        assert self.error_line(capsys, argv).startswith(f"error: {named}")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flags,overrides,named", [
+        ([], {"seeds": [3, -2], "repetitions": 2}, "seeds must be >= 0, got -2"),
+        ([], {"seed": -1}, "seed must be >= 0, got -1"),
+        (["--seed", "-1"], {}, "--seed must be >= 0, got -1"),
+        ([], {"dataset": {"synthetic": {**SYNTHETIC, "seed": -4}}},
+         "dataset.synthetic.seed must be >= 0, got -4"),
+        ([], {"dataset": {"synthetic": SYNTHETIC, "split_seed": -2}},
+         "dataset.split_seed must be >= 0, got -2"),
+        ([], {"grid": {"split_seed": -3}}, "grid.split_seed must be >= 0, got -3"),
+    ], ids=["seeds", "seed", "seed-flag", "synthetic-seed", "split-seed", "grid-split-seed"])
+    def test_negative_training_seed(self, tmp_path, capsys, flags, overrides, named):
+        config = write_config(tmp_path, tiny_tree("curriculum", **overrides))
+        err = self.error_line(capsys, ["train", "--config", str(config),
+                                       "--out", str(tmp_path / "o"), *flags])
+        assert err.startswith(f"error: {named}")
 
     def csv_tree(self, tmp_path):
         """A curriculum config read from the CSV files `gen-data` writes."""

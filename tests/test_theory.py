@@ -22,6 +22,12 @@ C_2X2 = 1.0 + E2                        # 1.1353352832366127
 P_IDEAL = (1.0 / C_2X2, E2 / C_2X2)     # (0.8807970779778823, 0.11920292202211755)
 
 
+def random_table(rng):
+    """One random instance as the LossTable and Prior the public checks take."""
+    losses, p = random_instance(rng)
+    return LossTable(losses), Prior(p)
+
+
 def prior_utility(table, t, prior):
     """sum_i exp(-L[t][i]) p_i, from the table's utility matrix."""
     return float(table.utilities[t] @ prior.p)
@@ -114,7 +120,7 @@ class TestDecompositionIdentity:
     def test_any_random_instance_satisfies_identity(self):
         rng = np.random.default_rng(2)
         for _ in range(200):
-            table, prior = random_instance(rng)
+            table, prior = random_table(rng)
             assert decomposition_residual(table, prior) <= 1e-12
 
     def test_single_example_instance_is_exact(self):
@@ -177,7 +183,7 @@ class TestArgmaxPreservation:
         rng = np.random.default_rng(5)
         held = 0
         for _ in range(500):
-            table, prior = random_instance(rng)
+            table, prior = random_table(rng)
             report = check_argmax_preservation(table, prior)
             if report["applicable"]:
                 held += 1
@@ -200,7 +206,7 @@ class TestIdealPrior:
     def test_covariance_identity_with_normalizer(self):
         rng = np.random.default_rng(6)
         for _ in range(100):
-            table, _ = random_instance(rng)
+            table, _ = random_table(rng)
             best = int(np.argmax(np.exp(-table.losses).mean(axis=1)))
             p = ideal_prior(table, best)
             U_best = np.exp(-table.losses[best])
@@ -230,7 +236,7 @@ class TestIdealPriorAmplification:
     def test_randomized_no_violations(self):
         rng = np.random.default_rng(7)
         for _ in range(500):
-            table, _ = random_instance(rng)
+            table, _ = random_table(rng)
             report = check_ideal_prior_amplification(table)
             assert report["optimum_value_residual"] <= 1e-12
             assert report["ideal_identity_residual"] <= 1e-12

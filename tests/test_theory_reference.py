@@ -8,7 +8,7 @@ reference's exactly, float fields included.
 import numpy as np
 import pytest
 
-from curriculum_lab.theory import (IDENTITY_TOL, Prior, check_argmax_preservation,
+from curriculum_lab.theory import (IDENTITY_TOL, LossTable, Prior, check_argmax_preservation,
                                    check_constant_variance_case,
                                    check_ideal_prior_amplification, constant_variance_family,
                                    decomposition_residual, random_instance, sum_covariance)
@@ -140,7 +140,7 @@ def assert_checks_match_reference(table, prior):
 
 def random_tables():
     rng = np.random.default_rng(20)
-    return [random_instance(rng)[0] for _ in range(200)]
+    return [LossTable(random_instance(rng)[0]) for _ in range(200)]
 
 
 def family_tables():
@@ -155,7 +155,8 @@ class TestChecksMatchPerRowReference:
         rng = np.random.default_rng(22)
         applicable = 0
         for _ in range(200):
-            table, prior = random_instance(rng)
+            losses, p = random_instance(rng)
+            table, prior = LossTable(losses), Prior(p)
             assert_checks_match_reference(table, prior)
             applicable += check_argmax_preservation(table, prior)["applicable"]
         assert applicable > 0  # the full argmax report is compared, not only the short one

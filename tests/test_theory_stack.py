@@ -1,0 +1,238 @@
+"""The row-stack theory engine against the one-table public checks.
+
+`run_verification` checks its random instances as row stacks grouped by
+example count. Its report must be byte-identical to the per-instance loop it
+replaced, kept below as the reference; every table of a stack must get
+exactly the results a one-table call of the public checks gives it; and a bad
+table or prior must fail a stack as it fails alone. The public checks
+themselves are pinned to a per-row numpy reference in
+tests/test_theory_reference.py.
+"""
+import functools
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from curriculum_lab.errors import ParameterError
+from curriculum_lab.theory import (CHUNK_ROWS, IDENTITY_TOL, LossTable, Prior, _RowStack,
+                                   _checked_priors, _ideal_prior_amplification, _prior_checks,
+                                   _prior_terms, _residuals, check_argmax_preservation,
+                                   check_constant_variance_case,
+                                   check_ideal_prior_amplification, constant_variance_family,
+                                   decomposition_residual, ideal_prior, matched_argmax_holds,
+                                   random_instance, run_verification)
+
+
+@functools.lru_cache(maxsize=None)
+def reference_instances(seed, instances):
+    """The per-instance loop over the random instances, one LossTable, Prior
+    and public check each: its counts and maxima, and the generator state
+    after it (families 0 and 40 share one run)."""
+    rng = np.random.default_rng(seed)
+    max_decomposition = 0.0
+    matched_argmax = 0
+    argmax_preservation_violations = 0
+    amplification_violations = 0
+    max_optimum = 0.0
+    cs_violations = 0
+    for _ in range(instances):
+        losses, p = random_instance(rng)
+        table, prior = LossTable(losses), Prior(p)
+        max_decomposition = max(max_decomposition, decomposition_residual(table, prior))
+        r2 = check_argmax_preservation(table, prior)
+        if r2["applicable"]:
+            matched_argmax += 1
+            if not (r2["argmax_set_equal"] and r2["gap_amplified"]):
+                argmax_preservation_violations += 1
+        r3 = check_ideal_prior_amplification(table)
+        max_optimum = max(max_optimum, r3["optimum_value_residual"],
+                          r3["ideal_identity_residual"])
+        if not r3["gap_ok"]:
+            amplification_violations += 1
+        if not r3["cauchy_schwarz_ok"]:
+            cs_violations += 1
+    return ((max_decomposition, matched_argmax, argmax_preservation_violations,
+             amplification_violations, max_optimum, cs_violations), rng.bit_generator.state)
+
+
+def reference_run_verification(instances, constant_variance_families, seed):
+    """run_verification as one per-instance loop over the public checks."""
+    counts, state = reference_instances(seed, instances)
+    (max_decomposition, matched_argmax, argmax_preservation_violations,
+     amplification_violations, max_optimum, cs_violations) = counts
+    rng = np.random.default_rng()
+    rng.bit_generator.state = state
+    constant_variance_violations = 0
+    constant_variance_applicable = 0
+    for _ in range(constant_variance_families):
+        table = constant_variance_family(
+            rng, n_examples=int(rng.integers(8, 21)), n_hypotheses=int(rng.integers(3, 13)))
+        rc = check_constant_variance_case(table)
+        if rc["applicable"]:
+            constant_variance_applicable += 1
+        ok = (rc["applicable"] and rc["passed"] and rc["matched_argmax_set_form"])
+        if ok:
+            r2 = check_argmax_preservation(table, ideal_prior(table, rc["optimal_index"]))
+            ok = r2["applicable"] and r2["argmax_set_equal"] and r2["gap_amplified"]
+        if not ok:
+            constant_variance_violations += 1
+    report = {
+        "seed": int(seed),
+        "instances": int(instances),
+        "max_decomposition_residual": max_decomposition,
+        "decomposition_ok": max_decomposition <= IDENTITY_TOL,
+        "matched_argmax_count": matched_argmax,
+        "argmax_preservation_violations": argmax_preservation_violations,
+        "amplification_gap_violations": amplification_violations,
+        "max_optimum_residual": max_optimum,
+        "optimum_identity_ok": max_optimum <= IDENTITY_TOL,
+        "cauchy_schwarz_violations": cs_violations,
+        "constant_variance_families": int(constant_variance_families),
+        "constant_variance_applicable": constant_variance_applicable,
+        "constant_variance_violations": constant_variance_violations,
+    }
+    report["passed"] = bool(
+        report["decomposition_ok"]
+        and argmax_preservation_violations == 0
+        and amplification_violations == 0
+        and report["optimum_identity_ok"]
+        and cs_violations == 0
+        and constant_variance_violations == 0
+        and constant_variance_applicable == constant_variance_families)
+    return report
+
+
+def first_chunk_instances(seed):
+    """How many instances run_verification draws into its first chunk."""
+    rng = np.random.default_rng(seed)
+    count = rows = 0
+    while rows < CHUNK_ROWS:
+        rows += len(random_instance(rng)[0])
+        count += 1
+    return count
+
+
+class TestRunVerificationMatchesPerInstanceLoop:
+    @pytest.mark.parametrize("families", [0, 40])
+    @pytest.mark.parametrize("instances", [0, 1, "chunk+1", 3000])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 9, 123])
+    def test_report_bytes(self, seed, instances, families):
+        if instances == "chunk+1":
+            instances = first_chunk_instances(seed) + 1
+        report = run_verification(instances, families, seed)
+        reference = reference_run_verification(instances, families, seed)
+        assert json.dumps(report, sort_keys=True) == json.dumps(reference, sort_keys=True)
+
+
+def same(a, b):
+    """Equal, with floats compared by their bits."""
+    if isinstance(b, float):
+        return isinstance(a, float) and np.float64(a).tobytes() == np.float64(b).tobytes()
+    return type(a) is type(b) and a == b
+
+
+@st.composite
+def tables_sharing_n(draw):
+    """Loss tables with one example count and a prior each: random, uniform or
+    point-mass priors; tables with duplicated and with constant rows."""
+    n = draw(st.integers(1, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    tables, priors = [], []
+    for _ in range(draw(st.integers(1, 8))):
+        t = draw(st.integers(1, 50))
+        losses = rng.uniform(0.0, 5.0, size=(t, n))
+        if draw(st.booleans()):  # duplicated rows, possibly of the best one
+            losses[rng.integers(0, t, size=rng.integers(1, t + 1))] = losses[rng.integers(0, t)]
+        if draw(st.booleans()):  # constant rows
+            losses[rng.integers(0, t, size=rng.integers(1, t + 1))] = rng.uniform(0.0, 5.0)
+        kind = draw(st.sampled_from(["random", "uniform", "point-mass"]))
+        if kind == "random":
+            weights = rng.uniform(0.0, 1.0, size=n) + 1e-9
+            p = weights / weights.sum()
+        elif kind == "uniform":
+            p = np.full(n, 1.0 / n)
+        else:
+            p = np.zeros(n)
+            p[rng.integers(0, n)] = 1.0
+        if not math.isclose(p.sum(), 1.0, rel_tol=0.0, abs_tol=IDENTITY_TOL):
+            p = np.full(n, 1.0 / n)
+        tables.append(losses)
+        priors.append(p)
+    return tables, priors
+
+
+class TestStackMatchesOneTableCalls:
+    @settings(deadline=None, max_examples=150)
+    @given(tables_sharing_n())
+    def test_every_field_equals_the_one_table_call(self, drawn):
+        tables, priors = drawn
+        stack = _RowStack(tables)
+        prior_u, covs = _prior_terms(stack, _checked_priors(np.stack(priors)))
+        residuals = _residuals(stack, prior_u, covs)
+        checks = _prior_checks(stack, prior_u, covs, IDENTITY_TOL)
+        ideal = _ideal_prior_amplification(stack, IDENTITY_TOL)
+        for b, (losses, p) in enumerate(zip(tables, priors)):
+            table, prior = LossTable(losses), Prior(p)
+            rows = stack.blocks[b]
+            for name in ("utilities", "mean_utilities", "centered", "variances"):
+                assert getattr(stack, name)[rows].tobytes() == getattr(table, name).tobytes()
+            assert same(float(residuals[b]), decomposition_residual(table, prior))
+
+            alone = check_argmax_preservation(table, prior)
+            holds, argmax_u, argmax_cov = matched_argmax_holds(table, prior)
+            assert same(alone["applicable"], holds)
+            stacked = {"applicable": bool(checks["holds"][b])}
+            for key, mask in (("argmax_utility", "argmax_u"), ("argmax_covariance", "argmax_cov"),
+                              ("argmax_prior_utility", "argmax_up")):
+                stacked[key] = np.flatnonzero(checks[mask][rows]).tolist()
+            assert (set(stacked["argmax_utility"]), set(stacked["argmax_covariance"])) \
+                == (argmax_u, argmax_cov)
+            if alone["applicable"]:
+                stacked.update(argmax_set_equal=bool(checks["set_equal"][b]),
+                               gap_amplified=bool(checks["gap_amplified"][b]),
+                               max_gap_violation=float(checks["max_gap_violation"][b]))
+            else:
+                del stacked["argmax_prior_utility"]
+                stacked.update(argmax_set_equal=None, gap_amplified=None,
+                               reason="precondition unmet")
+            assert stacked.keys() == alone.keys()
+            for key, value in alone.items():
+                assert same(stacked[key], value), key
+
+            alone = check_ideal_prior_amplification(table)
+            assert ideal.keys() == alone.keys()
+            for key, value in alone.items():
+                assert same(ideal[key][b].item(), value), key
+
+    def test_ties_break_to_the_lowest_row(self):
+        row = [0.2, 1.4, 0.6]
+        tables = [np.array([[3.0, 3.0, 3.0], row, [2.0, 0.1, 4.0], row]), np.array([row, row])]
+        ideal = _ideal_prior_amplification(_RowStack(tables), IDENTITY_TOL)
+        assert ideal["optimal_index"].tolist() == [1, 0]
+        table = LossTable(tables[0])
+        assert check_ideal_prior_amplification(table)["optimal_index"] == 1
+        assert check_constant_variance_case(table, variance_tol=np.inf)["optimal_index"] == 1
+
+    @pytest.mark.parametrize("bad", [-0.5, np.nan, np.inf])
+    @pytest.mark.parametrize("at", [0, 2])
+    def test_one_bad_table_fails_the_stack_as_it_fails_alone(self, bad, at):
+        rng = np.random.default_rng(11)
+        tables = [rng.uniform(0.0, 5.0, size=(t, 4)) for t in (3, 1, 7)]
+        tables[at][-1, 2] = bad
+        with pytest.raises(ParameterError) as alone:
+            LossTable(tables[at])
+        with pytest.raises(ParameterError) as stacked:
+            _RowStack(tables)
+        assert str(stacked.value) == str(alone.value)
+
+    @pytest.mark.parametrize("bad", [[0.5, -0.1, 0.6], [0.5, np.nan, 0.5], [0.5, 0.4, 0.2]])
+    def test_one_bad_prior_fails_the_stack_as_it_fails_alone(self, bad):
+        priors = np.array([[0.2, 0.3, 0.5], bad, [1.0, 0.0, 0.0]])
+        with pytest.raises(ParameterError) as alone:
+            Prior(np.array(bad))
+        with pytest.raises(ParameterError) as stacked:
+            _checked_priors(priors)
+        assert str(stacked.value) == str(alone.value)

@@ -169,11 +169,22 @@ def _require(cond: bool, message: str) -> None:
 
 
 def _typed(convert, value, key: str):
-    """convert(value); a value it rejects is a ConfigError naming the dotted `key`."""
+    """convert(value); a value it rejects is a ConfigError naming the dotted `key`.
+    An int key also rejects booleans and non-integral floats, which int() would
+    truncate."""
     try:
+        if convert is int and (isinstance(value, bool)
+                               or isinstance(value, float) and not value.is_integer()):
+            raise ValueError(value)
         return convert(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{key} must be of type {convert.__name__}, got {value!r}") from None
+
+
+def _fraction(value, key: str) -> float:
+    value = _typed(float, value, key)
+    _require(0.0 < value < 1.0, f"{key} must be in (0, 1), got {value!r}")
+    return value
 
 
 def _non_negative(value: int, key: str) -> int:
@@ -209,11 +220,11 @@ def resolve_config(tree: dict, seed_override: int | None = None) -> ExperimentCo
         for key, convert in _SYNTHETIC_TYPES.items():
             _typed(convert, syn[key], f"dataset.synthetic.{key}")
         _non_negative(int(syn["seed"]), "dataset.synthetic.seed")
-    for key, convert in (("train_fraction", float), ("split_seed", int)):
-        if key in dataset:
-            _typed(convert, dataset[key], f"dataset.{key}")
+    if "train_fraction" in dataset:
+        _fraction(dataset["train_fraction"], "dataset.train_fraction")
     if "split_seed" in dataset:
-        _non_negative(int(dataset["split_seed"]), "dataset.split_seed")
+        _non_negative(_typed(int, dataset["split_seed"], "dataset.split_seed"),
+                      "dataset.split_seed")
 
     condition = tree.setdefault("condition", "vanilla")
     _require(condition in CONDITIONS, f"condition must be one of {CONDITIONS}, got {condition!r}")
@@ -313,8 +324,8 @@ def resolve_config(tree: dict, seed_override: int | None = None) -> ExperimentCo
                 for value in values:
                     _typed_leaf(types[key], value, path)
         grid = GridSpec(**axes,
-                        validation_fraction=_typed(float, g.setdefault("validation_fraction", 0.8),
-                                                   "grid.validation_fraction"),
+                        validation_fraction=_fraction(g.setdefault("validation_fraction", 0.8),
+                                                     "grid.validation_fraction"),
                         split_seed=_non_negative(_typed(int, g.setdefault("split_seed", 0),
                                                         "grid.split_seed"), "grid.split_seed"))
 

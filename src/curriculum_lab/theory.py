@@ -15,8 +15,11 @@ count; a LossTable is a one-table stack. Row-wise arrays do not depend on the
 rows stacked with them, and per-table maxima and verdicts are reductions at
 the row offsets. Each product over examples stays one `@` per table on its own
 block: BLAS gemv's row results depend on the row count, so padding tables to
-one size or per-row dots would change bits. `run_verification` checks chunks
-of about CHUNK_ROWS rows, one stack per example count.
+one size or per-row dots would change bits. `run_verification` keeps one
+pending group of drawn instances per example count and checks a group as one
+stack once it holds GROUP_ROWS rows, then every remaining group after the last
+draw. Its counters are sums and maxima, so the report does not depend on how
+the instances are grouped.
 """
 from __future__ import annotations
 
@@ -31,7 +34,7 @@ from .errors import ParameterError
 IDENTITY_TOL = 1e-12
 DEFAULT_INSTANCES = 1000  # run_verification's default random instances
 DEFAULT_FAMILIES = 200  # and its default constant-variance families
-CHUNK_ROWS = 4096  # run_verification draws instances until a chunk holds this many rows
+GROUP_ROWS = 1024  # run_verification checks an example count's pending instances at this many rows
 
 
 def _checked_priors(P: np.ndarray) -> np.ndarray:
@@ -367,6 +370,25 @@ def constant_variance_family(rng: np.random.Generator, n_examples: int = 12,
     return LossTable(-np.log(U))
 
 
+def _check_instances(counts: dict, tables: list[np.ndarray], priors: list[np.ndarray]) -> None:
+    """Check random instances sharing one example count as one row stack and
+    fold them into `counts`, whose entries are all sums or maxima."""
+    stack = _RowStack(tables)
+    prior_u, covs = _prior_terms(stack, _checked_priors(np.stack(priors)))
+    counts["max_decomposition_residual"] = max(counts["max_decomposition_residual"],
+                                               float(_residuals(stack, prior_u, covs).max()))
+    r2 = _prior_checks(stack, prior_u, covs, IDENTITY_TOL)
+    counts["matched_argmax_count"] += int(r2["holds"].sum())
+    counts["argmax_preservation_violations"] += int(
+        (r2["holds"] & ~(r2["set_equal"] & r2["gap_amplified"])).sum())
+    r3 = _ideal_prior_amplification(stack, IDENTITY_TOL)
+    counts["max_optimum_residual"] = max(counts["max_optimum_residual"],
+                                         float(r3["optimum_value_residual"].max()),
+                                         float(r3["ideal_identity_residual"].max()))
+    counts["amplification_gap_violations"] += int((~r3["gap_ok"]).sum())
+    counts["cauchy_schwarz_violations"] += int((~r3["cauchy_schwarz_ok"]).sum())
+
+
 def run_verification(instances: int = DEFAULT_INSTANCES,
                      constant_variance_families: int = DEFAULT_FAMILIES,
                      seed: int = 0) -> dict:
@@ -374,33 +396,21 @@ def run_verification(instances: int = DEFAULT_INSTANCES,
     preservation, ideal-prior amplification, and the constant-variance
     special case. Returns a JSON-ready report."""
     rng = np.random.default_rng(seed)
-    max_decomposition = 0.0
-    matched_argmax = 0
-    argmax_preservation_violations = 0
-    amplification_violations = 0
-    max_optimum = 0.0
-    cs_violations = 0
-    drawn = 0
-    while drawn < instances:  # one chunk, its instances grouped by example count
-        by_examples, rows = {}, 0
-        while drawn < instances and rows < CHUNK_ROWS:
-            losses, p = random_instance(rng)
-            by_examples.setdefault(losses.shape[1], []).append((losses, p))
-            rows, drawn = rows + len(losses), drawn + 1
-        for tables, priors in (zip(*group) for group in by_examples.values()):
-            stack = _RowStack(list(tables))
-            prior_u, covs = _prior_terms(stack, _checked_priors(np.stack(priors)))
-            max_decomposition = max(max_decomposition,
-                                    float(_residuals(stack, prior_u, covs).max()))
-            r2 = _prior_checks(stack, prior_u, covs, IDENTITY_TOL)
-            matched_argmax += int(r2["holds"].sum())
-            argmax_preservation_violations += int(
-                (r2["holds"] & ~(r2["set_equal"] & r2["gap_amplified"])).sum())
-            r3 = _ideal_prior_amplification(stack, IDENTITY_TOL)
-            max_optimum = max(max_optimum, float(r3["optimum_value_residual"].max()),
-                              float(r3["ideal_identity_residual"].max()))
-            amplification_violations += int((~r3["gap_ok"]).sum())
-            cs_violations += int((~r3["cauchy_schwarz_ok"]).sum())
+    counts = {"max_decomposition_residual": 0.0, "matched_argmax_count": 0,
+              "argmax_preservation_violations": 0, "amplification_gap_violations": 0,
+              "max_optimum_residual": 0.0, "cauchy_schwarz_violations": 0}
+    pending = {}  # example count -> (loss tables, priors, rows)
+    for _ in range(instances):
+        losses, p = random_instance(rng)
+        tables, priors, rows = pending.pop(losses.shape[1], ([], [], 0))
+        tables.append(losses)
+        priors.append(p)
+        if rows + len(losses) >= GROUP_ROWS:
+            _check_instances(counts, tables, priors)
+        else:
+            pending[losses.shape[1]] = tables, priors, rows + len(losses)
+    for tables, priors, _rows in pending.values():
+        _check_instances(counts, tables, priors)
     constant_variance_violations = 0
     constant_variance_applicable = 0
     for _ in range(constant_variance_families):
@@ -418,24 +428,24 @@ def run_verification(instances: int = DEFAULT_INSTANCES,
     report = {
         "seed": int(seed),
         "instances": int(instances),
-        "max_decomposition_residual": max_decomposition,
-        "decomposition_ok": max_decomposition <= IDENTITY_TOL,
-        "matched_argmax_count": matched_argmax,
-        "argmax_preservation_violations": argmax_preservation_violations,
-        "amplification_gap_violations": amplification_violations,
-        "max_optimum_residual": max_optimum,
-        "optimum_identity_ok": max_optimum <= IDENTITY_TOL,
-        "cauchy_schwarz_violations": cs_violations,
+        "max_decomposition_residual": counts["max_decomposition_residual"],
+        "decomposition_ok": counts["max_decomposition_residual"] <= IDENTITY_TOL,
+        "matched_argmax_count": counts["matched_argmax_count"],
+        "argmax_preservation_violations": counts["argmax_preservation_violations"],
+        "amplification_gap_violations": counts["amplification_gap_violations"],
+        "max_optimum_residual": counts["max_optimum_residual"],
+        "optimum_identity_ok": counts["max_optimum_residual"] <= IDENTITY_TOL,
+        "cauchy_schwarz_violations": counts["cauchy_schwarz_violations"],
         "constant_variance_families": int(constant_variance_families),
         "constant_variance_applicable": constant_variance_applicable,
         "constant_variance_violations": constant_variance_violations,
     }
     report["passed"] = bool(
         report["decomposition_ok"]
-        and argmax_preservation_violations == 0
-        and amplification_violations == 0
+        and report["argmax_preservation_violations"] == 0
+        and report["amplification_gap_violations"] == 0
         and report["optimum_identity_ok"]
-        and cs_violations == 0
+        and report["cauchy_schwarz_violations"] == 0
         and constant_variance_violations == 0
         and constant_variance_applicable == constant_variance_families)
     return report

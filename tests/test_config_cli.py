@@ -154,6 +154,12 @@ class TestCliErrors:
         ("dataset.synthetic", "spread", [4.5]),
         ("dataset", "train_fraction", "most"),
         ("dataset", "split_seed", "seven"),
+        # int() would truncate these or read True as 1
+        (None, "iterations", 150.9),
+        ("model", "hidden", 7.9),
+        (None, "batch_size", True),
+        (None, "seeds", [0, 1.5]),
+        ("dataset.synthetic", "n_per_class", 30.5),
     ])
     def test_wrong_typed_value_names_its_key(self, tmp_path, capsys, section, key, value):
         tree = tiny_tree("curriculum")
@@ -194,6 +200,8 @@ class TestCliErrors:
         ("pacing", "starting_percent", [0.25, None]),
         ("lr", "lr_step_length", ["z"]),
         ("lr", "lr0", 0.1),
+        ("pacing", "step_length", [5, 7.5]),
+        ("lr", "lr_step_length", [False]),
     ])
     def test_wrong_typed_grid_axis_names_its_key(self, section, key, value):
         tree = tiny_tree("curriculum")
@@ -270,6 +278,32 @@ class TestCliMalformedInput:
         err = self.error_line(capsys, ["train", "--config", str(config),
                                        "--out", str(tmp_path / "o"), *flags])
         assert err.startswith(f"error: {named}")
+
+    @pytest.mark.parametrize("value", [True, 2.5])
+    def test_truncating_or_boolean_theory_count(self, tmp_path, capsys, value):
+        config = write_config(tmp_path, {"theory": {"instances": value}})
+        err = self.error_line(capsys, ["verify-theory", "--config", str(config),
+                                       "--out", str(tmp_path / "o")])
+        assert err == f"error: theory.instances must be of type int, got {value!r}\n"
+
+    def test_integral_float_for_an_integer_key_is_still_accepted(self):
+        config = resolve_config(tiny_tree(iterations=60.0, batch_size="10"))
+        assert (config.iterations, config.batch_size) == (60, 10)
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("dataset", "train_fraction", 1.0),
+        ("dataset", "train_fraction", 0),
+        ("dataset", "train_fraction", 1.5),
+        ("grid", "validation_fraction", 1.0),
+        ("grid", "validation_fraction", 0),
+    ])
+    def test_out_of_range_fraction_names_its_key(self, tmp_path, capsys, section, key, value):
+        tree = tiny_tree("curriculum")
+        tree.setdefault(section, {})[key] = value
+        config = write_config(tmp_path, tree)
+        err = self.error_line(capsys, ["train", "--config", str(config),
+                                       "--out", str(tmp_path / "o")])
+        assert err == f"error: {section}.{key} must be in (0, 1), got {float(value)!r}\n"
 
     def csv_tree(self, tmp_path):
         """A curriculum config read from the CSV files `gen-data` writes."""

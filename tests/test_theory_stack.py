@@ -2,9 +2,10 @@
 
 `run_verification` checks its random instances as row stacks grouped by
 example count. Its report must be byte-identical to the per-instance loop it
-replaced, kept below as the reference; every table of a stack must get
-exactly the results a one-table call of the public checks gives it; and a bad
-table or prior must fail a stack as it fails alone. The public checks
+replaced, kept below as the reference, and to itself under any group cap;
+every table of a stack must get exactly the results a one-table call of the
+public checks gives it; and a bad table or prior must fail a stack as it fails
+alone. The public checks
 themselves are pinned to a per-row numpy reference in
 tests/test_theory_reference.py.
 """
@@ -16,8 +17,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from curriculum_lab import theory
 from curriculum_lab.errors import ParameterError
-from curriculum_lab.theory import (CHUNK_ROWS, IDENTITY_TOL, LossTable, Prior, _RowStack,
+from curriculum_lab.theory import (GROUP_ROWS, IDENTITY_TOL, LossTable, Prior, _RowStack,
                                    _checked_priors, _ideal_prior_amplification, _prior_checks,
                                    _prior_terms, _residuals, check_argmax_preservation,
                                    check_constant_variance_case,
@@ -105,26 +107,67 @@ def reference_run_verification(instances, constant_variance_families, seed):
     return report
 
 
-def first_chunk_instances(seed):
-    """How many instances run_verification draws into its first chunk."""
+def first_group_instances(seed):
+    """How many instances run_verification draws until the first example
+    count's pending group reaches GROUP_ROWS rows and is checked."""
     rng = np.random.default_rng(seed)
-    count = rows = 0
-    while rows < CHUNK_ROWS:
-        rows += len(random_instance(rng)[0])
+    rows = {}
+    count = 0
+    while max(rows.values(), default=0) < GROUP_ROWS:
+        losses, _p = random_instance(rng)
+        rows[losses.shape[1]] = rows.get(losses.shape[1], 0) + len(losses)
         count += 1
     return count
 
 
 class TestRunVerificationMatchesPerInstanceLoop:
+    # "chunk+1" is one instance past the draw that checks the first full group
     @pytest.mark.parametrize("families", [0, 40])
     @pytest.mark.parametrize("instances", [0, 1, "chunk+1", 3000])
     @pytest.mark.parametrize("seed", [0, 1, 7, 9, 123])
     def test_report_bytes(self, seed, instances, families):
         if instances == "chunk+1":
-            instances = first_chunk_instances(seed) + 1
+            instances = first_group_instances(seed) + 1
         report = run_verification(instances, families, seed)
         reference = reference_run_verification(instances, families, seed)
         assert json.dumps(report, sort_keys=True) == json.dumps(reference, sort_keys=True)
+
+
+@functools.lru_cache(maxsize=None)
+def default_cap_report(instances, families, seed):
+    return json.dumps(run_verification(instances, families, seed), sort_keys=True)
+
+
+class TestGroupCap:
+    """Every counter of the report is a sum or a maximum, so the group cap
+    moves neither the report nor the rng stream; it only bounds the stacks."""
+
+    @pytest.mark.parametrize("cap", [1, 50, 10 ** 9])
+    @pytest.mark.parametrize("instances,families,seed", [(3000, 0, 0), (1000, 40, 7), (500, 0, 123)])
+    def test_report_does_not_depend_on_the_cap(self, monkeypatch, cap, instances, families, seed):
+        expected = default_cap_report(instances, families, seed)
+        monkeypatch.setattr(theory, "GROUP_ROWS", cap)
+        assert json.dumps(run_verification(instances, families, seed), sort_keys=True) == expected
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_stacks_stay_bounded(self, monkeypatch, seed):
+        rows = []
+
+        class Recording(_RowStack):
+            def __init__(self, tables):
+                super().__init__(tables)
+                rows.append(len(self.losses))
+
+        monkeypatch.setattr(theory, "_RowStack", Recording)
+        instances = 3000
+        run_verification(instances, 0, seed)
+        # a group is checked at the draw that takes it to GROUP_ROWS rows, and
+        # one instance has at most 50 hypotheses
+        assert max(rows) < GROUP_ROWS + 50
+        # only the groups left after the last draw may be short: one per
+        # example count (1..20)
+        assert sum(r < GROUP_ROWS for r in rows) <= 20
+        assert len(rows) <= instances // 4
 
 
 def same(a, b):

@@ -12,10 +12,8 @@ from .errors import (ConfigError, DataLoadError, ExperimentError, NumericalError
 from .pacing import PacingSpec, num_steps, subset_size
 from .scoring import (ScoreTable, invert, oracle_bayes_score, random_score,
                       score_by_model_loss, self_taught_score, transfer_score)
-from .sequencer import (CurriculumPlan, balanced_prefix, build_plan,
-                        minibatch_at, self_paced_rescore_hook)
-from .trainer import (LearningCurve, LRSchedule, Model, ModelSpec, evaluate, train,
-                      train_stack)
+from .sequencer import CurriculumPlan, balanced_prefix, build_plan, self_paced_rescore_hook
+from .trainer import LearningCurve, LRSchedule, Model, ModelSpec, train_stack
 
 __version__ = "0.1.0"
 
@@ -27,8 +25,6 @@ __all__ = [
     "PacingSpec", "num_steps", "subset_size",
     "ScoreTable", "invert", "oracle_bayes_score", "random_score",
     "score_by_model_loss", "self_taught_score", "transfer_score",
-    "CurriculumPlan", "balanced_prefix", "build_plan", "minibatch_at",
-    "self_paced_rescore_hook",
-    "LearningCurve", "LRSchedule", "Model", "ModelSpec",
-    "evaluate", "train", "train_stack",
+    "CurriculumPlan", "balanced_prefix", "build_plan", "self_paced_rescore_hook",
+    "LearningCurve", "LRSchedule", "Model", "ModelSpec", "train_stack",
 ]

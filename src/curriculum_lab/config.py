@@ -169,15 +169,20 @@ def _require(cond: bool, message: str) -> None:
 
 
 def _typed(convert, value, key: str):
-    """convert(value); a value it rejects is a ConfigError naming the dotted `key`.
-    An int key also rejects booleans and non-integral floats, which int() would
-    truncate."""
+    """convert(value) for a value of the JSON type `convert` reads: a list for
+    list, a number for float, an integral number for int (int() would truncate
+    150.9). A boolean or a string is no number; any other value is a
+    ConfigError naming the dotted `key`."""
+    if convert is list:
+        ok = isinstance(value, list)
+    else:
+        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and (convert is float or isinstance(value, int) or value.is_integer()))
     try:
-        if convert is int and (isinstance(value, bool)
-                               or isinstance(value, float) and not value.is_integer()):
+        if not ok:
             raise ValueError(value)
         return convert(value)
-    except (TypeError, ValueError, OverflowError):
+    except (ValueError, OverflowError):
         raise ConfigError(f"{key} must be of type {convert.__name__}, got {value!r}") from None
 
 

@@ -291,14 +291,6 @@ def load_dataset_csv(path) -> Dataset:
     return Dataset(X=X, y=y, K=K)
 
 
-def save_embeddings_csv(emb: EmbeddingTable, path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["id"] + [f"e{j}" for j in range(emb.e)])
-        for i in range(emb.N):
-            w.writerow([i] + [_fmt(v) for v in emb.vectors[i]])
-
-
 def load_embeddings_csv(path) -> EmbeddingTable:
     with open_input(path) as f:
         reader = csv.reader(f)

@@ -18,7 +18,7 @@ from .config import ExperimentConfig, pacing_spec_for, resolve_config
 from .data import Dataset, EmbeddingTable, generate_gaussian_mixture, \
     load_dataset_csv, load_bayes_json, load_embeddings_csv, stratified_split, \
     select_examples, stratified_split_ids
-from .errors import ConfigError, ExperimentError, TrainingDivergedError
+from .errors import ConfigError, ExperimentError, ParameterError, TrainingDivergedError
 from .gradient_analysis import coherence_report
 from .pacing import PacingSpec, saturation_iteration
 from .scoring import ScoreTable, invert, load_scores_csv, oracle_bayes_score, \
@@ -87,7 +87,10 @@ def resolve_dataset(config: ExperimentConfig) -> tuple[Dataset, Dataset, Embeddi
             seed=int(syn["seed"]))
         fraction = float(ds_cfg.get("train_fraction", ACCEPTANCE_TRAIN_FRACTION))
         split_seed = int(ds_cfg.get("split_seed", 0))
-        train_ds, test_ds = stratified_split(full, fraction, split_seed)
+        try:
+            train_ds, test_ds = stratified_split(full, fraction, split_seed)
+        except ParameterError as exc:  # a class left empty on one side
+            raise ConfigError(f"dataset.train_fraction: {exc}") from None
     else:
         if "train_csv" not in ds_cfg or "test_csv" not in ds_cfg:
             raise ConfigError("dataset needs either a synthetic section or train_csv/test_csv")
@@ -380,8 +383,11 @@ def two_stage_grid_search(config: ExperimentConfig, out_dir=None) -> tuple[Exper
     if not grid.pacing and not grid.lr:
         raise ConfigError("grid is empty: no pacing or learning-rate axes to sweep")
     train_ds, _test_ds, emb = resolve_dataset(config)
-    fit_ids, val_ids = stratified_split_ids(
-        train_ds, grid.validation_fraction, derived_seed(grid.split_seed, SPLIT))
+    try:
+        fit_ids, val_ids = stratified_split_ids(
+            train_ds, grid.validation_fraction, derived_seed(grid.split_seed, SPLIT))
+    except ParameterError as exc:  # a class left empty on one side
+        raise ConfigError(f"grid.validation_fraction: {exc}") from None
     fit_ds, val_ds = select_examples(train_ds, fit_ids), select_examples(train_ds, val_ids)
     if emb is not None and emb.N == train_ds.N:
         # the embedding table covers the training split; cells score the fit split

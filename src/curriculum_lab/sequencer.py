@@ -5,7 +5,8 @@ mini-batch uniformly (without replacement) from the class-balanced easiest
 prefix of size g(i). Batch sampling uses a counter-based RNG keyed by
 (seed, i), so any iteration's batch can be recomputed in isolation; one
 Philox generator per plan is reused, its counter set to i before each draw.
-A draw is positions within the prefix (`_batch_positions`); they depend on
+A draw is positions within the prefix (`_batch_positions`), and iteration
+i's batch is the prefix's ids at those positions. The positions depend on
 (seed, i, g(i)) alone, not on the order, so the rows of a training stack that
 share a seed and g(i) share one draw, even across a self-paced re-rank.
 """
@@ -28,7 +29,7 @@ class CurriculumPlan:
     pacing: PacingSpec
     seed: int
     _prefix_cache: dict = field(default_factory=dict, repr=False, compare=False)
-    # seed -> (Generator, Philox state dict) reused by every minibatch_at call
+    # seed -> (Generator, Philox state dict) reused by every _batch_positions call
     _batch_rng: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
@@ -118,15 +119,6 @@ def _batch_positions(plan: CurriculumPlan, i: int) -> np.ndarray:
     rng.bit_generator.state = state
     # the same draws as rng.choice(prefix, ...), without converting the prefix
     return rng.choice(plan.pacing.sizes[i], size=plan.batch_size, replace=False)
-
-
-def minibatch_at(plan: CurriculumPlan, i: int) -> np.ndarray:
-    """Sample iteration i's mini-batch: uniform, without replacement, from the
-    balanced prefix of size g(i). Reproducible and random-access via a Philox
-    stream keyed by (seed, i)."""
-    if not 0 <= i < plan.M:
-        raise ParameterError(f"iteration {i} outside [0, {plan.M})")
-    return balanced_prefix(plan, plan.pacing.sizes[i])[_batch_positions(plan, i)]
 
 
 def self_paced_rescore_hook(plan: CurriculumPlan, model, i: int) -> CurriculumPlan:

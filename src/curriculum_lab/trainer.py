@@ -6,7 +6,9 @@ segments, which keeps SGD updates, finite-difference checks, and per-example
 gradient analysis all operating on the same layout. A stack of R models,
 such as the repetition seeds of one condition or every cell × seed of a grid
 stage, keeps its vectors as the rows of one (R, P) array and trains in one
-loop (`train_stack`).
+loop (`train_stack`), the only training loop: a single model trains as a
+stack of one row. `Model` is one row of that kernel, for what reads a trained
+model (the self-paced hook, loss scoring and gradient coherence).
 """
 from __future__ import annotations
 
@@ -219,9 +221,6 @@ class Model:
             raise ParameterError(f"model expects d={self.d} features, got {X.shape[1]}")
         return _forward(self.spec, self._views, X[None])
 
-    def logits(self, X: np.ndarray) -> np.ndarray:
-        return self._forward(X)[0][0]
-
     def _checked_forward(self, X):
         logits, cache = self._forward(X)
         if not np.isfinite(logits).all():
@@ -261,12 +260,6 @@ class Model:
         for r, a in self._gradient_factors(X, y):
             parts += [np.einsum("nk,nd->nkd", r, a).reshape(len(r), -1), r]
         return np.concatenate(parts, axis=1)
-
-
-def evaluate(model: Model, ds: Dataset) -> float:
-    """Fraction of argmax-correct predictions; ties go to the lowest class id."""
-    pred = np.argmax(model.logits(ds.X), axis=1)
-    return float((pred == ds.y).mean())
 
 
 @dataclass(frozen=True)
@@ -326,7 +319,9 @@ def train_stack(ds_train: Dataset, ds_test: Dataset, plans: list[CurriculumPlan]
 
     theta <- theta - lr(t) * grad(mean batch loss). Each curve records every
     `record_every` iterations and always at the final iteration; the recorded
-    loss is the pre-update batch loss, accuracy is measured after the update.
+    loss is the pre-update batch loss, accuracy is measured after the update,
+    by one stacked forward of the test set through every live row (argmax,
+    ties to the lowest class id).
     `boundary_hooks[r](plan, model, t)`, when given and not None, replaces row
     r's plan at t=0 and at every start of a stage of its pacing (the
     self-paced control).
@@ -412,22 +407,11 @@ def train_stack(ds_train: Dataset, ds_test: Dataset, plans: list[CurriculumPlan]
             grad *= lrs[t]
             params -= grad
             if t % record_every == 0 or t == M - 1:
+                pred = np.argmax(_forward(model_spec, views, ds_test.X[None])[0], axis=2)
+                acc = (pred == ds_test.y).mean(axis=1)
                 for j, r in enumerate(live):
-                    acc = evaluate(Model(model_spec, K, d, params[j]), ds_test)
-                    recorded[r].append((t, float(loss[j]), acc, sizes[r][t],
+                    recorded[r].append((t, float(loss[j]), float(acc[j]), sizes[r][t],
                                         float(lrs[t, j, 0])))
     for j, r in enumerate(live):
         outcomes[r] = (Model(model_spec, K, d, params[j]), LearningCurve._from_rows(recorded[r]))
     return outcomes
-
-
-def train(ds_train: Dataset, ds_test: Dataset, plan: CurriculumPlan,
-          schedule: LRSchedule, model_spec: ModelSpec, record_every: int = 50,
-          seed: int = 0, boundary_hook=None) -> tuple[Model, LearningCurve]:
-    """One model: `train_stack` with a single row. Raises the row's
-    `TrainingDivergedError` if it diverges."""
-    (outcome,) = train_stack(ds_train, ds_test, [plan], [schedule], model_spec, [seed],
-                             record_every=record_every, boundary_hooks=[boundary_hook])
-    if isinstance(outcome, TrainingDivergedError):
-        raise outcome
-    return outcome

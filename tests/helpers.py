@@ -1,0 +1,43 @@
+"""Single-model conveniences for the tests, built on the package's stacked
+engine: one row of `train_stack`, one row's batch at an iteration, one
+model's test accuracy, and an embeddings CSV writer."""
+import csv
+
+import numpy as np
+
+from curriculum_lab.data import _fmt
+from curriculum_lab.errors import TrainingDivergedError
+from curriculum_lab.sequencer import _batch_positions, balanced_prefix
+from curriculum_lab.trainer import _forward, train_stack
+
+
+def train(ds_train, ds_test, plan, schedule, model_spec, record_every=50, seed=0,
+          boundary_hook=None):
+    """`train_stack` with one row: (Model, LearningCurve), or raises the row's
+    `TrainingDivergedError`."""
+    (outcome,) = train_stack(ds_train, ds_test, [plan], [schedule], model_spec, [seed],
+                             record_every=record_every, boundary_hooks=[boundary_hook])
+    if isinstance(outcome, TrainingDivergedError):
+        raise outcome
+    return outcome
+
+
+def minibatch_at(plan, i):
+    """Iteration i's batch ids: the balanced prefix of size g(i) at the drawn positions."""
+    return balanced_prefix(plan, plan.pacing.sizes[i])[_batch_positions(plan, i)]
+
+
+def accuracy(model, ds):
+    """Fraction of argmax-correct predictions from the model's own R=1
+    forward; ties go to the lowest class id."""
+    logits = _forward(model.spec, model._views, ds.X[None])[0][0]
+    return float((np.argmax(logits, axis=1) == ds.y).mean())
+
+
+def save_embeddings_csv(emb, path):
+    """Write an `EmbeddingTable` in the format `load_embeddings_csv` reads."""
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["id"] + [f"e{j}" for j in range(emb.e)])
+        for i, vector in enumerate(emb.vectors):
+            w.writerow([i] + [_fmt(v) for v in vector])

@@ -18,9 +18,10 @@ from curriculum_lab.harness import (default_acceptance_tree,
                                     gradient_coherence_pipeline, run_experiment)
 from curriculum_lab.pacing import PacingSpec, num_steps, saturation_iteration, subset_size
 from curriculum_lab.scoring import invert, random_score
-from curriculum_lab.sequencer import balanced_prefix, build_plan, minibatch_at
+from curriculum_lab.sequencer import balanced_prefix, build_plan
 from curriculum_lab.theory import run_verification
-from curriculum_lab.trainer import LRSchedule, Model, ModelSpec, train
+from curriculum_lab.trainer import LRSchedule, Model, ModelSpec
+from helpers import minibatch_at, train
 
 WINDOW = 5
 

@@ -86,12 +86,13 @@ class TestConfigValidation:
     def test_dataset_and_grid_values_kept_as_written(self):
         tree = tiny_tree("curriculum")
         del tree["dataset"]["train_fraction"], tree["dataset"]["split_seed"]
-        tree["dataset"]["synthetic"]["classes"] = "3"
-        tree["grid"] = {"pacing": {"step_length": [5, "10"]}, "lr": {"lr0": [1, 0.5]}}
+        tree["dataset"]["synthetic"]["classes"] = 3.0
+        tree["grid"] = {"pacing": {"step_length": [5, 10.0]}, "lr": {"lr0": [1, 0.5]}}
         resolved = resolve_config(tree).tree
-        assert resolved["dataset"] == tree["dataset"]
-        assert resolved["grid"]["pacing"] == {"step_length": [5, "10"]}
-        assert resolved["grid"]["lr"] == {"lr0": [1, 0.5]}
+        # compared as JSON text: 3.0 == 3 in Python, but not once written out
+        assert json.dumps(resolved["dataset"]) == json.dumps(tree["dataset"])
+        assert json.dumps(resolved["grid"]["pacing"]) == '{"step_length": [5, 10.0]}'
+        assert json.dumps(resolved["grid"]["lr"]) == '{"lr0": [1, 0.5]}'
 
     def test_missing_referenced_files_rejected(self):
         tree = tiny_tree()
@@ -160,6 +161,12 @@ class TestCliErrors:
         (None, "batch_size", True),
         (None, "seeds", [0, 1.5]),
         ("dataset.synthetic", "n_per_class", 30.5),
+        # float() would read True as 1.0 and parse strings, int() would parse "100"
+        ("lr", "lr0", True),
+        ("pacing", "starting_percent", True),
+        ("lr", "decrease_factor", "1.5"),
+        (None, "batch_size", "100"),
+        (None, "seeds", "01"),
     ])
     def test_wrong_typed_value_names_its_key(self, tmp_path, capsys, section, key, value):
         tree = tiny_tree("curriculum")
@@ -287,7 +294,7 @@ class TestCliMalformedInput:
         assert err == f"error: theory.instances must be of type int, got {value!r}\n"
 
     def test_integral_float_for_an_integer_key_is_still_accepted(self):
-        config = resolve_config(tiny_tree(iterations=60.0, batch_size="10"))
+        config = resolve_config(tiny_tree(iterations=60.0, batch_size=10.0))
         assert (config.iterations, config.batch_size) == (60, 10)
 
     @pytest.mark.parametrize("section,key,value", [
@@ -304,6 +311,19 @@ class TestCliMalformedInput:
         err = self.error_line(capsys, ["train", "--config", str(config),
                                        "--out", str(tmp_path / "o")])
         assert err == f"error: {section}.{key} must be in (0, 1), got {float(value)!r}\n"
+
+    @pytest.mark.parametrize("command,section,key", [
+        ("train", "dataset", "train_fraction"),
+        ("grid-search", "grid", "validation_fraction"),
+    ])
+    def test_fraction_leaving_a_class_empty_names_its_key(self, tmp_path, capsys, command,
+                                                          section, key):
+        tree = tiny_tree("curriculum", grid={"lr": {"lr0": [0.1, 0.2]}})
+        tree[section][key] = 0.01
+        config = write_config(tmp_path, tree)
+        err = self.error_line(capsys, [command, "--config", str(config),
+                                       "--out", str(tmp_path / "o")])
+        assert err.startswith(f"error: {section}.{key}: fraction 0.01 leaves class ")
 
     def csv_tree(self, tmp_path):
         """A curriculum config read from the CSV files `gen-data` writes."""
@@ -524,8 +544,9 @@ class TestCliTrainAndScore:
 
 class TestCliTransferScoredConfig:
     def transfer_config(self, tmp_path):
-        from curriculum_lab.data import EmbeddingTable, save_embeddings_csv
+        from curriculum_lab.data import EmbeddingTable
         from curriculum_lab.harness import resolve_dataset
+        from helpers import save_embeddings_csv
         train_ds, _, _ = resolve_dataset(resolve_config(tiny_tree()))
         save_embeddings_csv(EmbeddingTable(train_ds.X[:, :2]), tmp_path / "emb.csv")
         tree = tiny_tree("curriculum", scoring={"kind": "transfer"}, repetitions=1)

@@ -3,9 +3,9 @@ import pytest
 
 from curriculum_lab.data import (Dataset, EmbeddingTable, generate_gaussian_mixture,
                                  largest_remainder_quotas, load_dataset_csv,
-                                 load_embeddings_csv, save_dataset_csv,
-                                 save_embeddings_csv, stratified_split)
+                                 load_embeddings_csv, save_dataset_csv, stratified_split)
 from curriculum_lab.errors import DataLoadError, ParameterError
+from helpers import save_embeddings_csv
 
 
 class TestGenerate:

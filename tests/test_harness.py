@@ -10,6 +10,7 @@ from curriculum_lab import harness
 from curriculum_lab.harness import (bootstrap_loop, gradient_coherence_pipeline,
                                     refine_lr_grid, resolve_dataset,
                                     run_experiment, two_stage_grid_search)
+from helpers import save_embeddings_csv
 
 
 def tiny_tree(condition="vanilla", **overrides):
@@ -238,8 +239,7 @@ class TestGridSearch:
 
     @pytest.mark.parametrize("condition", ["curriculum", "anti"])
     def test_transfer_scored_grid_scores_the_fit_split(self, tmp_path, monkeypatch, condition):
-        from curriculum_lab.data import (EmbeddingTable, save_embeddings_csv,
-                                         stratified_split_ids)
+        from curriculum_lab.data import EmbeddingTable, stratified_split_ids
         from curriculum_lab.seeding import SPLIT, derived_seed
         train_ds, _, _ = resolve_dataset(resolve_config(tiny_tree()))
         vectors = train_ds.X[:, :2]
@@ -301,7 +301,7 @@ class TestGridSearch:
 
 def emb_tree(tmp_path, tree):
     """`tree` with transfer scoring on embeddings of the first two features."""
-    from curriculum_lab.data import EmbeddingTable, save_embeddings_csv
+    from curriculum_lab.data import EmbeddingTable
     train_ds, _, _ = resolve_dataset(resolve_config(tiny_tree()))
     save_embeddings_csv(EmbeddingTable(train_ds.X[:, :2]), tmp_path / "emb.csv")
     tree["scoring"] = {"kind": "transfer"}
@@ -541,7 +541,7 @@ class TestDatasetResolution:
     @pytest.mark.parametrize("condition", ["self_paced", "vanilla", "random"])
     def test_unscored_condition_never_computes_transfer_scores(
             self, tmp_path, monkeypatch, condition):
-        from curriculum_lab.data import EmbeddingTable, save_embeddings_csv
+        from curriculum_lab.data import EmbeddingTable
         train_ds, _, _ = resolve_dataset(resolve_config(tiny_tree()))
         save_embeddings_csv(EmbeddingTable(train_ds.X[:, :2]), tmp_path / "emb.csv")
 
@@ -559,7 +559,7 @@ class TestDatasetResolution:
     def test_unconverged_probe_warnings_reach_the_summary(self, tmp_path, monkeypatch,
                                                           condition):
         from curriculum_lab import scoring
-        from curriculum_lab.data import EmbeddingTable, save_embeddings_csv
+        from curriculum_lab.data import EmbeddingTable
         train_ds, _, _ = resolve_dataset(resolve_config(tiny_tree()))
         save_embeddings_csv(EmbeddingTable(train_ds.X[:, :2]), tmp_path / "emb.csv")
         tree = tiny_tree(condition, scoring={"kind": "transfer"})

@@ -10,10 +10,8 @@ PUBLIC = [
     "PacingSpec", "num_steps", "subset_size",
     "ScoreTable", "invert", "oracle_bayes_score", "random_score",
     "score_by_model_loss", "self_taught_score", "transfer_score",
-    "CurriculumPlan", "balanced_prefix", "build_plan", "minibatch_at",
-    "self_paced_rescore_hook",
-    "LearningCurve", "LRSchedule", "Model", "ModelSpec",
-    "evaluate", "train", "train_stack",
+    "CurriculumPlan", "balanced_prefix", "build_plan", "self_paced_rescore_hook",
+    "LearningCurve", "LRSchedule", "Model", "ModelSpec", "train_stack",
 ]
 
 

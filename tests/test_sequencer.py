@@ -5,9 +5,9 @@ from curriculum_lab.data import Dataset, largest_remainder_quotas
 from curriculum_lab.errors import ParameterError
 from curriculum_lab.pacing import PacingSpec, subset_size
 from curriculum_lab.scoring import ScoreTable, invert
-from curriculum_lab.sequencer import (balanced_prefix, build_plan, minibatch_at,
-                                      self_paced_rescore_hook)
+from curriculum_lab.sequencer import balanced_prefix, build_plan, self_paced_rescore_hook
 from curriculum_lab.trainer import Model, ModelSpec
+from helpers import minibatch_at
 
 
 def make_ds(counts, d=2, seed=0):

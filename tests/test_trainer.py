@@ -6,13 +6,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from curriculum_lab import trainer
 from curriculum_lab.data import Dataset
-from curriculum_lab.errors import ParameterError, TrainingDivergedError
+from curriculum_lab.errors import NumericalError, ParameterError, TrainingDivergedError
 from curriculum_lab.pacing import PacingSpec
-from curriculum_lab.sequencer import (balanced_prefix, build_plan, minibatch_at,
-                                      self_paced_rescore_hook)
+from curriculum_lab.sequencer import balanced_prefix, build_plan, self_paced_rescore_hook
 from curriculum_lab.trainer import (LearningCurve, LRSchedule, Model, ModelSpec, _forward,
                                     _layout, _losses_and_residual, _mean_loss_and_grad,
-                                    _stack_views, evaluate, train, train_stack)
+                                    _stack_views, train_stack)
+from helpers import accuracy, minibatch_at, train
 
 LINEAR = ModelSpec("linear_softmax")
 MLP = ModelSpec("mlp1", hidden=6)
@@ -223,6 +223,29 @@ class TestKernelReference:
         assert grad.tobytes() == ref_grad.tobytes()
 
 
+class TestBroadcastForward:
+    """A record step scores the test set with one forward of `X[None]` through
+    all R rows; each row's logits are those of the row alone, bit for bit."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(arch=st.sampled_from(["linear_softmax", "mlp1"]), R=st.integers(1, 49),
+           n=st.integers(1, 500), K=st.integers(2, 11), H=st.integers(1, 64),
+           d=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1))
+    @example(arch="linear_softmax", R=25, n=500, K=5, H=1, d=16, seed=0)
+    @example(arch="mlp1", R=7, n=333, K=11, H=64, d=40, seed=1)
+    @example(arch="mlp1", R=49, n=500, K=5, H=1, d=16, seed=2)
+    def test_each_row_equals_the_row_alone(self, arch, R, n, K, H, d, seed):
+        spec = ModelSpec(arch, hidden=H if arch == "mlp1" else 0)
+        rng = np.random.default_rng(seed)
+        arrays, P = _layout(spec, K, d)
+        params = rng.normal(size=(R, P))
+        X = rng.normal(size=(n, d))
+        stacked = _forward(spec, _stack_views(arrays, params), X[None])[0]
+        for r in range(R):
+            alone = _forward(spec, _stack_views(arrays, params[r:r + 1]), X[None])[0]
+            assert stacked[r].tobytes() == alone[0].tobytes(), r
+
+
 class TestSchedules:
     def test_exponential_values(self):
         s = LRSchedule("exponential", lr0=0.1, decrease_factor=1.5, lr_step_length=200)
@@ -255,21 +278,21 @@ class TestEvaluate:
     def test_uniform_predictor_picks_lowest_class(self):
         ds = make_ds([4, 4], d=3)
         model = Model.zeros(LINEAR, 2, 3)
-        assert evaluate(model, ds) == pytest.approx(0.5)
+        assert accuracy(model, ds) == pytest.approx(0.5)
 
     def test_perfect_model(self):
         K = 3
         model = Model.zeros(LINEAR, K, K)
         model.params[: K * K] = (np.eye(K) * 50.0).ravel()
         ds = Dataset(X=np.eye(K), y=np.arange(K), K=K)
-        assert evaluate(model, ds) == 1.0
+        assert accuracy(model, ds) == 1.0
 
     def test_order_invariance(self):
         ds = make_ds([6, 6], d=3, seed=4)
         model = random_model(LINEAR, 2, 3, seed=1)
         perm = np.random.default_rng(0).permutation(ds.N)
         shuffled = Dataset(X=ds.X[perm], y=ds.y[perm], K=ds.K)
-        assert evaluate(model, ds) == evaluate(model, shuffled)
+        assert accuracy(model, ds) == accuracy(model, shuffled)
 
 
 class TestTrain:
@@ -342,6 +365,50 @@ def curve_bytes(curve, path):
     return path.read_bytes()
 
 
+def poisoned_stack():
+    """A dataset whose example 5 carries infinite features, a separate test
+    set, and three plans: a row diverges at the first batch that contains example 5,
+    and only row 0's curriculum reaches it, after iteration 20 of 40."""
+    clean = make_ds([20, 20], d=3, seed=8)
+    X = clean.X.copy()
+    X[5] = np.inf
+    ds, test = Dataset(X=X, y=clean.y, K=2), make_ds([6, 6], d=3, seed=9)
+    pacing = PacingSpec("fixed_exp", N=ds.N, M=40, starting_percent=0.25,
+                        increase=2.0, step_length=20)
+    rng = np.random.default_rng(0)
+    poisoned_rank = {0: 7, 1: 19, 2: 19}  # rank of example 5 within class 0
+    plans = []
+    for r in range(3):
+        scores = rng.permutation(ds.N).astype(float)
+        class0 = np.sort(scores[:20])
+        others = np.delete(np.arange(20), 5)
+        scores[others] = np.delete(class0, poisoned_rank[r])
+        scores[5] = class0[poisoned_rank[r]]
+        plans.append(build_plan(ds, scores, pacing, 4, seed=r))
+    return ds, test, plans
+
+
+def reference_run(ds, test, plan, sched, spec, seed, record_every):
+    """One model trained by plain SGD through `minibatch_at`: its parameters
+    and its (iteration, batch loss, test accuracy) records. Raises
+    `TrainingDivergedError` at the first non-finite step."""
+    model = Model.initialize(spec, ds.K, ds.d, seed)
+    records = []
+    for t in range(plan.M):
+        ids = minibatch_at(plan, t)
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                loss, grad = model.loss_and_grad(ds.X[ids], ds.y[ids])
+        except NumericalError:
+            raise TrainingDivergedError(t) from None
+        if not (np.isfinite(loss) and np.isfinite(grad).all()):
+            raise TrainingDivergedError(t)
+        model.params -= sched.value(t) * grad
+        if t % record_every == 0 or t == plan.M - 1:
+            records.append((t, loss, accuracy(model, test)))
+    return model.params, records
+
+
 class TestTrainStack:
     SCHED = LRSchedule("exponential", lr0=0.4, decrease_factor=1.5, lr_step_length=30)
     M = 70
@@ -375,42 +442,39 @@ class TestTrainStack:
             assert (curve_bytes(stacked[r][1], tmp_path / f"s{r}.csv")
                     == curve_bytes(curve, tmp_path / f"a{r}.csv"))
 
+    @pytest.mark.parametrize("diverging", [False, True], ids=["finite", "row0-diverges"])
     @pytest.mark.parametrize("spec", [LINEAR, MLP], ids=["linear", "mlp1"])
-    def test_stack_equals_plain_reference_loop(self, spec):
-        ds = make_ds([10, 10, 10], d=3, seed=2)
-        pacing = self.pacing("fixed_exp", ds.N)
-        plans = [build_plan(ds, np.random.default_rng(s).normal(size=ds.N), pacing, 4, seed=s)
-                 for s in (5, 6, 7)]
+    def test_stack_equals_plain_reference_loop(self, spec, diverging):
+        # parameters, batch losses and test accuracies equal a plain per-model
+        # loop bit for bit, also at the record steps after a row has left
+        if diverging:
+            ds, test, plans = poisoned_stack()
+        else:
+            ds, test = make_ds([10, 10, 10], d=3, seed=2), make_ds([5, 5, 5], d=3, seed=6)
+            pacing = self.pacing("fixed_exp", ds.N)
+            plans = [build_plan(ds, np.random.default_rng(s).normal(size=ds.N), pacing, 4,
+                                seed=s) for s in (5, 6, 7)]
         seeds = [0, 1, 2]
-        stacked = train_stack(ds, ds, plans, [self.SCHED] * 3, spec, seeds, record_every=20)
-        for (model, _curve), plan, seed in zip(stacked, plans, seeds):
-            ref = Model.initialize(spec, ds.K, ds.d, seed)
-            for t in range(self.M):
-                ids = minibatch_at(plan, t)
-                _, grad = ref.loss_and_grad(ds.X[ids], ds.y[ids])
-                ref.params -= self.SCHED.value(t) * grad
-            assert np.array_equal(model.params, ref.params)
+        stacked = train_stack(ds, test, plans, [self.SCHED] * 3, spec, seeds, record_every=6)
+        assert [isinstance(o, TrainingDivergedError) for o in stacked] == [diverging, False, False]
+        for outcome, plan, seed in zip(stacked, plans, seeds):
+            if isinstance(outcome, TrainingDivergedError):
+                with pytest.raises(TrainingDivergedError) as ref_err:
+                    reference_run(ds, test, plan, self.SCHED, spec, seed, 6)
+                assert outcome.iteration == ref_err.value.iteration
+                assert 20 <= outcome.iteration < 34  # a record step follows the drop
+                continue
+            model, curve = outcome
+            params, records = reference_run(ds, test, plan, self.SCHED, spec, seed, 6)
+            its, losses, accs = zip(*records)
+            assert np.array_equal(model.params, params)
+            assert curve.iterations.tolist() == list(its)
+            assert curve.train_loss.tobytes() == np.array(losses).tobytes()
+            assert curve.test_acc.tobytes() == np.array(accs).tobytes()
 
     @pytest.mark.parametrize("spec", [LINEAR, MLP], ids=["linear", "mlp1"])
     def test_diverging_row_leaves_the_others_unchanged(self, tmp_path, spec):
-        # example 5 carries infinite features: a row diverges at the first
-        # batch that contains it, and only row 0's curriculum reaches it
-        clean = make_ds([20, 20], d=3, seed=8)
-        X = clean.X.copy()
-        X[5] = np.inf
-        ds, test = Dataset(X=X, y=clean.y, K=2), make_ds([6, 6], d=3, seed=9)
-        pacing = PacingSpec("fixed_exp", N=ds.N, M=40, starting_percent=0.25,
-                            increase=2.0, step_length=20)
-        rng = np.random.default_rng(0)
-        poisoned_rank = {0: 7, 1: 19, 2: 19}  # rank of example 5 within class 0
-        plans = []
-        for r in range(3):
-            scores = rng.permutation(ds.N).astype(float)
-            class0 = np.sort(scores[:20])
-            others = np.delete(np.arange(20), 5)
-            scores[others] = np.delete(class0, poisoned_rank[r])
-            scores[5] = class0[poisoned_rank[r]]
-            plans.append(build_plan(ds, scores, pacing, 4, seed=r))
+        ds, test, plans = poisoned_stack()
         outcomes = train_stack(ds, test, plans, [self.SCHED] * 3, spec, [7, 8, 9],
                                record_every=5)
         with pytest.raises(TrainingDivergedError) as alone:

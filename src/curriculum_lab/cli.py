@@ -36,15 +36,20 @@ def _finish(out: Path, command: str, config_tree: dict, outputs: list[str]) -> N
     print(f"{command}: wrote {len(outputs)} artifact(s) to {out}")
 
 
+def _out_dir(path) -> Path:
+    """The --out directory, made if absent; a path that cannot be one (an
+    existing file, or a file on the way) is a ConfigError naming --out."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {path}: cannot make the output directory: {exc}") from None
+    return out
+
+
 def _load(args):
-    if args.config is None:
-        tree = default_acceptance_tree()
-    else:
-        tree = load_config_tree(args.config)
-    config = resolve_config(tree, seed_override=args.seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return config, out
+    tree = default_acceptance_tree() if args.config is None else load_config_tree(args.config)
+    return resolve_config(tree, seed_override=args.seed), _out_dir(args.out)
 
 
 def cmd_gen_data(args) -> int:
@@ -62,10 +67,9 @@ def cmd_gen_data(args) -> int:
 
 def cmd_score(args) -> int:
     config, out = _load(args)
-    train_ds, _test_ds, emb = resolve_dataset(config)
     # the table of the first repetition seed; scoring the others is wasted work
     first = dataclasses.replace(config, seeds=config.seeds[:1])
-    ((table,),) = score_tables([first], train_ds, emb)
+    ((table,),) = score_tables([first], resolve_dataset(config))
     if isinstance(table, ExperimentError):
         raise table
     for warning in table.warnings:
@@ -138,9 +142,8 @@ def cmd_verify_theory(args) -> int:
         seed = args.seed if args.seed is not None else 0
         config_tree = {"theory": {"instances": instances, "constant_variance_families": families},
                        "seed": seed}
+    out = _out_dir(args.out)
     report = run_verification(instances=instances, constant_variance_families=families, seed=seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "theory_report.json", report)
     _finish(out, "verify-theory", config_tree, ["theory_report.json", "manifest.json"])
     print(f"theory verification over {instances} instances: "

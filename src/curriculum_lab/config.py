@@ -1,7 +1,13 @@
-"""Experiment configuration: a JSON tree with a closed key schema.
+"""Experiment configuration: a JSON tree with a closed, typed key schema.
 
-Unknown keys anywhere in the tree are hard errors (listed by dotted path), so
-a typo cannot silently fall back to a default and taint an experiment.
+`_SCHEMA` is the one declaration of the format: each leaf is the JSON type of
+its value (`int`, `float`, `str`, or `[t]` for a list of `t`). Unknown keys
+anywhere in the tree are hard errors (listed by dotted path), so a typo cannot
+silently fall back to a default and taint an experiment, and a value of the
+wrong type is an error naming its dotted key. `resolve_config` writes the
+defaults into the tree, converts the whole tree in one walk, and builds every
+check and object from that converted view; the tree keeps its values as
+written, so a manifest reproduces the run.
 """
 from __future__ import annotations
 
@@ -18,50 +24,58 @@ CONDITIONS = ("curriculum", "anti", "random", "vanilla", "self_paced")
 SCORING_KINDS = ("oracle", "self_taught", "transfer", "file")
 CRITERIA = ("final_accuracy", "auc")
 
-# allowed keys: None marks a leaf, a dict marks a nested section
+# the pacing and learning-rate leaves a grid axis may sweep
+_PACING_AXES = {"starting_percent": float, "increase": float, "step_length": int,
+                "boundaries": [int]}
+_LR_AXES = {"lr0": float, "decrease_factor": float, "lr_step_length": int}
+
+# allowed keys: a dict marks a nested section, any other value the JSON type of
+# a leaf: int (an integral number), float (a number), str, or [t] (a list of t)
 _SCHEMA = {
     "dataset": {
-        "synthetic": {"classes": None, "dim": None, "n_per_class": None,
-                      "spread": None, "seed": None},
-        "train_csv": None,
-        "test_csv": None,
-        "bayes_json": None,
-        "embeddings_csv": None,
-        "train_fraction": None,
-        "split_seed": None,
+        "synthetic": {"classes": int, "dim": int, "n_per_class": int, "spread": float,
+                      "seed": int},
+        "train_csv": str, "test_csv": str, "bayes_json": str, "embeddings_csv": str,
+        "train_fraction": float, "split_seed": int,
     },
-    "condition": None,
-    "scoring": {"kind": None, "path": None, "folds": None},
-    "pacing": {"variant": None, "starting_percent": None, "increase": None,
-               "step_length": None, "boundaries": None},
-    "lr": {"variant": None, "lr0": None, "decrease_factor": None,
-           "lr_step_length": None, "lr_min": None, "lr_max": None,
-           "cycle_length": None},
-    "model": {"architecture": None, "hidden": None},
-    "batch_size": None,
-    "iterations": None,
-    "repetitions": None,
-    "seed": None,
-    "seeds": None,
-    "record_every": None,
-    "selection": {"criterion": None, "window": None},
+    "condition": str,
+    "scoring": {"kind": str, "path": str, "folds": int},
+    "pacing": {"variant": str, **_PACING_AXES},
+    "lr": {"variant": str, **_LR_AXES, "lr_min": float, "lr_max": float, "cycle_length": int},
+    "model": {"architecture": str, "hidden": int},
+    "batch_size": int,
+    "iterations": int,
+    "repetitions": int,
+    "seed": int,
+    "seeds": [int],
+    "record_every": int,
+    "selection": {"criterion": str, "window": int},
     "grid": {
-        "pacing": {"starting_percent": None, "increase": None, "step_length": None,
-                   "boundaries": None},
-        "lr": {"lr0": None, "decrease_factor": None, "lr_step_length": None},
-        "validation_fraction": None,
-        "split_seed": None,
+        "pacing": {key: [t] for key, t in _PACING_AXES.items()},
+        "lr": {key: [t] for key, t in _LR_AXES.items()},
+        "validation_fraction": float,
+        "split_seed": int,
     },
-    "bootstrap": {"generations": None},
-    "gradient_analysis": {"subset_fraction": None},
-    "theory": {"instances": None, "constant_variance_families": None},
+    "bootstrap": {"generations": int},
+    "gradient_analysis": {"subset_fraction": float},
+    "theory": {"instances": int, "constant_variance_families": int},
 }
 
-_SYNTHETIC_TYPES = {"classes": int, "dim": int, "n_per_class": int, "spread": float, "seed": int}
-# converters of the leaves a grid axis may sweep; a list leaf holds ints
-_AXIS_TYPES = {"pacing": {"starting_percent": float, "increase": float, "step_length": int,
-                          "boundaries": list},
-               "lr": {"lr0": float, "decrease_factor": float, "lr_step_length": int}}
+# the defaults written into every resolved tree
+_DEFAULTS = {"condition": "vanilla", "scoring": {"kind": "oracle", "folds": 4},
+             "pacing": {"starting_percent": 0.1}, "lr": {"variant": "exponential"},
+             "model": {"architecture": "linear_softmax", "hidden": 0},
+             "batch_size": 100, "iterations": 3000, "record_every": 50,
+             "selection": {"criterion": "final_accuracy", "window": 5}}
+# the defaults of each pacing variant, and the LRSchedule fields each
+# learning-rate variant reads, with their defaults
+_PACING_DEFAULTS = {"fixed_exp": {"increase": 1.9, "step_length": 100},
+                    "varied_exp": {"increase": 1.9}, "single_step": {"step_length": 100}}
+_LR_DEFAULTS = {"exponential": {"lr0": 0.1, "decrease_factor": 1.5, "lr_step_length": 500},
+                "cyclical": {"lr_min": 0.01, "lr_max": 0.1, "cycle_length": 500}}
+# the counts and seeds that must be >= 0
+_NON_NEGATIVE = ("dataset.synthetic.seed", "dataset.split_seed", "seed", "grid.split_seed",
+                 "theory.instances", "theory.constant_variance_families")
 
 
 def _collect_unknown(tree: dict, schema: dict, prefix: str = "") -> list[str]:
@@ -112,13 +126,16 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Resolved experiment settings; `tree` retains the exact resolved JSON."""
+    """Resolved experiment settings; `tree` retains the exact resolved JSON,
+    `dataset` is its dataset section converted to the schema types."""
 
     tree: dict
+    dataset: dict
     condition: str
     scoring_kind: str
     scoring_path: str | None
     scoring_folds: int
+    base_seed: int  # the config's seed, or its first repetition seed
     pacing_variant: str
     starting_percent: float
     increase: float | None
@@ -156,9 +173,9 @@ _FILE_KEYS = ("dataset.train_csv", "dataset.test_csv", "dataset.bayes_json",
               "dataset.embeddings_csv", "scoring.path")
 
 
-def _check_referenced_files(tree: dict) -> None:
+def _check_referenced_files(view: dict) -> None:
     missing = [f"{key} ({value})" for key in _FILE_KEYS
-               if (value := _get(tree, key)) is not None and not os.path.isfile(value)]
+               if (value := _get(view, key)) is not None and not os.path.isfile(value)]
     if missing:
         raise ConfigError("referenced file(s) do not exist: " + ", ".join(missing))
 
@@ -168,46 +185,51 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def _typed(convert, value, key: str):
-    """convert(value) for a value of the JSON type `convert` reads: a list for
-    list, a number for float, an integral number for int (int() would truncate
-    150.9). A boolean or a string is no number; any other value is a
+def _typed(t, value, key: str):
+    """`value` as the JSON type `t` of its schema leaf: a string for str, a
+    number for float, an integral number for int (int() would truncate 150.9),
+    a list of `t[0]` for [t]. A boolean is no number; any other value is a
     ConfigError naming the dotted `key`."""
-    if convert is list:
-        ok = isinstance(value, list)
-    else:
-        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
-              and (convert is float or isinstance(value, int) or value.is_integer()))
-    try:
-        if not ok:
-            raise ValueError(value)
-        return convert(value)
-    except (ValueError, OverflowError):
-        raise ConfigError(f"{key} must be of type {convert.__name__}, got {value!r}") from None
+    if isinstance(t, list):
+        if isinstance(value, list):
+            return [_typed(t[0], v, key) for v in value]
+    elif t is str:
+        if isinstance(value, str):
+            return value
+    elif (isinstance(value, (int, float)) and not isinstance(value, bool)
+          and (t is float or isinstance(value, int) or value.is_integer())):
+        try:
+            return t(value)
+        except OverflowError:  # an int past the float range
+            pass
+    name = "list" if isinstance(t, list) else t.__name__
+    raise ConfigError(f"{key} must be of type {name}, got {value!r}")
 
 
-def _fraction(value, key: str) -> float:
-    value = _typed(float, value, key)
-    _require(0.0 < value < 1.0, f"{key} must be in (0, 1), got {value!r}")
-    return value
+def _typed_tree(tree: dict, schema: dict = _SCHEMA, prefix: str = "") -> dict:
+    """A validated tree with every leaf converted to its schema type."""
+    return {key: _typed_tree(value, schema[key], f"{prefix}{key}.") if isinstance(value, dict)
+            else _typed(schema[key], value, prefix + key)
+            for key, value in tree.items()}
 
 
-def _non_negative(value: int, key: str) -> int:
-    _require(value >= 0, f"{key} must be >= 0, got {value}")
-    return value
-
-
-def _typed_leaf(convert, value, key: str):
-    """_typed, with a list leaf's elements converted to int as well."""
-    value = _typed(convert, value, key)
-    return [_typed(int, v, key) for v in value] if convert is list else value
+def _fill(tree: dict, defaults: dict) -> None:
+    """Write each default the tree lacks into it, section by section."""
+    for key, value in defaults.items():
+        if isinstance(value, dict):
+            _fill(tree.setdefault(key, {}), value)
+        else:
+            tree.setdefault(key, value)
 
 
 def resolve_config(tree: dict, seed_override: int | None = None) -> ExperimentConfig:
     """Validate a config tree and fill defaults; returns the resolved config.
 
-    The resolved tree (with defaults and the seed override applied) is kept
-    verbatim so manifests can reproduce the run byte-for-byte.
+    The defaults go into the tree first; then `_typed_tree` converts the whole
+    tree, and every check and object below reads that converted view. The
+    resolved tree (with defaults, the derived seeds and boundaries, and the
+    seed override applied) keeps each value as written, so manifests can
+    reproduce the run byte-for-byte.
     """
     validate_tree(tree)
     tree = json.loads(json.dumps(tree))  # deep copy, JSON-clean
@@ -216,143 +238,102 @@ def resolve_config(tree: dict, seed_override: int | None = None) -> ExperimentCo
         tree["seed"] = int(seed_override)
         tree.pop("seeds", None)
 
-    # resolve_dataset converts these leaves; check them here, where a bad one is named
-    dataset = tree.get("dataset", {})
-    if "synthetic" in dataset:
-        syn = dataset["synthetic"]
-        missing = [f"dataset.synthetic.{key}" for key in _SYNTHETIC_TYPES if key not in syn]
-        _require(not missing, "missing config key(s): " + ", ".join(missing))
-        for key, convert in _SYNTHETIC_TYPES.items():
-            _typed(convert, syn[key], f"dataset.synthetic.{key}")
-        _non_negative(int(syn["seed"]), "dataset.synthetic.seed")
-    if "train_fraction" in dataset:
-        _fraction(dataset["train_fraction"], "dataset.train_fraction")
-    if "split_seed" in dataset:
-        _non_negative(_typed(int, dataset["split_seed"], "dataset.split_seed"),
-                      "dataset.split_seed")
-
-    condition = tree.setdefault("condition", "vanilla")
-    _require(condition in CONDITIONS, f"condition must be one of {CONDITIONS}, got {condition!r}")
-
-    scoring = tree.setdefault("scoring", {})
-    kind = scoring.setdefault("kind", "oracle")
-    _require(kind in SCORING_KINDS, f"scoring.kind must be one of {SCORING_KINDS}, got {kind!r}")
-    folds = _typed(int, scoring.setdefault("folds", 4), "scoring.folds")
-    _require(folds >= 2, "scoring.folds must be >= 2")
-    if kind == "file":
-        _require(scoring.get("path") is not None, "scoring.kind=file requires scoring.path")
-    _check_referenced_files(tree)
-
-    pacing = tree.setdefault("pacing", {})
-    variant = pacing.setdefault("variant", "vanilla" if condition == "vanilla" else "fixed_exp")
-    if condition == "vanilla":
-        variant = "vanilla"
+    # the defaults; values are not typed yet, so a variant is compared by ==
+    # (a list is unhashable)
+    _fill(tree, _DEFAULTS)
+    pacing = tree["pacing"]
+    if tree["condition"] == "vanilla":
         pacing["variant"] = "vanilla"
-    starting_percent = _typed(float, pacing.setdefault("starting_percent", 0.1),
-                              "pacing.starting_percent")
-    if variant in ("fixed_exp", "varied_exp"):
-        pacing.setdefault("increase", 1.9)
-    if variant in ("fixed_exp", "single_step"):
-        pacing.setdefault("step_length", 100)
-    # a key the variant does not read is type-checked too; PacingSpec drops its value
-    increase, step_length, boundaries = (
-        _typed_leaf(_AXIS_TYPES["pacing"][key], pacing[key], f"pacing.{key}") if key in pacing
-        else None
-        for key in ("increase", "step_length", "boundaries"))
-    if variant == "varied_exp":
+    pacing.setdefault("variant", "fixed_exp")
+    for section, variants in (("pacing", _PACING_DEFAULTS), ("lr", _LR_DEFAULTS)):
+        for name, defaults in variants.items():
+            if tree[section]["variant"] == name:
+                _fill(tree[section], defaults)
+    if "seeds" not in tree:
+        _fill(tree, {"repetitions": 1, "seed": 0})
+    if "grid" in tree:
+        _fill(tree["grid"], {"validation_fraction": 0.8, "split_seed": 0})
+
+    view = _typed_tree(tree)
+
+    dataset = view.get("dataset", {})
+    if "synthetic" in dataset:
+        missing = [f"dataset.synthetic.{key}" for key in _SCHEMA["dataset"]["synthetic"]
+                   if key not in dataset["synthetic"]]
+        _require(not missing, "missing config key(s): " + ", ".join(missing))
+    for key in _NON_NEGATIVE:
+        _require(_get(view, key, 0) >= 0, f"{key} must be >= 0, got {_get(view, key)}")
+    for key in ("dataset.train_fraction", "grid.validation_fraction"):
+        if (value := _get(view, key)) is not None:
+            _require(0.0 < value < 1.0, f"{key} must be in (0, 1), got {value!r}")
+
+    condition = view["condition"]
+    _require(condition in CONDITIONS, f"condition must be one of {CONDITIONS}, got {condition!r}")
+    scoring = view["scoring"]
+    kind = scoring["kind"]
+    _require(kind in SCORING_KINDS, f"scoring.kind must be one of {SCORING_KINDS}, got {kind!r}")
+    _require(scoring["folds"] >= 2, "scoring.folds must be >= 2")
+    if kind == "file":
+        _require("path" in scoring, "scoring.kind=file requires scoring.path")
+    _check_referenced_files(view)
+
+    p = view["pacing"]
+    boundaries = p.get("boundaries")
+    if p["variant"] == "varied_exp":
         _require(boundaries is not None and len(boundaries) >= 1,
                  "varied_exp requires pacing.boundaries (at least the first two step ends)")
-        boundaries = list(extend_boundaries(boundaries, starting_percent, increase))
+        boundaries = list(extend_boundaries(boundaries, p["starting_percent"], p.get("increase")))
         pacing["boundaries"] = boundaries
 
-    lr = tree.setdefault("lr", {})
-    lr_variant = lr.setdefault("variant", "exponential")
-    if lr_variant == "exponential":
-        schedule = LRSchedule(
-            variant="exponential",
-            lr0=_typed(float, lr.setdefault("lr0", 0.1), "lr.lr0"),
-            decrease_factor=_typed(float, lr.setdefault("decrease_factor", 1.5),
-                                   "lr.decrease_factor"),
-            lr_step_length=_typed(int, lr.setdefault("lr_step_length", 500), "lr.lr_step_length"))
-    elif lr_variant == "cyclical":
-        schedule = LRSchedule(
-            variant="cyclical",
-            lr_min=_typed(float, lr.setdefault("lr_min", 0.01), "lr.lr_min"),
-            lr_max=_typed(float, lr.setdefault("lr_max", 0.1), "lr.lr_max"),
-            cycle_length=_typed(int, lr.setdefault("cycle_length", 500), "lr.cycle_length"))
-    else:
-        raise ConfigError(f"lr.variant must be exponential or cyclical, got {lr_variant!r}")
+    lr_variant = view["lr"]["variant"]
+    _require(lr_variant in _LR_DEFAULTS,
+             f"lr.variant must be exponential or cyclical, got {lr_variant!r}")
+    schedule = LRSchedule(variant=lr_variant,
+                          **{key: view["lr"][key] for key in _LR_DEFAULTS[lr_variant]})
 
-    model = tree.setdefault("model", {})
-    model_spec = ModelSpec(architecture=model.setdefault("architecture", "linear_softmax"),
-                           hidden=_typed(int, model.setdefault("hidden", 0), "model.hidden"))
+    for key in ("batch_size", "iterations", "record_every"):
+        _require(view[key] >= 1, f"{key} must be >= 1")
 
-    batch_size = _typed(int, tree.setdefault("batch_size", 100), "batch_size")
-    iterations = _typed(int, tree.setdefault("iterations", 3000), "iterations")
-    record_every = _typed(int, tree.setdefault("record_every", 50), "record_every")
-    _require(batch_size >= 1, "batch_size must be >= 1")
-    _require(iterations >= 1, "iterations must be >= 1")
-    _require(record_every >= 1, "record_every must be >= 1")
-
-    if "seeds" in tree:
-        seeds = tuple(_non_negative(_typed(int, s, "seeds"), "seeds")
-                      for s in _typed(list, tree["seeds"], "seeds"))
+    if "seeds" in view:
+        seeds = tuple(view["seeds"])
         _require(len(seeds) >= 1, "seeds must be non-empty")
+        _require(min(seeds) >= 0, f"seeds must be >= 0, got {min(seeds)}")
         _require(len(set(seeds)) == len(seeds), f"seeds must be distinct, got {list(seeds)}")
-        if "repetitions" in tree:
-            _require(_typed(int, tree["repetitions"], "repetitions") == len(seeds),
-                     "repetitions does not match the length of seeds")
+        _require(view.get("repetitions", len(seeds)) == len(seeds),
+                 "repetitions does not match the length of seeds")
         tree["repetitions"] = len(seeds)
     else:
-        reps = _typed(int, tree.setdefault("repetitions", 1), "repetitions")
-        _require(reps >= 1, "repetitions must be >= 1")
-        base = _non_negative(_typed(int, tree.setdefault("seed", 0), "seed"), "seed")
-        seeds = tuple(base + r for r in range(reps))
+        _require(view["repetitions"] >= 1, "repetitions must be >= 1")
+        seeds = tuple(view["seed"] + r for r in range(view["repetitions"]))
         tree["seeds"] = list(seeds)
 
-    selection = tree.setdefault("selection", {})
-    criterion = selection.setdefault("criterion", "final_accuracy")
-    _require(criterion in CRITERIA, f"selection.criterion must be one of {CRITERIA}")
-    window = _typed(int, selection.setdefault("window", 5), "selection.window")
-    _require(window >= 1, "selection.window must be >= 1")
+    selection = view["selection"]
+    _require(selection["criterion"] in CRITERIA, f"selection.criterion must be one of {CRITERIA}")
+    _require(selection["window"] >= 1, "selection.window must be >= 1")
 
     grid = None
-    if "grid" in tree:
-        g = tree["grid"]
-        # every axis value is checked now, not when its cell runs; the tree keeps them as written
-        axes = {section: {} for section in _AXIS_TYPES}
-        for section, types in _AXIS_TYPES.items():
-            for key, values in g.get(section, {}).items():
-                path = f"grid.{section}.{key}"
-                values = axes[section][key] = _typed(list, values, path)
-                _require(len(values) > 0, f"{path} must be a non-empty list")
-                for value in values:
-                    _typed_leaf(types[key], value, path)
-        grid = GridSpec(**axes,
-                        validation_fraction=_fraction(g.setdefault("validation_fraction", 0.8),
-                                                     "grid.validation_fraction"),
-                        split_seed=_non_negative(_typed(int, g.setdefault("split_seed", 0),
-                                                        "grid.split_seed"), "grid.split_seed"))
-
-    generations = _typed(int, _get(tree, "bootstrap.generations", 1), "bootstrap.generations")
-    subset_fraction = _typed(float, _get(tree, "gradient_analysis.subset_fraction", 0.1),
-                             "gradient_analysis.subset_fraction")
-    theory_instances, theory_families = (
-        _non_negative(_typed(int, _get(tree, key, default), key), key)
-        for key, default in (("theory.instances", DEFAULT_INSTANCES),
-                             ("theory.constant_variance_families", DEFAULT_FAMILIES)))
+    if "grid" in view:
+        # the axes keep their values as written: each cell's tree is resolved again
+        axes = {section: tree["grid"].get(section, {}) for section in ("pacing", "lr")}
+        empty = [f"grid.{s}.{key}" for s, axis in axes.items() for key, v in axis.items() if not v]
+        _require(not empty, f"{', '.join(empty)} must be a non-empty list")
+        grid = GridSpec(**axes, validation_fraction=view["grid"]["validation_fraction"],
+                        split_seed=view["grid"]["split_seed"])
 
     return ExperimentConfig(
-        tree=tree, condition=condition, scoring_kind=kind,
-        scoring_path=scoring.get("path"), scoring_folds=folds,
-        pacing_variant=variant, starting_percent=starting_percent,
-        increase=increase, step_length=step_length,
-        boundaries=tuple(boundaries) if boundaries else None,
-        schedule=schedule, model_spec=model_spec, batch_size=batch_size,
-        iterations=iterations, seeds=seeds, record_every=record_every,
-        criterion=criterion, window=window, grid=grid, generations=generations,
-        subset_fraction=subset_fraction, theory_instances=theory_instances,
-        theory_families=theory_families)
+        tree=tree, dataset=dataset, condition=condition, scoring_kind=kind,
+        scoring_path=scoring.get("path"), scoring_folds=scoring["folds"],
+        base_seed=view.get("seed", seeds[0]), pacing_variant=p["variant"],
+        starting_percent=p["starting_percent"], increase=p.get("increase"),
+        step_length=p.get("step_length"), boundaries=tuple(boundaries) if boundaries else None,
+        schedule=schedule, model_spec=ModelSpec(**view["model"]),
+        batch_size=view["batch_size"], iterations=view["iterations"], seeds=seeds,
+        record_every=view["record_every"], criterion=selection["criterion"],
+        window=selection["window"], grid=grid,
+        generations=_get(view, "bootstrap.generations", 1),
+        subset_fraction=_get(view, "gradient_analysis.subset_fraction", 0.1),
+        theory_instances=_get(view, "theory.instances", DEFAULT_INSTANCES),
+        theory_families=_get(view, "theory.constant_variance_families", DEFAULT_FAMILIES))
 
 
 def pacing_spec_for(config: ExperimentConfig, N: int) -> PacingSpec:

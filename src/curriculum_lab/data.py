@@ -1,7 +1,9 @@
-"""Datasets: synthetic Gaussian mixtures, CSV ingestion, stratified splits.
+"""Datasets: synthetic Gaussian mixtures, CSV interchange, stratified splits.
 
 Examples carry contiguous integer ids 0..N-1 so score tables and embedding
-tables can be plain arrays indexed by id.
+tables can be plain arrays indexed by id. `read_id_rows` is the one reader of
+the id-keyed CSV inputs (datasets, embeddings, scores) and `write_csv` the one
+writer of every CSV artifact.
 """
 from __future__ import annotations
 
@@ -220,10 +222,6 @@ def stratified_split(ds: Dataset, fraction: float, seed: int) -> tuple[Dataset, 
 # CSV interchange
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 @contextmanager
 def open_input(path):
     """Open an input file for reading; a failure to read or decode it, here
@@ -235,90 +233,97 @@ def open_input(path):
         raise DataLoadError(f"{path}: cannot read file: {exc}") from exc
 
 
-def save_dataset_csv(ds: Dataset, path) -> None:
+def write_csv(path, header: list[str], columns) -> None:
+    """Write a CSV artifact: `header`, then one row per entry of `columns`,
+    each an array of one value (1-D) or one block of values (2-D) per row.
+    `tolist` makes an integer array Python ints and a float array Python
+    floats, which csv writes as ints and as repr(float), exact to the bit."""
+    blocks = [np.asarray(column).reshape(len(column), -1).tolist() for column in columns]
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(["id", "label"] + [f"f{j}" for j in range(ds.d)])
-        for i in range(ds.N):
-            w.writerow([i, int(ds.y[i])] + [_fmt(v) for v in ds.X[i]])
+        w.writerow(header)
+        w.writerows([v for block in row for v in block] for row in zip(*blocks))
 
 
-def load_dataset_csv(path) -> Dataset:
-    """Load a dataset from CSV with header id,label,f0,...,f{d-1}.
+def read_id_rows(path, fixed_columns: tuple[str, ...], stem: str | None, parse) -> list:
+    """The rows of an id-keyed CSV file in id order, each as `parse` of the
+    fields after its id.
 
-    Rejects malformed rows, duplicate or non-contiguous ids, and label sets
-    with empty classes, naming the offender in the error message.
+    The rules every id-keyed input shares: the header is `fixed_columns`
+    (starting with "id"), then, given a `stem`, stem0, stem1, ... (at least
+    one); each row has one field per column; a field that int() (the id) or
+    `parse` cannot read, a ValueError, names its row; ids are distinct and
+    contiguous 0..N-1; and N >= 1. A breach, or a file that cannot be read,
+    is a `DataLoadError` naming the path.
     """
     with open_input(path) as f:
         reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
+        header = next(reader, None)
+        if header is None:
             raise DataLoadError(f"{path}: empty file")
-        d = len(header) - 2
-        if d < 1 or header[:2] != ["id", "label"] or header[2:] != [f"f{j}" for j in range(d)]:
-            raise DataLoadError(f"{path}: bad header {header!r}, expected id,label,f0,...")
-        rows: dict[int, tuple[int, list[float]]] = {}
+        extra = [f"{stem}{j}" for j in range(len(header) - len(fixed_columns))] if stem else []
+        if header != [*fixed_columns, *extra] or (stem and not extra):
+            expected = ",".join(fixed_columns) + (f",{stem}0,..." if stem else "")
+            raise DataLoadError(f"{path}: bad header {header!r}, expected {expected}")
+        rows = {}
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != d + 2:
-                raise DataLoadError(f"{path}: row {lineno} has {len(row)} fields, expected {d + 2}")
+            if len(row) != len(header):
+                raise DataLoadError(
+                    f"{path}: row {lineno} has {len(row)} fields, expected {len(header)}")
             try:
-                i = int(row[0])
-                label = int(row[1])
-                feats = [float(v) for v in row[2:]]
+                i, value = int(row[0]), parse(row[1:])
             except ValueError as exc:
                 raise DataLoadError(f"{path}: row {lineno} is malformed: {exc}") from exc
             if i in rows:
                 raise DataLoadError(f"{path}: duplicate id {i}")
-            if label < 0:
-                raise DataLoadError(f"{path}: row {lineno} has negative label {label}")
-            rows[i] = (label, feats)
-    if not rows:
-        raise DataLoadError(f"{path}: no data rows")
+            rows[i] = value
     n = len(rows)
-    if sorted(rows) != list(range(n)):
+    if n == 0:
+        raise DataLoadError(f"{path}: no data rows")
+    if min(rows) != 0 or max(rows) != n - 1:
         missing = sorted(set(range(n)) - set(rows))[:3]
         raise DataLoadError(f"{path}: ids are not contiguous 0..{n - 1} (missing {missing})")
-    y = np.array([rows[i][0] for i in range(n)], dtype=np.int64)
-    X = np.array([rows[i][1] for i in range(n)], dtype=np.float64)
-    K = int(y.max()) + 1
-    counts = np.bincount(y, minlength=K)
-    if (counts == 0).any():
-        empty = int(np.flatnonzero(counts == 0)[0])
-        raise DataLoadError(f"{path}: empty class {empty}")
-    return Dataset(X=X, y=y, K=K)
+    return [rows[i] for i in range(n)]
+
+
+def build_from_file(path, make, *args):
+    """make(*args) for a table read from `path`; its `ParameterError` is a
+    `DataLoadError` naming the path."""
+    try:
+        return make(*args)
+    except ParameterError as exc:
+        raise DataLoadError(f"{path}: {exc}") from exc
+
+
+def _labelled(fields: list[str]) -> tuple[int, list[float]]:
+    label = int(fields[0])
+    if label < 0:
+        raise ValueError(f"negative label {label}")
+    return label, [float(v) for v in fields[1:]]
+
+
+def save_dataset_csv(ds: Dataset, path) -> None:
+    write_csv(path, ["id", "label"] + [f"f{j}" for j in range(ds.d)],
+              [np.arange(ds.N), ds.y, ds.X])
+
+
+def load_dataset_csv(path) -> Dataset:
+    """Load a dataset from CSV with header id,label,f0,...,f{d-1}: the rules
+    of `read_id_rows`, non-negative labels, and no empty class below the
+    largest label."""
+    labels, features = zip(*read_id_rows(path, ("id", "label"), "f", _labelled))
+    y = np.array(labels, dtype=np.int64)
+    return build_from_file(path, Dataset, np.array(features, dtype=np.float64), y,
+                           int(y.max()) + 1)
 
 
 def load_embeddings_csv(path) -> EmbeddingTable:
-    with open_input(path) as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataLoadError(f"{path}: empty file")
-        e = len(header) - 1
-        if e < 1 or header != ["id"] + [f"e{j}" for j in range(e)]:
-            raise DataLoadError(f"{path}: bad header {header!r}, expected id,e0,...")
-        rows: dict[int, list[float]] = {}
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != e + 1:
-                raise DataLoadError(f"{path}: row {lineno} has {len(row)} fields, expected {e + 1}")
-            try:
-                i = int(row[0])
-                vec = [float(v) for v in row[1:]]
-            except ValueError as exc:
-                raise DataLoadError(f"{path}: row {lineno} is malformed: {exc}") from exc
-            if i in rows:
-                raise DataLoadError(f"{path}: duplicate id {i}")
-            rows[i] = vec
-    n = len(rows)
-    if sorted(rows) != list(range(n)):
-        raise DataLoadError(f"{path}: ids are not contiguous 0..{n - 1}")
-    return EmbeddingTable(vectors=np.array([rows[i] for i in range(n)], dtype=np.float64))
+    """Load embeddings from CSV with header id,e0,...,e{e-1}: the rules of
+    `read_id_rows`, and finite values."""
+    rows = read_id_rows(path, ("id",), "e", lambda fields: [float(v) for v in fields])
+    return build_from_file(path, EmbeddingTable, np.array(rows, dtype=np.float64))
 
 
 def save_bayes_json(bayes: BayesMixture, path) -> None:

@@ -77,18 +77,17 @@ def default_acceptance_tree(condition: str = "curriculum", **overrides) -> dict:
 
 def resolve_dataset(config: ExperimentConfig) -> tuple[Dataset, Dataset, EmbeddingTable | None]:
     """Materialize (train, test, embeddings) from the config's dataset section."""
-    ds_cfg = config.tree.get("dataset", {})
+    ds_cfg = config.dataset
     emb = None
     if "synthetic" in ds_cfg:
         syn = ds_cfg["synthetic"]
-        full = generate_gaussian_mixture(
-            K=int(syn["classes"]), d=int(syn["dim"]),
-            n_per_class=int(syn["n_per_class"]), spread=float(syn["spread"]),
-            seed=int(syn["seed"]))
-        fraction = float(ds_cfg.get("train_fraction", ACCEPTANCE_TRAIN_FRACTION))
-        split_seed = int(ds_cfg.get("split_seed", 0))
+        full = generate_gaussian_mixture(K=syn["classes"], d=syn["dim"],
+                                         n_per_class=syn["n_per_class"], spread=syn["spread"],
+                                         seed=syn["seed"])
         try:
-            train_ds, test_ds = stratified_split(full, fraction, split_seed)
+            train_ds, test_ds = stratified_split(
+                full, ds_cfg.get("train_fraction", ACCEPTANCE_TRAIN_FRACTION),
+                ds_cfg.get("split_seed", 0))
         except ParameterError as exc:  # a class left empty on one side
             raise ConfigError(f"dataset.train_fraction: {exc}") from None
     else:
@@ -128,9 +127,8 @@ def _fixed_table(config: ExperimentConfig, train_ds: Dataset,
         return table
     if emb is None:
         raise ConfigError("scoring.kind=transfer requires dataset.embeddings_csv")
-    base = int(config.tree.get("seed", config.seeds[0]))
     return transfer_score(train_ds, emb, config.scoring_folds,
-                          seed=derived_seed(base, SCORE))
+                          seed=derived_seed(config.base_seed, SCORE))
 
 
 def _scorer_key(config: ExperimentConfig, seed: int) -> tuple:
@@ -140,18 +138,21 @@ def _scorer_key(config: ExperimentConfig, seed: int) -> tuple:
         return (kind, config.model_spec, config.schedule, config.batch_size,
                 config.iterations, seed)
     if kind == "transfer":
-        return (kind, config.scoring_folds, int(config.tree.get("seed", config.seeds[0])))
+        return (kind, config.scoring_folds, config.base_seed)
     return (kind,)
 
 
-def score_tables(configs: list[ExperimentConfig], train_ds: Dataset,
-                 emb: EmbeddingTable | None, memo: dict | None = None) -> list[list]:
-    """For each config, one table of its scoring function per repetition seed.
+def score_tables(configs: list[ExperimentConfig], data: tuple,
+                 memo: dict | None = None) -> list[list]:
+    """For each config, one table of its scoring function per repetition seed,
+    over the training split of `data`: `resolve_dataset`'s (train, test,
+    embeddings).
 
     Tables are memoised in `memo` under `_scorer_key`. The self-taught
     scorers this call adds train as one stack (the configs may differ only in
-    pacing and LR); a seed whose scorer diverged gets its `ExperimentError`
-    in place of its table."""
+    pacing and LR) and record on the test split; a seed whose scorer diverged
+    gets its `ExperimentError` in place of its table."""
+    train_ds, test_ds, emb = data
     memo = {} if memo is None else memo
     new = {}  # key -> (schedule, seed) of a self-taught table to train
     for config in configs:
@@ -165,7 +166,8 @@ def score_tables(configs: list[ExperimentConfig], train_ds: Dataset,
                 memo[key] = _fixed_table(config, train_ds, emb)
     if new:
         schedules, seeds = zip(*new.values())
-        memo.update(zip(new, self_taught_score(train_ds, configs[0], seeds, schedules=schedules)))
+        memo.update(zip(new, self_taught_score(train_ds, test_ds, configs[0], seeds,
+                                               schedules=schedules)))
     return [[memo[_scorer_key(c, seed)] for seed in c.seeds] for c in configs]
 
 
@@ -313,9 +315,9 @@ def run_experiment(config: ExperimentConfig, out_dir=None,
     least half of the repetitions fail. With `out_dir` set, per-seed
     learning-curve CSVs and summary.json are written there.
     """
-    train_ds, test_ds, emb = resolve_dataset(config) if data is None else data
+    train_ds, test_ds, _emb = data = resolve_dataset(config) if data is None else data
     if tables is None and config.condition in SCORED_CONDITIONS:
-        (tables,) = score_tables([config], train_ds, emb)
+        (tables,) = score_tables([config], data)
     run = _plan_run(config, train_ds, tables)
     (outcomes,) = _train_runs(train_ds, test_ds, [run])
     return _summarise(run, outcomes, out_dir)
@@ -401,7 +403,7 @@ def two_stage_grid_search(config: ExperimentConfig, out_dir=None) -> tuple[Exper
         nonlocal best
         configs = [_with_params(config, pacing_params, lr_params)
                    for pacing_params, lr_params in cells]
-        tables = (score_tables(configs, fit_ds, emb, memo)
+        tables = (score_tables(configs, (fit_ds, val_ds, emb), memo)
                   if config.condition in SCORED_CONDITIONS else [None] * len(configs))
         runs = [_plan_run(c, fit_ds, t) for c, t in zip(configs, tables)]
         for (pacing_params, lr_params), run, outcomes in zip(

@@ -6,15 +6,13 @@ only property the sequencer relies on.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import ExperimentConfig
-from .data import Dataset, EmbeddingTable, open_input
-from .errors import DataLoadError, ExperimentError, ParameterError, \
-    TrainingDivergedError
+from .data import Dataset, EmbeddingTable, build_from_file, read_id_rows, write_csv
+from .errors import ExperimentError, ParameterError, TrainingDivergedError
 from .pacing import PacingSpec
 from .seeding import BATCH, INIT, SCORE, derived_seed
 from .sequencer import build_plan
@@ -66,10 +64,12 @@ def oracle_bayes_score(ds: Dataset) -> ScoreTable:
     return ScoreTable(-logp[np.arange(ds.N), ds.y], "oracle_bayes")
 
 
-def self_taught_score(ds: Dataset, config: ExperimentConfig, seeds,
+def self_taught_score(ds: Dataset, test_ds: Dataset, config: ExperimentConfig, seeds,
                       schedules=None) -> list:
-    """Train one vanilla model per seed to completion, all seeds in one stack,
-    then score by each final model's loss.
+    """Train one vanilla model per seed on `ds` to completion, all seeds in
+    one stack, then score `ds` by each final model's loss. The stack's record
+    steps (the first and last iteration) evaluate on `test_ds`, which no
+    update reads.
 
     `config` supplies the model, learning-rate schedule, batch size and
     iteration count; `schedules`, when given, holds one schedule per seed in
@@ -83,7 +83,7 @@ def self_taught_score(ds: Dataset, config: ExperimentConfig, seeds,
     # the seeded random order of a vanilla run in the harness
     plans = [build_plan(ds, random_score(ds, derived_seed(seed, SCORE)), pacing,
                         config.batch_size, seed=derived_seed(seed, BATCH)) for seed in seeds]
-    outcomes = train_stack(ds, ds, plans, schedules or [config.schedule] * len(plans),
+    outcomes = train_stack(ds, test_ds, plans, schedules or [config.schedule] * len(plans),
                            config.model_spec, [derived_seed(seed, INIT) for seed in seeds],
                            record_every=config.iterations)
     return [ExperimentError(f"self-taught scorer of seed {seed} diverged at iteration "
@@ -153,33 +153,11 @@ def transfer_score(ds: Dataset, emb: EmbeddingTable, folds: int, seed: int) -> S
 # ---------------------------------------------------------------------------
 
 def save_scores_csv(table: ScoreTable, path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["id", "score"])
-        for i, s in enumerate(table.scores):
-            w.writerow([i, repr(float(s))])
+    write_csv(path, ["id", "score"], [np.arange(len(table)), table.scores])
 
 
 def load_scores_csv(path) -> ScoreTable:
-    rows: dict[int, float] = {}
-    with open_input(path) as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header != ["id", "score"]:
-            raise DataLoadError(f"{path}: bad header {header!r}, expected id,score")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise DataLoadError(f"{path}: row {lineno} has {len(row)} fields, expected 2")
-            try:
-                i, s = int(row[0]), float(row[1])
-            except ValueError as exc:
-                raise DataLoadError(f"{path}: row {lineno} is malformed: {exc}") from exc
-            if i in rows:
-                raise DataLoadError(f"{path}: duplicate id {i}")
-            rows[i] = s
-    n = len(rows)
-    if n == 0 or sorted(rows) != list(range(n)):
-        raise DataLoadError(f"{path}: score ids are not contiguous 0..{n - 1}")
-    return ScoreTable(np.array([rows[i] for i in range(n)]), f"file:{path}")
+    """Load a score table from CSV with header id,score: the rules of
+    `read_id_rows`, and finite scores."""
+    rows = read_id_rows(path, ("id", "score"), None, lambda fields: float(fields[0]))
+    return build_from_file(path, ScoreTable, np.array(rows, dtype=np.float64), f"file:{path}")

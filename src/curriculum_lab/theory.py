@@ -237,14 +237,6 @@ def decomposition_residual(table: LossTable, prior: Prior) -> float:
     return float(_residuals(*_one_table(table, prior))[0])
 
 
-def matched_argmax_holds(table: LossTable, prior: Prior,
-                         tol: float = IDENTITY_TOL) -> tuple[bool, frozenset, frozenset]:
-    """Does the same hypothesis set maximize both the plain utility and the
-    covariance with the prior? Sets are compared with a value tolerance."""
-    r = _prior_checks(*_one_table(table, prior), tol)
-    return bool(r["holds"][0]), frozenset(_rows(r["argmax_u"])), frozenset(_rows(r["argmax_cov"]))
-
-
 def check_argmax_preservation(table: LossTable, prior: Prior, tol: float = IDENTITY_TOL) -> dict:
     """Argmax preservation and gap amplification under the matched-argmax
     assumption.

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, write_csv
 from .errors import NumericalError, ParameterError, TrainingDivergedError
 from .sequencer import CurriculumPlan, _batch_positions, balanced_prefix
 
@@ -279,13 +279,8 @@ class LearningCurve:
             raise ParameterError("test accuracy must lie in [0, 1]")
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["iteration", "train_loss", "test_acc", "subset_size", "lr"])
-            for row in zip(self.iterations, self.train_loss, self.test_acc,
-                           self.subset_size, self.lr):
-                w.writerow([int(row[0]), repr(float(row[1])), repr(float(row[2])),
-                            int(row[3]), repr(float(row[4]))])
+        write_csv(path, ["iteration", "train_loss", "test_acc", "subset_size", "lr"],
+                  [self.iterations, self.train_loss, self.test_acc, self.subset_size, self.lr])
 
     @classmethod
     def from_csv(cls, path) -> "LearningCurve":

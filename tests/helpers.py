@@ -1,11 +1,9 @@
 """Single-model conveniences for the tests, built on the package's stacked
 engine: one row of `train_stack`, one row's batch at an iteration, one
 model's test accuracy, and an embeddings CSV writer."""
-import csv
-
 import numpy as np
 
-from curriculum_lab.data import _fmt
+from curriculum_lab.data import write_csv
 from curriculum_lab.errors import TrainingDivergedError
 from curriculum_lab.sequencer import _batch_positions, balanced_prefix
 from curriculum_lab.trainer import _forward, train_stack
@@ -36,8 +34,4 @@ def accuracy(model, ds):
 
 def save_embeddings_csv(emb, path):
     """Write an `EmbeddingTable` in the format `load_embeddings_csv` reads."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["id"] + [f"e{j}" for j in range(emb.e)])
-        for i, vector in enumerate(emb.vectors):
-            w.writerow([i] + [_fmt(v) for v in vector])
+    write_csv(path, ["id"] + [f"e{j}" for j in range(emb.e)], [np.arange(emb.N), emb.vectors])

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from curriculum_lab.cli import main
-from curriculum_lab.config import resolve_config, validate_tree
+from curriculum_lab.config import _SCHEMA, resolve_config, validate_tree
 from curriculum_lab.errors import ConfigError
 
 
@@ -180,6 +180,37 @@ class TestCliErrors:
         dotted = key if section is None else f"{section}.{key}"
         assert capsys.readouterr().err.startswith(f"error: {dotted} must be of type ")
 
+    @staticmethod
+    def schema_leaves(schema=_SCHEMA, prefix=""):
+        for key, leaf in schema.items():
+            if isinstance(leaf, dict):
+                yield from TestCliErrors.schema_leaves(leaf, f"{prefix}{key}.")
+            else:
+                yield prefix + key, leaf
+
+    def test_every_schema_leaf_rejects_a_wrong_typed_value(self, tmp_path, capsys):
+        # walks the schema itself, so a key added later cannot skip the check
+        visited = set()
+        for dotted, leaf in self.schema_leaves():
+            wrong = ([5] if isinstance(leaf, list) else [["x"]] if leaf is str
+                     else ["x", True])
+            for value in wrong:
+                tree = tiny_tree("curriculum")
+                *sections, key = dotted.split(".")
+                node = tree
+                for part in sections:
+                    node = node.setdefault(part, {})
+                node[key] = value
+                config = write_config(tmp_path, tree)
+                assert main(["train", "--config", str(config),
+                             "--out", str(tmp_path / "o")]) == 2, (dotted, value)
+                err = capsys.readouterr().err
+                assert err == f"error: {dotted} must be of type " \
+                    f"{'list' if isinstance(leaf, list) else leaf.__name__}, got {value!r}\n"
+            visited.add(dotted)
+        assert {"condition", "seeds", "dataset.synthetic.spread", "grid.pacing.boundaries",
+                "theory.constant_variance_families"} <= visited
+
     def test_missing_synthetic_key_is_named(self, tmp_path, capsys):
         tree = tiny_tree()
         del tree["dataset"]["synthetic"]["dim"]
@@ -246,6 +277,34 @@ class TestCliMalformedInput:
         err = self.error_line(capsys, ["train", "--config", str(path),
                                        "--out", str(tmp_path / "o")])
         assert str(path) in err
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("dataset", "train_csv", ["x"]),
+        ("pacing", "variant", ["a"]),
+        ("scoring", "path", 0),
+    ])
+    def test_non_string_path_or_enum_value(self, tmp_path, capsys, section, key, value):
+        # a list path reached os.stat, a list variant a set lookup, and 0 was
+        # read by os.path.isfile as a file descriptor
+        tree = tiny_tree("curriculum")
+        tree[section][key] = value
+        config = write_config(tmp_path, tree)
+        err = self.error_line(capsys, ["train", "--config", str(config),
+                                       "--out", str(tmp_path / "o")])
+        assert err.startswith(f"error: {section}.{key} must be of type str, got {value!r}")
+
+    @pytest.mark.parametrize("command,out", [
+        (["train"], "afile"),
+        (["verify-theory", "--instances", "5"], "afile/x"),
+    ])
+    def test_out_that_cannot_be_a_directory(self, tmp_path, capsys, command, out):
+        (tmp_path / "afile").write_text("")
+        argv = [*command, "--out", str(tmp_path / out)]
+        if command == ["train"]:
+            argv += ["--config", str(write_config(tmp_path, tiny_tree("curriculum")))]
+        err = self.error_line(capsys, argv)
+        assert err.startswith(f"error: --out {tmp_path / out}: cannot make the output directory")
+        assert (tmp_path / "afile").read_text() == ""
 
     def test_duplicate_seeds(self, tmp_path, capsys):
         config = write_config(tmp_path, tiny_tree("curriculum", seeds=[0, 0, 1], repetitions=3))

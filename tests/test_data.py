@@ -5,6 +5,7 @@ from curriculum_lab.data import (Dataset, EmbeddingTable, generate_gaussian_mixt
                                  largest_remainder_quotas, load_dataset_csv,
                                  load_embeddings_csv, save_dataset_csv, stratified_split)
 from curriculum_lab.errors import DataLoadError, ParameterError
+from curriculum_lab.scoring import load_scores_csv
 from helpers import save_embeddings_csv
 
 
@@ -89,6 +90,43 @@ class TestCsv:
         path.write_text("idx,label,f0\n0,0,1.0\n")
         with pytest.raises(DataLoadError, match="header"):
             load_dataset_csv(path)
+
+
+# each id-keyed loader: its header and a valid row of id i
+ID_KEYED = {
+    "dataset": (load_dataset_csv, "id,label,f0,f1", lambda i: f"{i},{i % 2},0.5,1.5"),
+    "embeddings": (load_embeddings_csv, "id,e0,e1", lambda i: f"{i},0.5,1.5"),
+    "scores": (load_scores_csv, "id,score", lambda i: f"{i},0.5"),
+}
+# the rules all three share, as the lines of a file breaking one
+SHARED_BREACHES = {
+    "empty-file": lambda header, row: [],
+    "no-header": lambda header, row: [row(0), row(1)],
+    "header-only": lambda header, row: [header],
+    "bad-header": lambda header, row: ["x" + header, row(0)],
+    "short-row": lambda header, row: [header, row(0), row(1).rsplit(",", 1)[0]],
+    "duplicate-id": lambda header, row: [header, row(0), row(1), row(1)],
+    "id-gap": lambda header, row: [header, row(0), row(2)],
+    "non-numeric": lambda header, row: [header, row(0), row(1).rsplit(",", 1)[0] + ",abc"],
+}
+MALFORMED = [(loader, case, "".join(line + "\n" for line in lines(header, row)))
+             for case, lines in SHARED_BREACHES.items()
+             for loader, (_load, header, row) in ID_KEYED.items()] + [
+    ("dataset", "negative-label", "id,label,f0\n0,0,1.0\n1,-1,2.0\n"),
+    ("scores", "non-finite", "id,score\n0,1.0\n1,inf\n"),
+    ("embeddings", "non-finite", "id,e0\n0,1.0\n1,nan\n"),
+    ("embeddings", "empty-table", "id\n0\n1\n"),
+]
+
+
+@pytest.mark.parametrize("loader,case,text", MALFORMED,
+                         ids=[f"{loader}-{case}" for loader, case, _ in MALFORMED])
+def test_malformed_id_keyed_csv_names_its_path(tmp_path, loader, case, text):
+    path = tmp_path / f"{case}.csv"
+    path.write_text(text)
+    with pytest.raises(DataLoadError) as err:
+        ID_KEYED[loader][0](path)
+    assert str(err.value).startswith(f"{path}: ")
 
 
 class TestStratifiedSplit:

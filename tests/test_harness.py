@@ -399,6 +399,33 @@ class TestGridStack:
         assert not any(e["failed"] for e in audit["entries"])
         assert calls == [("scoring", 4), ("harness", 16), ("scoring", 12), ("harness", 16)]
 
+    def test_self_taught_scorers_record_on_the_runs_test_split(self, monkeypatch):
+        # a scorer stack evaluates where its runs do: the validation split in a
+        # grid stage, the test split in a plain run, never its training rows
+        from curriculum_lab import scoring
+        seen = []
+
+        def spying(module):
+            real = module.train_stack
+
+            def train_stack(ds_train, ds_test, *args, **kwargs):
+                seen.append((module.__name__.rsplit(".", 1)[1], ds_train.N, ds_test.N))
+                return real(ds_train, ds_test, *args, **kwargs)
+            return train_stack
+
+        for module in (scoring, harness):
+            monkeypatch.setattr(module, "train_stack", spying(module))
+        tree = self.grid_tree()
+        tree["scoring"] = {"kind": "self_taught"}
+        tree["grid"]["validation_fraction"] = 0.8  # 58 fit, 14 validation rows
+        two_stage_grid_search(resolve_config(tree))
+        del tree["grid"]
+        run_experiment(resolve_config(tree))
+        grid_calls, run_calls = seen[:-2], seen[-2:]
+        assert [name for name, *_ in grid_calls] == ["scoring", "harness"] * 2
+        assert {tuple(sizes) for _, *sizes in grid_calls} == {(58, 14)}
+        assert run_calls == [("scoring", 72, 18), ("harness", 72, 18)]
+
     def test_diverging_self_taught_scorer_fails_only_its_cell(self, tmp_path):
         # the benchmark's self-taught grid on mlp1, with one stage-2 cell whose
         # scorers diverge: that cell fails under the half rule, the search goes on

@@ -1,6 +1,9 @@
-"""Property tests for pacing, balanced prefixes, stratified splits and
-largest-remainder quotas, over generated inputs."""
+"""Property tests for pacing, balanced prefixes, stratified splits,
+largest-remainder quotas and the CSV writer and reader, over generated
+inputs."""
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +11,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
-from curriculum_lab.data import Dataset, largest_remainder_quotas, \
-    stratified_split, stratified_split_ids  # noqa: E402
+from curriculum_lab.data import Dataset, largest_remainder_quotas, read_id_rows, \
+    stratified_split, stratified_split_ids, write_csv  # noqa: E402
 from curriculum_lab.errors import ParameterError  # noqa: E402
 from curriculum_lab.pacing import PacingSpec, num_steps, saturation_iteration  # noqa: E402
 from curriculum_lab.sequencer import balanced_prefix, build_plan  # noqa: E402
@@ -127,3 +130,23 @@ class TestLargestRemainderQuotas:
         assert quotas.sum() == total
         assert (np.abs(quotas - total * counts / counts.sum()) < 1).all()
         assert ((quotas >= 0) & (quotas <= counts)).all()
+
+
+class TestCsvRoundTrip:
+    @SETTINGS
+    @given(data=st.data(), n=st.integers(1, 12), width=st.integers(1, 5))
+    def test_writer_and_reader_keep_every_bit(self, data, n, width):
+        # any finite float, subnormals and -0.0 included, and any int label
+        floats = st.floats(allow_nan=False, allow_infinity=False)
+        values = np.array(data.draw(st.lists(st.lists(floats, min_size=width, max_size=width),
+                                             min_size=n, max_size=n)), dtype=np.float64)
+        labels = np.array(data.draw(st.lists(st.integers(-2**63, 2**63 - 1),
+                                             min_size=n, max_size=n)), dtype=np.int64)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "table.csv"
+            write_csv(path, ["id", "label"] + [f"v{j}" for j in range(width)],
+                      [np.arange(n), labels, values])
+            rows = read_id_rows(path, ("id", "label"), "v",
+                                lambda fields: (int(fields[0]), [float(v) for v in fields[1:]]))
+        assert [label for label, _ in rows] == labels.tolist()
+        assert np.array([v for _, v in rows]).tobytes() == values.tobytes()

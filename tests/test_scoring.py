@@ -67,7 +67,7 @@ class TestModelLoss:
 
     def test_correlates_with_oracle_on_reference_dataset(self):
         ds = acceptance_train_split()
-        (table,) = self_taught_score(ds, quick_config(M=600, lr0=0.5), [0])
+        (table,) = self_taught_score(ds, ds, quick_config(M=600, lr0=0.5), [0])
         oracle = oracle_bayes_score(ds)
         assert spearman(table.scores, oracle.scores) > 0
 
@@ -75,23 +75,31 @@ class TestModelLoss:
 class TestSelfTaught:
     def test_deterministic(self):
         ds = generate_gaussian_mixture(K=3, d=6, n_per_class=40, spread=2.5, seed=5)
-        (a,) = self_taught_score(ds, quick_config(), [9])
-        (b,) = self_taught_score(ds, quick_config(), [9])
+        (a,) = self_taught_score(ds, ds, quick_config(), [9])
+        (b,) = self_taught_score(ds, ds, quick_config(), [9])
         assert np.array_equal(a.scores, b.scores)
-        (c,) = self_taught_score(ds, quick_config(), [10])
+        (c,) = self_taught_score(ds, ds, quick_config(), [10])
         assert not np.array_equal(a.scores, c.scores)
 
     def test_stacked_seeds_equal_each_seed_alone(self):
         ds = generate_gaussian_mixture(K=3, d=6, n_per_class=40, spread=2.5, seed=5)
-        stacked = self_taught_score(ds, quick_config(), [10, 9, 11])
+        stacked = self_taught_score(ds, ds, quick_config(), [10, 9, 11])
         for seed, table in zip([10, 9, 11], stacked):
-            (alone,) = self_taught_score(ds, quick_config(), [seed])
+            (alone,) = self_taught_score(ds, ds, quick_config(), [seed])
             assert np.array_equal(table.scores, alone.scores)
             assert table.provenance == "self_taught"
 
+    def test_test_split_does_not_change_the_scores(self):
+        # the test split is read only at the two record steps, never by an update
+        ds = generate_gaussian_mixture(K=3, d=6, n_per_class=40, spread=2.5, seed=5)
+        other = generate_gaussian_mixture(K=3, d=6, n_per_class=7, spread=1.0, seed=6)
+        (a,) = self_taught_score(ds, ds, quick_config(), [9])
+        (b,) = self_taught_score(ds, other, quick_config(), [9])
+        assert np.array_equal(a.scores, b.scores)
+
     def test_easiest_decile_is_easier_than_average_by_oracle(self):
         ds = acceptance_train_split()
-        (table,) = self_taught_score(ds, quick_config(M=600, lr0=0.5), [1])
+        (table,) = self_taught_score(ds, ds, quick_config(M=600, lr0=0.5), [1])
         oracle = oracle_bayes_score(ds).scores
         decile = np.argsort(table.scores, kind="stable")[: ds.N // 10]
         assert oracle[decile].mean() < oracle.mean()

@@ -8,8 +8,8 @@ from curriculum_lab.errors import ParameterError
 from curriculum_lab.pacing import PacingSpec
 from curriculum_lab.scoring import ScoreTable
 from curriculum_lab.sequencer import balanced_prefix, build_plan
-from curriculum_lab.theory import (LossTable, Prior, matched_argmax_holds,
-                                   check_constant_variance_case, decomposition_residual, check_argmax_preservation,
+from curriculum_lab.theory import (LossTable, Prior, check_argmax_preservation,
+                                   check_constant_variance_case, decomposition_residual,
                                    check_ideal_prior_amplification, constant_variance_family,
                                    ideal_prior, random_instance, run_verification,
                                    sum_covariance)
@@ -129,25 +129,33 @@ class TestDecompositionIdentity:
         assert decomposition_residual(table, prior) == 0.0
 
 
+def matched_argmax(table, prior):
+    """The matched-argmax verdict and the two argmax sets, as
+    `check_argmax_preservation` reports them."""
+    report = check_argmax_preservation(table, prior)
+    return (report["applicable"], frozenset(report["argmax_utility"]),
+            frozenset(report["argmax_covariance"]))
+
+
 class TestMatchedArgmax:
     def test_ideal_prior_on_worked_instance_holds(self):
-        holds, a, b = matched_argmax_holds(TABLE_2X2, Prior(np.array(P_IDEAL)))
+        holds, a, b = matched_argmax(TABLE_2X2, Prior(np.array(P_IDEAL)))
         assert holds
         assert a == b == frozenset({0})
 
     def test_uniform_prior_holds_only_for_constant_utility(self):
         rng = np.random.default_rng(3)
         table = LossTable(rng.uniform(0, 3, size=(5, 4)))
-        holds, a, b = matched_argmax_holds(table, Prior(np.full(4, 0.25)))
+        holds, a, b = matched_argmax(table, Prior(np.full(4, 0.25)))
         assert b == frozenset(range(5))  # covariance identically zero
         assert not holds
         const = LossTable(np.tile(rng.uniform(0, 3, size=4), (3, 1)))
-        holds2, _, _ = matched_argmax_holds(const, Prior(np.full(4, 0.25)))
+        holds2, _, _ = matched_argmax(const, Prior(np.full(4, 0.25)))
         assert holds2
 
     def test_single_hypothesis_vacuously_true(self):
         table = LossTable(np.array([[0.1, 0.9, 0.4]]))
-        holds, a, b = matched_argmax_holds(table, Prior(np.array([0.2, 0.3, 0.5])))
+        holds, a, b = matched_argmax(table, Prior(np.array([0.2, 0.3, 0.5])))
         assert holds and a == b == frozenset({0})
 
 

@@ -11,7 +11,7 @@ from .errors import (ConfigError, DataLoadError, ExperimentError, NumericalError
                      ParameterError, TrainingDivergedError)
 from .pacing import PacingSpec, num_steps, subset_size
 from .scoring import (ScoreTable, invert, oracle_bayes_score, random_score,
-                      score_by_model_loss, self_taught_score, transfer_score)
+                      score_by_model_loss, transfer_score)
 from .sequencer import CurriculumPlan, balanced_prefix, build_plan, self_paced_rescore_hook
 from .trainer import LearningCurve, LRSchedule, Model, ModelSpec, train_stack
 
@@ -24,7 +24,7 @@ __all__ = [
     "ParameterError", "TrainingDivergedError",
     "PacingSpec", "num_steps", "subset_size",
     "ScoreTable", "invert", "oracle_bayes_score", "random_score",
-    "score_by_model_loss", "self_taught_score", "transfer_score",
+    "score_by_model_loss", "transfer_score",
     "CurriculumPlan", "balanced_prefix", "build_plan", "self_paced_rescore_hook",
     "LearningCurve", "LRSchedule", "Model", "ModelSpec", "train_stack",
 ]

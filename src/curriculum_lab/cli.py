@@ -47,8 +47,15 @@ def _out_dir(path) -> Path:
     return out
 
 
-def _load(args):
+def _load(args, flag: str | None = None):
+    """The resolved config and the --out directory. `flag`, a dotted config
+    key `section.name`, is set from the command's --name when that is given,
+    so the manifest records it."""
     tree = default_acceptance_tree() if args.config is None else load_config_tree(args.config)
+    if flag is not None:
+        section, name = flag.split(".")
+        if (value := getattr(args, name)) is not None:
+            tree.setdefault(section, {})[name] = value
     return resolve_config(tree, seed_override=args.seed), _out_dir(args.out)
 
 
@@ -101,8 +108,8 @@ def cmd_grid_search(args) -> int:
 
 
 def cmd_bootstrap(args) -> int:
-    config, out = _load(args)
-    summaries = bootstrap_loop(config, generations=args.generations, out_dir=out)
+    config, out = _load(args, "bootstrap.generations")
+    summaries = bootstrap_loop(config, out_dir=out)
     outputs = ["manifest.json"]
     for g, summary in enumerate(summaries):
         outputs.append(f"summary_gen{g}.json")
@@ -128,10 +135,7 @@ def cmd_analyze_gradients(args) -> int:
 
 def cmd_verify_theory(args) -> int:
     if args.config is not None:
-        tree = load_config_tree(args.config)
-        if args.instances is not None:
-            tree.setdefault("theory", {})["instances"] = args.instances
-        config = resolve_config(tree, seed_override=args.seed)
+        config, out = _load(args, "theory.instances")
         instances = config.theory_instances
         families = config.theory_families
         seed = config.seeds[0]
@@ -142,7 +146,7 @@ def cmd_verify_theory(args) -> int:
         seed = args.seed if args.seed is not None else 0
         config_tree = {"theory": {"instances": instances, "constant_variance_families": families},
                        "seed": seed}
-    out = _out_dir(args.out)
+        out = _out_dir(args.out)
     report = run_verification(instances=instances, constant_variance_families=families, seed=seed)
     _write_json(out / "theory_report.json", report)
     _finish(out, "verify-theory", config_tree, ["theory_report.json", "manifest.json"])
@@ -190,7 +194,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        for flag in ("seed", "instances"):
+        for flag in ("seed", "instances", "generations"):
             value = getattr(args, flag, None)
             if value is not None and value < 0:
                 raise ConfigError(f"--{flag} must be >= 0, got {value}")

@@ -75,7 +75,7 @@ _LR_DEFAULTS = {"exponential": {"lr0": 0.1, "decrease_factor": 1.5, "lr_step_len
                 "cyclical": {"lr_min": 0.01, "lr_max": 0.1, "cycle_length": 500}}
 # the counts and seeds that must be >= 0
 _NON_NEGATIVE = ("dataset.synthetic.seed", "dataset.split_seed", "seed", "grid.split_seed",
-                 "theory.instances", "theory.constant_variance_families")
+                 "bootstrap.generations", "theory.instances", "theory.constant_variance_families")
 
 
 def _collect_unknown(tree: dict, schema: dict, prefix: str = "") -> list[str]:
@@ -108,10 +108,10 @@ def load_config_tree(path) -> dict:
     try:
         with open(path) as f:
             tree = json.load(f)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: cannot read config file: {exc}") from exc
+    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
+        raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
     validate_tree(tree)
     return tree
 

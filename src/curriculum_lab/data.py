@@ -100,6 +100,8 @@ class Dataset:
             raise ParameterError("features must be (N, d) with one label per row")
         if X.shape[0] == 0:
             raise ParameterError("dataset must contain at least one example")
+        if not np.isfinite(X).all():
+            raise ParameterError("features contain non-finite values")
         if self.K < 1:
             raise ParameterError(f"K must be >= 1, got {self.K}")
         if y.min() < 0 or y.max() >= self.K:
@@ -335,10 +337,11 @@ def save_bayes_json(bayes: BayesMixture, path) -> None:
 def load_bayes_json(path) -> BayesMixture:
     """Read a mixture written by `save_bayes_json`; a malformed one is a
     `DataLoadError` naming the path."""
+    with open_input(path) as f:
+        text = f.read()
     try:
-        with open_input(path) as f:
-            obj = json.load(f)
-    except json.JSONDecodeError as exc:
+        obj = json.loads(text)
+    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
         raise DataLoadError(f"{path}: not valid JSON: {exc}") from exc
     keys = ("means", "variance", "class_priors")
     missing = [key for key in keys if not isinstance(obj, dict) or key not in obj]

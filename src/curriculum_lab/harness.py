@@ -22,7 +22,7 @@ from .errors import ConfigError, ExperimentError, ParameterError, TrainingDiverg
 from .gradient_analysis import coherence_report
 from .pacing import PacingSpec, saturation_iteration
 from .scoring import ScoreTable, invert, load_scores_csv, oracle_bayes_score, \
-    random_score, score_by_model_loss, self_taught_score, transfer_score
+    random_score, score_by_model_loss, transfer_score
 from .seeding import BATCH, INIT, SCORE, SPLIT, SUBSET, derived_seed
 from .sequencer import balanced_prefix, build_plan, self_paced_rescore_hook
 from .trainer import LearningCurve, Model, train_stack
@@ -148,27 +148,39 @@ def score_tables(configs: list[ExperimentConfig], data: tuple,
     over the training split of `data`: `resolve_dataset`'s (train, test,
     embeddings).
 
-    Tables are memoised in `memo` under `_scorer_key`. The self-taught
-    scorers this call adds train as one stack (the configs may differ only in
-    pacing and LR) and record on the test split; a seed whose scorer diverged
-    gets its `ExperimentError` in place of its table."""
+    Tables are memoised in `memo` under `_scorer_key`. A self-taught table is
+    the loss of the final model of that seed's vanilla run, recording only at
+    its first and last iteration; the vanilla runs of the keys this call adds
+    train as one stack (the configs may differ only in pacing and LR) and
+    record on the test split. A seed whose scorer diverged gets an
+    `ExperimentError` in place of its table."""
     train_ds, test_ds, emb = data
     memo = {} if memo is None else memo
-    new = {}  # key -> (schedule, seed) of a self-taught table to train
+    new = {}  # key -> the one-seed vanilla run of a self-taught table to train
     for config in configs:
         for seed in config.seeds:
             key = _scorer_key(config, seed)
             if key in memo or key in new:
                 continue
             if config.scoring_kind == "self_taught":
-                new[key] = (config.schedule, seed)
+                scorer = _vanilla(config, seeds=[seed], repetitions=1,
+                                  record_every=config.iterations)
+                new[key] = _plan_run(scorer, train_ds, None)
             else:
                 memo[key] = _fixed_table(config, train_ds, emb)
     if new:
-        schedules, seeds = zip(*new.values())
-        memo.update(zip(new, self_taught_score(train_ds, test_ds, configs[0], seeds,
-                                               schedules=schedules)))
+        outcomes = _train_runs(train_ds, test_ds, list(new.values()))
+        for (key, run), (outcome,) in zip(new.items(), outcomes):
+            memo[key] = (ExperimentError(f"self-taught scorer of seed {run.seeds[0]} diverged "
+                                         f"at iteration {outcome.iteration}")
+                         if isinstance(outcome, TrainingDivergedError)
+                         else score_by_model_loss(train_ds, outcome[0]))
     return [[memo[_scorer_key(c, seed)] for seed in c.seeds] for c in configs]
+
+
+def _vanilla(config: ExperimentConfig, **overrides) -> ExperimentConfig:
+    """The config's vanilla condition, with `overrides` of its tree."""
+    return resolve_config({**config.tree, "condition": "vanilla", **overrides})
 
 
 @dataclass
@@ -461,17 +473,14 @@ def two_stage_grid_search(config: ExperimentConfig, out_dir=None) -> tuple[Exper
 # Self-taught bootstrapping
 # ---------------------------------------------------------------------------
 
-def bootstrap_loop(config: ExperimentConfig, generations: int | None = None,
-                   out_dir=None) -> list[dict]:
-    """Generation 0 trains vanilla; each later generation scores the training
-    set with the previous generation's final model (per repetition seed) and
-    trains a curriculum on it. Returns one summary per generation.
+def bootstrap_loop(config: ExperimentConfig, out_dir=None) -> list[dict]:
+    """Generation 0 trains vanilla; each of the config's generations after it
+    scores the training set with the previous generation's final model (per
+    repetition seed) and trains a curriculum on it. Returns one summary per
+    generation.
 
     A seed that fails in one generation is recorded as failed in every later
     one; a generation errors out when half of its repetitions have failed."""
-    G = config.generations if generations is None else int(generations)
-    if G < 0:
-        raise ConfigError(f"generations must be >= 0, got {G}")
     data = resolve_dataset(config)
     train_ds = data[0]
     out = Path(out_dir) if out_dir is not None else None
@@ -479,14 +488,13 @@ def bootstrap_loop(config: ExperimentConfig, generations: int | None = None,
         out.mkdir(parents=True, exist_ok=True)
 
     summaries: list[dict] = []
-    vanilla_config = resolve_config({**config.tree, "condition": "vanilla"})
-    prev = run_experiment(vanilla_config, data=data)
+    prev = run_experiment(_vanilla(config), data=data)
     prev.summary["generation"] = 0
     summaries.append(prev.summary)
     _write_generation(out, 0, prev)
 
     curriculum_config = resolve_config({**config.tree, "condition": "curriculum"})
-    for g in range(1, G + 1):
+    for g in range(1, config.generations + 1):
         # a seed that failed in generation g-1 has no model to score with, so
         # it is recorded as failed in generation g as well
         tables = [score_by_model_loss(train_ds, prev.models[s]) if s in prev.models
@@ -520,8 +528,7 @@ def gradient_coherence_pipeline(config: ExperimentConfig,
     data = resolve_dataset(config)
     train_ds = data[0]
     if models is None:
-        vanilla_config = resolve_config({**config.tree, "condition": "vanilla"})
-        models = run_experiment(vanilla_config, data=data).models
+        models = run_experiment(_vanilla(config), data=data).models
 
     size = max(1, round(config.subset_fraction * train_ds.N))
     oracle = oracle_bayes_score(train_ds)

@@ -10,19 +10,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ExperimentConfig
 from .data import Dataset, EmbeddingTable, build_from_file, read_id_rows, write_csv
-from .errors import ExperimentError, ParameterError, TrainingDivergedError
-from .pacing import PacingSpec
-from .seeding import BATCH, INIT, SCORE, derived_seed
-from .sequencer import build_plan
-from .trainer import Model, ModelSpec, train_stack
+from .errors import ParameterError
+from .trainer import Model, ModelSpec
 
 
 @dataclass(frozen=True)
 class ScoreTable:
     scores: np.ndarray  # difficulty per example id
-    provenance: str
     warnings: tuple[str, ...] = ()  # e.g. a transfer probe that did not converge
 
     def __post_init__(self):
@@ -42,18 +37,18 @@ def score_by_model_loss(ds: Dataset, model: Model) -> ScoreTable:
     """Cross-entropy loss of the model on each example."""
     if model.d != ds.d:
         raise ParameterError(f"model expects d={model.d}, dataset has d={ds.d}")
-    return ScoreTable(model.example_losses(ds.X, ds.y), "model_loss")
+    return ScoreTable(model.example_losses(ds.X, ds.y))
 
 
 def random_score(ds: Dataset, seed: int) -> ScoreTable:
     """Random permutation of {0..N-1} as scores: sorting is a uniform shuffle."""
     rng = np.random.default_rng(seed)
-    return ScoreTable(rng.permutation(ds.N).astype(np.float64), "random")
+    return ScoreTable(rng.permutation(ds.N).astype(np.float64))
 
 
 def invert(t: ScoreTable) -> ScoreTable:
     """Negate scores, turning a curriculum ordering into anti-curriculum."""
-    return ScoreTable(-t.scores, f"invert({t.provenance})", t.warnings)
+    return ScoreTable(-t.scores, t.warnings)
 
 
 def oracle_bayes_score(ds: Dataset) -> ScoreTable:
@@ -61,36 +56,7 @@ def oracle_bayes_score(ds: Dataset) -> ScoreTable:
     if ds.bayes is None:
         raise ParameterError("dataset carries no mixture metadata; oracle scoring unavailable")
     logp = ds.bayes.log_posteriors(ds.X)
-    return ScoreTable(-logp[np.arange(ds.N), ds.y], "oracle_bayes")
-
-
-def self_taught_score(ds: Dataset, test_ds: Dataset, config: ExperimentConfig, seeds,
-                      schedules=None) -> list:
-    """Train one vanilla model per seed on `ds` to completion, all seeds in
-    one stack, then score `ds` by each final model's loss. The stack's record
-    steps (the first and last iteration) evaluate on `test_ds`, which no
-    update reads.
-
-    `config` supplies the model, learning-rate schedule, batch size and
-    iteration count; `schedules`, when given, holds one schedule per seed in
-    place of the config's, so the scorers of several grid cells train as one
-    stack. Seed derivation matches the experiment harness, so each table
-    equals the one an explicit vanilla run with that base seed would induce.
-    A seed whose model diverges gets an `ExperimentError` in place of its
-    table.
-    """
-    pacing = PacingSpec(variant="vanilla", N=ds.N, M=config.iterations)
-    # the seeded random order of a vanilla run in the harness
-    plans = [build_plan(ds, random_score(ds, derived_seed(seed, SCORE)), pacing,
-                        config.batch_size, seed=derived_seed(seed, BATCH)) for seed in seeds]
-    outcomes = train_stack(ds, test_ds, plans, schedules or [config.schedule] * len(plans),
-                           config.model_spec, [derived_seed(seed, INIT) for seed in seeds],
-                           record_every=config.iterations)
-    return [ExperimentError(f"self-taught scorer of seed {seed} diverged at iteration "
-                            f"{outcome.iteration}")
-            if isinstance(outcome, TrainingDivergedError)
-            else ScoreTable(score_by_model_loss(ds, outcome[0]).scores, "self_taught")
-            for seed, outcome in zip(seeds, outcomes)]
+    return ScoreTable(-logp[np.arange(ds.N), ds.y])
 
 
 # probe settings for transfer scoring: full-batch GD on a convex objective,
@@ -145,7 +111,7 @@ def transfer_score(ds: Dataset, emb: EmbeddingTable, folds: int, seed: int) -> S
                             f"tolerance {_PROBE_TOL:g})")
         losses = probe.example_losses(emb.vectors[held], ds.y[held])
         scores[held] = np.clip(losses, 0.0, SCORE_CLAMP)
-    return ScoreTable(scores, "transfer", tuple(warnings))
+    return ScoreTable(scores, tuple(warnings))
 
 
 # ---------------------------------------------------------------------------
@@ -160,4 +126,4 @@ def load_scores_csv(path) -> ScoreTable:
     """Load a score table from CSV with header id,score: the rules of
     `read_id_rows`, and finite scores."""
     rows = read_id_rows(path, ("id", "score"), None, lambda fields: float(fields[0]))
-    return build_from_file(path, ScoreTable, np.array(rows, dtype=np.float64), f"file:{path}")
+    return build_from_file(path, ScoreTable, np.array(rows, dtype=np.float64))

@@ -12,7 +12,6 @@ model (the self-paced hook, loss scoring and gradient coherence).
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -281,19 +280,6 @@ class LearningCurve:
     def to_csv(self, path) -> None:
         write_csv(path, ["iteration", "train_loss", "test_acc", "subset_size", "lr"],
                   [self.iterations, self.train_loss, self.test_acc, self.subset_size, self.lr])
-
-    @classmethod
-    def from_csv(cls, path) -> "LearningCurve":
-        rows = []
-        with open(path, newline="") as f:
-            reader = csv.reader(f)
-            header = next(reader)
-            if header != ["iteration", "train_loss", "test_acc", "subset_size", "lr"]:
-                raise ParameterError(f"{path}: unexpected curve header {header!r}")
-            for row in reader:
-                rows.append((int(row[0]), float(row[1]), float(row[2]), int(row[3]),
-                             float(row[4])))
-        return cls._from_rows(rows)
 
     @classmethod
     def _from_rows(cls, rows) -> "LearningCurve":

@@ -1,12 +1,15 @@
 """Single-model conveniences for the tests, built on the package's stacked
 engine: one row of `train_stack`, one row's batch at an iteration, one
-model's test accuracy, and an embeddings CSV writer."""
+model's test accuracy, an embeddings CSV writer and a learning-curve CSV
+reader."""
+import csv
+
 import numpy as np
 
 from curriculum_lab.data import write_csv
 from curriculum_lab.errors import TrainingDivergedError
 from curriculum_lab.sequencer import _batch_positions, balanced_prefix
-from curriculum_lab.trainer import _forward, train_stack
+from curriculum_lab.trainer import LearningCurve, _forward, train_stack
 
 
 def train(ds_train, ds_test, plan, schedule, model_spec, record_every=50, seed=0,
@@ -35,3 +38,12 @@ def accuracy(model, ds):
 def save_embeddings_csv(emb, path):
     """Write an `EmbeddingTable` in the format `load_embeddings_csv` reads."""
     write_csv(path, ["id"] + [f"e{j}" for j in range(emb.e)], [np.arange(emb.N), emb.vectors])
+
+
+def load_curve_csv(path):
+    """Read a `LearningCurve` written by its `to_csv`."""
+    with open(path, newline="") as f:
+        header, *rows = csv.reader(f)
+    assert header == ["iteration", "train_loss", "test_acc", "subset_size", "lr"], header
+    return LearningCurve._from_rows([(int(r[0]), float(r[1]), float(r[2]), int(r[3]), float(r[4]))
+                                     for r in rows])

@@ -271,6 +271,14 @@ class TestCliMalformedInput:
                                        "--out", str(tmp_path / "o")])
         assert str(path) in err
 
+    def test_config_integer_past_the_digit_limit(self, tmp_path, capsys):
+        # json reads it through int(), whose ValueError is no JSONDecodeError
+        path = tmp_path / "huge.json"
+        path.write_text('{"seed": ' + "1" * 5000 + "}")
+        err = self.error_line(capsys, ["train", "--config", str(path),
+                                       "--out", str(tmp_path / "o")])
+        assert err.startswith(f"error: {path}: not valid JSON")
+
     def test_config_file_not_utf8(self, tmp_path, capsys):
         path = tmp_path / "latin1.json"
         path.write_bytes(b'{"condition": "vanilla\xff"}')
@@ -329,21 +337,28 @@ class TestCliMalformedInput:
         assert self.error_line(capsys, argv).startswith(f"error: {named}")
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("flags,overrides,named", [
-        ([], {"seeds": [3, -2], "repetitions": 2}, "seeds must be >= 0, got -2"),
-        ([], {"seed": -1}, "seed must be >= 0, got -1"),
-        (["--seed", "-1"], {}, "--seed must be >= 0, got -1"),
-        ([], {"dataset": {"synthetic": {**SYNTHETIC, "seed": -4}}},
+    @pytest.mark.parametrize("command,flags,overrides,named", [
+        ("train", [], {"seeds": [3, -2], "repetitions": 2}, "seeds must be >= 0, got -2"),
+        ("train", [], {"seed": -1}, "seed must be >= 0, got -1"),
+        ("train", ["--seed", "-1"], {}, "--seed must be >= 0, got -1"),
+        ("train", [], {"dataset": {"synthetic": {**SYNTHETIC, "seed": -4}}},
          "dataset.synthetic.seed must be >= 0, got -4"),
-        ([], {"dataset": {"synthetic": SYNTHETIC, "split_seed": -2}},
+        ("train", [], {"dataset": {"synthetic": SYNTHETIC, "split_seed": -2}},
          "dataset.split_seed must be >= 0, got -2"),
-        ([], {"grid": {"split_seed": -3}}, "grid.split_seed must be >= 0, got -3"),
-    ], ids=["seeds", "seed", "seed-flag", "synthetic-seed", "split-seed", "grid-split-seed"])
-    def test_negative_training_seed(self, tmp_path, capsys, flags, overrides, named):
+        ("train", [], {"grid": {"split_seed": -3}}, "grid.split_seed must be >= 0, got -3"),
+        ("bootstrap", [], {"bootstrap": {"generations": -1}},
+         "bootstrap.generations must be >= 0, got -1"),
+        ("bootstrap", ["--generations", "-2"], {}, "--generations must be >= 0, got -2"),
+        ("bootstrap", ["--generations", "-2"], {"bootstrap": {"generations": 3}},
+         "--generations must be >= 0, got -2"),
+    ], ids=["seeds", "seed", "seed-flag", "synthetic-seed", "split-seed", "grid-split-seed",
+            "generations", "generations-flag", "generations-flag-over-config"])
+    def test_negative_training_seed(self, tmp_path, capsys, command, flags, overrides, named):
         config = write_config(tmp_path, tiny_tree("curriculum", **overrides))
-        err = self.error_line(capsys, ["train", "--config", str(config),
+        err = self.error_line(capsys, [command, "--config", str(config),
                                        "--out", str(tmp_path / "o"), *flags])
         assert err.startswith(f"error: {named}")
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("value", [True, 2.5])
     def test_truncating_or_boolean_theory_count(self, tmp_path, capsys, value):
@@ -398,6 +413,7 @@ class TestCliMalformedInput:
     @pytest.mark.parametrize("edit,named", [
         (lambda bayes: {}, "missing key(s) means, variance, class_priors"),
         (lambda bayes: "{not json", "not valid JSON"),
+        (lambda bayes: '{"variance": ' + "1" * 5000 + "}", "not valid JSON"),
         (lambda bayes: {**bayes, "means": bayes["means"][0]}, "means must be a (K, d) matrix"),
         (lambda bayes: {**bayes, "means": [[1.0, "x"]]}, "malformed mixture"),
         (lambda bayes: {**bayes, "variance": 0.0}, "variance must be finite and > 0"),
@@ -407,7 +423,7 @@ class TestCliMalformedInput:
          "dataset.bayes_json: means have shape (3, 5)"),
         (lambda bayes: {**bayes, "means": bayes["means"][:2], "class_priors": [0.5, 0.5]},
          "dataset.bayes_json: means have shape (2, 4)"),
-    ], ids=["empty", "not-json", "means-1d", "means-not-numeric", "variance-0", "variance-inf",
+    ], ids=["empty", "not-json", "integer-past-digit-limit", "means-1d", "means-not-numeric", "variance-0", "variance-inf",
             "priors-length", "means-wrong-d", "means-wrong-k"])
     def test_malformed_bayes_json(self, tmp_path, capsys, edit, named):
         tree, data = self.csv_tree(tmp_path)
@@ -549,15 +565,15 @@ class TestCliTrainAndScore:
         assert lrs[-1] == 0.0
 
     def test_score_trains_one_scorer(self, tmp_path, monkeypatch):
-        from curriculum_lab import scoring
+        from curriculum_lab import harness
         rows = []
-        real = scoring.train_stack
+        real = harness.train_stack
 
         def counting(ds_train, ds_test, plans, *args, **kwargs):
             rows.append(len(plans))
             return real(ds_train, ds_test, plans, *args, **kwargs)
 
-        monkeypatch.setattr(scoring, "train_stack", counting)
+        monkeypatch.setattr(harness, "train_stack", counting)
         tree = tiny_tree("curriculum", scoring={"kind": "self_taught"}, repetitions=3)
         out = tmp_path / "o"
         assert main(["score", "--config", str(write_config(tmp_path, tree)),
@@ -592,6 +608,22 @@ class TestCliTrainAndScore:
                      "--generations", "2"]) == 0
         for g in range(3):
             assert (out / f"summary_gen{g}.json").exists()
+
+    def test_generations_override_reruns_from_manifest(self, tmp_path):
+        tree = tiny_tree("curriculum", scoring={"kind": "self_taught"}, repetitions=1,
+                         bootstrap={"generations": 1})
+        first = tmp_path / "a"
+        assert main(["bootstrap", "--config", str(write_config(tmp_path, tree)),
+                     "--generations", "2", "--out", str(first)]) == 0
+        manifest = json.loads((first / "manifest.json").read_text())
+        assert manifest["config"]["bootstrap"]["generations"] == 2
+        replay = write_config(tmp_path, manifest["config"], name="replay.json")
+        second = tmp_path / "b"
+        assert main(["bootstrap", "--config", str(replay), "--out", str(second)]) == 0
+        names = sorted(os.listdir(first))
+        assert "summary_gen2.json" in names and sorted(os.listdir(second)) == names
+        for name in names:
+            assert (second / name).read_bytes() == (first / name).read_bytes(), name
 
     def test_analyze_gradients_cli(self, tmp_path):
         config = write_config(tmp_path, tiny_tree("curriculum"))

@@ -113,6 +113,7 @@ MALFORMED = [(loader, case, "".join(line + "\n" for line in lines(header, row)))
              for case, lines in SHARED_BREACHES.items()
              for loader, (_load, header, row) in ID_KEYED.items()] + [
     ("dataset", "negative-label", "id,label,f0\n0,0,1.0\n1,-1,2.0\n"),
+    ("dataset", "non-finite", "id,label,f0\n0,0,1.0\n1,1,nan\n"),
     ("scores", "non-finite", "id,score\n0,1.0\n1,inf\n"),
     ("embeddings", "non-finite", "id,e0\n0,1.0\n1,nan\n"),
     ("embeddings", "empty-table", "id\n0\n1\n"),

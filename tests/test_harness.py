@@ -10,6 +10,7 @@ from curriculum_lab import harness
 from curriculum_lab.harness import (bootstrap_loop, gradient_coherence_pipeline,
                                     refine_lr_grid, resolve_dataset,
                                     run_experiment, two_stage_grid_search)
+from curriculum_lab.scoring import score_by_model_loss
 from helpers import save_embeddings_csv
 
 
@@ -379,42 +380,33 @@ class TestGridStack:
         # the shape of the benchmark's self-taught grid: stage 1 reuses one
         # scorer key; stage 2 adds three, as its cell lr0 0.2 / decrease
         # factor 1.5 is the base schedule
-        from curriculum_lab import scoring
-        calls = []
+        rows = []
+        real = harness.train_stack
 
-        def counting(module):
-            real = module.train_stack
+        def counting(ds_train, ds_test, plans, *args, **kwargs):
+            rows.append(len(plans))
+            return real(ds_train, ds_test, plans, *args, **kwargs)
 
-            def train_stack(ds_train, ds_test, plans, *args, **kwargs):
-                calls.append((module.__name__.rsplit(".", 1)[1], len(plans)))
-                return real(ds_train, ds_test, plans, *args, **kwargs)
-            return train_stack
-
-        for module in (scoring, harness):
-            monkeypatch.setattr(module, "train_stack", counting(module))
+        monkeypatch.setattr(harness, "train_stack", counting)
         tree = self.grid_tree(repetitions=4)
         tree["scoring"] = {"kind": "self_taught"}
         tree["grid"]["lr"] = {"lr0": [0.2, 0.3], "decrease_factor": [1.5, 2.0]}
         _best, audit = two_stage_grid_search(resolve_config(tree))
         assert not any(e["failed"] for e in audit["entries"])
-        assert calls == [("scoring", 4), ("harness", 16), ("scoring", 12), ("harness", 16)]
+        # per stage: the scorer stack, then the cells' stack
+        assert rows == [4, 16, 12, 16]
 
     def test_self_taught_scorers_record_on_the_runs_test_split(self, monkeypatch):
         # a scorer stack evaluates where its runs do: the validation split in a
         # grid stage, the test split in a plain run, never its training rows
-        from curriculum_lab import scoring
         seen = []
+        real = harness.train_stack
 
-        def spying(module):
-            real = module.train_stack
+        def spying(ds_train, ds_test, *args, record_every, **kwargs):
+            seen.append((record_every, ds_train.N, ds_test.N))
+            return real(ds_train, ds_test, *args, record_every=record_every, **kwargs)
 
-            def train_stack(ds_train, ds_test, *args, **kwargs):
-                seen.append((module.__name__.rsplit(".", 1)[1], ds_train.N, ds_test.N))
-                return real(ds_train, ds_test, *args, **kwargs)
-            return train_stack
-
-        for module in (scoring, harness):
-            monkeypatch.setattr(module, "train_stack", spying(module))
+        monkeypatch.setattr(harness, "train_stack", spying)
         tree = self.grid_tree()
         tree["scoring"] = {"kind": "self_taught"}
         tree["grid"]["validation_fraction"] = 0.8  # 58 fit, 14 validation rows
@@ -422,9 +414,10 @@ class TestGridStack:
         del tree["grid"]
         run_experiment(resolve_config(tree))
         grid_calls, run_calls = seen[:-2], seen[-2:]
-        assert [name for name, *_ in grid_calls] == ["scoring", "harness"] * 2
+        # a scorer records only at its first and last iteration: every M = 40
+        assert [every for every, *_ in grid_calls] == [40, 20] * 2
         assert {tuple(sizes) for _, *sizes in grid_calls} == {(58, 14)}
-        assert run_calls == [("scoring", 72, 18), ("harness", 72, 18)]
+        assert run_calls == [(40, 72, 18), (20, 72, 18)]
 
     def test_diverging_self_taught_scorer_fails_only_its_cell(self, tmp_path):
         # the benchmark's self-taught grid on mlp1, with one stage-2 cell whose
@@ -447,24 +440,77 @@ class TestGridStack:
         assert (tmp_path / "best_config.json").exists()
 
 
+class TestSelfTaughtTables:
+    """A self-taught table is the loss of the final model of that seed's
+    vanilla run: each equals, bit for bit, `score_by_model_loss` of the model
+    an explicit vanilla `run_experiment` trains with that seed."""
+
+    def assert_tables_equal_vanilla_runs(self, configs, tables, data):
+        for config, config_tables in zip(configs, tables):
+            vanilla = run_experiment(resolve_config({**config.tree, "condition": "vanilla"}),
+                                     data=data)
+            for seed, table in zip(config.seeds, config_tables):
+                own = score_by_model_loss(data[0], vanilla.models[seed])
+                assert np.array_equal(table.scores, own.scores)
+
+    @pytest.mark.parametrize("architecture", ["linear_softmax", "mlp1"])
+    def test_stacked_seeds_equal_explicit_vanilla_runs(self, architecture):
+        config = resolve_config(tiny_tree(
+            "curriculum", scoring={"kind": "self_taught"}, repetitions=3,
+            model={"architecture": architecture, "hidden": 5}))
+        data = resolve_dataset(config)
+        self.assert_tables_equal_vanilla_runs([config], harness.score_tables([config], data),
+                                              data)
+
+    def test_grid_stage_equals_explicit_vanilla_runs(self, monkeypatch):
+        # cells of one stage on the fit/validation split: cells that differ
+        # only in pacing share their tables, and every new key trains in one stack
+        from curriculum_lab.data import select_examples, stratified_split_ids
+        rows = []
+        real = harness.train_stack
+
+        def counting(ds_train, ds_test, plans, *args, **kwargs):
+            rows.append(len(plans))
+            return real(ds_train, ds_test, plans, *args, **kwargs)
+
+        tree = tiny_tree("curriculum", scoring={"kind": "self_taught"}, iterations=40)
+        tree["grid"] = {"pacing": {"starting_percent": [0.25, 0.5]},
+                        "lr": {"lr0": [0.2, 0.3], "decrease_factor": [1.5, 2.0]}}
+        config = resolve_config(tree)
+        train_ds, _test, _emb = resolve_dataset(config)
+        fit_ids, val_ids = stratified_split_ids(train_ds, 0.75, 1)
+        data = (select_examples(train_ds, fit_ids), select_examples(train_ds, val_ids), None)
+        cells = [harness._with_params(config, pacing, lr) for pacing, lr in [
+            ({"starting_percent": 0.5}, {"lr0": 0.3}), ({}, {"decrease_factor": 2.0}),
+            ({"starting_percent": 0.5}, {}), ({}, {"lr0": 0.3})]]
+        monkeypatch.setattr(harness, "train_stack", counting)
+        tables = harness.score_tables(cells, data)
+        monkeypatch.undo()
+        assert rows == [6]  # three schedules x two seeds
+        self.assert_tables_equal_vanilla_runs(cells, tables, data)
+
+
 class TestBootstrap:
     def test_zero_generations_is_vanilla(self):
-        cfg = resolve_config(tiny_tree("curriculum", scoring={"kind": "self_taught"}))
-        summaries = bootstrap_loop(cfg, generations=0)
+        cfg = resolve_config(tiny_tree("curriculum", scoring={"kind": "self_taught"},
+                                       bootstrap={"generations": 0}))
+        summaries = bootstrap_loop(cfg)
         vanilla = run_experiment(resolve_config(tiny_tree("vanilla"))).summary
         assert len(summaries) == 1
         assert summaries[0]["mean_curve"] == vanilla["mean_curve"]
 
     def test_one_generation_equals_self_taught_condition(self):
-        cfg = resolve_config(tiny_tree("curriculum", scoring={"kind": "self_taught"}))
-        summaries = bootstrap_loop(cfg, generations=1)
+        cfg = resolve_config(tiny_tree("curriculum", scoring={"kind": "self_taught"},
+                                       bootstrap={"generations": 1}))
+        summaries = bootstrap_loop(cfg)
         direct = run_experiment(cfg)
         assert summaries[1]["mean_curve"] == direct.summary["mean_curve"]
         assert summaries[1]["per_seed"] == direct.summary["per_seed"]
 
     def test_three_generations_emit_curves(self, tmp_path):
-        cfg = resolve_config(tiny_tree("curriculum", scoring={"kind": "self_taught"}))
-        summaries = bootstrap_loop(cfg, generations=3, out_dir=tmp_path)
+        cfg = resolve_config(tiny_tree("curriculum", scoring={"kind": "self_taught"},
+                                       bootstrap={"generations": 3}))
+        summaries = bootstrap_loop(cfg, out_dir=tmp_path)
         assert [s["generation"] for s in summaries] == [0, 1, 2, 3]
         for g in range(4):
             assert (tmp_path / f"summary_gen{g}.json").exists()
@@ -483,8 +529,8 @@ class TestBootstrap:
 
         monkeypatch.setattr(harness, "train_stack", first_row_diverges_once)
         cfg = resolve_config(tiny_tree("curriculum", scoring={"kind": "self_taught"},
-                                       repetitions=3))
-        summaries = bootstrap_loop(cfg, generations=2, out_dir=tmp_path)
+                                       repetitions=3, bootstrap={"generations": 2}))
+        summaries = bootstrap_loop(cfg, out_dir=tmp_path)
         assert calls == [3, 2, 2]  # later generations stack only seeds 1 and 2
         assert [s["failed_seeds"] for s in summaries] == [[0], [0], [0]]
         assert "seed 0 diverged at iteration 5" in summaries[0]["warnings"]
@@ -502,16 +548,17 @@ class TestBootstrap:
 
         monkeypatch.setattr(harness, "train_stack", first_row_diverges)
         cfg = resolve_config(tiny_tree("curriculum", scoring={"kind": "self_taught"},
-                                       repetitions=4))
+                                       repetitions=4, bootstrap={"generations": 1}))
         # generation 0 loses seed 0; generation 1 carries it and loses seed 1
         with pytest.raises(ExperimentError, match=r"2 of 4 repetitions .*\[0, 1\]"):
-            bootstrap_loop(cfg, generations=1)
+            bootstrap_loop(cfg)
 
     def test_reference_dataset_bootstrap_smoke(self):
         from curriculum_lab.harness import default_acceptance_tree
         tree = default_acceptance_tree("curriculum", repetitions=1)
         tree["scoring"] = {"kind": "self_taught"}
-        summaries = bootstrap_loop(resolve_config(tree), generations=3)
+        tree["bootstrap"] = {"generations": 3}
+        summaries = bootstrap_loop(resolve_config(tree))
         assert len(summaries) == 4
         # no monotone-improvement claim: repeated bootstrapping may plateau
         assert all(s["failed_seeds"] == [] for s in summaries)

@@ -9,7 +9,7 @@ PUBLIC = [
     "ParameterError", "TrainingDivergedError",
     "PacingSpec", "num_steps", "subset_size",
     "ScoreTable", "invert", "oracle_bayes_score", "random_score",
-    "score_by_model_loss", "self_taught_score", "transfer_score",
+    "score_by_model_loss", "transfer_score",
     "CurriculumPlan", "balanced_prefix", "build_plan", "self_paced_rescore_hook",
     "LearningCurve", "LRSchedule", "Model", "ModelSpec", "train_stack",
 ]

@@ -8,9 +8,9 @@ from curriculum_lab.data import Dataset, EmbeddingTable, generate_gaussian_mixtu
 from curriculum_lab.errors import DataLoadError, ParameterError
 from curriculum_lab.scoring import (ScoreTable, invert, load_scores_csv,
                                     oracle_bayes_score, random_score,
-                                    save_scores_csv, score_by_model_loss,
-                                    self_taught_score, transfer_score)
+                                    save_scores_csv, score_by_model_loss, transfer_score)
 from curriculum_lab.config import resolve_config
+from curriculum_lab.harness import score_tables
 from curriculum_lab.trainer import Model, ModelSpec
 
 LINEAR = ModelSpec("linear_softmax")
@@ -32,12 +32,17 @@ def make_ds(counts, d=3, seed=0):
     return Dataset(X=X, y=y, K=len(counts))
 
 
-def quick_config(M=400, lr0=0.3):
-    return resolve_config({
+def self_taught(ds, test_ds, seeds, M=400, lr0=0.3):
+    """The self-taught tables of `seeds` over `ds`, their scorers recording
+    on `test_ds`."""
+    config = resolve_config({
+        "scoring": {"kind": "self_taught"},
         "model": {"architecture": "linear_softmax"},
         "lr": {"variant": "exponential", "lr0": lr0, "decrease_factor": 1.5,
                "lr_step_length": 200},
-        "batch_size": 20, "iterations": M})
+        "batch_size": 20, "iterations": M, "seeds": list(seeds)})
+    (tables,) = score_tables([config], (ds, test_ds, None))
+    return tables
 
 
 def acceptance_train_split():
@@ -67,7 +72,7 @@ class TestModelLoss:
 
     def test_correlates_with_oracle_on_reference_dataset(self):
         ds = acceptance_train_split()
-        (table,) = self_taught_score(ds, ds, quick_config(M=600, lr0=0.5), [0])
+        (table,) = self_taught(ds, ds, [0], M=600, lr0=0.5)
         oracle = oracle_bayes_score(ds)
         assert spearman(table.scores, oracle.scores) > 0
 
@@ -75,31 +80,30 @@ class TestModelLoss:
 class TestSelfTaught:
     def test_deterministic(self):
         ds = generate_gaussian_mixture(K=3, d=6, n_per_class=40, spread=2.5, seed=5)
-        (a,) = self_taught_score(ds, ds, quick_config(), [9])
-        (b,) = self_taught_score(ds, ds, quick_config(), [9])
+        (a,) = self_taught(ds, ds, [9])
+        (b,) = self_taught(ds, ds, [9])
         assert np.array_equal(a.scores, b.scores)
-        (c,) = self_taught_score(ds, ds, quick_config(), [10])
+        (c,) = self_taught(ds, ds, [10])
         assert not np.array_equal(a.scores, c.scores)
 
     def test_stacked_seeds_equal_each_seed_alone(self):
         ds = generate_gaussian_mixture(K=3, d=6, n_per_class=40, spread=2.5, seed=5)
-        stacked = self_taught_score(ds, ds, quick_config(), [10, 9, 11])
+        stacked = self_taught(ds, ds, [10, 9, 11])
         for seed, table in zip([10, 9, 11], stacked):
-            (alone,) = self_taught_score(ds, ds, quick_config(), [seed])
+            (alone,) = self_taught(ds, ds, [seed])
             assert np.array_equal(table.scores, alone.scores)
-            assert table.provenance == "self_taught"
 
     def test_test_split_does_not_change_the_scores(self):
         # the test split is read only at the two record steps, never by an update
         ds = generate_gaussian_mixture(K=3, d=6, n_per_class=40, spread=2.5, seed=5)
         other = generate_gaussian_mixture(K=3, d=6, n_per_class=7, spread=1.0, seed=6)
-        (a,) = self_taught_score(ds, ds, quick_config(), [9])
-        (b,) = self_taught_score(ds, other, quick_config(), [9])
+        (a,) = self_taught(ds, ds, [9])
+        (b,) = self_taught(ds, other, [9])
         assert np.array_equal(a.scores, b.scores)
 
     def test_easiest_decile_is_easier_than_average_by_oracle(self):
         ds = acceptance_train_split()
-        (table,) = self_taught_score(ds, ds, quick_config(M=600, lr0=0.5), [1])
+        (table,) = self_taught(ds, ds, [1], M=600, lr0=0.5)
         oracle = oracle_bayes_score(ds).scores
         decile = np.argsort(table.scores, kind="stable")[: ds.N // 10]
         assert oracle[decile].mean() < oracle.mean()
@@ -191,15 +195,15 @@ class TestRandomScore:
 
 class TestInvert:
     def test_sign_flip(self):
-        t = ScoreTable(np.array([0.1, 0.3, 0.2]), "x")
+        t = ScoreTable(np.array([0.1, 0.3, 0.2]))
         assert np.array_equal(invert(t).scores, np.array([-0.1, -0.3, -0.2]))
 
     def test_involution(self):
-        t = ScoreTable(np.array([0.4, -1.0, 2.5]), "x")
+        t = ScoreTable(np.array([0.4, -1.0, 2.5]))
         assert np.array_equal(invert(invert(t)).scores, t.scores)
 
     def test_order_reversal_for_distinct_scores(self):
-        t = ScoreTable(np.array([0.5, 0.1, 0.9, 0.3]), "x")
+        t = ScoreTable(np.array([0.5, 0.1, 0.9, 0.3]))
         fwd = np.argsort(t.scores, kind="stable")
         rev = np.argsort(invert(t).scores, kind="stable")
         assert list(rev) == list(fwd)[::-1]
@@ -238,7 +242,7 @@ class TestOracle:
 
 class TestScoreIO:
     def test_roundtrip_full_precision(self, tmp_path):
-        table = ScoreTable(np.array([0.1, 1 / 3, math.pi]), "x")
+        table = ScoreTable(np.array([0.1, 1 / 3, math.pi]))
         path = tmp_path / "scores.csv"
         save_scores_csv(table, path)
         loaded = load_scores_csv(path)

@@ -34,7 +34,7 @@ class TestBuildPlan:
 
     def test_inverted_scores_reverse_order(self):
         ds = make_ds([6])
-        scores = ScoreTable(np.array([0.5, 0.1, 0.9, 0.3, 0.7, 0.2]), "t")
+        scores = ScoreTable(np.array([0.5, 0.1, 0.9, 0.3, 0.7, 0.2]))
         plan = build_plan(ds, scores, vanilla_pacing(6), 1, seed=0)
         anti = build_plan(ds, invert(scores), vanilla_pacing(6), 1, seed=0)
         assert list(balanced_prefix(anti, anti.N)) == list(balanced_prefix(plan, plan.N))[::-1]
@@ -190,7 +190,7 @@ class TestMinibatchAt:
         for seed in range(50):
             counts = [20, 20]
             ds = make_ds(counts, seed=seed)
-            scores = ScoreTable(rng.permutation(ds.N).astype(float), "r")
+            scores = ScoreTable(rng.permutation(ds.N).astype(float))
             pacing = PacingSpec("fixed_exp", N=ds.N, M=10, starting_percent=0.25,
                                 increase=2.0, step_length=5)
             plan = build_plan(ds, scores, pacing, 5, seed=seed)

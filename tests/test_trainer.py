@@ -12,7 +12,7 @@ from curriculum_lab.sequencer import balanced_prefix, build_plan, self_paced_res
 from curriculum_lab.trainer import (LearningCurve, LRSchedule, Model, ModelSpec, _forward,
                                     _layout, _losses_and_residual, _mean_loss_and_grad,
                                     _stack_views, train_stack)
-from helpers import accuracy, minibatch_at, train
+from helpers import accuracy, load_curve_csv, minibatch_at, train
 
 LINEAR = ModelSpec("linear_softmax")
 MLP = ModelSpec("mlp1", hidden=6)
@@ -369,10 +369,12 @@ def poisoned_stack():
     """A dataset whose example 5 carries infinite features, a separate test
     set, and three plans: a row diverges at the first batch that contains example 5,
     and only row 0's curriculum reaches it, after iteration 20 of 40."""
-    clean = make_ds([20, 20], d=3, seed=8)
-    X = clean.X.copy()
+    ds, test = make_ds([20, 20], d=3, seed=8), make_ds([6, 6], d=3, seed=9)
+    X = ds.X.copy()
     X[5] = np.inf
-    ds, test = Dataset(X=X, y=clean.y, K=2), make_ds([6, 6], d=3, seed=9)
+    # set past the check of Dataset, which rejects non-finite features: the
+    # engine must still drop a row whose forward pass is non-finite
+    object.__setattr__(ds, "X", X)
     pacing = PacingSpec("fixed_exp", N=ds.N, M=40, starting_percent=0.25,
                         increase=2.0, step_length=20)
     rng = np.random.default_rng(0)
@@ -599,7 +601,7 @@ class TestLearningCurveIO:
                               lr=np.array([0.1, 0.1, 0.05]))
         path = tmp_path / "curve.csv"
         curve.to_csv(path)
-        loaded = LearningCurve.from_csv(path)
+        loaded = load_curve_csv(path)
         assert np.array_equal(loaded.iterations, curve.iterations)
         assert np.array_equal(loaded.train_loss, curve.train_loss)
         assert np.array_equal(loaded.test_acc, curve.test_acc)

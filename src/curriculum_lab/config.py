@@ -12,6 +12,7 @@ written, so a manifest reproduces the run.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -188,14 +189,16 @@ def _require(cond: bool, message: str) -> None:
 def _typed(t, value, key: str):
     """`value` as the JSON type `t` of its schema leaf: a string for str, a
     number for float, an integral number for int (int() would truncate 150.9),
-    a list of `t[0]` for [t]. A boolean is no number; any other value is a
-    ConfigError naming the dotted `key`."""
+    a list of `t[0]` for [t]. A boolean is no number, and NaN or ±Infinity no
+    float; any other value is a ConfigError naming the dotted `key`."""
     if isinstance(t, list):
         if isinstance(value, list):
             return [_typed(t[0], v, key) for v in value]
     elif t is str:
         if isinstance(value, str):
             return value
+    elif t is float and isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
     elif (isinstance(value, (int, float)) and not isinstance(value, bool)
           and (t is float or isinstance(value, int) or value.is_integer())):
         try:
@@ -266,6 +269,9 @@ def resolve_config(tree: dict, seed_override: int | None = None) -> ExperimentCo
     for key in ("dataset.train_fraction", "grid.validation_fraction"):
         if (value := _get(view, key)) is not None:
             _require(0.0 < value < 1.0, f"{key} must be in (0, 1), got {value!r}")
+    subset_fraction = _get(view, "gradient_analysis.subset_fraction", 0.1)
+    _require(0.0 < subset_fraction <= 1.0,
+             f"gradient_analysis.subset_fraction must be in (0, 1], got {subset_fraction!r}")
 
     condition = view["condition"]
     _require(condition in CONDITIONS, f"condition must be one of {CONDITIONS}, got {condition!r}")
@@ -331,7 +337,7 @@ def resolve_config(tree: dict, seed_override: int | None = None) -> ExperimentCo
         record_every=view["record_every"], criterion=selection["criterion"],
         window=selection["window"], grid=grid,
         generations=_get(view, "bootstrap.generations", 1),
-        subset_fraction=_get(view, "gradient_analysis.subset_fraction", 0.1),
+        subset_fraction=subset_fraction,
         theory_instances=_get(view, "theory.instances", DEFAULT_INSTANCES),
         theory_families=_get(view, "theory.constant_variance_families", DEFAULT_FAMILIES))
 

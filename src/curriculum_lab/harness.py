@@ -253,6 +253,8 @@ def _plan_run(config: ExperimentConfig, train_ds: Dataset, tables: list | None) 
 def _train_runs(train_ds: Dataset, test_ds: Dataset, runs: list[_Run]) -> list[list]:
     """Train every seed of every run as one stack; one outcome list per run.
     The runs share the model, the iteration count and `record_every`."""
+    if not runs:
+        return []
     rows = [(run, seed, plan) for run in runs for seed, plan in zip(run.seeds, run.plans)]
     config = runs[0].config
     outcomes = iter(train_stack(
@@ -389,8 +391,12 @@ def two_stage_grid_search(config: ExperimentConfig, out_dir=None) -> tuple[Exper
     size. Winners are judged on a held-out validation split of the training
     data, never the test set.
 
-    All cells × seeds of a stage train as one stack, and each score table is
-    made once per search: cells share the tables of equal scorer settings."""
+    Every score table is made before stage 1, the self-taught scorers as one
+    stack: `_scorer_key` ignores pacing, so the base pacing stands in for
+    the stage-1 winner's.
+    All new cells × seeds of a stage train as one stack; a cell whose
+    resolved tree was trained already (in stage 2, the stage-1 winner at the
+    base LR) reuses that run."""
     if config.grid is None:
         raise ConfigError("grid search requires a grid section in the config")
     grid = config.grid
@@ -406,20 +412,26 @@ def two_stage_grid_search(config: ExperimentConfig, out_dir=None) -> tuple[Exper
     if emb is not None and emb.N == train_ds.N:
         # the embedding table covers the training split; cells score the fit split
         emb = EmbeddingTable(emb.vectors[fit_ids])
+    data = (fit_ds, val_ds, emb)
+    scored = config.condition in SCORED_CONDITIONS
 
     audit: list[dict] = []
     best = None  # (criterion value, pacing params, config) of the best cell so far
     memo: dict = {}
+    trained: dict = {}  # a cell's resolved tree, as JSON -> its (run, outcomes)
 
     def run_stage(stage: int, cells: list[tuple[dict, dict]]) -> None:
         nonlocal best
         configs = [_with_params(config, pacing_params, lr_params)
                    for pacing_params, lr_params in cells]
-        tables = (score_tables(configs, (fit_ds, val_ds, emb), memo)
-                  if config.condition in SCORED_CONDITIONS else [None] * len(configs))
-        runs = [_plan_run(c, fit_ds, t) for c, t in zip(configs, tables)]
-        for (pacing_params, lr_params), run, outcomes in zip(
-                cells, runs, _train_runs(fit_ds, val_ds, runs)):
+        keys = [json.dumps(c.tree, sort_keys=True) for c in configs]
+        new = {key: c for key, c in zip(keys, configs) if key not in trained}
+        tables = (score_tables(list(new.values()), data, memo) if scored
+                  else [None] * len(new))
+        runs = [_plan_run(c, fit_ds, t) for c, t in zip(new.values(), tables)]
+        trained.update(zip(new, zip(runs, _train_runs(fit_ds, val_ds, runs))))
+        for (pacing_params, lr_params), key in zip(cells, keys):
+            run, outcomes = trained[key]
             try:
                 summary = _summarise(run, outcomes).summary
                 value = _criterion_value(summary, config.criterion)
@@ -442,11 +454,16 @@ def two_stage_grid_search(config: ExperimentConfig, out_dir=None) -> tuple[Exper
         counts = {"stage1": len(lr_cells), "stage2": 0, "total": len(lr_cells),
                   "matched_target": curriculum_total}
     else:
-        pacing_cells = _cells(grid.pacing)
+        pacing_cells, lr_cells = _cells(grid.pacing), _cells(grid.lr)
+        if scored:
+            # every table up front, in one stack: stage 1 varies only pacing,
+            # which `_scorer_key` ignores, so the base config stands in for
+            # each stage-1 cell, and the base pacing for the stage-1 winner's
+            score_tables([_with_params(config, {}, lr_params)
+                          for lr_params in [{}] + lr_cells], data, memo)
         run_stage(1, [(pacing_params, {}) for pacing_params in pacing_cells])
         # stage 2 sweeps LR at the stage-1 winner, so it waits for stage 1
         best_pacing = {} if best is None else best[1]
-        lr_cells = _cells(grid.lr)
         run_stage(2, [(best_pacing, lr_params) for lr_params in lr_cells])
         counts = {"stage1": len(pacing_cells), "stage2": len(lr_cells),
                   "total": len(pacing_cells) + len(lr_cells)}
@@ -528,7 +545,9 @@ def gradient_coherence_pipeline(config: ExperimentConfig,
     data = resolve_dataset(config)
     train_ds = data[0]
     if models is None:
-        models = run_experiment(_vanilla(config), data=data).models
+        # the report reads only the final models: record at t = 0 and M-1 alone
+        models = run_experiment(_vanilla(config, record_every=config.iterations),
+                                data=data).models
 
     size = max(1, round(config.subset_fraction * train_ds.N))
     oracle = oracle_bayes_score(train_ds)

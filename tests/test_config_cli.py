@@ -211,6 +211,28 @@ class TestCliErrors:
         assert {"condition", "seeds", "dataset.synthetic.spread", "grid.pacing.boundaries",
                 "theory.constant_variance_families"} <= visited
 
+    def test_every_float_leaf_rejects_a_non_finite_value(self, tmp_path, capsys):
+        # NaN and ±Infinity are JSON to Python's reader, but no float leaf takes them
+        visited = set()
+        for dotted, leaf in self.schema_leaves():
+            if leaf not in (float, [float]):
+                continue
+            for value in (float("nan"), float("inf"), float("-inf")):
+                tree = tiny_tree("curriculum")
+                *sections, key = dotted.split(".")
+                node = tree
+                for part in sections:
+                    node = node.setdefault(part, {})
+                node[key] = [value] if leaf == [float] else value
+                config = write_config(tmp_path, tree)
+                assert main(["train", "--config", str(config),
+                             "--out", str(tmp_path / "o")]) == 2, (dotted, value)
+                assert capsys.readouterr().err == \
+                    f"error: {dotted} must be a finite number, got {value!r}\n"
+            visited.add(dotted)
+        assert {"dataset.synthetic.spread", "lr.lr0", "pacing.increase", "grid.lr.lr0",
+                "gradient_analysis.subset_fraction"} <= visited
+
     def test_missing_synthetic_key_is_named(self, tmp_path, capsys):
         tree = tiny_tree()
         del tree["dataset"]["synthetic"]["dim"]
@@ -385,6 +407,22 @@ class TestCliMalformedInput:
         err = self.error_line(capsys, ["train", "--config", str(config),
                                        "--out", str(tmp_path / "o")])
         assert err == f"error: {section}.{key} must be in (0, 1), got {float(value)!r}\n"
+
+    @pytest.mark.parametrize("value", [0.0, -0.5, 5.0])
+    def test_out_of_range_subset_fraction_names_its_key(self, tmp_path, capsys, value):
+        tree = tiny_tree("curriculum", gradient_analysis={"subset_fraction": value})
+        config = write_config(tmp_path, tree)
+        err = self.error_line(capsys, ["analyze-gradients", "--config", str(config),
+                                       "--out", str(tmp_path / "o")])
+        assert err == f"error: gradient_analysis.subset_fraction must be in (0, 1], " \
+            f"got {value!r}\n"
+
+    def test_whole_training_set_subset_fraction_runs(self, tmp_path):
+        tree = tiny_tree("curriculum", gradient_analysis={"subset_fraction": 1.0})
+        out = tmp_path / "o"
+        assert main(["analyze-gradients", "--config", str(write_config(tmp_path, tree)),
+                     "--out", str(out)]) == 0
+        assert json.loads((out / "gradient_report.json").read_text())["subset_size"] == 72
 
     @pytest.mark.parametrize("command,section,key", [
         ("train", "dataset", "train_fraction"),

@@ -377,9 +377,10 @@ class TestGridStack:
         assert entries == alone
 
     def test_self_taught_scorers_train_once_per_key(self, monkeypatch):
-        # the shape of the benchmark's self-taught grid: stage 1 reuses one
-        # scorer key; stage 2 adds three, as its cell lr0 0.2 / decrease
-        # factor 1.5 is the base schedule
+        # the shape of the benchmark's self-taught grid: every scorer key
+        # trains up front, one for stage 1 and three more for stage 2, as its
+        # cell lr0 0.2 / decrease factor 1.5 is the base schedule; that cell
+        # is the stage-1 winner and reuses its run
         rows = []
         real = harness.train_stack
 
@@ -393,8 +394,8 @@ class TestGridStack:
         tree["grid"]["lr"] = {"lr0": [0.2, 0.3], "decrease_factor": [1.5, 2.0]}
         _best, audit = two_stage_grid_search(resolve_config(tree))
         assert not any(e["failed"] for e in audit["entries"])
-        # per stage: the scorer stack, then the cells' stack
-        assert rows == [4, 16, 12, 16]
+        # the scorer stack, then each stage's new cells
+        assert rows == [16, 16, 12]
 
     def test_self_taught_scorers_record_on_the_runs_test_split(self, monkeypatch):
         # a scorer stack evaluates where its runs do: the validation split in a
@@ -415,9 +416,31 @@ class TestGridStack:
         run_experiment(resolve_config(tree))
         grid_calls, run_calls = seen[:-2], seen[-2:]
         # a scorer records only at its first and last iteration: every M = 40
-        assert [every for every, *_ in grid_calls] == [40, 20] * 2
+        assert [every for every, *_ in grid_calls] == [40, 20, 20]
         assert {tuple(sizes) for _, *sizes in grid_calls} == {(58, 14)}
         assert run_calls == [(40, 72, 18), (20, 72, 18)]
+
+    @pytest.mark.parametrize("lr0", [[0.2, 0.3], [0.2]])
+    def test_stage_2_cell_equal_to_the_winner_reuses_its_run(self, monkeypatch, lr0):
+        # the stage-2 cell at the base lr0 0.2 is the stage-1 winner: it never
+        # reaches train_stack, so a stage 2 of only that cell trains nothing
+        rows = []
+        real = harness.train_stack
+
+        def counting(ds_train, ds_test, plans, *args, **kwargs):
+            rows.append(len(plans))
+            return real(ds_train, ds_test, plans, *args, **kwargs)
+
+        tree = self.grid_tree()
+        tree["grid"]["lr"] = {"lr0": lr0}
+        monkeypatch.setattr(harness, "train_stack", counting)
+        _best, audit = two_stage_grid_search(resolve_config(tree))
+        monkeypatch.undo()
+        # four stage-1 cells, then the stage-2 cells but the winner, x two seeds
+        assert rows == [8] + [2] * (len(lr0) - 1)
+        assert len(audit["entries"]) == 4 + len(lr0)
+        entries, alone = self.cells_alone(tree)
+        assert entries == alone
 
     def test_diverging_self_taught_scorer_fails_only_its_cell(self, tmp_path):
         # the benchmark's self-taught grid on mlp1, with one stage-2 cell whose
@@ -578,6 +601,20 @@ class TestGradientPipeline:
         cfg = resolve_config(tiny_tree("curriculum"))
         report = gradient_coherence_pipeline(cfg)
         json.dumps(report)
+
+    def test_trains_recording_only_first_and_last_iteration(self, monkeypatch):
+        # the report reads only the final models, so the vanilla runs record
+        # at t = 0 and t = M-1 alone
+        seen = []
+        real = harness.train_stack
+
+        def spying(*args, record_every, **kwargs):
+            seen.append(record_every)
+            return real(*args, record_every=record_every, **kwargs)
+
+        monkeypatch.setattr(harness, "train_stack", spying)
+        gradient_coherence_pipeline(resolve_config(tiny_tree("curriculum")))
+        assert seen == [60]
 
 
 class TestDatasetResolution:

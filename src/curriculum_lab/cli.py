@@ -136,8 +136,8 @@ def cmd_analyze_gradients(args) -> int:
 def cmd_verify_theory(args) -> int:
     if args.config is not None:
         config, out = _load(args, "theory.instances")
-        instances = config.theory_instances
-        families = config.theory_families
+        instances = config.theory["instances"]
+        families = config.theory["constant_variance_families"]
         seed = config.seeds[0]
         config_tree = config.tree
     else:

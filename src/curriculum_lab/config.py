@@ -1,13 +1,16 @@
 """Experiment configuration: a JSON tree with a closed, typed key schema.
 
 `_SCHEMA` is the one declaration of the format: each leaf is the JSON type of
-its value (`int`, `float`, `str`, or `[t]` for a list of `t`). Unknown keys
-anywhere in the tree are hard errors (listed by dotted path), so a typo cannot
-silently fall back to a default and taint an experiment, and a value of the
-wrong type is an error naming its dotted key. `resolve_config` writes the
-defaults into the tree, converts the whole tree in one walk, and builds every
-check and object from that converted view; the tree keeps its values as
-written, so a manifest reproduces the run.
+its value (`int`, `float`, `str`, or `[t]` for a list of `t`), or a pair of
+that type and its domain: `"> a"` or `">= a"`, an interval such as
+`"(0, 1]"`, or a tuple of the allowed strings; a list's domain holds for each
+element. Unknown keys anywhere in the tree are hard errors (listed by dotted
+path), so a typo cannot silently fall back to a default and taint an
+experiment, and a value of the wrong type or outside its domain is an error
+naming its dotted key, also where the variant does not read it.
+`resolve_config` writes the defaults into the tree, converts the whole tree
+in one walk, and builds every check and object from that converted view; the
+tree keeps its values as written, so a manifest reproduces the run.
 """
 from __future__ import annotations
 
@@ -16,50 +19,59 @@ import math
 import os
 from dataclasses import dataclass
 
-from .errors import ConfigError
+from .errors import ConfigError, ParameterError
 from .pacing import PacingSpec, extend_boundaries
 from .theory import DEFAULT_FAMILIES, DEFAULT_INSTANCES
-from .trainer import LRSchedule, ModelSpec
+from .trainer import ARCHITECTURES, LRSchedule, ModelSpec
 
-CONDITIONS = ("curriculum", "anti", "random", "vanilla", "self_paced")
-SCORING_KINDS = ("oracle", "self_taught", "transfer", "file")
-CRITERIA = ("final_accuracy", "auc")
+# the defaults of each pacing variant, and the LRSchedule fields each
+# learning-rate variant reads, with their defaults
+_PACING_DEFAULTS = {"fixed_exp": {"increase": 1.9, "step_length": 100},
+                    "varied_exp": {"increase": 1.9}, "single_step": {"step_length": 100}}
+_LR_DEFAULTS = {"exponential": {"lr0": 0.1, "decrease_factor": 1.5, "lr_step_length": 500},
+                "cyclical": {"lr_min": 0.01, "lr_max": 0.1, "cycle_length": 500}}
 
-# the pacing and learning-rate leaves a grid axis may sweep
-_PACING_AXES = {"starting_percent": float, "increase": float, "step_length": int,
-                "boundaries": [int]}
-_LR_AXES = {"lr0": float, "decrease_factor": float, "lr_step_length": int}
+# the pacing and learning-rate leaves a grid axis may sweep; step_length 0 is
+# a legal single_step (fixed_exp's PacingSpec needs 1)
+_PACING_AXES = {"starting_percent": (float, "(0, 1]"), "increase": (float, "> 1"),
+                "step_length": (int, ">= 0"), "boundaries": ([int], ">= 0")}
+_LR_AXES = {"lr0": (float, "> 0"), "decrease_factor": (float, "> 1"),
+            "lr_step_length": (int, ">= 1")}
 
-# allowed keys: a dict marks a nested section, any other value the JSON type of
-# a leaf: int (an integral number), float (a number), str, or [t] (a list of t)
+# allowed keys: a dict marks a nested section, any other value a leaf: the
+# JSON type of its value, int (an integral number), float (a number), str or
+# [t] (a list of t), or a (type, domain) pair
 _SCHEMA = {
     "dataset": {
-        "synthetic": {"classes": int, "dim": int, "n_per_class": int, "spread": float,
-                      "seed": int},
+        "synthetic": {"classes": (int, ">= 2"), "dim": (int, ">= 1"),
+                      "n_per_class": (int, ">= 1"), "spread": (float, "> 0"),
+                      "seed": (int, ">= 0")},
         "train_csv": str, "test_csv": str, "bayes_json": str, "embeddings_csv": str,
-        "train_fraction": float, "split_seed": int,
+        "train_fraction": (float, "(0, 1)"), "split_seed": (int, ">= 0"),
     },
-    "condition": str,
-    "scoring": {"kind": str, "path": str, "folds": int},
-    "pacing": {"variant": str, **_PACING_AXES},
-    "lr": {"variant": str, **_LR_AXES, "lr_min": float, "lr_max": float, "cycle_length": int},
-    "model": {"architecture": str, "hidden": int},
-    "batch_size": int,
-    "iterations": int,
-    "repetitions": int,
-    "seed": int,
-    "seeds": [int],
-    "record_every": int,
-    "selection": {"criterion": str, "window": int},
+    "condition": (str, ("curriculum", "anti", "random", "vanilla", "self_paced")),
+    "scoring": {"kind": (str, ("oracle", "self_taught", "transfer", "file")), "path": str,
+                "folds": (int, ">= 2")},
+    "pacing": {"variant": (str, (*_PACING_DEFAULTS, "vanilla")), **_PACING_AXES},
+    "lr": {"variant": (str, tuple(_LR_DEFAULTS)), **_LR_AXES, "lr_min": (float, "> 0"),
+           "lr_max": (float, "> 0"), "cycle_length": (int, ">= 2")},
+    "model": {"architecture": (str, ARCHITECTURES), "hidden": (int, ">= 0")},
+    "batch_size": (int, ">= 1"),
+    "iterations": (int, ">= 1"),
+    "repetitions": (int, ">= 1"),
+    "seed": (int, ">= 0"),
+    "seeds": ([int], ">= 0"),
+    "record_every": (int, ">= 1"),
+    "selection": {"criterion": (str, ("final_accuracy", "auc")), "window": (int, ">= 1")},
     "grid": {
-        "pacing": {key: [t] for key, t in _PACING_AXES.items()},
-        "lr": {key: [t] for key, t in _LR_AXES.items()},
-        "validation_fraction": float,
-        "split_seed": int,
+        "pacing": {key: ([t], domain) for key, (t, domain) in _PACING_AXES.items()},
+        "lr": {key: ([t], domain) for key, (t, domain) in _LR_AXES.items()},
+        "validation_fraction": (float, "(0, 1)"),
+        "split_seed": (int, ">= 0"),
     },
-    "bootstrap": {"generations": int},
-    "gradient_analysis": {"subset_fraction": float},
-    "theory": {"instances": int, "constant_variance_families": int},
+    "bootstrap": {"generations": (int, ">= 0")},
+    "gradient_analysis": {"subset_fraction": (float, "(0, 1]")},
+    "theory": {"instances": (int, ">= 0"), "constant_variance_families": (int, ">= 0")},
 }
 
 # the defaults written into every resolved tree
@@ -68,41 +80,35 @@ _DEFAULTS = {"condition": "vanilla", "scoring": {"kind": "oracle", "folds": 4},
              "model": {"architecture": "linear_softmax", "hidden": 0},
              "batch_size": 100, "iterations": 3000, "record_every": 50,
              "selection": {"criterion": "final_accuracy", "window": 5}}
-# the defaults of each pacing variant, and the LRSchedule fields each
-# learning-rate variant reads, with their defaults
-_PACING_DEFAULTS = {"fixed_exp": {"increase": 1.9, "step_length": 100},
-                    "varied_exp": {"increase": 1.9}, "single_step": {"step_length": 100}}
-_LR_DEFAULTS = {"exponential": {"lr0": 0.1, "decrease_factor": 1.5, "lr_step_length": 500},
-                "cyclical": {"lr_min": 0.01, "lr_max": 0.1, "cycle_length": 500}}
-# the counts and seeds that must be >= 0
-_NON_NEGATIVE = ("dataset.synthetic.seed", "dataset.split_seed", "seed", "grid.split_seed",
-                 "bootstrap.generations", "theory.instances", "theory.constant_variance_families")
+# the defaults of the sections a resolved tree leaves out: the view alone gets them
+_VIEW_DEFAULTS = {"dataset": {}, "bootstrap": {"generations": 1},
+                  "gradient_analysis": {"subset_fraction": 0.1},
+                  "theory": {"instances": DEFAULT_INSTANCES,
+                             "constant_variance_families": DEFAULT_FAMILIES}}
 
 
 def _collect_unknown(tree: dict, schema: dict, prefix: str = "") -> list[str]:
     unknown = []
     for key, value in tree.items():
-        path = f"{prefix}{key}"
+        path, section = f"{prefix}{key}", isinstance(value, dict)
         if key not in schema:
             unknown.append(path)
-            continue
-        sub = schema[key]
-        if isinstance(value, dict):
-            if not isinstance(sub, dict):
-                unknown.append(f"{path} (expected a value, got a section)")
-            else:
-                unknown.extend(_collect_unknown(value, sub, prefix=f"{path}."))
-        elif isinstance(sub, dict):
-            unknown.append(f"{path} (expected a section, got a value)")
+        elif section != isinstance(schema[key], dict):
+            unknown.append(f"{path} (expected a {'value' if section else 'section'}, "
+                           f"got a {'section' if section else 'value'})")
+        elif section:
+            unknown += _collect_unknown(value, schema[key], f"{path}.")
     return unknown
 
 
 def validate_tree(tree: dict) -> None:
+    """Check the tree as written: its keys, and each value's type and domain."""
     if not isinstance(tree, dict):
         raise ConfigError("config root must be a JSON object")
     unknown = _collect_unknown(tree, _SCHEMA)
     if unknown:
         raise ConfigError("unknown config key(s): " + ", ".join(sorted(unknown)))
+    _typed_tree(tree)
 
 
 def load_config_tree(path) -> dict:
@@ -118,67 +124,37 @@ def load_config_tree(path) -> dict:
 
 
 @dataclass(frozen=True)
-class GridSpec:
-    pacing: dict[str, list]
-    lr: dict[str, list]
-    validation_fraction: float = 0.8
-    split_seed: int = 0
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
-    """Resolved experiment settings; `tree` retains the exact resolved JSON,
-    `dataset` is its dataset section converted to the schema types."""
+    """Resolved experiment settings. `tree` retains the exact resolved JSON;
+    `dataset`, `scoring`, `pacing`, `selection` and `theory` are its sections
+    converted to the schema types (`pacing` holds PacingSpec's fields but N
+    and M), and `grid` is its grid section with the axes as written, or None."""
 
     tree: dict
     dataset: dict
     condition: str
-    scoring_kind: str
-    scoring_path: str | None
-    scoring_folds: int
+    scoring: dict
     base_seed: int  # the config's seed, or its first repetition seed
-    pacing_variant: str
-    starting_percent: float
-    increase: float | None
-    step_length: int | None
-    boundaries: tuple[int, ...] | None
+    pacing: dict
     schedule: LRSchedule
     model_spec: ModelSpec
     batch_size: int
     iterations: int
     seeds: tuple[int, ...]
     record_every: int
-    criterion: str
-    window: int
-    grid: GridSpec | None
+    selection: dict
+    grid: dict | None
     generations: int
     subset_fraction: float
-    theory_instances: int
-    theory_families: int
+    theory: dict
 
     @property
     def repetitions(self) -> int:
         return len(self.seeds)
 
 
-def _get(tree: dict, path: str, default=None):
-    node = tree
-    for part in path.split("."):
-        if not isinstance(node, dict) or part not in node:
-            return default
-        node = node[part]
-    return node
-
-
-_FILE_KEYS = ("dataset.train_csv", "dataset.test_csv", "dataset.bayes_json",
-              "dataset.embeddings_csv", "scoring.path")
-
-
-def _check_referenced_files(view: dict) -> None:
-    missing = [f"{key} ({value})" for key in _FILE_KEYS
-               if (value := _get(view, key)) is not None and not os.path.isfile(value)]
-    if missing:
-        raise ConfigError("referenced file(s) do not exist: " + ", ".join(missing))
+_FILE_KEYS = (("dataset", "train_csv"), ("dataset", "test_csv"), ("dataset", "bayes_json"),
+              ("dataset", "embeddings_csv"), ("scoring", "path"))
 
 
 def _require(cond: bool, message: str) -> None:
@@ -186,23 +162,45 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def _typed(t, value, key: str):
-    """`value` as the JSON type `t` of its schema leaf: a string for str, a
-    number for float, an integral number for int (int() would truncate 150.9),
-    a list of `t[0]` for [t]. A boolean is no number, and NaN or ±Infinity no
-    float; any other value is a ConfigError naming the dotted `key`."""
+def _in_domain(domain, v, key: str):
+    """`v` if it lies in `domain` (None admits every value), else a
+    ConfigError naming the dotted `key`."""
+    if domain is None:
+        return v
+    if isinstance(domain, tuple):
+        inside, phrase = v in domain, f"one of {domain}"
+    elif domain[0] in "([":
+        lo, hi = map(float, domain[1:-1].split(","))
+        inside = (lo < v if domain[0] == "(" else lo <= v) and \
+            (v < hi if domain[-1] == ")" else v <= hi)
+        phrase = f"in {domain}"
+    else:
+        op, bound = domain.split()
+        inside, phrase = (v > float(bound) if op == ">" else v >= float(bound)), domain
+    if inside:
+        return v
+    raise ConfigError(f"{key} must be {phrase}, got {v!r}")
+
+
+def _typed(leaf, value, key: str):
+    """`value` as the type of its schema leaf, checked against the leaf's
+    domain: a string for str, a number for float, an integral number for int
+    (int() would truncate 150.9), a list of `t[0]` for [t]. A boolean is no
+    number, and NaN or ±Infinity no float; any other value is a ConfigError
+    naming the dotted `key`."""
+    t, domain = leaf if isinstance(leaf, tuple) else (leaf, None)
     if isinstance(t, list):
         if isinstance(value, list):
-            return [_typed(t[0], v, key) for v in value]
+            return [_typed((t[0], domain), v, key) for v in value]
     elif t is str:
         if isinstance(value, str):
-            return value
+            return _in_domain(domain, value, key)
     elif t is float and isinstance(value, float) and not math.isfinite(value):
         raise ConfigError(f"{key} must be a finite number, got {value!r}")
     elif (isinstance(value, (int, float)) and not isinstance(value, bool)
           and (t is float or isinstance(value, int) or value.is_integer())):
         try:
-            return t(value)
+            return _in_domain(domain, t(value), key)
         except OverflowError:  # an int past the float range
             pass
     name = "list" if isinstance(t, list) else t.__name__
@@ -210,10 +208,19 @@ def _typed(t, value, key: str):
 
 
 def _typed_tree(tree: dict, schema: dict = _SCHEMA, prefix: str = "") -> dict:
-    """A validated tree with every leaf converted to its schema type."""
+    """A tree of known keys with every leaf converted to its schema type and
+    checked against its domain."""
     return {key: _typed_tree(value, schema[key], f"{prefix}{key}.") if isinstance(value, dict)
             else _typed(schema[key], value, prefix + key)
             for key, value in tree.items()}
+
+
+def _built(section: str, cls, **fields):
+    """`cls(**fields)`; a ParameterError, a rule across fields, names `section`."""
+    try:
+        return cls(**fields)
+    except ParameterError as exc:
+        raise ConfigError(f"{section}: {exc}") from None
 
 
 def _fill(tree: dict, defaults: dict) -> None:
@@ -228,11 +235,12 @@ def _fill(tree: dict, defaults: dict) -> None:
 def resolve_config(tree: dict, seed_override: int | None = None) -> ExperimentConfig:
     """Validate a config tree and fill defaults; returns the resolved config.
 
-    The defaults go into the tree first; then `_typed_tree` converts the whole
-    tree, and every check and object below reads that converted view. The
-    resolved tree (with defaults, the derived seeds and boundaries, and the
-    seed override applied) keeps each value as written, so manifests can
-    reproduce the run byte-for-byte.
+    `validate_tree` checks the tree as written (a vanilla condition's pacing
+    variant, which resolution overwrites, included). Then the defaults go
+    into the tree, `_typed_tree` converts it, and every check and object
+    below reads that converted view. The resolved tree (with defaults, the
+    derived seeds and boundaries, and the seed override applied) keeps each
+    value as written, so manifests can reproduce the run byte-for-byte.
     """
     validate_tree(tree)
     tree = json.loads(json.dumps(tree))  # deep copy, JSON-clean
@@ -258,64 +266,42 @@ def resolve_config(tree: dict, seed_override: int | None = None) -> ExperimentCo
         _fill(tree["grid"], {"validation_fraction": 0.8, "split_seed": 0})
 
     view = _typed_tree(tree)
+    _fill(view, _VIEW_DEFAULTS)
 
-    dataset = view.get("dataset", {})
+    dataset = view["dataset"]
     if "synthetic" in dataset:
         missing = [f"dataset.synthetic.{key}" for key in _SCHEMA["dataset"]["synthetic"]
                    if key not in dataset["synthetic"]]
         _require(not missing, "missing config key(s): " + ", ".join(missing))
-    for key in _NON_NEGATIVE:
-        _require(_get(view, key, 0) >= 0, f"{key} must be >= 0, got {_get(view, key)}")
-    for key in ("dataset.train_fraction", "grid.validation_fraction"):
-        if (value := _get(view, key)) is not None:
-            _require(0.0 < value < 1.0, f"{key} must be in (0, 1), got {value!r}")
-    subset_fraction = _get(view, "gradient_analysis.subset_fraction", 0.1)
-    _require(0.0 < subset_fraction <= 1.0,
-             f"gradient_analysis.subset_fraction must be in (0, 1], got {subset_fraction!r}")
-
-    condition = view["condition"]
-    _require(condition in CONDITIONS, f"condition must be one of {CONDITIONS}, got {condition!r}")
     scoring = view["scoring"]
-    kind = scoring["kind"]
-    _require(kind in SCORING_KINDS, f"scoring.kind must be one of {SCORING_KINDS}, got {kind!r}")
-    _require(scoring["folds"] >= 2, "scoring.folds must be >= 2")
-    if kind == "file":
+    if scoring["kind"] == "file":
         _require("path" in scoring, "scoring.kind=file requires scoring.path")
-    _check_referenced_files(view)
+    missing = [f"{section}.{key} ({view[section][key]})" for section, key in _FILE_KEYS
+               if key in view[section] and not os.path.isfile(view[section][key])]
+    _require(not missing, "referenced file(s) do not exist: " + ", ".join(missing))
 
     p = view["pacing"]
-    boundaries = p.get("boundaries")
     if p["variant"] == "varied_exp":
-        _require(boundaries is not None and len(boundaries) >= 1,
+        _require(len(p.get("boundaries", ())) >= 1,
                  "varied_exp requires pacing.boundaries (at least the first two step ends)")
-        boundaries = list(extend_boundaries(boundaries, p["starting_percent"], p.get("increase")))
-        pacing["boundaries"] = boundaries
+        p["boundaries"] = extend_boundaries(p["boundaries"], p["starting_percent"],
+                                            p.get("increase"))
+        pacing["boundaries"] = list(p["boundaries"])
 
-    lr_variant = view["lr"]["variant"]
-    _require(lr_variant in _LR_DEFAULTS,
-             f"lr.variant must be exponential or cyclical, got {lr_variant!r}")
-    schedule = LRSchedule(variant=lr_variant,
-                          **{key: view["lr"][key] for key in _LR_DEFAULTS[lr_variant]})
-
-    for key in ("batch_size", "iterations", "record_every"):
-        _require(view[key] >= 1, f"{key} must be >= 1")
+    lr = view["lr"]
+    schedule = _built("lr", LRSchedule, variant=lr["variant"],
+                      **{key: lr[key] for key in _LR_DEFAULTS[lr["variant"]]})
 
     if "seeds" in view:
         seeds = tuple(view["seeds"])
         _require(len(seeds) >= 1, "seeds must be non-empty")
-        _require(min(seeds) >= 0, f"seeds must be >= 0, got {min(seeds)}")
         _require(len(set(seeds)) == len(seeds), f"seeds must be distinct, got {list(seeds)}")
         _require(view.get("repetitions", len(seeds)) == len(seeds),
                  "repetitions does not match the length of seeds")
         tree["repetitions"] = len(seeds)
     else:
-        _require(view["repetitions"] >= 1, "repetitions must be >= 1")
         seeds = tuple(view["seed"] + r for r in range(view["repetitions"]))
         tree["seeds"] = list(seeds)
-
-    selection = view["selection"]
-    _require(selection["criterion"] in CRITERIA, f"selection.criterion must be one of {CRITERIA}")
-    _require(selection["window"] >= 1, "selection.window must be >= 1")
 
     grid = None
     if "grid" in view:
@@ -323,27 +309,18 @@ def resolve_config(tree: dict, seed_override: int | None = None) -> ExperimentCo
         axes = {section: tree["grid"].get(section, {}) for section in ("pacing", "lr")}
         empty = [f"grid.{s}.{key}" for s, axis in axes.items() for key, v in axis.items() if not v]
         _require(not empty, f"{', '.join(empty)} must be a non-empty list")
-        grid = GridSpec(**axes, validation_fraction=view["grid"]["validation_fraction"],
-                        split_seed=view["grid"]["split_seed"])
+        grid = {**view["grid"], **axes}
 
     return ExperimentConfig(
-        tree=tree, dataset=dataset, condition=condition, scoring_kind=kind,
-        scoring_path=scoring.get("path"), scoring_folds=scoring["folds"],
-        base_seed=view.get("seed", seeds[0]), pacing_variant=p["variant"],
-        starting_percent=p["starting_percent"], increase=p.get("increase"),
-        step_length=p.get("step_length"), boundaries=tuple(boundaries) if boundaries else None,
-        schedule=schedule, model_spec=ModelSpec(**view["model"]),
+        tree=tree, dataset=dataset, condition=view["condition"], scoring=scoring,
+        base_seed=view.get("seed", seeds[0]), pacing=p, schedule=schedule,
+        model_spec=_built("model", ModelSpec, **view["model"]),
         batch_size=view["batch_size"], iterations=view["iterations"], seeds=seeds,
-        record_every=view["record_every"], criterion=selection["criterion"],
-        window=selection["window"], grid=grid,
-        generations=_get(view, "bootstrap.generations", 1),
-        subset_fraction=subset_fraction,
-        theory_instances=_get(view, "theory.instances", DEFAULT_INSTANCES),
-        theory_families=_get(view, "theory.constant_variance_families", DEFAULT_FAMILIES))
+        record_every=view["record_every"], selection=view["selection"], grid=grid,
+        generations=view["bootstrap"]["generations"],
+        subset_fraction=view["gradient_analysis"]["subset_fraction"], theory=view["theory"])
 
 
 def pacing_spec_for(config: ExperimentConfig, N: int) -> PacingSpec:
     """Instantiate the config's pacing for a concrete dataset size."""
-    return PacingSpec(variant=config.pacing_variant, N=N, M=config.iterations,
-                      starting_percent=config.starting_percent, increase=config.increase,
-                      step_length=config.step_length, boundaries=config.boundaries)
+    return PacingSpec(N=N, M=config.iterations, **config.pacing)

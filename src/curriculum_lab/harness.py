@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import product
 from pathlib import Path
 
@@ -106,8 +106,7 @@ def resolve_dataset(config: ExperimentConfig) -> tuple[Dataset, Dataset, Embeddi
             if bayes.means.shape != (train_ds.K, train_ds.d):
                 raise ConfigError(f"dataset.bayes_json: means have shape {bayes.means.shape}, "
                                   f"the training set needs (K, d) = ({train_ds.K}, {train_ds.d})")
-            train_ds = Dataset(X=train_ds.X, y=train_ds.y, K=train_ds.K, bayes=bayes)
-            test_ds = Dataset(X=test_ds.X, y=test_ds.y, K=test_ds.K, bayes=bayes)
+            train_ds, test_ds = (replace(ds, bayes=bayes) for ds in (train_ds, test_ds))
     if "embeddings_csv" in ds_cfg:
         emb = load_embeddings_csv(ds_cfg["embeddings_csv"])
     return train_ds, test_ds, emb
@@ -116,29 +115,29 @@ def resolve_dataset(config: ExperimentConfig) -> tuple[Dataset, Dataset, Embeddi
 def _fixed_table(config: ExperimentConfig, train_ds: Dataset,
                  emb: EmbeddingTable | None) -> ScoreTable:
     """The oracle, file or transfer table, shared by every repetition seed."""
-    kind = config.scoring_kind
+    kind = config.scoring["kind"]
     if kind == "oracle":
         return oracle_bayes_score(train_ds)
     if kind == "file":
-        table = load_scores_csv(config.scoring_path)
+        table = load_scores_csv(config.scoring["path"])
         if len(table) != train_ds.N:
             raise ConfigError(
                 f"score file covers {len(table)} ids, training set has {train_ds.N}")
         return table
     if emb is None:
         raise ConfigError("scoring.kind=transfer requires dataset.embeddings_csv")
-    return transfer_score(train_ds, emb, config.scoring_folds,
+    return transfer_score(train_ds, emb, config.scoring["folds"],
                           seed=derived_seed(config.base_seed, SCORE))
 
 
 def _scorer_key(config: ExperimentConfig, seed: int) -> tuple:
     """The config fields the configured scorer reads for repetition `seed`."""
-    kind = config.scoring_kind
+    kind = config.scoring["kind"]
     if kind == "self_taught":
         return (kind, config.model_spec, config.schedule, config.batch_size,
                 config.iterations, seed)
     if kind == "transfer":
-        return (kind, config.scoring_folds, config.base_seed)
+        return (kind, config.scoring["folds"], config.base_seed)
     return (kind,)
 
 
@@ -162,7 +161,7 @@ def score_tables(configs: list[ExperimentConfig], data: tuple,
             key = _scorer_key(config, seed)
             if key in memo or key in new:
                 continue
-            if config.scoring_kind == "self_taught":
+            if config.scoring["kind"] == "self_taught":
                 scorer = _vanilla(config, seeds=[seed], repetitions=1,
                                   record_every=config.iterations)
                 new[key] = _plan_run(scorer, train_ds, None)
@@ -285,7 +284,7 @@ def _summarise(run: _Run, outcomes: list, out_dir=None) -> ExperimentResult:
             f"{len(failed)} of {config.repetitions} repetitions failed (seeds {failed})")
 
     ok_seeds = [s for s in config.seeds if s not in failed]
-    finals = [_final_accuracy(result.curves[s], config.window) for s in ok_seeds]
+    finals = [_final_accuracy(result.curves[s], config.selection["window"]) for s in ok_seeds]
     aucs = [_auc(result.curves[s]) for s in ok_seeds]
     first = result.curves[ok_seeds[0]]
     mean_acc = np.mean([result.curves[s].test_acc for s in ok_seeds], axis=0)
@@ -341,11 +340,6 @@ def run_experiment(config: ExperimentConfig, out_dir=None,
 # Two-stage grid search
 # ---------------------------------------------------------------------------
 
-def _criterion_value(summary: dict, criterion: str) -> float:
-    return summary["final_accuracy_mean"] if criterion == "final_accuracy" \
-        else summary["auc_mean"]
-
-
 def _with_params(config: ExperimentConfig, pacing_params: dict, lr_params: dict) -> ExperimentConfig:
     tree = {key: value for key, value in config.tree.items() if key != "grid"}
     tree["pacing"] = {**tree["pacing"], **pacing_params}
@@ -354,8 +348,6 @@ def _with_params(config: ExperimentConfig, pacing_params: dict, lr_params: dict)
 
 
 def _cells(axes: dict[str, list]) -> list[dict]:
-    if not axes:
-        return [{}]
     names = sorted(axes)
     return [dict(zip(names, combo)) for combo in product(*(axes[n] for n in names))]
 
@@ -369,19 +361,12 @@ def refine_lr_grid(lr_axes: dict[str, list], target: int) -> dict[str, list]:
     """
     axes = {k: list(v) for k, v in lr_axes.items()}
     lr0 = axes.get("lr0", [0.1])
-    others = 1
-    for k, v in axes.items():
-        if k != "lr0":
-            others *= len(v)
-    n = max(1, round(target / others))
+    n = max(1, round(target / math.prod(len(v) for k, v in axes.items() if k != "lr0")))
     lo, hi = min(lr0), max(lr0)
-    if n == 1:
-        axes["lr0"] = [lo]
-    elif hi > lo:
-        axes["lr0"] = [float(v) for v in np.geomspace(lo, hi, n)]
-    else:
+    if n > 1 and hi == lo:
         # degenerate single-value axis: spread half an octave around it
-        axes["lr0"] = [float(v) for v in np.geomspace(lo / 1.5, lo * 1.5, n)]
+        lo, hi = lo / 1.5, lo * 1.5
+    axes["lr0"] = [lo] if n == 1 else [float(v) for v in np.geomspace(lo, hi, n)]
     return axes
 
 
@@ -396,16 +381,18 @@ def two_stage_grid_search(config: ExperimentConfig, out_dir=None) -> tuple[Exper
     the stage-1 winner's.
     All new cells × seeds of a stage train as one stack; a cell whose
     resolved tree was trained already (in stage 2, the stage-1 winner at the
-    base LR) reuses that run."""
+    base LR) reuses that run. A cell whose pacing cannot be planned on the
+    fit split (a `ParameterError`) is recorded as failed, like a cell whose
+    repetitions fail."""
     if config.grid is None:
         raise ConfigError("grid search requires a grid section in the config")
     grid = config.grid
-    if not grid.pacing and not grid.lr:
+    if not grid["pacing"] and not grid["lr"]:
         raise ConfigError("grid is empty: no pacing or learning-rate axes to sweep")
     train_ds, _test_ds, emb = resolve_dataset(config)
     try:
         fit_ids, val_ids = stratified_split_ids(
-            train_ds, grid.validation_fraction, derived_seed(grid.split_seed, SPLIT))
+            train_ds, grid["validation_fraction"], derived_seed(grid["split_seed"], SPLIT))
     except ParameterError as exc:  # a class left empty on one side
         raise ConfigError(f"grid.validation_fraction: {exc}") from None
     fit_ds, val_ds = select_examples(train_ds, fit_ids), select_examples(train_ds, val_ids)
@@ -418,7 +405,9 @@ def two_stage_grid_search(config: ExperimentConfig, out_dir=None) -> tuple[Exper
     audit: list[dict] = []
     best = None  # (criterion value, pacing params, config) of the best cell so far
     memo: dict = {}
-    trained: dict = {}  # a cell's resolved tree, as JSON -> its (run, outcomes)
+    # a cell's resolved tree, as JSON -> its (run, outcomes), or the
+    # ParameterError that planning it raised
+    trained: dict = {}
 
     def run_stage(stage: int, cells: list[tuple[dict, dict]]) -> None:
         nonlocal best
@@ -428,33 +417,41 @@ def two_stage_grid_search(config: ExperimentConfig, out_dir=None) -> tuple[Exper
         new = {key: c for key, c in zip(keys, configs) if key not in trained}
         tables = (score_tables(list(new.values()), data, memo) if scored
                   else [None] * len(new))
-        runs = [_plan_run(c, fit_ds, t) for c, t in zip(new.values(), tables)]
-        trained.update(zip(new, zip(runs, _train_runs(fit_ds, val_ds, runs))))
-        for (pacing_params, lr_params), key in zip(cells, keys):
-            run, outcomes = trained[key]
+        runs = {}
+        for key, c, t in zip(new, new.values(), tables):
             try:
+                runs[key] = _plan_run(c, fit_ds, t)
+            except ParameterError as exc:  # a pacing the fit split cannot take
+                trained[key] = exc
+        trained.update(zip(runs, zip(runs.values(),
+                                     _train_runs(fit_ds, val_ds, list(runs.values())))))
+        for (pacing_params, lr_params), key in zip(cells, keys):
+            try:
+                if isinstance(trained[key], ParameterError):
+                    raise trained[key]
+                run, outcomes = trained[key]
                 summary = _summarise(run, outcomes).summary
-                value = _criterion_value(summary, config.criterion)
+                value = summary[f"{config.selection['criterion']}_mean"]
                 entry_extra = {"final_accuracy_mean": summary["final_accuracy_mean"],
                                "auc_mean": summary["auc_mean"], "failed": False}
-            except ExperimentError as exc:
+            except (ExperimentError, ParameterError) as exc:
                 value = None
                 entry_extra = {"failed": True, "error": str(exc)}
             audit.append({"stage": stage, "pacing": pacing_params, "lr": lr_params,
-                          "criterion": config.criterion, "criterion_value": value,
+                          "criterion": config.selection["criterion"], "criterion_value": value,
                           **entry_extra})
             if value is not None and (best is None or value > best[0]):
                 best = (value, pacing_params, run.config)
 
     if config.condition == "vanilla":
-        pacing_cells = _cells(grid.pacing)
-        curriculum_total = len(pacing_cells) + len(_cells(grid.lr))
-        lr_cells = _cells(refine_lr_grid(grid.lr, curriculum_total))
+        pacing_cells = _cells(grid["pacing"])
+        curriculum_total = len(pacing_cells) + len(_cells(grid["lr"]))
+        lr_cells = _cells(refine_lr_grid(grid["lr"], curriculum_total))
         run_stage(1, [({}, lr_params) for lr_params in lr_cells])
         counts = {"stage1": len(lr_cells), "stage2": 0, "total": len(lr_cells),
                   "matched_target": curriculum_total}
     else:
-        pacing_cells, lr_cells = _cells(grid.pacing), _cells(grid.lr)
+        pacing_cells, lr_cells = _cells(grid["pacing"]), _cells(grid["lr"])
         if scored:
             # every table up front, in one stack: stage 1 varies only pacing,
             # which `_scorer_key` ignores, so the base config stands in for
@@ -468,7 +465,7 @@ def two_stage_grid_search(config: ExperimentConfig, out_dir=None) -> tuple[Exper
         counts = {"stage1": len(pacing_cells), "stage2": len(lr_cells),
                   "total": len(pacing_cells) + len(lr_cells)}
 
-    audit_log = {"condition": config.condition, "criterion": config.criterion,
+    audit_log = {"condition": config.condition, "criterion": config.selection["criterion"],
                  "cell_counts": counts, "entries": audit,
                  "best_value": None if best is None else best[0],
                  "best_config": None if best is None else best[2].tree}

@@ -77,7 +77,7 @@ class TestConfigValidation:
         tree["pacing"] = {"variant": "varied_exp", "starting_percent": 0.25,
                           "increase": 2.0, "boundaries": [10, 25]}
         cfg = resolve_config(tree)
-        assert cfg.boundaries == (10, 25)  # num_steps(0.25, 2) == 2
+        assert cfg.pacing["boundaries"] == (10, 25)  # num_steps(0.25, 2) == 2
 
     def test_resolved_tree_is_json_clean(self):
         cfg = resolve_config(tiny_tree())
@@ -182,31 +182,38 @@ class TestCliErrors:
 
     @staticmethod
     def schema_leaves(schema=_SCHEMA, prefix=""):
+        """(dotted key, type, domain) of every schema leaf; the domain of a
+        bare-type leaf is None."""
         for key, leaf in schema.items():
             if isinstance(leaf, dict):
                 yield from TestCliErrors.schema_leaves(leaf, f"{prefix}{key}.")
             else:
-                yield prefix + key, leaf
+                yield (prefix + key, *(leaf if isinstance(leaf, tuple) else (leaf, None)))
+
+    @staticmethod
+    def planted(dotted, value):
+        """The curriculum tiny config with `value` at the dotted key."""
+        tree = tiny_tree("curriculum")
+        *sections, key = dotted.split(".")
+        node = tree
+        for part in sections:
+            node = node.setdefault(part, {})
+        node[key] = value
+        return tree
 
     def test_every_schema_leaf_rejects_a_wrong_typed_value(self, tmp_path, capsys):
         # walks the schema itself, so a key added later cannot skip the check
         visited = set()
-        for dotted, leaf in self.schema_leaves():
-            wrong = ([5] if isinstance(leaf, list) else [["x"]] if leaf is str
+        for dotted, t, _domain in self.schema_leaves():
+            wrong = ([5] if isinstance(t, list) else [["x"]] if t is str
                      else ["x", True])
             for value in wrong:
-                tree = tiny_tree("curriculum")
-                *sections, key = dotted.split(".")
-                node = tree
-                for part in sections:
-                    node = node.setdefault(part, {})
-                node[key] = value
-                config = write_config(tmp_path, tree)
+                config = write_config(tmp_path, self.planted(dotted, value))
                 assert main(["train", "--config", str(config),
                              "--out", str(tmp_path / "o")]) == 2, (dotted, value)
                 err = capsys.readouterr().err
                 assert err == f"error: {dotted} must be of type " \
-                    f"{'list' if isinstance(leaf, list) else leaf.__name__}, got {value!r}\n"
+                    f"{'list' if isinstance(t, list) else t.__name__}, got {value!r}\n"
             visited.add(dotted)
         assert {"condition", "seeds", "dataset.synthetic.spread", "grid.pacing.boundaries",
                 "theory.constant_variance_families"} <= visited
@@ -214,17 +221,12 @@ class TestCliErrors:
     def test_every_float_leaf_rejects_a_non_finite_value(self, tmp_path, capsys):
         # NaN and ±Infinity are JSON to Python's reader, but no float leaf takes them
         visited = set()
-        for dotted, leaf in self.schema_leaves():
-            if leaf not in (float, [float]):
+        for dotted, t, _domain in self.schema_leaves():
+            if t not in (float, [float]):
                 continue
             for value in (float("nan"), float("inf"), float("-inf")):
-                tree = tiny_tree("curriculum")
-                *sections, key = dotted.split(".")
-                node = tree
-                for part in sections:
-                    node = node.setdefault(part, {})
-                node[key] = [value] if leaf == [float] else value
-                config = write_config(tmp_path, tree)
+                config = write_config(
+                    tmp_path, self.planted(dotted, [value] if t == [float] else value))
                 assert main(["train", "--config", str(config),
                              "--out", str(tmp_path / "o")]) == 2, (dotted, value)
                 assert capsys.readouterr().err == \
@@ -232,6 +234,47 @@ class TestCliErrors:
             visited.add(dotted)
         assert {"dataset.synthetic.spread", "lr.lr0", "pacing.increase", "grid.lr.lr0",
                 "gradient_analysis.subset_fraction"} <= visited
+
+    @staticmethod
+    def outside(scalar, domain):
+        """Values of type `scalar` just outside `domain`, with the phrase of
+        the error that names them."""
+        if isinstance(domain, tuple):
+            return ["bogus", ""], f"one of {domain}"
+        if domain[0] in "([":
+            lo, hi = map(scalar, domain[1:-1].split(","))
+            step = scalar(1)
+            return [lo if domain[0] == "(" else lo - step,
+                    hi if domain[-1] == ")" else hi + step], f"in {domain}"
+        op, bound = domain.split()
+        bound = scalar(bound)
+        return [bound if op == ">" else bound - 1, bound - 5], domain
+
+    def test_every_domain_leaf_rejects_an_out_of_domain_value(self, tmp_path, capsys):
+        # each leaf with a domain, planted alone: a value just past each edge,
+        # an unknown string for a fixed set of strings, one element of a list
+        visited = set()
+        for dotted, t, domain in self.schema_leaves():
+            if domain is None:
+                continue
+            scalar, depth = t, 0
+            while isinstance(scalar, list):
+                scalar, depth = scalar[0], depth + 1
+            values, phrase = self.outside(scalar, domain)
+            for value in values:
+                planted = value
+                for _ in range(depth):  # the one element of a list leaf
+                    planted = [planted]
+                config = write_config(tmp_path, self.planted(dotted, planted))
+                assert main(["train", "--config", str(config),
+                             "--out", str(tmp_path / "o")]) == 2, (dotted, value)
+                assert capsys.readouterr().err == \
+                    f"error: {dotted} must be {phrase}, got {value!r}\n", (dotted, value)
+            visited.add(dotted)
+        assert {"condition", "pacing.variant", "lr.variant", "model.architecture",
+                "scoring.kind", "selection.criterion", "model.hidden", "seeds",
+                "grid.pacing.starting_percent", "grid.pacing.boundaries",
+                "dataset.synthetic.classes", "gradient_analysis.subset_fraction"} <= visited
 
     def test_missing_synthetic_key_is_named(self, tmp_path, capsys):
         tree = tiny_tree()
@@ -373,10 +416,29 @@ class TestCliMalformedInput:
         ("bootstrap", ["--generations", "-2"], {}, "--generations must be >= 0, got -2"),
         ("bootstrap", ["--generations", "-2"], {"bootstrap": {"generations": 3}},
          "--generations must be >= 0, got -2"),
+        # vanilla overwrites the pacing variant, so the one written is checked first
+        ("gen-data", [], {"condition": "vanilla", "pacing": {"variant": "bogus"}},
+         "pacing.variant must be one of ('fixed_exp', 'varied_exp', 'single_step', 'vanilla'), "
+         "got 'bogus'"),
+        ("train", [], {"model": {"architecture": "linear_softmax", "hidden": -3}},
+         "model.hidden must be >= 0, got -3"),
+        ("grid-search", [], {"grid": {"pacing": {"starting_percent": [1.5, 0.25]}}},
+         "grid.pacing.starting_percent must be in (0, 1], got 1.5"),
+        # a key the variant does not read is checked too
+        ("train", [], {"lr": {"variant": "exponential", "lr_min": 0}},
+         "lr.lr_min must be > 0, got 0.0"),
+        # a rule across a section's keys names the section
+        ("train", [], {"model": {"architecture": "mlp1", "hidden": 0}},
+         "model: mlp1 needs hidden >= 1, got 0"),
+        ("train", [], {"lr": {"variant": "cyclical", "lr_min": 0.5, "lr_max": 0.1}},
+         "lr: need 0 < lr_min <= lr_max, got 0.5, 0.1"),
     ], ids=["seeds", "seed", "seed-flag", "synthetic-seed", "split-seed", "grid-split-seed",
-            "generations", "generations-flag", "generations-flag-over-config"])
+            "generations", "generations-flag", "generations-flag-over-config",
+            "unknown-pacing-variant", "negative-hidden", "grid-element", "unread-lr-key",
+            "mlp1-without-hidden", "lr-min-above-max"])
     def test_negative_training_seed(self, tmp_path, capsys, command, flags, overrides, named):
-        config = write_config(tmp_path, tiny_tree("curriculum", **overrides))
+        # and every other bad config value: each names its key or section
+        config = write_config(tmp_path, tiny_tree(**{"condition": "curriculum", **overrides}))
         err = self.error_line(capsys, [command, "--config", str(config),
                                        "--out", str(tmp_path / "o"), *flags])
         assert err.startswith(f"error: {named}")
@@ -559,15 +621,33 @@ class TestCliTrainAndScore:
         assert s1["seeds"] == [0, 1]
         assert s2["seeds"] == [123, 124]
 
-    def test_rerun_from_manifest_config_is_identical(self, tmp_path):
-        config = write_config(tmp_path, tiny_tree("curriculum"))
-        out1 = tmp_path / "o1"
-        main(["train", "--config", str(config), "--out", str(out1)])
+    @pytest.mark.parametrize("command,kind", [
+        ("train", "oracle"), ("gen-data", "oracle"), ("score", "oracle"),
+        ("score", "self_taught"), ("score", "transfer"), ("score", "file"),
+        ("grid-search", "oracle"), ("analyze-gradients", "oracle"),
+    ], ids=["train", "gen-data", "score-oracle", "score-self_taught", "score-transfer",
+            "score-file", "grid-search", "analyze-gradients"])
+    def test_rerun_from_manifest_config_is_identical(self, tmp_path, command, kind):
+        tree = tiny_tree("curriculum", scoring={"kind": kind})
+        if kind == "transfer":
+            tree = TestCliTransferScoredConfig.transfer_tree(tmp_path, tree)
+        if kind == "file":
+            table = tmp_path / "table"
+            assert main(["score", "--config", str(write_config(tmp_path, tiny_tree())),
+                         "--out", str(table)]) == 0
+            tree["scoring"]["path"] = str(table / "scores.csv")
+        if command == "grid-search":
+            tree.update(repetitions=1, iterations=40,
+                        grid={"pacing": {"starting_percent": [0.25, 0.5]}, "lr": {"lr0": [0.1, 0.3]}})
+        out1, out2 = tmp_path / "o1", tmp_path / "o2"
+        assert main([command, "--config", str(write_config(tmp_path, tree)),
+                     "--out", str(out1)]) == 0
         manifest = json.loads((out1 / "manifest.json").read_text())
         replay = write_config(tmp_path, manifest["config"], name="replay.json")
-        out2 = tmp_path / "o2"
-        main(["train", "--config", str(replay), "--out", str(out2)])
-        for name in manifest["outputs"]:
+        assert main([command, "--config", str(replay), "--out", str(out2)]) == 0
+        names = sorted(os.listdir(out1))
+        assert names == sorted(manifest["outputs"]) == sorted(os.listdir(out2))
+        for name in names:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
     def test_single_step_with_stray_pacing_keys_trains(self, tmp_path):
@@ -638,6 +718,23 @@ class TestCliTrainAndScore:
         assert audit["cell_counts"]["total"] == 4
         assert (out / "best_config.json").exists()
 
+    def test_grid_cell_whose_pacing_cannot_be_planned_fails_and_the_other_wins(self, tmp_path):
+        # 0.05 of the 58-example fit split is a first subset of 3, below the batch of 10
+        tree = tiny_tree("curriculum", repetitions=1, iterations=40)
+        tree["grid"] = {"pacing": {"starting_percent": [0.05, 0.25]}}
+        out = tmp_path / "o"
+        assert main(["grid-search", "--config", str(write_config(tmp_path, tree)),
+                     "--out", str(out)]) == 0
+        entries = json.loads((out / "grid_audit.json").read_text())["entries"]
+        assert [e["pacing"] for e in entries] == [{"starting_percent": 0.05},
+                                                  {"starting_percent": 0.25}, {"starting_percent": 0.25}]
+        assert entries[0]["failed"] and entries[0]["criterion_value"] is None
+        assert entries[0]["error"] == ("initial subset size g(0)=3 is smaller than batch_size=10; "
+                                       f"starting_percent must be at least {9.5 / 58}")
+        assert not entries[1]["failed"]
+        best = json.loads((out / "best_config.json").read_text())
+        assert best["pacing"]["starting_percent"] == 0.25
+
     def test_bootstrap_cli(self, tmp_path):
         tree = tiny_tree("curriculum", scoring={"kind": "self_taught"}, repetitions=1)
         config = write_config(tmp_path, tree)
@@ -672,15 +769,21 @@ class TestCliTrainAndScore:
 
 
 class TestCliTransferScoredConfig:
-    def transfer_config(self, tmp_path):
+    @staticmethod
+    def transfer_tree(tmp_path, tree):
+        """`tree` scored by transfer on embeddings of the first two features."""
         from curriculum_lab.data import EmbeddingTable
         from curriculum_lab.harness import resolve_dataset
         from helpers import save_embeddings_csv
         train_ds, _, _ = resolve_dataset(resolve_config(tiny_tree()))
         save_embeddings_csv(EmbeddingTable(train_ds.X[:, :2]), tmp_path / "emb.csv")
-        tree = tiny_tree("curriculum", scoring={"kind": "transfer"}, repetitions=1)
+        tree["scoring"] = {"kind": "transfer"}
         tree["dataset"]["embeddings_csv"] = str(tmp_path / "emb.csv")
-        return write_config(tmp_path, tree)
+        return tree
+
+    def transfer_config(self, tmp_path):
+        return write_config(tmp_path, self.transfer_tree(tmp_path,
+                                                         tiny_tree("curriculum", repetitions=1)))
 
     def test_analyze_gradients_accepts_transfer_config(self, tmp_path):
         out = tmp_path / "o"

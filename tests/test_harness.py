@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from curriculum_lab.config import resolve_config
-from curriculum_lab.errors import ConfigError, ExperimentError, TrainingDivergedError
+from curriculum_lab.errors import ConfigError, ExperimentError, ParameterError, \
+    TrainingDivergedError
 from curriculum_lab import harness
 from curriculum_lab.harness import (bootstrap_loop, gradient_coherence_pipeline,
                                     refine_lr_grid, resolve_dataset,
@@ -170,7 +171,7 @@ class TestRunExperiment:
         cfg = resolve_config(tree)
         best, audit = two_stage_grid_search(cfg)
         assert audit["cell_counts"] == {"stage1": 2, "stage2": 1, "total": 3}
-        assert best.boundaries in ((8, 20), (5, 12))
+        assert best.pacing["boundaries"] in ((8, 20), (5, 12))
 
 
 class TestGridSearch:
@@ -199,8 +200,8 @@ class TestGridSearch:
         tree["grid"]["lr"] = {"lr0": [0.2]}
         cfg = resolve_config(tree)
         best, audit = two_stage_grid_search(cfg)
-        assert best.starting_percent == 0.25
-        assert best.step_length == 15
+        assert best.pacing["starting_percent"] == 0.25
+        assert best.pacing["step_length"] == 15
         assert best.schedule.lr0 == 0.2
 
     def test_vanilla_gets_matched_refined_grid(self):
@@ -328,8 +329,8 @@ class TestGridStack:
         _best, audit = two_stage_grid_search(config)
         train_ds, _test, emb = resolve_dataset(config)
         fit_ids, val_ids = stratified_split_ids(
-            train_ds, config.grid.validation_fraction,
-            derived_seed(config.grid.split_seed, SPLIT))
+            train_ds, config.grid["validation_fraction"],
+            derived_seed(config.grid["split_seed"], SPLIT))
         fit_ds, val_ds = select_examples(train_ds, fit_ids), select_examples(train_ds, val_ids)
         emb = None if emb is None else EmbeddingTable(emb.vectors[fit_ids])
         alone = []
@@ -340,14 +341,15 @@ class TestGridStack:
             cell_config = resolve_config(cell)
             try:
                 summary = run_experiment(cell_config, data=(fit_ds, val_ds, emb)).summary
-                value = summary["final_accuracy_mean" if config.criterion == "final_accuracy"
+                value = summary["final_accuracy_mean" if config.selection["criterion"] == "final_accuracy"
                                 else "auc_mean"]
                 extra = {"final_accuracy_mean": summary["final_accuracy_mean"],
                          "auc_mean": summary["auc_mean"], "failed": False}
-            except ExperimentError as exc:
+            except (ExperimentError, ParameterError) as exc:
                 value, extra = None, {"failed": True, "error": str(exc)}
             alone.append({"stage": entry["stage"], "pacing": entry["pacing"], "lr": entry["lr"],
-                          "criterion": config.criterion, "criterion_value": value, **extra})
+                          "criterion": config.selection["criterion"], "criterion_value": value,
+                          **extra})
         return audit["entries"], alone
 
     @pytest.mark.parametrize("condition", ["curriculum", "anti", "vanilla", "self_paced"])
@@ -374,6 +376,17 @@ class TestGridStack:
         tree["grid"]["lr"] = {"lr0": [0.2, 1e12]}
         entries, alone = self.cells_alone(tree)
         assert [e["failed"] for e in entries] == [False] * 5 + [True]
+        assert entries == alone
+
+    @pytest.mark.parametrize("scoring", ["oracle", "self_taught"])
+    def test_unplannable_pacing_cell_entries_equal_cells_run_alone(self, scoring):
+        # 0.05 of the 54-example fit split is a first subset of 3, below the batch of 10
+        tree = self.grid_tree()
+        tree["scoring"] = {"kind": scoring}
+        tree["grid"]["pacing"] = {"starting_percent": [0.05, 0.25]}
+        entries, alone = self.cells_alone(tree)
+        assert [e["failed"] for e in entries] == [True, False, False, False]
+        assert entries[0]["error"].startswith("initial subset size g(0)=3 is smaller than")
         assert entries == alone
 
     def test_self_taught_scorers_train_once_per_key(self, monkeypatch):

@@ -323,4 +323,4 @@ def resolve_config(tree: dict, seed_override: int | None = None) -> ExperimentCo
 
 def pacing_spec_for(config: ExperimentConfig, N: int) -> PacingSpec:
     """Instantiate the config's pacing for a concrete dataset size."""
-    return PacingSpec(N=N, M=config.iterations, **config.pacing)
+    return _built("pacing", PacingSpec, N=N, M=config.iterations, **config.pacing)

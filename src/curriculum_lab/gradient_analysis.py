@@ -1,8 +1,8 @@
-"""Gradient coherence: per-example gradients of id subsets against all of them.
+"""Gradient coherence: per-example gradient statistics of an id subset.
 
-Per condition (a named id subset): the mean per-example gradient, the total
-variance (trace of the per-example gradient covariance, divide-by-n), and
-distances between condition means. No (n, P) gradient matrix is built: a
+Per subset: the mean per-example gradient and the total variance (trace of
+the per-example gradient covariance, divide-by-n), whole-model and per layer.
+No (n, P) gradient matrix is built: a
 layer's per-example gradient is [r_j a_j^T, r_j] for its output residual r_j
 and input a_j, so its squared norm is ||r_j||^2 (||a_j||^2 + 1) (Goodfellow,
 arXiv 1510.01799), and variance = mean squared norm - ||mean||^2.
@@ -24,7 +24,6 @@ class GradientSet:
     mean: np.ndarray                 # (P,) mean flat gradient
     sq_norms: tuple[float, ...]      # per segment: mean squared per-example norm
     segments: tuple[tuple[str, int, int], ...]
-    condition: str
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=np.float64)
@@ -35,7 +34,7 @@ class GradientSet:
         object.__setattr__(self, "mean", mean)
 
 
-def gradient_set(model: Model, ids, ds: Dataset, condition: str = "") -> GradientSet:
+def gradient_set(model: Model, ids, ds: Dataset) -> GradientSet:
     """Mean gradient and per-segment mean squared norms of the examples `ids`
     (repeats count once per occurrence), from one forward pass."""
     ids = np.asarray(ids, dtype=np.int64)
@@ -48,7 +47,7 @@ def gradient_set(model: Model, ids, ds: Dataset, condition: str = "") -> Gradien
         norms = np.einsum("ij,ij->i", r, r) * (np.einsum("ij,ij->i", a, a) + 1.0)
         sq_norms.append(float(norms.mean()))
     return GradientSet(n=n, mean=np.concatenate(means), sq_norms=tuple(sq_norms),
-                       segments=model.segments, condition=condition)
+                       segments=model.segments)
 
 
 def total_variance(gs: GradientSet) -> tuple[float, dict[str, float]]:
@@ -58,47 +57,3 @@ def total_variance(gs: GradientSet) -> tuple[float, dict[str, float]]:
     per_layer = {name: max(sq - float(gs.mean[start:stop] @ gs.mean[start:stop]), 0.0)
                  for (name, start, stop), sq in zip(gs.segments, gs.sq_norms)}
     return float(sum(per_layer.values())), per_layer
-
-
-def distance_matrix(sets: list[GradientSet]) -> dict:
-    """Pairwise Euclidean distances between condition mean gradients, for the
-    whole model and per layer segment."""
-    if not sets:
-        raise ParameterError("need at least one gradient set")
-    segs = sets[0].segments
-    if any(gs.segments != segs for gs in sets):
-        raise ParameterError("gradient sets come from different model layouts")
-    means = np.stack([gs.mean for gs in sets])
-    diff = means[:, None] - means[None]   # (m, m, P)
-    return {
-        "conditions": [gs.condition for gs in sets],
-        "whole_model": np.linalg.norm(diff, axis=2),
-        "per_layer": {name: np.linalg.norm(diff[..., start:stop], axis=2)
-                      for name, start, stop in segs},
-    }
-
-
-def coherence_report(model: Model, ds: Dataset, conditions: dict) -> dict:
-    """Mean gradient, total variance, and pairwise distances per condition.
-
-    `conditions` maps a label to the id subset whose gradients it contributes
-    (e.g. an easiest prefix, a random subset, and all training points).
-    """
-    if not conditions:
-        raise ParameterError("need at least one condition")
-    sets = [gradient_set(model, ids, ds, condition=name) for name, ids in conditions.items()]
-    dm = distance_matrix(sets)
-    report = {"conditions": {}, "distance_matrix": {
-        "conditions": dm["conditions"],
-        "whole_model": dm["whole_model"].tolist(),
-        "per_layer": {k: v.tolist() for k, v in dm["per_layer"].items()},
-    }}
-    for gs in sets:
-        total, per_layer = total_variance(gs)
-        report["conditions"][gs.condition] = {
-            "n_examples": gs.n,
-            "mean_gradient": gs.mean.tolist(),
-            "total_variance": total,
-            "total_variance_per_layer": per_layer,
-        }
-    return report

@@ -19,7 +19,7 @@ from .data import Dataset, EmbeddingTable, generate_gaussian_mixture, \
     load_dataset_csv, load_bayes_json, load_embeddings_csv, stratified_split, \
     select_examples, stratified_split_ids
 from .errors import ConfigError, ExperimentError, ParameterError, TrainingDivergedError
-from .gradient_analysis import coherence_report
+from .gradient_analysis import gradient_set, total_variance
 from .pacing import PacingSpec, saturation_iteration
 from .scoring import ScoreTable, invert, load_scores_csv, oracle_bayes_score, \
     random_score, score_by_model_loss, transfer_score
@@ -381,9 +381,9 @@ def two_stage_grid_search(config: ExperimentConfig, out_dir=None) -> tuple[Exper
     the stage-1 winner's.
     All new cells × seeds of a stage train as one stack; a cell whose
     resolved tree was trained already (in stage 2, the stage-1 winner at the
-    base LR) reuses that run. A cell whose pacing cannot be planned on the
-    fit split (a `ParameterError`) is recorded as failed, like a cell whose
-    repetitions fail."""
+    base LR) reuses that run. A cell whose tree does not resolve, or whose
+    pacing cannot be built or planned on the fit split, is recorded as failed,
+    like a cell whose repetitions fail."""
     if config.grid is None:
         raise ConfigError("grid search requires a grid section in the config")
     grid = config.grid
@@ -405,36 +405,43 @@ def two_stage_grid_search(config: ExperimentConfig, out_dir=None) -> tuple[Exper
     audit: list[dict] = []
     best = None  # (criterion value, pacing params, config) of the best cell so far
     memo: dict = {}
-    # a cell's resolved tree, as JSON -> its (run, outcomes), or the
-    # ParameterError that planning it raised
+    # a cell's resolved tree, as JSON -> its (run, outcomes), or the error
+    # that planning it raised
     trained: dict = {}
 
     def run_stage(stage: int, cells: list[tuple[dict, dict]]) -> None:
         nonlocal best
-        configs = [_with_params(config, pacing_params, lr_params)
-                   for pacing_params, lr_params in cells]
-        keys = [json.dumps(c.tree, sort_keys=True) for c in configs]
-        new = {key: c for key, c in zip(keys, configs) if key not in trained}
+        keys, new = [], {}  # per cell its resolved tree as JSON, or the error resolving it
+        for pacing_params, lr_params in cells:
+            try:
+                c = _with_params(config, pacing_params, lr_params)
+            except (ConfigError, ParameterError) as exc:  # a tree that does not resolve
+                keys.append(exc)
+                continue
+            keys.append(json.dumps(c.tree, sort_keys=True))
+            if keys[-1] not in trained:
+                new[keys[-1]] = c
         tables = (score_tables(list(new.values()), data, memo) if scored
                   else [None] * len(new))
         runs = {}
         for key, c, t in zip(new, new.values(), tables):
             try:
                 runs[key] = _plan_run(c, fit_ds, t)
-            except ParameterError as exc:  # a pacing the fit split cannot take
+            except (ConfigError, ParameterError) as exc:  # a pacing it cannot build or plan
                 trained[key] = exc
         trained.update(zip(runs, zip(runs.values(),
                                      _train_runs(fit_ds, val_ds, list(runs.values())))))
         for (pacing_params, lr_params), key in zip(cells, keys):
             try:
-                if isinstance(trained[key], ParameterError):
-                    raise trained[key]
-                run, outcomes = trained[key]
+                outcome = key if isinstance(key, Exception) else trained[key]
+                if isinstance(outcome, Exception):
+                    raise outcome
+                run, outcomes = outcome
                 summary = _summarise(run, outcomes).summary
                 value = summary[f"{config.selection['criterion']}_mean"]
                 entry_extra = {"final_accuracy_mean": summary["final_accuracy_mean"],
                                "auc_mean": summary["auc_mean"], "failed": False}
-            except (ExperimentError, ParameterError) as exc:
+            except (ConfigError, ExperimentError, ParameterError) as exc:
                 value = None
                 entry_extra = {"failed": True, "error": str(exc)}
             audit.append({"stage": stage, "pacing": pacing_params, "lr": lr_params,
@@ -559,22 +566,22 @@ def gradient_coherence_pipeline(config: ExperimentConfig,
     for seed, model in sorted(models.items()):
         rng = np.random.default_rng(derived_seed(seed, SUBSET))
         random_ids = rng.choice(train_ds.N, size=size, replace=False)
-        report = coherence_report(model, train_ds, {
-            "easy_oracle": easy_ids, "random": random_ids, "all": all_ids})
-        conds = report["distance_matrix"]["conditions"]
-        dm = np.asarray(report["distance_matrix"]["whole_model"])
-        i_easy, i_rand, i_all = (conds.index(c) for c in ("easy_oracle", "random", "all"))
-        tv = {c: report["conditions"][c]["total_variance"] for c in conds}
+        sets = {name: gradient_set(model, ids, train_ds) for name, ids in
+                (("easy_oracle", easy_ids), ("random", random_ids), ("all", all_ids))}
+        tv = {name: total_variance(gs)[0] for name, gs in sets.items()}
+        # along an axis the norm sums its squares pairwise; a flat vector's
+        # norm takes a dot, which rounds differently
+        dist = {name: float(np.linalg.norm((sets[name].mean - sets["all"].mean)[None],
+                                           axis=1)[0])
+                for name in ("easy_oracle", "random")}
         flags = {
             "variance_easy_below_random": bool(tv["easy_oracle"] < tv["random"]),
-            "random_mean_closer_to_all": bool(dm[i_rand, i_all] < dm[i_easy, i_all]),
+            "random_mean_closer_to_all": bool(dist["random"] < dist["easy_oracle"]),
         }
         for k, v in flags.items():
             comparisons[k] += int(v)
-        per_seed[str(seed)] = {"total_variance": tv,
-                               "dist_easy_all": float(dm[i_easy, i_all]),
-                               "dist_random_all": float(dm[i_rand, i_all]),
-                               **flags}
+        per_seed[str(seed)] = {"total_variance": tv, "dist_easy_all": dist["easy_oracle"],
+                               "dist_random_all": dist["random"], **flags}
     n = len(models)
     return {
         "config": config.tree,

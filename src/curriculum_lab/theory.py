@@ -287,16 +287,23 @@ def check_constant_variance_case(table: LossTable, variance_tol: float = 1e-9,
     stricter argmax-SET equality unattainable; the set-form verdict is
     reported for information.
     """
+    return _constant_variance_case(table, variance_tol, tol)[0]
+
+
+def _constant_variance_case(table: LossTable, variance_tol: float,
+                            tol: float) -> tuple[dict, dict | None]:
+    """check_constant_variance_case's report, and the `_prior_checks` of the
+    table under its ideal prior (None where the variances differ)."""
     spread = float(np.ptp(table.variances))
     if spread > variance_tol:
         return {"applicable": False, "variance_spread": spread,
-                "reason": "precondition unmet: utility variances differ", "passed": None}
+                "reason": "precondition unmet: utility variances differ", "passed": None}, None
     (best,), _C, prior_u, covs = _ideal_terms(table._stack, tol)
     mean_u = table.mean_utilities
     cov_max_at_best = bool((covs <= covs[best] + tol).all())
     argmax_preserved = bool((prior_u <= prior_u[best] + tol).all())
     gap_ok = bool(((prior_u[best] - prior_u) >= (mean_u[best] - mean_u) - tol).all())
-    set_form = bool(_prior_checks(table._stack, prior_u, covs, tol)["holds"][0])
+    checks = _prior_checks(table._stack, prior_u, covs, tol)
     return {
         "applicable": True,
         "variance_spread": spread,
@@ -304,9 +311,9 @@ def check_constant_variance_case(table: LossTable, variance_tol: float = 1e-9,
         "covariance_max_at_optimum": cov_max_at_best,
         "argmax_preserved": argmax_preserved,
         "gap_ok": gap_ok,
-        "matched_argmax_set_form": set_form,
+        "matched_argmax_set_form": bool(checks["holds"][0]),
         "passed": bool(cov_max_at_best and argmax_preserved and gap_ok),
-    }
+    }, checks
 
 
 # ---------------------------------------------------------------------------
@@ -408,13 +415,13 @@ def run_verification(instances: int = DEFAULT_INSTANCES,
     for _ in range(constant_variance_families):
         table = constant_variance_family(
             rng, n_examples=int(rng.integers(8, 21)), n_hypotheses=int(rng.integers(3, 13)))
-        rc = check_constant_variance_case(table)
+        rc, checks = _constant_variance_case(table, 1e-9, IDENTITY_TOL)
         if rc["applicable"]:
             constant_variance_applicable += 1
-        ok = (rc["applicable"] and rc["passed"] and rc["matched_argmax_set_form"])
-        if ok:
-            r2 = check_argmax_preservation(table, ideal_prior(table, rc["optimal_index"]))
-            ok = r2["applicable"] and r2["argmax_set_equal"] and r2["gap_amplified"]
+        # `checks` is what check_argmax_preservation(table, ideal_prior(table,
+        # best)) reads: the same prior terms, so the same verdicts
+        ok = (rc["applicable"] and rc["passed"] and rc["matched_argmax_set_form"]
+              and checks["set_equal"][0] and checks["gap_amplified"][0])
         if not ok:
             constant_variance_violations += 1
     report = {

@@ -143,6 +143,15 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert "starting_percent must be at least" in err
 
+    def test_unbuildable_pacing_names_its_section(self, tmp_path, capsys):
+        # the schema lets step_length be 0 (a legal single_step); fixed_exp needs 1
+        tree = tiny_tree("curriculum")
+        tree["pacing"]["step_length"] = 0
+        config = write_config(tmp_path, tree)
+        code = main(["train", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: pacing: step_length must be >= 1, got 0\n"
+
     @pytest.mark.parametrize("section,key,value", [
         (None, "batch_size", "ten"),
         ("pacing", "boundaries", 5),
@@ -297,6 +306,27 @@ class TestCliErrors:
             "error: grid.pacing.step_length must be of type int, got 'x'")
         assert cells == []
         assert not (out / "grid_audit.json").exists()
+
+    @pytest.mark.parametrize("pacing,axis,failed,error", [
+        # the [10] cell's tree does not resolve: one boundary cannot be extended
+        ({"variant": "varied_exp", "starting_percent": 0.25, "increase": 2.0,
+          "boundaries": [10, 25]}, {"boundaries": [[10, 25], [10]]}, [False, True, False],
+         "need at least the first two boundaries to derive the remaining 1"),
+        # the 0 cell resolves, but fixed_exp's PacingSpec cannot be built
+        (None, {"step_length": [0, 15]}, [True, False, False],
+         "pacing: step_length must be >= 1, got 0"),
+    ], ids=["unresolvable-cell", "unbuildable-pacing"])
+    def test_failing_grid_cell_is_audited_and_the_search_goes_on(self, tmp_path, pacing, axis,
+                                                                  failed, error):
+        tree = tiny_tree("curriculum", repetitions=1, iterations=40)
+        tree["pacing"] = pacing or tree["pacing"]
+        tree["grid"] = {"pacing": axis}
+        config = write_config(tmp_path, tree)
+        out = tmp_path / "o"
+        assert main(["grid-search", "--config", str(config), "--out", str(out)]) == 0
+        entries = json.loads((out / "grid_audit.json").read_text())["entries"]
+        assert [e["failed"] for e in entries] == failed
+        assert [e["error"] for e in entries if e["failed"]] == [error]
 
     @pytest.mark.parametrize("section,key,value", [
         ("pacing", "boundaries", [[10, "y"]]),

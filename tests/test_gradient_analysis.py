@@ -3,10 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from curriculum_lab import harness
+from curriculum_lab.config import resolve_config
 from curriculum_lab.data import Dataset
 from curriculum_lab.errors import ParameterError
-from curriculum_lab.gradient_analysis import (GradientSet, coherence_report,
-                                              distance_matrix, gradient_set, total_variance)
+from curriculum_lab.gradient_analysis import GradientSet, gradient_set, total_variance
+from curriculum_lab.harness import gradient_coherence_pipeline, resolve_dataset
 from curriculum_lab.trainer import Model, ModelSpec
 
 LINEAR = ModelSpec("linear_softmax")
@@ -20,18 +22,27 @@ def make_ds(counts, d=3, seed=0):
     return Dataset(X=X, y=y, K=len(counts))
 
 
-def set_from_rows(rows, segments, condition="t"):
+def set_from_rows(rows, segments):
     """The statistics of a GradientSet computed directly from explicit
     per-example gradient rows."""
     rows = np.asarray(rows, dtype=float)
     sq = rows ** 2
     return GradientSet(n=len(rows), mean=rows.mean(axis=0),
                        sq_norms=tuple(float(sq[:, a:b].sum(axis=1).mean()) for _, a, b in segments),
-                       segments=segments, condition=condition)
+                       segments=segments)
 
 
-def toy_set(rows, condition="t"):
-    return set_from_rows(rows, (("layer1", 0, np.asarray(rows).shape[1]),), condition)
+def toy_set(rows):
+    return set_from_rows(rows, (("layer1", 0, np.asarray(rows).shape[1]),))
+
+
+def coherence_config(spec, subset_fraction, classes=2, dim=5, n_per_class=25):
+    """A gradient-analysis config on a synthetic mixture."""
+    return resolve_config({
+        "dataset": {"synthetic": {"classes": classes, "dim": dim, "n_per_class": n_per_class,
+                                  "spread": 2.0, "seed": 3}},
+        "model": {"architecture": spec.architecture, "hidden": spec.hidden},
+        "gradient_analysis": {"subset_fraction": subset_fraction}})
 
 
 def rel_err(a, b):
@@ -93,10 +104,10 @@ class TestFactoredStatistics:
     def test_match_per_example_rows(self, spec, ids):
         ds = make_ds([15, 10, 15], d=6, seed=4)
         model = Model.initialize(spec, 3, 6, seed=5)
-        got = gradient_set(model, ids, ds, condition="c")
+        got = gradient_set(model, ids, ds)
         rows = model.per_example_grads(ds.X[ids], ds.y[ids])
         want = set_from_rows(rows, model.segments)
-        assert got.n == len(ids) and got.condition == "c"
+        assert got.n == len(ids)
         assert rel_err(got.mean, want.mean) < 1e-12
         assert rel_err(got.sq_norms, want.sq_norms) < 1e-12
         total, per_layer = total_variance(got)
@@ -108,29 +119,35 @@ class TestFactoredStatistics:
         for name, start, stop in model.segments:
             assert per_layer[name] == pytest.approx(var[start:stop].sum(), rel=1e-12, abs=slack)
 
-    def test_report_distances_match_rows(self):
-        ds = make_ds([20, 20], d=5, seed=6)
-        model = Model.initialize(MLP, 2, 5, seed=2)
-        conditions = {"a": np.arange(10), "b": np.array([3, 3, 30, 31]), "all": np.arange(40)}
-        report = coherence_report(model, ds, conditions)
-        means = {k: model.per_example_grads(ds.X[v], ds.y[v]).mean(axis=0)
-                 for k, v in conditions.items()}
-        dm = np.asarray(report["distance_matrix"]["whole_model"])
-        conds = report["distance_matrix"]["conditions"]
-        for i, a in enumerate(conds):
-            for j, b in enumerate(conds):
-                want = float(np.linalg.norm(means[a] - means[b]))
-                assert dm[i, j] == pytest.approx(want, rel=1e-12, abs=0.0)
+    def test_report_distances_match_rows(self, monkeypatch):
+        # the pipeline's distances from the easy and the random subset's mean
+        # gradient to that of all training points, against explicit rows
+        config = coherence_config(MLP, subset_fraction=0.25)
+        train_ds = resolve_dataset(config)[0]
+        model = Model.initialize(MLP, train_ds.K, train_ds.d, seed=2)
+        built = []
+        real = harness.gradient_set
+        monkeypatch.setattr(harness, "gradient_set",
+                            lambda m, ids, ds: built.append(ids) or real(m, ids, ds))
+        report = gradient_coherence_pipeline(config, models={0: model})
+        assert [len(ids) for ids in built] == [report["subset_size"]] * 2 + [train_ds.N]
+        easy, rand, full = (model.per_example_grads(train_ds.X[ids], train_ds.y[ids]).mean(axis=0)
+                            for ids in built)
+        entry = report["per_seed"]["0"]
+        for key, mean in (("dist_easy_all", easy), ("dist_random_all", rand)):
+            want = float(np.linalg.norm(mean - full))
+            assert entry[key] == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_memory_far_below_a_gradient_matrix(self):
-        K, d, H, n = 5, 16, 64, 4000
-        rng = np.random.default_rng(0)
-        ds = Dataset(X=rng.normal(size=(n, d)), y=rng.integers(0, K, size=n), K=K)
-        model = Model.initialize(ModelSpec("mlp1", hidden=H), K, d, seed=1)
-        conditions = {"easy": np.arange(n // 10), "all": np.arange(n)}
+        K, d, H = 5, 16, 64
+        spec = ModelSpec("mlp1", hidden=H)
+        config = coherence_config(spec, subset_fraction=0.1, classes=K, dim=d, n_per_class=960)
+        n = resolve_dataset(config)[0].N
+        assert n == 4000
+        model = Model.initialize(spec, K, d, seed=1)
         tracemalloc.start()
         try:
-            coherence_report(model, ds, conditions)
+            gradient_coherence_pipeline(config, models={0: model})
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -182,54 +199,3 @@ class TestMeanAndVariance:
         total, per_layer = total_variance(gs)
         assert sum(per_layer.values()) == pytest.approx(total, rel=1e-12)
         assert set(per_layer) == {"layer1", "layer2"}
-
-
-class TestDistanceMatrix:
-    def test_identical_sets_have_zero_distance(self):
-        rows = np.random.default_rng(3).normal(size=(4, 3))
-        dm = distance_matrix([toy_set(rows, "a"), toy_set(rows, "b")])
-        assert dm["whole_model"][0, 1] == 0.0
-
-    def test_known_distance(self):
-        a = toy_set([[0.0, 0.0], [1.0, 1.0]], "a")   # mean (0.5, 0.5)
-        b = toy_set([[1.0, 1.0]], "b")               # mean (1, 1)
-        dm = distance_matrix([a, b])
-        assert dm["whole_model"][0, 1] == pytest.approx(np.sqrt(0.5))
-
-    def test_metric_axioms(self):
-        rng = np.random.default_rng(4)
-        sets = [toy_set(rng.normal(size=(5, 6)), f"c{i}") for i in range(4)]
-        dm = distance_matrix(sets)["whole_model"]
-        assert np.allclose(dm, dm.T)
-        assert np.allclose(np.diag(dm), 0.0)
-        m = len(sets)
-        for a in range(m):
-            for b in range(m):
-                for c in range(m):
-                    assert dm[a, c] <= dm[a, b] + dm[b, c] + 1e-12
-
-    def test_row_permutation_within_sets_is_irrelevant(self):
-        rng = np.random.default_rng(5)
-        rows_a, rows_b = rng.normal(size=(6, 4)), rng.normal(size=(3, 4))
-        d1 = distance_matrix([toy_set(rows_a, "a"), toy_set(rows_b, "b")])
-        d2 = distance_matrix([toy_set(rows_a[::-1], "a"), toy_set(rows_b[::-1], "b")])
-        assert np.allclose(d1["whole_model"], d2["whole_model"])
-
-
-class TestCoherenceReport:
-    def test_report_structure_and_self_distance(self):
-        ds = make_ds([8, 8], d=3, seed=6)
-        model = Model.initialize(LINEAR, 2, 3, seed=2)
-        report = coherence_report(model, ds, {
-            "all": np.arange(ds.N),
-            "also_all": np.arange(ds.N),
-            "half": np.arange(ds.N // 2),
-        })
-        conds = report["distance_matrix"]["conditions"]
-        dm = np.asarray(report["distance_matrix"]["whole_model"])
-        i, j = conds.index("all"), conds.index("also_all")
-        assert dm[i, j] == 0.0
-        for name in ("all", "half"):
-            entry = report["conditions"][name]
-            assert entry["total_variance"] >= 0.0
-            assert len(entry["mean_gradient"]) == model.n_params

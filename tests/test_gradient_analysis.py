@@ -199,3 +199,81 @@ class TestMeanAndVariance:
         total, per_layer = total_variance(gs)
         assert sum(per_layer.values()) == pytest.approx(total, rel=1e-12)
         assert set(per_layer) == {"layer1", "layer2"}
+
+
+def pipeline_on_sets(monkeypatch, easy_rows, random_rows, all_rows):
+    """The pipeline's seed-0 entry when its easy, random and full gradient
+    sets are those of the given per-example gradient rows."""
+    queue = [toy_set(easy_rows), toy_set(random_rows), toy_set(all_rows)]
+    monkeypatch.setattr(harness, "gradient_set", lambda m, ids, ds: queue.pop(0))
+    config = coherence_config(LINEAR, subset_fraction=0.25)
+    train_ds = resolve_dataset(config)[0]
+    model = Model.initialize(LINEAR, train_ds.K, train_ds.d, seed=0)
+    report = gradient_coherence_pipeline(config, models={0: model})
+    assert queue == []
+    return report["per_seed"]["0"]
+
+
+class TestDistanceMatrix:
+    """The pipeline's distances from the easy and the random mean gradient
+    to the full one."""
+
+    def test_identical_sets_have_zero_distance(self, monkeypatch):
+        rows = np.random.default_rng(3).normal(size=(4, 3))
+        entry = pipeline_on_sets(monkeypatch, rows, rows, rows)
+        assert entry["dist_easy_all"] == 0.0
+        assert entry["dist_random_all"] == 0.0
+
+    def test_known_distance(self, monkeypatch):
+        entry = pipeline_on_sets(monkeypatch,
+                                 [[0.0, 0.0], [1.0, 1.0]],   # mean (0.5, 0.5)
+                                 [[1.0, 3.0]],               # mean (1, 3)
+                                 [[1.0, 1.0]])               # mean (1, 1)
+        assert entry["dist_easy_all"] == pytest.approx(np.sqrt(0.5))
+        assert entry["dist_random_all"] == pytest.approx(2.0)
+
+    def test_metric_axioms(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        easy, rand, full = (rng.normal(size=(5, 6)) for _ in range(3))
+        entry = pipeline_on_sets(monkeypatch, easy, rand, full)
+        swapped = pipeline_on_sets(monkeypatch, rand, easy, full)
+        d_easy, d_rand = entry["dist_easy_all"], entry["dist_random_all"]
+        assert d_easy > 0.0 and d_rand > 0.0
+        assert (swapped["dist_easy_all"], swapped["dist_random_all"]) == (d_rand, d_easy)
+        d_easy_rand = float(np.linalg.norm(easy.mean(axis=0) - rand.mean(axis=0)))
+        assert d_easy_rand <= d_easy + d_rand + 1e-12
+        assert d_easy <= d_easy_rand + d_rand + 1e-12
+        assert entry["random_mean_closer_to_all"] == (d_rand < d_easy)
+
+    def test_row_permutation_within_sets_is_irrelevant(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        easy, rand, full = rng.normal(size=(6, 4)), rng.normal(size=(3, 4)), rng.normal(size=(9, 4))
+        e1 = pipeline_on_sets(monkeypatch, easy, rand, full)
+        e2 = pipeline_on_sets(monkeypatch, easy[::-1], rand[::-1], full[::-1])
+        for key in ("dist_easy_all", "dist_random_all"):
+            assert e1[key] == pytest.approx(e2[key], rel=1e-12)
+
+
+class TestCoherenceReport:
+    def test_report_structure_and_self_distance(self):
+        # subsets of every training point: the easy prefix and the random
+        # draw are both permutations of all ids, so both means are the full one
+        config = coherence_config(LINEAR, subset_fraction=1.0)
+        train_ds = resolve_dataset(config)[0]
+        models = {s: Model.initialize(LINEAR, train_ds.K, train_ds.d, seed=s) for s in (0, 1)}
+        report = gradient_coherence_pipeline(config, models=models)
+        assert report["subset_size"] == train_ds.N
+        assert report["n_seeds"] == 2 and set(report["per_seed"]) == {"0", "1"}
+        for seed, model in models.items():
+            entry = report["per_seed"][str(seed)]
+            full = gradient_set(model, np.arange(train_ds.N), train_ds)
+            scale = float(np.linalg.norm(full.mean))
+            assert entry["dist_easy_all"] == pytest.approx(0.0, abs=1e-12 * scale)
+            assert entry["dist_random_all"] == pytest.approx(0.0, abs=1e-12 * scale)
+            tv = entry["total_variance"]
+            assert set(tv) == {"easy_oracle", "random", "all"}
+            assert all(v >= 0.0 for v in tv.values())
+            assert tv["easy_oracle"] == pytest.approx(tv["all"], rel=1e-12)
+            assert tv["random"] == pytest.approx(tv["all"], rel=1e-12)
+        for key in ("fraction_variance_easy_below_random", "fraction_random_mean_closer_to_all"):
+            assert 0.0 <= report[key] <= 1.0

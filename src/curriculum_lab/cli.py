@@ -20,7 +20,7 @@ from .harness import bootstrap_loop, default_acceptance_tree, \
     gradient_coherence_pipeline, resolve_dataset, run_experiment, score_tables, \
     two_stage_grid_search
 from .scoring import save_scores_csv
-from .theory import DEFAULT_FAMILIES, DEFAULT_INSTANCES, run_verification
+from .theory import run_verification
 
 
 def _write_json(path: Path, obj) -> None:
@@ -134,22 +134,12 @@ def cmd_analyze_gradients(args) -> int:
 
 
 def cmd_verify_theory(args) -> int:
-    if args.config is not None:
-        config, out = _load(args, "theory.instances")
-        instances = config.theory["instances"]
-        families = config.theory["constant_variance_families"]
-        seed = config.seeds[0]
-        config_tree = config.tree
-    else:
-        instances = DEFAULT_INSTANCES if args.instances is None else args.instances
-        families = DEFAULT_FAMILIES
-        seed = args.seed if args.seed is not None else 0
-        config_tree = {"theory": {"instances": instances, "constant_variance_families": families},
-                       "seed": seed}
-        out = _out_dir(args.out)
-    report = run_verification(instances=instances, constant_variance_families=families, seed=seed)
+    config, out = _load(args, "theory.instances")
+    instances = config.theory["instances"]
+    report = run_verification(instances, config.theory["constant_variance_families"],
+                              config.seeds[0])
     _write_json(out / "theory_report.json", report)
-    _finish(out, "verify-theory", config_tree, ["theory_report.json", "manifest.json"])
+    _finish(out, "verify-theory", config.tree, ["theory_report.json", "manifest.json"])
     print(f"theory verification over {instances} instances: "
           f"{'PASS' if report['passed'] else 'FAIL'}")
     return 0 if report["passed"] else 1

@@ -284,8 +284,8 @@ def resolve_config(tree: dict, seed_override: int | None = None) -> ExperimentCo
     if p["variant"] == "varied_exp":
         _require(len(p.get("boundaries", ())) >= 1,
                  "varied_exp requires pacing.boundaries (at least the first two step ends)")
-        p["boundaries"] = extend_boundaries(p["boundaries"], p["starting_percent"],
-                                            p.get("increase"))
+        p["boundaries"] = _built("pacing", extend_boundaries, bounds=p["boundaries"],
+                                 starting_percent=p["starting_percent"], increase=p.get("increase"))
         pacing["boundaries"] = list(p["boundaries"])
 
     lr = view["lr"]

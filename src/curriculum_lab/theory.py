@@ -11,21 +11,22 @@ only balances in sum form; mixing estimators silently breaks every identity
 below, so helpers for the normalized form are deliberately not provided.
 
 Each check is written once, over a row stack of tables that share one example
-count; a LossTable is a one-table stack. Row-wise arrays do not depend on the
-rows stacked with them, and per-table maxima and verdicts are reductions at
-the row offsets. Each product over examples stays one `@` per table on its own
-block: BLAS gemv's row results depend on the row count, so padding tables to
-one size or per-row dots would change bits. `run_verification` keeps one
-pending group of drawn instances per example count and checks a group as one
-stack once it holds GROUP_ROWS rows, then every remaining group after the last
-draw. Its counters are sums and maxima, so the report does not depend on how
-the instances are grouped.
+count; a LossTable is the one-table stack. Row-wise arrays do not depend on the
+rows stacked with them, and per-table maxima, minima and verdicts are
+reductions at the row offsets. Each product over examples stays one `@` per
+table on its own block: BLAS gemv's row results depend on the row count, so
+padding tables to one size or per-row dots would change bits.
+`run_verification` draws its random instances and then its constant-variance
+families through one grouping loop: one pending group per example count,
+checked as one stack once it holds GROUP_ROWS rows, then every remaining group
+after the last draw. Its counters are sums and maxima, so the report does not
+depend on how the tables are grouped.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,7 +52,7 @@ def _checked_priors(P: np.ndarray) -> np.ndarray:
 class _RowStack:
     """Loss tables with one example count, rows concatenated; table b owns
     rows blocks[b] of U = exp(-L), its row means, U centered on them and each
-    row's sum-form variance (one dot per row)."""
+    row's sum-form variance (one dot per row), all built once and read-only."""
 
     def __init__(self, tables: list[np.ndarray]):
         self.losses = np.concatenate(tables)
@@ -61,6 +62,8 @@ class _RowStack:
         self.mean_utilities = self.utilities.mean(axis=1)
         self.centered = self.utilities - self.mean_utilities[:, None]
         self.variances = np.vecdot(self.centered, self.centered)
+        for name in ("losses", "utilities", "mean_utilities", "centered", "variances"):
+            getattr(self, name).setflags(write=False)
         counts = [len(L) for L in tables]
         self.blocks = [slice(e - t, e) for t, e in zip(counts, itertools.accumulate(counts))]
         self.starts = np.array([block.start for block in self.blocks])
@@ -84,30 +87,15 @@ class _RowStack:
         return np.minimum.reduceat(np.where(mask, np.arange(len(mask)), len(mask)), self.starts)
 
 
-@dataclass(frozen=True)
-class LossTable:
-    """Losses of a finite hypothesis grid, rows = hypotheses, cols = examples.
+class LossTable(_RowStack):
+    """Losses of a finite hypothesis grid, rows = hypotheses, cols = examples:
+    the one-table row stack."""
 
-    Built once, read-only: utilities U = exp(-L), their row means, U centered
-    on those means, and each row's sum-form variance (one dot per row).
-    """
-
-    losses: np.ndarray  # (T, N) >= 0
-    utilities: np.ndarray = field(init=False, repr=False)
-    mean_utilities: np.ndarray = field(init=False, repr=False)
-    centered: np.ndarray = field(init=False, repr=False)
-    variances: np.ndarray = field(init=False, repr=False)
-    _stack: _RowStack = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        L = np.array(self.losses, dtype=np.float64, order="C")
+    def __init__(self, losses):
+        L = np.asarray(losses, dtype=np.float64)
         if L.ndim != 2 or L.shape[0] < 1 or L.shape[1] < 1:
             raise ParameterError("loss table must be a non-empty (T, N) matrix")
-        stack = _RowStack([L])
-        for name in ("losses", "utilities", "mean_utilities", "centered", "variances"):
-            getattr(stack, name).setflags(write=False)
-            object.__setattr__(self, name, getattr(stack, name))
-        object.__setattr__(self, "_stack", stack)
+        super().__init__([L])
 
 
 @dataclass(frozen=True)
@@ -221,7 +209,7 @@ def _ideal_prior_amplification(stack: _RowStack, tol: float) -> dict:
 def _one_table(table: LossTable, prior: Prior) -> tuple[_RowStack, np.ndarray, np.ndarray]:
     if len(prior.p) != table.losses.shape[1]:
         raise ParameterError("prior length does not match the table")
-    return table._stack, *_prior_terms(table._stack, prior.p[None])
+    return table, *_prior_terms(table, prior.p[None])
 
 
 def _rows(mask: np.ndarray) -> list[int]:
@@ -271,7 +259,7 @@ def check_ideal_prior_amplification(table: LossTable, tol: float = IDENTITY_TOL)
                             + sqrt(sum_var(U_t) sum_var(U_best)) / C
     """
     return {key: value[0].item() for key, value in
-            _ideal_prior_amplification(table._stack, tol).items()}
+            _ideal_prior_amplification(table, tol).items()}
 
 
 def check_constant_variance_case(table: LossTable, variance_tol: float = 1e-9,
@@ -287,33 +275,32 @@ def check_constant_variance_case(table: LossTable, variance_tol: float = 1e-9,
     stricter argmax-SET equality unattainable; the set-form verdict is
     reported for information.
     """
-    return _constant_variance_case(table, variance_tol, tol)[0]
+    r = {key: value[0].item() for key, value in
+         _constant_variance_case(table, variance_tol, tol).items()}
+    if not r["applicable"]:
+        return {"applicable": False, "variance_spread": r["variance_spread"],
+                "reason": "precondition unmet: utility variances differ", "passed": None}
+    del r["argmax_set_equal"], r["gap_amplified"]
+    return r
 
 
-def _constant_variance_case(table: LossTable, variance_tol: float,
-                            tol: float) -> tuple[dict, dict | None]:
-    """check_constant_variance_case's report, and the `_prior_checks` of the
-    table under its ideal prior (None where the variances differ)."""
-    spread = float(np.ptp(table.variances))
-    if spread > variance_tol:
-        return {"applicable": False, "variance_spread": spread,
-                "reason": "precondition unmet: utility variances differ", "passed": None}, None
-    (best,), _C, prior_u, covs = _ideal_terms(table._stack, tol)
-    mean_u = table.mean_utilities
-    cov_max_at_best = bool((covs <= covs[best] + tol).all())
-    argmax_preserved = bool((prior_u <= prior_u[best] + tol).all())
-    gap_ok = bool(((prior_u[best] - prior_u) >= (mean_u[best] - mean_u) - tol).all())
-    checks = _prior_checks(table._stack, prior_u, covs, tol)
-    return {
-        "applicable": True,
-        "variance_spread": spread,
-        "optimal_index": int(best),
-        "covariance_max_at_optimum": cov_max_at_best,
-        "argmax_preserved": argmax_preserved,
-        "gap_ok": gap_ok,
-        "matched_argmax_set_form": bool(checks["holds"][0]),
-        "passed": bool(cov_max_at_best and argmax_preserved and gap_ok),
-    }, checks
+def _constant_variance_case(stack: _RowStack, variance_tol: float, tol: float) -> dict:
+    """check_constant_variance_case's fields, one entry per table (the
+    verdicts are meaningful where `applicable`), and check_argmax_preservation's
+    `argmax_set_equal` and `gap_amplified` under each table's ideal prior."""
+    spread = stack.max(stack.variances) - np.minimum.reduceat(stack.variances, stack.starts)
+    best, _C, prior_u, covs = _ideal_terms(stack, tol)
+    mean_u, row_best = stack.mean_utilities, best[stack.owner]
+    checks = _prior_checks(stack, prior_u, covs, tol)
+    r = {"applicable": spread <= variance_tol, "variance_spread": spread,
+         "optimal_index": best - stack.starts,
+         "covariance_max_at_optimum": stack.all(covs <= covs[row_best] + tol),
+         "argmax_preserved": stack.all(prior_u <= prior_u[row_best] + tol),
+         "gap_ok": stack.all((prior_u[row_best] - prior_u) >= (mean_u[row_best] - mean_u) - tol),
+         "matched_argmax_set_form": checks["holds"], "argmax_set_equal": checks["set_equal"],
+         "gap_amplified": checks["gap_amplified"]}
+    r["passed"] = r["covariance_max_at_optimum"] & r["argmax_preserved"] & r["gap_ok"]
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -369,23 +356,57 @@ def constant_variance_family(rng: np.random.Generator, n_examples: int = 12,
     return LossTable(-np.log(U))
 
 
-def _check_instances(counts: dict, tables: list[np.ndarray], priors: list[np.ndarray]) -> None:
-    """Check random instances sharing one example count as one row stack and
-    fold them into `counts`, whose entries are all sums or maxima."""
+def _instance_counts(tables: list[np.ndarray], priors: list[np.ndarray]) -> dict:
+    """The counters of random instances sharing one example count, checked
+    as one row stack."""
     stack = _RowStack(tables)
     prior_u, covs = _prior_terms(stack, _checked_priors(np.stack(priors)))
-    counts["max_decomposition_residual"] = max(counts["max_decomposition_residual"],
-                                               float(_residuals(stack, prior_u, covs).max()))
     r2 = _prior_checks(stack, prior_u, covs, IDENTITY_TOL)
-    counts["matched_argmax_count"] += int(r2["holds"].sum())
-    counts["argmax_preservation_violations"] += int(
-        (r2["holds"] & ~(r2["set_equal"] & r2["gap_amplified"])).sum())
     r3 = _ideal_prior_amplification(stack, IDENTITY_TOL)
-    counts["max_optimum_residual"] = max(counts["max_optimum_residual"],
-                                         float(r3["optimum_value_residual"].max()),
-                                         float(r3["ideal_identity_residual"].max()))
-    counts["amplification_gap_violations"] += int((~r3["gap_ok"]).sum())
-    counts["cauchy_schwarz_violations"] += int((~r3["cauchy_schwarz_ok"]).sum())
+    return {
+        "max_decomposition_residual": _residuals(stack, prior_u, covs).max(),
+        "matched_argmax_count": r2["holds"].sum(),
+        "argmax_preservation_violations": (r2["holds"]
+                                           & ~(r2["set_equal"] & r2["gap_amplified"])).sum(),
+        "max_optimum_residual": max(r3["optimum_value_residual"].max(),
+                                    r3["ideal_identity_residual"].max()),
+        "amplification_gap_violations": (~r3["gap_ok"]).sum(),
+        "cauchy_schwarz_violations": (~r3["cauchy_schwarz_ok"]).sum(),
+    }
+
+
+def _family_counts(tables: list[np.ndarray], _priors) -> dict:
+    """The counters of constant-variance families sharing one example count,
+    checked as one row stack: a family passes if it is applicable and every
+    verdict under its ideal prior holds, check_argmax_preservation's included."""
+    r = _constant_variance_case(_RowStack(tables), 1e-9, IDENTITY_TOL)
+    ok = (r["applicable"] & r["passed"] & r["matched_argmax_set_form"]
+          & r["argmax_set_equal"] & r["gap_amplified"])
+    return {"constant_variance_applicable": r["applicable"].sum(),
+            "constant_variance_violations": (~ok).sum()}
+
+
+def _check_grouped(counts: dict, draws, check) -> None:
+    """Fold `check(tables, priors)` over the (loss table, prior) `draws` into
+    `counts`: a maximum for each max_ key, a sum for every other. Each example
+    count has one pending group, checked once it holds GROUP_ROWS rows; every
+    remaining group is checked after the last draw."""
+    def fold(tables, priors):
+        for key, value in check(tables, priors).items():
+            counts[key] = (max(counts[key], float(value)) if key.startswith("max_")
+                           else counts[key] + int(value))
+
+    pending = {}  # example count -> (loss tables, priors, rows)
+    for losses, p in draws:
+        tables, priors, rows = pending.pop(losses.shape[1], ([], [], 0))
+        tables.append(losses)
+        priors.append(p)
+        if rows + len(losses) >= GROUP_ROWS:
+            fold(tables, priors)
+        else:
+            pending[losses.shape[1]] = tables, priors, rows + len(losses)
+    for tables, priors, _rows in pending.values():
+        fold(tables, priors)
 
 
 def run_verification(instances: int = DEFAULT_INSTANCES,
@@ -395,56 +416,22 @@ def run_verification(instances: int = DEFAULT_INSTANCES,
     preservation, ideal-prior amplification, and the constant-variance
     special case. Returns a JSON-ready report."""
     rng = np.random.default_rng(seed)
-    counts = {"max_decomposition_residual": 0.0, "matched_argmax_count": 0,
-              "argmax_preservation_violations": 0, "amplification_gap_violations": 0,
-              "max_optimum_residual": 0.0, "cauchy_schwarz_violations": 0}
-    pending = {}  # example count -> (loss tables, priors, rows)
-    for _ in range(instances):
-        losses, p = random_instance(rng)
-        tables, priors, rows = pending.pop(losses.shape[1], ([], [], 0))
-        tables.append(losses)
-        priors.append(p)
-        if rows + len(losses) >= GROUP_ROWS:
-            _check_instances(counts, tables, priors)
-        else:
-            pending[losses.shape[1]] = tables, priors, rows + len(losses)
-    for tables, priors, _rows in pending.values():
-        _check_instances(counts, tables, priors)
-    constant_variance_violations = 0
-    constant_variance_applicable = 0
-    for _ in range(constant_variance_families):
-        table = constant_variance_family(
-            rng, n_examples=int(rng.integers(8, 21)), n_hypotheses=int(rng.integers(3, 13)))
-        rc, checks = _constant_variance_case(table, 1e-9, IDENTITY_TOL)
-        if rc["applicable"]:
-            constant_variance_applicable += 1
-        # `checks` is what check_argmax_preservation(table, ideal_prior(table,
-        # best)) reads: the same prior terms, so the same verdicts
-        ok = (rc["applicable"] and rc["passed"] and rc["matched_argmax_set_form"]
-              and checks["set_equal"][0] and checks["gap_amplified"][0])
-        if not ok:
-            constant_variance_violations += 1
-    report = {
-        "seed": int(seed),
-        "instances": int(instances),
-        "max_decomposition_residual": counts["max_decomposition_residual"],
-        "decomposition_ok": counts["max_decomposition_residual"] <= IDENTITY_TOL,
-        "matched_argmax_count": counts["matched_argmax_count"],
-        "argmax_preservation_violations": counts["argmax_preservation_violations"],
-        "amplification_gap_violations": counts["amplification_gap_violations"],
-        "max_optimum_residual": counts["max_optimum_residual"],
-        "optimum_identity_ok": counts["max_optimum_residual"] <= IDENTITY_TOL,
-        "cauchy_schwarz_violations": counts["cauchy_schwarz_violations"],
-        "constant_variance_families": int(constant_variance_families),
-        "constant_variance_applicable": constant_variance_applicable,
-        "constant_variance_violations": constant_variance_violations,
-    }
+    counts = dict.fromkeys(("matched_argmax_count", "argmax_preservation_violations",
+                            "amplification_gap_violations", "cauchy_schwarz_violations",
+                            "constant_variance_applicable", "constant_variance_violations"), 0)
+    counts.update(max_decomposition_residual=0.0, max_optimum_residual=0.0)
+    # the draws are lazy, so the instances take the rng stream before the families
+    _check_grouped(counts, (random_instance(rng) for _ in range(instances)), _instance_counts)
+    families = ((constant_variance_family(rng, n_examples=int(rng.integers(8, 21)),
+                                          n_hypotheses=int(rng.integers(3, 13))).losses, None)
+                for _ in range(constant_variance_families))
+    _check_grouped(counts, families, _family_counts)
+    report = {"seed": int(seed), "instances": int(instances),
+              "constant_variance_families": int(constant_variance_families), **counts,
+              "decomposition_ok": counts["max_decomposition_residual"] <= IDENTITY_TOL,
+              "optimum_identity_ok": counts["max_optimum_residual"] <= IDENTITY_TOL}
     report["passed"] = bool(
-        report["decomposition_ok"]
-        and report["argmax_preservation_violations"] == 0
-        and report["amplification_gap_violations"] == 0
-        and report["optimum_identity_ok"]
-        and report["cauchy_schwarz_violations"] == 0
-        and constant_variance_violations == 0
-        and constant_variance_applicable == constant_variance_families)
+        report["decomposition_ok"] and report["optimum_identity_ok"]
+        and not any(v for k, v in counts.items() if k.endswith("_violations"))
+        and counts["constant_variance_applicable"] == constant_variance_families)
     return report

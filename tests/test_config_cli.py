@@ -152,6 +152,17 @@ class TestCliErrors:
         assert code == 2
         assert capsys.readouterr().err == "error: pacing: step_length must be >= 1, got 0\n"
 
+    def test_unextendable_boundaries_name_their_section(self, tmp_path, capsys):
+        # one boundary cannot be extended to the two steps varied_exp needs here
+        tree = tiny_tree("curriculum")
+        tree["pacing"] = {"variant": "varied_exp", "starting_percent": 0.25, "increase": 2.0,
+                          "boundaries": [10]}
+        config = write_config(tmp_path, tree)
+        code = main(["train", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: pacing: need at least the first two boundaries to derive the remaining 1\n")
+
     @pytest.mark.parametrize("section,key,value", [
         (None, "batch_size", "ten"),
         ("pacing", "boundaries", 5),
@@ -311,7 +322,7 @@ class TestCliErrors:
         # the [10] cell's tree does not resolve: one boundary cannot be extended
         ({"variant": "varied_exp", "starting_percent": 0.25, "increase": 2.0,
           "boundaries": [10, 25]}, {"boundaries": [[10, 25], [10]]}, [False, True, False],
-         "need at least the first two boundaries to derive the remaining 1"),
+         "pacing: need at least the first two boundaries to derive the remaining 1"),
         # the 0 cell resolves, but fixed_exp's PacingSpec cannot be built
         (None, {"step_length": [0, 15]}, [True, False, False],
          "pacing: step_length must be >= 1, got 0"),
@@ -900,3 +911,4 @@ class TestCliVerifyTheory:
         report = (first / "theory_report.json").read_bytes()
         assert json.loads(report)["instances"] == 30
         assert (second / "theory_report.json").read_bytes() == report
+        assert (second / "manifest.json").read_bytes() == (first / "manifest.json").read_bytes()

@@ -1,11 +1,11 @@
 """The row-stack theory engine against the one-table public checks.
 
-`run_verification` checks its random instances as row stacks grouped by
-example count. Its report must be byte-identical to the per-instance loop it
-replaced, kept below as the reference, and to itself under any group cap;
-every table of a stack must get exactly the results a one-table call of the
-public checks gives it; and a bad table or prior must fail a stack as it fails
-alone. The public checks
+`run_verification` checks its random instances, and then its constant-variance
+families, as row stacks grouped by example count. Its report must be
+byte-identical to the per-instance loop it replaced, kept below as the
+reference, and to itself under any group cap; every table of a stack must get
+exactly the results a one-table call of the public checks gives it; and a bad
+table or prior must fail a stack as it fails alone. The public checks
 themselves are pinned to a per-row numpy reference in
 tests/test_theory_reference.py.
 """
@@ -20,7 +20,8 @@ from hypothesis import given, settings, strategies as st
 from curriculum_lab import theory
 from curriculum_lab.errors import ParameterError
 from curriculum_lab.theory import (GROUP_ROWS, IDENTITY_TOL, LossTable, Prior, _RowStack,
-                                   _checked_priors, _ideal_prior_amplification, _prior_checks,
+                                   _checked_priors, _constant_variance_case,
+                                   _ideal_prior_amplification, _prior_checks,
                                    _prior_terms, _residuals, check_argmax_preservation,
                                    check_constant_variance_case,
                                    check_ideal_prior_amplification, constant_variance_family,
@@ -149,8 +150,13 @@ class TestGroupCap:
         monkeypatch.setattr(theory, "GROUP_ROWS", cap)
         assert json.dumps(run_verification(instances, families, seed), sort_keys=True) == expected
 
-    @pytest.mark.parametrize("seed", [0, 5])
-    def test_stacks_stay_bounded(self, monkeypatch, seed):
+    # instance tables have 1..20 examples and at most 50 hypotheses, family
+    # tables 8..20 examples and at most 12 hypotheses
+    @pytest.mark.parametrize("seed,instances,families,example_counts,most_rows", [
+        (0, 3000, 0, 20, 50), (5, 3000, 0, 20, 50), (2, 0, 3000, 13, 12),
+    ], ids=["0", "5", "families"])
+    def test_stacks_stay_bounded(self, monkeypatch, seed, instances, families, example_counts,
+                                 most_rows):
         rows = []
 
         class Recording(_RowStack):
@@ -159,15 +165,14 @@ class TestGroupCap:
                 rows.append(len(self.losses))
 
         monkeypatch.setattr(theory, "_RowStack", Recording)
-        instances = 3000
-        run_verification(instances, 0, seed)
-        # a group is checked at the draw that takes it to GROUP_ROWS rows, and
-        # one instance has at most 50 hypotheses
-        assert max(rows) < GROUP_ROWS + 50
+        run_verification(instances, families, seed)
+        # a group is checked at the draw that takes it to GROUP_ROWS rows
+        assert max(rows) < GROUP_ROWS + most_rows
+        assert any(r >= GROUP_ROWS for r in rows)
         # only the groups left after the last draw may be short: one per
-        # example count (1..20)
-        assert sum(r < GROUP_ROWS for r in rows) <= 20
-        assert len(rows) <= instances // 4
+        # example count
+        assert sum(r < GROUP_ROWS for r in rows) <= example_counts
+        assert len(rows) <= (instances + families) // 4
 
 
 def same(a, b):
@@ -248,6 +253,38 @@ class TestStackMatchesOneTableCalls:
             assert ideal.keys() == alone.keys()
             for key, value in alone.items():
                 assert same(ideal[key][b].item(), value), key
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_families_and_random_tables_share_a_stack(self, seed):
+        # a one-row or constant-variance table is applicable, a random table
+        # with more rows is not
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 21))
+        tables = [constant_variance_family(rng, n, int(rng.integers(1, 7))).losses if b % 2
+                  else rng.uniform(0.0, 5.0, size=(int(rng.integers(1, 30)), n))
+                  for b in range(8)]
+        stacked = _constant_variance_case(_RowStack(tables), 1e-9, IDENTITY_TOL)
+        applicable = []
+        for b, losses in enumerate(tables):
+            table = LossTable(losses)
+            alone = check_constant_variance_case(table)
+            fields = {key: value[b].item() for key, value in stacked.items()}
+            applicable.append(alone["applicable"])
+            if not alone["applicable"]:
+                assert (fields["applicable"], alone["passed"]) == (False, None)
+                assert same(fields["variance_spread"], alone["variance_spread"])
+                continue
+            # the verdicts run_verification reads besides the public fields
+            ideal = check_argmax_preservation(table, ideal_prior(table, alone["optimal_index"]))
+            assert ideal["applicable"] == alone["matched_argmax_set_form"]
+            for key in ("argmax_set_equal", "gap_amplified"):
+                value = fields.pop(key)
+                if ideal["applicable"]:
+                    assert same(value, ideal[key]), key
+            assert fields.keys() == alone.keys()
+            for key, value in alone.items():
+                assert same(fields[key], value), key
+        assert True in applicable and False in applicable
 
     def test_ties_break_to_the_lowest_row(self):
         row = [0.2, 1.4, 0.6]

@@ -20,7 +20,7 @@ import os
 from dataclasses import dataclass
 
 from .errors import ConfigError, ParameterError
-from .pacing import PacingSpec, extend_boundaries
+from .pacing import PacingSpec, extend_boundaries, stage_starts
 from .theory import DEFAULT_FAMILIES, DEFAULT_INSTANCES
 from .trainer import ARCHITECTURES, LRSchedule, ModelSpec
 
@@ -287,6 +287,8 @@ def resolve_config(tree: dict, seed_override: int | None = None) -> ExperimentCo
         p["boundaries"] = _built("pacing", extend_boundaries, bounds=p["boundaries"],
                                  starting_percent=p["starting_percent"], increase=p.get("increase"))
         pacing["boundaries"] = list(p["boundaries"])
+    # the rules across pacing keys that do not read N hold for every command
+    _built("pacing", stage_starts, **p)
 
     lr = view["lr"]
     schedule = _built("lr", LRSchedule, variant=lr["variant"],

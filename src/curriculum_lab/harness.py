@@ -25,7 +25,7 @@ from .scoring import ScoreTable, invert, load_scores_csv, oracle_bayes_score, \
     random_score, score_by_model_loss, transfer_score
 from .seeding import BATCH, INIT, SCORE, SPLIT, SUBSET, derived_seed
 from .sequencer import balanced_prefix, build_plan, self_paced_rescore_hook
-from .trainer import LearningCurve, Model, train_stack
+from .trainer import BatchStore, LearningCurve, Model, train_stack
 
 
 # Reference desk-scale dataset: 5 heavily overlapping Gaussian classes. The
@@ -142,7 +142,7 @@ def _scorer_key(config: ExperimentConfig, seed: int) -> tuple:
 
 
 def score_tables(configs: list[ExperimentConfig], data: tuple,
-                 memo: dict | None = None) -> list[list]:
+                 memo: dict | None = None, batch_store: BatchStore | None = None) -> list[list]:
     """For each config, one table of its scoring function per repetition seed,
     over the training split of `data`: `resolve_dataset`'s (train, test,
     embeddings).
@@ -151,8 +151,10 @@ def score_tables(configs: list[ExperimentConfig], data: tuple,
     the loss of the final model of that seed's vanilla run, recording only at
     its first and last iteration; the vanilla runs of the keys this call adds
     train as one stack (the configs may differ only in pacing and LR) and
-    record on the test split. A seed whose scorer diverged gets an
-    `ExperimentError` in place of its table."""
+    record on the test split. A given `batch_store` keeps the scorers'
+    full-size batch draws for the command's later stacks over the same plan
+    seeds. A seed whose scorer diverged gets an `ExperimentError` in place of
+    its table."""
     train_ds, test_ds, emb = data
     memo = {} if memo is None else memo
     new = {}  # key -> the one-seed vanilla run of a self-taught table to train
@@ -168,7 +170,7 @@ def score_tables(configs: list[ExperimentConfig], data: tuple,
             else:
                 memo[key] = _fixed_table(config, train_ds, emb)
     if new:
-        outcomes = _train_runs(train_ds, test_ds, list(new.values()))
+        outcomes = _train_runs(train_ds, test_ds, list(new.values()), batch_store)
         for (key, run), (outcome,) in zip(new.items(), outcomes):
             memo[key] = (ExperimentError(f"self-taught scorer of seed {run.seeds[0]} diverged "
                                          f"at iteration {outcome.iteration}")
@@ -249,9 +251,11 @@ def _plan_run(config: ExperimentConfig, train_ds: Dataset, tables: list | None) 
     return run
 
 
-def _train_runs(train_ds: Dataset, test_ds: Dataset, runs: list[_Run]) -> list[list]:
+def _train_runs(train_ds: Dataset, test_ds: Dataset, runs: list[_Run],
+                batch_store: BatchStore | None = None) -> list[list]:
     """Train every seed of every run as one stack; one outcome list per run.
-    The runs share the model, the iteration count and `record_every`."""
+    The runs share the model, the iteration count and `record_every`;
+    `batch_store` is `train_stack`'s."""
     if not runs:
         return []
     rows = [(run, seed, plan) for run in runs for seed, plan in zip(run.seeds, run.plans)]
@@ -262,7 +266,8 @@ def _train_runs(train_ds: Dataset, test_ds: Dataset, runs: list[_Run]) -> list[l
         [derived_seed(seed, INIT) for _run, seed, _plan in rows],
         record_every=config.record_every,
         boundary_hooks=[self_paced_rescore_hook if run.config.condition == "self_paced"
-                        else None for run, _seed, _plan in rows]))
+                        else None for run, _seed, _plan in rows],
+        batch_store=batch_store))
     return [[next(outcomes) for _ in run.seeds] for run in runs]
 
 
@@ -326,13 +331,24 @@ def run_experiment(config: ExperimentConfig, out_dir=None,
     A repetition that diverges, or has an `ExperimentError` in place of its
     table, is recorded as failed; the experiment errors out only when at
     least half of the repetitions fail. With `out_dir` set, per-seed
-    learning-curve CSVs and summary.json are written there.
+    learning-curve CSVs and summary.json are written there. Self-taught
+    scorers trained here are vanilla runs over the run's own plan seeds, so
+    the run reads their full-size batch draws from one `BatchStore`.
     """
-    train_ds, test_ds, _emb = data = resolve_dataset(config) if data is None else data
-    if tables is None and config.condition in SCORED_CONDITIONS:
-        (tables,) = score_tables([config], data)
-    run = _plan_run(config, train_ds, tables)
-    (outcomes,) = _train_runs(train_ds, test_ds, [run])
+    data = resolve_dataset(config) if data is None else data
+    scorers = tables is None and config.condition in SCORED_CONDITIONS
+    batch_store = (BatchStore() if scorers and config.scoring["kind"] == "self_taught"
+                   else None)
+    if scorers:
+        (tables,) = score_tables([config], data, batch_store=batch_store)
+    return _experiment(config, data, tables, batch_store, out_dir)
+
+
+def _experiment(config: ExperimentConfig, data: tuple, tables: list | None,
+                batch_store: BatchStore | None, out_dir=None) -> ExperimentResult:
+    """Plan, train and summarise one condition on given tables."""
+    run = _plan_run(config, data[0], tables)
+    (outcomes,) = _train_runs(data[0], data[1], [run], batch_store)
     return _summarise(run, outcomes, out_dir)
 
 
@@ -381,7 +397,9 @@ def two_stage_grid_search(config: ExperimentConfig, out_dir=None) -> tuple[Exper
     the stage-1 winner's.
     All new cells × seeds of a stage train as one stack; a cell whose
     resolved tree was trained already (in stage 2, the stage-1 winner at the
-    base LR) reuses that run. A cell whose tree does not resolve, or whose
+    base LR) reuses that run. The scorers and both stages share the plan
+    seeds, so they share one `BatchStore`: each full-size batch is drawn
+    once per search. A cell whose tree does not resolve, or whose
     pacing cannot be built or planned on the fit split, is recorded as failed,
     like a cell whose repetitions fail."""
     if config.grid is None:
@@ -405,6 +423,7 @@ def two_stage_grid_search(config: ExperimentConfig, out_dir=None) -> tuple[Exper
     audit: list[dict] = []
     best = None  # (criterion value, pacing params, config) of the best cell so far
     memo: dict = {}
+    batch_store = BatchStore()
     # a cell's resolved tree, as JSON -> its (run, outcomes), or the error
     # that planning it raised
     trained: dict = {}
@@ -421,7 +440,7 @@ def two_stage_grid_search(config: ExperimentConfig, out_dir=None) -> tuple[Exper
             keys.append(json.dumps(c.tree, sort_keys=True))
             if keys[-1] not in trained:
                 new[keys[-1]] = c
-        tables = (score_tables(list(new.values()), data, memo) if scored
+        tables = (score_tables(list(new.values()), data, memo, batch_store) if scored
                   else [None] * len(new))
         runs = {}
         for key, c, t in zip(new, new.values(), tables):
@@ -430,7 +449,8 @@ def two_stage_grid_search(config: ExperimentConfig, out_dir=None) -> tuple[Exper
             except (ConfigError, ParameterError) as exc:  # a pacing it cannot build or plan
                 trained[key] = exc
         trained.update(zip(runs, zip(runs.values(),
-                                     _train_runs(fit_ds, val_ds, list(runs.values())))))
+                                     _train_runs(fit_ds, val_ds, list(runs.values()),
+                                                 batch_store))))
         for (pacing_params, lr_params), key in zip(cells, keys):
             try:
                 outcome = key if isinstance(key, Exception) else trained[key]
@@ -464,7 +484,7 @@ def two_stage_grid_search(config: ExperimentConfig, out_dir=None) -> tuple[Exper
             # which `_scorer_key` ignores, so the base config stands in for
             # each stage-1 cell, and the base pacing for the stage-1 winner's
             score_tables([_with_params(config, {}, lr_params)
-                          for lr_params in [{}] + lr_cells], data, memo)
+                          for lr_params in [{}] + lr_cells], data, memo, batch_store)
         run_stage(1, [(pacing_params, {}) for pacing_params in pacing_cells])
         # stage 2 sweeps LR at the stage-1 winner, so it waits for stage 1
         best_pacing = {} if best is None else best[1]
@@ -501,15 +521,18 @@ def bootstrap_loop(config: ExperimentConfig, out_dir=None) -> list[dict]:
     generation.
 
     A seed that fails in one generation is recorded as failed in every later
-    one; a generation errors out when half of its repetitions have failed."""
+    one; a generation errors out when half of its repetitions have failed.
+    Every generation trains over the same plan seeds, so the generations
+    share one `BatchStore`: each full-size batch is drawn once per loop."""
     data = resolve_dataset(config)
     train_ds = data[0]
+    batch_store = BatchStore()
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
 
     summaries: list[dict] = []
-    prev = run_experiment(_vanilla(config), data=data)
+    prev = _experiment(_vanilla(config), data, None, batch_store)
     prev.summary["generation"] = 0
     summaries.append(prev.summary)
     _write_generation(out, 0, prev)
@@ -521,7 +544,7 @@ def bootstrap_loop(config: ExperimentConfig, out_dir=None) -> list[dict]:
         tables = [score_by_model_loss(train_ds, prev.models[s]) if s in prev.models
                   else ExperimentError(f"seed {s} has no generation-{g - 1} model to score with")
                   for s in curriculum_config.seeds]
-        current = run_experiment(curriculum_config, data=data, tables=tables)
+        current = _experiment(curriculum_config, data, tables, batch_store)
         current.summary["generation"] = g
         summaries.append(current.summary)
         _write_generation(out, g, current)

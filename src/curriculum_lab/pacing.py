@@ -41,6 +41,40 @@ def num_steps(starting_percent: float, increase: float) -> int:
     return max(0, math.ceil(ratio - 1e-12))
 
 
+def stage_starts(variant: str, starting_percent: float | None = 1.0,
+                 increase: float | None = None, step_length: int | None = None,
+                 boundaries: tuple[int, ...] | None = None) -> list[int]:
+    """The first iteration of each stage of a staircase variant, up to the
+    first stage at size N, after checking every rule of the variant's
+    settings that does not read N (what the variant does not read is
+    ignored). Stage z of fixed_exp and varied_exp has exponent z; a
+    single_step with step_length 0 has only its full-size stage."""
+    if variant not in _READS:
+        raise ParameterError(f"unknown pacing variant {variant!r}")
+    if variant == "vanilla":
+        return [0]
+    if starting_percent is None or not 0.0 < starting_percent <= 1.0:
+        raise ParameterError(f"starting_percent must be in (0, 1], got {starting_percent}")
+    if variant == "single_step":
+        # step_length 0 is legal: the first phase is empty and g == N throughout
+        if step_length is None or step_length < 0:
+            raise ParameterError(f"step_length must be >= 0, got {step_length}")
+        return [0, step_length] if step_length else [0]
+    k = num_steps(starting_percent, increase)  # also validates increase
+    if variant == "fixed_exp":
+        if step_length is None or step_length < 1:
+            raise ParameterError(f"step_length must be >= 1, got {step_length}")
+        return [z * step_length for z in range(k + 1)]
+    if boundaries is None or len(boundaries) != k:
+        got = None if boundaries is None else len(boundaries)
+        raise ParameterError(f"varied_exp needs exactly num_steps={k} boundaries, got {got}")
+    if any(b < 0 for b in boundaries):
+        raise ParameterError("boundaries must be non-negative iteration indices")
+    if any(b2 <= b1 for b1, b2 in zip(boundaries, boundaries[1:])):
+        raise ParameterError(f"boundaries must be strictly increasing, got {boundaries}")
+    return [0] + [b + 1 for b in boundaries]
+
+
 @dataclass(frozen=True)
 class PacingSpec:
     """One pacing function instance, bound to a dataset size N and horizon M.
@@ -68,7 +102,7 @@ class PacingSpec:
             if name not in _READS[self.variant]:
                 object.__setattr__(self, name, None)
         starts, sizes = [], []
-        for start, size in ([(0, self.N)] if self.variant == "vanilla" else self._stages()):
+        for start, size in self._stages():
             if not sizes or size != sizes[-1]:
                 starts.append(start)
                 sizes.append(size)
@@ -79,34 +113,19 @@ class PacingSpec:
     def _stages(self) -> list[tuple[int, int]]:
         """Validate the variant's settings; (start, size) per stage, up to
         the first stage at size N."""
-        sp = self.starting_percent
-        if not 0.0 < sp <= 1.0:
-            raise ParameterError(f"starting_percent must be in (0, 1], got {sp}")
-        first = round_half_up(sp * self.N)
+        if self.boundaries is not None:
+            object.__setattr__(self, "boundaries", tuple(int(b) for b in self.boundaries))
+        starts = stage_starts(self.variant, self.starting_percent, self.increase,
+                              self.step_length, self.boundaries)
+        if self.variant == "vanilla":
+            return [(0, self.N)]
+        first = round_half_up(self.starting_percent * self.N)
         if first < 1:
             raise ParameterError(
-                f"starting_percent {sp} rounds to an empty subset for N={self.N}")
+                f"starting_percent {self.starting_percent} rounds to an empty subset "
+                f"for N={self.N}")
         if self.variant == "single_step":
-            # step_length 0 is legal: the first phase is empty and g == N throughout
-            if self.step_length is None or self.step_length < 0:
-                raise ParameterError(f"step_length must be >= 0, got {self.step_length}")
-            return [(0, first), (self.step_length, self.N)] if self.step_length else [(0, self.N)]
-        k = num_steps(sp, self.increase)  # also validates increase
-        if self.variant == "fixed_exp":
-            if self.step_length is None or self.step_length < 1:
-                raise ParameterError(f"step_length must be >= 1, got {self.step_length}")
-            starts = [z * self.step_length for z in range(k + 1)]
-        else:
-            if self.boundaries is None or len(self.boundaries) != k:
-                got = None if self.boundaries is None else len(self.boundaries)
-                raise ParameterError(
-                    f"varied_exp needs exactly num_steps={k} boundaries, got {got}")
-            object.__setattr__(self, "boundaries", tuple(int(b) for b in self.boundaries))
-            if any(b < 0 for b in self.boundaries):
-                raise ParameterError("boundaries must be non-negative iteration indices")
-            if any(b2 <= b1 for b1, b2 in zip(self.boundaries, self.boundaries[1:])):
-                raise ParameterError(f"boundaries must be strictly increasing, got {self.boundaries}")
-            starts = [0] + [b + 1 for b in self.boundaries]
+            return list(zip(starts, (first, self.N) if len(starts) > 1 else (self.N,)))
         return [(start, _sized(self, z)) for z, start in enumerate(starts)]
 
     @cached_property

@@ -330,6 +330,12 @@ def constant_variance_family(rng: np.random.Generator, n_examples: int = 12,
     hypotheses share a permutation: a repeated one ties the covariance
     argmax, which the argmax checks would report as a violation.
     """
+    return LossTable(_constant_variance_losses(rng, n_examples, n_hypotheses))
+
+
+def _constant_variance_losses(rng: np.random.Generator, n_examples: int,
+                              n_hypotheses: int) -> np.ndarray:
+    """The (n_hypotheses, n_examples) loss matrix of `constant_variance_family`."""
     if n_hypotheses > math.factorial(n_examples):
         raise ParameterError(
             f"{n_hypotheses} hypotheses need distinct permutations, but {n_examples} "
@@ -352,8 +358,7 @@ def constant_variance_family(rng: np.random.Generator, n_examples: int = 12,
             row = rng.permutation(centered)
         seen.add(row.tobytes())
         rows.append(row + s)
-    U = np.stack(rows)
-    return LossTable(-np.log(U))
+    return -np.log(np.stack(rows))
 
 
 def _instance_counts(tables: list[np.ndarray], priors: list[np.ndarray]) -> dict:
@@ -422,8 +427,8 @@ def run_verification(instances: int = DEFAULT_INSTANCES,
     counts.update(max_decomposition_residual=0.0, max_optimum_residual=0.0)
     # the draws are lazy, so the instances take the rng stream before the families
     _check_grouped(counts, (random_instance(rng) for _ in range(instances)), _instance_counts)
-    families = ((constant_variance_family(rng, n_examples=int(rng.integers(8, 21)),
-                                          n_hypotheses=int(rng.integers(3, 13))).losses, None)
+    families = ((_constant_variance_losses(rng, int(rng.integers(8, 21)),
+                                           int(rng.integers(3, 13))), None)
                 for _ in range(constant_variance_families))
     _check_grouped(counts, families, _family_counts)
     report = {"seed": int(seed), "instances": int(instances),

@@ -290,9 +290,32 @@ class LearningCurve:
                    lr=np.array(cols[4]))
 
 
+class BatchStore:
+    """The full-size batch positions drawn by the stacks of one command.
+
+    A row at g(t) = N draws the positions of (plan seed, t) among all N ids,
+    whatever its condition, so a later stack over the same plan seeds reads
+    them here instead of drawing again. Per (plan seed, N, batch size) and
+    horizon M it holds an (M, B) block in the smallest unsigned dtype that
+    holds N - 1, and which of its rows are filled."""
+
+    def __init__(self):
+        self._blocks: dict = {}
+
+    def block(self, plan: CurriculumPlan) -> tuple[np.ndarray, np.ndarray]:
+        """(positions, filled) of the plan's key."""
+        key = (plan.seed, plan.N, plan.batch_size, plan.M)
+        if key not in self._blocks:
+            self._blocks[key] = (
+                np.empty((plan.M, plan.batch_size), dtype=np.min_scalar_type(plan.N - 1)),
+                np.zeros(plan.M, dtype=bool))
+        return self._blocks[key]
+
+
 def train_stack(ds_train: Dataset, ds_test: Dataset, plans: list[CurriculumPlan],
                 schedules: list[LRSchedule], model_spec: ModelSpec, seeds: list[int],
-                record_every: int = 50, boundary_hooks: list | None = None) -> list:
+                record_every: int = 50, boundary_hooks: list | None = None,
+                batch_store: BatchStore | None = None) -> list:
     """Run M SGD steps for R models at once: row r follows plans[r] and
     schedules[r] from the init of seeds[r], and every row equals that row
     trained alone, bitwise. Rows may differ in pacing and learning rate; they
@@ -306,6 +329,8 @@ def train_stack(ds_train: Dataset, ds_test: Dataset, plans: list[CurriculumPlan]
     `boundary_hooks[r](plan, model, t)`, when given and not None, replaces row
     r's plan at t=0 and at every start of a stage of its pacing (the
     self-paced control).
+    `batch_store`, when given, supplies and keeps every full-size draw: a row
+    at g(t) = N draws only when no stack of the store drew (plan seed, t).
 
     Returns one outcome per row: `(Model, LearningCurve)`, or the
     `TrainingDivergedError` that training the row alone raises. A diverged
@@ -324,7 +349,7 @@ def train_stack(ds_train: Dataset, ds_test: Dataset, plans: list[CurriculumPlan]
         raise ParameterError(f"record_every must be >= 1, got {record_every}")
     if not plans:
         return []
-    K, d = ds_train.K, ds_train.d
+    K, d, N = ds_train.K, ds_train.d, ds_train.N
     M = plans[0].M
     arrays, _ = _layout(model_spec, K, d)
     params = np.stack([_init_params(model_spec, K, d, seed) for seed in seeds])
@@ -345,6 +370,8 @@ def train_stack(ds_train: Dataset, ds_test: Dataset, plans: list[CurriculumPlan]
     recorded: list[list] = [[] for _ in plans]
     outcomes: list = [None] * R
     batch = np.empty((R, plans[0].batch_size), dtype=np.int64)
+    # each row's store block, for its full-size draws
+    stored = [None if batch_store is None else batch_store.block(plan) for plan in plans]
 
     def drop(ok: np.ndarray, t: int, message: str = "") -> None:
         nonlocal params, views, live, lrs
@@ -362,15 +389,24 @@ def train_stack(ds_train: Dataset, ds_test: Dataset, plans: list[CurriculumPlan]
                 if r in live:
                     j = live.index(r)
                     current[r] = hooks[r](current[r], Model(model_spec, K, d, params[j]), t)
-            # one draw per (seed, g(t)); each row maps it through its own prefix
+            # one draw per (seed, g(t)), and a full-size one once per store;
+            # each row maps it through its own prefix
             draws = {}
             ids = batch[:len(live)]
             for j, r in enumerate(live):
                 plan, size = current[r], sizes[r][t]
                 positions = draws.get((plan.seed, size))
                 if positions is None:
-                    positions = draws[plan.seed, size] = _batch_positions(plan, t)
-                ids[j] = balanced_prefix(plan, size)[positions]
+                    if size == N and stored[r] is not None:
+                        block, filled = stored[r]
+                        if not filled[t]:
+                            block[t], filled[t] = _batch_positions(plan, t), True
+                        positions = block[t]
+                    else:
+                        positions = _batch_positions(plan, t)
+                    draws[plan.seed, size] = positions
+                # the full-size prefix is the whole order
+                ids[j] = (plan.order if size == N else balanced_prefix(plan, size))[positions]
             logits, cache = _forward(model_spec, views, np.take(ds_train.X, ids, axis=0))
             ok = np.isfinite(logits).all(axis=(1, 2))
             if not ok.all():

@@ -152,6 +152,27 @@ class TestCliErrors:
         assert code == 2
         assert capsys.readouterr().err == "error: pacing: step_length must be >= 1, got 0\n"
 
+    @pytest.mark.parametrize("command", ["gen-data", "score", "train", "grid-search",
+                                         "bootstrap", "analyze-gradients", "verify-theory"])
+    @pytest.mark.parametrize("pacing,error", [
+        ({"variant": "fixed_exp", "step_length": 0}, "step_length must be >= 1, got 0"),
+        ({"variant": "varied_exp", "starting_percent": 0.25, "increase": 2.0,
+          "boundaries": [10, 5]}, "boundaries must be strictly increasing, got (10, 5)"),
+        ({"variant": "varied_exp", "starting_percent": 0.25, "increase": 2.0,
+          "boundaries": [5, 10, 15]}, "varied_exp takes at most num_steps=2 boundaries, got 3"),
+    ], ids=["step-length-0", "decreasing", "too-many"])
+    def test_cross_key_pacing_rule_fails_every_command(self, tmp_path, capsys, command,
+                                                       pacing, error):
+        # the rules across pacing keys that do not read N are checked when the
+        # config resolves, also by the commands that never build the pacing
+        tree = tiny_tree("curriculum", pacing=pacing,
+                         grid={"pacing": {"starting_percent": [0.25, 0.5]}})
+        config = write_config(tmp_path, tree)
+        out = tmp_path / "o"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: pacing: {error}\n"
+        assert not (out / "manifest.json").exists()
+
     def test_unextendable_boundaries_name_their_section(self, tmp_path, capsys):
         # one boundary cannot be extended to the two steps varied_exp needs here
         tree = tiny_tree("curriculum")
@@ -323,7 +344,7 @@ class TestCliErrors:
         ({"variant": "varied_exp", "starting_percent": 0.25, "increase": 2.0,
           "boundaries": [10, 25]}, {"boundaries": [[10, 25], [10]]}, [False, True, False],
          "pacing: need at least the first two boundaries to derive the remaining 1"),
-        # the 0 cell resolves, but fixed_exp's PacingSpec cannot be built
+        # the 0 cell's tree does not resolve: fixed_exp needs a step_length of 1
         (None, {"step_length": [0, 15]}, [True, False, False],
          "pacing: step_length must be >= 1, got 0"),
     ], ids=["unresolvable-cell", "unbuildable-pacing"])

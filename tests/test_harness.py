@@ -476,6 +476,95 @@ class TestGridStack:
         assert (tmp_path / "best_config.json").exists()
 
 
+def spied_draws(monkeypatch, command):
+    """Run `command()`; the (plan seed, t, g(t)) of every batch draw it made,
+    the keys its stacks need (each stack's keys below N, and every full-size
+    key once), and each stack's per-stack distinct key count."""
+    from curriculum_lab import trainer
+    draws, stacks = [], []
+    positions, stack = trainer._batch_positions, harness.train_stack
+
+    def counted(plan, t):
+        draws.append((plan.seed, t, plan.pacing.sizes[t]))
+        return positions(plan, t)
+
+    def recorded(ds_train, ds_test, plans, *args, **kwargs):
+        stacks.append([(p.seed, t, g, g == p.N) for p in plans
+                       for t, g in enumerate(p.pacing.sizes)])
+        return stack(ds_train, ds_test, plans, *args, **kwargs)
+
+    monkeypatch.setattr(trainer, "_batch_positions", counted)
+    monkeypatch.setattr(harness, "train_stack", recorded)
+    command()
+    monkeypatch.undo()
+    needed = [key for keys in stacks for key in {k[:3] for k in keys if not k[3]}]
+    needed += {key[:3] for keys in stacks for key in keys if key[3]}
+    return draws, needed, [len({k[:3] for k in keys}) for keys in stacks]
+
+
+class TestBatchStoreSharing:
+    """Commands that train several stacks over the same plan seeds draw each
+    full-size batch once; every other draw is made once per stack."""
+
+    def self_taught(self, **overrides):
+        return resolve_config(tiny_tree("curriculum", scoring={"kind": "self_taught"},
+                                        **overrides))
+
+    def grid_search(self):
+        tree = TestGridStack().grid_tree(repetitions=3)
+        tree["scoring"] = {"kind": "self_taught"}
+        tree["grid"]["lr"] = {"lr0": [0.2, 0.3], "decrease_factor": [1.5, 2.0]}
+        two_stage_grid_search(resolve_config(tree))
+
+    def train(self):
+        run_experiment(self.self_taught())
+
+    def bootstrap(self):
+        bootstrap_loop(self.self_taught(bootstrap={"generations": 2}))
+
+    # the scorers, then each grid stage's new cells; the scorers, then the
+    # run; one stack per generation
+    @pytest.mark.parametrize("command,stacks", [("grid_search", 3), ("train", 2),
+                                                ("bootstrap", 3)])
+    def test_full_size_draws_are_made_once_per_command(self, monkeypatch, command, stacks):
+        draws, needed, per_stack = spied_draws(monkeypatch, getattr(self, command))
+        assert len(per_stack) == stacks
+        assert sorted(draws) == sorted(needed)
+        # without the store every stack draws its full-size keys again
+        assert len(draws) < sum(per_stack)
+
+    def stores_passed(self, monkeypatch, command) -> list:
+        stores = []
+        real = harness.train_stack
+
+        def spying(*args, batch_store=None, **kwargs):
+            stores.append(batch_store)
+            return real(*args, batch_store=batch_store, **kwargs)
+
+        monkeypatch.setattr(harness, "train_stack", spying)
+        command()
+        monkeypatch.undo()
+        return stores
+
+    @pytest.mark.parametrize("condition,scoring", [
+        ("vanilla", "oracle"), ("curriculum", "oracle"), ("anti", "oracle"),
+        ("self_paced", "oracle"), ("random", "oracle"), ("vanilla", "self_taught")])
+    def test_single_stack_run_keeps_no_store(self, monkeypatch, condition, scoring):
+        config = resolve_config(tiny_tree(condition, scoring={"kind": scoring}))
+        assert self.stores_passed(monkeypatch, lambda: run_experiment(config)) == [None]
+
+    def test_run_on_given_tables_keeps_no_store(self, monkeypatch):
+        config = self.self_taught()
+        data = resolve_dataset(config)
+        (tables,) = harness.score_tables([config], data)
+        assert self.stores_passed(
+            monkeypatch, lambda: run_experiment(config, data=data, tables=tables)) == [None]
+
+    def test_self_taught_run_shares_one_store(self, monkeypatch):
+        stores = self.stores_passed(monkeypatch, self.train)
+        assert len(stores) == 2 and stores[0] is stores[1] is not None
+
+
 class TestSelfTaughtTables:
     """A self-taught table is the loss of the final model of that seed's
     vanilla run: each equals, bit for bit, `score_by_model_loss` of the model

@@ -7,9 +7,10 @@ from hypothesis import example, given, settings, strategies as st
 from curriculum_lab import trainer
 from curriculum_lab.data import Dataset
 from curriculum_lab.errors import NumericalError, ParameterError, TrainingDivergedError
-from curriculum_lab.pacing import PacingSpec
+from curriculum_lab.pacing import PacingSpec, saturation_iteration
 from curriculum_lab.sequencer import balanced_prefix, build_plan, self_paced_rescore_hook
-from curriculum_lab.trainer import (LearningCurve, LRSchedule, Model, ModelSpec, _forward,
+from curriculum_lab.trainer import (BatchStore, LearningCurve, LRSchedule, Model, ModelSpec,
+                                    _forward,
                                     _layout, _losses_and_residual, _mean_loss_and_grad,
                                     _stack_views, train_stack)
 from helpers import accuracy, load_curve_csv, minibatch_at, train
@@ -590,6 +591,92 @@ class TestTrainStack:
     def test_empty_stack(self):
         ds = make_ds([10, 10], d=3)
         assert train_stack(ds, ds, [], [], LINEAR, []) == []
+
+
+class TestBatchStore:
+    """A store carries the full-size batch draws from one stack to the next;
+    every row still equals that row trained without one."""
+
+    SCHED = TestTrainStack.SCHED
+    M = TestTrainStack.M
+
+    def counted_stack(self, monkeypatch, ds, test, plans, store, seeds):
+        """`train_stack` of `plans` with `store`: its outcomes and its draws."""
+        draws = []
+        positions = trainer._batch_positions
+
+        def counted(plan, t):
+            draws.append((plan.seed, t, plan.pacing.sizes[t]))
+            return positions(plan, t)
+
+        monkeypatch.setattr(trainer, "_batch_positions", counted)
+        outcomes = train_stack(ds, test, plans, [self.SCHED] * len(plans), LINEAR, seeds,
+                               record_every=9, batch_store=store)
+        monkeypatch.undo()
+        return outcomes, draws
+
+    def test_second_stack_draws_only_the_full_size_positions_not_drawn(
+            self, tmp_path, monkeypatch):
+        ds, test = make_ds([14, 14, 12], d=3, seed=5), make_ds([5, 5, 5], d=3, seed=6)
+        pacing = TestTrainStack().pacing
+
+        def plans(rows):
+            return [build_plan(ds, np.random.default_rng(r).normal(size=ds.N),
+                               pacing(variant, ds.N), 5, seed=seed)
+                    for r, (variant, seed) in enumerate(rows)]
+
+        first = plans([("vanilla", 3), ("fixed_exp", 8)])
+        second = plans([("fixed_exp", 3), ("vanilla", 8), ("varied_exp", 5), ("vanilla", 5)])
+        store = BatchStore()
+        self.counted_stack(monkeypatch, ds, test, first, store, [0, 1])
+        stacked, draws = self.counted_stack(monkeypatch, ds, test, second, store, [2, 3, 4, 5])
+        drawn = {(p.seed, t) for p in first for t, g in enumerate(p.pacing.sizes) if g == ds.N}
+        expected = {(p.seed, t, g) for p in second for t, g in enumerate(p.pacing.sizes)
+                    if g < ds.N or (p.seed, t) not in drawn}
+        assert sorted(draws) == sorted(expected)
+        # seed 3 was full size throughout the first stack, seed 8 from its
+        # saturation on: the second stack draws seed 8 at full size before it
+        assert {(seed, g == ds.N) for seed, _t, g in draws} == {(3, False), (8, True),
+                                                                (5, False), (5, True)}
+        assert (sorted(t for seed, t, _g in draws if seed == 8)
+                == list(range(saturation_iteration(first[1].pacing))))
+        alone = train_stack(ds, test, second, [self.SCHED] * 4, LINEAR, [2, 3, 4, 5],
+                            record_every=9)
+        for r, (outcome, own) in enumerate(zip(stacked, alone)):
+            assert np.array_equal(outcome[0].params, own[0].params)
+            assert (curve_bytes(outcome[1], tmp_path / f"s{r}.csv")
+                    == curve_bytes(own[1], tmp_path / f"a{r}.csv"))
+
+    def test_a_row_diverging_before_M_leaves_its_later_draws_to_the_next_stack(
+            self, tmp_path, monkeypatch):
+        clean, test = make_ds([20, 20], d=3, seed=8), make_ds([6, 6], d=3, seed=9)
+        poisoned = make_ds([20, 20], d=3, seed=8)
+        X = poisoned.X.copy()
+        X[5] = np.inf
+        object.__setattr__(poisoned, "X", X)
+        pacing = PacingSpec("vanilla", N=clean.N, M=self.M)
+        store = BatchStore()
+        (diverged,), first = self.counted_stack(
+            monkeypatch, poisoned, test, [build_plan(poisoned, np.zeros(40), pacing, 4, seed=4)],
+            store, [0])
+        assert isinstance(diverged, TrainingDivergedError)
+        assert diverged.iteration < self.M - 1
+        assert first == [(4, t, 40) for t in range(diverged.iteration + 1)]
+        plan = build_plan(clean, np.zeros(40), pacing, 4, seed=4)
+        (outcome,), second = self.counted_stack(monkeypatch, clean, test, [plan], store, [1])
+        assert second == [(4, t, 40) for t in range(diverged.iteration + 1, self.M)]
+        model, curve = train(clean, test, plan, self.SCHED, LINEAR, record_every=9, seed=1)
+        assert np.array_equal(outcome[0].params, model.params)
+        assert (curve_bytes(outcome[1], tmp_path / "s.csv")
+                == curve_bytes(curve, tmp_path / "a.csv"))
+
+    @pytest.mark.parametrize("N,dtype", [(256, np.uint8), (257, np.uint16)])
+    def test_block_is_the_smallest_unsigned_dtype_that_holds_N_minus_1(self, N, dtype):
+        ds = make_ds([N - N // 2, N // 2], d=2)
+        plan = build_plan(ds, np.zeros(N), PacingSpec("vanilla", N=N, M=7), 3, seed=0)
+        positions, filled = BatchStore().block(plan)
+        assert positions.shape == (7, 3) and positions.dtype == dtype
+        assert filled.tolist() == [False] * 7
 
 
 class TestLearningCurveIO:

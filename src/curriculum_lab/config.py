@@ -247,6 +247,8 @@ def resolve_config(tree: dict, seed_override: int | None = None) -> ExperimentCo
 
     if seed_override is not None:
         tree["seed"] = int(seed_override)
+        if tree.get("seeds"):  # the override keeps the list's repetition count
+            tree.setdefault("repetitions", len(tree["seeds"]))
         tree.pop("seeds", None)
 
     # the defaults; values are not typed yet, so a variant is compared by ==

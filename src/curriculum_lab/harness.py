@@ -368,17 +368,22 @@ def _cells(axes: dict[str, list]) -> list[dict]:
     return [dict(zip(names, combo)) for combo in product(*(axes[n] for n in names))]
 
 
-def refine_lr_grid(lr_axes: dict[str, list], target: int) -> dict[str, list]:
+def refine_lr_grid(lr_axes: dict[str, list], target: int,
+                   lr0: float | None = None) -> dict[str, list]:
     """Expand the initial-LR axis so the total cell count approaches `target`.
 
     Used for the vanilla condition, which has no pacing axes: its one-stage
     search gets a finer learning-rate grid of about the same total size as
-    the curriculum condition's two stages.
+    the curriculum condition's two stages. Without an `lr0` axis the axis is
+    built around the config's `lr0`; with `lr0` None (a schedule that reads
+    no lr0) no axis is added.
     """
     axes = {k: list(v) for k, v in lr_axes.items()}
-    lr0 = axes.get("lr0", [0.1])
+    if "lr0" not in axes and lr0 is None:
+        return axes
+    values = axes.get("lr0", [lr0])
     n = max(1, round(target / math.prod(len(v) for k, v in axes.items() if k != "lr0")))
-    lo, hi = min(lr0), max(lr0)
+    lo, hi = min(values), max(values)
     if n > 1 and hi == lo:
         # degenerate single-value axis: spread half an octave around it
         lo, hi = lo / 1.5, lo * 1.5
@@ -473,7 +478,9 @@ def two_stage_grid_search(config: ExperimentConfig, out_dir=None) -> tuple[Exper
     if config.condition == "vanilla":
         pacing_cells = _cells(grid["pacing"])
         curriculum_total = len(pacing_cells) + len(_cells(grid["lr"]))
-        lr_cells = _cells(refine_lr_grid(grid["lr"], curriculum_total))
+        schedule = config.schedule
+        lr_cells = _cells(refine_lr_grid(grid["lr"], curriculum_total,
+                                         schedule.lr0 if schedule.variant == "exponential" else None))
         run_stage(1, [({}, lr_params) for lr_params in lr_cells])
         counts = {"stage1": len(lr_cells), "stage2": 0, "total": len(lr_cells),
                   "matched_target": curriculum_total}

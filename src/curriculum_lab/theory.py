@@ -111,24 +111,10 @@ class Prior:
         p.setflags(write=False)
 
 
-def sum_covariance(u: np.ndarray, v: np.ndarray) -> float:
-    """SUM-form covariance: sum (u - mean u)(v - mean v), no normalization."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise ParameterError("vectors must have equal length")
-    return float((u - u.mean()) @ (v - v.mean()))
-
-
 def _ideal_priors(U: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
     """Priors proportional to the utility rows `rows`, and their normalizers C."""
     C = U[rows].sum(axis=1)
     return _checked_priors(U[rows] / C[:, None]), C
-
-
-def ideal_prior(table: LossTable, t: int) -> Prior:
-    """Prior proportional to hypothesis t's utility: p_i = exp(-L[t][i]) / C."""
-    return Prior(_ideal_priors(table.utilities, [t])[0][0])
 
 
 def _prior_terms(stack: _RowStack, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -144,9 +130,13 @@ def _residuals(stack: _RowStack, prior_u: np.ndarray, covs: np.ndarray) -> np.nd
 
 def _prior_checks(stack: _RowStack, prior_u: np.ndarray, covs: np.ndarray,
                   tol: float) -> dict:
-    """Argmax checks under one prior per table: the matched-argmax verdict
-    `holds` and the preservation verdicts (meaningful where it holds) per
-    table, and the argmax sets as row masks."""
+    """Argmax preservation and gap amplification under one prior per table,
+    given the matched argmax (`holds`: the argmaxes of the plain utility and
+    of sum_cov(U_t, p) are one set). Where it holds, the argmax set of the
+    prior-weighted utility equals that of the plain utility (`set_equal`),
+    and weighting by the prior only widens the best hypothesis's margin over
+    any other, through the covariance chain's middle term (`gap_amplified`).
+    Verdicts per table; the argmax sets are row masks."""
     mean_u = stack.mean_utilities
     r = {"argmax_u": stack.argmax_mask(mean_u, tol), "argmax_cov": stack.argmax_mask(covs, tol),
          "argmax_up": stack.argmax_mask(prior_u, tol)}
@@ -174,7 +164,13 @@ def _ideal_terms(stack: _RowStack, tol: float) -> tuple[np.ndarray, ...]:
 
 
 def _ideal_prior_amplification(stack: _RowStack, tol: float) -> dict:
-    """check_ideal_prior_amplification's fields, one entry per table."""
+    """The ideal-prior results, one entry per table. With p proportional to
+    the best hypothesis's utility (normalizer C):
+      - prior_utility(best) = mean_utility(best) + sum_var(U_best) / C exactly;
+      - every t with sum_cov(U_t, U_best) <= sum_var(U_best) has a gap under
+        the prior at least its plain gap;
+      - prior_utility(t) <= mean_utility(best) + sqrt(sum_var(U_t) sum_var(U_best)) / C
+        (the Cauchy-Schwarz ceiling)."""
     best, C, prior_u, covs = _ideal_terms(stack, tol)
     mean_u, row_best, row_C = stack.mean_utilities, best[stack.owner], C[stack.owner]
     covs_best = stack.per_table(stack.centered, stack.centered[best])
@@ -206,88 +202,26 @@ def _ideal_prior_amplification(stack: _RowStack, tol: float) -> dict:
     }
 
 
-def _one_table(table: LossTable, prior: Prior) -> tuple[_RowStack, np.ndarray, np.ndarray]:
-    if len(prior.p) != table.losses.shape[1]:
-        raise ParameterError("prior length does not match the table")
-    return table, *_prior_terms(table, prior.p[None])
-
-
-def _rows(mask: np.ndarray) -> list[int]:
-    return np.flatnonzero(mask).tolist()
-
-
 def decomposition_residual(table: LossTable, prior: Prior) -> float:
     """Max residual of the exact decomposition over all hypotheses.
 
     prior_utility(t) - mean_utility(t) - sum_cov(U_t, p) is identically zero;
     anything above ~1e-12 indicates an estimator mismatch.
     """
-    return float(_residuals(*_one_table(table, prior))[0])
-
-
-def check_argmax_preservation(table: LossTable, prior: Prior, tol: float = IDENTITY_TOL) -> dict:
-    """Argmax preservation and gap amplification under the matched-argmax
-    assumption.
-
-    Claim 1: the argmax set of the prior-weighted utility equals the argmax
-    set of the plain utility. Claim 2: weighting by the prior can only widen
-    the margin of the best hypothesis over any other, checked through the
-    intermediate bound of the covariance chain as well.
-    """
-    r = _prior_checks(*_one_table(table, prior), tol)
-    report = {"applicable": bool(r["holds"][0]), "argmax_utility": _rows(r["argmax_u"]),
-              "argmax_covariance": _rows(r["argmax_cov"])}
-    if not report["applicable"]:
-        report.update(argmax_set_equal=None, gap_amplified=None, reason="precondition unmet")
-        return report
-    report.update(argmax_set_equal=bool(r["set_equal"][0]),
-                  gap_amplified=bool(r["gap_amplified"][0]),
-                  argmax_prior_utility=_rows(r["argmax_up"]),
-                  max_gap_violation=float(r["max_gap_violation"][0]))
-    return report
-
-
-def check_ideal_prior_amplification(table: LossTable, tol: float = IDENTITY_TOL) -> dict:
-    """Ideal-prior results: the exact value at the optimum, gap amplification
-    for low-covariance hypotheses, and the Cauchy-Schwarz ceiling.
-
-    With p proportional to the best hypothesis's utility (normalizer C):
-      - prior_utility(best) = mean_utility(best) + sum_var(U_best) / C
-      - for every t with sum_cov(U_t, U_best) <= sum_var(U_best), the gap
-        under the prior is at least the plain gap
-      - prior_utility(t) <= mean_utility(best)
-                            + sqrt(sum_var(U_t) sum_var(U_best)) / C
-    """
-    return {key: value[0].item() for key, value in
-            _ideal_prior_amplification(table, tol).items()}
-
-
-def check_constant_variance_case(table: LossTable, variance_tol: float = 1e-9,
-                                 tol: float = IDENTITY_TOL) -> dict:
-    """Constant utility variance plus the ideal prior preserve the optimum.
-
-    When every hypothesis's utility vector has the same sum-form variance (up
-    to `variance_tol`), Cauchy-Schwarz makes the best hypothesis maximize the
-    covariance with its own induced prior, so the prior-weighted landscape
-    keeps its maximum there and every gap is amplified. Those attainment
-    claims are what this check asserts. Exact utility ties (e.g. a family of
-    permutations of one vector, which all share the same mean) make the
-    stricter argmax-SET equality unattainable; the set-form verdict is
-    reported for information.
-    """
-    r = {key: value[0].item() for key, value in
-         _constant_variance_case(table, variance_tol, tol).items()}
-    if not r["applicable"]:
-        return {"applicable": False, "variance_spread": r["variance_spread"],
-                "reason": "precondition unmet: utility variances differ", "passed": None}
-    del r["argmax_set_equal"], r["gap_amplified"]
-    return r
+    if len(prior.p) != table.losses.shape[1]:
+        raise ParameterError("prior length does not match the table")
+    return float(_residuals(table, *_prior_terms(table, prior.p[None]))[0])
 
 
 def _constant_variance_case(stack: _RowStack, variance_tol: float, tol: float) -> dict:
-    """check_constant_variance_case's fields, one entry per table (the
-    verdicts are meaningful where `applicable`), and check_argmax_preservation's
-    `argmax_set_equal` and `gap_amplified` under each table's ideal prior."""
+    """Constant utility variance plus the ideal prior preserve the optimum,
+    one entry per table, meaningful where `applicable` (every sum-form
+    variance within `variance_tol`). Cauchy-Schwarz then makes the best
+    hypothesis maximize the covariance with its own prior, so the
+    prior-weighted landscape keeps its maximum there and every gap is
+    amplified (`passed`). Exact ties, as among permutations of one vector,
+    can make the set-form argmax equality unattainable, so `_prior_checks`'
+    set-form verdicts under the ideal prior are separate fields."""
     spread = stack.max(stack.variances) - np.minimum.reduceat(stack.variances, stack.starts)
     best, _C, prior_u, covs = _ideal_terms(stack, tol)
     mean_u, row_best = stack.mean_utilities, best[stack.owner]
@@ -318,24 +252,13 @@ def random_instance(rng: np.random.Generator, max_examples: int = 20,
     return losses, weights / weights.sum()
 
 
-def constant_variance_family(rng: np.random.Generator, n_examples: int = 12,
-                             n_hypotheses: int = 8) -> LossTable:
-    """A loss table whose utility vectors all share one sum-form variance.
-
-    Every hypothesis's utility vector is a permutation of one centered base
-    vector plus a distinct per-hypothesis mean shift. Permutations and shifts
-    both preserve the variance exactly, while the distinct shifts keep the
-    plain-utility argmax unique, so the matched-argmax assumption holds in
-    set form and the full argmax-preservation checks apply. No two
-    hypotheses share a permutation: a repeated one ties the covariance
-    argmax, which the argmax checks would report as a violation.
-    """
-    return LossTable(_constant_variance_losses(rng, n_examples, n_hypotheses))
-
-
 def _constant_variance_losses(rng: np.random.Generator, n_examples: int,
                               n_hypotheses: int) -> np.ndarray:
-    """The (n_hypotheses, n_examples) loss matrix of `constant_variance_family`."""
+    """A loss matrix whose utility rows all share one sum-form variance: a
+    permutation of one centered base vector plus a distinct shift per row.
+    The distinct shifts keep the plain-utility argmax unique, so the matched
+    argmax holds in set form; no two rows share a permutation, which would
+    tie the covariance argmax."""
     if n_hypotheses > math.factorial(n_examples):
         raise ParameterError(
             f"{n_hypotheses} hypotheses need distinct permutations, but {n_examples} "
@@ -383,7 +306,7 @@ def _instance_counts(tables: list[np.ndarray], priors: list[np.ndarray]) -> dict
 def _family_counts(tables: list[np.ndarray], _priors) -> dict:
     """The counters of constant-variance families sharing one example count,
     checked as one row stack: a family passes if it is applicable and every
-    verdict under its ideal prior holds, check_argmax_preservation's included."""
+    verdict under its ideal prior holds, `_prior_checks`' included."""
     r = _constant_variance_case(_RowStack(tables), 1e-9, IDENTITY_TOL)
     ok = (r["applicable"] & r["passed"] & r["matched_argmax_set_form"]
           & r["argmax_set_equal"] & r["gap_amplified"])
@@ -410,7 +333,7 @@ def _check_grouped(counts: dict, draws, check) -> None:
             fold(tables, priors)
         else:
             pending[losses.shape[1]] = tables, priors, rows + len(losses)
-    for tables, priors, _rows in pending.values():
+    for tables, priors, _count in pending.values():
         fold(tables, priors)
 
 

@@ -59,6 +59,9 @@ class TestConfigValidation:
     def test_seed_override_rewrites_seeds(self):
         cfg = resolve_config(tiny_tree(seeds=[5, 6]), seed_override=9)
         assert cfg.seeds == (9, 10)
+        tree = tiny_tree(seeds=[3, 4, 5])
+        del tree["repetitions"]  # the count comes from the seeds list alone
+        assert resolve_config(tree, seed_override=7).seeds == (7, 8, 9)
 
     def test_explicit_seeds_win(self):
         cfg = resolve_config(tiny_tree(seeds=[4, 8, 15], repetitions=3))
@@ -328,7 +331,7 @@ class TestCliErrors:
     def test_wrong_typed_grid_value_fails_before_any_cell(self, tmp_path, capsys, monkeypatch):
         import curriculum_lab.harness as harness
         cells = []
-        monkeypatch.setattr(harness, "run_experiment", lambda *a, **k: cells.append(a))
+        monkeypatch.setattr(harness, "train_stack", lambda *a, **k: cells.append(a))
         tree = tiny_tree("curriculum", repetitions=1, iterations=40)
         tree["grid"] = {"pacing": {"step_length": [5, "x"]}}
         config = write_config(tmp_path, tree)

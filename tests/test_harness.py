@@ -212,6 +212,22 @@ class TestGridSearch:
         assert abs(counts["total"] - target) <= 0.1 * target
         assert all(e["stage"] == 1 for e in audit["entries"])
 
+    def test_vanilla_lr_axis_centres_on_config_lr0(self):
+        tree = self.grid_tree("vanilla")
+        tree["lr"]["lr0"] = 1.0
+        tree["grid"]["lr"] = {"decrease_factor": [1.2, 2.0]}
+        best, audit = two_stage_grid_search(resolve_config(tree))
+        tried = sorted({e["lr"]["lr0"] for e in audit["entries"]})
+        assert tried == pytest.approx([1 / 1.5, 1.0, 1.5])
+        assert best.schedule.lr0 in tried
+
+    def test_cyclical_vanilla_grid_adds_no_lr0_axis(self):
+        tree = self.grid_tree("vanilla")
+        tree["lr"] = {"variant": "cyclical", "lr_min": 0.02, "lr_max": 0.3, "cycle_length": 20}
+        tree["grid"]["lr"] = {}
+        _best, audit = two_stage_grid_search(resolve_config(tree))
+        assert [e["lr"] for e in audit["entries"]] == [{}]
+
     def test_both_criteria_produce_full_logs(self):
         for criterion in ("final_accuracy", "auc"):
             cfg = resolve_config(self.grid_tree(criterion=criterion))

@@ -8,11 +8,11 @@ from curriculum_lab.errors import ParameterError
 from curriculum_lab.pacing import PacingSpec
 from curriculum_lab.scoring import ScoreTable
 from curriculum_lab.sequencer import balanced_prefix, build_plan
-from curriculum_lab.theory import (LossTable, Prior, check_argmax_preservation,
-                                   check_constant_variance_case, decomposition_residual,
-                                   check_ideal_prior_amplification, constant_variance_family,
-                                   ideal_prior, random_instance, run_verification,
-                                   sum_covariance)
+from curriculum_lab.theory import (LossTable, Prior, _constant_variance_losses,
+                                   decomposition_residual, random_instance, run_verification)
+from test_theory_reference import sum_covariance
+from theory_views import (argmax_preservation, constant_variance_case, ideal_prior,
+                          ideal_prior_amplification)
 
 # worked 2x2 instance: losses t1=[0,2], t2=[1,1]; every expected value below
 # was computed by direct evaluation of the defining formulas with math.exp
@@ -23,7 +23,7 @@ P_IDEAL = (1.0 / C_2X2, E2 / C_2X2)     # (0.8807970779778823, 0.119202922022117
 
 
 def random_table(rng):
-    """One random instance as the LossTable and Prior the public checks take."""
+    """One random instance as a LossTable and a Prior."""
     losses, p = random_instance(rng)
     return LossTable(losses), Prior(p)
 
@@ -131,8 +131,8 @@ class TestDecompositionIdentity:
 
 def matched_argmax(table, prior):
     """The matched-argmax verdict and the two argmax sets, as
-    `check_argmax_preservation` reports them."""
-    report = check_argmax_preservation(table, prior)
+    `argmax_preservation` reports them."""
+    report = argmax_preservation(table, 0, [prior.p])
     return (report["applicable"], frozenset(report["argmax_utility"]),
             frozenset(report["argmax_covariance"]))
 
@@ -161,7 +161,7 @@ class TestMatchedArgmax:
 
 class TestArgmaxPreservation:
     def test_worked_instance_gaps(self):
-        report = check_argmax_preservation(TABLE_2X2, Prior(np.array(P_IDEAL)))
+        report = argmax_preservation(TABLE_2X2, 0, [np.array(P_IDEAL)])
         assert report["applicable"]
         assert report["argmax_set_equal"] and report["gap_amplified"]
         # frozen oracle gaps: with-prior 0.52905..., without 0.19979...
@@ -173,7 +173,7 @@ class TestArgmaxPreservation:
 
     def test_uniform_prior_on_constant_table_gives_equality(self):
         table = LossTable(np.tile(np.array([0.3, 0.8, 1.2]), (4, 1)))
-        report = check_argmax_preservation(table, Prior(np.full(3, 1 / 3)))
+        report = argmax_preservation(table, 0, [np.full(3, 1 / 3)])
         assert report["applicable"]
         assert report["argmax_set_equal"] and report["gap_amplified"]
         assert report["max_gap_violation"] == pytest.approx(0.0, abs=1e-15)
@@ -182,7 +182,7 @@ class TestArgmaxPreservation:
         rng = np.random.default_rng(4)
         table = LossTable(rng.uniform(0, 3, size=(6, 5)))
         prior = Prior(np.full(5, 0.2))
-        report = check_argmax_preservation(table, prior)
+        report = argmax_preservation(table, 0, [prior.p])
         if not report["applicable"]:
             assert report["argmax_set_equal"] is None
             assert report["reason"] == "precondition unmet"
@@ -192,7 +192,7 @@ class TestArgmaxPreservation:
         held = 0
         for _ in range(500):
             table, prior = random_table(rng)
-            report = check_argmax_preservation(table, prior)
+            report = argmax_preservation(table, 0, [prior.p])
             if report["applicable"]:
                 held += 1
                 assert report["argmax_set_equal"] and report["gap_amplified"]
@@ -202,11 +202,11 @@ class TestArgmaxPreservation:
 class TestIdealPrior:
     def test_equal_losses_give_uniform_prior(self):
         table = LossTable(np.array([[0.5, 0.5, 0.5], [2.0, 0.1, 0.4]]))
-        p = ideal_prior(table, 0)
+        p = ideal_prior(table, 0, 0)
         assert np.allclose(p.p, 1 / 3)
 
     def test_worked_instance_values(self):
-        p = ideal_prior(TABLE_2X2, 0)
+        p = ideal_prior(TABLE_2X2, 0, 0)
         assert p.p[0] == pytest.approx(P_IDEAL[0], abs=1e-12)
         assert p.p[1] == pytest.approx(P_IDEAL[1], abs=1e-12)
         assert p.p.sum() == pytest.approx(1.0, abs=1e-15)
@@ -216,7 +216,7 @@ class TestIdealPrior:
         for _ in range(100):
             table, _ = random_table(rng)
             best = int(np.argmax(np.exp(-table.losses).mean(axis=1)))
-            p = ideal_prior(table, best)
+            p = ideal_prior(table, 0, best)
             U_best = np.exp(-table.losses[best])
             C = U_best.sum()
             for t in range(len(table.losses)):
@@ -228,7 +228,7 @@ class TestIdealPrior:
 
 class TestIdealPriorAmplification:
     def test_worked_instance(self):
-        report = check_ideal_prior_amplification(TABLE_2X2)
+        report = ideal_prior_amplification(TABLE_2X2, 0)
         assert report["optimal_index"] == 0
         # hypothesis 2 has constant utility: covariance 0 <= var ~ 0.3738
         assert report["n_qualifying"] == 2
@@ -237,7 +237,7 @@ class TestIdealPriorAmplification:
     def test_duplicated_hypotheses_reach_equality(self):
         row = np.array([0.2, 1.4, 0.6])
         table = LossTable(np.tile(row, (3, 1)))
-        report = check_ideal_prior_amplification(table)
+        report = ideal_prior_amplification(table, 0)
         assert report["passed"]
         assert report["max_gap_violation"] == pytest.approx(0.0, abs=1e-14)
 
@@ -245,7 +245,7 @@ class TestIdealPriorAmplification:
         rng = np.random.default_rng(7)
         for _ in range(500):
             table, _ = random_table(rng)
-            report = check_ideal_prior_amplification(table)
+            report = ideal_prior_amplification(table, 0)
             assert report["optimum_value_residual"] <= 1e-12
             assert report["ideal_identity_residual"] <= 1e-12
             assert report["gap_ok"]
@@ -261,25 +261,25 @@ class TestConstantVarianceCase:
         base = rng.uniform(0.2, 0.8, size=10)
         U = np.stack([rng.permutation(base) for _ in range(6)])
         table = LossTable(-np.log(U))
-        report = check_constant_variance_case(table)
+        report = constant_variance_case(table, 0)
         assert report["applicable"]
         assert report["passed"]
 
     def test_unequal_variances_precondition_unmet(self):
         table = LossTable(np.array([[0.0, 2.0], [1.0, 1.0]]))
-        report = check_constant_variance_case(table, variance_tol=0.0)
+        report = constant_variance_case(table, 0, variance_tol=0.0)
         assert not report["applicable"]
         assert "precondition unmet" in report["reason"]
 
     def test_shifted_permutation_families_satisfy_set_form(self):
         rng = np.random.default_rng(9)
         for _ in range(100):
-            table = constant_variance_family(rng, n_examples=10, n_hypotheses=6)
-            report = check_constant_variance_case(table)
+            table = LossTable(_constant_variance_losses(rng, n_examples=10, n_hypotheses=6))
+            report = constant_variance_case(table, 0)
             assert report["applicable"] and report["passed"]
             assert report["matched_argmax_set_form"]
-            p = ideal_prior(table, report["optimal_index"])
-            preservation = check_argmax_preservation(table, p)
+            p = ideal_prior(table, 0, report["optimal_index"])
+            preservation = argmax_preservation(table, 0, [p.p])
             assert preservation["applicable"] and preservation["argmax_set_equal"] and preservation["gap_amplified"]
 
     def test_no_family_repeats_a_permutation(self):
@@ -287,15 +287,15 @@ class TestConstantVarianceCase:
         rng = np.random.default_rng(3)
         for n_examples, n_hypotheses in [(3, 6), (3, 4), (4, 12), (8, 12)]:
             for _ in range(50):
-                table = constant_variance_family(rng, n_examples, n_hypotheses)
-                orders = {tuple(np.argsort(row)) for row in table.losses}
+                losses = _constant_variance_losses(rng, n_examples, n_hypotheses)
+                orders = {tuple(np.argsort(row)) for row in losses}
                 assert len(orders) == n_hypotheses
 
     def test_more_hypotheses_than_permutations_rejected(self):
         rng = np.random.default_rng(0)
         with pytest.raises(ParameterError, match="distinct permutations"):
-            constant_variance_family(rng, n_examples=3, n_hypotheses=7)
-        constant_variance_family(rng, n_examples=3, n_hypotheses=6)
+            _constant_variance_losses(rng, n_examples=3, n_hypotheses=7)
+        _constant_variance_losses(rng, n_examples=3, n_hypotheses=6)
 
     def test_family_that_drew_a_repeated_permutation_passes(self):
         # the last of these families drew one permutation twice before

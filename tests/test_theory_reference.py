@@ -2,16 +2,23 @@
 
 The reference re-derives every quantity from the losses on each call and
 takes each hypothesis's variance from one `sum_covariance` call per row. The
-checks read the arrays a LossTable builds once; their reports must equal the
-reference's exactly, float fields included.
+checks read the arrays a LossTable builds once; their reports, read through
+tests/theory_views.py, must equal the reference's exactly, float fields
+included.
 """
 import numpy as np
 import pytest
 
-from curriculum_lab.theory import (IDENTITY_TOL, LossTable, Prior, check_argmax_preservation,
-                                   check_constant_variance_case,
-                                   check_ideal_prior_amplification, constant_variance_family,
-                                   decomposition_residual, random_instance, sum_covariance)
+from curriculum_lab.theory import (IDENTITY_TOL, LossTable, Prior, _constant_variance_losses,
+                                   decomposition_residual, random_instance)
+from theory_views import argmax_preservation, constant_variance_case, ideal_prior_amplification
+
+
+def sum_covariance(u, v):
+    """SUM-form covariance: sum (u - mean u)(v - mean v), no normalization."""
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    return float((u - u.mean()) @ (v - v.mean()))
 
 
 def ref_mean_utilities(table):
@@ -131,11 +138,11 @@ def ref_constant_variance_case(table, variance_tol=1e-9, tol=IDENTITY_TOL):
 
 def assert_checks_match_reference(table, prior):
     assert decomposition_residual(table, prior) == ref_decomposition_residual(table, prior)
-    assert check_argmax_preservation(table, prior) == ref_argmax_preservation(table, prior)
+    assert argmax_preservation(table, 0, [prior.p]) == ref_argmax_preservation(table, prior)
     ideal = ref_best_and_prior(table, IDENTITY_TOL)[2]
-    assert check_argmax_preservation(table, ideal) == ref_argmax_preservation(table, ideal)
-    assert check_ideal_prior_amplification(table) == ref_ideal_prior_amplification(table)
-    assert check_constant_variance_case(table) == ref_constant_variance_case(table)
+    assert argmax_preservation(table, 0, [ideal.p]) == ref_argmax_preservation(table, ideal)
+    assert ideal_prior_amplification(table, 0) == ref_ideal_prior_amplification(table)
+    assert constant_variance_case(table, 0) == ref_constant_variance_case(table)
 
 
 def random_tables():
@@ -145,8 +152,8 @@ def random_tables():
 
 def family_tables():
     rng = np.random.default_rng(21)
-    return [constant_variance_family(rng, n_examples=int(rng.integers(8, 21)),
-                                     n_hypotheses=int(rng.integers(3, 13)))
+    return [LossTable(_constant_variance_losses(rng, n_examples=int(rng.integers(8, 21)),
+                                                n_hypotheses=int(rng.integers(3, 13))))
             for _ in range(50)]
 
 
@@ -158,7 +165,7 @@ class TestChecksMatchPerRowReference:
             losses, p = random_instance(rng)
             table, prior = LossTable(losses), Prior(p)
             assert_checks_match_reference(table, prior)
-            applicable += check_argmax_preservation(table, prior)["applicable"]
+            applicable += argmax_preservation(table, 0, [prior.p])["applicable"]
         assert applicable > 0  # the full argmax report is compared, not only the short one
 
     def test_constant_variance_families(self):
@@ -166,7 +173,7 @@ class TestChecksMatchPerRowReference:
         for table in family_tables():
             weights = rng.uniform(0.0, 1.0, size=table.losses.shape[1]) + 1e-9
             assert_checks_match_reference(table, Prior(weights / weights.sum()))
-            assert check_constant_variance_case(table)["applicable"]
+            assert constant_variance_case(table, 0)["applicable"]
 
     @pytest.mark.parametrize("tables", [random_tables, family_tables])
     def test_variances_match_sum_covariance(self, tables):

@@ -1,13 +1,13 @@
-"""The row-stack theory engine against the one-table public checks.
+"""The row-stack theory engine against one table at a time.
 
 `run_verification` checks its random instances, and then its constant-variance
 families, as row stacks grouped by example count. Its report must be
 byte-identical to the per-instance loop it replaced, kept below as the
 reference, and to itself under any group cap; every table of a stack must get
-exactly the results a one-table call of the public checks gives it; and a bad
-table or prior must fail a stack as it fails alone. The public checks
-themselves are pinned to a per-row numpy reference in
-tests/test_theory_reference.py.
+exactly the results it gets as a one-table stack (a LossTable), both read
+through tests/theory_views.py; and a bad table or prior must fail a stack as
+it fails alone. The one-table results themselves are pinned to a per-row
+numpy reference in tests/test_theory_reference.py.
 """
 import functools
 import json
@@ -21,18 +21,16 @@ from curriculum_lab import theory
 from curriculum_lab.errors import ParameterError
 from curriculum_lab.theory import (GROUP_ROWS, IDENTITY_TOL, LossTable, Prior, _RowStack,
                                    _checked_priors, _constant_variance_case,
-                                   _ideal_prior_amplification, _prior_checks,
-                                   _prior_terms, _residuals, check_argmax_preservation,
-                                   check_constant_variance_case,
-                                   check_ideal_prior_amplification, constant_variance_family,
-                                   decomposition_residual, ideal_prior,
-                                   random_instance, run_verification)
+                                   _constant_variance_losses, _prior_terms, _residuals,
+                                   decomposition_residual, random_instance, run_verification)
+from theory_views import (argmax_preservation, constant_variance_case, ideal_prior,
+                          ideal_prior_amplification)
 
 
 @functools.lru_cache(maxsize=None)
 def reference_instances(seed, instances):
     """The per-instance loop over the random instances, one LossTable, Prior
-    and public check each: its counts and maxima, and the generator state
+    and one-table check each: its counts and maxima, and the generator state
     after it (families 0 and 40 share one run)."""
     rng = np.random.default_rng(seed)
     max_decomposition = 0.0
@@ -45,12 +43,12 @@ def reference_instances(seed, instances):
         losses, p = random_instance(rng)
         table, prior = LossTable(losses), Prior(p)
         max_decomposition = max(max_decomposition, decomposition_residual(table, prior))
-        r2 = check_argmax_preservation(table, prior)
+        r2 = argmax_preservation(table, 0, [p])
         if r2["applicable"]:
             matched_argmax += 1
             if not (r2["argmax_set_equal"] and r2["gap_amplified"]):
                 argmax_preservation_violations += 1
-        r3 = check_ideal_prior_amplification(table)
+        r3 = ideal_prior_amplification(table, 0)
         max_optimum = max(max_optimum, r3["optimum_value_residual"],
                           r3["ideal_identity_residual"])
         if not r3["gap_ok"]:
@@ -62,7 +60,7 @@ def reference_instances(seed, instances):
 
 
 def reference_run_verification(instances, constant_variance_families, seed):
-    """run_verification as one per-instance loop over the public checks."""
+    """run_verification as one per-instance loop over one-table checks."""
     counts, state = reference_instances(seed, instances)
     (max_decomposition, matched_argmax, argmax_preservation_violations,
      amplification_violations, max_optimum, cs_violations) = counts
@@ -71,14 +69,14 @@ def reference_run_verification(instances, constant_variance_families, seed):
     constant_variance_violations = 0
     constant_variance_applicable = 0
     for _ in range(constant_variance_families):
-        table = constant_variance_family(
-            rng, n_examples=int(rng.integers(8, 21)), n_hypotheses=int(rng.integers(3, 13)))
-        rc = check_constant_variance_case(table)
+        table = LossTable(_constant_variance_losses(
+            rng, n_examples=int(rng.integers(8, 21)), n_hypotheses=int(rng.integers(3, 13))))
+        rc = constant_variance_case(table, 0)
         if rc["applicable"]:
             constant_variance_applicable += 1
         ok = (rc["applicable"] and rc["passed"] and rc["matched_argmax_set_form"])
         if ok:
-            r2 = check_argmax_preservation(table, ideal_prior(table, rc["optimal_index"]))
+            r2 = argmax_preservation(table, 0, [ideal_prior(table, 0, rc["optimal_index"]).p])
             ok = r2["applicable"] and r2["argmax_set_equal"] and r2["gap_amplified"]
         if not ok:
             constant_variance_violations += 1
@@ -182,6 +180,12 @@ def same(a, b):
     return type(a) is type(b) and a == b
 
 
+def assert_same_report(stacked, alone):
+    assert stacked.keys() == alone.keys()
+    for key, value in alone.items():
+        assert same(stacked[key], value), key
+
+
 @st.composite
 def tables_sharing_n(draw):
     """Loss tables with one example count and a prior each: random, uniform or
@@ -218,41 +222,17 @@ class TestStackMatchesOneTableCalls:
     def test_every_field_equals_the_one_table_call(self, drawn):
         tables, priors = drawn
         stack = _RowStack(tables)
-        prior_u, covs = _prior_terms(stack, _checked_priors(np.stack(priors)))
-        residuals = _residuals(stack, prior_u, covs)
-        checks = _prior_checks(stack, prior_u, covs, IDENTITY_TOL)
-        ideal = _ideal_prior_amplification(stack, IDENTITY_TOL)
+        residuals = _residuals(stack, *_prior_terms(stack, _checked_priors(np.stack(priors))))
         for b, (losses, p) in enumerate(zip(tables, priors)):
-            table, prior = LossTable(losses), Prior(p)
+            table = LossTable(losses)
             rows = stack.blocks[b]
             for name in ("utilities", "mean_utilities", "centered", "variances"):
                 assert getattr(stack, name)[rows].tobytes() == getattr(table, name).tobytes()
-            assert same(float(residuals[b]), decomposition_residual(table, prior))
-
-            alone = check_argmax_preservation(table, prior)
-            argmax_u, argmax_cov = set(alone["argmax_utility"]), set(alone["argmax_covariance"])
-            stacked = {"applicable": bool(checks["holds"][b])}
-            for key, mask in (("argmax_utility", "argmax_u"), ("argmax_covariance", "argmax_cov"),
-                              ("argmax_prior_utility", "argmax_up")):
-                stacked[key] = np.flatnonzero(checks[mask][rows]).tolist()
-            assert (set(stacked["argmax_utility"]), set(stacked["argmax_covariance"])) \
-                == (argmax_u, argmax_cov)
-            if alone["applicable"]:
-                stacked.update(argmax_set_equal=bool(checks["set_equal"][b]),
-                               gap_amplified=bool(checks["gap_amplified"][b]),
-                               max_gap_violation=float(checks["max_gap_violation"][b]))
-            else:
-                del stacked["argmax_prior_utility"]
-                stacked.update(argmax_set_equal=None, gap_amplified=None,
-                               reason="precondition unmet")
-            assert stacked.keys() == alone.keys()
-            for key, value in alone.items():
-                assert same(stacked[key], value), key
-
-            alone = check_ideal_prior_amplification(table)
-            assert ideal.keys() == alone.keys()
-            for key, value in alone.items():
-                assert same(ideal[key][b].item(), value), key
+            assert same(float(residuals[b]), decomposition_residual(table, Prior(p)))
+            assert_same_report(argmax_preservation(stack, b, priors),
+                               argmax_preservation(table, 0, [p]))
+            assert_same_report(ideal_prior_amplification(stack, b),
+                               ideal_prior_amplification(table, 0))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_families_and_random_tables_share_a_stack(self, seed):
@@ -260,40 +240,35 @@ class TestStackMatchesOneTableCalls:
         # with more rows is not
         rng = np.random.default_rng(seed)
         n = int(rng.integers(3, 21))
-        tables = [constant_variance_family(rng, n, int(rng.integers(1, 7))).losses if b % 2
+        tables = [_constant_variance_losses(rng, n, int(rng.integers(1, 7))) if b % 2
                   else rng.uniform(0.0, 5.0, size=(int(rng.integers(1, 30)), n))
                   for b in range(8)]
-        stacked = _constant_variance_case(_RowStack(tables), 1e-9, IDENTITY_TOL)
+        stack = _RowStack(tables)
+        stacked = _constant_variance_case(stack, 1e-9, IDENTITY_TOL)
         applicable = []
         for b, losses in enumerate(tables):
             table = LossTable(losses)
-            alone = check_constant_variance_case(table)
-            fields = {key: value[b].item() for key, value in stacked.items()}
+            alone = constant_variance_case(table, 0)
             applicable.append(alone["applicable"])
+            assert_same_report(constant_variance_case(stack, b), alone)
             if not alone["applicable"]:
-                assert (fields["applicable"], alone["passed"]) == (False, None)
-                assert same(fields["variance_spread"], alone["variance_spread"])
                 continue
-            # the verdicts run_verification reads besides the public fields
-            ideal = check_argmax_preservation(table, ideal_prior(table, alone["optimal_index"]))
+            # the verdicts run_verification reads besides the view's fields
+            ideal = argmax_preservation(table, 0, [ideal_prior(table, 0, alone["optimal_index"]).p])
             assert ideal["applicable"] == alone["matched_argmax_set_form"]
-            for key in ("argmax_set_equal", "gap_amplified"):
-                value = fields.pop(key)
-                if ideal["applicable"]:
-                    assert same(value, ideal[key]), key
-            assert fields.keys() == alone.keys()
-            for key, value in alone.items():
-                assert same(fields[key], value), key
+            if ideal["applicable"]:
+                for key in ("argmax_set_equal", "gap_amplified"):
+                    assert same(stacked[key][b].item(), ideal[key]), key
         assert True in applicable and False in applicable
 
     def test_ties_break_to_the_lowest_row(self):
         row = [0.2, 1.4, 0.6]
         tables = [np.array([[3.0, 3.0, 3.0], row, [2.0, 0.1, 4.0], row]), np.array([row, row])]
-        ideal = _ideal_prior_amplification(_RowStack(tables), IDENTITY_TOL)
-        assert ideal["optimal_index"].tolist() == [1, 0]
+        assert [ideal_prior_amplification(_RowStack(tables), b)["optimal_index"]
+                for b in (0, 1)] == [1, 0]
         table = LossTable(tables[0])
-        assert check_ideal_prior_amplification(table)["optimal_index"] == 1
-        assert check_constant_variance_case(table, variance_tol=np.inf)["optimal_index"] == 1
+        assert ideal_prior_amplification(table, 0)["optimal_index"] == 1
+        assert constant_variance_case(table, 0, variance_tol=np.inf)["optimal_index"] == 1
 
     @pytest.mark.parametrize("bad", [-0.5, np.nan, np.inf])
     @pytest.mark.parametrize("at", [0, 2])

@@ -20,7 +20,7 @@ import os
 from dataclasses import dataclass
 
 from .errors import ConfigError, ParameterError
-from .pacing import PacingSpec, extend_boundaries, stage_starts
+from .pacing import _READS, PacingSpec, extend_boundaries, stage_starts
 from .theory import DEFAULT_FAMILIES, DEFAULT_INSTANCES
 from .trainer import ARCHITECTURES, LRSchedule, ModelSpec
 
@@ -244,6 +244,10 @@ def resolve_config(tree: dict, seed_override: int | None = None) -> ExperimentCo
     """
     validate_tree(tree)
     tree = json.loads(json.dumps(tree))  # deep copy, JSON-clean
+    # checked before the seed override drops the list
+    listed = tree.get("seeds")
+    _require(not listed or tree.get("repetitions", len(listed)) == len(listed),
+             "repetitions does not match the length of seeds")
 
     if seed_override is not None:
         tree["seed"] = int(seed_override)
@@ -300,8 +304,6 @@ def resolve_config(tree: dict, seed_override: int | None = None) -> ExperimentCo
         seeds = tuple(view["seeds"])
         _require(len(seeds) >= 1, "seeds must be non-empty")
         _require(len(set(seeds)) == len(seeds), f"seeds must be distinct, got {list(seeds)}")
-        _require(view.get("repetitions", len(seeds)) == len(seeds),
-                 "repetitions does not match the length of seeds")
         tree["repetitions"] = len(seeds)
     else:
         seeds = tuple(view["seed"] + r for r in range(view["repetitions"]))
@@ -313,6 +315,13 @@ def resolve_config(tree: dict, seed_override: int | None = None) -> ExperimentCo
         axes = {section: tree["grid"].get(section, {}) for section in ("pacing", "lr")}
         empty = [f"grid.{s}.{key}" for s, axis in axes.items() for key, v in axis.items() if not v]
         _require(not empty, f"{', '.join(empty)} must be a non-empty list")
+        # an axis the variant does not read trains the same model in every
+        # cell; a vanilla condition's pacing axes only size its refined LR grid
+        reads = {"pacing": _PACING_AXES if view["condition"] == "vanilla" else _READS[p["variant"]],
+                 "lr": _LR_DEFAULTS[lr["variant"]]}
+        unread = [f"grid.{s}.{key} is not read by {s}.variant {view[s]['variant']}"
+                  for s, axis in axes.items() for key in axis if key not in reads[s]]
+        _require(not unread, ", ".join(unread))
         grid = {**view["grid"], **axes}
 
     return ExperimentConfig(

@@ -123,6 +123,33 @@ def _forward(spec: ModelSpec, v: dict, X: np.ndarray):
     return np.matmul(a1, v["W2"].swapaxes(1, 2)) + v["b2"][:, None], (X, z1, a1)
 
 
+def _sum_columns(a: np.ndarray) -> np.ndarray:
+    """a.sum(axis=-1, keepdims=True) for a contiguous float64 `a`, bit for
+    bit, as whole-column adds: far cheaper than numpy's reduction along a
+    short last axis. The columns are added in the order of numpy's pairwise
+    sum: below 8 in turn; up to 128 as 8 running sums, combined as
+    ((0+1)+(2+3))+((4+5)+(6+7)), then the rest in turn; above 128 as two
+    halves, the first rounded down to a multiple of 8. The leading 0.0 is
+    numpy's starting value, which turns a sum of -0.0 into 0.0."""
+    K = a.shape[-1]
+    if K > 128:
+        half = K // 2 - K // 2 % 8
+        return _sum_columns(a[..., :half]) + _sum_columns(a[..., half:])
+    if K < 8:
+        total, rest = 0.0 + a[..., :1], 1
+    else:
+        rest = K - K % 8
+        r = 0.0 + a[..., :8]
+        for i in range(8, rest, 8):
+            r += a[..., i:i + 8]
+        r = r[..., 0::2] + r[..., 1::2]
+        r = r[..., 0::2] + r[..., 1::2]
+        total = r[..., :1] + r[..., 1:]
+    for k in range(rest, K):
+        total += a[..., k:k + 1]
+    return total
+
+
 def _losses_and_residual(logits: np.ndarray, y: np.ndarray):
     """Per-example cross-entropy (R, n) and the softmax residual
     P - onehot(y) (R, n, K). The max-shifted exponentials and their sums
@@ -136,8 +163,7 @@ def _losses_and_residual(logits: np.ndarray, y: np.ndarray):
     for k in range(1, K):
         m = np.maximum(m, logits[..., k:k + 1])
     e = np.exp(logits - m)
-    # numpy sums K >= 8 columns pairwise: any other order changes the bits
-    total = e.sum(axis=2, keepdims=True)
+    total = _sum_columns(e)
     losses = m[..., 0] + np.log(total[..., 0]) - logits.reshape(-1)[target]
     G = np.divide(e, total, out=e)
     G.reshape(-1)[target] -= 1.0
@@ -350,7 +376,7 @@ def train_stack(ds_train: Dataset, ds_test: Dataset, plans: list[CurriculumPlan]
     if not plans:
         return []
     K, d, N = ds_train.K, ds_train.d, ds_train.N
-    M = plans[0].M
+    M, B = plans[0].M, plans[0].batch_size
     arrays, _ = _layout(model_spec, K, d)
     params = np.stack([_init_params(model_spec, K, d, seed) for seed in seeds])
     views = _stack_views(arrays, params)
@@ -361,17 +387,23 @@ def train_stack(ds_train: Dataset, ds_test: Dataset, plans: list[CurriculumPlan]
     # evaluated once per iteration, and a row is scaled by that same float64
     values = {s: [s.value(t) for t in range(M)] for s in set(schedules)}
     lrs = np.array([values[s] for s in schedules]).T[:, :, None].copy()
-    # iteration -> the rows whose hook fires there: the stage starts of their pacing
+    # the stage starts of each row's pacing, where its g(t) changes
+    starts = [np.flatnonzero(np.diff(s, prepend=-1)).tolist() for s in sizes]
+    # iteration -> the rows whose hook fires there: their stage starts
     due: dict[int, list[int]] = {}
     for r, hook in enumerate(hooks):
         if hook is not None:
-            for t in np.flatnonzero(np.diff(sizes[r], prepend=-1)).tolist():
+            for t in starts[r]:
                 due.setdefault(t, []).append(r)
+    # a row's draw group and prefix change only at its stage starts (a hook
+    # fires at some of them) and at the step after the stack drops rows
+    changes = set().union(*starts)
     recorded: list[list] = [[] for _ in plans]
     outcomes: list = [None] * R
-    batch = np.empty((R, plans[0].batch_size), dtype=np.int64)
     # each row's store block, for its full-size draws
     stored = [None if batch_store is None else batch_store.block(plan) for plan in plans]
+    # live row j's class-balanced prefix of size g(t) is prefixes[j, :g(t)]
+    prefixes = np.empty((R, N), dtype=np.int64)
 
     def drop(ok: np.ndarray, t: int, message: str = "") -> None:
         nonlocal params, views, live, lrs
@@ -381,6 +413,7 @@ def train_stack(ds_train: Dataset, ds_test: Dataset, plans: list[CurriculumPlan]
         views = _stack_views(arrays, params)
         live = [r for r, keep in zip(live, ok) if keep]
         lrs = lrs[:, ok]
+        changes.add(t + 1)
 
     # a diverging row is a typed outcome: its overflow is not worth a warning
     with np.errstate(over="ignore", invalid="ignore"):
@@ -389,24 +422,30 @@ def train_stack(ds_train: Dataset, ds_test: Dataset, plans: list[CurriculumPlan]
                 if r in live:
                     j = live.index(r)
                     current[r] = hooks[r](current[r], Model(model_spec, K, d, params[j]), t)
-            # one draw per (seed, g(t)), and a full-size one once per store;
-            # each row maps it through its own prefix
-            draws = {}
-            ids = batch[:len(live)]
-            for j, r in enumerate(live):
-                plan, size = current[r], sizes[r][t]
-                positions = draws.get((plan.seed, size))
-                if positions is None:
-                    if size == N and stored[r] is not None:
-                        block, filled = stored[r]
-                        if not filled[t]:
-                            block[t], filled[t] = _batch_positions(plan, t), True
-                        positions = block[t]
-                    else:
-                        positions = _batch_positions(plan, t)
-                    draws[plan.seed, size] = positions
-                # the full-size prefix is the whole order
-                ids[j] = (plan.order if size == N else balanced_prefix(plan, size))[positions]
+            if t in changes:
+                # one draw group per (plan seed, g(t)), a full-size one
+                # reading the row's store block
+                keys, groups, group_of = {}, [], []
+                for j, r in enumerate(live):
+                    plan, size = current[r], sizes[r][t]
+                    g = keys.setdefault((plan.seed, size), len(groups))
+                    if g == len(groups):
+                        groups.append((plan, stored[r] if size == N else None))
+                    group_of.append(g)
+                    prefixes[j, :size] = balanced_prefix(plan, size)
+                group_of = np.array(group_of)
+                drawn = np.empty((len(groups), B), dtype=np.int64)
+                # live row j's batch ids are prefixes.flat[offsets[j] + its positions]
+                offsets = np.arange(0, len(live) * N, N)[:, None]
+            for g, (plan, store) in enumerate(groups):
+                if store is None:
+                    drawn[g] = _batch_positions(plan, t)
+                else:
+                    block, filled = store
+                    if not filled[t]:
+                        block[t], filled[t] = _batch_positions(plan, t), True
+                    drawn[g] = block[t]
+            ids = np.take(prefixes, drawn[group_of] + offsets)
             logits, cache = _forward(model_spec, views, np.take(ds_train.X, ids, axis=0))
             ok = np.isfinite(logits).all(axis=(1, 2))
             if not ok.all():

@@ -62,6 +62,9 @@ class TestConfigValidation:
         tree = tiny_tree(seeds=[3, 4, 5])
         del tree["repetitions"]  # the count comes from the seeds list alone
         assert resolve_config(tree, seed_override=7).seeds == (7, 8, 9)
+        # the override rewrites the seeds, not their count: a mismatch stays an error
+        with pytest.raises(ConfigError, match="repetitions does not match the length of seeds"):
+            resolve_config(tiny_tree(seeds=[3, 4, 5], repetitions=2), seed_override=7)
 
     def test_explicit_seeds_win(self):
         cfg = resolve_config(tiny_tree(seeds=[4, 8, 15], repetitions=3))
@@ -497,10 +500,18 @@ class TestCliMalformedInput:
          "model: mlp1 needs hidden >= 1, got 0"),
         ("train", [], {"lr": {"variant": "cyclical", "lr_min": 0.5, "lr_max": 0.1}},
          "lr: need 0 < lr_min <= lr_max, got 0.5, 0.1"),
+        # a grid axis the variant does not read would train one model in every cell
+        ("grid-search", [], {"lr": {"variant": "cyclical"},
+                             "grid": {"lr": {"decrease_factor": [1.2, 2.0]}}},
+         "grid.lr.decrease_factor is not read by lr.variant cyclical"),
+        ("grid-search", [], {"pacing": {"variant": "single_step"},
+                             "grid": {"pacing": {"increase": [1.5, 2.0]}}},
+         "grid.pacing.increase is not read by pacing.variant single_step"),
     ], ids=["seeds", "seed", "seed-flag", "synthetic-seed", "split-seed", "grid-split-seed",
             "generations", "generations-flag", "generations-flag-over-config",
             "unknown-pacing-variant", "negative-hidden", "grid-element", "unread-lr-key",
-            "mlp1-without-hidden", "lr-min-above-max"])
+            "mlp1-without-hidden", "lr-min-above-max", "unread-grid-lr-axis",
+            "unread-grid-pacing-axis"])
     def test_negative_training_seed(self, tmp_path, capsys, command, flags, overrides, named):
         # and every other bad config value: each names its key or section
         config = write_config(tmp_path, tiny_tree(**{"condition": "curriculum", **overrides}))

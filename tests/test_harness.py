@@ -205,6 +205,7 @@ class TestGridSearch:
         assert best.schedule.lr0 == 0.2
 
     def test_vanilla_gets_matched_refined_grid(self):
+        # the pacing axes, which no vanilla run reads, size the refined LR grid
         cfg = resolve_config(self.grid_tree("vanilla"))
         best, audit = two_stage_grid_search(cfg)
         counts = audit["cell_counts"]

@@ -12,7 +12,7 @@ from curriculum_lab.sequencer import balanced_prefix, build_plan, self_paced_res
 from curriculum_lab.trainer import (BatchStore, LearningCurve, LRSchedule, Model, ModelSpec,
                                     _forward,
                                     _layout, _losses_and_residual, _mean_loss_and_grad,
-                                    _stack_views, train_stack)
+                                    _stack_views, _sum_columns, train_stack)
 from helpers import accuracy, load_curve_csv, minibatch_at, train
 
 LINEAR = ModelSpec("linear_softmax")
@@ -222,6 +222,29 @@ class TestKernelReference:
         loss, grad = _mean_loss_and_grad(spec, v, logits, cache, y)
         assert loss.tobytes() == ref_loss.tobytes()
         assert grad.tobytes() == ref_grad.tobytes()
+
+
+class TestSumColumns:
+    """The softmax denominator adds the class columns in the order of numpy's
+    own reduction along a contiguous last axis, so it keeps its bits."""
+
+    def test_adds_in_numpys_pairwise_order(self):
+        rng = np.random.default_rng(0)
+        in_turn_differs = False
+        for K in range(1, 301):
+            positive = np.exp(rng.normal(size=(3, 4, K)) * 3)
+            mixed = rng.normal(size=(3, 4, K)) * 10.0 ** rng.integers(-8, 9, size=(3, 4, K))
+            mixed[0, 0] = -0.0  # numpy starts its sum from 0.0
+            for a in (positive, mixed):
+                assert _sum_columns(a).tobytes() == np.add.reduce(a, axis=-1,
+                                                                  keepdims=True).tobytes(), K
+            in_turn = mixed[..., :1].copy()
+            for k in range(1, K):
+                in_turn += mixed[..., k:k + 1]
+            in_turn_differs |= in_turn.tobytes() != np.add.reduce(mixed, axis=-1,
+                                                                   keepdims=True).tobytes()
+        # the data tells the orders apart: a plain left-to-right sum fails
+        assert in_turn_differs
 
 
 class TestBroadcastForward:
@@ -490,6 +513,35 @@ class TestTrainStack:
             model, curve = train(ds, test, plans[r], self.SCHED, spec, record_every=5, seed=seed)
             assert np.array_equal(outcomes[r][0].params, model.params)
             assert (curve_bytes(outcomes[r][1], tmp_path / f"s{r}.csv")
+                    == curve_bytes(curve, tmp_path / f"a{r}.csv"))
+
+    @pytest.mark.parametrize("spec", [LINEAR, MLP], ids=["linear", "mlp1"])
+    def test_a_drop_regroups_rows_that_share_a_draw(self, tmp_path, spec):
+        # the diverging row 0 draws first in its (seed, g(t)) group, which
+        # reads a batch store; the drop regroups the stack at a step that is
+        # no stage start, and row 1 draws for the group from then on
+        ds, test = make_ds([14, 14, 12], d=3, seed=5), make_ds([5, 5, 5], d=3, seed=6)
+        blowup = LRSchedule("exponential", lr0=1e308, decrease_factor=1.5, lr_step_length=30)
+        rows = [("vanilla", blowup, None), ("vanilla", self.SCHED, None),
+                ("fixed_exp", self.SCHED, None), ("fixed_exp", self.SCHED, self_paced_rescore_hook)]
+        plans = [build_plan(ds, np.random.default_rng(r).normal(size=ds.N),
+                            self.pacing(variant, ds.N), 5, seed=3)
+                 for r, (variant, _sched, _hook) in enumerate(rows)]
+        schedules = [sched for _v, sched, _hook in rows]
+        hooks = [hook for _v, _sched, hook in rows]
+        stacked = train_stack(ds, test, plans, schedules, spec, [0, 1, 2, 3], record_every=9,
+                              boundary_hooks=hooks, batch_store=BatchStore())
+        with pytest.raises(TrainingDivergedError) as alone:
+            train(ds, test, plans[0], blowup, spec, record_every=9, seed=0)
+        assert str(stacked[0]) == str(alone.value)
+        assert stacked[0].iteration == alone.value.iteration
+        starts = set(np.flatnonzero(np.diff(plans[2].pacing.sizes, prepend=-1)).tolist())
+        assert 0 < alone.value.iteration and alone.value.iteration + 1 not in starts
+        for r in range(1, 4):
+            model, curve = train(ds, test, plans[r], schedules[r], spec, record_every=9, seed=r,
+                                 boundary_hook=hooks[r])
+            assert np.array_equal(stacked[r][0].params, model.params)
+            assert (curve_bytes(stacked[r][1], tmp_path / f"s{r}.csv")
                     == curve_bytes(curve, tmp_path / f"a{r}.csv"))
 
     @pytest.mark.parametrize("spec", [LINEAR, MLP], ids=["linear", "mlp1"])

@@ -75,8 +75,12 @@ def default_acceptance_tree(condition: str = "curriculum", **overrides) -> dict:
     return tree
 
 
-def resolve_dataset(config: ExperimentConfig) -> tuple[Dataset, Dataset, EmbeddingTable | None]:
-    """Materialize (train, test, embeddings) from the config's dataset section."""
+def resolve_dataset(config: ExperimentConfig, embeddings: bool | None = None
+                    ) -> tuple[Dataset, Dataset, EmbeddingTable | None]:
+    """Materialize (train, test, embeddings) from the config's dataset section.
+    The embeddings file is read when `embeddings` is true, by default when
+    training the config builds a transfer table (a scored condition with
+    transfer scoring); the table is None otherwise, or without the key."""
     ds_cfg = config.dataset
     emb = None
     if "synthetic" in ds_cfg:
@@ -107,8 +111,14 @@ def resolve_dataset(config: ExperimentConfig) -> tuple[Dataset, Dataset, Embeddi
                 raise ConfigError(f"dataset.bayes_json: means have shape {bayes.means.shape}, "
                                   f"the training set needs (K, d) = ({train_ds.K}, {train_ds.d})")
             train_ds, test_ds = (replace(ds, bayes=bayes) for ds in (train_ds, test_ds))
-    if "embeddings_csv" in ds_cfg:
+    if embeddings is None:
+        embeddings = config.condition in SCORED_CONDITIONS and \
+            config.scoring["kind"] == "transfer"
+    if embeddings and "embeddings_csv" in ds_cfg:
         emb = load_embeddings_csv(ds_cfg["embeddings_csv"])
+        if emb.N != train_ds.N:
+            raise ConfigError(f"dataset.embeddings_csv: {ds_cfg['embeddings_csv']} covers "
+                              f"{emb.N} ids, the training set has {train_ds.N}")
     return train_ds, test_ds, emb
 
 
@@ -419,15 +429,19 @@ def two_stage_grid_search(config: ExperimentConfig, out_dir=None) -> tuple[Exper
     except ParameterError as exc:  # a class left empty on one side
         raise ConfigError(f"grid.validation_fraction: {exc}") from None
     fit_ds, val_ds = select_examples(train_ds, fit_ids), select_examples(train_ds, val_ids)
-    if emb is not None and emb.N == train_ds.N:
-        # the embedding table covers the training split; cells score the fit split
-        emb = EmbeddingTable(emb.vectors[fit_ids])
-    data = (fit_ds, val_ds, emb)
     scored = config.condition in SCORED_CONDITIONS
+    memo: dict = {}
+    # the embeddings and a score file cover the training split; cells score
+    # and plan on its fit rows
+    if emb is not None:
+        emb = EmbeddingTable(emb.vectors[fit_ids])
+    if scored and config.scoring["kind"] == "file":
+        table = _fixed_table(config, train_ds, None)
+        memo[_scorer_key(config, config.seeds[0])] = ScoreTable(table.scores[fit_ids])
+    data = (fit_ds, val_ds, emb)
 
     audit: list[dict] = []
     best = None  # (criterion value, pacing params, config) of the best cell so far
-    memo: dict = {}
     batch_store = BatchStore()
     # a cell's resolved tree, as JSON -> its (run, outcomes), or the error
     # that planning it raised
@@ -530,8 +544,10 @@ def bootstrap_loop(config: ExperimentConfig, out_dir=None) -> list[dict]:
     A seed that fails in one generation is recorded as failed in every later
     one; a generation errors out when half of its repetitions have failed.
     Every generation trains over the same plan seeds, so the generations
-    share one `BatchStore`: each full-size batch is drawn once per loop."""
-    data = resolve_dataset(config)
+    share one `BatchStore`: each full-size batch is drawn once per loop.
+    Every generation after 0 is scored by models, so the loop never reads
+    the embeddings."""
+    data = resolve_dataset(config, embeddings=False)
     train_ds = data[0]
     batch_store = BatchStore()
     out = Path(out_dir) if out_dir is not None else None
@@ -575,8 +591,9 @@ def gradient_coherence_pipeline(config: ExperimentConfig,
                                 models: dict[int, Model] | None = None) -> dict:
     """Per seed: train (or accept) a vanilla model, then compare gradient
     statistics of the easiest oracle prefix, a random subset of the same
-    size, and all training points."""
-    data = resolve_dataset(config)
+    size, and all training points. The report reads no transfer table, so
+    the pipeline never reads the embeddings."""
+    data = resolve_dataset(config, embeddings=False)
     train_ds = data[0]
     if models is None:
         # the report reads only the final models: record at t = 0 and M-1 alone

@@ -12,6 +12,7 @@ model (the self-paced hook, loss scoring and gradient coherence).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,7 +94,7 @@ def _layout(spec: ModelSpec, K: int, d: int):
     arrays = []
     offset = 0
     for name, shape in _layer_arrays(spec, K, d):
-        size = int(np.prod(shape))
+        size = math.prod(shape)
         arrays.append((name, shape, offset, offset + size))
         offset += size
     return tuple(arrays), offset
@@ -107,20 +108,50 @@ def _stack_views(arrays, params: np.ndarray) -> dict[str, np.ndarray]:
             for name, shape, start, stop in arrays}
 
 
+def _forward_arrays(spec: ModelSpec, R: int, n: int, K: int) -> dict:
+    """Arrays for `_forward` to write R rows of n examples into: the logits
+    and, for mlp1, the hidden pre-activation and activation. The first L
+    rows of each serve L rows."""
+    work = {"logits": np.empty((R, n, K))}
+    if spec.architecture == "mlp1":
+        work["z1"] = np.empty((R, n, spec.hidden))
+        work["a1"] = np.empty_like(work["z1"])
+    return work
+
+
+def _grad_arrays(spec: ModelSpec, arrays, P: int, R: int, n: int) -> dict:
+    """Arrays for `_mean_loss_and_grad` to write R rows of n examples into:
+    the flat gradient (R, P) of the layout `arrays`, its per-layer views
+    keyed "d" + layer name, and for mlp1 the hidden backward. The first L
+    rows of each serve L rows."""
+    grad = np.empty((R, P))
+    work = {"grad": grad, **{"d" + name: g for name, g in _stack_views(arrays, grad).items()}}
+    if spec.architecture == "mlp1":
+        work["dz1"] = np.empty((R, n, spec.hidden))
+    return work
+
+
 # ---------------------------------------------------------------------------
 # The stacked kernel. Every array carries a leading axis of R independent
 # rows (models); each row's arithmetic is the same sequence of operations, on
 # the same layouts, as for that row on its own, so R=1 and R>1 agree bitwise.
 # ---------------------------------------------------------------------------
 
-def _forward(spec: ModelSpec, v: dict, X: np.ndarray):
+def _forward(spec: ModelSpec, v: dict, X: np.ndarray, work: dict | None = None):
     """Logits (R, n, K) of X (R, n, d) under the stacked views `v`, and the
-    activations the backward pass needs."""
+    activations the backward pass needs; written into `work`'s arrays (see
+    `_forward_arrays`) when given, into new ones when it is None."""
+    out = {} if work is None else work
     if spec.architecture == "linear_softmax":
-        return np.matmul(X, v["W"].swapaxes(1, 2)) + v["b"][:, None], (X,)
-    z1 = np.matmul(X, v["W1"].swapaxes(1, 2)) + v["b1"][:, None]
-    a1 = np.maximum(z1, 0.0)
-    return np.matmul(a1, v["W2"].swapaxes(1, 2)) + v["b2"][:, None], (X, z1, a1)
+        logits = np.matmul(X, v["W"].swapaxes(1, 2), out=out.get("logits"))
+        logits += v["b"][:, None]
+        return logits, (X,)
+    z1 = np.matmul(X, v["W1"].swapaxes(1, 2), out=out.get("z1"))
+    z1 += v["b1"][:, None]
+    a1 = np.maximum(z1, 0.0, out=out.get("a1"))
+    logits = np.matmul(a1, v["W2"].swapaxes(1, 2), out=out.get("logits"))
+    logits += v["b2"][:, None]
+    return logits, (X, z1, a1)
 
 
 def _sum_columns(a: np.ndarray) -> np.ndarray:
@@ -170,23 +201,30 @@ def _losses_and_residual(logits: np.ndarray, y: np.ndarray):
     return losses, G
 
 
-def _mean_loss_and_grad(spec: ModelSpec, v: dict, logits, cache, y):
-    """Mean batch loss (R,) and its flat gradient (R, P)."""
+def _mean_loss_and_grad(spec: ModelSpec, v: dict, logits, cache, y, work: dict | None = None):
+    """Mean batch loss (R,) and its flat gradient (R, P), written into
+    `work`'s arrays (see `_grad_arrays`) when given, into new ones when it is
+    None."""
     losses, G = _losses_and_residual(logits, y)
     R, n = y.shape
     G /= n
+    if work is None:
+        work = _grad_arrays(spec, *_layout(spec, logits.shape[2], cache[0].shape[2]), R, n)
     # einsum adds along n in order, as .sum(axis=1) does for K >= 2 (G is 0 for K = 1);
     # the hidden bias keeps .sum(axis=1), which sums pairwise along n when H = 1
     if spec.architecture == "linear_softmax":
         (X,) = cache
-        parts = [np.matmul(G.swapaxes(1, 2), X), np.einsum("rnk->rk", G)]
+        np.matmul(G.swapaxes(1, 2), X, out=work["dW"])
+        np.einsum("rnk->rk", G, out=work["db"])
     else:
         X, z1, a1 = cache
-        dz1 = np.matmul(G, v["W2"])
+        dz1 = np.matmul(G, v["W2"], out=work["dz1"])
         dz1 *= z1 > 0
-        parts = [np.matmul(dz1.swapaxes(1, 2), X), dz1.sum(axis=1),
-                 np.matmul(G.swapaxes(1, 2), a1), np.einsum("rnk->rk", G)]
-    return losses.mean(axis=1), np.concatenate([p.reshape(R, -1) for p in parts], axis=1)
+        np.matmul(dz1.swapaxes(1, 2), X, out=work["dW1"])
+        np.sum(dz1, axis=1, out=work["db1"])
+        np.matmul(G.swapaxes(1, 2), a1, out=work["dW2"])
+        np.einsum("rnk->rk", G, out=work["db2"])
+    return losses.mean(axis=1), work["grad"]
 
 
 def _init_params(spec: ModelSpec, K: int, d: int, seed: int) -> np.ndarray:
@@ -377,9 +415,15 @@ def train_stack(ds_train: Dataset, ds_test: Dataset, plans: list[CurriculumPlan]
         return []
     K, d, N = ds_train.K, ds_train.d, ds_train.N
     M, B = plans[0].M, plans[0].batch_size
-    arrays, _ = _layout(model_spec, K, d)
+    arrays, P = _layout(model_spec, K, d)
     params = np.stack([_init_params(model_spec, K, d, seed) for seed in seeds])
     views = _stack_views(arrays, params)
+    # what a training step writes (the gathered batch, the forward and the
+    # gradient) and what a record step's forward of the test set writes: one
+    # set per stack, of which the live rows use the first len(live) rows
+    step = {"X": np.empty((R, B, d)), **_forward_arrays(model_spec, R, B, K),
+            **_grad_arrays(model_spec, arrays, P, R, B)}
+    record = _forward_arrays(model_spec, R, ds_test.N, K)
     live = list(range(R))   # stack row j holds plan live[j]
     current = list(plans)
     sizes = [plan.pacing.sizes for plan in plans]
@@ -406,12 +450,14 @@ def train_stack(ds_train: Dataset, ds_test: Dataset, plans: list[CurriculumPlan]
     prefixes = np.empty((R, N), dtype=np.int64)
 
     def drop(ok: np.ndarray, t: int, message: str = "") -> None:
-        nonlocal params, views, live, lrs
+        nonlocal params, views, live, lrs, step, record
         for j in np.flatnonzero(~ok):
             outcomes[live[j]] = TrainingDivergedError(t, message)
         params = params[ok]
         views = _stack_views(arrays, params)
         live = [r for r, keep in zip(live, ok) if keep]
+        step = {key: a[:len(live)] for key, a in step.items()}
+        record = {key: a[:len(live)] for key, a in record.items()}
         lrs = lrs[:, ok]
         changes.add(t + 1)
 
@@ -446,14 +492,16 @@ def train_stack(ds_train: Dataset, ds_test: Dataset, plans: list[CurriculumPlan]
                         block[t], filled[t] = _batch_positions(plan, t), True
                     drawn[g] = block[t]
             ids = np.take(prefixes, drawn[group_of] + offsets)
-            logits, cache = _forward(model_spec, views, np.take(ds_train.X, ids, axis=0))
+            # every id is in range; mode "raise" would gather into a copy of out
+            X = np.take(ds_train.X, ids, axis=0, out=step["X"], mode="clip")
+            logits, cache = _forward(model_spec, views, X, step)
             ok = np.isfinite(logits).all(axis=(1, 2))
             if not ok.all():
                 drop(ok, t, f"non-finite activations in forward pass at iteration {t}")
                 logits, cache, ids = logits[ok], tuple(c[ok] for c in cache), ids[ok]
             if live:
                 loss, grad = _mean_loss_and_grad(model_spec, views, logits, cache,
-                                                 np.take(ds_train.y, ids))
+                                                 np.take(ds_train.y, ids), step)
                 ok = np.isfinite(loss) & np.isfinite(grad).all(axis=1)
                 if not ok.all():
                     drop(ok, t)
@@ -463,7 +511,7 @@ def train_stack(ds_train: Dataset, ds_test: Dataset, plans: list[CurriculumPlan]
             grad *= lrs[t]
             params -= grad
             if t % record_every == 0 or t == M - 1:
-                pred = np.argmax(_forward(model_spec, views, ds_test.X[None])[0], axis=2)
+                pred = np.argmax(_forward(model_spec, views, ds_test.X[None], record)[0], axis=2)
                 acc = (pred == ds_test.y).mean(axis=1)
                 for j, r in enumerate(live):
                     recorded[r].append((t, float(loss[j]), float(acc[j]), sizes[r][t],

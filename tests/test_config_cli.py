@@ -890,6 +890,82 @@ class TestCliTransferScoredConfig:
             assert summary["generation"] == g
             assert summary["failed_seeds"] == []
 
+    @staticmethod
+    def count_parses(monkeypatch):
+        from curriculum_lab import harness
+        parses = []
+        real = harness.load_embeddings_csv
+
+        def spy(path):
+            parses.append(path)
+            return real(path)
+
+        monkeypatch.setattr(harness, "load_embeddings_csv", spy)
+        return parses
+
+    def test_mlp_transfer_commands_parse_the_embeddings_once(self, tmp_path, monkeypatch):
+        # an oracle-scored analyze-gradients, then a transfer-scored curriculum
+        # and self-paced train on mlp1: only the curriculum builds the table
+        tree = self.transfer_tree(tmp_path, tiny_tree("curriculum", repetitions=1,
+                                                      model={"architecture": "mlp1",
+                                                             "hidden": 8}))
+        parses = self.count_parses(monkeypatch)
+        for command, name, edit in [("analyze-gradients", "gradients",
+                                     {"scoring": {"kind": "oracle"}}),
+                                    ("train", "curriculum", {}),
+                                    ("train", "self_paced", {"condition": "self_paced"})]:
+            config = write_config(tmp_path, {**tree, **edit}, name=f"{name}.json")
+            assert main([command, "--config", str(config), "--out", str(tmp_path / name)]) == 0
+        assert parses == [tree["dataset"]["embeddings_csv"]]
+
+    @pytest.mark.parametrize("command,condition,parses", [
+        ("gen-data", "curriculum", 0), ("analyze-gradients", "curriculum", 0),
+        ("bootstrap", "curriculum", 0), ("train", "vanilla", 0), ("train", "self_paced", 0),
+        ("train", "curriculum", 1), ("train", "anti", 1), ("score", "vanilla", 1),
+        ("score", "curriculum", 1), ("grid-search", "self_paced", 0),
+        ("grid-search", "curriculum", 1)])
+    def test_only_a_command_that_builds_a_transfer_table_parses_the_embeddings(
+            self, tmp_path, monkeypatch, command, condition, parses):
+        tree = self.transfer_tree(tmp_path, tiny_tree(condition, repetitions=1))
+        if command == "grid-search":
+            tree["grid"] = {"pacing": {"starting_percent": [0.25, 0.5]}, "lr": {"lr0": [0.1]}}
+        seen = self.count_parses(monkeypatch)
+        assert main([command, "--config", str(write_config(tmp_path, tree)),
+                     "--out", str(tmp_path / "o")]) == 0
+        assert len(seen) == parses
+
+    def test_unreadable_embeddings_fail_only_a_command_that_reads_them(self, tmp_path, capsys):
+        path = tmp_path / "emb.csv"
+        path.write_bytes(b"id,e0\n0,\xff\n")
+        tree = tiny_tree("curriculum", repetitions=1, scoring={"kind": "transfer"})
+        tree["dataset"]["embeddings_csv"] = str(path)
+        config = write_config(tmp_path, tree)
+        assert main(["train", "--config", str(config), "--out", str(tmp_path / "a")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{path}: cannot read file" in err
+        assert main(["analyze-gradients", "--config", str(config),
+                     "--out", str(tmp_path / "b")]) == 0
+        self_paced = write_config(tmp_path, {**tree, "condition": "self_paced"}, name="sp.json")
+        assert main(["train", "--config", str(self_paced), "--out", str(tmp_path / "c")]) == 0
+
+    @pytest.mark.parametrize("command", ["train", "grid-search"])
+    def test_embeddings_that_miss_training_ids_name_the_file(self, tmp_path, capsys, command):
+        from curriculum_lab.data import EmbeddingTable
+        from curriculum_lab.harness import resolve_dataset
+        from helpers import save_embeddings_csv
+        train_ds, _, _ = resolve_dataset(resolve_config(tiny_tree()))
+        path = tmp_path / "emb.csv"
+        save_embeddings_csv(EmbeddingTable(train_ds.X[:69, :2]), path)
+        tree = tiny_tree("curriculum", repetitions=1, scoring={"kind": "transfer"})
+        tree["dataset"]["embeddings_csv"] = str(path)
+        tree["grid"] = {"pacing": {"starting_percent": [0.25, 0.5]}, "lr": {"lr0": [0.1]}}
+        out = tmp_path / "o"
+        assert main([command, "--config", str(write_config(tmp_path, tree)),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"error: dataset.embeddings_csv: {path} covers "
+                                           "69 ids, the training set has 72\n")
+        assert not (out / "manifest.json").exists()
+
 
 class TestCliNumericalFailure:
     def test_diverging_self_taught_score_is_a_typed_error(self, tmp_path, capsys):

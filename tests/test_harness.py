@@ -285,6 +285,19 @@ class TestGridSearch:
             assert np.array_equal(ds.X, train_ds.X[fit_ids])
             assert np.array_equal(emb.vectors, vectors[fit_ids])
 
+    def test_file_scored_grid_equals_the_oracle_scored_grid(self, tmp_path):
+        # a file holding the training split's oracle table: the cells plan on
+        # its fit rows, which are the fit split's own oracle scores, bit for bit
+        from curriculum_lab.scoring import oracle_bayes_score, save_scores_csv
+        tree = self.grid_tree()
+        save_scores_csv(oracle_bayes_score(resolve_dataset(resolve_config(tree))[0]),
+                        tmp_path / "scores.csv")
+        _best, oracle = two_stage_grid_search(resolve_config(tree))
+        tree["scoring"] = {"kind": "file", "path": str(tmp_path / "scores.csv")}
+        _best, from_file = two_stage_grid_search(resolve_config(tree))
+        assert not any(e["failed"] for e in from_file["entries"])
+        assert from_file["entries"] == oracle["entries"]
+
     def test_failed_cell_records_null_criterion(self, tmp_path):
         tree = self.grid_tree()
         tree["model"] = {"architecture": "mlp1", "hidden": 6}

@@ -10,7 +10,7 @@ from curriculum_lab.errors import NumericalError, ParameterError, TrainingDiverg
 from curriculum_lab.pacing import PacingSpec, saturation_iteration
 from curriculum_lab.sequencer import balanced_prefix, build_plan, self_paced_rescore_hook
 from curriculum_lab.trainer import (BatchStore, LearningCurve, LRSchedule, Model, ModelSpec,
-                                    _forward,
+                                    _forward, _forward_arrays, _grad_arrays,
                                     _layout, _losses_and_residual, _mean_loss_and_grad,
                                     _stack_views, _sum_columns, train_stack)
 from helpers import accuracy, load_curve_csv, minibatch_at, train
@@ -729,6 +729,93 @@ class TestBatchStore:
         positions, filled = BatchStore().block(plan)
         assert positions.shape == (7, 3) and positions.dtype == dtype
         assert filled.tolist() == [False] * 7
+
+
+class TestWorkArrays:
+    """`train_stack` writes each step into one set of arrays per stack; the
+    kernel gives the same bits into them as into new arrays."""
+
+    @staticmethod
+    def nan_filled(work):
+        # a value the kernel leaves unwritten shows as NaN
+        for a in work.values():
+            a.fill(np.nan)
+        return work
+
+    @pytest.mark.parametrize("arch,H", [("linear_softmax", 0), ("mlp1", 1), ("mlp1", 64)],
+                             ids=["linear", "mlp1-H1", "mlp1-H64"])
+    @pytest.mark.parametrize("R", [1, 5])
+    def test_buffered_kernel_equals_unbuffered_bitwise(self, arch, H, R):
+        spec = ModelSpec(arch, hidden=H)
+        n, n_test, K, d = 200, 333, 5, 16
+        rng = np.random.default_rng(R + H)
+        layout = _layout(spec, K, d)
+        params = rng.normal(size=(R, layout[1]))
+        X = rng.normal(size=(R, n, d))
+        y = rng.integers(0, K, size=(R, n))
+        X_test = rng.normal(size=(n_test, d))
+        step = self.nan_filled({"X": np.empty((R, n, d)), **_forward_arrays(spec, R, n, K),
+                                **_grad_arrays(spec, *layout, R, n)})
+        record = self.nan_filled(_forward_arrays(spec, R, n_test, K))
+        # all rows, then (as after a drop) the first 3 of 5
+        for L in [R] if R == 1 else [R, 3]:
+            v = _stack_views(layout[0], params[:L])
+            rows = {key: a[:L] for key, a in step.items()}
+            logits, cache = _forward(spec, v, X[:L])
+            loss, grad = _mean_loss_and_grad(spec, v, logits, cache, y[:L])
+            rows["X"][...] = X[:L]
+            b_logits, b_cache = _forward(spec, v, rows["X"], rows)
+            b_loss, b_grad = _mean_loss_and_grad(spec, v, b_logits, b_cache, y[:L], rows)
+            assert b_logits.tobytes() == logits.tobytes()
+            for got, want in zip(b_cache, cache):
+                assert got.tobytes() == want.tobytes()
+            assert b_loss.tobytes() == loss.tobytes()
+            assert b_grad.tobytes() == grad.tobytes()
+            if arch == "mlp1":  # the hidden bias sums along n pairwise, as .sum does
+                assert rows["db1"].tobytes() == rows["dz1"].sum(axis=1).tobytes()
+            assert np.shares_memory(b_logits, step["logits"])
+            assert np.shares_memory(b_grad, step["grad"])
+            test_rows = {key: a[:L] for key, a in record.items()}
+            b_test = _forward(spec, v, X_test[None], test_rows)[0]
+            assert b_test.tobytes() == _forward(spec, v, X_test[None])[0].tobytes()
+            assert np.shares_memory(b_test, record["logits"])
+
+    @pytest.mark.parametrize("spec", [LINEAR, MLP], ids=["linear", "mlp1"])
+    def test_every_step_writes_into_the_stacks_arrays(self, monkeypatch, spec):
+        # row 0 of the poisoned stack diverges after iteration 20 of 40
+        ds, test, plans = poisoned_stack()
+        calls = []
+        real_forward, real_grad = trainer._forward, trainer._mean_loss_and_grad
+
+        def forward(spec, v, X, work=None):
+            logits, cache = real_forward(spec, v, X, work)
+            calls.append(("forward", X.shape[1], len(next(iter(v.values()))), work, logits))
+            return logits, cache
+
+        def mean_loss_and_grad(spec, v, logits, cache, y, work=None):
+            loss, grad = real_grad(spec, v, logits, cache, y, work)
+            calls.append(("grad", y.shape[1], len(y), work, grad))
+            return loss, grad
+
+        monkeypatch.setattr(trainer, "_forward", forward)
+        monkeypatch.setattr(trainer, "_mean_loss_and_grad", mean_loss_and_grad)
+        outcomes = train_stack(ds, test, plans, [TestTrainStack.SCHED] * 3, spec, [7, 8, 9],
+                               record_every=5)
+        assert isinstance(outcomes[0], TrainingDivergedError)
+        records = len(outcomes[1][1].iterations)
+        first = {}
+        for kind, n, rows, work, out in calls:
+            assert work is not None
+            key = (kind, n)
+            first.setdefault(key, work)
+            for name, a in work.items():
+                # the first `rows` rows of the arrays of the stack's first call
+                assert len(a) == rows and a.ctypes.data == first[key][name].ctypes.data, name
+            assert np.shares_memory(out, work["logits" if kind == "forward" else "grad"])
+        counts = {key: sum((kind, n) == key for kind, n, *_ in calls) for key in first}
+        assert counts == {("forward", 4): 40, ("grad", 4): 40, ("forward", test.N): records}
+        # the stack dropped a row and went on writing into the same arrays
+        assert {rows for _kind, _n, rows, _w, _o in calls} == {3, 2}
 
 
 class TestLearningCurveIO:

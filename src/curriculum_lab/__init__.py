@@ -12,7 +12,7 @@ from .errors import (ConfigError, DataLoadError, ExperimentError, NumericalError
 from .pacing import PacingSpec, num_steps, subset_size
 from .scoring import (ScoreTable, invert, oracle_bayes_score, random_score,
                       score_by_model_loss, transfer_score)
-from .sequencer import CurriculumPlan, balanced_prefix, build_plan, self_paced_rescore_hook
+from .sequencer import CurriculumPlan, balanced_prefix, build_plan
 from .trainer import LearningCurve, LRSchedule, Model, ModelSpec, train_stack
 
 __version__ = "0.1.0"
@@ -25,6 +25,6 @@ __all__ = [
     "PacingSpec", "num_steps", "subset_size",
     "ScoreTable", "invert", "oracle_bayes_score", "random_score",
     "score_by_model_loss", "transfer_score",
-    "CurriculumPlan", "balanced_prefix", "build_plan", "self_paced_rescore_hook",
+    "CurriculumPlan", "balanced_prefix", "build_plan",
     "LearningCurve", "LRSchedule", "Model", "ModelSpec", "train_stack",
 ]

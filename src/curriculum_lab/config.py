@@ -153,10 +153,6 @@ class ExperimentConfig:
         return len(self.seeds)
 
 
-_FILE_KEYS = (("dataset", "train_csv"), ("dataset", "test_csv"), ("dataset", "bayes_json"),
-              ("dataset", "embeddings_csv"), ("scoring", "path"))
-
-
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ConfigError(message)
@@ -280,9 +276,12 @@ def resolve_config(tree: dict, seed_override: int | None = None) -> ExperimentCo
                    if key not in dataset["synthetic"]]
         _require(not missing, "missing config key(s): " + ", ".join(missing))
     scoring = view["scoring"]
+    # the input files that must exist; the embeddings are checked where they are read
+    files = [("dataset", key) for key in ("train_csv", "test_csv", "bayes_json")]
     if scoring["kind"] == "file":
         _require("path" in scoring, "scoring.kind=file requires scoring.path")
-    missing = [f"{section}.{key} ({view[section][key]})" for section, key in _FILE_KEYS
+        files.append(("scoring", "path"))
+    missing = [f"{section}.{key} ({view[section][key]})" for section, key in files
                if key in view[section] and not os.path.isfile(view[section][key])]
     _require(not missing, "referenced file(s) do not exist: " + ", ".join(missing))
 

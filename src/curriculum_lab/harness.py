@@ -24,7 +24,7 @@ from .pacing import PacingSpec, saturation_iteration
 from .scoring import ScoreTable, invert, load_scores_csv, oracle_bayes_score, \
     random_score, score_by_model_loss, transfer_score
 from .seeding import BATCH, INIT, SCORE, SPLIT, SUBSET, derived_seed
-from .sequencer import balanced_prefix, build_plan, self_paced_rescore_hook
+from .sequencer import balanced_prefix, build_plan
 from .trainer import BatchStore, LearningCurve, Model, train_stack
 
 
@@ -114,11 +114,13 @@ def resolve_dataset(config: ExperimentConfig, embeddings: bool | None = None
     if embeddings is None:
         embeddings = config.condition in SCORED_CONDITIONS and \
             config.scoring["kind"] == "transfer"
-    if embeddings and "embeddings_csv" in ds_cfg:
-        emb = load_embeddings_csv(ds_cfg["embeddings_csv"])
+    if embeddings and (path := ds_cfg.get("embeddings_csv")) is not None:
+        if not Path(path).is_file():
+            raise ConfigError(f"referenced file does not exist: dataset.embeddings_csv ({path})")
+        emb = load_embeddings_csv(path)
         if emb.N != train_ds.N:
-            raise ConfigError(f"dataset.embeddings_csv: {ds_cfg['embeddings_csv']} covers "
-                              f"{emb.N} ids, the training set has {train_ds.N}")
+            raise ConfigError(f"dataset.embeddings_csv: {path} covers {emb.N} ids, "
+                              f"the training set has {train_ds.N}")
     return train_ds, test_ds, emb
 
 
@@ -275,8 +277,7 @@ def _train_runs(train_ds: Dataset, test_ds: Dataset, runs: list[_Run],
         [run.config.schedule for run, _seed, _plan in rows], config.model_spec,
         [derived_seed(seed, INIT) for _run, seed, _plan in rows],
         record_every=config.record_every,
-        boundary_hooks=[self_paced_rescore_hook if run.config.condition == "self_paced"
-                        else None for run, _seed, _plan in rows],
+        self_paced=[run.config.condition == "self_paced" for run, _seed, _plan in rows],
         batch_store=batch_store))
     return [[next(outcomes) for _ in run.seeds] for run in runs]
 

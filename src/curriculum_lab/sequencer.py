@@ -121,11 +121,7 @@ def _batch_positions(plan: CurriculumPlan, i: int) -> np.ndarray:
     return rng.choice(plan.pacing.sizes[i], size=plan.batch_size, replace=False)
 
 
-def self_paced_rescore_hook(plan: CurriculumPlan, model, i: int) -> CurriculumPlan:
-    """Re-rank the plan by the current model's per-example loss.
-
-    Used only for the self-paced control condition, at pacing-step
-    boundaries. Returns a new plan; the input plan is unchanged.
-    """
-    losses = np.asarray(model.example_losses(plan.ds.X, plan.ds.y), dtype=np.float64)
+def reranked(plan: CurriculumPlan, losses: np.ndarray) -> CurriculumPlan:
+    """A new plan ordered ascending by (loss, id), the self-paced re-rank by
+    a model's current per-example losses; the input plan is unchanged."""
     return replace(plan, order=_order(losses), _prefix_cache={})

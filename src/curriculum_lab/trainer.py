@@ -8,7 +8,7 @@ such as the repetition seeds of one condition or every cell × seed of a grid
 stage, keeps its vectors as the rows of one (R, P) array and trains in one
 loop (`train_stack`), the only training loop: a single model trains as a
 stack of one row. `Model` is one row of that kernel, for what reads a trained
-model (the self-paced hook, loss scoring and gradient coherence).
+model (loss scoring and gradient coherence).
 """
 from __future__ import annotations
 
@@ -19,9 +19,10 @@ import numpy as np
 
 from .data import Dataset, write_csv
 from .errors import NumericalError, ParameterError, TrainingDivergedError
-from .sequencer import CurriculumPlan, _batch_positions, balanced_prefix
+from .sequencer import CurriculumPlan, _batch_positions, balanced_prefix, reranked
 
 ARCHITECTURES = ("linear_softmax", "mlp1")
+_NONFINITE = "non-finite activations in forward pass at iteration {}"
 
 
 @dataclass(frozen=True)
@@ -378,7 +379,7 @@ class BatchStore:
 
 def train_stack(ds_train: Dataset, ds_test: Dataset, plans: list[CurriculumPlan],
                 schedules: list[LRSchedule], model_spec: ModelSpec, seeds: list[int],
-                record_every: int = 50, boundary_hooks: list | None = None,
+                record_every: int = 50, self_paced: list[bool] | None = None,
                 batch_store: BatchStore | None = None) -> list:
     """Run M SGD steps for R models at once: row r follows plans[r] and
     schedules[r] from the init of seeds[r], and every row equals that row
@@ -390,9 +391,9 @@ def train_stack(ds_train: Dataset, ds_test: Dataset, plans: list[CurriculumPlan]
     loss is the pre-update batch loss, accuracy is measured after the update,
     by one stacked forward of the test set through every live row (argmax,
     ties to the lowest class id).
-    `boundary_hooks[r](plan, model, t)`, when given and not None, replaces row
-    r's plan at t=0 and at every start of a stage of its pacing (the
-    self-paced control).
+    A row r with `self_paced[r]` true (the self-paced control) re-ranks its
+    plan ascending by (its current loss on each training example, id) at
+    t=0 and at each stage start of its pacing; a non-finite forward diverges it.
     `batch_store`, when given, supplies and keeps every full-size draw: a row
     at g(t) = N draws only when no stack of the store drew (plan seed, t).
 
@@ -401,10 +402,10 @@ def train_stack(ds_train: Dataset, ds_test: Dataset, plans: list[CurriculumPlan]
     row leaves the stack at that iteration; the other rows go on unchanged.
     """
     R = len(plans)
-    hooks = [None] * R if boundary_hooks is None else list(boundary_hooks)
-    if not len(schedules) == len(seeds) == len(hooks) == R:
+    self_paced = [False] * R if self_paced is None else list(self_paced)
+    if not len(schedules) == len(seeds) == len(self_paced) == R:
         raise ParameterError(f"{R} plans for {len(schedules)} schedules, {len(seeds)} seeds "
-                             f"and {len(hooks)} hooks")
+                             f"and {len(self_paced)} self-paced flags")
     if any(plan.N != ds_train.N for plan in plans):
         raise ParameterError("plan was built over a different dataset")
     if len({(plan.M, plan.batch_size) for plan in plans}) > 1:
@@ -433,14 +434,8 @@ def train_stack(ds_train: Dataset, ds_test: Dataset, plans: list[CurriculumPlan]
     lrs = np.array([values[s] for s in schedules]).T[:, :, None].copy()
     # the stage starts of each row's pacing, where its g(t) changes
     starts = [np.flatnonzero(np.diff(s, prepend=-1)).tolist() for s in sizes]
-    # iteration -> the rows whose hook fires there: their stage starts
-    due: dict[int, list[int]] = {}
-    for r, hook in enumerate(hooks):
-        if hook is not None:
-            for t in starts[r]:
-                due.setdefault(t, []).append(r)
-    # a row's draw group and prefix change only at its stage starts (a hook
-    # fires at some of them) and at the step after the stack drops rows
+    # a row's draw group and prefix change only at its stage starts (where a
+    # self-paced row re-ranks) and at the step after the stack drops rows
     changes = set().union(*starts)
     recorded: list[list] = [[] for _ in plans]
     outcomes: list = [None] * R
@@ -464,11 +459,20 @@ def train_stack(ds_train: Dataset, ds_test: Dataset, plans: list[CurriculumPlan]
     # a diverging row is a typed outcome: its overflow is not worth a warning
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(M):
-            for r in due.get(t, ()):
-                if r in live:
-                    j = live.index(r)
-                    current[r] = hooks[r](current[r], Model(model_spec, K, d, params[j]), t)
             if t in changes:
+                # a self-paced row re-ranks at its stage starts, one row at a time
+                for r in [r for r in live if self_paced[r] and t in starts[r]]:
+                    j = live.index(r)
+                    logits = _forward(model_spec, _stack_views(arrays, params[j:j + 1]),
+                                      ds_train.X[None])[0]
+                    if np.isfinite(logits).all():
+                        losses = _losses_and_residual(logits, ds_train.y[None])[0][0]
+                        current[r] = reranked(current[r], losses)
+                    else:
+                        drop(np.arange(len(live)) != j, t, _NONFINITE.format(t))
+                    del logits  # not held through the draws, where it would pin the heap
+                if not live:
+                    break
                 # one draw group per (plan seed, g(t)), a full-size one
                 # reading the row's store block
                 keys, groups, group_of = {}, [], []
@@ -497,7 +501,7 @@ def train_stack(ds_train: Dataset, ds_test: Dataset, plans: list[CurriculumPlan]
             logits, cache = _forward(model_spec, views, X, step)
             ok = np.isfinite(logits).all(axis=(1, 2))
             if not ok.all():
-                drop(ok, t, f"non-finite activations in forward pass at iteration {t}")
+                drop(ok, t, _NONFINITE.format(t))
                 logits, cache, ids = logits[ok], tuple(c[ok] for c in cache), ids[ok]
             if live:
                 loss, grad = _mean_loss_and_grad(model_spec, views, logits, cache,

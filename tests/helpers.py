@@ -13,11 +13,11 @@ from curriculum_lab.trainer import LearningCurve, _forward, train_stack
 
 
 def train(ds_train, ds_test, plan, schedule, model_spec, record_every=50, seed=0,
-          boundary_hook=None):
+          self_paced=False):
     """`train_stack` with one row: (Model, LearningCurve), or raises the row's
     `TrainingDivergedError`."""
     (outcome,) = train_stack(ds_train, ds_test, [plan], [schedule], model_spec, [seed],
-                             record_every=record_every, boundary_hooks=[boundary_hook])
+                             record_every=record_every, self_paced=[self_paced])
     if isinstance(outcome, TrainingDivergedError):
         raise outcome
     return outcome

@@ -948,6 +948,32 @@ class TestCliTransferScoredConfig:
         self_paced = write_config(tmp_path, {**tree, "condition": "self_paced"}, name="sp.json")
         assert main(["train", "--config", str(self_paced), "--out", str(tmp_path / "c")]) == 0
 
+    @pytest.mark.parametrize("command,stray_score_path", [
+        ("gen-data", False), ("analyze-gradients", False), ("train", False), ("train", True)],
+        ids=["gen-data", "analyze-gradients", "train", "train-stray-score-path"])
+    def test_a_missing_file_the_command_does_not_read_is_no_error(self, tmp_path, command,
+                                                                  stray_score_path):
+        # oracle scores: no command reads the embeddings, nor a score file
+        missing = str(tmp_path / "missing.csv")
+        tree = tiny_tree("curriculum", repetitions=1)
+        tree["dataset"]["embeddings_csv"] = missing
+        if stray_score_path:
+            tree["scoring"]["path"] = missing
+        assert main([command, "--config", str(write_config(tmp_path, tree)),
+                     "--out", str(tmp_path / "o")]) == 0
+
+    def test_missing_embeddings_fail_a_transfer_scored_train_naming_the_key(self, tmp_path,
+                                                                             capsys):
+        missing = tmp_path / "missing.csv"
+        tree = tiny_tree("curriculum", repetitions=1, scoring={"kind": "transfer"})
+        tree["dataset"]["embeddings_csv"] = str(missing)
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(write_config(tmp_path, tree)),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("error: referenced file does not exist: "
+                                           f"dataset.embeddings_csv ({missing})\n")
+        assert not (out / "manifest.json").exists()
+
     @pytest.mark.parametrize("command", ["train", "grid-search"])
     def test_embeddings_that_miss_training_ids_name_the_file(self, tmp_path, capsys, command):
         from curriculum_lab.data import EmbeddingTable
@@ -979,6 +1005,22 @@ class TestCliNumericalFailure:
         assert err.startswith("error: ") and "iteration" in err
         assert not (out / "scores.csv").exists()
 
+
+    def test_self_paced_grid_audits_a_diverging_cell_as_failed(self, tmp_path):
+        # at lr0 1e308 the first step overflows the parameters, and the
+        # self-paced rows' re-rank at the stage start t = 1 meets non-finite
+        # activations: the cell fails as a diverging curriculum cell does
+        tree = tiny_tree("self_paced")
+        tree["pacing"]["step_length"] = 1
+        tree["grid"] = {"lr": {"lr0": [0.1, 1e308]}}
+        out = tmp_path / "o"
+        assert main(["grid-search", "--config", str(write_config(tmp_path, tree)),
+                     "--out", str(out)]) == 0
+        entries = json.loads((out / "grid_audit.json").read_text())["entries"]
+        assert [(e["lr"], e["failed"]) for e in entries] == [
+            ({}, False), ({"lr0": 0.1}, False), ({"lr0": 1e308}, True)]
+        assert entries[2]["error"] == "2 of 2 repetitions failed (seeds [0, 1])"
+        assert (out / "manifest.json").exists()
 
     def test_grid_search_with_every_cell_failing_exits_2(self, tmp_path, capsys):
         tree = tiny_tree("curriculum", repetitions=1, iterations=40,

@@ -10,7 +10,7 @@ PUBLIC = [
     "PacingSpec", "num_steps", "subset_size",
     "ScoreTable", "invert", "oracle_bayes_score", "random_score",
     "score_by_model_loss", "transfer_score",
-    "CurriculumPlan", "balanced_prefix", "build_plan", "self_paced_rescore_hook",
+    "CurriculumPlan", "balanced_prefix", "build_plan",
     "LearningCurve", "LRSchedule", "Model", "ModelSpec", "train_stack",
 ]
 

@@ -5,7 +5,7 @@ from curriculum_lab.data import Dataset, largest_remainder_quotas
 from curriculum_lab.errors import ParameterError
 from curriculum_lab.pacing import PacingSpec, subset_size
 from curriculum_lab.scoring import ScoreTable, invert
-from curriculum_lab.sequencer import balanced_prefix, build_plan, self_paced_rescore_hook
+from curriculum_lab.sequencer import balanced_prefix, build_plan, reranked
 from curriculum_lab.trainer import Model, ModelSpec
 from helpers import minibatch_at
 
@@ -180,7 +180,7 @@ class TestMinibatchAt:
         ds, plan = self.plan_with([20, 20], batch=5, sp=0.25, seed=7, M=40)
         minibatch_at(plan, 9)  # the generator is built and used before rescoring
         model = Model.initialize(ModelSpec("linear_softmax"), ds.K, ds.d, seed=3)
-        rescored = self_paced_rescore_hook(plan, model, 10)
+        rescored = reranked(plan, model.example_losses(ds.X, ds.y))
         for i in (5, 2, 5, rescored.M - 1, 0):
             assert np.array_equal(minibatch_at(rescored, i), self.fresh_batch(rescored, i)), i
             assert np.array_equal(minibatch_at(plan, i), self.fresh_batch(plan, i)), i
@@ -201,20 +201,32 @@ class TestMinibatchAt:
 
 
 class TestSelfPacedHook:
+    """`reranked`, the self-paced control's re-rank of a plan by its model's
+    current per-example losses."""
+
     def test_uniform_predictor_collapses_to_id_order(self):
         ds = make_ds([3, 3], d=4, seed=1)
         plan = build_plan(ds, np.random.default_rng(2).normal(size=6),
                           vanilla_pacing(6), 2, seed=0)
         model = Model.zeros(ModelSpec("linear_softmax"), ds.K, ds.d)
-        updated = self_paced_rescore_hook(plan, model, 0)
+        updated = reranked(plan, model.example_losses(ds.X, ds.y))
         assert list(balanced_prefix(updated, updated.N)) == [0, 1, 2, 3, 4, 5]
+        # ascending by loss, ties by id
+        losses = np.array([0.3, 0.1, 0.3, 0.0, 0.1, 0.2])
+        assert list(reranked(plan, losses).order) == [3, 1, 4, 5, 0, 2]
 
     def test_without_hook_plan_unchanged(self):
         ds = make_ds([3, 3], d=4, seed=1)
         scores = np.random.default_rng(2).normal(size=6)
         plan = build_plan(ds, scores, vanilla_pacing(6), 2, seed=0)
-        model = Model.zeros(ModelSpec("linear_softmax"), ds.K, ds.d)
         before = balanced_prefix(plan, plan.N).copy()
-        updated = self_paced_rescore_hook(plan, model, 0)
+        cached = balanced_prefix(plan, 4).copy()  # fills the plan's prefix cache
+        losses = -scores
+        updated = reranked(plan, losses)
         assert np.array_equal(balanced_prefix(plan, plan.N), before)  # original untouched
+        assert np.array_equal(balanced_prefix(plan, 4), cached)
         assert updated is not plan
+        # the new plan's prefixes follow its own order, not the old cache
+        fresh = build_plan(ds, losses, vanilla_pacing(6), 2, seed=0)
+        assert np.array_equal(balanced_prefix(updated, 4), balanced_prefix(fresh, 4))
+        assert not np.array_equal(balanced_prefix(updated, 4), cached)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from curriculum_lab import trainer
 from curriculum_lab.data import Dataset
 from curriculum_lab.errors import NumericalError, ParameterError, TrainingDivergedError
 from curriculum_lab.pacing import PacingSpec, saturation_iteration
-from curriculum_lab.sequencer import balanced_prefix, build_plan, self_paced_rescore_hook
+from curriculum_lab.sequencer import _order, balanced_prefix, build_plan
 from curriculum_lab.trainer import (BatchStore, LearningCurve, LRSchedule, Model, ModelSpec,
                                     _forward, _forward_arrays, _grad_arrays,
                                     _layout, _losses_and_residual, _mean_loss_and_grad,
@@ -450,20 +451,20 @@ class TestTrainStack:
                               increase=2.0, boundaries=(9, 30))
         return PacingSpec("single_step", N=N, M=self.M, starting_percent=0.3, step_length=25)
 
-    @pytest.mark.parametrize("hook", [None, self_paced_rescore_hook])
+    @pytest.mark.parametrize("self_paced", [False, True], ids=["None", "self_paced_rescore_hook"])
     @pytest.mark.parametrize("variant", ["vanilla", "fixed_exp", "varied_exp", "single_step"])
     @pytest.mark.parametrize("spec", [LINEAR, MLP], ids=["linear", "mlp1"])
-    def test_each_row_equals_the_row_trained_alone(self, tmp_path, spec, variant, hook):
+    def test_each_row_equals_the_row_trained_alone(self, tmp_path, spec, variant, self_paced):
         ds, test = make_ds([14, 14, 12], d=3, seed=5), make_ds([5, 5, 5], d=3, seed=6)
         pacing = self.pacing(variant, ds.N)
         plans = [build_plan(ds, np.random.default_rng(s).normal(size=ds.N), pacing, 5, seed=s)
                  for s in (3, 1, 4, 1)]
         seeds = [10, 11, 12, 13]
         stacked = train_stack(ds, test, plans, [self.SCHED] * 4, spec, seeds, record_every=9,
-                              boundary_hooks=[hook] * 4)
+                              self_paced=[self_paced] * 4)
         for r, (plan, seed) in enumerate(zip(plans, seeds)):
             model, curve = train(ds, test, plan, self.SCHED, spec, record_every=9, seed=seed,
-                                 boundary_hook=hook)
+                                 self_paced=self_paced)
             assert np.array_equal(stacked[r][0].params, model.params)
             assert (curve_bytes(stacked[r][1], tmp_path / f"s{r}.csv")
                     == curve_bytes(curve, tmp_path / f"a{r}.csv"))
@@ -522,15 +523,15 @@ class TestTrainStack:
         # no stage start, and row 1 draws for the group from then on
         ds, test = make_ds([14, 14, 12], d=3, seed=5), make_ds([5, 5, 5], d=3, seed=6)
         blowup = LRSchedule("exponential", lr0=1e308, decrease_factor=1.5, lr_step_length=30)
-        rows = [("vanilla", blowup, None), ("vanilla", self.SCHED, None),
-                ("fixed_exp", self.SCHED, None), ("fixed_exp", self.SCHED, self_paced_rescore_hook)]
+        rows = [("vanilla", blowup, False), ("vanilla", self.SCHED, False),
+                ("fixed_exp", self.SCHED, False), ("fixed_exp", self.SCHED, True)]
         plans = [build_plan(ds, np.random.default_rng(r).normal(size=ds.N),
                             self.pacing(variant, ds.N), 5, seed=3)
-                 for r, (variant, _sched, _hook) in enumerate(rows)]
-        schedules = [sched for _v, sched, _hook in rows]
-        hooks = [hook for _v, _sched, hook in rows]
+                 for r, (variant, _sched, _sp) in enumerate(rows)]
+        schedules = [sched for _v, sched, _sp in rows]
+        self_paced = [sp for _v, _sched, sp in rows]
         stacked = train_stack(ds, test, plans, schedules, spec, [0, 1, 2, 3], record_every=9,
-                              boundary_hooks=hooks, batch_store=BatchStore())
+                              self_paced=self_paced, batch_store=BatchStore())
         with pytest.raises(TrainingDivergedError) as alone:
             train(ds, test, plans[0], blowup, spec, record_every=9, seed=0)
         assert str(stacked[0]) == str(alone.value)
@@ -539,7 +540,44 @@ class TestTrainStack:
         assert 0 < alone.value.iteration and alone.value.iteration + 1 not in starts
         for r in range(1, 4):
             model, curve = train(ds, test, plans[r], schedules[r], spec, record_every=9, seed=r,
-                                 boundary_hook=hooks[r])
+                                 self_paced=self_paced[r])
+            assert np.array_equal(stacked[r][0].params, model.params)
+            assert (curve_bytes(stacked[r][1], tmp_path / f"s{r}.csv")
+                    == curve_bytes(curve, tmp_path / f"a{r}.csv"))
+
+    @pytest.mark.parametrize("spec", [LINEAR, MLP], ids=["linear", "mlp1"])
+    def test_self_paced_row_that_overflows_diverges_at_its_next_stage_start(self, tmp_path,
+                                                                            spec):
+        # row 0 steps at lr 0.1 at t = 0 and at 1.7e308 at t = 1, on features
+        # of order 10, so its parameters overflow on the step before t = 2, the
+        # next stage start of its pacing. There its re-rank's forward of the
+        # training set is non-finite, and the row leaves the stack. Row 1
+        # shares that pacing and re-ranks at the same step, after the drop
+        ds, test = make_ds([14, 14, 12], d=3, seed=5), make_ds([5, 5, 5], d=3, seed=6)
+        ds = Dataset(X=10 * ds.X, y=ds.y, K=ds.K)
+        steps = PacingSpec("fixed_exp", N=ds.N, M=self.M, starting_percent=0.25,
+                           increase=2.0, step_length=2)
+        blowup = LRSchedule("cyclical", lr_min=0.1, lr_max=1.7e308, cycle_length=2)
+        rows = [(steps, blowup, True), (steps, self.SCHED, True),
+                (self.pacing("fixed_exp", ds.N), self.SCHED, False),
+                (self.pacing("varied_exp", ds.N), self.SCHED, True)]
+        plans = [build_plan(ds, np.random.default_rng(r).normal(size=ds.N), pacing, 5, seed=r)
+                 for r, (pacing, _sched, _sp) in enumerate(rows)]
+        schedules = [sched for _p, sched, _sp in rows]
+        self_paced = [sp for _p, _sched, sp in rows]
+        stacked = train_stack(ds, test, plans, schedules, spec, [0, 1, 2, 3], record_every=9,
+                              self_paced=self_paced)
+        assert steps.sizes[:3] == (10, 10, 20)  # t = 2 is the first stage start after 0
+        assert isinstance(stacked[0], TrainingDivergedError)
+        assert str(stacked[0]) == "non-finite activations in forward pass at iteration 2"
+        assert stacked[0].iteration == 2
+        with pytest.raises(TrainingDivergedError) as alone:
+            train(ds, test, plans[0], blowup, spec, record_every=9, seed=0, self_paced=True)
+        assert str(alone.value) == str(stacked[0])
+        assert alone.value.iteration == 2
+        for r in range(1, 4):
+            model, curve = train(ds, test, plans[r], schedules[r], spec, record_every=9, seed=r,
+                                 self_paced=self_paced[r])
             assert np.array_equal(stacked[r][0].params, model.params)
             assert (curve_bytes(stacked[r][1], tmp_path / f"s{r}.csv")
                     == curve_bytes(curve, tmp_path / f"a{r}.csv"))
@@ -547,26 +585,26 @@ class TestTrainStack:
     @pytest.mark.parametrize("spec", [LINEAR, MLP], ids=["linear", "mlp1"])
     def test_mixed_rows_each_equal_the_row_trained_alone(self, tmp_path, spec):
         # rows differ in pacing variant and spec, in LR schedule, and in
-        # having the self-paced hook; they share M and the batch size
+        # being self-paced; they share M and the batch size
         ds, test = make_ds([14, 14, 12], d=3, seed=5), make_ds([5, 5, 5], d=3, seed=6)
         fast = LRSchedule("exponential", lr0=0.9, decrease_factor=2.0, lr_step_length=20)
         cyclical = LRSchedule("cyclical", lr_min=0.05, lr_max=0.5, cycle_length=16)
-        rows = [("vanilla", self.SCHED, None), ("fixed_exp", fast, self_paced_rescore_hook),
-                ("varied_exp", cyclical, None), ("single_step", self.SCHED, None),
-                ("fixed_exp", self.SCHED, None), ("varied_exp", fast, self_paced_rescore_hook),
+        rows = [("vanilla", self.SCHED, False), ("fixed_exp", fast, True),
+                ("varied_exp", cyclical, False), ("single_step", self.SCHED, False),
+                ("fixed_exp", self.SCHED, False), ("varied_exp", fast, True),
                 (PacingSpec("fixed_exp", N=ds.N, M=self.M, starting_percent=0.5,
-                            increase=1.3, step_length=7), cyclical, self_paced_rescore_hook)]
+                            increase=1.3, step_length=7), cyclical, True)]
         plans = [build_plan(ds, np.random.default_rng(r).normal(size=ds.N),
                             self.pacing(p, ds.N) if isinstance(p, str) else p, 5, seed=r)
-                 for r, (p, _sched, _hook) in enumerate(rows)]
-        schedules = [sched for _p, sched, _hook in rows]
-        hooks = [hook for _p, _sched, hook in rows]
+                 for r, (p, _sched, _sp) in enumerate(rows)]
+        schedules = [sched for _p, sched, _sp in rows]
+        self_paced = [sp for _p, _sched, sp in rows]
         seeds = [20 + r for r in range(len(rows))]
         stacked = train_stack(ds, test, plans, schedules, spec, seeds, record_every=9,
-                              boundary_hooks=hooks)
-        for r, (plan, sched, hook, seed) in enumerate(zip(plans, schedules, hooks, seeds)):
+                              self_paced=self_paced)
+        for r, (plan, sched, sp, seed) in enumerate(zip(plans, schedules, self_paced, seeds)):
             model, curve = train(ds, test, plan, sched, spec, record_every=9, seed=seed,
-                                 boundary_hook=hook)
+                                 self_paced=sp)
             assert np.array_equal(stacked[r][0].params, model.params)
             assert (curve_bytes(stacked[r][1], tmp_path / f"s{r}.csv")
                     == curve_bytes(curve, tmp_path / f"a{r}.csv"))
@@ -584,13 +622,13 @@ class TestTrainStack:
                    PacingSpec("fixed_exp", N=ds.N, M=self.M, starting_percent=0.25,
                               increase=1.6, step_length=9),
                    self.pacing("varied_exp", ds.N)]
-        rows = [(pacing, sched, hook, seed)
+        rows = [(pacing, sched, sp, seed)
                 for pacing in pacings for sched in (self.SCHED, cyclical)
-                for hook, seed in ((None, 3), (None, 8), (self_paced_rescore_hook, 3))]
+                for sp, seed in ((False, 3), (False, 8), (True, 3))]
         plans = [build_plan(ds, np.random.default_rng(r).normal(size=ds.N), pacing, 5, seed=seed)
-                 for r, (pacing, _sched, _hook, seed) in enumerate(rows)]
-        schedules = [sched for _p, sched, _hook, _seed in rows]
-        hooks = [hook for _p, _sched, hook, _seed in rows]
+                 for r, (pacing, _sched, _sp, seed) in enumerate(rows)]
+        schedules = [sched for _p, sched, _sp, _seed in rows]
+        self_paced = [sp for _p, _sched, sp, _seed in rows]
         draws = []
         positions = trainer._batch_positions
 
@@ -600,23 +638,25 @@ class TestTrainStack:
 
         monkeypatch.setattr(trainer, "_batch_positions", counted)
         stacked = train_stack(ds, test, plans, schedules, spec, list(range(len(rows))),
-                              record_every=9, boundary_hooks=hooks)
+                              record_every=9, self_paced=self_paced)
         expected = sorted({(t, plan.seed, plan.pacing.sizes[t])
                            for t in range(self.M) for plan in plans})
         assert sorted(draws) == expected
         assert len(expected) < self.M * len(rows) / 3
-        for r, (plan, sched, hook) in enumerate(zip(plans, schedules, hooks)):
+        for r, (plan, sched, sp) in enumerate(zip(plans, schedules, self_paced)):
             model, curve = train(ds, test, plan, sched, spec, record_every=9, seed=r,
-                                 boundary_hook=hook)
+                                 self_paced=sp)
             assert np.array_equal(stacked[r][0].params, model.params)
             assert (curve_bytes(stacked[r][1], tmp_path / f"s{r}.csv")
                     == curve_bytes(curve, tmp_path / f"a{r}.csv"))
-            # the same row stepped through `minibatch_at`, one draw per step
+            # the same row stepped through `minibatch_at`, one draw per step;
+            # a self-paced row re-ranks by its losses at its stage starts
             ref = Model.initialize(spec, ds.K, ds.d, r)
             starts = set(np.flatnonzero(np.diff(plan.pacing.sizes, prepend=-1)).tolist())
             for t in range(self.M):
-                if hook is not None and t in starts:
-                    plan = hook(plan, ref, t)
+                if sp and t in starts:
+                    plan = replace(plan, order=_order(ref.example_losses(ds.X, ds.y)),
+                                   _prefix_cache={})
                 ids = minibatch_at(plan, t)
                 _, grad = ref.loss_and_grad(ds.X[ids], ds.y[ids])
                 ref.params -= sched.value(t) * grad

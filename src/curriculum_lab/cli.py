@@ -61,7 +61,7 @@ def _load(args, flag: str | None = None):
 
 def cmd_gen_data(args) -> int:
     config, out = _load(args)
-    train_ds, test_ds, _emb = resolve_dataset(config, embeddings=False)
+    train_ds, test_ds = resolve_dataset(config)
     outputs = ["train.csv", "test.csv"]
     save_dataset_csv(train_ds, out / "train.csv")
     save_dataset_csv(test_ds, out / "test.csv")
@@ -76,8 +76,7 @@ def cmd_score(args) -> int:
     config, out = _load(args)
     # the table of the first repetition seed; scoring the others is wasted work
     first = dataclasses.replace(config, seeds=config.seeds[:1])
-    data = resolve_dataset(config, embeddings=config.scoring["kind"] == "transfer")
-    ((table,),) = score_tables([first], data)
+    ((table,),) = score_tables([first], resolve_dataset(config))
     if isinstance(table, ExperimentError):
         raise table
     for warning in table.warnings:

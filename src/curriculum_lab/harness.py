@@ -75,14 +75,9 @@ def default_acceptance_tree(condition: str = "curriculum", **overrides) -> dict:
     return tree
 
 
-def resolve_dataset(config: ExperimentConfig, embeddings: bool | None = None
-                    ) -> tuple[Dataset, Dataset, EmbeddingTable | None]:
-    """Materialize (train, test, embeddings) from the config's dataset section.
-    The embeddings file is read when `embeddings` is true, by default when
-    training the config builds a transfer table (a scored condition with
-    transfer scoring); the table is None otherwise, or without the key."""
+def resolve_dataset(config: ExperimentConfig) -> tuple[Dataset, Dataset]:
+    """Materialize (train, test) from the config's dataset section."""
     ds_cfg = config.dataset
-    emb = None
     if "synthetic" in ds_cfg:
         syn = ds_cfg["synthetic"]
         full = generate_gaussian_mixture(K=syn["classes"], d=syn["dim"],
@@ -111,34 +106,36 @@ def resolve_dataset(config: ExperimentConfig, embeddings: bool | None = None
                 raise ConfigError(f"dataset.bayes_json: means have shape {bayes.means.shape}, "
                                   f"the training set needs (K, d) = ({train_ds.K}, {train_ds.d})")
             train_ds, test_ds = (replace(ds, bayes=bayes) for ds in (train_ds, test_ds))
-    if embeddings is None:
-        embeddings = config.condition in SCORED_CONDITIONS and \
-            config.scoring["kind"] == "transfer"
-    if embeddings and (path := ds_cfg.get("embeddings_csv")) is not None:
-        if not Path(path).is_file():
-            raise ConfigError(f"referenced file does not exist: dataset.embeddings_csv ({path})")
-        emb = load_embeddings_csv(path)
-        if emb.N != train_ds.N:
-            raise ConfigError(f"dataset.embeddings_csv: {path} covers {emb.N} ids, "
-                              f"the training set has {train_ds.N}")
-    return train_ds, test_ds, emb
+    return train_ds, test_ds
 
 
 def _fixed_table(config: ExperimentConfig, train_ds: Dataset,
-                 emb: EmbeddingTable | None) -> ScoreTable:
-    """The oracle, file or transfer table, shared by every repetition seed."""
+                 rows: np.ndarray | None = None) -> ScoreTable:
+    """The oracle, file or transfer table, shared by every repetition seed,
+    over the examples `rows` of the training split (all of them when None).
+    The score file and the embeddings are read here; each must cover the
+    whole split."""
     kind = config.scoring["kind"]
+    ds = train_ds if rows is None else select_examples(train_ds, rows)
     if kind == "oracle":
-        return oracle_bayes_score(train_ds)
+        return oracle_bayes_score(ds)
     if kind == "file":
         table = load_scores_csv(config.scoring["path"])
         if len(table) != train_ds.N:
             raise ConfigError(
                 f"score file covers {len(table)} ids, training set has {train_ds.N}")
-        return table
-    if emb is None:
+        return table if rows is None else ScoreTable(table.scores[rows])
+    if (path := config.dataset.get("embeddings_csv")) is None:
         raise ConfigError("scoring.kind=transfer requires dataset.embeddings_csv")
-    return transfer_score(train_ds, emb, config.scoring["folds"],
+    if not Path(path).is_file():
+        raise ConfigError(f"referenced file does not exist: dataset.embeddings_csv ({path})")
+    emb = load_embeddings_csv(path)
+    if emb.N != train_ds.N:
+        raise ConfigError(f"dataset.embeddings_csv: {path} covers {emb.N} ids, "
+                          f"the training set has {train_ds.N}")
+    if rows is not None:
+        emb = EmbeddingTable(emb.vectors[rows])
+    return transfer_score(ds, emb, config.scoring["folds"],
                           seed=derived_seed(config.base_seed, SCORE))
 
 
@@ -156,8 +153,7 @@ def _scorer_key(config: ExperimentConfig, seed: int) -> tuple:
 def score_tables(configs: list[ExperimentConfig], data: tuple,
                  memo: dict | None = None, batch_store: BatchStore | None = None) -> list[list]:
     """For each config, one table of its scoring function per repetition seed,
-    over the training split of `data`: `resolve_dataset`'s (train, test,
-    embeddings).
+    over the training split of `data`: `resolve_dataset`'s (train, test).
 
     Tables are memoised in `memo` under `_scorer_key`. A self-taught table is
     the loss of the final model of that seed's vanilla run, recording only at
@@ -167,7 +163,7 @@ def score_tables(configs: list[ExperimentConfig], data: tuple,
     full-size batch draws for the command's later stacks over the same plan
     seeds. A seed whose scorer diverged gets an `ExperimentError` in place of
     its table."""
-    train_ds, test_ds, emb = data
+    train_ds, test_ds = data
     memo = {} if memo is None else memo
     new = {}  # key -> the one-seed vanilla run of a self-taught table to train
     for config in configs:
@@ -180,7 +176,7 @@ def score_tables(configs: list[ExperimentConfig], data: tuple,
                                   record_every=config.iterations)
                 new[key] = _plan_run(scorer, train_ds, None)
             else:
-                memo[key] = _fixed_table(config, train_ds, emb)
+                memo[key] = _fixed_table(config, train_ds)
     if new:
         outcomes = _train_runs(train_ds, test_ds, list(new.values()), batch_store)
         for (key, run), (outcome,) in zip(new.items(), outcomes):
@@ -332,12 +328,12 @@ def _summarise(run: _Run, outcomes: list, out_dir=None) -> ExperimentResult:
 
 
 def run_experiment(config: ExperimentConfig, out_dir=None,
-                   data: tuple[Dataset, Dataset, EmbeddingTable | None] | None = None,
+                   data: tuple[Dataset, Dataset] | None = None,
                    tables: list | None = None) -> ExperimentResult:
     """Run one condition over all repetition seeds, trained as one stack, and
-    aggregate a summary. `data` is `resolve_dataset`'s (train, test,
-    embeddings) and `tables` a list of `score_tables`; each is built from the
-    config when None.
+    aggregate a summary. `data` is `resolve_dataset`'s (train, test) and
+    `tables` a list of `score_tables`; each is built from the config when
+    None.
 
     A repetition that diverges, or has an `ExperimentError` in place of its
     table, is recorded as failed; the experiment errors out only when at
@@ -423,7 +419,7 @@ def two_stage_grid_search(config: ExperimentConfig, out_dir=None) -> tuple[Exper
     grid = config.grid
     if not grid["pacing"] and not grid["lr"]:
         raise ConfigError("grid is empty: no pacing or learning-rate axes to sweep")
-    train_ds, _test_ds, emb = resolve_dataset(config)
+    train_ds, _test_ds = resolve_dataset(config)
     try:
         fit_ids, val_ids = stratified_split_ids(
             train_ds, grid["validation_fraction"], derived_seed(grid["split_seed"], SPLIT))
@@ -432,14 +428,10 @@ def two_stage_grid_search(config: ExperimentConfig, out_dir=None) -> tuple[Exper
     fit_ds, val_ds = select_examples(train_ds, fit_ids), select_examples(train_ds, val_ids)
     scored = config.condition in SCORED_CONDITIONS
     memo: dict = {}
-    # the embeddings and a score file cover the training split; cells score
-    # and plan on its fit rows
-    if emb is not None:
-        emb = EmbeddingTable(emb.vectors[fit_ids])
-    if scored and config.scoring["kind"] == "file":
-        table = _fixed_table(config, train_ds, None)
-        memo[_scorer_key(config, config.seeds[0])] = ScoreTable(table.scores[fit_ids])
-    data = (fit_ds, val_ds, emb)
+    # a fixed table, shared by every cell, scores the fit rows
+    if scored and config.scoring["kind"] != "self_taught":
+        memo[_scorer_key(config, config.seeds[0])] = _fixed_table(config, train_ds, fit_ids)
+    data = (fit_ds, val_ds)
 
     audit: list[dict] = []
     best = None  # (criterion value, pacing params, config) of the best cell so far
@@ -545,10 +537,8 @@ def bootstrap_loop(config: ExperimentConfig, out_dir=None) -> list[dict]:
     A seed that fails in one generation is recorded as failed in every later
     one; a generation errors out when half of its repetitions have failed.
     Every generation trains over the same plan seeds, so the generations
-    share one `BatchStore`: each full-size batch is drawn once per loop.
-    Every generation after 0 is scored by models, so the loop never reads
-    the embeddings."""
-    data = resolve_dataset(config, embeddings=False)
+    share one `BatchStore`: each full-size batch is drawn once per loop."""
+    data = resolve_dataset(config)
     train_ds = data[0]
     batch_store = BatchStore()
     out = Path(out_dir) if out_dir is not None else None
@@ -592,9 +582,8 @@ def gradient_coherence_pipeline(config: ExperimentConfig,
                                 models: dict[int, Model] | None = None) -> dict:
     """Per seed: train (or accept) a vanilla model, then compare gradient
     statistics of the easiest oracle prefix, a random subset of the same
-    size, and all training points. The report reads no transfer table, so
-    the pipeline never reads the embeddings."""
-    data = resolve_dataset(config, embeddings=False)
+    size, and all training points."""
+    data = resolve_dataset(config)
     train_ds = data[0]
     if models is None:
         # the report reads only the final models: record at t = 0 and M-1 alone

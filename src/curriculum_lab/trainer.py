@@ -390,7 +390,8 @@ def train_stack(ds_train: Dataset, ds_test: Dataset, plans: list[CurriculumPlan]
     `record_every` iterations and always at the final iteration; the recorded
     loss is the pre-update batch loss, accuracy is measured after the update,
     by one stacked forward of the test set through every live row (argmax,
-    ties to the lowest class id).
+    ties to the lowest class id); a row whose forward of the test set is
+    non-finite diverges at that iteration.
     A row r with `self_paced[r]` true (the self-paced control) re-ranks its
     plan ascending by (its current loss on each training example, id) at
     t=0 and at each stage start of its pacing; a non-finite forward diverges it.
@@ -515,8 +516,14 @@ def train_stack(ds_train: Dataset, ds_test: Dataset, plans: list[CurriculumPlan]
             grad *= lrs[t]
             params -= grad
             if t % record_every == 0 or t == M - 1:
-                pred = np.argmax(_forward(model_spec, views, ds_test.X[None], record)[0], axis=2)
-                acc = (pred == ds_test.y).mean(axis=1)
+                logits = _forward(model_spec, views, ds_test.X[None], record)[0]
+                ok = np.isfinite(logits).all(axis=(1, 2))
+                if not ok.all():
+                    drop(ok, t, _NONFINITE.format(t))
+                    logits, loss = logits[ok], loss[ok]
+                    if not live:
+                        break
+                acc = (np.argmax(logits, axis=2) == ds_test.y).mean(axis=1)
                 for j, r in enumerate(live):
                     recorded[r].append((t, float(loss[j]), float(acc[j]), sizes[r][t],
                                         float(lrs[t, j, 0])))

@@ -851,7 +851,7 @@ class TestCliTransferScoredConfig:
         from curriculum_lab.data import EmbeddingTable
         from curriculum_lab.harness import resolve_dataset
         from helpers import save_embeddings_csv
-        train_ds, _, _ = resolve_dataset(resolve_config(tiny_tree()))
+        train_ds, _ = resolve_dataset(resolve_config(tiny_tree()))
         save_embeddings_csv(EmbeddingTable(train_ds.X[:, :2]), tmp_path / "emb.csv")
         tree["scoring"] = {"kind": "transfer"}
         tree["dataset"]["embeddings_csv"] = str(tmp_path / "emb.csv")
@@ -962,13 +962,15 @@ class TestCliTransferScoredConfig:
         assert main([command, "--config", str(write_config(tmp_path, tree)),
                      "--out", str(tmp_path / "o")]) == 0
 
+    @pytest.mark.parametrize("command", ["train", "score", "grid-search"])
     def test_missing_embeddings_fail_a_transfer_scored_train_naming_the_key(self, tmp_path,
-                                                                             capsys):
+                                                                             capsys, command):
         missing = tmp_path / "missing.csv"
         tree = tiny_tree("curriculum", repetitions=1, scoring={"kind": "transfer"})
         tree["dataset"]["embeddings_csv"] = str(missing)
+        tree["grid"] = {"pacing": {"starting_percent": [0.25, 0.5]}, "lr": {"lr0": [0.1]}}
         out = tmp_path / "o"
-        assert main(["train", "--config", str(write_config(tmp_path, tree)),
+        assert main([command, "--config", str(write_config(tmp_path, tree)),
                      "--out", str(out)]) == 2
         assert capsys.readouterr().err == ("error: referenced file does not exist: "
                                            f"dataset.embeddings_csv ({missing})\n")
@@ -979,7 +981,7 @@ class TestCliTransferScoredConfig:
         from curriculum_lab.data import EmbeddingTable
         from curriculum_lab.harness import resolve_dataset
         from helpers import save_embeddings_csv
-        train_ds, _, _ = resolve_dataset(resolve_config(tiny_tree()))
+        train_ds, _ = resolve_dataset(resolve_config(tiny_tree()))
         path = tmp_path / "emb.csv"
         save_embeddings_csv(EmbeddingTable(train_ds.X[:69, :2]), path)
         tree = tiny_tree("curriculum", repetitions=1, scoring={"kind": "transfer"})
@@ -1021,6 +1023,38 @@ class TestCliNumericalFailure:
             ({}, False), ({"lr0": 0.1}, False), ({"lr0": 1e308}, True)]
         assert entries[2]["error"] == "2 of 2 repetitions failed (seeds [0, 1])"
         assert (out / "manifest.json").exists()
+
+    # at lr0 1e308 every row's parameters stay finite after step 0, but its
+    # forward of the test set at that record step is not
+    OVERFLOWING = {"dataset": {"synthetic": {"classes": 3, "dim": 4, "n_per_class": 40,
+                                             "spread": 2.0, "seed": 11}},
+                   "batch_size": 10, "iterations": 1, "repetitions": 3,
+                   "pacing": {"starting_percent": 0.5}}
+
+    @pytest.mark.parametrize("condition,scoring", [("vanilla", "oracle"),
+                                                   ("curriculum", "self_taught")])
+    def test_grid_audits_a_cell_whose_test_forward_overflows_as_failed(
+            self, tmp_path, condition, scoring):
+        tree = dict(self.OVERFLOWING, condition=condition, scoring={"kind": scoring},
+                    grid={"lr": {"lr0": [0.1, 1e308]}})
+        out = tmp_path / "o"
+        assert main(["grid-search", "--config", str(write_config(tmp_path, tree)),
+                     "--out", str(out)]) == 0
+        entries = json.loads((out / "grid_audit.json").read_text())["entries"]
+        assert [e["failed"] for e in entries] == [False, False, True]
+        assert entries[2]["lr"] == {"lr0": 1e308}
+        assert entries[2]["error"] == "3 of 3 repetitions failed (seeds [0, 1, 2])"
+
+    @pytest.mark.parametrize("command", ["train", "bootstrap"])
+    def test_a_run_whose_test_forward_overflows_fails_every_repetition(self, tmp_path, capsys,
+                                                                       command):
+        tree = dict(self.OVERFLOWING, condition="curriculum", scoring={"kind": "self_taught"},
+                    lr={"lr0": 1e308})
+        out = tmp_path / "o"
+        assert main([command, "--config", str(write_config(tmp_path, tree)),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: 3 of 3 repetitions failed (seeds [0, 1, 2])\n"
+        assert os.listdir(out) == []
 
     def test_grid_search_with_every_cell_failing_exits_2(self, tmp_path, capsys):
         tree = tiny_tree("curriculum", repetitions=1, iterations=40,

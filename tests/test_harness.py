@@ -260,7 +260,7 @@ class TestGridSearch:
     def test_transfer_scored_grid_scores_the_fit_split(self, tmp_path, monkeypatch, condition):
         from curriculum_lab.data import EmbeddingTable, stratified_split_ids
         from curriculum_lab.seeding import SPLIT, derived_seed
-        train_ds, _, _ = resolve_dataset(resolve_config(tiny_tree()))
+        train_ds, _ = resolve_dataset(resolve_config(tiny_tree()))
         vectors = train_ds.X[:, :2]
         save_embeddings_csv(EmbeddingTable(vectors), tmp_path / "emb.csv")
         seen = []
@@ -334,7 +334,7 @@ class TestGridSearch:
 def emb_tree(tmp_path, tree):
     """`tree` with transfer scoring on embeddings of the first two features."""
     from curriculum_lab.data import EmbeddingTable
-    train_ds, _, _ = resolve_dataset(resolve_config(tiny_tree()))
+    train_ds, _ = resolve_dataset(resolve_config(tiny_tree()))
     save_embeddings_csv(EmbeddingTable(train_ds.X[:, :2]), tmp_path / "emb.csv")
     tree["scoring"] = {"kind": "transfer"}
     tree["dataset"]["embeddings_csv"] = str(tmp_path / "emb.csv")
@@ -352,25 +352,31 @@ class TestGridStack:
 
     def cells_alone(self, tree):
         """The audit entries of `tree`'s grid, each cell run by itself through
-        `run_experiment` on the grid's fit/validation split."""
-        from curriculum_lab.data import EmbeddingTable, select_examples, stratified_split_ids
+        `run_experiment` on the grid's fit/validation split; a fixed-kind
+        scored cell is given the table of the training split's fit rows."""
+        from curriculum_lab.data import select_examples, stratified_split_ids
         from curriculum_lab.seeding import SPLIT, derived_seed
         config = resolve_config(tree)
         _best, audit = two_stage_grid_search(config)
-        train_ds, _test, emb = resolve_dataset(config)
+        train_ds, _test = resolve_dataset(config)
         fit_ids, val_ids = stratified_split_ids(
             train_ds, config.grid["validation_fraction"],
             derived_seed(config.grid["split_seed"], SPLIT))
         fit_ds, val_ds = select_examples(train_ds, fit_ids), select_examples(train_ds, val_ids)
-        emb = None if emb is None else EmbeddingTable(emb.vectors[fit_ids])
         alone = []
         for entry in audit["entries"]:
             cell = {k: v for k, v in tree.items() if k != "grid"}
             cell["pacing"] = {**tree["pacing"], **entry["pacing"]}
             cell["lr"] = {**tree["lr"], **entry["lr"]}
             cell_config = resolve_config(cell)
+            tables = None
+            if (cell_config.condition in harness.SCORED_CONDITIONS
+                    and cell_config.scoring["kind"] != "self_taught"):
+                tables = ([harness._fixed_table(cell_config, train_ds, fit_ids)]
+                          * cell_config.repetitions)
             try:
-                summary = run_experiment(cell_config, data=(fit_ds, val_ds, emb)).summary
+                summary = run_experiment(cell_config, data=(fit_ds, val_ds),
+                                         tables=tables).summary
                 value = summary["final_accuracy_mean" if config.selection["criterion"] == "final_accuracy"
                                 else "auc_mean"]
                 extra = {"final_accuracy_mean": summary["final_accuracy_mean"],
@@ -632,9 +638,9 @@ class TestSelfTaughtTables:
         tree["grid"] = {"pacing": {"starting_percent": [0.25, 0.5]},
                         "lr": {"lr0": [0.2, 0.3], "decrease_factor": [1.5, 2.0]}}
         config = resolve_config(tree)
-        train_ds, _test, _emb = resolve_dataset(config)
+        train_ds, _test = resolve_dataset(config)
         fit_ids, val_ids = stratified_split_ids(train_ds, 0.75, 1)
-        data = (select_examples(train_ds, fit_ids), select_examples(train_ds, val_ids), None)
+        data = (select_examples(train_ds, fit_ids), select_examples(train_ds, val_ids))
         cells = [harness._with_params(config, pacing, lr) for pacing, lr in [
             ({"starting_percent": 0.5}, {"lr0": 0.3}), ({}, {"decrease_factor": 2.0}),
             ({"starting_percent": 0.5}, {}), ({}, {"lr0": 0.3})]]
@@ -753,7 +759,7 @@ class TestDatasetResolution:
     def test_csv_roundtrip_via_files(self, tmp_path):
         from curriculum_lab.data import save_dataset_csv, save_bayes_json
         cfg = resolve_config(tiny_tree())
-        train_ds, test_ds, _ = resolve_dataset(cfg)
+        train_ds, test_ds = resolve_dataset(cfg)
         save_dataset_csv(train_ds, tmp_path / "train.csv")
         save_dataset_csv(test_ds, tmp_path / "test.csv")
         save_bayes_json(train_ds.bayes, tmp_path / "bayes.json")
@@ -761,7 +767,7 @@ class TestDatasetResolution:
         tree["dataset"] = {"train_csv": str(tmp_path / "train.csv"),
                            "test_csv": str(tmp_path / "test.csv"),
                            "bayes_json": str(tmp_path / "bayes.json")}
-        train2, test2, _ = resolve_dataset(resolve_config(tree))
+        train2, test2 = resolve_dataset(resolve_config(tree))
         assert np.array_equal(train2.X, train_ds.X)
         assert train2.bayes is not None
 
@@ -785,7 +791,7 @@ class TestDatasetResolution:
     def test_unscored_condition_never_computes_transfer_scores(
             self, tmp_path, monkeypatch, condition):
         from curriculum_lab.data import EmbeddingTable
-        train_ds, _, _ = resolve_dataset(resolve_config(tiny_tree()))
+        train_ds, _ = resolve_dataset(resolve_config(tiny_tree()))
         save_embeddings_csv(EmbeddingTable(train_ds.X[:, :2]), tmp_path / "emb.csv")
 
         def forbidden(*args, **kwargs):
@@ -803,7 +809,7 @@ class TestDatasetResolution:
                                                           condition):
         from curriculum_lab import scoring
         from curriculum_lab.data import EmbeddingTable
-        train_ds, _, _ = resolve_dataset(resolve_config(tiny_tree()))
+        train_ds, _ = resolve_dataset(resolve_config(tiny_tree()))
         save_embeddings_csv(EmbeddingTable(train_ds.X[:, :2]), tmp_path / "emb.csv")
         tree = tiny_tree(condition, scoring={"kind": "transfer"})
         tree["dataset"]["embeddings_csv"] = str(tmp_path / "emb.csv")

@@ -41,13 +41,13 @@ def self_taught(ds, test_ds, seeds, M=400, lr0=0.3):
         "lr": {"variant": "exponential", "lr0": lr0, "decrease_factor": 1.5,
                "lr_step_length": 200},
         "batch_size": 20, "iterations": M, "seeds": list(seeds)})
-    (tables,) = score_tables([config], (ds, test_ds, None))
+    (tables,) = score_tables([config], (ds, test_ds))
     return tables
 
 
 def acceptance_train_split():
     from curriculum_lab.harness import default_acceptance_tree, resolve_dataset
-    train_ds, _test, _emb = resolve_dataset(resolve_config(default_acceptance_tree()))
+    train_ds, _test = resolve_dataset(resolve_config(default_acceptance_tree()))
     return train_ds
 
 

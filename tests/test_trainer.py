@@ -520,9 +520,11 @@ class TestTrainStack:
     def test_a_drop_regroups_rows_that_share_a_draw(self, tmp_path, spec):
         # the diverging row 0 draws first in its (seed, g(t)) group, which
         # reads a batch store; the drop regroups the stack at a step that is
-        # no stage start, and row 1 draws for the group from then on
+        # no stage start, and row 1 draws for the group from then on. Row 0
+        # steps at lr 0.1 at t = 0 and at 1.7e308 at t = 1, which is no record
+        # step, so its test-set forward at t = 0 is finite
         ds, test = make_ds([14, 14, 12], d=3, seed=5), make_ds([5, 5, 5], d=3, seed=6)
-        blowup = LRSchedule("exponential", lr0=1e308, decrease_factor=1.5, lr_step_length=30)
+        blowup = LRSchedule("cyclical", lr_min=0.1, lr_max=1.7e308, cycle_length=2)
         rows = [("vanilla", blowup, False), ("vanilla", self.SCHED, False),
                 ("fixed_exp", self.SCHED, False), ("fixed_exp", self.SCHED, True)]
         plans = [build_plan(ds, np.random.default_rng(r).normal(size=ds.N),
@@ -538,6 +540,40 @@ class TestTrainStack:
         assert stacked[0].iteration == alone.value.iteration
         starts = set(np.flatnonzero(np.diff(plans[2].pacing.sizes, prepend=-1)).tolist())
         assert 0 < alone.value.iteration and alone.value.iteration + 1 not in starts
+        for r in range(1, 4):
+            model, curve = train(ds, test, plans[r], schedules[r], spec, record_every=9, seed=r,
+                                 self_paced=self_paced[r])
+            assert np.array_equal(stacked[r][0].params, model.params)
+            assert (curve_bytes(stacked[r][1], tmp_path / f"s{r}.csv")
+                    == curve_bytes(curve, tmp_path / f"a{r}.csv"))
+
+    @pytest.mark.parametrize("spec", [LINEAR, MLP], ids=["linear", "mlp1"])
+    def test_a_row_that_overflows_on_its_last_update_diverges_there(self, tmp_path, spec):
+        # row 0 steps at lr 0.1 at t = 0 and at 1.7e308 at t = 1, the last
+        # step, on features of order 10: its batch forward and gradient there
+        # are finite, but its forward of the test set after the update is
+        # not, so the record step takes it out of the stack; rows 2 and 3
+        # re-rank or grow their subset at t = 1, next to the drop
+        ds, test = (Dataset(X=10 * d.X, y=d.y, K=d.K) for d in (
+            make_ds([14, 14, 12], d=3, seed=5), make_ds([5, 5, 5], d=3, seed=6)))
+        blowup = LRSchedule("cyclical", lr_min=0.1, lr_max=1.7e308, cycle_length=2)
+        vanilla = PacingSpec("vanilla", N=ds.N, M=2)
+        steps = PacingSpec("fixed_exp", N=ds.N, M=2, starting_percent=0.25, increase=2.0,
+                           step_length=1)
+        rows = [(vanilla, blowup, False), (vanilla, self.SCHED, False),
+                (steps, self.SCHED, False), (steps, self.SCHED, True)]
+        plans = [build_plan(ds, np.random.default_rng(r).normal(size=ds.N), pacing, 5, seed=r)
+                 for r, (pacing, _sched, _sp) in enumerate(rows)]
+        schedules = [sched for _p, sched, _sp in rows]
+        self_paced = [sp for _p, _sched, sp in rows]
+        stacked = train_stack(ds, test, plans, schedules, spec, [0, 1, 2, 3], record_every=9,
+                              self_paced=self_paced)
+        assert isinstance(stacked[0], TrainingDivergedError)
+        assert str(stacked[0]) == "non-finite activations in forward pass at iteration 1"
+        with pytest.raises(TrainingDivergedError) as alone:
+            train(ds, test, plans[0], blowup, spec, record_every=9, seed=0)
+        assert str(alone.value) == str(stacked[0])
+        assert alone.value.iteration == stacked[0].iteration == 1
         for r in range(1, 4):
             model, curve = train(ds, test, plans[r], schedules[r], spec, record_every=9, seed=r,
                                  self_paced=self_paced[r])

@@ -193,6 +193,10 @@ def main(argv=None) -> int:
             TrainingDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # an artifact that cannot be written
+        where = f"{exc.filename}: " if exc.filename is not None else ""
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -447,6 +447,18 @@ class TestCliMalformedInput:
         assert err.startswith(f"error: --out {tmp_path / out}: cannot make the output directory")
         assert (tmp_path / "afile").read_text() == ""
 
+    @pytest.mark.parametrize("command,artifact", [
+        (["train"], "summary.json"),
+        (["verify-theory", "--instances", "5"], "manifest.json"),
+    ])
+    def test_artifact_that_cannot_be_written(self, tmp_path, capsys, command, artifact):
+        (tmp_path / "o" / artifact).mkdir(parents=True)
+        argv = [*command, "--out", str(tmp_path / "o")]
+        if command == ["train"]:
+            argv += ["--config", str(write_config(tmp_path, tiny_tree("curriculum")))]
+        err = self.error_line(capsys, argv)
+        assert err == f"error: {tmp_path / 'o' / artifact}: Is a directory\n"
+
     def test_duplicate_seeds(self, tmp_path, capsys):
         config = write_config(tmp_path, tiny_tree("curriculum", seeds=[0, 0, 1], repetitions=3))
         err = self.error_line(capsys, ["train", "--config", str(config),

@@ -5,7 +5,8 @@ from curriculum_lab.data import Dataset, largest_remainder_quotas
 from curriculum_lab.errors import ParameterError
 from curriculum_lab.pacing import PacingSpec, subset_size
 from curriculum_lab.scoring import ScoreTable, invert
-from curriculum_lab.sequencer import balanced_prefix, build_plan, reranked
+from curriculum_lab.seeding import BATCH, derived_seed
+from curriculum_lab.sequencer import _batch_positions, balanced_prefix, build_plan, reranked
 from curriculum_lab.trainer import Model, ModelSpec
 from helpers import minibatch_at
 
@@ -175,6 +176,35 @@ class TestMinibatchAt:
         _, plan = self.plan_with([20, 20], batch=5, sp=0.25, seed=12345, M=40)
         for i in (5, 2, 5, plan.M - 1, 0, 17, 17, 3):
             assert np.array_equal(minibatch_at(plan, i), self.fresh_batch(plan, i)), i
+
+    @pytest.mark.parametrize("seed", [derived_seed(0, BATCH), derived_seed(24, BATCH),
+                                      2**64 + 5, 2**128 - 1])
+    def test_reset_holds_numpy_fresh_state(self, seed):
+        # the reset writes numpy's state dict by hand; a numpy release that
+        # changes the Philox state layout fails here by name
+        _, plan = self.plan_with([20, 20], batch=5, sp=0.25, seed=seed, M=40)
+        minibatch_at(plan, 9)
+        rng, bit_gen, reset = plan._batch_rng[seed]
+        left = bit_gen.state
+        assert left["buffer_pos"] < 4 and left["has_uint32"] == 1  # the odd batch's leftovers
+        seen = []
+
+        class Recorder:  # the state each draw starts from
+            def choice(self, *args, **kwargs):
+                seen.append(bit_gen.state)
+                return rng.choice(*args, **kwargs)
+
+        plan._batch_rng[seed] = (Recorder(), bit_gen, reset)
+        for i in (5, 0, plan.M - 1, 5):
+            _batch_positions(plan, i)
+            want = np.random.Philox(key=seed, counter=i << 128).state
+            got = seen.pop()
+            assert sorted(got) == sorted(want)
+            assert sorted(got["state"]) == sorted(want["state"])
+            for name in want["state"]:
+                assert got["state"][name].tolist() == want["state"][name].tolist(), (i, name)
+            for name in set(want) - {"state"}:
+                assert np.array_equal(got[name], want[name]), (i, name)
 
     def test_rescored_plan_keeps_the_keyed_stream(self):
         ds, plan = self.plan_with([20, 20], batch=5, sp=0.25, seed=7, M=40)

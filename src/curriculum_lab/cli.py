@@ -8,12 +8,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
 from .config import load_config_tree, resolve_config
-from .data import save_bayes_json, save_dataset_csv
+from .data import save_dataset_csv, write_json
 from .errors import ConfigError, DataLoadError, ExperimentError, NumericalError, \
     ParameterError, TrainingDivergedError
 from .harness import bootstrap_loop, default_acceptance_tree, \
@@ -23,12 +22,8 @@ from .scoring import save_scores_csv
 from .theory import run_verification
 
 
-def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
-
-
 def _finish(out: Path, command: str, config_tree: dict, outputs: list[str]) -> None:
-    _write_json(out / "manifest.json", {
+    write_json(out / "manifest.json", {
         "command": command,
         "config": config_tree,
         "outputs": sorted(outputs),
@@ -66,7 +61,7 @@ def cmd_gen_data(args) -> int:
     save_dataset_csv(train_ds, out / "train.csv")
     save_dataset_csv(test_ds, out / "test.csv")
     if train_ds.bayes is not None:
-        save_bayes_json(train_ds.bayes, out / "bayes.json")
+        write_json(out / "bayes.json", train_ds.bayes.to_json())
         outputs.append("bayes.json")
     _finish(out, "gen-data", config.tree, outputs + ["manifest.json"])
     return 0
@@ -89,9 +84,7 @@ def cmd_score(args) -> int:
 def cmd_train(args) -> int:
     config, out = _load(args)
     result = run_experiment(config, out_dir=out)
-    outputs = [f"curve_{config.condition}_seed{s}.csv" for s in result.curves]
-    outputs += ["summary.json", "manifest.json"]
-    _finish(out, "train", config.tree, outputs)
+    _finish(out, "train", config.tree, result.files + ["manifest.json"])
     print(f"final accuracy {result.summary['final_accuracy_mean']:.4f} "
           f"(STE {result.summary['final_accuracy_ste']:.4f})")
     return 0
@@ -109,23 +102,19 @@ def cmd_grid_search(args) -> int:
 
 def cmd_bootstrap(args) -> int:
     config, out = _load(args, "bootstrap.generations")
-    summaries = bootstrap_loop(config, out_dir=out)
-    outputs = ["manifest.json"]
-    for g, summary in enumerate(summaries):
-        outputs.append(f"summary_gen{g}.json")
-        outputs += [f"curve_gen{g}_seed{s}.csv" for s in summary["seeds"]
-                    if s not in summary["failed_seeds"]]
-    _finish(out, "bootstrap", config.tree, outputs)
-    for summary in summaries:
-        print(f"generation {summary['generation']}: "
-              f"final accuracy {summary['final_accuracy_mean']:.4f}")
+    results = bootstrap_loop(config, out_dir=out)
+    _finish(out, "bootstrap", config.tree,
+            [name for result in results for name in result.files] + ["manifest.json"])
+    for result in results:
+        print(f"generation {result.summary['generation']}: "
+              f"final accuracy {result.summary['final_accuracy_mean']:.4f}")
     return 0
 
 
 def cmd_analyze_gradients(args) -> int:
     config, out = _load(args)
     report = gradient_coherence_pipeline(config)
-    _write_json(out / "gradient_report.json", report)
+    write_json(out / "gradient_report.json", report)
     _finish(out, "analyze-gradients", config.tree,
             ["gradient_report.json", "manifest.json"])
     print(f"variance(easy) < variance(random) in "
@@ -138,7 +127,7 @@ def cmd_verify_theory(args) -> int:
     instances = config.theory["instances"]
     report = run_verification(instances, config.theory["constant_variance_families"],
                               config.seeds[0])
-    _write_json(out / "theory_report.json", report)
+    write_json(out / "theory_report.json", report)
     _finish(out, "verify-theory", config.tree, ["theory_report.json", "manifest.json"])
     print(f"theory verification over {instances} instances: "
           f"{'PASS' if report['passed'] else 'FAIL'}")

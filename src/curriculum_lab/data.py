@@ -2,8 +2,8 @@
 
 Examples carry contiguous integer ids 0..N-1 so score tables and embedding
 tables can be plain arrays indexed by id. `read_id_rows` is the one reader of
-the id-keyed CSV inputs (datasets, embeddings, scores) and `write_csv` the one
-writer of every CSV artifact.
+the id-keyed CSV inputs (datasets, embeddings, scores), `write_csv` the one
+writer of every CSV artifact and `write_json` of every JSON artifact.
 """
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -147,10 +148,6 @@ class EmbeddingTable:
     def N(self) -> int:
         return self.vectors.shape[0]
 
-    @property
-    def e(self) -> int:
-        return self.vectors.shape[1]
-
 
 def generate_gaussian_mixture(K: int, d: int, n_per_class: int, spread: float,
                               seed: int) -> Dataset:
@@ -247,6 +244,16 @@ def write_csv(path, header: list[str], columns) -> None:
         w.writerows([v for block in row for v in block] for row in zip(*blocks))
 
 
+def json_text(obj) -> str:
+    """The text of a JSON artifact: keys sorted, indent 2, a final newline."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def write_json(path, obj) -> None:
+    """Write a JSON artifact: `json_text` of `obj`."""
+    Path(path).write_text(json_text(obj))
+
+
 def read_id_rows(path, fixed_columns: tuple[str, ...], stem: str | None, parse) -> list:
     """The rows of an id-keyed CSV file in id order, each as `parse` of the
     fields after its id.
@@ -328,15 +335,9 @@ def load_embeddings_csv(path) -> EmbeddingTable:
     return build_from_file(path, EmbeddingTable, np.array(rows, dtype=np.float64))
 
 
-def save_bayes_json(bayes: BayesMixture, path) -> None:
-    with open(path, "w") as f:
-        json.dump(bayes.to_json(), f, sort_keys=True, indent=2)
-        f.write("\n")
-
-
 def load_bayes_json(path) -> BayesMixture:
-    """Read a mixture written by `save_bayes_json`; a malformed one is a
-    `DataLoadError` naming the path."""
+    """Read a mixture written as `write_json` of `BayesMixture.to_json`; a
+    malformed one is a `DataLoadError` naming the path."""
     with open_input(path) as f:
         text = f.read()
     try:

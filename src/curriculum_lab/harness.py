@@ -6,7 +6,6 @@ manifest.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from itertools import product
@@ -15,10 +14,11 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig, pacing_spec_for, resolve_config
-from .data import Dataset, EmbeddingTable, generate_gaussian_mixture, \
+from .data import Dataset, EmbeddingTable, generate_gaussian_mixture, json_text, \
     load_dataset_csv, load_bayes_json, load_embeddings_csv, stratified_split, \
-    select_examples, stratified_split_ids
-from .errors import ConfigError, ExperimentError, ParameterError, TrainingDivergedError
+    select_examples, stratified_split_ids, write_json
+from .errors import ConfigError, ExperimentError, NumericalError, ParameterError, \
+    TrainingDivergedError
 from .gradient_analysis import gradient_set, total_variance
 from .pacing import PacingSpec, saturation_iteration
 from .scoring import ScoreTable, invert, load_scores_csv, oracle_bayes_score, \
@@ -161,8 +161,8 @@ def score_tables(configs: list[ExperimentConfig], data: tuple,
     train as one stack (the configs may differ only in pacing and LR) and
     record on the test split. A given `batch_store` keeps the scorers'
     full-size batch draws for the command's later stacks over the same plan
-    seeds. A seed whose scorer diverged gets an `ExperimentError` in place of
-    its table."""
+    seeds. A seed whose scorer diverged, or cannot score the training split
+    (`_loss_table`), gets an `ExperimentError` in place of its table."""
     train_ds, test_ds = data
     memo = {} if memo is None else memo
     new = {}  # key -> the one-seed vanilla run of a self-taught table to train
@@ -183,8 +183,18 @@ def score_tables(configs: list[ExperimentConfig], data: tuple,
             memo[key] = (ExperimentError(f"self-taught scorer of seed {run.seeds[0]} diverged "
                                          f"at iteration {outcome.iteration}")
                          if isinstance(outcome, TrainingDivergedError)
-                         else score_by_model_loss(train_ds, outcome[0]))
+                         else _loss_table(train_ds, outcome[0],
+                                          f"self-taught scorer of seed {run.seeds[0]}"))
     return [[memo[_scorer_key(c, seed)] for seed in c.seeds] for c in configs]
+
+
+def _loss_table(train_ds: Dataset, model: Model, scorer: str) -> ScoreTable | ExperimentError:
+    """`score_by_model_loss` of a trained model on the training split, or an
+    `ExperimentError` naming the `scorer` where its forward or loss overflows."""
+    try:
+        return score_by_model_loss(train_ds, model)
+    except (NumericalError, ParameterError) as exc:
+        return ExperimentError(f"{scorer} cannot score the training split: {exc}")
 
 
 def _vanilla(config: ExperimentConfig, **overrides) -> ExperimentConfig:
@@ -197,9 +207,10 @@ class ExperimentResult:
     summary: dict
     curves: dict[int, LearningCurve] = field(default_factory=dict)
     models: dict[int, Model] = field(default_factory=dict)
+    files: list[str] = field(default_factory=list)  # the names `_write_run` wrote
 
     def summary_json(self) -> str:
-        return json.dumps(self.summary, sort_keys=True, indent=2) + "\n"
+        return json_text(self.summary)
 
 
 def _final_accuracy(curve: LearningCurve, window: int) -> float:
@@ -278,7 +289,7 @@ def _train_runs(train_ds: Dataset, test_ds: Dataset, runs: list[_Run],
     return [[next(outcomes) for _ in run.seeds] for run in runs]
 
 
-def _summarise(run: _Run, outcomes: list, out_dir=None) -> ExperimentResult:
+def _summarise(run: _Run, outcomes: list) -> ExperimentResult:
     """Aggregate a run's outcomes into its summary; raises `ExperimentError`
     when at least half of the repetitions failed."""
     config, failures = run.config, dict(run.failures)
@@ -318,13 +329,19 @@ def _summarise(run: _Run, outcomes: list, out_dir=None) -> ExperimentResult:
         "auc_mean": float(np.mean(aucs)),
         "auc_ste": _ste(aucs),
     }
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        for s in ok_seeds:
-            result.curves[s].to_csv(out / f"curve_{config.condition}_seed{s}.csv")
-        (out / "summary.json").write_text(result.summary_json())
     return result
+
+
+def _write_run(out_dir, result: ExperimentResult, tag: str, summary_name: str) -> None:
+    """Write `curve_{tag}_seed{s}.csv` for each trained seed s, then the
+    summary as `summary_name`, into `out_dir`; list the names in `result.files`."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for seed, curve in result.curves.items():
+        result.files.append(f"curve_{tag}_seed{seed}.csv")
+        curve.to_csv(out / result.files[-1])
+    result.files.append(summary_name)
+    write_json(out / summary_name, result.summary)
 
 
 def run_experiment(config: ExperimentConfig, out_dir=None,
@@ -337,8 +354,8 @@ def run_experiment(config: ExperimentConfig, out_dir=None,
 
     A repetition that diverges, or has an `ExperimentError` in place of its
     table, is recorded as failed; the experiment errors out only when at
-    least half of the repetitions fail. With `out_dir` set, per-seed
-    learning-curve CSVs and summary.json are written there. Self-taught
+    least half of the repetitions fail. With `out_dir` set, `_write_run`
+    writes the per-seed learning-curve CSVs and summary.json there. Self-taught
     scorers trained here are vanilla runs over the run's own plan seeds, so
     the run reads their full-size batch draws from one `BatchStore`.
     """
@@ -348,15 +365,18 @@ def run_experiment(config: ExperimentConfig, out_dir=None,
                    else None)
     if scorers:
         (tables,) = score_tables([config], data, batch_store=batch_store)
-    return _experiment(config, data, tables, batch_store, out_dir)
+    result = _experiment(config, data, tables, batch_store)
+    if out_dir is not None:
+        _write_run(out_dir, result, config.condition, "summary.json")
+    return result
 
 
 def _experiment(config: ExperimentConfig, data: tuple, tables: list | None,
-                batch_store: BatchStore | None, out_dir=None) -> ExperimentResult:
+                batch_store: BatchStore | None) -> ExperimentResult:
     """Plan, train and summarise one condition on given tables."""
     run = _plan_run(config, data[0], tables)
     (outcomes,) = _train_runs(data[0], data[1], [run], batch_store)
-    return _summarise(run, outcomes, out_dir)
+    return _summarise(run, outcomes)
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +469,7 @@ def two_stage_grid_search(config: ExperimentConfig, out_dir=None) -> tuple[Exper
             except (ConfigError, ParameterError) as exc:  # a tree that does not resolve
                 keys.append(exc)
                 continue
-            keys.append(json.dumps(c.tree, sort_keys=True))
+            keys.append(json_text(c.tree))
             if keys[-1] not in trained:
                 new[keys[-1]] = c
         tables = (score_tables(list(new.values()), data, memo, batch_store) if scored
@@ -513,14 +533,12 @@ def two_stage_grid_search(config: ExperimentConfig, out_dir=None) -> tuple[Exper
     out = None if out_dir is None else Path(out_dir)
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-        (out / "grid_audit.json").write_text(
-            json.dumps(audit_log, sort_keys=True, indent=2) + "\n")
+        write_json(out / "grid_audit.json", audit_log)
     if best is None:
         raise ExperimentError(f"all {counts['total']} grid cells failed; "
                               f"first error: {audit[0]['error']}")
     if out is not None:
-        (out / "best_config.json").write_text(
-            json.dumps(best[2].tree, sort_keys=True, indent=2) + "\n")
+        write_json(out / "best_config.json", best[2].tree)
     return best[2], audit_log
 
 
@@ -528,50 +546,36 @@ def two_stage_grid_search(config: ExperimentConfig, out_dir=None) -> tuple[Exper
 # Self-taught bootstrapping
 # ---------------------------------------------------------------------------
 
-def bootstrap_loop(config: ExperimentConfig, out_dir=None) -> list[dict]:
+def bootstrap_loop(config: ExperimentConfig, out_dir=None) -> list[ExperimentResult]:
     """Generation 0 trains vanilla; each of the config's generations after it
     scores the training set with the previous generation's final model (per
-    repetition seed) and trains a curriculum on it. Returns one summary per
-    generation.
+    repetition seed) and trains a curriculum on it. Returns one result per
+    generation; with `out_dir` set, each is written as it ends (`_write_run`).
 
     A seed that fails in one generation is recorded as failed in every later
     one; a generation errors out when half of its repetitions have failed.
     Every generation trains over the same plan seeds, so the generations
     share one `BatchStore`: each full-size batch is drawn once per loop."""
     data = resolve_dataset(config)
-    train_ds = data[0]
     batch_store = BatchStore()
-    out = Path(out_dir) if out_dir is not None else None
-    if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
-
-    summaries: list[dict] = []
-    prev = _experiment(_vanilla(config), data, None, batch_store)
-    prev.summary["generation"] = 0
-    summaries.append(prev.summary)
-    _write_generation(out, 0, prev)
-
     curriculum_config = resolve_config({**config.tree, "condition": "curriculum"})
-    for g in range(1, config.generations + 1):
-        # a seed that failed in generation g-1 has no model to score with, so
-        # it is recorded as failed in generation g as well
-        tables = [score_by_model_loss(train_ds, prev.models[s]) if s in prev.models
-                  else ExperimentError(f"seed {s} has no generation-{g - 1} model to score with")
-                  for s in curriculum_config.seeds]
-        current = _experiment(curriculum_config, data, tables, batch_store)
-        current.summary["generation"] = g
-        summaries.append(current.summary)
-        _write_generation(out, g, current)
-        prev = current
-    return summaries
-
-
-def _write_generation(out: Path | None, g: int, result: ExperimentResult) -> None:
-    if out is None:
-        return
-    for seed, curve in result.curves.items():
-        curve.to_csv(out / f"curve_gen{g}_seed{seed}.csv")
-    (out / f"summary_gen{g}.json").write_text(result.summary_json())
+    results: list[ExperimentResult] = []
+    for g in range(config.generations + 1):
+        # a seed that failed in generation g-1 has no model to score with, and
+        # one whose model cannot score the training split has no table: either
+        # is recorded as failed in generation g as well
+        tables = None if g == 0 else [
+            _loss_table(data[0], results[-1].models[s], f"generation-{g - 1} model of seed {s}")
+            if s in results[-1].models
+            else ExperimentError(f"seed {s} has no generation-{g - 1} model to score with")
+            for s in curriculum_config.seeds]
+        result = _experiment(curriculum_config if g else _vanilla(config), data, tables,
+                             batch_store)
+        result.summary["generation"] = g
+        if out_dir is not None:
+            _write_run(out_dir, result, f"gen{g}", f"summary_gen{g}.json")
+        results.append(result)
+    return results
 
 
 # ---------------------------------------------------------------------------

@@ -283,7 +283,9 @@ class Model:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         if X.shape[1] != self.d:
             raise ParameterError(f"model expects d={self.d} features, got {X.shape[1]}")
-        return _forward(self.spec, self._views, X[None])
+        # an overflow is `_checked_forward`'s typed error, not a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _forward(self.spec, self._views, X[None])
 
     def _checked_forward(self, X):
         logits, cache = self._forward(X)
@@ -292,9 +294,11 @@ class Model:
         return logits, cache
 
     def example_losses(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Cross-entropy -log p(true class) per example."""
+        """Cross-entropy -log p(true class) per example; inf where finite
+        logits far apart overflow it."""
         logits, _cache = self._checked_forward(X)
-        return _losses_and_residual(logits, np.asarray(y, dtype=np.int64)[None])[0][0]
+        with np.errstate(over="ignore"):
+            return _losses_and_residual(logits, np.asarray(y, dtype=np.int64)[None])[0][0]
 
     # -- gradients -----------------------------------------------------------
 

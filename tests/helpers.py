@@ -37,7 +37,8 @@ def accuracy(model, ds):
 
 def save_embeddings_csv(emb, path):
     """Write an `EmbeddingTable` in the format `load_embeddings_csv` reads."""
-    write_csv(path, ["id"] + [f"e{j}" for j in range(emb.e)], [np.arange(emb.N), emb.vectors])
+    write_csv(path, ["id"] + [f"e{j}" for j in range(emb.vectors.shape[1])],
+              [np.arange(emb.N), emb.vectors])
 
 
 def load_curve_csv(path):

@@ -713,10 +713,15 @@ class TestCliTrainAndScore:
         ("train", "oracle"), ("gen-data", "oracle"), ("score", "oracle"),
         ("score", "self_taught"), ("score", "transfer"), ("score", "file"),
         ("grid-search", "oracle"), ("analyze-gradients", "oracle"),
+        ("bootstrap", "self_taught"), ("verify-theory", "oracle"),
     ], ids=["train", "gen-data", "score-oracle", "score-self_taught", "score-transfer",
-            "score-file", "grid-search", "analyze-gradients"])
+            "score-file", "grid-search", "analyze-gradients", "bootstrap", "verify-theory"])
     def test_rerun_from_manifest_config_is_identical(self, tmp_path, command, kind):
-        tree = tiny_tree("curriculum", scoring={"kind": kind})
+        tree = tiny_tree("curriculum", scoring={"kind": kind},
+                         theory={"instances": 50, "constant_variance_families": 5})
+        if command == "bootstrap":
+            # seed 1 fails from generation 1 on, so those curves are not written
+            tree = TestCliNumericalFailure.outlier_tree(tmp_path, bootstrap={"generations": 2})
         if kind == "transfer":
             tree = TestCliTransferScoredConfig.transfer_tree(tmp_path, tree)
         if kind == "file":
@@ -1067,6 +1072,63 @@ class TestCliNumericalFailure:
                      "--out", str(out)]) == 2
         assert capsys.readouterr().err == "error: 3 of 3 repetitions failed (seeds [0, 1, 2])\n"
         assert os.listdir(out) == []
+
+    @staticmethod
+    def outlier_tree(tmp_path, **overrides):
+        """A self-taught curriculum at lr0 1e6, one step of batch 1, seeds
+        0..3, on a 20-row, 2-feature training split whose last row is
+        (1e300, 1e300) and a 10-row test split. Seed 1's vanilla scorer draws
+        that row and ends with weights near 1e306: finite on the test split,
+        but its forward of that row overflows."""
+        for name, n in (("train", 20), ("test", 10)):
+            rows = ["id,label,f0,f1"] + [f"{i},{i % 2},{i % 3},{i % 4 - 2}" for i in range(n)]
+            if name == "train":
+                rows[-1] = f"{n - 1},1,1e300,1e300"
+            (tmp_path / f"{name}.csv").write_text("\n".join(rows) + "\n")
+        return {"dataset": {"train_csv": str(tmp_path / "train.csv"),
+                            "test_csv": str(tmp_path / "test.csv")},
+                "condition": "curriculum", "scoring": {"kind": "self_taught"},
+                "pacing": {"starting_percent": 0.5}, "lr": {"lr0": 1e6},
+                "iterations": 1, "batch_size": 1, "seeds": [0, 1, 2, 3], **overrides}
+
+    OVERFLOWING_TABLE = ("self-taught scorer of seed 1 cannot score the training split: "
+                         "non-finite activations in forward pass")
+
+    def test_train_fails_the_seed_whose_score_table_overflows(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(write_config(tmp_path, self.outlier_tree(tmp_path))),
+                     "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["failed_seeds"] == [1]
+        assert self.OVERFLOWING_TABLE in summary["warnings"]
+        assert not (out / "curve_curriculum_seed1.csv").exists()
+        assert "curve_curriculum_seed1.csv" not in json.loads(
+            (out / "manifest.json").read_text())["outputs"]
+
+    def test_grid_audits_a_cell_whose_score_tables_overflow_as_failed(self, tmp_path):
+        # at lr0 1e12 three of the four scorers overflow on the outlier row
+        # when they score the fit rows
+        tree = self.outlier_tree(tmp_path, grid={"lr": {"lr0": [1e-3, 1e12]}})
+        out = tmp_path / "o"
+        assert main(["grid-search", "--config", str(write_config(tmp_path, tree)),
+                     "--out", str(out)]) == 0
+        entries = json.loads((out / "grid_audit.json").read_text())["entries"]
+        assert [(e["lr"], e["failed"]) for e in entries] == [
+            ({}, False), ({"lr0": 1e-3}, False), ({"lr0": 1e12}, True)]
+        assert entries[2]["error"] == "3 of 4 repetitions failed (seeds [0, 1, 3])"
+
+    def test_bootstrap_fails_the_seed_in_every_later_generation(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["bootstrap", "--config", str(write_config(tmp_path, self.outlier_tree(
+            tmp_path))), "--generations", "2", "--out", str(out)]) == 0
+        summaries = [json.loads((out / f"summary_gen{g}.json").read_text()) for g in range(3)]
+        assert [s["failed_seeds"] for s in summaries] == [[], [1], [1]]
+        assert ("generation-0 model of seed 1 cannot score the training split: "
+                "non-finite activations in forward pass") in summaries[1]["warnings"]
+        assert "seed 1 has no generation-1 model to score with" in summaries[2]["warnings"]
+        outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+        assert "curve_gen0_seed1.csv" in outputs
+        assert "curve_gen1_seed1.csv" not in outputs and "curve_gen2_seed1.csv" not in outputs
 
     def test_grid_search_with_every_cell_failing_exits_2(self, tmp_path, capsys):
         tree = tiny_tree("curriculum", repetitions=1, iterations=40,

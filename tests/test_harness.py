@@ -650,32 +650,45 @@ class TestSelfTaughtTables:
         assert rows == [6]  # three schedules x two seeds
         self.assert_tables_equal_vanilla_runs(cells, tables, data)
 
+    def test_a_model_whose_loss_overflows_gives_an_error_in_place_of_its_table(self):
+        # finite logits 3e308 apart: each example's loss overflows to inf
+        from curriculum_lab.data import Dataset
+        from curriculum_lab.trainer import Model, ModelSpec
+        ds = Dataset(X=np.array([[1.0], [-1.0]]), y=np.array([1, 0]), K=2)
+        model = Model.zeros(ModelSpec("linear_softmax"), 2, 1)
+        model.params[:2] = [1.5e308, -1.5e308]
+        error = harness._loss_table(ds, model, "self-taught scorer of seed 7")
+        assert isinstance(error, ExperimentError)
+        assert str(error) == ("self-taught scorer of seed 7 cannot score the training split: "
+                              "scores contain non-finite values")
+
 
 class TestBootstrap:
     def test_zero_generations_is_vanilla(self):
         cfg = resolve_config(tiny_tree("curriculum", scoring={"kind": "self_taught"},
                                        bootstrap={"generations": 0}))
-        summaries = bootstrap_loop(cfg)
+        results = bootstrap_loop(cfg)
         vanilla = run_experiment(resolve_config(tiny_tree("vanilla"))).summary
-        assert len(summaries) == 1
-        assert summaries[0]["mean_curve"] == vanilla["mean_curve"]
+        assert len(results) == 1
+        assert results[0].summary["mean_curve"] == vanilla["mean_curve"]
 
     def test_one_generation_equals_self_taught_condition(self):
         cfg = resolve_config(tiny_tree("curriculum", scoring={"kind": "self_taught"},
                                        bootstrap={"generations": 1}))
-        summaries = bootstrap_loop(cfg)
+        results = bootstrap_loop(cfg)
         direct = run_experiment(cfg)
-        assert summaries[1]["mean_curve"] == direct.summary["mean_curve"]
-        assert summaries[1]["per_seed"] == direct.summary["per_seed"]
+        assert results[1].summary["mean_curve"] == direct.summary["mean_curve"]
+        assert results[1].summary["per_seed"] == direct.summary["per_seed"]
 
     def test_three_generations_emit_curves(self, tmp_path):
         cfg = resolve_config(tiny_tree("curriculum", scoring={"kind": "self_taught"},
                                        bootstrap={"generations": 3}))
-        summaries = bootstrap_loop(cfg, out_dir=tmp_path)
-        assert [s["generation"] for s in summaries] == [0, 1, 2, 3]
-        for g in range(4):
-            assert (tmp_path / f"summary_gen{g}.json").exists()
-            assert (tmp_path / f"curve_gen{g}_seed0.csv").exists()
+        results = bootstrap_loop(cfg, out_dir=tmp_path)
+        assert [r.summary["generation"] for r in results] == [0, 1, 2, 3]
+        for g, result in enumerate(results):
+            assert result.files == [f"curve_gen{g}_seed0.csv", f"curve_gen{g}_seed1.csv",
+                                    f"summary_gen{g}.json"]
+            assert all((tmp_path / name).exists() for name in result.files)
 
     def test_diverged_seed_fails_in_later_generations(self, monkeypatch, tmp_path):
         real_train_stack = harness.train_stack
@@ -691,7 +704,7 @@ class TestBootstrap:
         monkeypatch.setattr(harness, "train_stack", first_row_diverges_once)
         cfg = resolve_config(tiny_tree("curriculum", scoring={"kind": "self_taught"},
                                        repetitions=3, bootstrap={"generations": 2}))
-        summaries = bootstrap_loop(cfg, out_dir=tmp_path)
+        summaries = [r.summary for r in bootstrap_loop(cfg, out_dir=tmp_path)]
         assert calls == [3, 2, 2]  # later generations stack only seeds 1 and 2
         assert [s["failed_seeds"] for s in summaries] == [[0], [0], [0]]
         assert "seed 0 diverged at iteration 5" in summaries[0]["warnings"]
@@ -719,10 +732,10 @@ class TestBootstrap:
         tree = default_acceptance_tree("curriculum", repetitions=1)
         tree["scoring"] = {"kind": "self_taught"}
         tree["bootstrap"] = {"generations": 3}
-        summaries = bootstrap_loop(resolve_config(tree))
-        assert len(summaries) == 4
+        results = bootstrap_loop(resolve_config(tree))
+        assert len(results) == 4
         # no monotone-improvement claim: repeated bootstrapping may plateau
-        assert all(s["failed_seeds"] == [] for s in summaries)
+        assert all(r.summary["failed_seeds"] == [] for r in results)
 
 
 class TestGradientPipeline:
@@ -757,12 +770,12 @@ class TestGradientPipeline:
 
 class TestDatasetResolution:
     def test_csv_roundtrip_via_files(self, tmp_path):
-        from curriculum_lab.data import save_dataset_csv, save_bayes_json
+        from curriculum_lab.data import save_dataset_csv, write_json
         cfg = resolve_config(tiny_tree())
         train_ds, test_ds = resolve_dataset(cfg)
         save_dataset_csv(train_ds, tmp_path / "train.csv")
         save_dataset_csv(test_ds, tmp_path / "test.csv")
-        save_bayes_json(train_ds.bayes, tmp_path / "bayes.json")
+        write_json(tmp_path / "bayes.json", train_ds.bayes.to_json())
         tree = tiny_tree()
         tree["dataset"] = {"train_csv": str(tmp_path / "train.csv"),
                            "test_csv": str(tmp_path / "test.csv"),

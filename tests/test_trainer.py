@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -71,6 +72,25 @@ class TestForward:
                           for k in range(3)], axis=1)
             assert (P >= 0).all()
             assert np.abs(P.sum(axis=1) - 1.0).max() < 1e-9
+
+    @pytest.mark.parametrize("spec", [LINEAR, MLP], ids=["linear_softmax", "mlp1"])
+    @pytest.mark.parametrize("method", ["example_losses", "loss_and_grad"])
+    def test_overflowing_forward_is_a_numerical_error_not_a_warning(self, spec, method):
+        model = random_model(spec, 2, 2, seed=0)
+        X = np.array([[0.5, -0.5], [1e308, 1e308]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="non-finite activations"):
+                getattr(model, method)(X, np.array([0, 1]))
+
+    def test_loss_past_the_float_range_is_inf_without_a_warning(self):
+        # finite logits 3e308 apart: the loss of the losing class overflows
+        model = Model.zeros(LINEAR, 2, 1)
+        model.params[:2] = [1.5e308, -1.5e308]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            losses = model.example_losses(np.ones((1, 1)), np.array([1]))
+        assert losses.tolist() == [math.inf]
 
 
 class TestBackward:

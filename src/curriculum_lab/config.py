@@ -117,7 +117,7 @@ def load_config_tree(path) -> dict:
             tree = json.load(f)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: cannot read config file: {exc}") from exc
-    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
+    except (ValueError, RecursionError) as exc:  # also a huge integer or deep nesting
         raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
     validate_tree(tree)
     return tree

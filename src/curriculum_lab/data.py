@@ -107,10 +107,11 @@ class Dataset:
             raise ParameterError(f"K must be >= 1, got {self.K}")
         if y.min() < 0 or y.max() >= self.K:
             raise ParameterError(f"labels must lie in [0, {self.K})")
-        counts = np.bincount(y, minlength=self.K)
-        if (counts == 0).any():
-            empty = int(np.flatnonzero(counts == 0)[0])
-            raise ParameterError(f"empty class {empty}")
+        # the first empty class is below N + 1, as N examples cannot fill N + 1
+        n = min(self.K, len(y) + 1)
+        counts = np.bincount(y[y < n], minlength=n)
+        if counts.min() == 0:
+            raise ParameterError(f"empty class {counts.argmin()}")
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "y", y)
         X.setflags(write=False)
@@ -254,6 +255,15 @@ def write_json(path, obj) -> None:
     Path(path).write_text(json_text(obj))
 
 
+def _csv_rows(path, f):
+    """csv.reader(f); a row it cannot parse is a `DataLoadError` naming its line."""
+    reader = csv.reader(f)
+    try:
+        yield from reader
+    except csv.Error as exc:  # a field past the size limit; a NUL byte on Python 3.10
+        raise DataLoadError(f"{path}: line {reader.line_num} cannot be parsed: {exc}") from exc
+
+
 def read_id_rows(path, fixed_columns: tuple[str, ...], stem: str | None, parse) -> list:
     """The rows of an id-keyed CSV file in id order, each as `parse` of the
     fields after its id.
@@ -266,7 +276,7 @@ def read_id_rows(path, fixed_columns: tuple[str, ...], stem: str | None, parse) 
     is a `DataLoadError` naming the path.
     """
     with open_input(path) as f:
-        reader = csv.reader(f)
+        reader = _csv_rows(path, f)
         header = next(reader, None)
         if header is None:
             raise DataLoadError(f"{path}: empty file")
@@ -308,8 +318,8 @@ def build_from_file(path, make, *args):
 
 def _labelled(fields: list[str]) -> tuple[int, list[float]]:
     label = int(fields[0])
-    if label < 0:
-        raise ValueError(f"negative label {label}")
+    if not 0 <= label < 2**63:
+        raise ValueError(f"label {label} outside [0, 2**63)")
     return label, [float(v) for v in fields[1:]]
 
 
@@ -320,7 +330,7 @@ def save_dataset_csv(ds: Dataset, path) -> None:
 
 def load_dataset_csv(path) -> Dataset:
     """Load a dataset from CSV with header id,label,f0,...,f{d-1}: the rules
-    of `read_id_rows`, non-negative labels, and no empty class below the
+    of `read_id_rows`, labels in [0, 2**63), and no empty class below the
     largest label."""
     labels, features = zip(*read_id_rows(path, ("id", "label"), "f", _labelled))
     y = np.array(labels, dtype=np.int64)
@@ -342,7 +352,7 @@ def load_bayes_json(path) -> BayesMixture:
         text = f.read()
     try:
         obj = json.loads(text)
-    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
+    except (ValueError, RecursionError) as exc:  # also a huge integer or deep nesting
         raise DataLoadError(f"{path}: not valid JSON: {exc}") from exc
     keys = ("means", "variance", "class_priors")
     missing = [key for key in keys if not isinstance(obj, dict) or key not in obj]

@@ -209,9 +209,6 @@ class ExperimentResult:
     models: dict[int, Model] = field(default_factory=dict)
     files: list[str] = field(default_factory=list)  # the names `_write_run` wrote
 
-    def summary_json(self) -> str:
-        return json_text(self.summary)
-
 
 def _final_accuracy(curve: LearningCurve, window: int) -> float:
     return float(curve.test_acc[-min(window, len(curve.test_acc)):].mean())

@@ -3,14 +3,14 @@
 The plan sorts examples by difficulty once, then each iteration i samples a
 mini-batch uniformly (without replacement) from the class-balanced easiest
 prefix of size g(i). Batch sampling uses a counter-based RNG keyed by
-(seed, i), so any iteration's batch can be recomputed in isolation; one
-Philox generator per plan is reused, reset to Philox(key=seed, counter=i << 128)
-before each draw. The reset assigns a fresh generator's state dict, built
-once per plan seed, with counter word 2 set to i. The dict holds its counter,
-key and buffer as lists of Python ints, because numpy's state setter reads
-arrays one numpy scalar at a time: ~0.5 us per reset, against 1.6-1.8 us from
-arrays, beside ~9.5 us for the draw itself at g(i) = 2500 and B = 100
-(timeit, numpy 2.4, one Xeon core).
+(seed, i), so any iteration's batch can be recomputed in isolation. A plan
+holds no generator: its caller (a training stack) keeps one Philox generator
+per plan seed, which each draw resets to Philox(key=seed, counter=i << 128)
+by assigning a fresh generator's state dict with counter word 2 set to i.
+That dict holds its counter, key and buffer as lists of Python ints, because
+numpy's state setter reads arrays one numpy scalar at a time: ~0.5 us per
+reset, against 1.6-1.8 us from arrays, beside ~9.5 us for the draw itself at
+g(i) = 2500 and B = 100 (timeit, numpy 2.4, one Xeon core).
 A draw is positions within the prefix (`_batch_positions`), and iteration
 i's batch is the prefix's ids at those positions. The positions depend on
 (seed, i, g(i)) alone, not on the order, so the rows of a training stack that
@@ -18,7 +18,7 @@ share a seed and g(i) share one draw, even across a self-paced re-rank.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,11 +34,6 @@ class CurriculumPlan:
     batch_size: int
     pacing: PacingSpec
     seed: int
-    _prefix_cache: dict = field(default_factory=dict, repr=False, compare=False)
-    # seed -> (Generator, its Philox, a fresh Philox state dict) reused by every
-    # _batch_positions call; the dict holds its counter, key and buffer as lists
-    # of Python ints, which numpy's state setter reads ~3x faster than arrays
-    _batch_rng: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def N(self) -> int:
@@ -98,9 +93,6 @@ def balanced_prefix(plan: CurriculumPlan, size: int) -> np.ndarray:
         raise ParameterError(f"size {size} outside [1, {plan.N}]")
     if size == plan.N:
         return plan.order
-    cached = plan._prefix_cache.get(size)
-    if cached is not None:
-        return cached
     quotas = largest_remainder_quotas(plan.ds.class_counts, size)
     # walking the easiest-first order, keep each id whose rank within its
     # class is below the class quota; the kept ids stay in (score, id) order
@@ -108,21 +100,19 @@ def balanced_prefix(plan: CurriculumPlan, size: int) -> np.ndarray:
     rank = np.empty(plan.N, dtype=np.int64)
     for c, count in enumerate(plan.ds.class_counts):
         rank[labels == c] = np.arange(count)
-    ids = plan.order[rank < quotas[labels]]
-    ids.setflags(write=False)
-    plan._prefix_cache[size] = ids
-    return ids
+    return plan.order[rank < quotas[labels]]
 
 
-def _batch_positions(plan: CurriculumPlan, i: int) -> np.ndarray:
-    """Iteration i's batch as positions within the balanced prefix of size g(i)."""
-    cached = plan._batch_rng.get(plan.seed)
+def _batch_positions(plan: CurriculumPlan, i: int, rngs: dict) -> np.ndarray:
+    """Iteration i's batch as positions within the balanced prefix of size g(i);
+    `rngs` maps plan seed to (Generator, its Philox, a fresh state dict), filled here."""
+    cached = rngs.get(plan.seed)
     if cached is None:
         bit_gen = np.random.Philox(key=plan.seed)
         state = bit_gen.state
         state["state"] = {name: words.tolist() for name, words in state["state"].items()}
         state["buffer"] = state["buffer"].tolist()
-        cached = plan._batch_rng[plan.seed] = (np.random.Generator(bit_gen), bit_gen, state)
+        cached = rngs[plan.seed] = (np.random.Generator(bit_gen), bit_gen, state)
     rng, bit_gen, state = cached
     # `state` is a fresh generator's (empty output buffer); with counter word 2
     # set to i it is the state of Philox(key=seed, counter=i << 128)
@@ -135,4 +125,4 @@ def _batch_positions(plan: CurriculumPlan, i: int) -> np.ndarray:
 def reranked(plan: CurriculumPlan, losses: np.ndarray) -> CurriculumPlan:
     """A new plan ordered ascending by (loss, id), the self-paced re-rank by
     a model's current per-example losses; the input plan is unchanged."""
-    return replace(plan, order=_order(losses), _prefix_cache={})
+    return replace(plan, order=_order(losses))

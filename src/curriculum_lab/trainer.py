@@ -303,10 +303,11 @@ class Model:
     # -- gradients -----------------------------------------------------------
 
     def loss_and_grad(self, X: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
-        """Mean cross-entropy over the batch and its flat gradient."""
+        """Mean cross-entropy over the batch (inf past the float range) and its flat gradient."""
         logits, cache = self._checked_forward(X)
-        loss, grad = _mean_loss_and_grad(self.spec, self._views, logits, cache,
-                                         np.asarray(y, dtype=np.int64)[None])
+        with np.errstate(over="ignore"):
+            loss, grad = _mean_loss_and_grad(self.spec, self._views, logits, cache,
+                                             np.asarray(y, dtype=np.int64)[None])
         return float(loss[0]), grad[0]
 
     def _gradient_factors(self, X: np.ndarray, y: np.ndarray) -> list:
@@ -448,6 +449,7 @@ def train_stack(ds_train: Dataset, ds_test: Dataset, plans: list[CurriculumPlan]
     stored = [None if batch_store is None else batch_store.block(plan) for plan in plans]
     # live row j's class-balanced prefix of size g(t) is prefixes[j, :g(t)]
     prefixes = np.empty((R, N), dtype=np.int64)
+    rngs: dict = {}  # plan seed -> the generator that each of its draws resets
 
     def drop(ok: np.ndarray, t: int, message: str = "") -> None:
         nonlocal params, views, live, lrs, step, record
@@ -494,11 +496,11 @@ def train_stack(ds_train: Dataset, ds_test: Dataset, plans: list[CurriculumPlan]
                 offsets = np.arange(0, len(live) * N, N)[:, None]
             for g, (plan, store) in enumerate(groups):
                 if store is None:
-                    drawn[g] = _batch_positions(plan, t)
+                    drawn[g] = _batch_positions(plan, t, rngs)
                 else:
                     block, filled = store
                     if not filled[t]:
-                        block[t], filled[t] = _batch_positions(plan, t), True
+                        block[t], filled[t] = _batch_positions(plan, t, rngs), True
                     drawn[g] = block[t]
             ids = np.take(prefixes, drawn[group_of] + offsets)
             # every id is in range; mode "raise" would gather into a copy of out

@@ -23,9 +23,16 @@ def train(ds_train, ds_test, plan, schedule, model_spec, record_every=50, seed=0
     return outcome
 
 
+# the latest plan seed -> the generator that `minibatch_at` resets and reuses,
+# as a stack does; one entry, so a loop over many seeds holds no more
+_rngs: dict = {}
+
+
 def minibatch_at(plan, i):
     """Iteration i's batch ids: the balanced prefix of size g(i) at the drawn positions."""
-    return balanced_prefix(plan, plan.pacing.sizes[i])[_batch_positions(plan, i)]
+    if plan.seed not in _rngs:
+        _rngs.clear()
+    return balanced_prefix(plan, plan.pacing.sizes[i])[_batch_positions(plan, i, _rngs)]
 
 
 def accuracy(model, ds):

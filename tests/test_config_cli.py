@@ -412,6 +412,14 @@ class TestCliMalformedInput:
                                        "--out", str(tmp_path / "o")])
         assert err.startswith(f"error: {path}: not valid JSON")
 
+    def test_config_nested_past_the_recursion_limit(self, tmp_path, capsys):
+        # json's decoder recurses once per level: a RecursionError, no ValueError
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        err = self.error_line(capsys, ["train", "--config", str(path),
+                                       "--out", str(tmp_path / "o")])
+        assert err.startswith(f"error: {path}: not valid JSON")
+
     def test_config_file_not_utf8(self, tmp_path, capsys):
         path = tmp_path / "latin1.json"
         path.write_bytes(b'{"condition": "vanilla\xff"}')
@@ -602,6 +610,7 @@ class TestCliMalformedInput:
         (lambda bayes: {}, "missing key(s) means, variance, class_priors"),
         (lambda bayes: "{not json", "not valid JSON"),
         (lambda bayes: '{"variance": ' + "1" * 5000 + "}", "not valid JSON"),
+        (lambda bayes: "[" * 100_000 + "]" * 100_000, "not valid JSON"),
         (lambda bayes: {**bayes, "means": bayes["means"][0]}, "means must be a (K, d) matrix"),
         (lambda bayes: {**bayes, "means": [[1.0, "x"]]}, "malformed mixture"),
         (lambda bayes: {**bayes, "variance": 0.0}, "variance must be finite and > 0"),
@@ -611,7 +620,8 @@ class TestCliMalformedInput:
          "dataset.bayes_json: means have shape (3, 5)"),
         (lambda bayes: {**bayes, "means": bayes["means"][:2], "class_priors": [0.5, 0.5]},
          "dataset.bayes_json: means have shape (2, 4)"),
-    ], ids=["empty", "not-json", "integer-past-digit-limit", "means-1d", "means-not-numeric", "variance-0", "variance-inf",
+    ], ids=["empty", "not-json", "integer-past-digit-limit", "nested-past-recursion-limit",
+            "means-1d", "means-not-numeric", "variance-0", "variance-inf",
             "priors-length", "means-wrong-d", "means-wrong-k"])
     def test_malformed_bayes_json(self, tmp_path, capsys, edit, named):
         tree, data = self.csv_tree(tmp_path)
@@ -623,6 +633,20 @@ class TestCliMalformedInput:
         assert named in err
         if not named.startswith("dataset.bayes_json"):
             assert str(path) in err
+
+    @pytest.mark.parametrize("label,feature,named", [
+        ("0", "1" * 131073, "line {n} cannot be parsed"),  # past csv's field size limit
+        ("1000000000000", "1.0", "empty class 3"),
+    ], ids=["oversized-field", "huge-label"])
+    def test_dataset_csv_row_past_a_limit(self, tmp_path, capsys, label, feature, named):
+        tree, data = self.csv_tree(tmp_path)
+        path = data / "train.csv"
+        lines = path.read_text().splitlines()
+        row = [str(len(lines) - 1), label] + lines[-1].split(",")[2:-1] + [feature]
+        path.write_text("\n".join(lines + [",".join(row)]) + "\n")
+        err = self.error_line(capsys, ["train", "--config", str(write_config(tmp_path, tree)),
+                                       "--out", str(tmp_path / "o")])
+        assert err.startswith(f"error: {path}: " + named.format(n=len(lines) + 1)), err
 
     @pytest.mark.parametrize("name", ["train.csv", "test.csv"])
     def test_dataset_csv_not_utf8(self, tmp_path, capsys, name):

@@ -73,6 +73,14 @@ class TestCsv:
         with pytest.raises(DataLoadError, match="empty class 2"):
             load_dataset_csv(path)
 
+    def test_huge_label_is_an_empty_class(self, tmp_path):
+        # 10**12 classes cannot be filled by two examples; a K-length count
+        # array of that many classes would not fit in memory
+        path = tmp_path / "ds.csv"
+        path.write_text("id,label,f0\n0,0,1.0\n1,1000000000000,2.0\n")
+        with pytest.raises(DataLoadError, match="empty class 1$"):
+            load_dataset_csv(path)
+
     def test_non_contiguous_ids(self, tmp_path):
         path = tmp_path / "ds.csv"
         path.write_text("id,label,f0\n0,0,1.0\n2,1,2.0\n")
@@ -108,11 +116,14 @@ SHARED_BREACHES = {
     "duplicate-id": lambda header, row: [header, row(0), row(1), row(1)],
     "id-gap": lambda header, row: [header, row(0), row(2)],
     "non-numeric": lambda header, row: [header, row(0), row(1).rsplit(",", 1)[0] + ",abc"],
+    "oversized-field": lambda header, row: [header, row(0), row(1) + "5" * 131073],
+    "nul-byte": lambda header, row: [header, row(0), row(1) + "\0"],
 }
 MALFORMED = [(loader, case, "".join(line + "\n" for line in lines(header, row)))
              for case, lines in SHARED_BREACHES.items()
              for loader, (_load, header, row) in ID_KEYED.items()] + [
     ("dataset", "negative-label", "id,label,f0\n0,0,1.0\n1,-1,2.0\n"),
+    ("dataset", "label-past-int64", "id,label,f0\n0,0,1.0\n1,9223372036854775808,2.0\n"),
     ("dataset", "non-finite", "id,label,f0\n0,0,1.0\n1,1,nan\n"),
     ("scores", "non-finite", "id,score\n0,1.0\n1,inf\n"),
     ("embeddings", "non-finite", "id,e0\n0,1.0\n1,nan\n"),

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from curriculum_lab.config import resolve_config
+from curriculum_lab.data import json_text
 from curriculum_lab.errors import ConfigError, ExperimentError, ParameterError, \
     TrainingDivergedError
 from curriculum_lab import harness
@@ -43,8 +44,8 @@ def tiny_tree(condition="vanilla", **overrides):
 class TestRunExperiment:
     def test_summary_bytes_deterministic(self):
         cfg = resolve_config(tiny_tree("curriculum"))
-        a = run_experiment(cfg).summary_json()
-        b = run_experiment(cfg).summary_json()
+        a = json_text(run_experiment(cfg).summary)
+        b = json_text(run_experiment(cfg).summary)
         assert a == b
 
     def test_single_repetition_warns_and_zeroes_ste(self):
@@ -520,9 +521,9 @@ def spied_draws(monkeypatch, command):
     draws, stacks = [], []
     positions, stack = trainer._batch_positions, harness.train_stack
 
-    def counted(plan, t):
+    def counted(plan, t, rngs):
         draws.append((plan.seed, t, plan.pacing.sizes[t]))
-        return positions(plan, t)
+        return positions(plan, t, rngs)
 
     def recorded(ds_train, ds_test, plans, *args, **kwargs):
         stacks.append([(p.seed, t, g, g == p.N) for p in plans

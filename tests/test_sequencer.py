@@ -1,3 +1,5 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,8 @@ from curriculum_lab.errors import ParameterError
 from curriculum_lab.pacing import PacingSpec, subset_size
 from curriculum_lab.scoring import ScoreTable, invert
 from curriculum_lab.seeding import BATCH, derived_seed
-from curriculum_lab.sequencer import _batch_positions, balanced_prefix, build_plan, reranked
+from curriculum_lab.sequencer import (CurriculumPlan, _batch_positions, balanced_prefix,
+                                      build_plan, reranked)
 from curriculum_lab.trainer import Model, ModelSpec
 from helpers import minibatch_at
 
@@ -183,8 +186,9 @@ class TestMinibatchAt:
         # the reset writes numpy's state dict by hand; a numpy release that
         # changes the Philox state layout fails here by name
         _, plan = self.plan_with([20, 20], batch=5, sp=0.25, seed=seed, M=40)
-        minibatch_at(plan, 9)
-        rng, bit_gen, reset = plan._batch_rng[seed]
+        rngs = {}
+        _batch_positions(plan, 9, rngs)
+        rng, bit_gen, reset = rngs[seed]
         left = bit_gen.state
         assert left["buffer_pos"] < 4 and left["has_uint32"] == 1  # the odd batch's leftovers
         seen = []
@@ -194,9 +198,9 @@ class TestMinibatchAt:
                 seen.append(bit_gen.state)
                 return rng.choice(*args, **kwargs)
 
-        plan._batch_rng[seed] = (Recorder(), bit_gen, reset)
+        rngs[seed] = (Recorder(), bit_gen, reset)
         for i in (5, 0, plan.M - 1, 5):
-            _batch_positions(plan, i)
+            _batch_positions(plan, i, rngs)
             want = np.random.Philox(key=seed, counter=i << 128).state
             got = seen.pop()
             assert sorted(got) == sorted(want)
@@ -250,13 +254,31 @@ class TestSelfPacedHook:
         scores = np.random.default_rng(2).normal(size=6)
         plan = build_plan(ds, scores, vanilla_pacing(6), 2, seed=0)
         before = balanced_prefix(plan, plan.N).copy()
-        cached = balanced_prefix(plan, 4).copy()  # fills the plan's prefix cache
+        cached = balanced_prefix(plan, 4).copy()
         losses = -scores
         updated = reranked(plan, losses)
         assert np.array_equal(balanced_prefix(plan, plan.N), before)  # original untouched
         assert np.array_equal(balanced_prefix(plan, 4), cached)
         assert updated is not plan
-        # the new plan's prefixes follow its own order, not the old cache
+        # the new plan's prefixes follow its own order, not the old plan's
         fresh = build_plan(ds, losses, vanilla_pacing(6), 2, seed=0)
         assert np.array_equal(balanced_prefix(updated, 4), balanced_prefix(fresh, 4))
         assert not np.array_equal(balanced_prefix(updated, 4), cached)
+
+    def test_plan_is_its_five_fields(self):
+        assert [f.name for f in fields(CurriculumPlan)] == ["ds", "order", "batch_size",
+                                                             "pacing", "seed"]
+
+    def test_replaced_order_gives_the_fresh_plans_prefixes(self):
+        # a plan is a plain value: a copy with another order computes its
+        # prefixes from that order, even after the old plan's were computed
+        ds = make_ds([10, 10, 10], d=2, seed=4)
+        scores = np.random.default_rng(5).normal(size=ds.N)
+        plan = build_plan(ds, scores, vanilla_pacing(ds.N), 3, seed=0)
+        fresh = build_plan(ds, -scores, vanilla_pacing(ds.N), 3, seed=0)
+        for size in (15, 7, ds.N):
+            old = balanced_prefix(plan, size).copy()
+            replaced = replace(plan, order=fresh.order)
+            assert np.array_equal(balanced_prefix(replaced, size), balanced_prefix(fresh, size))
+            assert np.array_equal(balanced_prefix(plan, size), old)
+        assert not np.array_equal(balanced_prefix(fresh, 15), balanced_prefix(plan, 15))

@@ -92,6 +92,16 @@ class TestForward:
             losses = model.example_losses(np.ones((1, 1)), np.array([1]))
         assert losses.tolist() == [math.inf]
 
+    def test_batch_loss_past_the_float_range_is_inf_with_a_finite_gradient(self):
+        # the same logits through the mean batch loss and its gradient
+        model = Model.zeros(LINEAR, 2, 1)
+        model.params[:2] = [1.5e308, -1.5e308]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loss, grad = model.loss_and_grad(np.ones((1, 1)), np.array([1]))
+        assert loss == math.inf
+        assert grad.tolist() == [1.0, -1.0, 1.0, -1.0]
+
 
 class TestBackward:
     def directional_check(self, spec, seed, rel_tol=1e-4, h=1e-5):
@@ -688,9 +698,9 @@ class TestTrainStack:
         draws = []
         positions = trainer._batch_positions
 
-        def counted(plan, t):
+        def counted(plan, t, rngs):
             draws.append((t, plan.seed, plan.pacing.sizes[t]))
-            return positions(plan, t)
+            return positions(plan, t, rngs)
 
         monkeypatch.setattr(trainer, "_batch_positions", counted)
         stacked = train_stack(ds, test, plans, schedules, spec, list(range(len(rows))),
@@ -711,8 +721,7 @@ class TestTrainStack:
             starts = set(np.flatnonzero(np.diff(plan.pacing.sizes, prepend=-1)).tolist())
             for t in range(self.M):
                 if sp and t in starts:
-                    plan = replace(plan, order=_order(ref.example_losses(ds.X, ds.y)),
-                                   _prefix_cache={})
+                    plan = replace(plan, order=_order(ref.example_losses(ds.X, ds.y)))
                 ids = minibatch_at(plan, t)
                 _, grad = ref.loss_and_grad(ds.X[ids], ds.y[ids])
                 ref.params -= sched.value(t) * grad
@@ -753,9 +762,9 @@ class TestBatchStore:
         draws = []
         positions = trainer._batch_positions
 
-        def counted(plan, t):
+        def counted(plan, t, rngs):
             draws.append((plan.seed, t, plan.pacing.sizes[t]))
-            return positions(plan, t)
+            return positions(plan, t, rngs)
 
         monkeypatch.setattr(trainer, "_batch_positions", counted)
         outcomes = train_stack(ds, test, plans, [self.SCHED] * len(plans), LINEAR, seeds,

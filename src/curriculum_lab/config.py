@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import reprlib
 from dataclasses import dataclass
 
 from .errors import ConfigError, ParameterError
@@ -158,6 +159,24 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+# a config value in an error line: reprlib's abbreviation past 3 levels of
+# nesting, 20 items or 80 characters, and at most _ECHO_LIMIT characters in all
+_ECHO = reprlib.Repr()
+_ECHO.maxlevel = 3
+_ECHO.maxlist = _ECHO.maxdict = 20
+_ECHO.maxstring = _ECHO.maxother = _ECHO.maxlong = 80
+_ECHO_LIMIT = 200
+
+
+def _shown(value) -> str:
+    """repr(value) for an error message, shortened when long or deep, so an
+    oversized config value gives a short error line."""
+    text = _ECHO.repr(value)
+    if "..." not in text:  # nothing left out, so shallow: repr() keeps a dict's key order
+        text = repr(value)
+    return text if len(text) <= _ECHO_LIMIT else text[:_ECHO_LIMIT - 3] + "..."
+
+
 def _in_domain(domain, v, key: str):
     """`v` if it lies in `domain` (None admits every value), else a
     ConfigError naming the dotted `key`."""
@@ -175,7 +194,7 @@ def _in_domain(domain, v, key: str):
         inside, phrase = (v > float(bound) if op == ">" else v >= float(bound)), domain
     if inside:
         return v
-    raise ConfigError(f"{key} must be {phrase}, got {v!r}")
+    raise ConfigError(f"{key} must be {phrase}, got {_shown(v)}")
 
 
 def _typed(leaf, value, key: str):
@@ -200,7 +219,7 @@ def _typed(leaf, value, key: str):
         except OverflowError:  # an int past the float range
             pass
     name = "list" if isinstance(t, list) else t.__name__
-    raise ConfigError(f"{key} must be of type {name}, got {value!r}")
+    raise ConfigError(f"{key} must be of type {name}, got {_shown(value)}")
 
 
 def _typed_tree(tree: dict, schema: dict = _SCHEMA, prefix: str = "") -> dict:
@@ -302,7 +321,8 @@ def resolve_config(tree: dict, seed_override: int | None = None) -> ExperimentCo
     if "seeds" in view:
         seeds = tuple(view["seeds"])
         _require(len(seeds) >= 1, "seeds must be non-empty")
-        _require(len(set(seeds)) == len(seeds), f"seeds must be distinct, got {list(seeds)}")
+        _require(len(set(seeds)) == len(seeds),
+                 f"seeds must be distinct, got {_shown(list(seeds))}")
         tree["repetitions"] = len(seeds)
     else:
         seeds = tuple(view["seed"] + r for r in range(view["repetitions"]))

@@ -316,11 +316,17 @@ def build_from_file(path, make, *args):
         raise DataLoadError(f"{path}: {exc}") from exc
 
 
-def _labelled(fields: list[str]) -> tuple[int, list[float]]:
+def _floats(fields: list[str]) -> np.ndarray:
+    """float() of each field, as one float64 array: a row holds no Python
+    float objects."""
+    return np.fromiter(map(float, fields), dtype=np.float64, count=len(fields))
+
+
+def _labelled(fields: list[str]) -> tuple[int, np.ndarray]:
     label = int(fields[0])
     if not 0 <= label < 2**63:
         raise ValueError(f"label {label} outside [0, 2**63)")
-    return label, [float(v) for v in fields[1:]]
+    return label, _floats(fields[1:])
 
 
 def save_dataset_csv(ds: Dataset, path) -> None:
@@ -341,7 +347,7 @@ def load_dataset_csv(path) -> Dataset:
 def load_embeddings_csv(path) -> EmbeddingTable:
     """Load embeddings from CSV with header id,e0,...,e{e-1}: the rules of
     `read_id_rows`, and finite values."""
-    rows = read_id_rows(path, ("id",), "e", lambda fields: [float(v) for v in fields])
+    rows = read_id_rows(path, ("id",), "e", _floats)
     return build_from_file(path, EmbeddingTable, np.array(rows, dtype=np.float64))
 
 

@@ -111,12 +111,11 @@ def _stack_views(arrays, params: np.ndarray) -> dict[str, np.ndarray]:
 
 def _forward_arrays(spec: ModelSpec, R: int, n: int, K: int) -> dict:
     """Arrays for `_forward` to write R rows of n examples into: the logits
-    and, for mlp1, the hidden pre-activation and activation. The first L
-    rows of each serve L rows."""
+    and, for mlp1, the hidden activation. The first L rows of each serve L
+    rows."""
     work = {"logits": np.empty((R, n, K))}
     if spec.architecture == "mlp1":
-        work["z1"] = np.empty((R, n, spec.hidden))
-        work["a1"] = np.empty_like(work["z1"])
+        work["a1"] = np.empty((R, n, spec.hidden))
     return work
 
 
@@ -140,19 +139,22 @@ def _grad_arrays(spec: ModelSpec, arrays, P: int, R: int, n: int) -> dict:
 
 def _forward(spec: ModelSpec, v: dict, X: np.ndarray, work: dict | None = None):
     """Logits (R, n, K) of X (R, n, d) under the stacked views `v`, and the
-    activations the backward pass needs; written into `work`'s arrays (see
-    `_forward_arrays`) when given, into new ones when it is None."""
+    activations the backward pass needs: (X,), or for mlp1 (X, a1); written
+    into `work`'s arrays (see `_forward_arrays`) when given, into new ones
+    when it is None. The hidden pre-activation z1 becomes a1 in place, and
+    the backward reads the ReLU mask as a1 > 0, which is z1 > 0 for every
+    float64 (np.maximum keeps a NaN, and turns none of ±0.0 positive)."""
     out = {} if work is None else work
     if spec.architecture == "linear_softmax":
         logits = np.matmul(X, v["W"].swapaxes(1, 2), out=out.get("logits"))
         logits += v["b"][:, None]
         return logits, (X,)
-    z1 = np.matmul(X, v["W1"].swapaxes(1, 2), out=out.get("z1"))
-    z1 += v["b1"][:, None]
-    a1 = np.maximum(z1, 0.0, out=out.get("a1"))
+    a1 = np.matmul(X, v["W1"].swapaxes(1, 2), out=out.get("a1"))
+    a1 += v["b1"][:, None]
+    np.maximum(a1, 0.0, out=a1)
     logits = np.matmul(a1, v["W2"].swapaxes(1, 2), out=out.get("logits"))
     logits += v["b2"][:, None]
-    return logits, (X, z1, a1)
+    return logits, (X, a1)
 
 
 def _sum_columns(a: np.ndarray) -> np.ndarray:
@@ -218,9 +220,9 @@ def _mean_loss_and_grad(spec: ModelSpec, v: dict, logits, cache, y, work: dict |
         np.matmul(G.swapaxes(1, 2), X, out=work["dW"])
         np.einsum("rnk->rk", G, out=work["db"])
     else:
-        X, z1, a1 = cache
+        X, a1 = cache
         dz1 = np.matmul(G, v["W2"], out=work["dz1"])
-        dz1 *= z1 > 0
+        dz1 *= a1 > 0
         np.matmul(dz1.swapaxes(1, 2), X, out=work["dW1"])
         np.sum(dz1, axis=1, out=work["db1"])
         np.matmul(G.swapaxes(1, 2), a1, out=work["dW2"])
@@ -313,14 +315,16 @@ class Model:
     def _gradient_factors(self, X: np.ndarray, y: np.ndarray) -> list:
         """Per layer segment, the residual r (n, out) at the layer's output and
         the layer's input a (n, in): example j's gradient of that segment is
-        [r_j a_j^T, r_j], flattened as in the parameter layout."""
+        [r_j a_j^T, r_j], flattened as in the parameter layout. For mlp1 the
+        hidden residual is masked by a1 > 0, the ReLU's own mask (see
+        `_forward`)."""
         logits, cache = self._checked_forward(X)
         G = _losses_and_residual(logits, np.asarray(y, dtype=np.int64)[None])[1][0]
         if self.spec.architecture == "linear_softmax":
             return [(G, cache[0][0])]
-        X2, z1, a1 = (c[0] for c in cache)
+        X2, a1 = (c[0] for c in cache)
         dz1 = G @ self.array("W2")
-        dz1 *= z1 > 0
+        dz1 *= a1 > 0
         return [(dz1, X2), (G, a1)]
 
     def per_example_grads(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:

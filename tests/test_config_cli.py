@@ -420,6 +420,28 @@ class TestCliMalformedInput:
                                        "--out", str(tmp_path / "o")])
         assert err.startswith(f"error: {path}: not valid JSON")
 
+    @pytest.mark.parametrize("text,dotted", [
+        ('{"dataset": {"synthetic": {"classes": ' + "[" * 900 + "]" * 900 + "}}}",
+         "dataset.synthetic.classes"),
+        ('{"condition": "' + "x" * 100_000 + '"}', "condition"),
+        ('{"seeds": [' + ", ".join(map(str, range(10_000))) + ", 0]}", "seeds"),
+    ], ids=["list-900-deep", "100000-character-string", "10001-seeds"])
+    def test_oversized_config_value_gives_a_short_error_line(self, tmp_path, capsys, text,
+                                                              dotted):
+        # the error abbreviates the value it echoes, so its line stays short
+        path = tmp_path / "big.json"
+        path.write_text(text)
+        err = self.error_line(capsys, ["train", "--config", str(path),
+                                       "--out", str(tmp_path / "o")])
+        assert err.startswith(f"error: {dotted} must be ") and len(err) < 300, err[:300]
+
+    def test_short_config_value_is_echoed_as_repr(self, tmp_path, capsys):
+        path = tmp_path / "dict.json"
+        path.write_text('{"seeds": [{"b": 1, "a": 2}]}')
+        err = self.error_line(capsys, ["train", "--config", str(path),
+                                       "--out", str(tmp_path / "o")])
+        assert err == "error: seeds must be of type int, got {'b': 1, 'a': 2}\n"
+
     def test_config_file_not_utf8(self, tmp_path, capsys):
         path = tmp_path / "latin1.json"
         path.write_bytes(b'{"condition": "vanilla\xff"}')

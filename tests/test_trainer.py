@@ -203,8 +203,9 @@ def reference_losses_and_residual(logits, y):
 
 
 def reference_step(spec, v, X, ids, y):
-    """Logits, mean loss and flat gradient as first written: `X[ids]`, a bias
-    added out of place, and `.sum(axis=1)` bias sums."""
+    """Logits, mean loss, flat gradient and the forward's cache as first
+    written: `X[ids]`, a bias added out of place, the ReLU into a new array
+    masked by its input, and `.sum(axis=1)` bias sums."""
     Xb = X[ids]
     if spec.architecture == "linear_softmax":
         logits = np.matmul(Xb, v["W"].swapaxes(1, 2)) + v["b"][:, None]
@@ -217,11 +218,14 @@ def reference_step(spec, v, X, ids, y):
     G /= n
     if spec.architecture == "linear_softmax":
         parts = [np.matmul(G.swapaxes(1, 2), Xb), G.sum(axis=1)]
+        cache = (Xb,)
     else:
         dz1 = np.matmul(G, v["W2"]) * (z1 > 0)
         parts = [np.matmul(dz1.swapaxes(1, 2), Xb), dz1.sum(axis=1),
                  np.matmul(G.swapaxes(1, 2), a1), G.sum(axis=1)]
-    return logits, losses.mean(axis=1), np.concatenate([p.reshape(R, -1) for p in parts], axis=1)
+        cache = (Xb, a1)
+    grad = np.concatenate([p.reshape(R, -1) for p in parts], axis=1)
+    return logits, losses.mean(axis=1), grad, cache
 
 
 class TestKernelReference:
@@ -245,14 +249,37 @@ class TestKernelReference:
         ids = rng.integers(0, n + 7, size=(R, n))
         y = rng.integers(0, K, size=(R, n))
         logits, cache = _forward(spec, v, np.take(X, ids, axis=0))
-        ref_logits, ref_loss, ref_grad = reference_step(spec, v, X, ids, y)
+        ref_logits, ref_loss, ref_grad, ref_cache = reference_step(spec, v, X, ids, y)
         assert logits.tobytes() == ref_logits.tobytes()
+        # the input and, for mlp1, the one hidden array: the activation
+        assert len(cache) == len(ref_cache)
+        for got, want in zip(cache, ref_cache):
+            assert got.tobytes() == want.tobytes()
         for got, want in zip(_losses_and_residual(logits, y),
                              reference_losses_and_residual(logits, y)):
             assert got.tobytes() == want.tobytes()
         loss, grad = _mean_loss_and_grad(spec, v, logits, cache, y)
         assert loss.tobytes() == ref_loss.tobytes()
         assert grad.tobytes() == ref_grad.tobytes()
+
+    def test_backward_masks_by_the_activation_as_by_the_pre_activation(self):
+        # one hidden unit per kind of float64: max(z, 0) > 0 exactly where z > 0
+        z1 = np.array([-np.inf, -1.0, -0.0, 0.0, 5e-324, 1.0, np.inf, np.nan])
+        a1 = np.maximum(z1, 0.0)
+        assert ((a1 > 0) == (z1 > 0)).all()
+        spec = ModelSpec("mlp1", hidden=len(z1))
+        R, n, K, d = 1, 3, 4, 2
+        rng = np.random.default_rng(0)
+        arrays, P = _layout(spec, K, d)
+        v = _stack_views(arrays, rng.normal(size=(R, P)))
+        X = rng.normal(size=(R, n, d))
+        logits = rng.normal(size=(R, n, K))
+        y = rng.integers(0, K, size=(R, n))
+        work = _grad_arrays(spec, arrays, P, R, n)
+        with np.errstate(invalid="ignore"):  # dW2 reads the NaN and inf activations
+            _mean_loss_and_grad(spec, v, logits, (X, np.tile(a1, (R, n, 1))), y, work)
+        G = reference_losses_and_residual(logits, y)[1] / n
+        assert work["dz1"].tobytes() == (np.matmul(G, v["W2"]) * (z1 > 0)).tobytes()
 
 
 class TestSumColumns:

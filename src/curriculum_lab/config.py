@@ -108,7 +108,7 @@ def validate_tree(tree: dict) -> None:
         raise ConfigError("config root must be a JSON object")
     unknown = _collect_unknown(tree, _SCHEMA)
     if unknown:
-        raise ConfigError("unknown config key(s): " + ", ".join(sorted(unknown)))
+        raise ConfigError("unknown config key(s): " + _cut(", ".join(sorted(unknown))))
     _typed_tree(tree)
 
 
@@ -174,6 +174,11 @@ def _shown(value) -> str:
     text = _ECHO.repr(value)
     if "..." not in text:  # nothing left out, so shallow: repr() keeps a dict's key order
         text = repr(value)
+    return _cut(text)
+
+
+def _cut(text: str) -> str:
+    """`text`, cut to _ECHO_LIMIT characters with "..." when longer."""
     return text if len(text) <= _ECHO_LIMIT else text[:_ECHO_LIMIT - 3] + "..."
 
 

@@ -420,20 +420,23 @@ class TestCliMalformedInput:
                                        "--out", str(tmp_path / "o")])
         assert err.startswith(f"error: {path}: not valid JSON")
 
-    @pytest.mark.parametrize("text,dotted", [
+    @pytest.mark.parametrize("text,start", [
         ('{"dataset": {"synthetic": {"classes": ' + "[" * 900 + "]" * 900 + "}}}",
-         "dataset.synthetic.classes"),
-        ('{"condition": "' + "x" * 100_000 + '"}', "condition"),
-        ('{"seeds": [' + ", ".join(map(str, range(10_000))) + ", 0]}", "seeds"),
-    ], ids=["list-900-deep", "100000-character-string", "10001-seeds"])
+         "dataset.synthetic.classes must be "),
+        ('{"condition": "' + "x" * 100_000 + '"}', "condition must be "),
+        ('{"seeds": [' + ", ".join(map(str, range(10_000))) + ", 0]}", "seeds must be "),
+        ('{"' + "k" * 100_000 + '": 1}', "unknown config key(s): kkk"),
+        ('{"' + "a" * 5_000 + '": 1, "' + "b" * 5_000 + '": 2}', "unknown config key(s): aaa"),
+    ], ids=["list-900-deep", "100000-character-string", "10001-seeds",
+            "100000-character-key", "two-5000-character-keys"])
     def test_oversized_config_value_gives_a_short_error_line(self, tmp_path, capsys, text,
-                                                              dotted):
-        # the error abbreviates the value it echoes, so its line stays short
+                                                              start):
+        # the error abbreviates the value or keys it echoes, so its line stays short
         path = tmp_path / "big.json"
         path.write_text(text)
         err = self.error_line(capsys, ["train", "--config", str(path),
                                        "--out", str(tmp_path / "o")])
-        assert err.startswith(f"error: {dotted} must be ") and len(err) < 300, err[:300]
+        assert err.startswith(f"error: {start}") and len(err) < 300, err[:300]
 
     def test_short_config_value_is_echoed_as_repr(self, tmp_path, capsys):
         path = tmp_path / "dict.json"

@@ -117,6 +117,65 @@ class TestTransfer:
         table = transfer_score(ds, emb, folds=3, seed=0)
         assert table.scores.max() < math.log(3)
         assert table.scores.mean() < 0.2
+        # no minimiser, but the gradient falls below the tolerance on the way
+        assert table.warnings == ()
+
+    def test_large_scale_embeddings_converge(self):
+        # at 8x the mixture's features a unit step overshoots; the line
+        # search shortens it
+        ds = generate_gaussian_mixture(K=5, d=16, n_per_class=40, spread=4.5, seed=0)
+        table = transfer_score(ds, EmbeddingTable(vectors=8 * ds.X), folds=4, seed=0)
+        assert table.warnings == ()
+
+    @pytest.mark.parametrize("max_iter", [3, 2000])
+    def test_reported_sup_norm_is_the_returned_probes(self, monkeypatch, max_iter):
+        from curriculum_lab import scoring
+        monkeypatch.setattr(scoring, "_PROBE_MAX_ITER", max_iter)
+        ds = make_ds([30, 30, 30], d=2, seed=6)
+        E = ds.X + np.random.default_rng(2).normal(size=ds.X.shape)
+        probe, sup, steps = scoring._fit_probe(E, ds.y, ds.K)
+        assert float(np.abs(probe.loss_and_grad(E, ds.y)[1]).max()) == sup
+        assert (sup < scoring._PROBE_TOL) == (steps < max_iter)
+
+    def test_probe_reaches_the_minimum_of_the_objective(self):
+        # reference: fixed-step gradient descent on the same loss, run to a
+        # tolerance 1000 times tighter than the probe's
+        from curriculum_lab import scoring
+        ds = make_ds([30, 30, 30], d=2, seed=6)
+        E = ds.X + np.random.default_rng(2).normal(size=ds.X.shape)
+        probe, sup, _ = scoring._fit_probe(E, ds.y, ds.K)
+        ref = Model.zeros(LINEAR, ds.K, E.shape[1])
+        loss, grad = ref.loss_and_grad(E, ds.y)
+        while np.abs(grad).max() >= scoring._PROBE_TOL / 1000:
+            ref.params -= grad
+            loss, grad = ref.loss_and_grad(E, ds.y)
+        assert sup < scoring._PROBE_TOL
+        assert abs(probe.loss_and_grad(E, ds.y)[0] - loss) < 1e-9
+        assert np.allclose(probe.example_losses(E, ds.y), ref.example_losses(E, ds.y), atol=1e-4)
+
+    def test_overflowing_trial_steps_stop_the_probe(self):
+        # every trial step within the halving budget gives non-finite logits:
+        # the probe stays at zero and its folds are named as unconverged
+        from curriculum_lab import scoring
+        ds = make_ds([6, 6], d=2, seed=3)
+        E = 1e160 * np.random.default_rng(4).normal(size=(ds.N, 2))
+        probe, sup, steps = scoring._fit_probe(E, ds.y, ds.K)
+        assert steps == 0 and not probe.params.any()
+        assert float(np.abs(probe.loss_and_grad(E, ds.y)[1]).max()) == sup
+        table = transfer_score(ds, EmbeddingTable(vectors=E), folds=2, seed=0)
+        assert len(table.warnings) == 2
+        for f, warning in enumerate(table.warnings):
+            assert warning.startswith(f"transfer probe of fold {f} did not converge in 0 iterations")
+        assert np.allclose(table.scores, math.log(2))
+
+    def test_lbfgs_direction_meets_the_secant_condition(self):
+        from curriculum_lab.scoring import _lbfgs_direction
+        rng = np.random.default_rng(5)
+        g, s = rng.normal(size=6), rng.normal(size=6)
+        yv = s + 0.1 * rng.normal(size=6)
+        assert np.array_equal(_lbfgs_direction(g, []), -g)
+        # one stored pair: the inverse-Hessian estimate maps y to s
+        assert np.allclose(_lbfgs_direction(yv, [(s, yv, s @ yv)]), -s, atol=1e-12)
 
     def test_noise_embeddings_score_near_log_k(self):
         K, n = 4, 50

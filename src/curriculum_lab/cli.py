@@ -2,16 +2,18 @@
 
 Every subcommand resolves its config, runs, writes its artifacts below --out,
 and finishes with a manifest.json recording the resolved config plus the list
-of files it produced, so any artifact can be regenerated from the manifest.
+of files it produced, so any artifact can be regenerated from the manifest;
+`replay` reruns a manifest and compares the bytes.
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import json
 import sys
 from pathlib import Path
 
-from .config import load_config_tree, resolve_config
+from .config import _shown, load_config_tree, resolve_config
 from .data import save_dataset_csv, write_json
 from .errors import ConfigError, DataLoadError, ExperimentError, NumericalError, \
     ParameterError, TrainingDivergedError
@@ -45,8 +47,10 @@ def _out_dir(path) -> Path:
 def _load(args, flag: str | None = None):
     """The resolved config and the --out directory. `flag`, a dotted config
     key `section.name`, is set from the command's --name when that is given,
-    so the manifest records it."""
-    tree = default_acceptance_tree() if args.config is None else load_config_tree(args.config)
+    so the manifest records it. A replay hands the manifest's config as `tree`."""
+    tree = getattr(args, "tree", None)
+    if tree is None:
+        tree = default_acceptance_tree() if args.config is None else load_config_tree(args.config)
     if flag is not None:
         section, name = flag.split(".")
         if (value := getattr(args, name)) is not None:
@@ -134,6 +138,39 @@ def cmd_verify_theory(args) -> int:
     return 0 if report["passed"] else 1
 
 
+_REPLAYABLE = ("gen-data", "score", "train", "grid-search", "bootstrap", "analyze-gradients",
+              "verify-theory")
+
+
+def cmd_replay(args) -> int:
+    """Rerun RUN_DIR's manifest into --out; 0 when both directories hold the
+    same files with the same bytes, else 1, naming each file that does not."""
+    run, out = Path(args.run_dir), Path(args.out)
+    if run.resolve() in (out.resolve(), *out.resolve().parents):
+        raise ConfigError(f"--out {out} is the run directory {run} or lies inside it")
+    path = run / "manifest.json"
+    try:
+        manifest = json.loads(path.read_bytes())
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 and deep nesting included
+        raise ConfigError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(manifest, dict) or not {"command", "config"} <= manifest.keys():
+        raise ConfigError(f"{path}: a manifest holds the keys command and config")
+    if manifest["command"] not in _REPLAYABLE:
+        raise ConfigError(f"{path}: cannot replay command {_shown(manifest['command'])}")
+    rerun = build_parser().parse_args([manifest["command"], "--out", str(out)])
+    rerun.tree = manifest["config"]
+    rerun.fn(rerun)
+    old, new = ({p.relative_to(d).as_posix() for p in d.rglob("*") if p.is_file()}
+                for d in (run, out))
+    faults = [f"{name} differs" for name in sorted(old & new)
+              if (run / name).read_bytes() != (out / name).read_bytes()]
+    faults += [f"only in {side}: {name}" for side, names in ((run, old - new), (out, new - old))
+               for name in sorted(names)]
+    print("".join(f"replay: {fault}\n" for fault in faults)
+          + f"replay: {len(faults)} of {len(old | new)} file(s) differ between {run} and {out}")
+    return 1 if faults else 0
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=None, help="path to a JSON config file")
@@ -166,6 +203,10 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--instances", type=int, default=None,
                         help="number of random instances")
     verify.set_defaults(fn=cmd_verify_theory)
+    replay = sub.add_parser("replay", help="rerun a run directory's manifest and compare the bytes")
+    replay.add_argument("run_dir", metavar="RUN_DIR", help="a directory holding manifest.json")
+    replay.add_argument("--out", required=True, metavar="NEW_DIR", help="where the rerun writes")
+    replay.set_defaults(fn=cmd_replay)
     return parser
 
 

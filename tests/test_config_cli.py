@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import golden
 from curriculum_lab.cli import main
 from curriculum_lab.config import _SCHEMA, resolve_config, validate_tree
 from curriculum_lab.errors import ConfigError
@@ -43,6 +44,41 @@ def write_config(tmp_path, tree, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(tree))
     return path
+
+
+def csv_tree(tmp_path):
+    """A curriculum config read from the CSV files `gen-data` writes."""
+    data = tmp_path / "data"
+    assert main(["gen-data", "--config", str(write_config(tmp_path, tiny_tree())),
+                 "--out", str(data)]) == 0
+    tree = tiny_tree("curriculum")
+    tree["dataset"] = {"train_csv": str(data / "train.csv"),
+                       "test_csv": str(data / "test.csv"),
+                       "bayes_json": str(data / "bayes.json")}
+    return tree, data
+
+
+@pytest.fixture(scope="module")
+def console_data(tmp_path_factory):
+    """The CSV splits and mixture that `gen-data` writes without a config,
+    and emb.csv: embeddings of the training split's first four features."""
+    data = tmp_path_factory.mktemp("console") / "data"
+    assert main(["gen-data", "--out", str(data)]) == 0
+    rows = [line.split(",") for line in (data / "train.csv").read_text().splitlines()]
+    (data / "emb.csv").write_text("id,e0,e1,e2,e3\n" + "".join(
+        ",".join([row[0], *row[2:6]]) + "\n" for row in rows[1:]))
+    return data
+
+
+def console_tree(data, **overrides):
+    """The self-taught curriculum of 300 steps and 2 repetitions on the
+    console_data splits, edited by `overrides`."""
+    dataset = {"train_csv": str(data / "train.csv"), "test_csv": str(data / "test.csv"),
+               "bayes_json": str(data / "bayes.json")}
+    if overrides.get("scoring", {}).get("kind") == "transfer":
+        dataset["embeddings_csv"] = str(data / "emb.csv")
+    return {"dataset": dataset, "condition": "curriculum", "scoring": {"kind": "self_taught"},
+            "iterations": 300, "repetitions": 2, **overrides}
 
 
 class TestConfigValidation:
@@ -389,13 +425,14 @@ class TestCliErrors:
 
 
 class TestCliMalformedInput:
-    """Each input that cannot be used ends in exit 2 and one `error:` line
-    naming the path or key, never a traceback."""
+    """Each input that cannot be used ends in exit 2 and one `error:` line of
+    under 400 bytes naming the path or key, never a traceback."""
 
     def error_line(self, capsys, argv):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert len(err.encode()) < 400, err[:400]
         return err
 
     def test_missing_config_file(self, tmp_path, capsys):
@@ -620,17 +657,6 @@ class TestCliMalformedInput:
                                        "--out", str(tmp_path / "o")])
         assert err.startswith(f"error: {section}.{key}: fraction 0.01 leaves class ")
 
-    def csv_tree(self, tmp_path):
-        """A curriculum config read from the CSV files `gen-data` writes."""
-        data = tmp_path / "data"
-        assert main(["gen-data", "--config", str(write_config(tmp_path, tiny_tree())),
-                     "--out", str(data)]) == 0
-        tree = tiny_tree("curriculum")
-        tree["dataset"] = {"train_csv": str(data / "train.csv"),
-                           "test_csv": str(data / "test.csv"),
-                           "bayes_json": str(data / "bayes.json")}
-        return tree, data
-
     @pytest.mark.parametrize("edit,named", [
         (lambda bayes: {}, "missing key(s) means, variance, class_priors"),
         (lambda bayes: "{not json", "not valid JSON"),
@@ -649,7 +675,7 @@ class TestCliMalformedInput:
             "means-1d", "means-not-numeric", "variance-0", "variance-inf",
             "priors-length", "means-wrong-d", "means-wrong-k"])
     def test_malformed_bayes_json(self, tmp_path, capsys, edit, named):
-        tree, data = self.csv_tree(tmp_path)
+        tree, data = csv_tree(tmp_path)
         path = data / "bayes.json"
         bad = edit(json.loads(path.read_text()))
         path.write_text(bad if isinstance(bad, str) else json.dumps(bad))
@@ -664,7 +690,7 @@ class TestCliMalformedInput:
         ("1000000000000", "1.0", "empty class 3"),
     ], ids=["oversized-field", "huge-label"])
     def test_dataset_csv_row_past_a_limit(self, tmp_path, capsys, label, feature, named):
-        tree, data = self.csv_tree(tmp_path)
+        tree, data = csv_tree(tmp_path)
         path = data / "train.csv"
         lines = path.read_text().splitlines()
         row = [str(len(lines) - 1), label] + lines[-1].split(",")[2:-1] + [feature]
@@ -675,7 +701,7 @@ class TestCliMalformedInput:
 
     @pytest.mark.parametrize("name", ["train.csv", "test.csv"])
     def test_dataset_csv_not_utf8(self, tmp_path, capsys, name):
-        tree, data = self.csv_tree(tmp_path)
+        tree, data = csv_tree(tmp_path)
         path = data / name
         path.write_bytes(path.read_bytes() + b"\xff\n")
         err = self.error_line(capsys, ["train", "--config", str(write_config(tmp_path, tree)),
@@ -713,7 +739,7 @@ class TestCliMalformedInput:
         (widen, "dataset.test_csv: rows have 5 features, the training set has 4"),
     ], ids=["unknown-label", "wider"])
     def test_test_csv_that_does_not_fit_the_training_set(self, tmp_path, capsys, edit, named):
-        tree, data = self.csv_tree(tmp_path)
+        tree, data = csv_tree(tmp_path)
         path = data / "test.csv"
         rows = edit([line.split(",") for line in path.read_text().splitlines()])
         path.write_text("".join(",".join(row) + "\n" for row in rows))
@@ -758,39 +784,62 @@ class TestCliTrainAndScore:
         assert s1["seeds"] == [0, 1]
         assert s2["seeds"] == [123, 124]
 
-    @pytest.mark.parametrize("command,kind", [
-        ("train", "oracle"), ("gen-data", "oracle"), ("score", "oracle"),
-        ("score", "self_taught"), ("score", "transfer"), ("score", "file"),
-        ("grid-search", "oracle"), ("analyze-gradients", "oracle"),
-        ("bootstrap", "self_taught"), ("verify-theory", "oracle"),
+    # the console-script runs' edits of console_tree: self-paced, and mlp1 on
+    # transfer scores of the console embeddings, with and without grids
+    GRID = {"pacing": {"starting_percent": [0.1, 0.2]}, "lr": {"lr0": [0.1, 0.2]}}
+    MLP1 = {"scoring": {"kind": "transfer"}, "model": {"architecture": "mlp1", "hidden": 8},
+            "lr": {"lr0": 0.5}}
+
+    @pytest.mark.parametrize("command,kind,edit", [
+        ("train", "oracle", None), ("gen-data", "oracle", None), ("score", "oracle", None),
+        ("score", "self_taught", None), ("score", "transfer", None), ("score", "file", None),
+        ("grid-search", "oracle", None), ("analyze-gradients", "oracle", None),
+        ("bootstrap", "self_taught", None), ("verify-theory", "oracle", None),
+        ("train", "self_taught", {"condition": "self_paced"}),
+        ("grid-search", "self_taught", {"condition": "self_paced", "grid": GRID}),
+        ("train", "transfer", MLP1), ("train", "transfer", {**MLP1, "condition": "self_paced"}),
+        ("analyze-gradients", "transfer", MLP1),
+        ("grid-search", "transfer",
+         {**MLP1, "grid": {"pacing": {"starting_percent": [0.1, 0.2]}, "lr": {"lr0": [0.3, 0.5]}}}),
+        ("grid-search", "file", {"grid": GRID}), ("verify-theory", None, None),
     ], ids=["train", "gen-data", "score-oracle", "score-self_taught", "score-transfer",
-            "score-file", "grid-search", "analyze-gradients", "bootstrap", "verify-theory"])
-    def test_rerun_from_manifest_config_is_identical(self, tmp_path, command, kind):
+            "score-file", "grid-search", "analyze-gradients", "bootstrap", "verify-theory",
+            "console-self-paced", "console-grid-self-paced", "console-mlp",
+            "console-mlp-self-paced", "console-mlp-grad", "console-mlp-grid", "console-grid-file",
+            "console-theory"])
+    def test_rerun_from_manifest_config_is_identical(self, tmp_path, capsys, console_data,
+                                                     command, kind, edit):
+        # `edit` None is the tiny config, else an edit of console_tree; `kind`
+        # None runs without --config
         tree = tiny_tree("curriculum", scoring={"kind": kind},
                          theory={"instances": 50, "constant_variance_families": 5})
-        if command == "bootstrap":
+        if edit is not None:
+            tree = console_tree(console_data, **edit)
+        elif command == "bootstrap":
             # seed 1 fails from generation 1 on, so those curves are not written
             tree = TestCliNumericalFailure.outlier_tree(tmp_path, bootstrap={"generations": 2})
-        if kind == "transfer":
+        elif kind == "transfer":
             tree = TestCliTransferScoredConfig.transfer_tree(tmp_path, tree)
-        if kind == "file":
-            table = tmp_path / "table"
-            assert main(["score", "--config", str(write_config(tmp_path, tiny_tree())),
-                         "--out", str(table)]) == 0
-            tree["scoring"]["path"] = str(table / "scores.csv")
-        if command == "grid-search":
+        if command == "grid-search" and edit is None:
             tree.update(repetitions=1, iterations=40,
                         grid={"pacing": {"starting_percent": [0.25, 0.5]}, "lr": {"lr0": [0.1, 0.3]}})
+        if kind == "file":
+            table = tmp_path / "table"
+            base = tiny_tree() if edit is None else console_tree(console_data)
+            assert main(["score", "--config", str(write_config(tmp_path, base)),
+                         "--out", str(table)]) == 0
+            tree["scoring"] = {"kind": "file", "path": str(table / "scores.csv")}
         out1, out2 = tmp_path / "o1", tmp_path / "o2"
-        assert main([command, "--config", str(write_config(tmp_path, tree)),
-                     "--out", str(out1)]) == 0
+        config = ["--instances", "300"] if kind is None else [
+            "--config", str(write_config(tmp_path, tree))]
+        assert main([command, *config, "--out", str(out1)]) == 0
+        capsys.readouterr()
+        assert main(["replay", str(out1), "--out", str(out2)]) == 0, capsys.readouterr().out
         manifest = json.loads((out1 / "manifest.json").read_text())
-        replay = write_config(tmp_path, manifest["config"], name="replay.json")
-        assert main([command, "--config", str(replay), "--out", str(out2)]) == 0
-        names = sorted(os.listdir(out1))
-        assert names == sorted(manifest["outputs"]) == sorted(os.listdir(out2))
-        for name in names:
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+        assert sorted(os.listdir(out1)) == sorted(manifest["outputs"])
+        if command == "train":  # every transfer probe of the run converged
+            warnings = json.loads((out1 / "summary.json").read_text())["warnings"]
+            assert not [w for w in warnings if "did not converge" in w], warnings
 
     def test_single_step_with_stray_pacing_keys_trains(self, tmp_path):
         # increase and boundaries are not read by single_step; they must not
@@ -894,13 +943,8 @@ class TestCliTrainAndScore:
                      "--generations", "2", "--out", str(first)]) == 0
         manifest = json.loads((first / "manifest.json").read_text())
         assert manifest["config"]["bootstrap"]["generations"] == 2
-        replay = write_config(tmp_path, manifest["config"], name="replay.json")
-        second = tmp_path / "b"
-        assert main(["bootstrap", "--config", str(replay), "--out", str(second)]) == 0
-        names = sorted(os.listdir(first))
-        assert "summary_gen2.json" in names and sorted(os.listdir(second)) == names
-        for name in names:
-            assert (second / name).read_bytes() == (first / name).read_bytes(), name
+        assert "summary_gen2.json" in os.listdir(first)
+        assert main(["replay", str(first), "--out", str(tmp_path / "b")]) == 0
 
     def test_analyze_gradients_cli(self, tmp_path):
         config = write_config(tmp_path, tiny_tree("curriculum"))
@@ -1165,6 +1209,7 @@ class TestCliNumericalFailure:
         assert [(e["lr"], e["failed"]) for e in entries] == [
             ({}, False), ({"lr0": 1e-3}, False), ({"lr0": 1e12}, True)]
         assert entries[2]["error"] == "3 of 4 repetitions failed (seeds [0, 1, 3])"
+        assert main(["replay", str(out), "--out", str(tmp_path / "replay")]) == 0
 
     def test_bootstrap_fails_the_seed_in_every_later_generation(self, tmp_path):
         out = tmp_path / "o"
@@ -1178,6 +1223,7 @@ class TestCliNumericalFailure:
         outputs = json.loads((out / "manifest.json").read_text())["outputs"]
         assert "curve_gen0_seed1.csv" in outputs
         assert "curve_gen1_seed1.csv" not in outputs and "curve_gen2_seed1.csv" not in outputs
+        assert not (out / "curve_gen1_seed1.csv").exists()
 
     def test_grid_search_with_every_cell_failing_exits_2(self, tmp_path, capsys):
         tree = tiny_tree("curriculum", repetitions=1, iterations=40,
@@ -1215,10 +1261,89 @@ class TestCliVerifyTheory:
         assert main(argv + ["--out", str(first)]) == 0
         manifest = json.loads((first / "manifest.json").read_text())
         assert manifest["config"]["theory"]["instances"] == 30
-        replay = write_config(tmp_path, manifest["config"], name="replay.json")
-        second = tmp_path / "b"
-        assert main(["verify-theory", "--config", str(replay), "--out", str(second)]) == 0
-        report = (first / "theory_report.json").read_bytes()
-        assert json.loads(report)["instances"] == 30
-        assert (second / "theory_report.json").read_bytes() == report
-        assert (second / "manifest.json").read_bytes() == (first / "manifest.json").read_bytes()
+        assert json.loads((first / "theory_report.json").read_text())["instances"] == 30
+        assert main(["replay", str(first), "--out", str(tmp_path / "b")]) == 0
+
+
+class TestCliReplay:
+    """`replay RUN_DIR --out NEW_DIR` reruns RUN_DIR's manifest into NEW_DIR:
+    exit 0 when the two directories hold the same files with the same bytes,
+    1 naming each file that does not, and 2 with one error line when there is
+    nothing to rerun."""
+
+    @staticmethod
+    def replay(capsys, run, out, code):
+        """The lines replay printed of its own, and its stderr."""
+        capsys.readouterr()
+        assert main(["replay", str(run), "--out", str(out)]) == code
+        printed = capsys.readouterr()
+        return [line for line in printed.out.splitlines() if line.startswith("replay: ")], \
+            printed.err
+
+    @staticmethod
+    def snapshot(run):
+        return {path: path.read_bytes() if path.is_file() else None for path in run.rglob("*")}
+
+    @pytest.mark.parametrize("run", golden.runs(), ids=lambda run: run["command"])
+    def test_every_golden_run_replays(self, tmp_path, capsys, run):
+        out, new = golden.run_command(run, tmp_path), tmp_path / "replay"
+        assert self.replay(capsys, out, new, 0) == ([
+            f"replay: 0 of {len(os.listdir(out))} file(s) differ between {out} and {new}"], "")
+
+    @pytest.mark.parametrize("edit,faults,files", [
+        ("flip", ["curve_curriculum_seed0.csv differs"], 4),
+        ("delete", ["only in {new}: curve_curriculum_seed1.csv"], 4),
+        ("stray", ["only in {run}: stray.txt"], 5),
+    ], ids=["flip", "delete", "stray"])
+    def test_a_file_that_differs_exits_1_naming_it(self, tmp_path, capsys, edit, faults, files):
+        run, new = tmp_path / "run", tmp_path / "replay"
+        assert main(["train", "--config", str(write_config(tmp_path, tiny_tree("curriculum"))),
+                     "--out", str(run)]) == 0
+        if edit == "flip":  # one bit of one byte in the middle of a curve
+            path = run / "curve_curriculum_seed0.csv"
+            data = bytearray(path.read_bytes())
+            data[len(data) // 2] ^= 1
+            path.write_bytes(bytes(data))
+        elif edit == "delete":
+            (run / "curve_curriculum_seed1.csv").unlink()
+        else:
+            (run / "stray.txt").write_text("")
+        assert self.replay(capsys, run, new, 1) == ([
+            f"replay: {fault.format(run=run, new=new)}" for fault in faults] + [
+            f"replay: 1 of {files} file(s) differ between {run} and {new}"], "")
+
+    @pytest.mark.parametrize("manifest,error", [
+        (None, "{path}: No such file or directory"),
+        ("{not json", "{path}: not valid JSON: "),
+        ("[" * 100_000 + "]" * 100_000, "{path}: not valid JSON: "),
+        ({"config": {}}, "{path}: a manifest holds the keys command and config"),
+        ({"command": "gen-data"}, "{path}: a manifest holds the keys command and config"),
+        ({"command": "replay", "config": {}}, "{path}: cannot replay command 'replay'"),
+        ({"command": "bogus", "config": {}}, "{path}: cannot replay command 'bogus'"),
+    ], ids=["missing", "not-json", "nested-past-recursion-limit", "no-command", "no-config",
+            "replay", "unknown-command"])
+    def test_a_manifest_that_cannot_be_rerun_exits_2(self, tmp_path, capsys, manifest, error):
+        run, new = tmp_path / "run", tmp_path / "replay"
+        assert main(["gen-data", "--config", str(write_config(tmp_path, tiny_tree())),
+                     "--out", str(run)]) == 0
+        path = run / "manifest.json"
+        if manifest is None:
+            path.unlink()
+        else:
+            path.write_text(manifest if isinstance(manifest, str) else json.dumps(manifest))
+        before = self.snapshot(run)
+        lines, err = self.replay(capsys, run, new, 2)
+        assert lines == [] and err.count("\n") == 1, err
+        assert err.startswith("error: " + error.format(path=path)), err
+        assert self.snapshot(run) == before and not new.exists()
+
+    @pytest.mark.parametrize("out", ["", "new", "new/deeper", "new/../../run"],
+                             ids=["run-dir", "inside", "two-deep", "run-dir-by-another-path"])
+    def test_an_out_in_the_run_directory_exits_2(self, tmp_path, capsys, out):
+        run = tmp_path / "run"
+        assert main(["gen-data", "--config", str(write_config(tmp_path, tiny_tree())),
+                     "--out", str(run)]) == 0
+        before = self.snapshot(run)
+        assert self.replay(capsys, run, run / out, 2) == (
+            [], f"error: --out {run / out} is the run directory {run} or lies inside it\n")
+        assert self.snapshot(run) == before

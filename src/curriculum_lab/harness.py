@@ -135,8 +135,11 @@ def _fixed_table(config: ExperimentConfig, train_ds: Dataset,
                           f"the training set has {train_ds.N}")
     if rows is not None:
         emb = EmbeddingTable(emb.vectors[rows])
-    return transfer_score(ds, emb, config.scoring["folds"],
-                          seed=derived_seed(config.base_seed, SCORE))
+    folds, smallest = config.scoring["folds"], int(ds.class_counts.min())
+    if folds > smallest:
+        raise ConfigError(f"scoring.folds must be <= {smallest}, the smallest class count of "
+                          f"the {'training' if rows is None else 'fit'} split, got {folds}")
+    return transfer_score(ds, emb, folds, seed=derived_seed(config.base_seed, SCORE))
 
 
 def _scorer_key(config: ExperimentConfig, seed: int) -> tuple:
@@ -552,7 +555,12 @@ def bootstrap_loop(config: ExperimentConfig, out_dir=None) -> list[ExperimentRes
     A seed that fails in one generation is recorded as failed in every later
     one; a generation errors out when half of its repetitions have failed.
     Every generation trains over the same plan seeds, so the generations
-    share one `BatchStore`: each full-size batch is drawn once per loop."""
+    share one `BatchStore`: each full-size batch is drawn once per loop.
+    A vanilla condition is a ConfigError: its pacing resolves to vanilla, so
+    its "curriculum" generations would train with vanilla pacing."""
+    if config.condition == "vanilla":
+        raise ConfigError("condition vanilla has no pacing for bootstrap's curriculum "
+                          "generations; set condition to curriculum")
     data = resolve_dataset(config)
     batch_store = BatchStore()
     curriculum_config = resolve_config({**config.tree, "condition": "curriculum"})

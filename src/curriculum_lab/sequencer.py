@@ -59,8 +59,8 @@ def build_plan(ds: Dataset, scores, pacing: PacingSpec, batch_size: int,
                seed: int) -> CurriculumPlan:
     """Sort ascending by (score, id) and bind the pacing function.
 
-    Requires g(0) >= batch_size; the error names the minimal legal
-    starting_percent when the initial subset is too small.
+    Requires batch_size <= N and g(0) >= batch_size; the error names the
+    minimal legal starting_percent when the initial subset is too small.
     """
     values = np.asarray(getattr(scores, "scores", scores), dtype=np.float64)
     if values.shape != (ds.N,):
@@ -73,6 +73,8 @@ def build_plan(ds: Dataset, scores, pacing: PacingSpec, batch_size: int,
         raise ParameterError(f"batch_size must be >= 1, got {batch_size}")
     if seed < 0:
         raise ParameterError(f"seed must be non-negative, got {seed}")
+    if batch_size > ds.N:
+        raise ParameterError(f"batch_size={batch_size} exceeds the dataset's N={ds.N} examples")
     g0 = subset_size(pacing, 0)
     if g0 < batch_size:
         raise ParameterError(

@@ -1,18 +1,21 @@
 """Desk-scale differentiable classifiers trained by plain SGD.
 
-Two architectures: a linear softmax classifier and a one-hidden-layer ReLU
-network. Parameters live in a single flat float64 vector with named per-layer
-segments, which keeps SGD updates, finite-difference checks, and per-example
-gradient analysis all operating on the same layout. A stack of R models,
-such as the repetition seeds of one condition or every cell × seed of a grid
-stage, keeps its vectors as the rows of one (R, P) array and trains in one
-loop (`train_stack`), the only training loop: a single model trains as a
-stack of one row. `Model` is one row of that kernel, for what reads a trained
-model (loss scoring and gradient coherence).
+One layer table (`_layers`) lists each architecture's dense layers, a ReLU
+after every layer but the last: the linear softmax classifier has one layer,
+mlp1 two. All else reads the table: the flat float64 parameter vector and its
+named per-layer segments, one forward loop over the layers, and one backward
+(`_layer_factors`) for both the SGD gradient and per-example gradient
+analysis. A stack of R models, such as the repetition seeds of one condition
+or every cell × seed of a grid stage, keeps its vectors as the rows of one
+(R, P) array and trains in one loop (`train_stack`), the only training loop:
+a single model trains as a stack of one row. `Model` is one row of that
+kernel, for what reads a trained model (loss scoring and gradient coherence).
 """
 from __future__ import annotations
 
+import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,22 +85,35 @@ class LRSchedule:
         return self.lr_min + (self.lr_max - self.lr_min) * (1.0 - abs(phase - half) / half)
 
 
-def _layer_arrays(spec: ModelSpec, K: int, d: int):
-    """(name, shape) for every parameter array, in flat layout order."""
+_Layer = namedtuple("_Layer", "W b hidden out dz dW db")
+
+
+@functools.cache
+def _layers(spec: ModelSpec) -> tuple[_Layer, ...]:
+    """The layer table: the dense layers, output = input @ W.T + b, in flat
+    layout order; each reads the output of the one before (the first, the d
+    features). `hidden` is a hidden layer's width, a ReLU after it, and 0 for
+    the last layer (K wide); `out` keys the output array ("a<i>" for hidden
+    layer i, "logits" for the last), `dz` a hidden layer's residual ("dz<i>"),
+    and `dW`, `db` the gradient views ("d" + name)."""
     if spec.architecture == "linear_softmax":
-        return [("W", (K, d)), ("b", (K,))]
-    H = spec.hidden
-    return [("W1", (H, d)), ("b1", (H,)), ("W2", (K, H)), ("b2", (K,))]
+        table = [("W", "b", 0)]
+    else:
+        table = [("W1", "b1", spec.hidden), ("W2", "b2", 0)]
+    return tuple(_Layer(W, b, h, f"a{i}" if h else "logits", f"dz{i}" if h else None,
+                        "d" + W, "d" + b) for i, (W, b, h) in enumerate(table, 1))
 
 
 def _layout(spec: ModelSpec, K: int, d: int):
-    """(name, shape, start, stop) for every parameter array, and the total size."""
-    arrays = []
-    offset = 0
-    for name, shape in _layer_arrays(spec, K, d):
-        size = math.prod(shape)
-        arrays.append((name, shape, offset, offset + size))
-        offset += size
+    """(name, shape, start, stop) for every parameter array, in flat layout
+    order (each layer's weight (out, in), then its bias), and the total size."""
+    arrays, offset, fan_in = [], 0, d
+    for layer in _layers(spec):
+        out = layer.hidden or K
+        for name, shape in ((layer.W, (out, fan_in)), (layer.b, (out,))):
+            arrays.append((name, shape, offset, offset + math.prod(shape)))
+            offset += math.prod(shape)
+        fan_in = out
     return tuple(arrays), offset
 
 
@@ -110,25 +126,18 @@ def _stack_views(arrays, params: np.ndarray) -> dict[str, np.ndarray]:
 
 
 def _forward_arrays(spec: ModelSpec, R: int, n: int, K: int) -> dict:
-    """Arrays for `_forward` to write R rows of n examples into: the logits
-    and, for mlp1, the hidden activation. The first L rows of each serve L
-    rows."""
-    work = {"logits": np.empty((R, n, K))}
-    if spec.architecture == "mlp1":
-        work["a1"] = np.empty((R, n, spec.hidden))
-    return work
+    """Arrays for `_forward` to write R rows of n examples into: each layer's
+    output. The first L rows of each serve L rows."""
+    return {layer.out: np.empty((R, n, layer.hidden or K)) for layer in _layers(spec)}
 
 
 def _grad_arrays(spec: ModelSpec, arrays, P: int, R: int, n: int) -> dict:
     """Arrays for `_mean_loss_and_grad` to write R rows of n examples into:
-    the flat gradient (R, P) of the layout `arrays`, its per-layer views
-    keyed "d" + layer name, and for mlp1 the hidden backward. The first L
-    rows of each serve L rows."""
+    the flat gradient (R, P) of the layout `arrays`, its views keyed "d" +
+    name, and each hidden layer's residual. The first L rows of each serve L rows."""
     grad = np.empty((R, P))
-    work = {"grad": grad, **{"d" + name: g for name, g in _stack_views(arrays, grad).items()}}
-    if spec.architecture == "mlp1":
-        work["dz1"] = np.empty((R, n, spec.hidden))
-    return work
+    return {"grad": grad, **{"d" + name: g for name, g in _stack_views(arrays, grad).items()},
+            **{layer.dz: np.empty((R, n, layer.hidden)) for layer in _layers(spec)[:-1]}}
 
 
 # ---------------------------------------------------------------------------
@@ -138,23 +147,20 @@ def _grad_arrays(spec: ModelSpec, arrays, P: int, R: int, n: int) -> dict:
 # ---------------------------------------------------------------------------
 
 def _forward(spec: ModelSpec, v: dict, X: np.ndarray, work: dict | None = None):
-    """Logits (R, n, K) of X (R, n, d) under the stacked views `v`, and the
-    activations the backward pass needs: (X,), or for mlp1 (X, a1); written
-    into `work`'s arrays (see `_forward_arrays`) when given, into new ones
-    when it is None. The hidden pre-activation z1 becomes a1 in place, and
-    the backward reads the ReLU mask as a1 > 0, which is z1 > 0 for every
-    float64 (np.maximum keeps a NaN, and turns none of ±0.0 positive)."""
-    out = {} if work is None else work
-    if spec.architecture == "linear_softmax":
-        logits = np.matmul(X, v["W"].swapaxes(1, 2), out=out.get("logits"))
-        logits += v["b"][:, None]
-        return logits, (X,)
-    a1 = np.matmul(X, v["W1"].swapaxes(1, 2), out=out.get("a1"))
-    a1 += v["b1"][:, None]
-    np.maximum(a1, 0.0, out=a1)
-    logits = np.matmul(a1, v["W2"].swapaxes(1, 2), out=out.get("logits"))
-    logits += v["b2"][:, None]
-    return logits, (X, a1)
+    """Logits (R, n, K) of X (R, n, d) under the stacked views `v`, and each
+    layer's input for the backward: (X,), or for mlp1 (X, a1); written into
+    `work`'s arrays (see `_forward_arrays`) when given, into new ones when it
+    is None. A hidden layer's ReLU acts in place, and the backward reads its
+    mask as a > 0, which is z > 0 for every float64 pre-activation z
+    (np.maximum keeps a NaN, and turns none of ±0.0 positive)."""
+    a, inputs = X, []
+    for layer in _layers(spec):
+        inputs.append(a)
+        a = np.matmul(a, v[layer.W].swapaxes(1, 2), out=None if work is None else work[layer.out])
+        a += v[layer.b][:, None]
+        if layer.hidden:
+            np.maximum(a, 0.0, out=a)
+    return a, tuple(inputs)
 
 
 def _sum_columns(a: np.ndarray) -> np.ndarray:
@@ -204,43 +210,47 @@ def _losses_and_residual(logits: np.ndarray, y: np.ndarray):
     return losses, G
 
 
-def _mean_loss_and_grad(spec: ModelSpec, v: dict, logits, cache, y, work: dict | None = None):
+def _layer_factors(spec: ModelSpec, v: dict, G: np.ndarray, inputs, work: dict | None = None):
+    """Per layer, the residual r (R, n, out) at its output and its input a
+    (R, n, in), from the residual G at the logits and `_forward`'s inputs:
+    example j's gradient of the layer is [r_j a_j^T, r_j]. A hidden layer's r
+    is the next r times the next weight, masked by a > 0 (see `_forward`)."""
+    layers, factors = _layers(spec), [(G, inputs[-1])]
+    for i in range(len(layers) - 2, -1, -1):  # the hidden layers, last first
+        r = np.matmul(factors[0][0], v[layers[i + 1].W],
+                      out=None if work is None else work[layers[i].dz])
+        r *= inputs[i + 1] > 0
+        factors.insert(0, (r, inputs[i]))
+    return factors
+
+
+def _mean_loss_and_grad(spec: ModelSpec, v: dict, logits, inputs, y, work: dict | None = None):
     """Mean batch loss (R,) and its flat gradient (R, P), written into
-    `work`'s arrays (see `_grad_arrays`) when given, into new ones when it is
-    None."""
+    `work`'s arrays (see `_grad_arrays`) when given, else into new ones."""
     losses, G = _losses_and_residual(logits, y)
     R, n = y.shape
     G /= n
     if work is None:
-        work = _grad_arrays(spec, *_layout(spec, logits.shape[2], cache[0].shape[2]), R, n)
-    # einsum adds along n in order, as .sum(axis=1) does for K >= 2 (G is 0 for K = 1);
-    # the hidden bias keeps .sum(axis=1), which sums pairwise along n when H = 1
-    if spec.architecture == "linear_softmax":
-        (X,) = cache
-        np.matmul(G.swapaxes(1, 2), X, out=work["dW"])
-        np.einsum("rnk->rk", G, out=work["db"])
-    else:
-        X, a1 = cache
-        dz1 = np.matmul(G, v["W2"], out=work["dz1"])
-        dz1 *= a1 > 0
-        np.matmul(dz1.swapaxes(1, 2), X, out=work["dW1"])
-        np.sum(dz1, axis=1, out=work["db1"])
-        np.matmul(G.swapaxes(1, 2), a1, out=work["dW2"])
-        np.einsum("rnk->rk", G, out=work["db2"])
+        work = _grad_arrays(spec, *_layout(spec, logits.shape[2], inputs[0].shape[2]), R, n)
+    for layer, (r, a) in zip(_layers(spec), _layer_factors(spec, v, G, inputs, work)):
+        np.matmul(r.swapaxes(1, 2), a, out=work[layer.dW])
+        # einsum adds along n in order, as .sum(axis=1) does for K >= 2 (G is 0 for K = 1);
+        # a hidden bias keeps .sum(axis=1), which sums pairwise along n when it is 1 wide
+        if layer.hidden:
+            np.sum(r, axis=1, out=work[layer.db])
+        else:
+            np.einsum("rnk->rk", r, out=work[layer.db])
     return losses.mean(axis=1), work["grad"]
 
 
 def _init_params(spec: ModelSpec, K: int, d: int, seed: int) -> np.ndarray:
-    """Per-layer uniform init in +-sqrt(6 / (fan_in + fan_out)), seeded."""
-    rng = np.random.default_rng(seed)
-    chunks = []
-    limit = 0.0
-    for name, shape in _layer_arrays(spec, K, d):
-        if len(shape) == 2:
-            fan_out, fan_in = shape
-            limit = np.sqrt(6.0 / (fan_in + fan_out))
-        # biases reuse the limit of the weight matrix they belong to
-        chunks.append(rng.uniform(-limit, limit, size=int(np.prod(shape))))
+    """Per-layer uniform init in +-sqrt(6 / (fan_in + fan_out)), seeded;
+    a bias reuses the limit of its layer's weight."""
+    rng, chunks = np.random.default_rng(seed), []
+    for _name, shape, start, stop in _layout(spec, K, d)[0]:
+        if len(shape) == 2:  # a weight (fan_out, fan_in)
+            limit = np.sqrt(6.0 / (shape[1] + shape[0]))
+        chunks.append(rng.uniform(-limit, limit, size=stop - start))
     return np.concatenate(chunks)
 
 
@@ -249,9 +259,7 @@ class Model:
     stacked kernel."""
 
     def __init__(self, spec: ModelSpec, K: int, d: int, params: np.ndarray):
-        self.spec = spec
-        self.K = K
-        self.d = d
+        self.spec, self.K, self.d = spec, K, d
         self.arrays, self.n_params = _layout(spec, K, d)
         params = np.asarray(params, dtype=np.float64)
         if params.shape != (self.n_params,):
@@ -259,11 +267,9 @@ class Model:
         self.params = params.copy()
         # per-layer views into the flat vector; in-place updates show through
         self._views = _stack_views(self.arrays, self.params[None])
-        if spec.architecture == "linear_softmax":
-            self.segments = (("layer1", 0, self.n_params),)
-        else:
-            split = self.arrays[2][2]  # start of W2
-            self.segments = (("layer1", 0, split), ("layer2", split, self.n_params))
+        # per layer i, "layer<i>" and the span of its weight and bias
+        self.segments = tuple((f"layer{i}", W[2], b[3]) for i, (W, b) in
+                              enumerate(zip(self.arrays[::2], self.arrays[1::2]), 1))
 
     # -- construction -------------------------------------------------------
 
@@ -313,19 +319,11 @@ class Model:
         return float(loss[0]), grad[0]
 
     def _gradient_factors(self, X: np.ndarray, y: np.ndarray) -> list:
-        """Per layer segment, the residual r (n, out) at the layer's output and
-        the layer's input a (n, in): example j's gradient of that segment is
-        [r_j a_j^T, r_j], flattened as in the parameter layout. For mlp1 the
-        hidden residual is masked by a1 > 0, the ReLU's own mask (see
-        `_forward`)."""
-        logits, cache = self._checked_forward(X)
-        G = _losses_and_residual(logits, np.asarray(y, dtype=np.int64)[None])[1][0]
-        if self.spec.architecture == "linear_softmax":
-            return [(G, cache[0][0])]
-        X2, a1 = (c[0] for c in cache)
-        dz1 = G @ self.array("W2")
-        dz1 *= a1 > 0
-        return [(dz1, X2), (G, a1)]
+        """Per layer segment, `_layer_factors`' (residual r (n, out), input
+        a (n, in)): example j's gradient of that segment is [r_j a_j^T, r_j]."""
+        logits, inputs = self._checked_forward(X)
+        G = _losses_and_residual(logits, np.asarray(y, dtype=np.int64)[None])[1]
+        return [(r[0], a[0]) for r, a in _layer_factors(self.spec, self._views, G, inputs)]
 
     def per_example_grads(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Row j = flat gradient of example j's individual loss, shape (n, P)."""

@@ -194,6 +194,28 @@ class TestCliErrors:
         assert code == 2
         assert capsys.readouterr().err == "error: pacing: step_length must be >= 1, got 0\n"
 
+    # bootstrap and analyze-gradients plan vanilla runs, which have no starting_percent
+    @pytest.mark.parametrize("command", ["train", "bootstrap", "analyze-gradients"])
+    def test_batch_size_above_the_training_split_names_it(self, tmp_path, capsys, command):
+        out = tmp_path / "o"
+        assert main([command, "--config", str(write_config(tmp_path, tiny_tree(
+            "curriculum", batch_size=1000))), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("error: batch_size=1000 exceeds the dataset's "
+                                           "N=72 examples\n")
+        assert os.listdir(out) == []
+
+    def test_grid_audits_a_batch_size_above_the_fit_split(self, tmp_path, capsys):
+        tree = tiny_tree("curriculum", repetitions=1, iterations=40, batch_size=60,
+                         grid={"pacing": {"starting_percent": [0.9, 1.0]}})
+        out = tmp_path / "o"
+        assert main(["grid-search", "--config", str(write_config(tmp_path, tree)),
+                     "--out", str(out)]) == 2
+        error = "batch_size=60 exceeds the dataset's N=58 examples"
+        assert capsys.readouterr().err == f"error: all 3 grid cells failed; first error: {error}\n"
+        # both pacing cells, then stage 2 at the base learning rate
+        entries = json.loads((out / "grid_audit.json").read_text())["entries"]
+        assert [(e["failed"], e["error"]) for e in entries] == [(True, error)] * 3
+
     @pytest.mark.parametrize("command", ["gen-data", "score", "train", "grid-search",
                                          "bootstrap", "analyze-gradients", "verify-theory"])
     @pytest.mark.parametrize("pacing,error", [
@@ -946,6 +968,19 @@ class TestCliTrainAndScore:
         assert "summary_gen2.json" in os.listdir(first)
         assert main(["replay", str(first), "--out", str(tmp_path / "b")]) == 0
 
+    def test_bootstrap_on_a_vanilla_condition_exits_2(self, tmp_path, capsys):
+        # a vanilla condition resolves its pacing to vanilla, which the
+        # curriculum generations would train with
+        tree = tiny_tree("vanilla", pacing={"starting_percent": 0.5}, iterations=40,
+                         bootstrap={"generations": 1})
+        out = tmp_path / "o"
+        assert main(["bootstrap", "--config", str(write_config(tmp_path, tree)),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: condition vanilla has no pacing for bootstrap's curriculum generations; "
+            "set condition to curriculum\n")
+        assert os.listdir(out) == []
+
     def test_analyze_gradients_cli(self, tmp_path):
         config = write_config(tmp_path, tiny_tree("curriculum"))
         out = tmp_path / "o"
@@ -990,6 +1025,21 @@ class TestCliTransferScoredConfig:
         assert len(err) == 4   # one line per fold, four by default
         assert all(line.startswith("warning: transfer probe of fold") for line in err)
         assert (tmp_path / "b" / "scores.csv").exists()
+
+    @pytest.mark.parametrize("command,split,smallest", [
+        ("train", "training", 24), ("score", "training", 24), ("grid-search", "fit", 19)])
+    def test_folds_above_the_smallest_class_count_name_their_key(self, tmp_path, capsys,
+                                                                  command, split, smallest):
+        tree = self.transfer_tree(tmp_path, tiny_tree("curriculum", repetitions=1,
+                                                      grid={"lr": {"lr0": [0.1, 0.2]}}))
+        tree["scoring"]["folds"] = 100
+        out = tmp_path / "o"
+        assert main([command, "--config", str(write_config(tmp_path, tree)),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: scoring.folds must be <= {smallest}, the smallest class count of the "
+            f"{split} split, got 100\n")
+        assert os.listdir(out) == []
 
     def test_bootstrap_accepts_transfer_config(self, tmp_path):
         out = tmp_path / "o"

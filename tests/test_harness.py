@@ -673,6 +673,10 @@ class TestBootstrap:
         assert len(results) == 1
         assert results[0].summary["mean_curve"] == vanilla["mean_curve"]
 
+    def test_vanilla_condition_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="^condition vanilla has no pacing for bootstrap"):
+            bootstrap_loop(resolve_config(tiny_tree("vanilla", bootstrap={"generations": 1})))
+
     def test_one_generation_equals_self_taught_condition(self):
         cfg = resolve_config(tiny_tree("curriculum", scoring={"kind": "self_taught"},
                                        bootstrap={"generations": 1}))

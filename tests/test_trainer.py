@@ -172,6 +172,24 @@ class TestBackward:
                 seg_stops.append(stop)
             assert seg_stops[-1] == model.n_params
 
+    @pytest.mark.parametrize("spec,K,d,arrays,segments,forward,backward", [
+        (LINEAR, 5, 7, (("W", (5, 7), 0, 35), ("b", (5,), 35, 40)), (("layer1", 0, 40),),
+         {"logits"}, {"grad", "dW", "db"}),
+        (MLP, 3, 4, (("W1", (6, 4), 0, 24), ("b1", (6,), 24, 30), ("W2", (3, 6), 30, 48),
+                     ("b2", (3,), 48, 51)), (("layer1", 0, 30), ("layer2", 30, 51)),
+         {"a1", "logits"}, {"grad", "dW1", "db1", "dW2", "db2", "dz1"}),
+    ], ids=["linear", "mlp1"])
+    def test_layout_is_pinned(self, spec, K, d, arrays, segments, forward, backward):
+        # saved models and the benchmark read these names, shapes and spans
+        model = random_model(spec, K, d, seed=0)
+        assert model.arrays == arrays and _layout(spec, K, d) == (arrays, arrays[-1][3])
+        assert model.n_params == arrays[-1][3]
+        assert model.segments == segments
+        assert {name: model.array(name).shape for name, *_ in arrays} == \
+            {name: shape for name, shape, *_ in arrays}
+        assert set(_forward_arrays(spec, 2, 9, K)) == forward
+        assert set(_grad_arrays(spec, arrays, arrays[-1][3], 2, 9)) == backward
+
     def test_one_step_descent_on_convex_model(self):
         rng = np.random.default_rng(0)
         for _ in range(100):

@@ -76,7 +76,7 @@ def cmd_score(args) -> int:
     # the table of the first repetition seed; scoring the others is wasted work
     first = dataclasses.replace(config, seeds=config.seeds[:1])
     ((table,),) = score_tables([first], resolve_dataset(config))
-    if isinstance(table, ExperimentError):
+    if isinstance(table, Exception):
         raise table
     for warning in table.warnings:
         print(f"warning: {warning}", file=sys.stderr)

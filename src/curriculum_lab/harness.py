@@ -1,5 +1,9 @@
 """Experiment orchestration: conditions, repetitions, grid search, bootstrap.
 
+One run path, `_results`, scores, plans, stacks and summarises the runs of
+`train`, of each grid stage and of each bootstrap generation; a run's typed
+error is a value there, which the grid audits and the others raise.
+
 Every run is a pure function of its resolved config; summaries embed the
 config, so any output artifact can be regenerated byte-for-byte from its
 manifest.
@@ -15,8 +19,8 @@ import numpy as np
 
 from .config import ExperimentConfig, pacing_spec_for, resolve_config
 from .data import Dataset, EmbeddingTable, generate_gaussian_mixture, json_text, \
-    load_dataset_csv, load_bayes_json, load_embeddings_csv, stratified_split, \
-    select_examples, stratified_split_ids, write_json
+    load_dataset_csv, load_bayes_json, load_embeddings_csv, select_examples, \
+    stratified_split_ids, write_json
 from .errors import ConfigError, ExperimentError, NumericalError, ParameterError, \
     TrainingDivergedError
 from .gradient_analysis import gradient_set, total_variance
@@ -75,6 +79,14 @@ def default_acceptance_tree(condition: str = "curriculum", **overrides) -> dict:
     return tree
 
 
+def _split_ids(ds: Dataset, fraction: float, seed: int, key: str):
+    """`stratified_split_ids`; an empty class side is a ConfigError naming `key`."""
+    try:
+        return stratified_split_ids(ds, fraction, seed)
+    except ParameterError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
+
+
 def resolve_dataset(config: ExperimentConfig) -> tuple[Dataset, Dataset]:
     """Materialize (train, test) from the config's dataset section."""
     ds_cfg = config.dataset
@@ -83,12 +95,9 @@ def resolve_dataset(config: ExperimentConfig) -> tuple[Dataset, Dataset]:
         full = generate_gaussian_mixture(K=syn["classes"], d=syn["dim"],
                                          n_per_class=syn["n_per_class"], spread=syn["spread"],
                                          seed=syn["seed"])
-        try:
-            train_ds, test_ds = stratified_split(
-                full, ds_cfg.get("train_fraction", ACCEPTANCE_TRAIN_FRACTION),
-                ds_cfg.get("split_seed", 0))
-        except ParameterError as exc:  # a class left empty on one side
-            raise ConfigError(f"dataset.train_fraction: {exc}") from None
+        train_ds, test_ds = (select_examples(full, ids) for ids in _split_ids(
+            full, ds_cfg.get("train_fraction", ACCEPTANCE_TRAIN_FRACTION),
+            ds_cfg.get("split_seed", 0), "dataset.train_fraction"))
     else:
         if "train_csv" not in ds_cfg or "test_csv" not in ds_cfg:
             raise ConfigError("dataset needs either a synthetic section or train_csv/test_csv")
@@ -165,7 +174,8 @@ def score_tables(configs: list[ExperimentConfig], data: tuple,
     record on the test split. A given `batch_store` keeps the scorers'
     full-size batch draws for the command's later stacks over the same plan
     seeds. A seed whose scorer diverged, or cannot score the training split
-    (`_loss_table`), gets an `ExperimentError` in place of its table."""
+    (`_loss_table`), gets an `ExperimentError` in place of its table, and one
+    whose scorer cannot be planned (a batch above the split) that error."""
     train_ds, test_ds = data
     memo = {} if memo is None else memo
     new = {}  # key -> the one-seed vanilla run of a self-taught table to train
@@ -174,20 +184,21 @@ def score_tables(configs: list[ExperimentConfig], data: tuple,
             key = _scorer_key(config, seed)
             if key in memo or key in new:
                 continue
-            if config.scoring["kind"] == "self_taught":
-                scorer = _vanilla(config, seeds=[seed], repetitions=1,
-                                  record_every=config.iterations)
-                new[key] = _plan_run(scorer, train_ds, None)
-            else:
+            if config.scoring["kind"] != "self_taught":
                 memo[key] = _fixed_table(config, train_ds)
-    if new:
-        outcomes = _train_runs(train_ds, test_ds, list(new.values()), batch_store)
-        for (key, run), (outcome,) in zip(new.items(), outcomes):
-            memo[key] = (ExperimentError(f"self-taught scorer of seed {run.seeds[0]} diverged "
-                                         f"at iteration {outcome.iteration}")
-                         if isinstance(outcome, TrainingDivergedError)
-                         else _loss_table(train_ds, outcome[0],
-                                          f"self-taught scorer of seed {run.seeds[0]}"))
+                continue
+            try:
+                new[key] = _plan_run(_vanilla(config, seeds=[seed], repetitions=1,
+                                              record_every=config.iterations), train_ds, None)
+            except (ConfigError, ParameterError) as exc:  # a batch above the split
+                memo[key] = exc
+    outcomes = _train_runs(train_ds, test_ds, list(new.values()), batch_store)
+    for (key, run), (outcome,) in zip(new.items(), outcomes):
+        memo[key] = (ExperimentError(f"self-taught scorer of seed {run.seeds[0]} diverged "
+                                     f"at iteration {outcome.iteration}")
+                     if isinstance(outcome, TrainingDivergedError)
+                     else _loss_table(train_ds, outcome[0],
+                                      f"self-taught scorer of seed {run.seeds[0]}"))
     return [[memo[_scorer_key(c, seed)] for seed in c.seeds] for c in configs]
 
 
@@ -240,7 +251,8 @@ class _Run:
 
 def _plan_run(config: ExperimentConfig, train_ds: Dataset, tables: list | None) -> _Run:
     """Build one plan per repetition seed that has a score table; `tables` is
-    one entry of `score_tables`, or None for an unscored condition."""
+    one entry of `score_tables`, or None for an unscored condition. Any other
+    error than an `ExperimentError` in place of a table is raised as the config's own."""
     warnings: list[str] = []
     pacing = pacing_spec_for(config, train_ds.N)
     sat = saturation_iteration(pacing)
@@ -256,7 +268,7 @@ def _plan_run(config: ExperimentConfig, train_ds: Dataset, tables: list | None) 
         # permutation (self_paced replaces it at the first boundary anyway)
         tables = [random_score(train_ds, derived_seed(seed, SCORE)) for seed in config.seeds]
     elif config.condition == "anti":
-        tables = [t if isinstance(t, ExperimentError) else invert(t) for t in tables]
+        tables = [t if isinstance(t, Exception) else invert(t) for t in tables]
     # a table shared by every seed names its warnings once
     warnings += list(dict.fromkeys(
         w for t in tables if isinstance(t, ScoreTable) for w in t.warnings))
@@ -264,6 +276,8 @@ def _plan_run(config: ExperimentConfig, train_ds: Dataset, tables: list | None) 
         if isinstance(table, ExperimentError):
             run.failures[seed] = str(table)
             continue
+        if isinstance(table, Exception):
+            raise table
         run.seeds.append(seed)
         run.plans.append(build_plan(train_ds, table, pacing, config.batch_size,
                                     seed=derived_seed(seed, BATCH)))
@@ -289,8 +303,8 @@ def _train_runs(train_ds: Dataset, test_ds: Dataset, runs: list[_Run],
     return [[next(outcomes) for _ in run.seeds] for run in runs]
 
 
-def _summarise(run: _Run, outcomes: list) -> ExperimentResult:
-    """Aggregate a run's outcomes into its summary; raises `ExperimentError`
+def _summarise(run: _Run, outcomes: list) -> ExperimentResult | ExperimentError:
+    """Aggregate a run's outcomes into its summary, or an `ExperimentError`
     when at least half of the repetitions failed."""
     config, failures = run.config, dict(run.failures)
     result = ExperimentResult(summary={})
@@ -303,7 +317,7 @@ def _summarise(run: _Run, outcomes: list) -> ExperimentResult:
     warnings = run.warnings + [failures[seed] for seed in failed]
 
     if 2 * len(failed) >= config.repetitions:
-        raise ExperimentError(
+        return ExperimentError(
             f"{len(failed)} of {config.repetitions} repetitions failed (seeds {failed})")
 
     ok_seeds = [s for s in config.seeds if s not in failed]
@@ -332,6 +346,25 @@ def _summarise(run: _Run, outcomes: list) -> ExperimentResult:
     return result
 
 
+def _results(configs: list[ExperimentConfig], data: tuple, batch_store: BatchStore | None,
+             memo: dict | None = None, tables: list | None = None) -> list:
+    """Per config its `ExperimentResult`, or the typed error that ended it: a
+    planning error, or `_summarise`'s. Config i reads `tables[i]`, else `score_tables`
+    under `memo`; every plan trains in one stack on `data` with `batch_store`."""
+    if tables is None:
+        scored = iter(score_tables([c for c in configs if c.condition in SCORED_CONDITIONS],
+                                   data, memo, batch_store))
+        tables = [next(scored) if c.condition in SCORED_CONDITIONS else None for c in configs]
+    runs = []
+    for config, config_tables in zip(configs, tables):
+        try:
+            runs.append(_plan_run(config, data[0], config_tables))
+        except (ConfigError, ParameterError) as exc:  # a pacing it cannot build or plan
+            runs.append(exc)
+    outcomes = iter(_train_runs(*data, [r for r in runs if isinstance(r, _Run)], batch_store))
+    return [r if isinstance(r, Exception) else _summarise(r, next(outcomes)) for r in runs]
+
+
 def _write_run(out_dir, result: ExperimentResult, tag: str, summary_name: str) -> None:
     """Write `curve_{tag}_seed{s}.csv` for each trained seed s, then the
     summary as `summary_name`, into `out_dir`; list the names in `result.files`."""
@@ -347,36 +380,26 @@ def _write_run(out_dir, result: ExperimentResult, tag: str, summary_name: str) -
 def run_experiment(config: ExperimentConfig, out_dir=None,
                    data: tuple[Dataset, Dataset] | None = None,
                    tables: list | None = None) -> ExperimentResult:
-    """Run one condition over all repetition seeds, trained as one stack, and
-    aggregate a summary. `data` is `resolve_dataset`'s (train, test) and
-    `tables` a list of `score_tables`; each is built from the config when
-    None.
+    """Run one condition over all repetition seeds through `_results` and
+    raise its error, if any. `data` is `resolve_dataset`'s (train, test) and
+    `tables` a list of `score_tables`; each is built from the config when None.
 
     A repetition that diverges, or has an `ExperimentError` in place of its
     table, is recorded as failed; the experiment errors out only when at
     least half of the repetitions fail. With `out_dir` set, `_write_run`
     writes the per-seed learning-curve CSVs and summary.json there. Self-taught
     scorers trained here are vanilla runs over the run's own plan seeds, so
-    the run reads their full-size batch draws from one `BatchStore`.
-    """
+    the run reads their full-size batch draws from one `BatchStore`."""
     data = resolve_dataset(config) if data is None else data
-    scorers = tables is None and config.condition in SCORED_CONDITIONS
-    batch_store = (BatchStore() if scorers and config.scoring["kind"] == "self_taught"
-                   else None)
-    if scorers:
-        (tables,) = score_tables([config], data, batch_store=batch_store)
-    result = _experiment(config, data, tables, batch_store)
+    scorers = (tables is None and config.condition in SCORED_CONDITIONS
+               and config.scoring["kind"] == "self_taught")
+    (result,) = _results([config], data, BatchStore() if scorers else None,
+                         tables=None if tables is None else [tables])
+    if isinstance(result, Exception):
+        raise result
     if out_dir is not None:
         _write_run(out_dir, result, config.condition, "summary.json")
     return result
-
-
-def _experiment(config: ExperimentConfig, data: tuple, tables: list | None,
-                batch_store: BatchStore | None) -> ExperimentResult:
-    """Plan, train and summarise one condition on given tables."""
-    run = _plan_run(config, data[0], tables)
-    (outcomes,) = _train_runs(data[0], data[1], [run], batch_store)
-    return _summarise(run, outcomes)
 
 
 # ---------------------------------------------------------------------------
@@ -426,25 +449,23 @@ def two_stage_grid_search(config: ExperimentConfig, out_dir=None) -> tuple[Exper
 
     Every score table is made before stage 1, the self-taught scorers as one
     stack: `_scorer_key` ignores pacing, so the base pacing stands in for
-    the stage-1 winner's.
-    All new cells × seeds of a stage train as one stack; a cell whose
+    the stage-1 winner's. All new cells × seeds of a stage train as one
+    stack (`_results`), and a cell whose
     resolved tree was trained already (in stage 2, the stage-1 winner at the
     base LR) reuses that run. The scorers and both stages share the plan
     seeds, so they share one `BatchStore`: each full-size batch is drawn
-    once per search. A cell whose tree does not resolve, or whose
-    pacing cannot be built or planned on the fit split, is recorded as failed,
-    like a cell whose repetitions fail."""
+    once per search. A cell whose tree does not resolve, or whose pacing
+    cannot be built or planned on the fit split, or whose repetitions fail,
+    is recorded as failed."""
     if config.grid is None:
         raise ConfigError("grid search requires a grid section in the config")
     grid = config.grid
     if not grid["pacing"] and not grid["lr"]:
         raise ConfigError("grid is empty: no pacing or learning-rate axes to sweep")
     train_ds, _test_ds = resolve_dataset(config)
-    try:
-        fit_ids, val_ids = stratified_split_ids(
-            train_ds, grid["validation_fraction"], derived_seed(grid["split_seed"], SPLIT))
-    except ParameterError as exc:  # a class left empty on one side
-        raise ConfigError(f"grid.validation_fraction: {exc}") from None
+    fit_ids, val_ids = _split_ids(train_ds, grid["validation_fraction"],
+                                  derived_seed(grid["split_seed"], SPLIT),
+                                  "grid.validation_fraction")
     fit_ds, val_ds = select_examples(train_ds, fit_ids), select_examples(train_ds, val_ids)
     scored = config.condition in SCORED_CONDITIONS
     memo: dict = {}
@@ -456,8 +477,7 @@ def two_stage_grid_search(config: ExperimentConfig, out_dir=None) -> tuple[Exper
     audit: list[dict] = []
     best = None  # (criterion value, pacing params, config) of the best cell so far
     batch_store = BatchStore()
-    # a cell's resolved tree, as JSON -> its (run, outcomes), or the error
-    # that planning it raised
+    # a cell's resolved tree, as JSON -> (its config, its `_results` value)
     trained: dict = {}
 
     def run_stage(stage: int, cells: list[tuple[dict, dict]]) -> None:
@@ -472,35 +492,21 @@ def two_stage_grid_search(config: ExperimentConfig, out_dir=None) -> tuple[Exper
             keys.append(json_text(c.tree))
             if keys[-1] not in trained:
                 new[keys[-1]] = c
-        tables = (score_tables(list(new.values()), data, memo, batch_store) if scored
-                  else [None] * len(new))
-        runs = {}
-        for key, c, t in zip(new, new.values(), tables):
-            try:
-                runs[key] = _plan_run(c, fit_ds, t)
-            except (ConfigError, ParameterError) as exc:  # a pacing it cannot build or plan
-                trained[key] = exc
-        trained.update(zip(runs, zip(runs.values(),
-                                     _train_runs(fit_ds, val_ds, list(runs.values()),
-                                                 batch_store))))
+        trained.update(zip(new, zip(new.values(), _results(list(new.values()), data,
+                                                           batch_store, memo))))
         for (pacing_params, lr_params), key in zip(cells, keys):
-            try:
-                outcome = key if isinstance(key, Exception) else trained[key]
-                if isinstance(outcome, Exception):
-                    raise outcome
-                run, outcomes = outcome
-                summary = _summarise(run, outcomes).summary
-                value = summary[f"{config.selection['criterion']}_mean"]
-                entry_extra = {"final_accuracy_mean": summary["final_accuracy_mean"],
-                               "auc_mean": summary["auc_mean"], "failed": False}
-            except (ConfigError, ExperimentError, ParameterError) as exc:
-                value = None
-                entry_extra = {"failed": True, "error": str(exc)}
+            c, result = (None, key) if isinstance(key, Exception) else trained[key]
+            if isinstance(result, Exception):
+                value, entry_extra = None, {"failed": True, "error": str(result)}
+            else:
+                value = result.summary[f"{config.selection['criterion']}_mean"]
+                entry_extra = {"final_accuracy_mean": result.summary["final_accuracy_mean"],
+                               "auc_mean": result.summary["auc_mean"], "failed": False}
             audit.append({"stage": stage, "pacing": pacing_params, "lr": lr_params,
                           "criterion": config.selection["criterion"], "criterion_value": value,
                           **entry_extra})
             if value is not None and (best is None or value > best[0]):
-                best = (value, pacing_params, run.config)
+                best = (value, pacing_params, c)
 
     if config.condition == "vanilla":
         pacing_cells = _cells(grid["pacing"])
@@ -556,26 +562,25 @@ def bootstrap_loop(config: ExperimentConfig, out_dir=None) -> list[ExperimentRes
     one; a generation errors out when half of its repetitions have failed.
     Every generation trains over the same plan seeds, so the generations
     share one `BatchStore`: each full-size batch is drawn once per loop.
-    A vanilla condition is a ConfigError: its pacing resolves to vanilla, so
-    its "curriculum" generations would train with vanilla pacing."""
-    if config.condition == "vanilla":
-        raise ConfigError("condition vanilla has no pacing for bootstrap's curriculum "
-                          "generations; set condition to curriculum")
+    Another condition than curriculum is a ConfigError: no other condition
+    defines a generation trained on the previous generation's scores."""
+    if config.condition != "curriculum":
+        raise ConfigError(f"bootstrap trains curriculum generations, not condition "
+                          f"{config.condition}; set condition to curriculum")
     data = resolve_dataset(config)
     batch_store = BatchStore()
-    curriculum_config = resolve_config({**config.tree, "condition": "curriculum"})
     results: list[ExperimentResult] = []
     for g in range(config.generations + 1):
-        # a seed that failed in generation g-1 has no model to score with, and
-        # one whose model cannot score the training split has no table: either
-        # is recorded as failed in generation g as well
-        tables = None if g == 0 else [
+        # a seed with no generation-(g-1) model, or whose model cannot score
+        # the training split, has no table: it fails in generation g as well
+        tables = None if g == 0 else [[
             _loss_table(data[0], results[-1].models[s], f"generation-{g - 1} model of seed {s}")
             if s in results[-1].models
             else ExperimentError(f"seed {s} has no generation-{g - 1} model to score with")
-            for s in curriculum_config.seeds]
-        result = _experiment(curriculum_config if g else _vanilla(config), data, tables,
-                             batch_store)
+            for s in config.seeds]]
+        (result,) = _results([config if g else _vanilla(config)], data, batch_store, tables=tables)
+        if isinstance(result, Exception):
+            raise result
         result.summary["generation"] = g
         if out_dir is not None:
             _write_run(out_dir, result, f"gen{g}", f"summary_gen{g}.json")

@@ -241,13 +241,12 @@ def _constant_variance_case(stack: _RowStack, variance_tol: float, tol: float) -
 # Randomized instance generation and the verification suite
 # ---------------------------------------------------------------------------
 
-def random_instance(rng: np.random.Generator, max_examples: int = 20,
-                    max_hypotheses: int = 50,
-                    loss_scale: float = 5.0) -> tuple[np.ndarray, np.ndarray]:
-    """One random instance: a (T, N) loss table and a positive prior vector."""
-    n = int(rng.integers(1, max_examples + 1))
-    t = int(rng.integers(2, max_hypotheses + 1))
-    losses = rng.uniform(0.0, loss_scale, size=(t, n))
+def random_instance(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """One random instance: a (T, N) loss table, 2 <= T <= 50 and 1 <= N <= 20,
+    with losses in [0, 5), and a positive prior vector."""
+    n = int(rng.integers(1, 21))
+    t = int(rng.integers(2, 51))
+    losses = rng.uniform(0.0, 5.0, size=(t, n))
     weights = rng.uniform(0.0, 1.0, size=n) + 1e-9
     return losses, weights / weights.sum()
 

@@ -287,16 +287,13 @@ class Model:
 
     # -- forward -------------------------------------------------------------
 
-    def _forward(self, X: np.ndarray):
+    def _checked_forward(self, X):
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         if X.shape[1] != self.d:
             raise ParameterError(f"model expects d={self.d} features, got {X.shape[1]}")
-        # an overflow is `_checked_forward`'s typed error, not a warning
+        # an overflow is the typed error below, not a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            return _forward(self.spec, self._views, X[None])
-
-    def _checked_forward(self, X):
-        logits, cache = self._forward(X)
+            logits, cache = _forward(self.spec, self._views, X[None])
         if not np.isfinite(logits).all():
             raise NumericalError("non-finite activations in forward pass")
         return logits, cache
@@ -472,14 +469,11 @@ def train_stack(ds_train: Dataset, ds_test: Dataset, plans: list[CurriculumPlan]
                 # a self-paced row re-ranks at its stage starts, one row at a time
                 for r in [r for r in live if self_paced[r] and t in starts[r]]:
                     j = live.index(r)
-                    logits = _forward(model_spec, _stack_views(arrays, params[j:j + 1]),
-                                      ds_train.X[None])[0]
-                    if np.isfinite(logits).all():
-                        losses = _losses_and_residual(logits, ds_train.y[None])[0][0]
-                        current[r] = reranked(current[r], losses)
-                    else:
+                    try:
+                        current[r] = reranked(current[r], Model(model_spec, K, d, params[j])
+                                              .example_losses(ds_train.X, ds_train.y))
+                    except NumericalError:
                         drop(np.arange(len(live)) != j, t, _NONFINITE.format(t))
-                    del logits  # not held through the draws, where it would pin the heap
                 if not live:
                     break
                 # one draw group per (plan seed, g(t)), a full-size one

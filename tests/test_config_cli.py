@@ -204,8 +204,23 @@ class TestCliErrors:
                                            "N=72 examples\n")
         assert os.listdir(out) == []
 
-    def test_grid_audits_a_batch_size_above_the_fit_split(self, tmp_path, capsys):
+    # a self-taught scorer's plan gives the error, as the run's own plan would
+    @pytest.mark.parametrize("command", ["train", "score"])
+    def test_self_taught_batch_size_above_the_training_split_names_it(self, tmp_path, capsys,
+                                                                     command):
+        out = tmp_path / "o"
+        assert main([command, "--config", str(write_config(tmp_path, tiny_tree(
+            "curriculum", batch_size=1000, scoring={"kind": "self_taught"}))),
+            "--out", str(out)]) == 2
+        assert capsys.readouterr().err == ("error: batch_size=1000 exceeds the dataset's "
+                                           "N=72 examples\n")
+        assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("scoring", ["oracle", "self_taught"])
+    def test_grid_audits_a_batch_size_above_the_fit_split(self, tmp_path, capsys, scoring):
+        # a self-taught cell's scorers cannot be planned either: their error is the cell's
         tree = tiny_tree("curriculum", repetitions=1, iterations=40, batch_size=60,
+                         scoring={"kind": scoring},
                          grid={"pacing": {"starting_percent": [0.9, 1.0]}})
         out = tmp_path / "o"
         assert main(["grid-search", "--config", str(write_config(tmp_path, tree)),
@@ -968,16 +983,18 @@ class TestCliTrainAndScore:
         assert "summary_gen2.json" in os.listdir(first)
         assert main(["replay", str(first), "--out", str(tmp_path / "b")]) == 0
 
-    def test_bootstrap_on_a_vanilla_condition_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("condition", ["vanilla", "anti", "random", "self_paced"])
+    def test_bootstrap_on_a_vanilla_condition_exits_2(self, tmp_path, capsys, condition):
         # a vanilla condition resolves its pacing to vanilla, which the
-        # curriculum generations would train with
-        tree = tiny_tree("vanilla", pacing={"starting_percent": 0.5}, iterations=40,
+        # curriculum generations would train with; no other condition defines
+        # a generation trained on the previous generation's scores
+        tree = tiny_tree(condition, pacing={"starting_percent": 0.5}, iterations=40,
                          bootstrap={"generations": 1})
         out = tmp_path / "o"
         assert main(["bootstrap", "--config", str(write_config(tmp_path, tree)),
                      "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
-            "error: condition vanilla has no pacing for bootstrap's curriculum generations; "
+            f"error: bootstrap trains curriculum generations, not condition {condition}; "
             "set condition to curriculum\n")
         assert os.listdir(out) == []
 

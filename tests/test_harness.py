@@ -513,6 +513,46 @@ class TestGridStack:
         assert (tmp_path / "best_config.json").exists()
 
 
+class TestResults:
+    """The one run path: per config its `ExperimentResult` or the typed error
+    that ended it, with every plan of the call trained in one stack."""
+
+    @staticmethod
+    def mlp1(**sections):
+        tree = tiny_tree("curriculum", model={"architecture": "mlp1", "hidden": 6})
+        for section, values in sections.items():
+            tree[section] = {**tree[section], **values}
+        return resolve_config(tree)
+
+    def test_each_config_gets_its_result_or_its_error(self, monkeypatch):
+        # 0.05 of the 72-example split is a first subset of 4, below the batch of 10
+        configs = [self.mlp1(pacing={"starting_percent": 0.05}), self.mlp1(lr={"lr0": 1e12}),
+                   self.mlp1()]
+        rows = []
+        real = harness.train_stack
+
+        def counting(ds_train, ds_test, plans, *args, **kwargs):
+            rows.append(len(plans))
+            return real(ds_train, ds_test, plans, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "train_stack", counting)
+        unplannable, diverged, trained = harness._results(
+            configs, resolve_dataset(configs[2]), None)
+        monkeypatch.undo()
+        assert rows == [4]  # the two plannable configs x two seeds
+        assert isinstance(unplannable, ParameterError)
+        assert str(unplannable).startswith("initial subset size g(0)=4 is smaller than")
+        assert isinstance(diverged, ExperimentError)
+        assert str(diverged) == "2 of 2 repetitions failed (seeds [0, 1])"
+        alone = run_experiment(configs[2])
+        assert json_text(trained.summary) == json_text(alone.summary)
+        assert trained.curves.keys() == alone.curves.keys() == trained.models.keys()
+        for seed, curve in alone.curves.items():
+            for name in ("iterations", "train_loss", "test_acc", "subset_size", "lr"):
+                assert np.array_equal(getattr(trained.curves[seed], name), getattr(curve, name))
+            assert trained.models[seed].params.tobytes() == alone.models[seed].params.tobytes()
+
+
 def spied_draws(monkeypatch, command):
     """Run `command()`; the (plan seed, t, g(t)) of every batch draw it made,
     the keys its stacks need (each stack's keys below N, and every full-size
@@ -673,9 +713,12 @@ class TestBootstrap:
         assert len(results) == 1
         assert results[0].summary["mean_curve"] == vanilla["mean_curve"]
 
-    def test_vanilla_condition_is_a_config_error(self):
-        with pytest.raises(ConfigError, match="^condition vanilla has no pacing for bootstrap"):
-            bootstrap_loop(resolve_config(tiny_tree("vanilla", bootstrap={"generations": 1})))
+    @pytest.mark.parametrize("condition", ["vanilla", "anti", "random", "self_paced"])
+    def test_vanilla_condition_is_a_config_error(self, condition):
+        # only a curriculum defines the generations after the first
+        with pytest.raises(ConfigError, match=f"^bootstrap trains curriculum generations, "
+                                              f"not condition {condition}; set condition"):
+            bootstrap_loop(resolve_config(tiny_tree(condition, bootstrap={"generations": 1})))
 
     def test_one_generation_equals_self_taught_condition(self):
         cfg = resolve_config(tiny_tree("curriculum", scoring={"kind": "self_taught"},

@@ -6,7 +6,7 @@ analysis, and numerical verification of the prior-weighted utility results.
 """
 
 from .data import (BayesMixture, Dataset, EmbeddingTable, generate_gaussian_mixture,
-                   load_dataset_csv, stratified_split)
+                   load_dataset_csv)
 from .errors import (ConfigError, DataLoadError, ExperimentError, NumericalError,
                      ParameterError, TrainingDivergedError)
 from .pacing import PacingSpec, num_steps, subset_size
@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BayesMixture", "Dataset", "EmbeddingTable",
-    "generate_gaussian_mixture", "load_dataset_csv", "stratified_split",
+    "generate_gaussian_mixture", "load_dataset_csv",
     "ConfigError", "DataLoadError", "ExperimentError", "NumericalError",
     "ParameterError", "TrainingDivergedError",
     "PacingSpec", "num_steps", "subset_size",

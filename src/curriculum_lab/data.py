@@ -60,7 +60,10 @@ class BayesMixture:
         """log p(class | x) for each row of X, shape (n, K)."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         sq = ((X[:, None, :] - self.means[None, :, :]) ** 2).sum(axis=2)
-        logits = -sq / (2.0 * self.variance) + np.log(self.class_priors)[None, :]
+        # a tiny variance sends the far classes' logits to -inf, whose
+        # posterior is an exact 0; any other non-finite value still shows
+        with np.errstate(over="ignore"):
+            logits = -sq / (2.0 * self.variance) + np.log(self.class_priors)[None, :]
         logits -= logits.max(axis=1, keepdims=True)
         log_norm = np.log(np.exp(logits).sum(axis=1))
         return logits - log_norm[:, None]
@@ -166,6 +169,10 @@ def generate_gaussian_mixture(K: int, d: int, n_per_class: int, spread: float,
         raise ParameterError(f"n_per_class must be >= 1, got {n_per_class}")
     if not spread > 0:
         raise ParameterError(f"spread must be > 0, got {spread}")
+    variance = spread * spread
+    if not (math.isfinite(variance) and variance > 0):
+        raise ParameterError(f"the variance spread**2 must be finite and > 0, "
+                             f"got {variance} from spread {spread}")
     rng = np.random.default_rng(seed)
     means = rng.normal(size=(K, d))
     X = np.empty((K * n_per_class, d), dtype=np.float64)
@@ -174,14 +181,18 @@ def generate_gaussian_mixture(K: int, d: int, n_per_class: int, spread: float,
         rows = slice(c * n_per_class, (c + 1) * n_per_class)
         X[rows] = means[c] + spread * rng.normal(size=(n_per_class, d))
         y[rows] = c
-    bayes = BayesMixture(means=means, variance=float(spread) ** 2,
+    bayes = BayesMixture(means=means, variance=float(variance),
                          class_priors=np.full(K, 1.0 / K))
     return Dataset(X=X, y=y, K=K, bayes=bayes)
 
 
 def stratified_split_ids(ds: Dataset, fraction: float,
                          seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ids of each side of `stratified_split`, ascending."""
+    """Split per class: floor quotas plus largest-remainder, ties to low class id.
+
+    `fraction` is the first (train) side. Within each class, membership is a
+    seeded permutation. Returns the ids of each side, ascending; a class left
+    empty on either side is a ParameterError."""
     if not 0.0 < fraction < 1.0:
         raise ParameterError(f"fraction must be in (0, 1), got {fraction}")
     counts = ds.class_counts
@@ -205,17 +216,6 @@ def select_examples(ds: Dataset, ids: np.ndarray) -> Dataset:
     """The examples `ids` of `ds`, re-indexed to contiguous ids, with the
     parent's Bayes metadata."""
     return Dataset(X=ds.X[ids], y=ds.y[ids], K=ds.K, bayes=ds.bayes)
-
-
-def stratified_split(ds: Dataset, fraction: float, seed: int) -> tuple[Dataset, Dataset]:
-    """Split per class: floor quotas plus largest-remainder, ties to low class id.
-
-    `fraction` is the first (train) side. Within each class, membership is a
-    seeded permutation; both sides are re-indexed to contiguous ids and keep
-    the parent's Bayes metadata.
-    """
-    train_ids, val_ids = stratified_split_ids(ds, fraction, seed)
-    return select_examples(ds, train_ids), select_examples(ds, val_ids)
 
 
 # ---------------------------------------------------------------------------

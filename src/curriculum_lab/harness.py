@@ -6,11 +6,13 @@ error is a value there, which the grid audits and the others raise.
 
 Every run is a pure function of its resolved config; summaries embed the
 config, so any output artifact can be regenerated byte-for-byte from its
-manifest.
+manifest. The harness writes nothing: it returns values, and `cli` writes
+them into the run directory.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from itertools import product
 from pathlib import Path
@@ -20,7 +22,7 @@ import numpy as np
 from .config import ExperimentConfig, pacing_spec_for, resolve_config
 from .data import Dataset, EmbeddingTable, generate_gaussian_mixture, json_text, \
     load_dataset_csv, load_bayes_json, load_embeddings_csv, select_examples, \
-    stratified_split_ids, write_json
+    stratified_split_ids
 from .errors import ConfigError, ExperimentError, NumericalError, ParameterError, \
     TrainingDivergedError
 from .gradient_analysis import gradient_set, total_variance
@@ -92,9 +94,12 @@ def resolve_dataset(config: ExperimentConfig) -> tuple[Dataset, Dataset]:
     ds_cfg = config.dataset
     if "synthetic" in ds_cfg:
         syn = ds_cfg["synthetic"]
-        full = generate_gaussian_mixture(K=syn["classes"], d=syn["dim"],
-                                         n_per_class=syn["n_per_class"], spread=syn["spread"],
-                                         seed=syn["seed"])
+        try:  # the schema holds every other key to its domain
+            full = generate_gaussian_mixture(K=syn["classes"], d=syn["dim"],
+                                             n_per_class=syn["n_per_class"],
+                                             spread=syn["spread"], seed=syn["seed"])
+        except ParameterError as exc:
+            raise ConfigError(f"dataset.synthetic.spread: {exc}") from None
         train_ds, test_ds = (select_examples(full, ids) for ids in _split_ids(
             full, ds_cfg.get("train_fraction", ACCEPTANCE_TRAIN_FRACTION),
             ds_cfg.get("split_seed", 0), "dataset.train_fraction"))
@@ -221,7 +226,6 @@ class ExperimentResult:
     summary: dict
     curves: dict[int, LearningCurve] = field(default_factory=dict)
     models: dict[int, Model] = field(default_factory=dict)
-    files: list[str] = field(default_factory=list)  # the names `_write_run` wrote
 
 
 def _final_accuracy(curve: LearningCurve, window: int) -> float:
@@ -251,7 +255,7 @@ class _Run:
 
 def _plan_run(config: ExperimentConfig, train_ds: Dataset, tables: list | None) -> _Run:
     """Build one plan per repetition seed that has a score table; `tables` is
-    one entry of `score_tables`, or None for an unscored condition. Any other
+    one entry of `score_tables`, which an unscored condition ignores. Any other
     error than an `ExperimentError` in place of a table is raised as the config's own."""
     warnings: list[str] = []
     pacing = pacing_spec_for(config, train_ds.N)
@@ -263,7 +267,7 @@ def _plan_run(config: ExperimentConfig, train_ds: Dataset, tables: list | None) 
     if config.repetitions == 1:
         warnings.append("single repetition: STE is reported as 0")
     run = _Run(config, warnings, {}, [], [])
-    if tables is None:
+    if config.condition not in SCORED_CONDITIONS:
         # random, vanilla, self_paced: the initial table is a seeded random
         # permutation (self_paced replaces it at the first boundary anyway)
         tables = [random_score(train_ds, derived_seed(seed, SCORE)) for seed in config.seeds]
@@ -365,40 +369,22 @@ def _results(configs: list[ExperimentConfig], data: tuple, batch_store: BatchSto
     return [r if isinstance(r, Exception) else _summarise(r, next(outcomes)) for r in runs]
 
 
-def _write_run(out_dir, result: ExperimentResult, tag: str, summary_name: str) -> None:
-    """Write `curve_{tag}_seed{s}.csv` for each trained seed s, then the
-    summary as `summary_name`, into `out_dir`; list the names in `result.files`."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for seed, curve in result.curves.items():
-        result.files.append(f"curve_{tag}_seed{seed}.csv")
-        curve.to_csv(out / result.files[-1])
-    result.files.append(summary_name)
-    write_json(out / summary_name, result.summary)
-
-
-def run_experiment(config: ExperimentConfig, out_dir=None,
-                   data: tuple[Dataset, Dataset] | None = None,
-                   tables: list | None = None) -> ExperimentResult:
+def run_experiment(config: ExperimentConfig,
+                   data: tuple[Dataset, Dataset] | None = None) -> ExperimentResult:
     """Run one condition over all repetition seeds through `_results` and
-    raise its error, if any. `data` is `resolve_dataset`'s (train, test) and
-    `tables` a list of `score_tables`; each is built from the config when None.
+    raise its error, if any. `data` is `resolve_dataset`'s (train, test),
+    built from the config when None.
 
     A repetition that diverges, or has an `ExperimentError` in place of its
     table, is recorded as failed; the experiment errors out only when at
-    least half of the repetitions fail. With `out_dir` set, `_write_run`
-    writes the per-seed learning-curve CSVs and summary.json there. Self-taught
-    scorers trained here are vanilla runs over the run's own plan seeds, so
-    the run reads their full-size batch draws from one `BatchStore`."""
+    least half of the repetitions fail. Self-taught scorers trained here are
+    vanilla runs over the run's own plan seeds, so the run reads their
+    full-size batch draws from one `BatchStore`."""
     data = resolve_dataset(config) if data is None else data
-    scorers = (tables is None and config.condition in SCORED_CONDITIONS
-               and config.scoring["kind"] == "self_taught")
-    (result,) = _results([config], data, BatchStore() if scorers else None,
-                         tables=None if tables is None else [tables])
+    scorers = config.condition in SCORED_CONDITIONS and config.scoring["kind"] == "self_taught"
+    (result,) = _results([config], data, BatchStore() if scorers else None)
     if isinstance(result, Exception):
         raise result
-    if out_dir is not None:
-        _write_run(out_dir, result, config.condition, "summary.json")
     return result
 
 
@@ -441,11 +427,12 @@ def refine_lr_grid(lr_axes: dict[str, list], target: int,
     return axes
 
 
-def two_stage_grid_search(config: ExperimentConfig, out_dir=None) -> tuple[ExperimentConfig, dict]:
+def two_stage_grid_search(config: ExperimentConfig) -> tuple[ExperimentConfig | None, dict]:
     """Stage 1 sweeps pacing axes at the base LR, stage 2 sweeps LR axes at
     the stage-1 winner; vanilla runs a single refined-LR stage of matched
     size. Winners are judged on a held-out validation split of the training
-    data, never the test set.
+    data, never the test set. Returns the winning cell's config, None when
+    every cell failed, and the audit log.
 
     Every score table is made before stage 1, the self-taught scorers as one
     stack: `_scorer_key` ignores pacing, so the base pacing stands in for
@@ -536,56 +523,49 @@ def two_stage_grid_search(config: ExperimentConfig, out_dir=None) -> tuple[Exper
                  "cell_counts": counts, "entries": audit,
                  "best_value": None if best is None else best[0],
                  "best_config": None if best is None else best[2].tree}
-    out = None if out_dir is None else Path(out_dir)
-    if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
-        write_json(out / "grid_audit.json", audit_log)
-    if best is None:
-        raise ExperimentError(f"all {counts['total']} grid cells failed; "
-                              f"first error: {audit[0]['error']}")
-    if out is not None:
-        write_json(out / "best_config.json", best[2].tree)
-    return best[2], audit_log
+    return None if best is None else best[2], audit_log
 
 
 # ---------------------------------------------------------------------------
 # Self-taught bootstrapping
 # ---------------------------------------------------------------------------
 
-def bootstrap_loop(config: ExperimentConfig, out_dir=None) -> list[ExperimentResult]:
+def bootstrap_loop(config: ExperimentConfig) -> Iterator[ExperimentResult]:
     """Generation 0 trains vanilla; each of the config's generations after it
     scores the training set with the previous generation's final model (per
-    repetition seed) and trains a curriculum on it. Returns one result per
-    generation; with `out_dir` set, each is written as it ends (`_write_run`).
+    repetition seed) and trains a curriculum on it. Yields each generation's
+    result as it ends.
 
     A seed that fails in one generation is recorded as failed in every later
     one; a generation errors out when half of its repetitions have failed.
     Every generation trains over the same plan seeds, so the generations
     share one `BatchStore`: each full-size batch is drawn once per loop.
-    Another condition than curriculum is a ConfigError: no other condition
-    defines a generation trained on the previous generation's scores."""
+    Another condition than curriculum is a ConfigError, raised by the call
+    itself, before any training: no other condition defines a generation
+    trained on the previous generation's scores."""
     if config.condition != "curriculum":
         raise ConfigError(f"bootstrap trains curriculum generations, not condition "
                           f"{config.condition}; set condition to curriculum")
-    data = resolve_dataset(config)
+    return _generations(config, resolve_dataset(config))
+
+
+def _generations(config: ExperimentConfig, data: tuple) -> Iterator[ExperimentResult]:
     batch_store = BatchStore()
-    results: list[ExperimentResult] = []
+    previous = None
     for g in range(config.generations + 1):
         # a seed with no generation-(g-1) model, or whose model cannot score
         # the training split, has no table: it fails in generation g as well
         tables = None if g == 0 else [[
-            _loss_table(data[0], results[-1].models[s], f"generation-{g - 1} model of seed {s}")
-            if s in results[-1].models
+            _loss_table(data[0], previous.models[s], f"generation-{g - 1} model of seed {s}")
+            if s in previous.models
             else ExperimentError(f"seed {s} has no generation-{g - 1} model to score with")
             for s in config.seeds]]
         (result,) = _results([config if g else _vanilla(config)], data, batch_store, tables=tables)
         if isinstance(result, Exception):
             raise result
         result.summary["generation"] = g
-        if out_dir is not None:
-            _write_run(out_dir, result, f"gen{g}", f"summary_gen{g}.json")
-        results.append(result)
-    return results
+        yield result
+        previous = result
 
 
 # ---------------------------------------------------------------------------

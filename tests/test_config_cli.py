@@ -404,6 +404,31 @@ class TestCliErrors:
         assert code == 2
         assert capsys.readouterr().err == "error: missing config key(s): dataset.synthetic.dim\n"
 
+    @pytest.mark.parametrize("command", ["gen-data", "train"])
+    @pytest.mark.parametrize("spread,variance", [(1e155, "inf"), (1e-300, "0.0")])
+    def test_spread_whose_square_leaves_the_float_range_is_named(self, tmp_path, capsys,
+                                                                  command, spread, variance):
+        tree = tiny_tree("curriculum")
+        tree["dataset"]["synthetic"]["spread"] = spread
+        code = main([command, "--config", str(write_config(tmp_path, tree)),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: dataset.synthetic.spread: the variance spread**2 must be finite and > 0, "
+            f"got {variance} from spread {spread}\n")
+
+    def test_subnormal_variance_trains_without_a_warning(self, tmp_path):
+        # spread 1e-160 squares to 1e-320: the far classes' oracle logits
+        # overflow to -inf, which leaves every posterior finite
+        import warnings
+        tree = tiny_tree("curriculum")
+        tree["dataset"]["synthetic"]["spread"] = 1e-160
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["train", "--config", str(write_config(tmp_path, tree)),
+                         "--out", str(tmp_path / "o")]) == 0
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
     def test_wrong_typed_grid_value_fails_before_any_cell(self, tmp_path, capsys, monkeypatch):
         import curriculum_lab.harness as harness
         cells = []
@@ -1292,6 +1317,19 @@ class TestCliNumericalFailure:
         assert "curve_gen1_seed1.csv" not in outputs and "curve_gen2_seed1.csv" not in outputs
         assert not (out / "curve_gen1_seed1.csv").exists()
 
+    def test_bootstrap_whose_generation_1_fails_keeps_generation_0(self, tmp_path, capsys):
+        # seed 1's generation-0 model cannot score the training split, so
+        # generation 1 loses one of its two seeds and errors out; generation
+        # 0, written as it ended, stays on disk, and no manifest is written
+        out = tmp_path / "o"
+        tree = self.outlier_tree(tmp_path, seeds=[0, 1])
+        assert main(["bootstrap", "--config", str(write_config(tmp_path, tree)),
+                     "--generations", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: 1 of 2 repetitions failed (seeds [1])\n"
+        assert sorted(os.listdir(out)) == ["curve_gen0_seed0.csv", "curve_gen0_seed1.csv",
+                                           "summary_gen0.json"]
+        assert json.loads((out / "summary_gen0.json").read_text())["failed_seeds"] == []
+
     def test_grid_search_with_every_cell_failing_exits_2(self, tmp_path, capsys):
         tree = tiny_tree("curriculum", repetitions=1, iterations=40,
                          model={"architecture": "mlp1", "hidden": 6})
@@ -1303,6 +1341,7 @@ class TestCliNumericalFailure:
         assert capsys.readouterr().err.startswith("error: all 3 grid cells failed")
         audit = json.loads((out / "grid_audit.json").read_text())
         assert [e["criterion_value"] for e in audit["entries"]] == [None, None, None]
+        assert not (out / "best_config.json").exists()
         assert not (out / "manifest.json").exists()
 
 
@@ -1403,6 +1442,16 @@ class TestCliReplay:
         assert lines == [] and err.count("\n") == 1, err
         assert err.startswith("error: " + error.format(path=path)), err
         assert self.snapshot(run) == before and not new.exists()
+
+    @pytest.mark.parametrize("command", [["train"], {"train": 1}], ids=["list", "object"])
+    def test_a_manifest_naming_a_command_of_another_type_exits_2(self, tmp_path, capsys,
+                                                                   command):
+        run, new = tmp_path / "run", tmp_path / "replay"
+        run.mkdir()
+        (run / "manifest.json").write_text(json.dumps({"command": command, "config": {}}))
+        assert self.replay(capsys, run, new, 2) == (
+            [], f"error: {run / 'manifest.json'}: cannot replay command {command!r}\n")
+        assert not new.exists()
 
     @pytest.mark.parametrize("out", ["", "new", "new/deeper", "new/../../run"],
                              ids=["run-dir", "inside", "two-deep", "run-dir-by-another-path"])

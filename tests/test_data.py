@@ -5,7 +5,8 @@ import pytest
 
 from curriculum_lab.data import (Dataset, EmbeddingTable, generate_gaussian_mixture,
                                  largest_remainder_quotas, load_dataset_csv,
-                                 load_embeddings_csv, save_dataset_csv, stratified_split)
+                                 load_embeddings_csv, save_dataset_csv, select_examples,
+                                 stratified_split_ids)
 from curriculum_lab.errors import DataLoadError, ParameterError
 from curriculum_lab.scoring import load_scores_csv
 from helpers import save_embeddings_csv
@@ -141,6 +142,11 @@ def test_malformed_id_keyed_csv_names_its_path(tmp_path, loader, case, text):
     with pytest.raises(DataLoadError) as err:
         ID_KEYED[loader][0](path)
     assert str(err.value).startswith(f"{path}: ")
+
+
+def stratified_split(ds, fraction, seed):
+    """Both sides of `stratified_split_ids`, as datasets."""
+    return tuple(select_examples(ds, ids) for ids in stratified_split_ids(ds, fraction, seed))
 
 
 class TestStratifiedSplit:

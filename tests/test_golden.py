@@ -17,6 +17,9 @@ RUN_IDS = [run["command"] for run in RECORDED["runs"]]
 def test_artifacts_equal_the_golden_ones(tmp_path, run):
     out = run_command(run, tmp_path)
     assert sorted(path.name for path in out.iterdir()) == sorted(run["artifacts"])
+    # the manifest lists every file of its run directory, itself included
+    assert json.loads((out / "manifest.json").read_text())["outputs"] == sorted(
+        path.name for path in out.iterdir())
     for name, want in run["artifacts"].items():
         assert mismatches(parse(out / name), want["content"], name) == []
 

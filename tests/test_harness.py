@@ -105,14 +105,13 @@ class TestRunExperiment:
         elif pacing == "varied_exp":
             tree["pacing"] = {"variant": "varied_exp", "starting_percent": 0.25,
                               "increase": 2.0, "boundaries": [8, 20]}
-        stacked = run_experiment(resolve_config(tree), out_dir=tmp_path / "stack")
+        stacked = run_experiment(resolve_config(tree))
         alone_curves = []
         for seed in (0, 1, 2):
-            out = tmp_path / f"alone{seed}"
-            alone = run_experiment(resolve_config(dict(tree, seeds=[seed], repetitions=1)),
-                                   out_dir=out)
-            name = f"curve_{condition}_seed{seed}.csv"
-            assert (tmp_path / "stack" / name).read_bytes() == (out / name).read_bytes()
+            alone = run_experiment(resolve_config(dict(tree, seeds=[seed], repetitions=1)))
+            stacked.curves[seed].to_csv(tmp_path / "stack.csv")
+            alone.curves[seed].to_csv(tmp_path / "alone.csv")
+            assert (tmp_path / "stack.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
             assert np.array_equal(stacked.models[seed].params, alone.models[seed].params)
             for key in ("final_accuracy", "auc"):
                 assert (stacked.summary["per_seed"][key][str(seed)]
@@ -138,12 +137,12 @@ class TestRunExperiment:
         assert not any("saturates" in w for w in res.summary["warnings"])
         assert res.curves[0].subset_size[-1] == 72
 
-    def test_writes_artifacts(self, tmp_path):
-        cfg = resolve_config(tiny_tree("curriculum"))
-        run_experiment(cfg, out_dir=tmp_path)
-        assert (tmp_path / "summary.json").exists()
-        assert (tmp_path / "curve_curriculum_seed0.csv").exists()
-        assert (tmp_path / "curve_curriculum_seed1.csv").exists()
+    def test_writes_nothing(self, tmp_path, monkeypatch):
+        # the CLI writes a run's artifacts; the harness returns them
+        monkeypatch.chdir(tmp_path)
+        result = run_experiment(resolve_config(tiny_tree("curriculum")))
+        assert sorted(result.curves) == [0, 1]
+        assert list(tmp_path.iterdir()) == []
 
     def test_conditions_produce_different_curves(self):
         curves = {}
@@ -277,7 +276,7 @@ class TestGridSearch:
         tree["dataset"]["embeddings_csv"] = str(tmp_path / "emb.csv")
         tree["grid"]["pacing"] = {"starting_percent": [0.25, 0.5]}
         tree["grid"]["lr"] = {"lr0": [0.1, 0.3]}
-        _best, audit = two_stage_grid_search(resolve_config(tree), out_dir=tmp_path / "o")
+        _best, audit = two_stage_grid_search(resolve_config(tree))
         assert audit["cell_counts"]["total"] == 4
         assert not any(e["failed"] for e in audit["entries"])
         fit_ids, _ = stratified_split_ids(train_ds, 0.75, derived_seed(1, SPLIT))
@@ -299,32 +298,31 @@ class TestGridSearch:
         assert not any(e["failed"] for e in from_file["entries"])
         assert from_file["entries"] == oracle["entries"]
 
-    def test_failed_cell_records_null_criterion(self, tmp_path):
+    def test_failed_cell_records_null_criterion(self):
         tree = self.grid_tree()
         tree["model"] = {"architecture": "mlp1", "hidden": 6}
         tree["grid"]["lr"] = {"lr0": [0.2, 1e12]}
-        best, audit = two_stage_grid_search(resolve_config(tree), out_dir=tmp_path)
+        best, audit = two_stage_grid_search(resolve_config(tree))
         failed = [e for e in audit["entries"] if e["failed"]]
         assert [e["lr"] for e in failed] == [{"lr0": 1e12}]
         assert failed[0]["criterion_value"] is None
-        text = (tmp_path / "grid_audit.json").read_text()
+        text = json_text(audit)  # the bytes of grid_audit.json
         assert "Infinity" not in text and "NaN" not in text
         assert json.loads(text)["entries"] == audit["entries"]
         assert audit["best_value"] == max(e["criterion_value"] for e in audit["entries"]
                                           if not e["failed"])
         assert best.schedule.lr0 != 1e12
 
-    def test_every_cell_failing_is_experiment_error(self, tmp_path):
+    def test_every_cell_failing_returns_no_config(self):
+        # the CLI writes the audit, then exits 2 with "all 6 grid cells failed"
         tree = self.grid_tree()
         tree["model"] = {"architecture": "mlp1", "hidden": 6}
         tree["lr"]["lr0"] = 1e12
         tree["grid"]["lr"] = {"lr0": [1e12, 1e13]}
-        with pytest.raises(ExperimentError, match="all 6 grid cells failed"):
-            two_stage_grid_search(resolve_config(tree), out_dir=tmp_path)
-        audit = json.loads((tmp_path / "grid_audit.json").read_text())
+        best, audit = two_stage_grid_search(resolve_config(tree))
+        assert best is None and audit["cell_counts"]["total"] == 6
         assert all(e["failed"] and e["criterion_value"] is None for e in audit["entries"])
         assert audit["best_value"] is None and audit["best_config"] is None
-        assert not (tmp_path / "best_config.json").exists()
 
     def test_refine_lr_grid_hits_target(self):
         axes = refine_lr_grid({"lr0": [0.05, 0.2], "decrease_factor": [1.5, 2.0]}, 14)
@@ -353,8 +351,8 @@ class TestGridStack:
 
     def cells_alone(self, tree):
         """The audit entries of `tree`'s grid, each cell run by itself through
-        `run_experiment` on the grid's fit/validation split; a fixed-kind
-        scored cell is given the table of the training split's fit rows."""
+        `_results` on the grid's fit/validation split; a fixed-kind scored
+        cell is given the table of the training split's fit rows."""
         from curriculum_lab.data import select_examples, stratified_split_ids
         from curriculum_lab.seeding import SPLIT, derived_seed
         config = resolve_config(tree)
@@ -373,17 +371,17 @@ class TestGridStack:
             tables = None
             if (cell_config.condition in harness.SCORED_CONDITIONS
                     and cell_config.scoring["kind"] != "self_taught"):
-                tables = ([harness._fixed_table(cell_config, train_ds, fit_ids)]
-                          * cell_config.repetitions)
-            try:
-                summary = run_experiment(cell_config, data=(fit_ds, val_ds),
-                                         tables=tables).summary
+                tables = [[harness._fixed_table(cell_config, train_ds, fit_ids)]
+                          * cell_config.repetitions]
+            (result,) = harness._results([cell_config], (fit_ds, val_ds), None, tables=tables)
+            if isinstance(result, (ExperimentError, ParameterError)):
+                value, extra = None, {"failed": True, "error": str(result)}
+            else:
+                summary = result.summary
                 value = summary["final_accuracy_mean" if config.selection["criterion"] == "final_accuracy"
                                 else "auc_mean"]
                 extra = {"final_accuracy_mean": summary["final_accuracy_mean"],
                          "auc_mean": summary["auc_mean"], "failed": False}
-            except (ExperimentError, ParameterError) as exc:
-                value, extra = None, {"failed": True, "error": str(exc)}
             alone.append({"stage": entry["stage"], "pacing": entry["pacing"], "lr": entry["lr"],
                           "criterion": config.selection["criterion"], "criterion_value": value,
                           **extra})
@@ -492,7 +490,7 @@ class TestGridStack:
         entries, alone = self.cells_alone(tree)
         assert entries == alone
 
-    def test_diverging_self_taught_scorer_fails_only_its_cell(self, tmp_path):
+    def test_diverging_self_taught_scorer_fails_only_its_cell(self):
         # the benchmark's self-taught grid on mlp1, with one stage-2 cell whose
         # scorers diverge: that cell fails under the half rule, the search goes on
         tree = harness.default_acceptance_tree(
@@ -503,14 +501,13 @@ class TestGridStack:
                   "lr": {"lr0": [1.2, 1e12]}, "validation_fraction": 0.8, "split_seed": 0})
         tree["pacing"]["step_length"] = 100
         tree["lr"]["lr_step_length"] = 150
-        best, audit = two_stage_grid_search(resolve_config(tree), out_dir=tmp_path)
+        best, audit = two_stage_grid_search(resolve_config(tree))
         failed = [e for e in audit["entries"] if e["failed"]]
         assert [(e["stage"], e["lr"]) for e in failed] == [(2, {"lr0": 1e12})]
         assert failed[0]["error"] == "4 of 4 repetitions failed (seeds [0, 1, 2, 3])"
         assert len(audit["entries"]) == 6
         assert best.schedule.lr0 == 1.2
-        assert json.loads((tmp_path / "grid_audit.json").read_text()) == audit
-        assert (tmp_path / "best_config.json").exists()
+        assert json.loads(json_text(audit)) == audit  # grid_audit.json reads back whole
 
 
 class TestResults:
@@ -551,6 +548,17 @@ class TestResults:
             for name in ("iterations", "train_loss", "test_acc", "subset_size", "lr"):
                 assert np.array_equal(getattr(trained.curves[seed], name), getattr(curve, name))
             assert trained.models[seed].params.tobytes() == alone.models[seed].params.tobytes()
+
+
+    @pytest.mark.parametrize("condition", ["vanilla", "random", "self_paced"])
+    def test_given_tables_leave_an_unscored_condition_unordered(self, condition):
+        # an unscored condition starts from its seeded random permutation,
+        # whatever tables it is handed
+        config = resolve_config(tiny_tree(condition))
+        data = resolve_dataset(config)
+        (tables,) = harness.score_tables([resolve_config(tiny_tree("curriculum"))], data)
+        (given,) = harness._results([config], data, None, tables=[tables])
+        assert json_text(given.summary) == json_text(run_experiment(config).summary)
 
 
 def spied_draws(monkeypatch, command):
@@ -597,7 +605,7 @@ class TestBatchStoreSharing:
         run_experiment(self.self_taught())
 
     def bootstrap(self):
-        bootstrap_loop(self.self_taught(bootstrap={"generations": 2}))
+        list(bootstrap_loop(self.self_taught(bootstrap={"generations": 2})))
 
     # the scorers, then each grid stage's new cells; the scorers, then the
     # run; one stack per generation
@@ -629,13 +637,6 @@ class TestBatchStoreSharing:
     def test_single_stack_run_keeps_no_store(self, monkeypatch, condition, scoring):
         config = resolve_config(tiny_tree(condition, scoring={"kind": scoring}))
         assert self.stores_passed(monkeypatch, lambda: run_experiment(config)) == [None]
-
-    def test_run_on_given_tables_keeps_no_store(self, monkeypatch):
-        config = self.self_taught()
-        data = resolve_dataset(config)
-        (tables,) = harness.score_tables([config], data)
-        assert self.stores_passed(
-            monkeypatch, lambda: run_experiment(config, data=data, tables=tables)) == [None]
 
     def test_self_taught_run_shares_one_store(self, monkeypatch):
         stores = self.stores_passed(monkeypatch, self.train)
@@ -708,7 +709,7 @@ class TestBootstrap:
     def test_zero_generations_is_vanilla(self):
         cfg = resolve_config(tiny_tree("curriculum", scoring={"kind": "self_taught"},
                                        bootstrap={"generations": 0}))
-        results = bootstrap_loop(cfg)
+        results = list(bootstrap_loop(cfg))
         vanilla = run_experiment(resolve_config(tiny_tree("vanilla"))).summary
         assert len(results) == 1
         assert results[0].summary["mean_curve"] == vanilla["mean_curve"]
@@ -723,22 +724,20 @@ class TestBootstrap:
     def test_one_generation_equals_self_taught_condition(self):
         cfg = resolve_config(tiny_tree("curriculum", scoring={"kind": "self_taught"},
                                        bootstrap={"generations": 1}))
-        results = bootstrap_loop(cfg)
+        results = list(bootstrap_loop(cfg))
         direct = run_experiment(cfg)
         assert results[1].summary["mean_curve"] == direct.summary["mean_curve"]
         assert results[1].summary["per_seed"] == direct.summary["per_seed"]
 
-    def test_three_generations_emit_curves(self, tmp_path):
+    def test_three_generations_emit_curves(self):
         cfg = resolve_config(tiny_tree("curriculum", scoring={"kind": "self_taught"},
                                        bootstrap={"generations": 3}))
-        results = bootstrap_loop(cfg, out_dir=tmp_path)
+        results = list(bootstrap_loop(cfg))
         assert [r.summary["generation"] for r in results] == [0, 1, 2, 3]
-        for g, result in enumerate(results):
-            assert result.files == [f"curve_gen{g}_seed0.csv", f"curve_gen{g}_seed1.csv",
-                                    f"summary_gen{g}.json"]
-            assert all((tmp_path / name).exists() for name in result.files)
+        for result in results:
+            assert sorted(result.curves) == sorted(result.models) == [0, 1]
 
-    def test_diverged_seed_fails_in_later_generations(self, monkeypatch, tmp_path):
+    def test_diverged_seed_fails_in_later_generations(self, monkeypatch):
         real_train_stack = harness.train_stack
         calls = []
 
@@ -752,15 +751,14 @@ class TestBootstrap:
         monkeypatch.setattr(harness, "train_stack", first_row_diverges_once)
         cfg = resolve_config(tiny_tree("curriculum", scoring={"kind": "self_taught"},
                                        repetitions=3, bootstrap={"generations": 2}))
-        summaries = [r.summary for r in bootstrap_loop(cfg, out_dir=tmp_path)]
+        results = list(bootstrap_loop(cfg))
+        summaries = [r.summary for r in results]
         assert calls == [3, 2, 2]  # later generations stack only seeds 1 and 2
         assert [s["failed_seeds"] for s in summaries] == [[0], [0], [0]]
         assert "seed 0 diverged at iteration 5" in summaries[0]["warnings"]
         assert "seed 0 has no generation-0 model to score with" in summaries[1]["warnings"]
         assert "seed 0 has no generation-1 model to score with" in summaries[2]["warnings"]
-        for g in range(3):
-            assert not (tmp_path / f"curve_gen{g}_seed0.csv").exists()
-            assert (tmp_path / f"curve_gen{g}_seed1.csv").exists()
+        assert [sorted(r.curves) for r in results] == [[1, 2]] * 3
 
     def test_carried_failures_count_toward_half_rule(self, monkeypatch):
         real_train_stack = harness.train_stack
@@ -773,14 +771,14 @@ class TestBootstrap:
                                        repetitions=4, bootstrap={"generations": 1}))
         # generation 0 loses seed 0; generation 1 carries it and loses seed 1
         with pytest.raises(ExperimentError, match=r"2 of 4 repetitions .*\[0, 1\]"):
-            bootstrap_loop(cfg)
+            list(bootstrap_loop(cfg))
 
     def test_reference_dataset_bootstrap_smoke(self):
         from curriculum_lab.harness import default_acceptance_tree
         tree = default_acceptance_tree("curriculum", repetitions=1)
         tree["scoring"] = {"kind": "self_taught"}
         tree["bootstrap"] = {"generations": 3}
-        results = bootstrap_loop(resolve_config(tree))
+        results = list(bootstrap_loop(resolve_config(tree)))
         assert len(results) == 4
         # no monotone-improvement claim: repeated bootstrapping may plateau
         assert all(r.summary["failed_seeds"] == [] for r in results)
@@ -874,13 +872,13 @@ class TestDatasetResolution:
         save_embeddings_csv(EmbeddingTable(train_ds.X[:, :2]), tmp_path / "emb.csv")
         tree = tiny_tree(condition, scoring={"kind": "transfer"})
         tree["dataset"]["embeddings_csv"] = str(tmp_path / "emb.csv")
-        converged = run_experiment(resolve_config(tree), out_dir=tmp_path / "a")
+        converged = run_experiment(resolve_config(tree))
         assert converged.summary["warnings"] == []
         monkeypatch.setattr(scoring, "_PROBE_MAX_ITER", 3)
-        capped = run_experiment(resolve_config(tree), out_dir=tmp_path / "b")
+        capped = run_experiment(resolve_config(tree))
         probe_warnings = [w for w in capped.summary["warnings"] if w.startswith("transfer probe")]
         # one table serves both seeds; each fold is named once
         assert [w.split(" did")[0] for w in probe_warnings] == [
             f"transfer probe of fold {f}" for f in range(4)]
-        on_disk = json.loads((tmp_path / "b" / "summary.json").read_text())
-        assert on_disk["warnings"] == capped.summary["warnings"]
+        written = json.loads(json_text(capped.summary))  # the bytes of summary.json
+        assert written["warnings"] == capped.summary["warnings"]

@@ -12,7 +12,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 from curriculum_lab.data import Dataset, largest_remainder_quotas, read_id_rows, \
-    stratified_split, stratified_split_ids, write_csv  # noqa: E402
+    select_examples, stratified_split_ids, write_csv  # noqa: E402
 from curriculum_lab.errors import ParameterError  # noqa: E402
 from curriculum_lab.pacing import PacingSpec, num_steps, saturation_iteration  # noqa: E402
 from curriculum_lab.sequencer import balanced_prefix, build_plan  # noqa: E402
@@ -114,7 +114,7 @@ class TestStratifiedSplit:
         exact = target * ds.class_counts / ds.N
         train_counts = np.bincount(ds.y[train_ids], minlength=ds.K)
         assert (np.abs(train_counts - exact) < 1).all()
-        train, val = stratified_split(ds, fraction, seed)
+        train, val = select_examples(ds, train_ids), select_examples(ds, val_ids)
         assert np.array_equal(train.class_counts, train_counts)
         assert np.array_equal(val.class_counts, ds.class_counts - train_counts)
 

@@ -4,7 +4,7 @@ import curriculum_lab
 
 PUBLIC = [
     "BayesMixture", "Dataset", "EmbeddingTable",
-    "generate_gaussian_mixture", "load_dataset_csv", "stratified_split",
+    "generate_gaussian_mixture", "load_dataset_csv",
     "ConfigError", "DataLoadError", "ExperimentError", "NumericalError",
     "ParameterError", "TrainingDivergedError",
     "PacingSpec", "num_steps", "subset_size",

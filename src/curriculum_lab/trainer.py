@@ -13,6 +13,7 @@ kernel, for what reads a trained model (loss scoring and gradient coherence).
 """
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from collections import namedtuple
@@ -26,6 +27,8 @@ from .sequencer import CurriculumPlan, _batch_positions, balanced_prefix, rerank
 
 ARCHITECTURES = ("linear_softmax", "mlp1")
 _NONFINITE = "non-finite activations in forward pass at iteration {}"
+# the most steps a store-less draw group draws ahead of the step it serves
+_DRAW_WINDOW = 64
 
 
 @dataclass(frozen=True)
@@ -381,6 +384,19 @@ class BatchStore:
         return self._blocks[key]
 
 
+def _draw_window(groups: list, start: int, stop: int, N: int, B: int, rngs: dict) -> np.ndarray:
+    """The batch positions of steps start..stop-1 of every draw group, an
+    (stop - start, G, B) array in the smallest unsigned dtype that holds
+    N - 1. Each store-less group draws its steps back to back; a group with
+    a store (plan, (block, filled)) is left for its step to fill."""
+    window = np.empty((stop - start, len(groups), B), dtype=np.min_scalar_type(N - 1))
+    for g, (plan, store) in enumerate(groups):
+        if store is None:
+            for t in range(start, stop):
+                window[t - start, g] = _batch_positions(plan, t, rngs)
+    return window
+
+
 def train_stack(ds_train: Dataset, ds_test: Dataset, plans: list[CurriculumPlan],
                 schedules: list[LRSchedule], model_spec: ModelSpec, seeds: list[int],
                 record_every: int = 50, self_paced: list[bool] | None = None,
@@ -401,6 +417,12 @@ def train_stack(ds_train: Dataset, ds_test: Dataset, plans: list[CurriculumPlan]
     t=0 and at each stage start of its pacing; a non-finite forward diverges it.
     `batch_store`, when given, supplies and keeps every full-size draw: a row
     at g(t) = N draws only when no stack of the store drew (plan seed, t).
+    Rows that share a plan seed and g(t) share one draw of batch positions.
+    Each draw group without a store draws a window of steps back to back,
+    up to the next stage start of any row, M, or `_DRAW_WINDOW` steps on,
+    and the window's steps then read it; a group with a store reads or
+    draws at its own step. A draw depends on (plan seed, t, g(t)) alone, so
+    the window changes when a batch is drawn, never what it holds.
 
     Returns one outcome per row: `(Model, LearningCurve)`, or the
     `TrainingDivergedError` that training the row alone raises. A diverged
@@ -442,6 +464,10 @@ def train_stack(ds_train: Dataset, ds_test: Dataset, plans: list[CurriculumPlan]
     # a row's draw group and prefix change only at its stage starts (where a
     # self-paced row re-ranks) and at the step after the stack drops rows
     changes = set().union(*starts)
+    # a window of draws ends at the next stage start of any row, at M, or
+    # _DRAW_WINDOW steps after it starts, whichever comes first
+    bounds = sorted(changes | {M})
+    start = stop = 0  # the window holds the draws of steps start..stop-1
     recorded: list[list] = [[] for _ in plans]
     outcomes: list = [None] * R
     # each row's store block, for its full-size draws
@@ -486,18 +512,24 @@ def train_stack(ds_train: Dataset, ds_test: Dataset, plans: list[CurriculumPlan]
                         groups.append((plan, stored[r] if size == N else None))
                     group_of.append(g)
                     prefixes[j, :size] = balanced_prefix(plan, size)
+                if t < stop:  # the step after a drop: the groups are some of the window's
+                    window = window[:, [previous[key] for key in keys]]
+                previous = keys
                 group_of = np.array(group_of)
-                drawn = np.empty((len(groups), B), dtype=np.int64)
+                store_groups = [(g, plan, *store) for g, (plan, store) in enumerate(groups)
+                                if store is not None]
                 # live row j's batch ids are prefixes.flat[offsets[j] + its positions]
                 offsets = np.arange(0, len(live) * N, N)[:, None]
-            for g, (plan, store) in enumerate(groups):
-                if store is None:
-                    drawn[g] = _batch_positions(plan, t, rngs)
-                else:
-                    block, filled = store
-                    if not filled[t]:
-                        block[t], filled[t] = _batch_positions(plan, t, rngs), True
-                    drawn[g] = block[t]
+            if t == stop:
+                start, stop = t, min(bounds[bisect.bisect_right(bounds, t)], t + _DRAW_WINDOW)
+                window = _draw_window(groups, start, stop, N, B, rngs)
+            drawn = window[t - start]
+            # a full-size group reads or fills its store block at its own step,
+            # so a row that diverges leaves its later draws to the next stack
+            for g, plan, block, filled in store_groups:
+                if not filled[t]:
+                    block[t], filled[t] = _batch_positions(plan, t, rngs), True
+                drawn[g] = block[t]
             ids = np.take(prefixes, drawn[group_of] + offsets)
             # every id is in range; mode "raise" would gather into a copy of out
             X = np.take(ds_train.X, ids, axis=0, out=step["X"], mode="clip")

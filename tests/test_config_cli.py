@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import golden
+from curriculum_lab import trainer
 from curriculum_lab.cli import main
 from curriculum_lab.config import _SCHEMA, resolve_config, validate_tree
 from curriculum_lab.errors import ConfigError
@@ -1463,3 +1464,41 @@ class TestCliReplay:
         assert self.replay(capsys, run, run / out, 2) == (
             [], f"error: --out {run / out} is the run directory {run} or lies inside it\n")
         assert self.snapshot(run) == before
+
+
+class TestCliDrawWindow:
+    """No artifact depends on how far ahead a stack draws its batches: with a
+    window of one step, every draw is made at the step it serves."""
+
+    SELF_TAUGHT = {"scoring": {"kind": "self_taught"}}
+    MLP1 = {"model": {"architecture": "mlp1", "hidden": 8}}
+
+    @staticmethod
+    def files(out):
+        return {path.relative_to(out): path.read_bytes()
+                for path in sorted(out.rglob("*")) if path.is_file()}
+
+    @pytest.mark.parametrize("command,condition,overrides", [
+        ("train", "curriculum", {}),
+        ("train", "self_paced", {}),
+        ("train", "curriculum", MLP1),
+        ("train", "self_paced", MLP1),
+        ("grid-search", "curriculum",
+         {**SELF_TAUGHT, "grid": {"pacing": {"starting_percent": [0.25, 0.5]},
+                                  "lr": {"lr0": [0.2, 0.3]}}}),
+        ("bootstrap", "curriculum", {**SELF_TAUGHT, "bootstrap": {"generations": 2}}),
+    ], ids=["curriculum", "self-paced", "curriculum-mlp1", "self-paced-mlp1",
+            "self-taught-grid-search", "self-taught-bootstrap"])
+    def test_every_artifact_is_the_same_with_a_window_of_one_step(
+            self, tmp_path, monkeypatch, command, condition, overrides):
+        default = trainer._DRAW_WINDOW
+        # the windows roll over twice, and stage starts fall inside the first
+        tree = tiny_tree(condition, iterations=2 * default + 20, **overrides)
+        config = write_config(tmp_path, tree)
+        runs = []
+        for window in (1, default):
+            monkeypatch.setattr(trainer, "_DRAW_WINDOW", window)
+            out = tmp_path / f"window{window}"
+            assert main([command, "--config", str(config), "--out", str(out)]) == 0
+            runs.append(self.files(out))
+        assert runs[0] == runs[1] and len(runs[0]) > 1

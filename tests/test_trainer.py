@@ -511,6 +511,23 @@ def reference_run(ds, test, plan, sched, spec, seed, record_every):
     return model.params, records
 
 
+def self_paced_reference_run(ds, test, plan, sched, spec, seed, record_every):
+    """`reference_run` of a self-paced row that stays finite: at each stage
+    start, t = 0 included, the plan re-ranks by the model's current losses."""
+    model = Model.initialize(spec, ds.K, ds.d, seed)
+    starts = set(np.flatnonzero(np.diff(plan.pacing.sizes, prepend=-1)).tolist())
+    records = []
+    for t in range(plan.M):
+        if t in starts:
+            plan = replace(plan, order=_order(model.example_losses(ds.X, ds.y)))
+        ids = minibatch_at(plan, t)
+        loss, grad = model.loss_and_grad(ds.X[ids], ds.y[ids])
+        model.params -= sched.value(t) * grad
+        if t % record_every == 0 or t == plan.M - 1:
+            records.append((t, loss, accuracy(model, test)))
+    return model.params, records
+
+
 class TestTrainStack:
     SCHED = LRSchedule("exponential", lr0=0.4, decrease_factor=1.5, lr_step_length=30)
     M = 70
@@ -793,6 +810,84 @@ class TestTrainStack:
     def test_empty_stack(self):
         ds = make_ds([10, 10], d=3)
         assert train_stack(ds, ds, [], [], LINEAR, []) == []
+
+    @pytest.mark.parametrize("row0", ["finite", "diverges-alone", "diverges-sharing"])
+    @pytest.mark.parametrize("spec", [LINEAR, MLP], ids=["linear", "mlp1"])
+    def test_draw_windows_change_no_batch_and_draw_each_once(self, monkeypatch, spec, row0):
+        # store-less groups draw a window of steps ahead, which ends at the
+        # next stage start of any row, at M or W steps on; row 0 shares its
+        # (seed, g(t)) group with row 1 unless it diverges alone, rows 2 and
+        # 3 share one throughout, row 2 is self-paced and row 4 joins them
+        # where its subset size meets theirs
+        W = 6
+        ds, test = make_ds([14, 14, 12], d=3, seed=5), make_ds([5, 5, 5], d=3, seed=6)
+        blowup = LRSchedule("cyclical", lr_min=0.1, lr_max=1.7e308, cycle_length=2)
+        cyclical = LRSchedule("cyclical", lr_min=0.05, lr_max=0.5, cycle_length=16)
+        rows = [("vanilla", blowup if row0 != "finite" else self.SCHED, False, 3),
+                ("vanilla", self.SCHED, False, 8 if row0 == "diverges-alone" else 3),
+                ("fixed_exp", self.SCHED, True, 5), ("fixed_exp", cyclical, False, 5),
+                ("varied_exp", self.SCHED, False, 5)]
+        plans = [build_plan(ds, np.random.default_rng(r).normal(size=ds.N),
+                            self.pacing(variant, ds.N), 5, seed=seed)
+                 for r, (variant, _sched, _sp, seed) in enumerate(rows)]
+        schedules = [sched for _v, sched, _sp, _seed in rows]
+        self_paced = [sp for _v, _sched, sp, _seed in rows]
+        bounds = sorted(set().union(*(np.flatnonzero(np.diff(p.pacing.sizes, prepend=-1))
+                                      .tolist() for p in plans)) | {self.M})
+        assert self.M % W and any(b % W for b in bounds)
+        windows, start = [], 0
+        while start < self.M:
+            windows.append((start, min(min(b for b in bounds if b > start), start + W)))
+            start = windows[-1][1]
+        draws, spans = [], []
+        positions, draw_window = trainer._batch_positions, trainer._draw_window
+
+        def counted(plan, t, rngs):
+            draws.append((plan.seed, t, plan.pacing.sizes[t]))
+            return positions(plan, t, rngs)
+
+        def spied(groups, start, stop, N, B, rngs):
+            window = draw_window(groups, start, stop, N, B, rngs)
+            spans.append((start, stop, window.shape, window.dtype))
+            return window
+
+        monkeypatch.setattr(trainer, "_DRAW_WINDOW", W)
+        monkeypatch.setattr(trainer, "_batch_positions", counted)
+        monkeypatch.setattr(trainer, "_draw_window", spied)
+        stacked = train_stack(ds, test, plans, schedules, spec, list(range(len(rows))),
+                              record_every=9, self_paced=self_paced)
+        monkeypatch.undo()
+        assert [(s, e) for s, e, _shape, _dtype in spans] == windows
+        assert all(shape[0] == e - s and shape[2] == 5 and dtype == np.min_scalar_type(ds.N - 1)
+                   for s, e, shape, dtype in spans)
+        ends = [self.M] * len(rows)
+        extra = set()
+        if row0 != "finite":
+            assert isinstance(stacked[0], TrainingDivergedError)
+            with pytest.raises(TrainingDivergedError) as ref_err:
+                reference_run(ds, test, plans[0], blowup, spec, 0, 9)
+            it = stacked[0].iteration
+            assert it == ref_err.value.iteration
+            ends[0] = it + 1  # the row drew at its last step
+            stop = next(e for s, e in windows if s <= it < e)
+            assert 0 < it < stop - 1  # mid-window
+            extra = {(3, t, ds.N) for t in range(it + 1, stop)}
+        needed = {(plan.seed, t, plan.pacing.sizes[t])
+                  for plan, end in zip(plans, ends) for t in range(end)}
+        # a diverged row wastes the rest of its window only if it drew alone
+        assert bool(extra - needed) == (row0 == "diverges-alone")
+        assert len(draws) == len(set(draws)) and set(draws) == needed | extra
+        for r, (plan, sched, sp) in enumerate(zip(plans, schedules, self_paced)):
+            if ends[r] < self.M:
+                continue
+            run = self_paced_reference_run if sp else reference_run
+            params, records = run(ds, test, plan, sched, spec, r, 9)
+            model, curve = stacked[r]
+            its, losses, accs = zip(*records)
+            assert np.array_equal(model.params, params)
+            assert curve.iterations.tolist() == list(its)
+            assert curve.train_loss.tobytes() == np.array(losses).tobytes()
+            assert curve.test_acc.tobytes() == np.array(accs).tobytes()
 
 
 class TestBatchStore:

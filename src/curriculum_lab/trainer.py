@@ -23,12 +23,15 @@ import numpy as np
 
 from .data import Dataset, write_csv
 from .errors import NumericalError, ParameterError, TrainingDivergedError
-from .sequencer import CurriculumPlan, _batch_positions, balanced_prefix, reranked
+from .sequencer import CurriculumPlan, _batch_positions_many, balanced_prefix, reranked
 
 ARCHITECTURES = ("linear_softmax", "mlp1")
 _NONFINITE = "non-finite activations in forward pass at iteration {}"
 # the most steps a store-less draw group draws ahead of the step it serves
 _DRAW_WINDOW = 64
+# the most draws of a window made in one `_batch_positions_many` call; the
+# bulk temporaries grow with it (~0.5 MB at 128 and g = 2500)
+_DRAW_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -387,13 +390,18 @@ class BatchStore:
 def _draw_window(groups: list, start: int, stop: int, N: int, B: int, rngs: dict) -> np.ndarray:
     """The batch positions of steps start..stop-1 of every draw group, an
     (stop - start, G, B) array in the smallest unsigned dtype that holds
-    N - 1. Each store-less group draws its steps back to back; a group with
-    a store (plan, (block, filled)) is left for its step to fill."""
+    N - 1. The store-less groups' draws are made back to back, in near-equal
+    chunks of at most `_DRAW_CHUNK`; a group with a store (plan, (block,
+    filled)) is left for its step to fill."""
     window = np.empty((stop - start, len(groups), B), dtype=np.min_scalar_type(N - 1))
-    for g, (plan, store) in enumerate(groups):
-        if store is None:
-            for t in range(start, stop):
-                window[t - start, g] = _batch_positions(plan, t, rngs)
+    free = [g for g, (_plan, store) in enumerate(groups) if store is None]
+    T, total = stop - start, len(free) * (stop - start)
+    chunks = -(-total // _DRAW_CHUNK)
+    for k in range(chunks):
+        # draw n is step start + n % T of group free[n // T]
+        n = np.arange(total * k // chunks, total * (k + 1) // chunks)
+        requests = [(groups[free[m // T]][0], start + m % T) for m in n.tolist()]
+        window[n % T, np.take(free, n // T)] = _batch_positions_many(requests, rngs)
     return window
 
 
@@ -422,7 +430,9 @@ def train_stack(ds_train: Dataset, ds_test: Dataset, plans: list[CurriculumPlan]
     up to the next stage start of any row, M, or `_DRAW_WINDOW` steps on,
     and the window's steps then read it; a group with a store reads or
     draws at its own step. A draw depends on (plan seed, t, g(t)) alone, so
-    the window changes when a batch is drawn, never what it holds.
+    the window changes when a batch is drawn, never what it holds. A
+    window's draws are made in chunks by `sequencer._batch_positions_many`,
+    in bulk or per call, with the same bits either way.
 
     Returns one outcome per row: `(Model, LearningCurve)`, or the
     `TrainingDivergedError` that training the row alone raises. A diverged
@@ -528,7 +538,7 @@ def train_stack(ds_train: Dataset, ds_test: Dataset, plans: list[CurriculumPlan]
             # so a row that diverges leaves its later draws to the next stack
             for g, plan, block, filled in store_groups:
                 if not filled[t]:
-                    block[t], filled[t] = _batch_positions(plan, t, rngs), True
+                    block[t], filled[t] = _batch_positions_many([(plan, t)], rngs)[0], True
                 drawn[g] = block[t]
             ids = np.take(prefixes, drawn[group_of] + offsets)
             # every id is in range; mode "raise" would gather into a copy of out

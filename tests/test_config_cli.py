@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import golden
-from curriculum_lab import trainer
+from curriculum_lab import sequencer, trainer
 from curriculum_lab.cli import main
 from curriculum_lab.config import _SCHEMA, resolve_config, validate_tree
 from curriculum_lab.errors import ConfigError
@@ -1467,18 +1467,14 @@ class TestCliReplay:
 
 
 class TestCliDrawWindow:
-    """No artifact depends on how far ahead a stack draws its batches: with a
-    window of one step, every draw is made at the step it serves."""
+    """No artifact depends on how far ahead a stack draws its batches, or on
+    whether it draws them in bulk: with a window of one step, every draw is
+    made at the step it serves, and with a chunk of one draw, per call."""
 
     SELF_TAUGHT = {"scoring": {"kind": "self_taught"}}
     MLP1 = {"model": {"architecture": "mlp1", "hidden": 8}}
 
-    @staticmethod
-    def files(out):
-        return {path.relative_to(out): path.read_bytes()
-                for path in sorted(out.rglob("*")) if path.is_file()}
-
-    @pytest.mark.parametrize("command,condition,overrides", [
+    COMMANDS = pytest.mark.parametrize("command,condition,overrides", [
         ("train", "curriculum", {}),
         ("train", "self_paced", {}),
         ("train", "curriculum", MLP1),
@@ -1489,6 +1485,13 @@ class TestCliDrawWindow:
         ("bootstrap", "curriculum", {**SELF_TAUGHT, "bootstrap": {"generations": 2}}),
     ], ids=["curriculum", "self-paced", "curriculum-mlp1", "self-paced-mlp1",
             "self-taught-grid-search", "self-taught-bootstrap"])
+
+    @staticmethod
+    def files(out):
+        return {path.relative_to(out): path.read_bytes()
+                for path in sorted(out.rglob("*")) if path.is_file()}
+
+    @COMMANDS
     def test_every_artifact_is_the_same_with_a_window_of_one_step(
             self, tmp_path, monkeypatch, command, condition, overrides):
         default = trainer._DRAW_WINDOW
@@ -1502,3 +1505,30 @@ class TestCliDrawWindow:
             assert main([command, "--config", str(config), "--out", str(out)]) == 0
             runs.append(self.files(out))
         assert runs[0] == runs[1] and len(runs[0]) > 1
+
+    @COMMANDS
+    def test_every_artifact_is_the_same_with_every_draw_made_per_call(
+            self, tmp_path, monkeypatch, command, condition, overrides):
+        # with a chunk of one draw, every call is below the bulk threshold;
+        # five seeds and stage starts at 15 and 30 make `train`'s windows
+        # 75, 75, 320, 320 and, at the end, 25 draws
+        default, W = trainer._DRAW_CHUNK, trainer._DRAW_WINDOW
+        tree = tiny_tree(condition, iterations=30 + 2 * W + 5, repetitions=5, **overrides)
+        config = write_config(tmp_path, tree)
+        draw_window, sizes, runs = trainer._draw_window, [], []
+
+        def spied(groups, start, stop, *args):
+            sizes.append((stop - start) * sum(store is None for _plan, store in groups))
+            return draw_window(groups, start, stop, *args)
+
+        monkeypatch.setattr(trainer, "_draw_window", spied)
+        for chunk in (1, default):
+            monkeypatch.setattr(trainer, "_DRAW_CHUNK", chunk)
+            out = tmp_path / f"chunk{chunk}"
+            assert main([command, "--config", str(config), "--out", str(out)]) == 0
+            runs.append(self.files(out))
+        assert runs[0] == runs[1] and len(runs[0]) > 1
+        assert max(sizes) >= sequencer._BULK_MIN  # the default run drew in bulk
+        if command == "train":
+            # a window split into chunks, and a tail window drawn per call
+            assert max(sizes) > default and 0 < sizes[-1] < sequencer._BULK_MIN

@@ -567,18 +567,18 @@ def spied_draws(monkeypatch, command):
     key once), and each stack's per-stack distinct key count."""
     from curriculum_lab import trainer
     draws, stacks = [], []
-    positions, stack = trainer._batch_positions, harness.train_stack
+    positions, stack = trainer._batch_positions_many, harness.train_stack
 
-    def counted(plan, t, rngs):
-        draws.append((plan.seed, t, plan.pacing.sizes[t]))
-        return positions(plan, t, rngs)
+    def counted(requests, rngs):
+        draws.extend((plan.seed, t, plan.pacing.sizes[t]) for plan, t in requests)
+        return positions(requests, rngs)
 
     def recorded(ds_train, ds_test, plans, *args, **kwargs):
         stacks.append([(p.seed, t, g, g == p.N) for p in plans
                        for t, g in enumerate(p.pacing.sizes)])
         return stack(ds_train, ds_test, plans, *args, **kwargs)
 
-    monkeypatch.setattr(trainer, "_batch_positions", counted)
+    monkeypatch.setattr(trainer, "_batch_positions_many", counted)
     monkeypatch.setattr(harness, "train_stack", recorded)
     command()
     monkeypatch.undo()

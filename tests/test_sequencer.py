@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -8,8 +9,9 @@ from curriculum_lab.errors import ParameterError
 from curriculum_lab.pacing import PacingSpec, subset_size
 from curriculum_lab.scoring import ScoreTable, invert
 from curriculum_lab.seeding import BATCH, derived_seed
-from curriculum_lab.sequencer import (CurriculumPlan, _batch_positions, balanced_prefix,
-                                      build_plan, reranked)
+from curriculum_lab import sequencer, trainer
+from curriculum_lab.sequencer import (CurriculumPlan, _batch_positions, _batch_positions_many,
+                                      _bulk_positions, balanced_prefix, build_plan, reranked)
 from curriculum_lab.trainer import Model, ModelSpec
 from helpers import minibatch_at
 
@@ -232,6 +234,86 @@ class TestMinibatchAt:
             p = set(balanced_prefix(plan, 10).tolist())
             a = set(balanced_prefix(anti, 10).tolist())
             assert not (p & a)  # 2 * g(0) <= N per class
+
+
+class TestBulkDraw:
+    """`_batch_positions_many` draws what `_batch_positions`, the definition,
+    draws: numpy's own Philox words, then its Lemire, Floyd and Fisher-Yates
+    steps made across the draws. A numpy whose `choice` consumes its stream
+    another way fails here."""
+
+    # numpy redraws a Lemire word of these two: the bulk draw must hand them
+    # to `_batch_positions`, as (plan seed, t, g, B)
+    REJECTED = [(3, 2003, 10000, 100), (3, 136763, 2500, 100)]
+
+    @staticmethod
+    def plan(g, B, seed, M):
+        """A plan whose prefix has size g at every t < M."""
+        ds = make_ds([g - g // 2, g // 2] if g > 1 else [1], d=1)
+        return build_plan(ds, np.zeros(g), vanilla_pacing(g, M), B, seed=seed)
+
+    @pytest.mark.parametrize("B", [1, 2, 100, 300])
+    def test_every_draw_of_a_mixed_request_list_equals_the_per_call_draw(self, B):
+        # one batch size per call, as in a stack; the prefix sizes include
+        # g == B (numpy's first Floyd bound takes no word) and, for B = 300,
+        # g = 10001 (numpy's tail shuffle) and g = 20000 (Floyd again)
+        rng = np.random.default_rng(B)
+        requests = []
+        for g in (B, B + 1, 250, 2500, 10000, 10001, 20000):
+            if g < B:
+                continue
+            base = self.plan(g, B, 0, 10**6)
+            requests += [(replace(base, seed=int(seed)), int(t)) for seed, t in
+                         zip(rng.integers(0, 2**63, 40), rng.integers(0, 10**6, 40))]
+            if B == 100:
+                requests += [(replace(base, seed=seed), t)
+                             for seed, t, gr, _b in self.REJECTED if gr == g]
+        requests = [requests[k] for k in rng.permutation(len(requests))]
+        assert len(requests) >= sequencer._BULK_MIN
+        rngs = {}
+        drawn = _batch_positions_many(requests, rngs)
+        assert drawn.shape == (len(requests), B) and drawn.dtype == np.int64
+        for row, (plan, t) in zip(drawn, requests):
+            assert np.array_equal(row, _batch_positions(plan, t, rngs)), (plan.seed, t, plan.N)
+
+    def test_the_bulk_steps_flag_each_draw_numpy_makes_another_way(self):
+        # the two rejections, g == B and the tail shuffle; the rest are drawn
+        rejected = [(replace(self.plan(g, B, 0, t + 1), seed=seed), t)
+                    for seed, t, g, B in self.REJECTED]
+        ordinary = [(self.plan(2500, 100, seed, 10), 3) for seed in range(4)]
+        drawn, redraw = _bulk_positions(rejected + ordinary, {})
+        assert redraw.tolist() == [True, True] + [False] * 4
+        rngs = {}
+        for row, (plan, t) in zip(drawn, rejected):
+            assert not np.array_equal(row, _batch_positions(plan, t, rngs))
+        for row, (plan, t) in zip(drawn[2:], ordinary):
+            assert np.array_equal(row, _batch_positions(plan, t, rngs))
+        assert _bulk_positions([(self.plan(100, 100, 0, 5), 0)] * 2, {})[1].all()
+        tail = [(self.plan(g, 300, 0, 5), 0) for g in (10001, 12000, 20000)]
+        assert _bulk_positions(tail, {})[1].tolist() == [True, True, False]
+
+    def test_fewer_draws_than_the_threshold_go_per_call(self, monkeypatch):
+        requests = [(self.plan(250, 10, seed, 5), 4) for seed in range(sequencer._BULK_MIN - 1)]
+        monkeypatch.setattr(sequencer, "_bulk_positions", None)
+        drawn = _batch_positions_many(requests, {})
+        assert drawn.shape == (len(requests), 10)
+
+    def test_one_full_chunk_stays_inside_its_memory_budget(self):
+        # the bulk temporaries of one window chunk at acceptance size: its
+        # 199 x C product words and its C x g seen-mask, 0.53 MB at C = 128,
+        # with room for one 64 KB numpy buffer
+        C = trainer._DRAW_CHUNK
+        base = self.plan(2500, 100, 0, 64)
+        requests = [(replace(base, seed=k // 64), k % 64) for k in range(C)]
+        rngs = {}
+        _batch_positions_many(requests, rngs)
+        tracemalloc.start()
+        try:
+            _batch_positions_many(requests, rngs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < C * (2 * 100 * 8 + 2500) + 2 ** 16, peak
 
 
 class TestSelfPacedHook:

@@ -758,13 +758,13 @@ class TestTrainStack:
         schedules = [sched for _p, sched, _sp, _seed in rows]
         self_paced = [sp for _p, _sched, sp, _seed in rows]
         draws = []
-        positions = trainer._batch_positions
+        positions = trainer._batch_positions_many
 
-        def counted(plan, t, rngs):
-            draws.append((t, plan.seed, plan.pacing.sizes[t]))
-            return positions(plan, t, rngs)
+        def counted(requests, rngs):
+            draws.extend((t, plan.seed, plan.pacing.sizes[t]) for plan, t in requests)
+            return positions(requests, rngs)
 
-        monkeypatch.setattr(trainer, "_batch_positions", counted)
+        monkeypatch.setattr(trainer, "_batch_positions_many", counted)
         stacked = train_stack(ds, test, plans, schedules, spec, list(range(len(rows))),
                               record_every=9, self_paced=self_paced)
         expected = sorted({(t, plan.seed, plan.pacing.sizes[t])
@@ -840,11 +840,11 @@ class TestTrainStack:
             windows.append((start, min(min(b for b in bounds if b > start), start + W)))
             start = windows[-1][1]
         draws, spans = [], []
-        positions, draw_window = trainer._batch_positions, trainer._draw_window
+        positions, draw_window = trainer._batch_positions_many, trainer._draw_window
 
-        def counted(plan, t, rngs):
-            draws.append((plan.seed, t, plan.pacing.sizes[t]))
-            return positions(plan, t, rngs)
+        def counted(requests, rngs):
+            draws.extend((plan.seed, t, plan.pacing.sizes[t]) for plan, t in requests)
+            return positions(requests, rngs)
 
         def spied(groups, start, stop, N, B, rngs):
             window = draw_window(groups, start, stop, N, B, rngs)
@@ -852,7 +852,7 @@ class TestTrainStack:
             return window
 
         monkeypatch.setattr(trainer, "_DRAW_WINDOW", W)
-        monkeypatch.setattr(trainer, "_batch_positions", counted)
+        monkeypatch.setattr(trainer, "_batch_positions_many", counted)
         monkeypatch.setattr(trainer, "_draw_window", spied)
         stacked = train_stack(ds, test, plans, schedules, spec, list(range(len(rows))),
                               record_every=9, self_paced=self_paced)
@@ -900,13 +900,13 @@ class TestBatchStore:
     def counted_stack(self, monkeypatch, ds, test, plans, store, seeds):
         """`train_stack` of `plans` with `store`: its outcomes and its draws."""
         draws = []
-        positions = trainer._batch_positions
+        positions = trainer._batch_positions_many
 
-        def counted(plan, t, rngs):
-            draws.append((plan.seed, t, plan.pacing.sizes[t]))
-            return positions(plan, t, rngs)
+        def counted(requests, rngs):
+            draws.extend((plan.seed, t, plan.pacing.sizes[t]) for plan, t in requests)
+            return positions(requests, rngs)
 
-        monkeypatch.setattr(trainer, "_batch_positions", counted)
+        monkeypatch.setattr(trainer, "_batch_positions_many", counted)
         outcomes = train_stack(ds, test, plans, [self.SCHED] * len(plans), LINEAR, seeds,
                                record_every=9, batch_store=store)
         monkeypatch.undo()

@@ -31,7 +31,7 @@ from .scoring import ScoreTable, invert, load_scores_csv, oracle_bayes_score, \
     random_score, score_by_model_loss, transfer_score
 from .seeding import BATCH, INIT, SCORE, SPLIT, SUBSET, derived_seed
 from .sequencer import balanced_prefix, build_plan
-from .trainer import BatchStore, LearningCurve, Model, train_stack
+from .trainer import LearningCurve, Model, train_stack
 
 
 # Reference desk-scale dataset: 5 heavily overlapping Gaussian classes. The
@@ -168,7 +168,7 @@ def _scorer_key(config: ExperimentConfig, seed: int) -> tuple:
 
 
 def score_tables(configs: list[ExperimentConfig], data: tuple,
-                 memo: dict | None = None, batch_store: BatchStore | None = None) -> list[list]:
+                 memo: dict | None = None) -> list[list]:
     """For each config, one table of its scoring function per repetition seed,
     over the training split of `data`: `resolve_dataset`'s (train, test).
 
@@ -176,11 +176,10 @@ def score_tables(configs: list[ExperimentConfig], data: tuple,
     the loss of the final model of that seed's vanilla run, recording only at
     its first and last iteration; the vanilla runs of the keys this call adds
     train as one stack (the configs may differ only in pacing and LR) and
-    record on the test split. A given `batch_store` keeps the scorers'
-    full-size batch draws for the command's later stacks over the same plan
-    seeds. A seed whose scorer diverged, or cannot score the training split
-    (`_loss_table`), gets an `ExperimentError` in place of its table, and one
-    whose scorer cannot be planned (a batch above the split) that error."""
+    record on the test split. A seed whose scorer diverged, or cannot score
+    the training split (`_loss_table`), gets an `ExperimentError` in place of
+    its table, and one whose scorer cannot be planned (a batch above the
+    split) that error."""
     train_ds, test_ds = data
     memo = {} if memo is None else memo
     new = {}  # key -> the one-seed vanilla run of a self-taught table to train
@@ -197,7 +196,7 @@ def score_tables(configs: list[ExperimentConfig], data: tuple,
                                               record_every=config.iterations), train_ds, None)
             except (ConfigError, ParameterError) as exc:  # a batch above the split
                 memo[key] = exc
-    outcomes = _train_runs(train_ds, test_ds, list(new.values()), batch_store)
+    outcomes = _train_runs(train_ds, test_ds, list(new.values()))
     for (key, run), (outcome,) in zip(new.items(), outcomes):
         memo[key] = (ExperimentError(f"self-taught scorer of seed {run.seeds[0]} diverged "
                                      f"at iteration {outcome.iteration}")
@@ -288,11 +287,9 @@ def _plan_run(config: ExperimentConfig, train_ds: Dataset, tables: list | None) 
     return run
 
 
-def _train_runs(train_ds: Dataset, test_ds: Dataset, runs: list[_Run],
-                batch_store: BatchStore | None = None) -> list[list]:
+def _train_runs(train_ds: Dataset, test_ds: Dataset, runs: list[_Run]) -> list[list]:
     """Train every seed of every run as one stack; one outcome list per run.
-    The runs share the model, the iteration count and `record_every`;
-    `batch_store` is `train_stack`'s."""
+    The runs share the model, the iteration count and `record_every`."""
     if not runs:
         return []
     rows = [(run, seed, plan) for run in runs for seed, plan in zip(run.seeds, run.plans)]
@@ -302,8 +299,7 @@ def _train_runs(train_ds: Dataset, test_ds: Dataset, runs: list[_Run],
         [run.config.schedule for run, _seed, _plan in rows], config.model_spec,
         [derived_seed(seed, INIT) for _run, seed, _plan in rows],
         record_every=config.record_every,
-        self_paced=[run.config.condition == "self_paced" for run, _seed, _plan in rows],
-        batch_store=batch_store))
+        self_paced=[run.config.condition == "self_paced" for run, _seed, _plan in rows]))
     return [[next(outcomes) for _ in run.seeds] for run in runs]
 
 
@@ -350,14 +346,14 @@ def _summarise(run: _Run, outcomes: list) -> ExperimentResult | ExperimentError:
     return result
 
 
-def _results(configs: list[ExperimentConfig], data: tuple, batch_store: BatchStore | None,
-             memo: dict | None = None, tables: list | None = None) -> list:
+def _results(configs: list[ExperimentConfig], data: tuple, memo: dict | None = None,
+             tables: list | None = None) -> list:
     """Per config its `ExperimentResult`, or the typed error that ended it: a
     planning error, or `_summarise`'s. Config i reads `tables[i]`, else `score_tables`
-    under `memo`; every plan trains in one stack on `data` with `batch_store`."""
+    under `memo`; every plan trains in one stack on `data`."""
     if tables is None:
         scored = iter(score_tables([c for c in configs if c.condition in SCORED_CONDITIONS],
-                                   data, memo, batch_store))
+                                   data, memo))
         tables = [next(scored) if c.condition in SCORED_CONDITIONS else None for c in configs]
     runs = []
     for config, config_tables in zip(configs, tables):
@@ -365,7 +361,7 @@ def _results(configs: list[ExperimentConfig], data: tuple, batch_store: BatchSto
             runs.append(_plan_run(config, data[0], config_tables))
         except (ConfigError, ParameterError) as exc:  # a pacing it cannot build or plan
             runs.append(exc)
-    outcomes = iter(_train_runs(*data, [r for r in runs if isinstance(r, _Run)], batch_store))
+    outcomes = iter(_train_runs(*data, [r for r in runs if isinstance(r, _Run)]))
     return [r if isinstance(r, Exception) else _summarise(r, next(outcomes)) for r in runs]
 
 
@@ -377,12 +373,9 @@ def run_experiment(config: ExperimentConfig,
 
     A repetition that diverges, or has an `ExperimentError` in place of its
     table, is recorded as failed; the experiment errors out only when at
-    least half of the repetitions fail. Self-taught scorers trained here are
-    vanilla runs over the run's own plan seeds, so the run reads their
-    full-size batch draws from one `BatchStore`."""
+    least half of the repetitions fail."""
     data = resolve_dataset(config) if data is None else data
-    scorers = config.condition in SCORED_CONDITIONS and config.scoring["kind"] == "self_taught"
-    (result,) = _results([config], data, BatchStore() if scorers else None)
+    (result,) = _results([config], data)
     if isinstance(result, Exception):
         raise result
     return result
@@ -437,13 +430,10 @@ def two_stage_grid_search(config: ExperimentConfig) -> tuple[ExperimentConfig | 
     Every score table is made before stage 1, the self-taught scorers as one
     stack: `_scorer_key` ignores pacing, so the base pacing stands in for
     the stage-1 winner's. All new cells × seeds of a stage train as one
-    stack (`_results`), and a cell whose
-    resolved tree was trained already (in stage 2, the stage-1 winner at the
-    base LR) reuses that run. The scorers and both stages share the plan
-    seeds, so they share one `BatchStore`: each full-size batch is drawn
-    once per search. A cell whose tree does not resolve, or whose pacing
-    cannot be built or planned on the fit split, or whose repetitions fail,
-    is recorded as failed."""
+    stack (`_results`), and a cell whose resolved tree was trained already
+    (in stage 2, the stage-1 winner at the base LR) reuses that run. A cell
+    whose tree does not resolve, or whose pacing cannot be built or planned
+    on the fit split, or whose repetitions fail, is recorded as failed."""
     if config.grid is None:
         raise ConfigError("grid search requires a grid section in the config")
     grid = config.grid
@@ -463,7 +453,6 @@ def two_stage_grid_search(config: ExperimentConfig) -> tuple[ExperimentConfig | 
 
     audit: list[dict] = []
     best = None  # (criterion value, pacing params, config) of the best cell so far
-    batch_store = BatchStore()
     # a cell's resolved tree, as JSON -> (its config, its `_results` value)
     trained: dict = {}
 
@@ -479,8 +468,7 @@ def two_stage_grid_search(config: ExperimentConfig) -> tuple[ExperimentConfig | 
             keys.append(json_text(c.tree))
             if keys[-1] not in trained:
                 new[keys[-1]] = c
-        trained.update(zip(new, zip(new.values(), _results(list(new.values()), data,
-                                                           batch_store, memo))))
+        trained.update(zip(new, zip(new.values(), _results(list(new.values()), data, memo))))
         for (pacing_params, lr_params), key in zip(cells, keys):
             c, result = (None, key) if isinstance(key, Exception) else trained[key]
             if isinstance(result, Exception):
@@ -511,7 +499,7 @@ def two_stage_grid_search(config: ExperimentConfig) -> tuple[ExperimentConfig | 
             # which `_scorer_key` ignores, so the base config stands in for
             # each stage-1 cell, and the base pacing for the stage-1 winner's
             score_tables([_with_params(config, {}, lr_params)
-                          for lr_params in [{}] + lr_cells], data, memo, batch_store)
+                          for lr_params in [{}] + lr_cells], data, memo)
         run_stage(1, [(pacing_params, {}) for pacing_params in pacing_cells])
         # stage 2 sweeps LR at the stage-1 winner, so it waits for stage 1
         best_pacing = {} if best is None else best[1]
@@ -538,8 +526,6 @@ def bootstrap_loop(config: ExperimentConfig) -> Iterator[ExperimentResult]:
 
     A seed that fails in one generation is recorded as failed in every later
     one; a generation errors out when half of its repetitions have failed.
-    Every generation trains over the same plan seeds, so the generations
-    share one `BatchStore`: each full-size batch is drawn once per loop.
     Another condition than curriculum is a ConfigError, raised by the call
     itself, before any training: no other condition defines a generation
     trained on the previous generation's scores."""
@@ -550,7 +536,6 @@ def bootstrap_loop(config: ExperimentConfig) -> Iterator[ExperimentResult]:
 
 
 def _generations(config: ExperimentConfig, data: tuple) -> Iterator[ExperimentResult]:
-    batch_store = BatchStore()
     previous = None
     for g in range(config.generations + 1):
         # a seed with no generation-(g-1) model, or whose model cannot score
@@ -560,7 +545,7 @@ def _generations(config: ExperimentConfig, data: tuple) -> Iterator[ExperimentRe
             if s in previous.models
             else ExperimentError(f"seed {s} has no generation-{g - 1} model to score with")
             for s in config.seeds]]
-        (result,) = _results([config if g else _vanilla(config)], data, batch_store, tables=tables)
+        (result,) = _results([config if g else _vanilla(config)], data, tables=tables)
         if isinstance(result, Exception):
             raise result
         result.summary["generation"] = g

@@ -27,7 +27,7 @@ from .sequencer import CurriculumPlan, _batch_positions_many, balanced_prefix, r
 
 ARCHITECTURES = ("linear_softmax", "mlp1")
 _NONFINITE = "non-finite activations in forward pass at iteration {}"
-# the most steps a store-less draw group draws ahead of the step it serves
+# the most steps a draw group draws ahead of the step it serves
 _DRAW_WINDOW = 64
 # the most draws of a window made in one `_batch_positions_many` call; the
 # bulk temporaries grow with it (~0.5 MB at 128 and g = 2500)
@@ -365,50 +365,25 @@ class LearningCurve:
                    lr=np.array(cols[4]))
 
 
-class BatchStore:
-    """The full-size batch positions drawn by the stacks of one command.
-
-    A row at g(t) = N draws the positions of (plan seed, t) among all N ids,
-    whatever its condition, so a later stack over the same plan seeds reads
-    them here instead of drawing again. Per (plan seed, N, batch size) and
-    horizon M it holds an (M, B) block in the smallest unsigned dtype that
-    holds N - 1, and which of its rows are filled."""
-
-    def __init__(self):
-        self._blocks: dict = {}
-
-    def block(self, plan: CurriculumPlan) -> tuple[np.ndarray, np.ndarray]:
-        """(positions, filled) of the plan's key."""
-        key = (plan.seed, plan.N, plan.batch_size, plan.M)
-        if key not in self._blocks:
-            self._blocks[key] = (
-                np.empty((plan.M, plan.batch_size), dtype=np.min_scalar_type(plan.N - 1)),
-                np.zeros(plan.M, dtype=bool))
-        return self._blocks[key]
-
-
 def _draw_window(groups: list, start: int, stop: int, N: int, B: int, rngs: dict) -> np.ndarray:
-    """The batch positions of steps start..stop-1 of every draw group, an
-    (stop - start, G, B) array in the smallest unsigned dtype that holds
-    N - 1. The store-less groups' draws are made back to back, in near-equal
-    chunks of at most `_DRAW_CHUNK`; a group with a store (plan, (block,
-    filled)) is left for its step to fill."""
+    """The batch positions of steps start..stop-1 of every draw group (a
+    plan), an (stop - start, G, B) array in the smallest unsigned dtype that
+    holds N - 1. The draws are made back to back, in near-equal chunks of at
+    most `_DRAW_CHUNK`."""
     window = np.empty((stop - start, len(groups), B), dtype=np.min_scalar_type(N - 1))
-    free = [g for g, (_plan, store) in enumerate(groups) if store is None]
-    T, total = stop - start, len(free) * (stop - start)
+    T, total = stop - start, len(groups) * (stop - start)
     chunks = -(-total // _DRAW_CHUNK)
     for k in range(chunks):
-        # draw n is step start + n % T of group free[n // T]
+        # draw n is step start + n % T of group n // T
         n = np.arange(total * k // chunks, total * (k + 1) // chunks)
-        requests = [(groups[free[m // T]][0], start + m % T) for m in n.tolist()]
-        window[n % T, np.take(free, n // T)] = _batch_positions_many(requests, rngs)
+        requests = [(groups[m // T], start + m % T) for m in n.tolist()]
+        window[n % T, n // T] = _batch_positions_many(requests, rngs)
     return window
 
 
 def train_stack(ds_train: Dataset, ds_test: Dataset, plans: list[CurriculumPlan],
                 schedules: list[LRSchedule], model_spec: ModelSpec, seeds: list[int],
-                record_every: int = 50, self_paced: list[bool] | None = None,
-                batch_store: BatchStore | None = None) -> list:
+                record_every: int = 50, self_paced: list[bool] | None = None) -> list:
     """Run M SGD steps for R models at once: row r follows plans[r] and
     schedules[r] from the init of seeds[r], and every row equals that row
     trained alone, bitwise. Rows may differ in pacing and learning rate; they
@@ -423,13 +398,10 @@ def train_stack(ds_train: Dataset, ds_test: Dataset, plans: list[CurriculumPlan]
     A row r with `self_paced[r]` true (the self-paced control) re-ranks its
     plan ascending by (its current loss on each training example, id) at
     t=0 and at each stage start of its pacing; a non-finite forward diverges it.
-    `batch_store`, when given, supplies and keeps every full-size draw: a row
-    at g(t) = N draws only when no stack of the store drew (plan seed, t).
     Rows that share a plan seed and g(t) share one draw of batch positions.
-    Each draw group without a store draws a window of steps back to back,
-    up to the next stage start of any row, M, or `_DRAW_WINDOW` steps on,
-    and the window's steps then read it; a group with a store reads or
-    draws at its own step. A draw depends on (plan seed, t, g(t)) alone, so
+    Each draw group draws a window of steps back to back, up to the next
+    stage start of any row, M, or `_DRAW_WINDOW` steps on, and the window's
+    steps then read it. A draw depends on (plan seed, t, g(t)) alone, so
     the window changes when a batch is drawn, never what it holds. A
     window's draws are made in chunks by `sequencer._batch_positions_many`,
     in bulk or per call, with the same bits either way.
@@ -480,8 +452,6 @@ def train_stack(ds_train: Dataset, ds_test: Dataset, plans: list[CurriculumPlan]
     start = stop = 0  # the window holds the draws of steps start..stop-1
     recorded: list[list] = [[] for _ in plans]
     outcomes: list = [None] * R
-    # each row's store block, for its full-size draws
-    stored = [None if batch_store is None else batch_store.block(plan) for plan in plans]
     # live row j's class-balanced prefix of size g(t) is prefixes[j, :g(t)]
     prefixes = np.empty((R, N), dtype=np.int64)
     rngs: dict = {}  # plan seed -> the generator that each of its draws resets
@@ -512,35 +482,25 @@ def train_stack(ds_train: Dataset, ds_test: Dataset, plans: list[CurriculumPlan]
                         drop(np.arange(len(live)) != j, t, _NONFINITE.format(t))
                 if not live:
                     break
-                # one draw group per (plan seed, g(t)), a full-size one
-                # reading the row's store block
+                # one draw group per (plan seed, g(t))
                 keys, groups, group_of = {}, [], []
                 for j, r in enumerate(live):
                     plan, size = current[r], sizes[r][t]
                     g = keys.setdefault((plan.seed, size), len(groups))
                     if g == len(groups):
-                        groups.append((plan, stored[r] if size == N else None))
+                        groups.append(plan)
                     group_of.append(g)
                     prefixes[j, :size] = balanced_prefix(plan, size)
                 if t < stop:  # the step after a drop: the groups are some of the window's
                     window = window[:, [previous[key] for key in keys]]
                 previous = keys
                 group_of = np.array(group_of)
-                store_groups = [(g, plan, *store) for g, (plan, store) in enumerate(groups)
-                                if store is not None]
                 # live row j's batch ids are prefixes.flat[offsets[j] + its positions]
                 offsets = np.arange(0, len(live) * N, N)[:, None]
             if t == stop:
                 start, stop = t, min(bounds[bisect.bisect_right(bounds, t)], t + _DRAW_WINDOW)
                 window = _draw_window(groups, start, stop, N, B, rngs)
-            drawn = window[t - start]
-            # a full-size group reads or fills its store block at its own step,
-            # so a row that diverges leaves its later draws to the next stack
-            for g, plan, block, filled in store_groups:
-                if not filled[t]:
-                    block[t], filled[t] = _batch_positions_many([(plan, t)], rngs)[0], True
-                drawn[g] = block[t]
-            ids = np.take(prefixes, drawn[group_of] + offsets)
+            ids = np.take(prefixes, window[t - start][group_of] + offsets)
             # every id is in range; mode "raise" would gather into a copy of out
             X = np.take(ds_train.X, ids, axis=0, out=step["X"], mode="clip")
             logits, cache = _forward(model_spec, views, X, step)

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -373,7 +374,7 @@ class TestGridStack:
                     and cell_config.scoring["kind"] != "self_taught"):
                 tables = [[harness._fixed_table(cell_config, train_ds, fit_ids)]
                           * cell_config.repetitions]
-            (result,) = harness._results([cell_config], (fit_ds, val_ds), None, tables=tables)
+            (result,) = harness._results([cell_config], (fit_ds, val_ds), tables=tables)
             if isinstance(result, (ExperimentError, ParameterError)):
                 value, extra = None, {"failed": True, "error": str(result)}
             else:
@@ -533,8 +534,7 @@ class TestResults:
             return real(ds_train, ds_test, plans, *args, **kwargs)
 
         monkeypatch.setattr(harness, "train_stack", counting)
-        unplannable, diverged, trained = harness._results(
-            configs, resolve_dataset(configs[2]), None)
+        unplannable, diverged, trained = harness._results(configs, resolve_dataset(configs[2]))
         monkeypatch.undo()
         assert rows == [4]  # the two plannable configs x two seeds
         assert isinstance(unplannable, ParameterError)
@@ -557,14 +557,13 @@ class TestResults:
         config = resolve_config(tiny_tree(condition))
         data = resolve_dataset(config)
         (tables,) = harness.score_tables([resolve_config(tiny_tree("curriculum"))], data)
-        (given,) = harness._results([config], data, None, tables=[tables])
+        (given,) = harness._results([config], data, tables=[tables])
         assert json_text(given.summary) == json_text(run_experiment(config).summary)
 
 
 def spied_draws(monkeypatch, command):
     """Run `command()`; the (plan seed, t, g(t)) of every batch draw it made,
-    the keys its stacks need (each stack's keys below N, and every full-size
-    key once), and each stack's per-stack distinct key count."""
+    and per stack it trained the set of those keys of its rows."""
     from curriculum_lab import trainer
     draws, stacks = [], []
     positions, stack = trainer._batch_positions_many, harness.train_stack
@@ -574,22 +573,20 @@ def spied_draws(monkeypatch, command):
         return positions(requests, rngs)
 
     def recorded(ds_train, ds_test, plans, *args, **kwargs):
-        stacks.append([(p.seed, t, g, g == p.N) for p in plans
-                       for t, g in enumerate(p.pacing.sizes)])
+        stacks.append({(p.seed, t, g) for p in plans for t, g in enumerate(p.pacing.sizes)})
         return stack(ds_train, ds_test, plans, *args, **kwargs)
 
     monkeypatch.setattr(trainer, "_batch_positions_many", counted)
     monkeypatch.setattr(harness, "train_stack", recorded)
     command()
     monkeypatch.undo()
-    needed = [key for keys in stacks for key in {k[:3] for k in keys if not k[3]}]
-    needed += {key[:3] for keys in stacks for key in keys if key[3]}
-    return draws, needed, [len({k[:3] for k in keys}) for keys in stacks]
+    return draws, stacks
 
 
-class TestBatchStoreSharing:
-    """Commands that train several stacks over the same plan seeds draw each
-    full-size batch once; every other draw is made once per stack."""
+class TestOneDrawRule:
+    """Commands that train several stacks over the same plan seeds draw
+    each batch once per stack that needs it: no draw is kept from one stack
+    for the next."""
 
     def self_taught(self, **overrides):
         return resolve_config(tiny_tree("curriculum", scoring={"kind": "self_taught"},
@@ -609,38 +606,68 @@ class TestBatchStoreSharing:
 
     # the scorers, then each grid stage's new cells; the scorers, then the
     # run; one stack per generation
-    @pytest.mark.parametrize("command,stacks", [("grid_search", 3), ("train", 2),
-                                                ("bootstrap", 3)])
-    def test_full_size_draws_are_made_once_per_command(self, monkeypatch, command, stacks):
-        draws, needed, per_stack = spied_draws(monkeypatch, getattr(self, command))
-        assert len(per_stack) == stacks
-        assert sorted(draws) == sorted(needed)
-        # without the store every stack draws its full-size keys again
-        assert len(draws) < sum(per_stack)
-
-    def stores_passed(self, monkeypatch, command) -> list:
-        stores = []
-        real = harness.train_stack
-
-        def spying(*args, batch_store=None, **kwargs):
-            stores.append(batch_store)
-            return real(*args, batch_store=batch_store, **kwargs)
-
-        monkeypatch.setattr(harness, "train_stack", spying)
-        command()
-        monkeypatch.undo()
-        return stores
+    @pytest.mark.parametrize("command,stacks,total", [("grid_search", 3, 510),
+                                                      ("train", 2, 240), ("bootstrap", 3, 360)])
+    def test_each_stack_draws_each_key_of_its_rows_once(self, monkeypatch, command, stacks,
+                                                        total):
+        draws, keys = spied_draws(monkeypatch, getattr(self, command))
+        assert len(keys) == stacks
+        assert sorted(draws) == sorted(key for stack in keys for key in stack)
+        assert len(draws) == total
 
     @pytest.mark.parametrize("condition,scoring", [
         ("vanilla", "oracle"), ("curriculum", "oracle"), ("anti", "oracle"),
         ("self_paced", "oracle"), ("random", "oracle"), ("vanilla", "self_taught")])
-    def test_single_stack_run_keeps_no_store(self, monkeypatch, condition, scoring):
+    def test_single_stack_run_draws_each_key_of_its_rows_once(self, monkeypatch, condition,
+                                                               scoring):
         config = resolve_config(tiny_tree(condition, scoring={"kind": scoring}))
-        assert self.stores_passed(monkeypatch, lambda: run_experiment(config)) == [None]
+        draws, keys = spied_draws(monkeypatch, lambda: run_experiment(config))
+        assert len(keys) == 1
+        assert sorted(draws) == sorted(keys[0])
 
-    def test_self_taught_run_shares_one_store(self, monkeypatch):
-        stores = self.stores_passed(monkeypatch, self.train)
-        assert len(stores) == 2 and stores[0] is stores[1] is not None
+    @pytest.mark.parametrize("command", ["grid_search", "train", "bootstrap"])
+    def test_every_draw_is_made_in_a_draw_window(self, monkeypatch, command):
+        from curriculum_lab import trainer
+        depth, inside, outside = [0], [], []
+        positions, draw_window = trainer._batch_positions_many, trainer._draw_window
+
+        def counted(requests, rngs):
+            (inside if depth[0] else outside).append(len(requests))
+            return positions(requests, rngs)
+
+        def windowed(*args):
+            depth[0] += 1
+            try:
+                return draw_window(*args)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(trainer, "_batch_positions_many", counted)
+        monkeypatch.setattr(trainer, "_draw_window", windowed)
+        getattr(self, command)()
+        monkeypatch.undo()
+        assert inside and outside == []
+
+    def test_peak_memory_grows_with_M_by_less_than_a_draw_store(self):
+        # a store of draws kept from the scorers' stack for the run's would
+        # hold R x M x B positions: from M = 250 to 1000 it would add
+        # R x 750 x B x 2 bytes (703 KB) to the peak, more than the whole growth
+        R, B, horizons, peaks = 8, 60, (250, 1000), []
+        for M in horizons:
+            tree = tiny_tree("curriculum", scoring={"kind": "self_taught"}, iterations=M,
+                             record_every=M, repetitions=R, batch_size=B)
+            tree["dataset"]["synthetic"]["n_per_class"] = 120
+            config = resolve_config(tree)
+            data = resolve_dataset(config)
+            itemsize = np.min_scalar_type(data[0].N - 1).itemsize
+            tracemalloc.start()
+            try:
+                run_experiment(config, data)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert itemsize == 2
+        assert peaks[1] - peaks[0] < R * (horizons[1] - horizons[0]) * B * itemsize, peaks
 
 
 class TestSelfTaughtTables:

@@ -9,9 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 from curriculum_lab import trainer
 from curriculum_lab.data import Dataset
 from curriculum_lab.errors import NumericalError, ParameterError, TrainingDivergedError
-from curriculum_lab.pacing import PacingSpec, saturation_iteration
-from curriculum_lab.sequencer import _order, balanced_prefix, build_plan
-from curriculum_lab.trainer import (BatchStore, LearningCurve, LRSchedule, Model, ModelSpec,
+from curriculum_lab.pacing import PacingSpec
+from curriculum_lab.sequencer import _batch_positions, _order, balanced_prefix, build_plan
+from curriculum_lab.trainer import (LearningCurve, LRSchedule, Model, ModelSpec,
                                     _forward, _forward_arrays, _grad_arrays,
                                     _layout, _losses_and_residual, _mean_loss_and_grad,
                                     _stack_views, _sum_columns, train_stack)
@@ -610,11 +610,11 @@ class TestTrainStack:
 
     @pytest.mark.parametrize("spec", [LINEAR, MLP], ids=["linear", "mlp1"])
     def test_a_drop_regroups_rows_that_share_a_draw(self, tmp_path, spec):
-        # the diverging row 0 draws first in its (seed, g(t)) group, which
-        # reads a batch store; the drop regroups the stack at a step that is
-        # no stage start, and row 1 draws for the group from then on. Row 0
-        # steps at lr 0.1 at t = 0 and at 1.7e308 at t = 1, which is no record
-        # step, so its test-set forward at t = 0 is finite
+        # the diverging row 0 draws first in its (seed, g(t)) group; the
+        # drop regroups the stack mid-window, at a step that is no stage
+        # start, and row 1 draws for the group from then on. Row 0 steps at
+        # lr 0.1 at t = 0 and at 1.7e308 at t = 1, which is no record step,
+        # so its test-set forward at t = 0 is finite
         ds, test = make_ds([14, 14, 12], d=3, seed=5), make_ds([5, 5, 5], d=3, seed=6)
         blowup = LRSchedule("cyclical", lr_min=0.1, lr_max=1.7e308, cycle_length=2)
         rows = [("vanilla", blowup, False), ("vanilla", self.SCHED, False),
@@ -625,7 +625,7 @@ class TestTrainStack:
         schedules = [sched for _v, sched, _sp in rows]
         self_paced = [sp for _v, _sched, sp in rows]
         stacked = train_stack(ds, test, plans, schedules, spec, [0, 1, 2, 3], record_every=9,
-                              self_paced=self_paced, batch_store=BatchStore())
+                              self_paced=self_paced)
         with pytest.raises(TrainingDivergedError) as alone:
             train(ds, test, plans[0], blowup, spec, record_every=9, seed=0)
         assert str(stacked[0]) == str(alone.value)
@@ -814,7 +814,7 @@ class TestTrainStack:
     @pytest.mark.parametrize("row0", ["finite", "diverges-alone", "diverges-sharing"])
     @pytest.mark.parametrize("spec", [LINEAR, MLP], ids=["linear", "mlp1"])
     def test_draw_windows_change_no_batch_and_draw_each_once(self, monkeypatch, spec, row0):
-        # store-less groups draw a window of steps ahead, which ends at the
+        # draw groups draw a window of steps ahead, which ends at the
         # next stage start of any row, at M or W steps on; row 0 shares its
         # (seed, g(t)) group with row 1 unless it diverges alone, rows 2 and
         # 3 share one throughout, row 2 is self-paced and row 4 joins them
@@ -890,15 +890,15 @@ class TestTrainStack:
             assert curve.test_acc.tobytes() == np.array(accs).tobytes()
 
 
-class TestBatchStore:
-    """A store carries the full-size batch draws from one stack to the next;
-    every row still equals that row trained without one."""
+class TestDrawWindow:
+    """A stack draws each (plan seed, t, g(t)) of its rows in `_draw_window`,
+    once; no draw is kept from one stack for the next."""
 
     SCHED = TestTrainStack.SCHED
     M = TestTrainStack.M
 
-    def counted_stack(self, monkeypatch, ds, test, plans, store, seeds):
-        """`train_stack` of `plans` with `store`: its outcomes and its draws."""
+    def counted_stack(self, monkeypatch, ds, test, plans, seeds):
+        """`train_stack` of `plans`: its outcomes and its draws."""
         draws = []
         positions = trainer._batch_positions_many
 
@@ -908,12 +908,23 @@ class TestBatchStore:
 
         monkeypatch.setattr(trainer, "_batch_positions_many", counted)
         outcomes = train_stack(ds, test, plans, [self.SCHED] * len(plans), LINEAR, seeds,
-                               record_every=9, batch_store=store)
+                               record_every=9)
         monkeypatch.undo()
         return outcomes, draws
 
-    def test_second_stack_draws_only_the_full_size_positions_not_drawn(
-            self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("N,dtype", [(256, np.uint8), (257, np.uint16)])
+    def test_window_is_the_smallest_unsigned_dtype_that_holds_N_minus_1(self, N, dtype):
+        # two groups of 30 steps: 60 draws, at least _BULK_MIN, so drawn in bulk
+        ds = make_ds([N - N // 2, N // 2], d=2)
+        plans = [build_plan(ds, np.zeros(N), PacingSpec("vanilla", N=N, M=40), 3, seed=seed)
+                 for seed in (0, 1)]
+        window = trainer._draw_window(plans, 5, 35, N, 3, {})
+        assert window.shape == (30, 2, 3) and window.dtype == dtype
+        for g, plan in enumerate(plans):
+            for t in range(5, 35):
+                assert window[t - 5, g].tolist() == _batch_positions(plan, t, {}).tolist()
+
+    def test_a_second_stack_draws_every_key_of_its_rows_again(self, tmp_path, monkeypatch):
         ds, test = make_ds([14, 14, 12], d=3, seed=5), make_ds([5, 5, 5], d=3, seed=6)
         pacing = TestTrainStack().pacing
 
@@ -924,19 +935,13 @@ class TestBatchStore:
 
         first = plans([("vanilla", 3), ("fixed_exp", 8)])
         second = plans([("fixed_exp", 3), ("vanilla", 8), ("varied_exp", 5), ("vanilla", 5)])
-        store = BatchStore()
-        self.counted_stack(monkeypatch, ds, test, first, store, [0, 1])
-        stacked, draws = self.counted_stack(monkeypatch, ds, test, second, store, [2, 3, 4, 5])
-        drawn = {(p.seed, t) for p in first for t, g in enumerate(p.pacing.sizes) if g == ds.N}
-        expected = {(p.seed, t, g) for p in second for t, g in enumerate(p.pacing.sizes)
-                    if g < ds.N or (p.seed, t) not in drawn}
-        assert sorted(draws) == sorted(expected)
-        # seed 3 was full size throughout the first stack, seed 8 from its
-        # saturation on: the second stack draws seed 8 at full size before it
-        assert {(seed, g == ds.N) for seed, _t, g in draws} == {(3, False), (8, True),
-                                                                (5, False), (5, True)}
-        assert (sorted(t for seed, t, _g in draws if seed == 8)
-                == list(range(saturation_iteration(first[1].pacing))))
+        _outcomes, drawn = self.counted_stack(monkeypatch, ds, test, first, [0, 1])
+        stacked, draws = self.counted_stack(monkeypatch, ds, test, second, [2, 3, 4, 5])
+        assert len(draws) == len(set(draws))
+        assert set(draws) == {(p.seed, t, g) for p in second for t, g in enumerate(p.pacing.sizes)}
+        # seed 3 drew at full size throughout the first stack, seed 8 from its
+        # saturation on: the second stack draws those keys again
+        assert {seed for seed, _t, g in set(drawn) & set(draws) if g == ds.N} == {3, 8}
         alone = train_stack(ds, test, second, [self.SCHED] * 4, LINEAR, [2, 3, 4, 5],
                             record_every=9)
         for r, (outcome, own) in enumerate(zip(stacked, alone)):
@@ -944,7 +949,7 @@ class TestBatchStore:
             assert (curve_bytes(outcome[1], tmp_path / f"s{r}.csv")
                     == curve_bytes(own[1], tmp_path / f"a{r}.csv"))
 
-    def test_a_row_diverging_before_M_leaves_its_later_draws_to_the_next_stack(
+    def test_a_row_diverging_before_M_draws_to_the_end_of_its_window(
             self, tmp_path, monkeypatch):
         clean, test = make_ds([20, 20], d=3, seed=8), make_ds([6, 6], d=3, seed=9)
         poisoned = make_ds([20, 20], d=3, seed=8)
@@ -952,28 +957,21 @@ class TestBatchStore:
         X[5] = np.inf
         object.__setattr__(poisoned, "X", X)
         pacing = PacingSpec("vanilla", N=clean.N, M=self.M)
-        store = BatchStore()
+        W = trainer._DRAW_WINDOW
         (diverged,), first = self.counted_stack(
             monkeypatch, poisoned, test, [build_plan(poisoned, np.zeros(40), pacing, 4, seed=4)],
-            store, [0])
+            [0])
         assert isinstance(diverged, TrainingDivergedError)
-        assert diverged.iteration < self.M - 1
-        assert first == [(4, t, 40) for t in range(diverged.iteration + 1)]
+        assert diverged.iteration < W - 1 < self.M - 1
+        # the row drew its first window whole and no window after it
+        assert first == [(4, t, 40) for t in range(W)]
         plan = build_plan(clean, np.zeros(40), pacing, 4, seed=4)
-        (outcome,), second = self.counted_stack(monkeypatch, clean, test, [plan], store, [1])
-        assert second == [(4, t, 40) for t in range(diverged.iteration + 1, self.M)]
+        (outcome,), second = self.counted_stack(monkeypatch, clean, test, [plan], [1])
+        assert second == [(4, t, 40) for t in range(self.M)]
         model, curve = train(clean, test, plan, self.SCHED, LINEAR, record_every=9, seed=1)
         assert np.array_equal(outcome[0].params, model.params)
         assert (curve_bytes(outcome[1], tmp_path / "s.csv")
                 == curve_bytes(curve, tmp_path / "a.csv"))
-
-    @pytest.mark.parametrize("N,dtype", [(256, np.uint8), (257, np.uint16)])
-    def test_block_is_the_smallest_unsigned_dtype_that_holds_N_minus_1(self, N, dtype):
-        ds = make_ds([N - N // 2, N // 2], d=2)
-        plan = build_plan(ds, np.zeros(N), PacingSpec("vanilla", N=N, M=7), 3, seed=0)
-        positions, filled = BatchStore().block(plan)
-        assert positions.shape == (7, 3) and positions.dtype == dtype
-        assert filled.tolist() == [False] * 7
 
 
 class TestWorkArrays:

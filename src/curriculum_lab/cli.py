@@ -167,6 +167,8 @@ def _replay(run: Path, out: Path) -> int:
     same files with the same bytes, else 1, naming each file that does not."""
     if run.resolve() in (out.resolve(), *out.resolve().parents):
         raise ConfigError(f"--out {out} is the run directory {run} or lies inside it")
+    if out.is_dir() and any(out.iterdir()):  # its files would be compared with the run's
+        raise ConfigError(f"--out {out} is not empty")
     path = run / MANIFEST
     try:
         manifest = json.loads(path.read_bytes())

@@ -14,8 +14,8 @@ A draw is positions within the prefix, and iteration i's batch is the
 prefix's ids at those positions. The positions depend on (seed, i, g(i))
 alone, not on the order, so the rows of a training stack that share a seed
 and g(i) share one draw, even across a self-paced re-rank, and the stack may
-draw up to 64 iterations ahead of the one a batch serves
-(`trainer._draw_window`).
+draw up to 64 iterations ahead of the one a batch serves, across any row's
+stage starts (`trainer._draw_window`).
 
 Two paths make the same draws. `_batch_positions`, the definition and the
 tests' reference, makes one `Generator.choice` per draw: ~9.5 us at
@@ -118,12 +118,13 @@ def balanced_prefix(plan: CurriculumPlan, size: int) -> np.ndarray:
         raise ParameterError(f"size {size} outside [1, {plan.N}]")
     if size == plan.N:
         return plan.order
-    quotas = largest_remainder_quotas(plan.ds.class_counts, size)
+    counts = plan.ds.class_counts
+    quotas = largest_remainder_quotas(counts, size)
     # walking the easiest-first order, keep each id whose rank within its
     # class is below the class quota; the kept ids stay in (score, id) order
     labels = plan.ds.y[plan.order]
     rank = np.empty(plan.N, dtype=np.int64)
-    for c, count in enumerate(plan.ds.class_counts):
+    for c, count in enumerate(counts):
         rank[labels == c] = np.arange(count)
     return plan.order[rank < quotas[labels]]
 

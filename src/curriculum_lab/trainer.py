@@ -13,7 +13,6 @@ kernel, for what reads a trained model (loss scoring and gradient coherence).
 """
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from collections import namedtuple
@@ -27,7 +26,7 @@ from .sequencer import CurriculumPlan, _batch_positions_many, balanced_prefix, r
 
 ARCHITECTURES = ("linear_softmax", "mlp1")
 _NONFINITE = "non-finite activations in forward pass at iteration {}"
-# the most steps a draw group draws ahead of the step it serves
+# the steps of one draw window: a stack draws its rows' batches this far ahead
 _DRAW_WINDOW = 64
 # the most draws of a window made in one `_batch_positions_many` call; the
 # bulk temporaries grow with it (~0.5 MB at 128 and g = 2500)
@@ -365,20 +364,32 @@ class LearningCurve:
                    lr=np.array(cols[4]))
 
 
-def _draw_window(groups: list, start: int, stop: int, N: int, B: int, rngs: dict) -> np.ndarray:
-    """The batch positions of steps start..stop-1 of every draw group (a
-    plan), an (stop - start, G, B) array in the smallest unsigned dtype that
-    holds N - 1. The draws are made back to back, in near-equal chunks of at
-    most `_DRAW_CHUNK`."""
-    window = np.empty((stop - start, len(groups), B), dtype=np.min_scalar_type(N - 1))
-    T, total = stop - start, len(groups) * (stop - start)
-    chunks = -(-total // _DRAW_CHUNK)
+def _draw_window(plans: list, start: int, stop: int, N: int, rngs: dict):
+    """The batch positions of steps start..stop-1 of the live rows' `plans`:
+    a (D, B) array `drawn` in the smallest unsigned dtype that holds N - 1,
+    one row per distinct (plan seed, t, g(t)), and a (stop - start, rows)
+    index into it: row j's positions at step t are drawn[index[t - start, j]].
+    The draws are made back to back, in near-equal chunks of at most
+    `_DRAW_CHUNK`."""
+    T, L = stop - start, len(plans)
+    codes: dict = {}
+    seeds = [codes.setdefault(plan.seed, len(codes)) for plan in plans]
+    # one key per (step, row); rows with equal keys at a step share its draw
+    keys = np.array([plan.pacing.sizes[start:stop] for plan in plans]).T
+    keys += (np.arange(T)[:, None] * len(codes) + seeds) * (N + 1)
+    order = np.argsort(keys, axis=None, kind="stable")
+    ordered = keys.reshape(-1)[order]
+    first = np.diff(ordered, prepend=-1) != 0
+    index = np.empty(T * L, dtype=np.intp)
+    index[order] = np.cumsum(first) - 1
+    # key n is step start + n // L of row n % L
+    requests = [(plans[n % L], start + n // L) for n in order[first].tolist()]
+    drawn = np.empty((len(requests), plans[0].batch_size), dtype=np.min_scalar_type(N - 1))
+    chunks = -(-len(requests) // _DRAW_CHUNK)
     for k in range(chunks):
-        # draw n is step start + n % T of group n // T
-        n = np.arange(total * k // chunks, total * (k + 1) // chunks)
-        requests = [(groups[m // T], start + m % T) for m in n.tolist()]
-        window[n % T, n // T] = _batch_positions_many(requests, rngs)
-    return window
+        a, b = len(requests) * k // chunks, len(requests) * (k + 1) // chunks
+        drawn[a:b] = _batch_positions_many(requests[a:b], rngs)
+    return drawn, index.reshape(T, L)
 
 
 def train_stack(ds_train: Dataset, ds_test: Dataset, plans: list[CurriculumPlan],
@@ -395,20 +406,22 @@ def train_stack(ds_train: Dataset, ds_test: Dataset, plans: list[CurriculumPlan]
     by one stacked forward of the test set through every live row (argmax,
     ties to the lowest class id); a row whose forward of the test set is
     non-finite diverges at that iteration.
-    A row r with `self_paced[r]` true (the self-paced control) re-ranks its
-    plan ascending by (its current loss on each training example, id) at
-    t=0 and at each stage start of its pacing; a non-finite forward diverges it.
-    Rows that share a plan seed and g(t) share one draw of batch positions.
-    Each draw group draws a window of steps back to back, up to the next
-    stage start of any row, M, or `_DRAW_WINDOW` steps on, and the window's
-    steps then read it. A draw depends on (plan seed, t, g(t)) alone, so
-    the window changes when a batch is drawn, never what it holds. A
-    window's draws are made in chunks by `sequencer._batch_positions_many`,
+    A row's only events are its own stage starts, t=0 among them. There a
+    row r with `self_paced[r]` true (the self-paced control) first re-ranks
+    its plan ascending by (its current loss on each training example, id),
+    and a non-finite forward diverges it; then the row rebuilds its
+    class-balanced prefix of size g(t). The stack draws its live rows' batch
+    positions a window ahead, in one `_draw_window` call per window, which
+    ends at M or `_DRAW_WINDOW` steps on; rows that share a plan seed and
+    g(t) at a step share one draw. A draw depends on (plan seed, t, g(t))
+    alone, so the window changes when a batch is drawn, never what it holds.
+    A window's draws are made in chunks by `sequencer._batch_positions_many`,
     in bulk or per call, with the same bits either way.
 
     Returns one outcome per row: `(Model, LearningCurve)`, or the
     `TrainingDivergedError` that training the row alone raises. A diverged
-    row leaves the stack at that iteration; the other rows go on unchanged.
+    row leaves the stack at that iteration; the other rows go on unchanged,
+    reading the rest of the window drawn for them.
     """
     R = len(plans)
     self_paced = [False] * R if self_paced is None else list(self_paced)
@@ -435,29 +448,25 @@ def train_stack(ds_train: Dataset, ds_test: Dataset, plans: list[CurriculumPlan]
             **_grad_arrays(model_spec, arrays, P, R, B)}
     record = _forward_arrays(model_spec, R, ds_test.N, K)
     live = list(range(R))   # stack row j holds plan live[j]
-    current = list(plans)
     sizes = [plan.pacing.sizes for plan in plans]
     # lrs[t, j, 0] is live row j's learning rate at t: each schedule is
     # evaluated once per iteration, and a row is scaled by that same float64
     values = {s: [s.value(t) for t in range(M)] for s in set(schedules)}
     lrs = np.array([values[s] for s in schedules]).T[:, :, None].copy()
-    # the stage starts of each row's pacing, where its g(t) changes
-    starts = [np.flatnonzero(np.diff(s, prepend=-1)).tolist() for s in sizes]
-    # a row's draw group and prefix change only at its stage starts (where a
-    # self-paced row re-ranks) and at the step after the stack drops rows
-    changes = set().union(*starts)
-    # a window of draws ends at the next stage start of any row, at M, or
-    # _DRAW_WINDOW steps after it starts, whichever comes first
-    bounds = sorted(changes | {M})
-    start = stop = 0  # the window holds the draws of steps start..stop-1
+    # each row's events: the stage starts of its pacing, where its g(t) changes
+    starts = [set(np.flatnonzero(np.diff(s, prepend=-1)).tolist()) for s in sizes]
+    stop = 0  # the window holds the draws of steps start..stop-1
     recorded: list[list] = [[] for _ in plans]
     outcomes: list = [None] * R
-    # live row j's class-balanced prefix of size g(t) is prefixes[j, :g(t)]
+    # plan r's class-balanced prefix of size g(t) is prefixes[r, :g(t)], and
+    # live row j's batch ids are prefixes.flat[offsets[j] + its positions]
     prefixes = np.empty((R, N), dtype=np.int64)
+    offsets = np.arange(0, R * N, N)[:, None]
+    index = np.empty((0, R), dtype=np.intp)  # see `_draw_window`
     rngs: dict = {}  # plan seed -> the generator that each of its draws resets
 
     def drop(ok: np.ndarray, t: int, message: str = "") -> None:
-        nonlocal params, views, live, lrs, step, record
+        nonlocal params, views, live, lrs, step, record, offsets, index
         for j in np.flatnonzero(~ok):
             outcomes[live[j]] = TrainingDivergedError(t, message)
         params = params[ok]
@@ -465,42 +474,28 @@ def train_stack(ds_train: Dataset, ds_test: Dataset, plans: list[CurriculumPlan]
         live = [r for r, keep in zip(live, ok) if keep]
         step = {key: a[:len(live)] for key, a in step.items()}
         record = {key: a[:len(live)] for key, a in record.items()}
-        lrs = lrs[:, ok]
-        changes.add(t + 1)
+        lrs, offsets, index = lrs[:, ok], offsets[ok], index[:, ok]
 
     # a diverging row is a typed outcome: its overflow is not worth a warning
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(M):
-            if t in changes:
-                # a self-paced row re-ranks at its stage starts, one row at a time
-                for r in [r for r in live if self_paced[r] and t in starts[r]]:
+            for r in [r for r in live if t in starts[r]]:
+                plan = plans[r]
+                if self_paced[r]:
                     j = live.index(r)
                     try:
-                        current[r] = reranked(current[r], Model(model_spec, K, d, params[j])
-                                              .example_losses(ds_train.X, ds_train.y))
+                        plan = reranked(plan, Model(model_spec, K, d, params[j])
+                                        .example_losses(ds_train.X, ds_train.y))
                     except NumericalError:
                         drop(np.arange(len(live)) != j, t, _NONFINITE.format(t))
-                if not live:
-                    break
-                # one draw group per (plan seed, g(t))
-                keys, groups, group_of = {}, [], []
-                for j, r in enumerate(live):
-                    plan, size = current[r], sizes[r][t]
-                    g = keys.setdefault((plan.seed, size), len(groups))
-                    if g == len(groups):
-                        groups.append(plan)
-                    group_of.append(g)
-                    prefixes[j, :size] = balanced_prefix(plan, size)
-                if t < stop:  # the step after a drop: the groups are some of the window's
-                    window = window[:, [previous[key] for key in keys]]
-                previous = keys
-                group_of = np.array(group_of)
-                # live row j's batch ids are prefixes.flat[offsets[j] + its positions]
-                offsets = np.arange(0, len(live) * N, N)[:, None]
+                        continue
+                prefixes[r, :sizes[r][t]] = balanced_prefix(plan, sizes[r][t])
+            if not live:
+                break
             if t == stop:
-                start, stop = t, min(bounds[bisect.bisect_right(bounds, t)], t + _DRAW_WINDOW)
-                window = _draw_window(groups, start, stop, N, B, rngs)
-            ids = np.take(prefixes, window[t - start][group_of] + offsets)
+                start, stop = t, min(t + _DRAW_WINDOW, M)
+                drawn, index = _draw_window([plans[r] for r in live], start, stop, N, rngs)
+            ids = np.take(prefixes, drawn[index[t - start]] + offsets)
             # every id is in range; mode "raise" would gather into a copy of out
             X = np.take(ds_train.X, ids, axis=0, out=step["X"], mode="clip")
             logits, cache = _forward(model_spec, views, X, step)

@@ -1465,6 +1465,20 @@ class TestCliReplay:
             [], f"error: --out {run / out} is the run directory {run} or lies inside it\n")
         assert self.snapshot(run) == before
 
+    @pytest.mark.parametrize("case", ["parent-directory", "stale-file"])
+    def test_an_out_that_holds_any_entry_exits_2_before_rerunning(self, tmp_path, capsys, case):
+        # the run's parent holds the run; a stale file is left by an earlier replay
+        outer = tmp_path / "outer"
+        run = outer / "run"
+        assert main(["verify-theory", "--instances", "5", "--out", str(run)]) == 0
+        new = outer if case == "parent-directory" else tmp_path / "replay"
+        if case == "stale-file":
+            new.mkdir()
+            (new / "theory_report.json").write_bytes((run / "theory_report.json").read_bytes())
+        before = self.snapshot(tmp_path)
+        assert self.replay(capsys, run, new, 2) == ([], f"error: --out {new} is not empty\n")
+        assert self.snapshot(tmp_path) == before
+
 
 class TestCliDrawWindow:
     """No artifact depends on how far ahead a stack draws its batches, or on
@@ -1511,15 +1525,16 @@ class TestCliDrawWindow:
             self, tmp_path, monkeypatch, command, condition, overrides):
         # with a chunk of one draw, every call is below the bulk threshold;
         # five seeds and stage starts at 15 and 30 make `train`'s windows
-        # 75, 75, 320, 320 and, at the end, 25 draws
+        # 320, 320 and, at the end, 25 draws
         default, W = trainer._DRAW_CHUNK, trainer._DRAW_WINDOW
-        tree = tiny_tree(condition, iterations=30 + 2 * W + 5, repetitions=5, **overrides)
+        tree = tiny_tree(condition, iterations=2 * W + 5, repetitions=5, **overrides)
         config = write_config(tmp_path, tree)
         draw_window, sizes, runs = trainer._draw_window, [], []
 
-        def spied(groups, start, stop, *args):
-            sizes.append((stop - start) * len(groups))
-            return draw_window(groups, start, stop, *args)
+        def spied(*args):
+            drawn, index = draw_window(*args)
+            sizes.append(len(drawn))
+            return drawn, index
 
         monkeypatch.setattr(trainer, "_draw_window", spied)
         for chunk in (1, default):

@@ -789,6 +789,64 @@ class TestTrainStack:
                 ref.params -= sched.value(t) * grad
             assert np.array_equal(stacked[r][0].params, ref.params)
 
+    @pytest.mark.parametrize("spec", [LINEAR, MLP], ids=["linear", "mlp1"])
+    def test_a_row_rebuilds_its_prefix_only_at_its_own_stage_starts(self, tmp_path, monkeypatch,
+                                                                    spec):
+        # rows of one plan seed with different stage starts, a self-paced row
+        # and a row that diverges mid-run: each builds its prefix once per
+        # own stage start while it is live, and no drop rebuilds another's
+        ds, test = make_ds([14, 14, 12], d=3, seed=5), make_ds([5, 5, 5], d=3, seed=6)
+        blowup = LRSchedule("cyclical", lr_min=0.1, lr_max=1.7e308, cycle_length=2)
+        rows = [(self.pacing("vanilla", ds.N), self.SCHED, False),
+                (self.pacing("fixed_exp", ds.N), self.SCHED, False),
+                (self.pacing("varied_exp", ds.N), self.SCHED, False),
+                (PacingSpec("fixed_exp", N=ds.N, M=self.M, starting_percent=0.25,
+                            increase=1.6, step_length=9), self.SCHED, True),
+                (self.pacing("single_step", ds.N), blowup, False)]
+        plans = [build_plan(ds, np.random.default_rng(r).normal(size=ds.N), pacing, 5, seed=3)
+                 for r, (pacing, _sched, _sp) in enumerate(rows)]
+        schedules = [sched for _p, sched, _sp in rows]
+        self_paced = [sp for _p, _sched, sp in rows]
+        steps, calls = [0], []
+        forward, prefix = trainer._forward, trainer.balanced_prefix
+
+        def counted_forward(spec, v, X, work=None):
+            steps[0] += X.shape[1] == 5  # a training step's batch
+            return forward(spec, v, X, work)
+
+        def counted_prefix(plan, size):
+            r = next(r for r, p in enumerate(plans) if p.pacing is plan.pacing)
+            calls.append((r, steps[0], size))
+            return prefix(plan, size)
+
+        monkeypatch.setattr(trainer, "_forward", counted_forward)
+        monkeypatch.setattr(trainer, "balanced_prefix", counted_prefix)
+        stacked = train_stack(ds, test, plans, schedules, spec, [0] * len(rows),
+                              record_every=9, self_paced=self_paced)
+        monkeypatch.undo()
+        assert isinstance(stacked[4], TrainingDivergedError)
+        it = stacked[4].iteration
+        assert 0 < it < self.M - 1
+        ends = [self.M] * 4 + [it + 1]
+        expected = [(r, t, plan.pacing.sizes[t]) for r, (plan, end) in enumerate(zip(plans, ends))
+                    for t in np.flatnonzero(np.diff(plan.pacing.sizes, prepend=-1)).tolist()
+                    if t < end]
+        assert sorted(calls) == sorted(expected)
+        # the diverged row left before its second stage start
+        assert len(set(plans[4].pacing.sizes[:it + 1])) == 1 < len(set(plans[4].pacing.sizes))
+        assert not any(t == it + 1 for _r, t, _size in calls)
+        for r, (plan, sched, sp) in enumerate(zip(plans, schedules, self_paced)):
+            if r == 4:
+                with pytest.raises(TrainingDivergedError) as alone:
+                    train(ds, test, plan, sched, spec, record_every=9, seed=0)
+                assert str(alone.value) == str(stacked[r])
+                continue
+            model, curve = train(ds, test, plan, sched, spec, record_every=9, seed=0,
+                                 self_paced=sp)
+            assert np.array_equal(stacked[r][0].params, model.params)
+            assert (curve_bytes(stacked[r][1], tmp_path / f"s{r}.csv")
+                    == curve_bytes(curve, tmp_path / f"a{r}.csv"))
+
     def test_rows_must_share_horizon_and_batch_size(self):
         ds = make_ds([10, 10], d=3)
         plans = [build_plan(ds, np.zeros(ds.N), PacingSpec("vanilla", N=ds.N, M=m), 4, seed=0)
@@ -814,11 +872,11 @@ class TestTrainStack:
     @pytest.mark.parametrize("row0", ["finite", "diverges-alone", "diverges-sharing"])
     @pytest.mark.parametrize("spec", [LINEAR, MLP], ids=["linear", "mlp1"])
     def test_draw_windows_change_no_batch_and_draw_each_once(self, monkeypatch, spec, row0):
-        # draw groups draw a window of steps ahead, which ends at the
-        # next stage start of any row, at M or W steps on; row 0 shares its
-        # (seed, g(t)) group with row 1 unless it diverges alone, rows 2 and
-        # 3 share one throughout, row 2 is self-paced and row 4 joins them
-        # where its subset size meets theirs
+        # the stack draws a window of steps ahead, which ends at M or W steps
+        # on, whichever comes first, and stage starts fall inside windows;
+        # row 0 shares its (seed, g(t)) draw with row 1 unless it diverges
+        # alone, rows 2 and 3 share one throughout, row 2 is self-paced and
+        # row 4 joins them where its subset size meets theirs
         W = 6
         ds, test = make_ds([14, 14, 12], d=3, seed=5), make_ds([5, 5, 5], d=3, seed=6)
         blowup = LRSchedule("cyclical", lr_min=0.1, lr_max=1.7e308, cycle_length=2)
@@ -832,13 +890,10 @@ class TestTrainStack:
                  for r, (variant, _sched, _sp, seed) in enumerate(rows)]
         schedules = [sched for _v, sched, _sp, _seed in rows]
         self_paced = [sp for _v, _sched, sp, _seed in rows]
-        bounds = sorted(set().union(*(np.flatnonzero(np.diff(p.pacing.sizes, prepend=-1))
-                                      .tolist() for p in plans)) | {self.M})
-        assert self.M % W and any(b % W for b in bounds)
-        windows, start = [], 0
-        while start < self.M:
-            windows.append((start, min(min(b for b in bounds if b > start), start + W)))
-            start = windows[-1][1]
+        starts = set().union(*(np.flatnonzero(np.diff(p.pacing.sizes, prepend=-1)).tolist()
+                               for p in plans))
+        assert self.M % W and any(s % W for s in starts)
+        windows = [(s, min(s + W, self.M)) for s in range(0, self.M, W)]
         draws, spans = [], []
         positions, draw_window = trainer._batch_positions_many, trainer._draw_window
 
@@ -846,10 +901,10 @@ class TestTrainStack:
             draws.extend((plan.seed, t, plan.pacing.sizes[t]) for plan, t in requests)
             return positions(requests, rngs)
 
-        def spied(groups, start, stop, N, B, rngs):
-            window = draw_window(groups, start, stop, N, B, rngs)
-            spans.append((start, stop, window.shape, window.dtype))
-            return window
+        def spied(plans, start, stop, N, rngs):
+            drawn, index = draw_window(plans, start, stop, N, rngs)
+            spans.append((start, stop, len(plans), drawn, index))
+            return drawn, index
 
         monkeypatch.setattr(trainer, "_DRAW_WINDOW", W)
         monkeypatch.setattr(trainer, "_batch_positions_many", counted)
@@ -857,9 +912,10 @@ class TestTrainStack:
         stacked = train_stack(ds, test, plans, schedules, spec, list(range(len(rows))),
                               record_every=9, self_paced=self_paced)
         monkeypatch.undo()
-        assert [(s, e) for s, e, _shape, _dtype in spans] == windows
-        assert all(shape[0] == e - s and shape[2] == 5 and dtype == np.min_scalar_type(ds.N - 1)
-                   for s, e, shape, dtype in spans)
+        assert [(s, e) for s, e, *_ in spans] == windows
+        assert all(index.shape == (e - s, live) and drawn.shape[1] == 5
+                   and drawn.dtype == np.min_scalar_type(ds.N - 1)
+                   for s, e, live, drawn, index in spans)
         ends = [self.M] * len(rows)
         extra = set()
         if row0 != "finite":
@@ -914,15 +970,18 @@ class TestDrawWindow:
 
     @pytest.mark.parametrize("N,dtype", [(256, np.uint8), (257, np.uint16)])
     def test_window_is_the_smallest_unsigned_dtype_that_holds_N_minus_1(self, N, dtype):
-        # two groups of 30 steps: 60 draws, at least _BULK_MIN, so drawn in bulk
+        # two seeds over 30 steps: 60 draws, at least _BULK_MIN, so drawn in
+        # bulk; the third row shares the first row's draws
         ds = make_ds([N - N // 2, N // 2], d=2)
         plans = [build_plan(ds, np.zeros(N), PacingSpec("vanilla", N=N, M=40), 3, seed=seed)
-                 for seed in (0, 1)]
-        window = trainer._draw_window(plans, 5, 35, N, 3, {})
-        assert window.shape == (30, 2, 3) and window.dtype == dtype
-        for g, plan in enumerate(plans):
+                 for seed in (0, 1, 0)]
+        drawn, index = trainer._draw_window(plans, 5, 35, N, {})
+        assert drawn.shape == (60, 3) and drawn.dtype == dtype and index.shape == (30, 3)
+        assert index[:, 0].tolist() == index[:, 2].tolist()
+        for j, plan in enumerate(plans):
             for t in range(5, 35):
-                assert window[t - 5, g].tolist() == _batch_positions(plan, t, {}).tolist()
+                assert (drawn[index[t - 5, j]].tolist()
+                        == _batch_positions(plan, t, {}).tolist())
 
     def test_a_second_stack_draws_every_key_of_its_rows_again(self, tmp_path, monkeypatch):
         ds, test = make_ds([14, 14, 12], d=3, seed=5), make_ds([5, 5, 5], d=3, seed=6)
